@@ -383,22 +383,35 @@ module Batch = struct
     bt_syn : S.t;
     bt_mats : (Path_expr.id, Transition.t) Hashtbl.t;
     bt_queries : (string, bquery) Hashtbl.t;
+    bt_texts : (string, bquery) Hashtbl.t;  (* raw source text -> compiled *)
     bt_next_id : int ref;
+    mutable bt_last : prepared option;  (* last text batch, plan included *)
   }
+
+  (* Whitespace variants of one query are distinct texts, so a client
+     could grow the text index without limit; past this many entries it
+     is reset, between batches only. Twice the serving layer's default
+     batch-size limit, so steady full-size batches never thrash it. *)
+  let text_index_bound = 16_384
 
   let create syn =
     { bt_syn = syn;
       bt_mats = Hashtbl.create 32;
       bt_queries = Hashtbl.create 64;
-      bt_next_id = ref 0 }
+      bt_texts = Hashtbl.create 64;
+      bt_next_id = ref 0;
+      bt_last = None }
 
   let synopsis t = t.bt_syn
   let n_matrices t = Hashtbl.length t.bt_mats
   let n_queries t = Hashtbl.length t.bt_queries
+  let n_texts t = Hashtbl.length t.bt_texts
 
   let clear t =
     Hashtbl.reset t.bt_mats;
-    Hashtbl.reset t.bt_queries
+    Hashtbl.reset t.bt_queries;
+    Hashtbl.reset t.bt_texts;
+    t.bt_last <- None
 
   let mat_for t expr =
     let id = Path_expr.intern expr in
@@ -516,23 +529,73 @@ module Batch = struct
         bq_key = key; bq_flat = None }
     end
 
+  (* the compiled query for [q], compiled on first sight of its key; a
+     hit only bumps [hits], which the batch folds into [batch.query_hit]
+     once instead of taking the metrics lock per query *)
+  let find_or_compile t hits q =
+    let key = query_key q in
+    match Hashtbl.find_opt t.bt_queries key with
+    | Some bq ->
+      incr hits;
+      bq
+    | None ->
+      Metrics.incr m "batch.query_miss";
+      let bq = Metrics.time m "batch.compile" (fun () -> compile_query t q) in
+      Hashtbl.add t.bt_queries key bq;
+      bq
+
+  (* run [f hits] and record its hit tally, also when it raises *)
+  let counting_hits f =
+    let hits = ref 0 in
+    Fun.protect
+      ~finally:(fun () -> if !hits > 0 then Metrics.incr m ~by:!hits "batch.query_hit")
+      (fun () -> f hits)
+
   let prepare t queries =
-    let qs =
-      Array.map
-        (fun q ->
-          let key = query_key q in
-          match Hashtbl.find_opt t.bt_queries key with
-          | Some bq ->
-            Metrics.incr m "batch.query_hit";
-            bq
-          | None ->
-            Metrics.incr m "batch.query_miss";
-            let bq = Metrics.time m "batch.compile" (fun () -> compile_query t q) in
-            Hashtbl.add t.bt_queries key bq;
-            bq)
-        queries
-    in
+    let qs = counting_hits (fun hits -> Array.map (find_or_compile t hits) queries) in
     { pr_queries = qs; pr_plan = None }
+
+  exception Bad_text of int * string
+
+  let same_queries a b =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i < 0 || (a.(i) == b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  (* A known text is one hashtable probe on the raw string — no parse,
+     no key render. A new one takes the [prepare] route and is recorded
+     under its text, so whitespace variants share one compiled query.
+     When the batch resolves to the last text batch's compiled queries,
+     physically and in order, that [prepared] (and its cohort plan) is
+     returned as is. *)
+  let prepare_texts t texts =
+    if Hashtbl.length t.bt_texts > text_index_bound then begin
+      Hashtbl.reset t.bt_texts;
+      Metrics.incr m "batch.text_reset"
+    end;
+    let lookup hits i text =
+      match Hashtbl.find_opt t.bt_texts text with
+      | Some bq ->
+        incr hits;
+        bq
+      | None -> (
+        match Twig_parse.parse_result text with
+        | Error msg -> raise_notrace (Bad_text (i, msg))
+        | Ok q ->
+          let bq = find_or_compile t hits q in
+          Hashtbl.add t.bt_texts text bq;
+          bq)
+    in
+    match counting_hits (fun hits -> Array.mapi (lookup hits) texts) with
+    | exception Bad_text (i, msg) -> Error (i, msg)
+    | qs -> (
+      match t.bt_last with
+      | Some p when same_queries p.pr_queries qs -> Ok p
+      | _ ->
+        let p = { pr_queries = qs; pr_plan = None } in
+        t.bt_last <- Some p;
+        Ok p)
 
   (* evaluation runs over support blocks of this many nodes: the block's
      accumulators stay in registers/L1 while each edge's CSR slices
@@ -1023,13 +1086,6 @@ module Batch = struct
 
   let run ?domains ?cohort t queries =
     run_prepared ?domains ?cohort t (prepare t queries)
-
-  let run_result ?domains ?cohort t queries =
-    match run ?domains ?cohort t queries with
-    | r -> Ok r
-    | exception exn ->
-      Metrics.incr m "batch.error";
-      Error (Printexc.to_string exn)
 
   let estimate t q = (run ~domains:1 t [| q |]).(0)
 end

@@ -114,7 +114,8 @@ end
     evaluation reads state another query wrote.
 
     Instrumentation (all recorded by the coordinating domain only):
-    counters [batch.queries], [batch.query_hit]/[batch.query_miss],
+    counters [batch.queries], [batch.query_hit]/[batch.query_miss]
+    (hits bumped once per batch), [batch.text_reset],
     [batch.cohorts], [batch.cohort_max] (high-water),
     [batch.arena_resets] (arena (re)allocations), [batch.minor_words]
     (coordinator minor-heap words allocated during cohort passes);
@@ -127,8 +128,11 @@ end
 module Batch : sig
   type t
   (** A batch engine bound to one sealed synopsis: its matrix registry
-      (keyed by interned path-expression id) plus compiled queries
-      (keyed by {!query_key}). *)
+      (keyed by interned path-expression id), compiled queries (keyed
+      by {!query_key}), a bounded index from raw query text to compiled
+      query, and the last batch {!prepare_texts} returned. Not
+      thread-safe: callers serialize access (the daemon's dispatch
+      lock does). *)
 
   type prepared
   (** A workload compiled for serving; reusable across runs. Carries
@@ -141,6 +145,23 @@ module Batch : sig
   (** Compile the workload, building each distinct path expression's
       transition matrix on first sight and caching compiled queries by
       key, so repeated and overlapping workloads amortize to lookups. *)
+
+  val prepare_texts : t -> string array -> (prepared, int * string) result
+  (** {!prepare} from query source text, for serving repeated
+      workloads. A text seen before is one hashtable probe — neither
+      parsed nor re-keyed; a new text is parsed, compiled as in
+      {!prepare} and indexed, so texts that differ only in whitespace
+      share one compiled query. When every text resolves to the same
+      compiled query as in the previous call, in the same order, the
+      previous [prepared] is returned with its cohort plan already
+      built. [Error (i, msg)] reports the first text that does not
+      parse. Once the text index holds more than {!text_index_bound}
+      entries, the next call empties it first (bumping
+      [batch.text_reset]); a batch never sees it reset midway.
+      Exceptions out of compilation propagate. *)
+
+  val text_index_bound : int
+  (** Text-index size above which {!prepare_texts} resets the index. *)
 
   val run_prepared :
     ?domains:int -> ?blocked:bool -> ?cohort:bool -> t -> prepared -> float array
@@ -172,14 +193,6 @@ module Batch : sig
     ?domains:int -> ?cohort:bool -> t -> Xc_twig.Twig_query.t array -> float array
   (** [prepare] + [run_prepared]. *)
 
-  val run_result :
-    ?domains:int -> ?cohort:bool -> t -> Xc_twig.Twig_query.t array ->
-    (float array, string) result
-  (** {!run} with the serving failure contract (see
-      {!Cache.estimate_result}): exceptions become [Error] and bump
-      [batch.error], so batched serving can degrade to the per-query
-      path. *)
-
   val estimate : t -> Xc_twig.Twig_query.t -> float
   (** Single-query convenience; always sequential. *)
 
@@ -191,6 +204,10 @@ module Batch : sig
   val n_queries : t -> int
   (** Compiled queries currently cached. *)
 
+  val n_texts : t -> int
+  (** Source texts currently in the text index. *)
+
   val clear : t -> unit
-  (** Drop matrices and compiled queries (to bound memory). *)
+  (** Drop matrices, compiled queries and the text index (to bound
+      memory). *)
 end

@@ -130,6 +130,12 @@ let bind_endpoint ~backlog endpoint =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
+(* bytes (or a hang-up) waiting on [fd] right now, without blocking *)
+let readable_now fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | ready, _, _ -> ready <> []
+  | exception Unix.Unix_error (_, _, _) -> false
+
 let set_conn_timeouts config fd =
   (* per-read / per-write silence bounds; the request budget bounds the
      total. Both raise EAGAIN out of blocked syscalls, which the
@@ -159,23 +165,6 @@ let error_frame e =
   Metrics.incr Metrics.global "daemon.request_error";
   let code, message = Error.to_wire e in
   Protocol.Error_frame { code; message }
-
-let parse_queries texts =
-  let n = Array.length texts in
-  let out = Array.make n None in
-  let bad = ref None in
-  Array.iteri
-    (fun i text ->
-      if !bad = None then
-        match Xc_twig.Twig_parse.parse text with
-        | q -> out.(i) <- Some q
-        | exception Xc_twig.Twig_parse.Parse_error msg ->
-          bad := Some (Printf.sprintf "query %d: %s" i msg)
-        | exception _ -> bad := Some (Printf.sprintf "query %d: unparsable" i))
-    texts;
-  match !bad with
-  | Some msg -> Error (Error.Query msg)
-  | None -> Ok (Array.map Option.get out)
 
 let health st registry =
   let h_queue, h_inflight =
@@ -227,12 +216,9 @@ let dispatch st config registry req =
       match Registry.engine registry synopsis with
       | Error e -> error_frame e
       | Ok (syn, eng) -> (
-        match parse_queries queries with
-        | Error e -> error_frame e
-        | Ok qs -> (
-          match Engine.estimate_batch_with ~options eng syn qs with
-          | Ok r -> Protocol.Floats r
-          | Error e -> error_frame e)))
+        match Engine.estimate_texts_with ~options eng syn queries with
+        | Ok r -> Protocol.Floats r
+        | Error e -> error_frame e))
   | Protocol.List_synopses ->
     Protocol.Synopses
       (Array.of_list (List.filter_map (listed_of registry) (Registry.names registry)))
@@ -312,8 +298,10 @@ let serve_conn st config registry fd =
         (1e6 *. (Unix.gettimeofday () -. t0));
       match send_response fd resp with
       | Ok () ->
-        if Atomic.get st.draining then Hung_up (* finish in-flight, then close *)
-        else loop ()
+        (* draining: finish what is in flight, then close. A request
+           already on the wire counts as in flight — closing over it
+           unread would reset the peer instead of answering it. *)
+        if Atomic.get st.draining && not (readable_now fd) then Hung_up else loop ()
       | Error (Error.Timeout _) ->
         (* the peer stopped draining its socket: writing would block
            forever, so the response is abandoned and the peer evicted *)

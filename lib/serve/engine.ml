@@ -82,36 +82,58 @@ let degrade_batch syn queries =
   | r -> Ok r
   | exception exn -> Error (Error.Unavailable (Printexc.to_string exn))
 
-let estimate_batch_with ?(options = Options.default) engine syn queries =
-  match
-    let cohort = options.Options.cohort in
-    match options.Options.domains with
-    | Some d -> Plan.Batch.run_result ~domains:d ~cohort engine queries
-    | None -> Plan.Batch.run_result ~cohort engine queries
-  with
-  | Ok r -> Ok r
-  | Error msg | (exception Failure msg) -> (
+let query_error i msg = Error (Error.Query (Printf.sprintf "query %d: %s" i msg))
+
+let parse_texts texts =
+  let n = Array.length texts in
+  let rec go i acc =
+    if i = n then Ok (Array.of_list (List.rev acc))
+    else
+      match Xc_twig.Twig_parse.parse_result texts.(i) with
+      | Ok q -> go (i + 1) (q :: acc)
+      | Error msg -> query_error i msg
+  in
+  go 0 []
+
+(* The policy arms both batched entry points share. [parsed] yields the
+   batch's queries: for a text batch that is a parse, paid only here on
+   failure, and a bad text still wins over the engine failure. *)
+let batch_fallback options syn parsed msg =
+  match parsed () with
+  | Error _ as e -> e
+  | Ok queries -> (
     match options.Options.fallback with
     | Options.Degrade -> degrade_batch syn queries
     | Options.Strict -> Error (Error.Unavailable msg))
-  | exception exn -> (
-    match options.Options.fallback with
-    | Options.Degrade -> degrade_batch syn queries
-    | Options.Strict -> Error (Error.Unavailable (Printexc.to_string exn)))
 
-let estimate_batch ?options syn queries =
+let run_prepared options engine prepared =
+  let cohort = options.Options.cohort in
+  match options.Options.domains with
+  | Some d -> Plan.Batch.run_prepared ~domains:d ~cohort engine prepared
+  | None -> Plan.Batch.run_prepared ~cohort engine prepared
+
+(* any exception out of the batch engine is counted and degrades *)
+let engine_failed options syn parsed exn =
+  Metrics.incr Metrics.global "batch.error";
+  batch_fallback options syn parsed (Printexc.to_string exn)
+
+let estimate_texts_with ?(options = Options.default) engine syn texts =
   match
-    let e = batch_for syn in
-    estimate_batch_with ?options e syn queries
+    match Plan.Batch.prepare_texts engine texts with
+    | Error (i, msg) -> query_error i msg
+    | Ok prepared -> Ok (run_prepared options engine prepared)
   with
   | r -> r
-  | exception exn ->
-    (* engine construction itself failed; estimate_batch_with never
-       raises *)
-    let options = Option.value options ~default:Options.default in
-    (match options.Options.fallback with
-    | Options.Degrade -> degrade_batch syn queries
-    | Options.Strict -> Error (Error.Unavailable (Printexc.to_string exn)))
+  | exception exn -> engine_failed options syn (fun () -> parse_texts texts) exn
+
+let estimate_batch ?(options = Options.default) syn queries =
+  let parsed () = Ok queries in
+  match batch_for syn with
+  | exception exn -> batch_fallback options syn parsed (Printexc.to_string exn)
+  | engine -> (
+    match run_prepared options engine (Plan.Batch.prepare engine queries) with
+    | r -> Ok r
+    | exception exn -> engine_failed options syn parsed exn)
 
 let estimate_batch_exn ?options syn queries =
   match estimate_batch ?options syn queries with

@@ -59,14 +59,21 @@ val estimate_batch :
     the call still returns [Ok]; under [Strict] it returns
     [Error (Unavailable _)]. *)
 
-val estimate_batch_with :
+val estimate_texts_with :
   ?options:Options.t ->
   Xc_core.Plan.Batch.t ->
   synopsis ->
-  query array ->
+  string array ->
   (float array, Error.t) result
-(** {!estimate_batch} through a caller-supplied engine (the daemon's
-    registry holds engines under its own LRU admission policy). *)
+(** {!estimate_batch} from query source text, through a caller-supplied
+    engine (the daemon's registry holds engines under its own LRU
+    admission policy) — the daemon's [Estimate_batch] path. Texts go
+    through {!Xc_core.Plan.Batch.prepare_texts}, so a warm batch is
+    neither re-parsed, re-keyed nor re-planned. A text that does not
+    parse is [Error (Query "query i: ...")] for the first such [i].
+    On an engine failure the texts are parsed (a bad text still yields
+    [Query]) and the [Degrade]/[Strict] policy applies as in
+    {!estimate_batch}. Callers serialize calls on one engine. *)
 
 val estimate_batch_exn :
   ?options:Options.t -> synopsis -> query array -> float array

@@ -20,9 +20,16 @@ let skip_spaces st =
     st.pos <- st.pos + 1
   done
 
+(* [s] matches [src] at [pos + i ..], from [i] on; the caller checks the
+   bounds *)
+let rec matches_from src pos s i =
+  i = String.length s
+  || (String.unsafe_get src (pos + i) = String.unsafe_get s i && matches_from src pos s (i + 1))
+
+(* compared in place: this runs for every token probe, so it must not
+   allocate a substring (or a closure) per call *)
 let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
+  st.pos + String.length s <= String.length st.src && matches_from st.src st.pos s 0
 
 let eat st s = if looking_at st s then (st.pos <- st.pos + String.length s; true) else false
 
@@ -195,3 +202,9 @@ let parse src =
   skip_spaces st;
   if not (eof st) then fail st "trailing input";
   Twig_query.make ([], to_edges steps)
+
+let parse_result src =
+  match parse src with
+  | q -> Ok q
+  | exception Parse_error msg -> Error msg
+  | exception _ -> Error "unparsable"

@@ -24,3 +24,7 @@ exception Parse_error of string
 
 val parse : string -> Twig_query.t
 (** @raise Parse_error with a message and byte position. *)
+
+val parse_result : string -> (Twig_query.t, string) result
+(** {!parse} for untrusted input: [Error msg] on a {!Parse_error}, and
+    [Error "unparsable"] on any other exception the input provokes. *)

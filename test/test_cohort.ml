@@ -2,7 +2,10 @@
    both the uncached estimator and the query-major reference walk on
    every dataset, independent of the worker count, safe to run against
    alternating synopses on the same reused worker arenas, and correct
-   in the degenerate case where every query lands in its own cohort. *)
+   in the degenerate case where every query lands in its own cohort.
+   The source-text entry point (prepare_texts) must answer exactly as
+   the parsed query does, reuse a repeated batch's plan, and keep its
+   text index bounded. *)
 
 module Synopsis = Xc_core.Synopsis
 module S = Synopsis.Sealed
@@ -160,6 +163,169 @@ let test_blocked_gated () =
   check Alcotest.bool "gate threshold positive" true
     (Plan.Batch.blocked_min_mean_row > 0.0)
 
+(* ---- the source-text path ----------------------------------------------- *)
+
+(* workload queries as source text: the pp rendering minus its leading
+   ".", kept only when it parses back; distinct and non-empty *)
+let texts_of ds =
+  let seen = Hashtbl.create 64 in
+  Runner.workload_queries ds
+  |> Array.to_list
+  |> List.filter_map (fun q ->
+         let s = Format.asprintf "%a" Xc_twig.Twig_query.pp q in
+         let s =
+           if String.length s > 0 && s.[0] = '.' then String.sub s 1 (String.length s - 1)
+           else s
+         in
+         match Xc_twig.Twig_parse.parse s with
+         | _ when Hashtbl.mem seen s -> None
+         | _ ->
+           Hashtbl.add seen s ();
+           Some s
+         | exception _ -> None)
+  |> Array.of_list
+
+let oracle syn texts =
+  Array.map (fun s -> Estimate.selectivity syn (Xc_twig.Twig_parse.parse s)) texts
+
+let prepare_texts_exn engine texts =
+  match Plan.Batch.prepare_texts engine texts with
+  | Ok p -> p
+  | Error (i, msg) -> Alcotest.failf "text %d rejected: %s" i msg
+
+let check_answers tag expect got =
+  check Alcotest.int (tag ^ ": answer count") (Array.length expect) (Array.length got);
+  Array.iteri
+    (fun i v ->
+      check Alcotest.bool (Printf.sprintf "%s: query %d bit-identical" tag i) true
+        (bits_equal expect.(i) v))
+    got
+
+let run_texts engine texts =
+  Plan.Batch.run_prepared ~domains:1 engine (prepare_texts_exn engine texts)
+
+let text_equivalence_on ds =
+  let syn = small_synopsis ds in
+  let engine = Plan.Batch.create syn in
+  let texts = texts_of ds in
+  check Alcotest.bool "workload renders to text" true (Array.length texts > 10);
+  let expect = oracle syn texts in
+  (* cold (every text parsed and compiled), then warm (index hits) *)
+  check_answers "cold" expect (run_texts engine texts);
+  check_answers "warm" expect (run_texts engine texts)
+
+let test_text_imdb () = text_equivalence_on (Runner.imdb ~scale:0.02 ~n_queries:45 ())
+let test_text_xmark () = text_equivalence_on (Runner.xmark ~scale:0.02 ~n_queries:45 ())
+let test_text_dblp () = text_equivalence_on (Runner.dblp ~scale:0.02 ~n_queries:45 ())
+
+let text_fixture =
+  lazy
+    (let ds = Runner.imdb ~scale:0.02 ~n_queries:40 () in
+     let texts = texts_of ds in
+     if Array.length texts < 8 then Alcotest.fail "too few workload texts";
+     (small_synopsis ds, texts))
+
+let test_text_plan_reuse () =
+  let syn, texts = Lazy.force text_fixture in
+  let engine = Plan.Batch.create syn in
+  let expect = oracle syn texts in
+  let first = prepare_texts_exn engine texts in
+  check_answers "first" expect (Plan.Batch.run_prepared ~domains:1 engine first);
+  let again = prepare_texts_exn engine texts in
+  check Alcotest.bool "repeated batch reuses its prepared plan" true (again == first);
+  check_answers "repeat" expect (Plan.Batch.run_prepared ~domains:1 engine again);
+  (* reordered: same compiled queries, different order -> fresh plan,
+     answers placed by input index *)
+  let rev = Array.of_list (List.rev (Array.to_list texts)) in
+  let reordered = prepare_texts_exn engine rev in
+  check Alcotest.bool "reordered batch gets a fresh plan" true (reordered != first);
+  check_answers "reordered" (oracle syn rev)
+    (Plan.Batch.run_prepared ~domains:1 engine reordered);
+  (* one query changed *)
+  let changed = Array.copy texts in
+  changed.(0) <- texts.(1);
+  let one_changed = prepare_texts_exn engine changed in
+  check Alcotest.bool "changed batch gets a fresh plan" true
+    (one_changed != reordered && one_changed != first);
+  check_answers "one changed" (oracle syn changed)
+    (Plan.Batch.run_prepared ~domains:1 engine one_changed);
+  (* and the original batch after both: fresh again, still right *)
+  let back = prepare_texts_exn engine texts in
+  check Alcotest.bool "original after a change is re-planned" true (back != one_changed);
+  check_answers "original again" expect (Plan.Batch.run_prepared ~domains:1 engine back)
+
+let test_text_whitespace_variants () =
+  let syn, texts = Lazy.force text_fixture in
+  let engine = Plan.Batch.create syn in
+  let expect = oracle syn texts in
+  let first = prepare_texts_exn engine texts in
+  ignore (Plan.Batch.run_prepared ~domains:1 engine first);
+  let compiled = Plan.Batch.n_queries engine in
+  let variants = Array.map (fun s -> " \t" ^ s ^ "\n ") texts in
+  let second = prepare_texts_exn engine variants in
+  check Alcotest.int "variants compile nothing new" compiled (Plan.Batch.n_queries engine);
+  check Alcotest.int "variants are indexed as texts" (2 * Array.length texts)
+    (Plan.Batch.n_texts engine);
+  check Alcotest.bool "same compiled queries, same order: plan reused" true (second == first);
+  check_answers "variants" expect (Plan.Batch.run_prepared ~domains:1 engine second)
+
+let test_text_parse_error () =
+  let syn, texts = Lazy.force text_fixture in
+  let engine = Plan.Batch.create syn in
+  let bad = Array.copy texts in
+  bad.(3) <- "//movie[";
+  bad.(5) <- "not a query";
+  (match Plan.Batch.prepare_texts engine bad with
+  | Error (i, msg) ->
+    check Alcotest.int "first bad index reported" 3 i;
+    check Alcotest.bool "message from the parser" true (String.length msg > 0)
+  | Ok _ -> Alcotest.fail "unparsable text prepared");
+  (* the failed batch leaves the engine serving *)
+  check_answers "after error" (oracle syn texts) (run_texts engine texts)
+
+let test_text_index_bound () =
+  let syn, texts = Lazy.force text_fixture in
+  let engine = Plan.Batch.create syn in
+  let nb = Array.length texts in
+  let bound = Plan.Batch.text_index_bound in
+  (* bound + 1 distinct texts in one batch: text k is base k mod nb with
+     a whitespace pattern unique to k / nb *)
+  let flood =
+    Array.init (bound + 1) (fun k ->
+        let w = k / nb in
+        String.make (w land 63) ' ' ^ texts.(k mod nb) ^ String.make (w lsr 6) '\t')
+  in
+  let expect = oracle syn texts in
+  let resets0 = Metrics.counter_value Metrics.global "batch.text_reset" in
+  check_answers "flood" (Array.init (bound + 1) (fun k -> expect.(k mod nb)))
+    (run_texts engine flood);
+  check Alcotest.int "never reset mid-batch" (bound + 1) (Plan.Batch.n_texts engine);
+  check Alcotest.int "no reset yet" resets0
+    (Metrics.counter_value Metrics.global "batch.text_reset");
+  check Alcotest.int "one compiled query per base text" nb (Plan.Batch.n_queries engine);
+  (* the next batch finds the index over the bound and starts afresh *)
+  check_answers "after reset" expect (run_texts engine texts);
+  check Alcotest.int "reset counted" (resets0 + 1)
+    (Metrics.counter_value Metrics.global "batch.text_reset");
+  check Alcotest.int "index holds only the new batch" nb (Plan.Batch.n_texts engine)
+
+let test_text_hit_counter () =
+  let syn, texts = Lazy.force text_fixture in
+  let engine = Plan.Batch.create syn in
+  let nb = Array.length texts in
+  let hits () = Metrics.counter_value Metrics.global "batch.query_hit" in
+  let misses () = Metrics.counter_value Metrics.global "batch.query_miss" in
+  let h0 = hits () and m0 = misses () in
+  ignore (prepare_texts_exn engine texts);
+  check Alcotest.int "cold batch: all misses" (m0 + nb) (misses ());
+  check Alcotest.int "cold batch: no hits" h0 (hits ());
+  ignore (prepare_texts_exn engine texts);
+  check Alcotest.int "warm batch: one hit per query" (h0 + nb) (hits ());
+  (* the parsed-query entry point counts the same way *)
+  ignore (Plan.Batch.prepare engine (Array.map Xc_twig.Twig_parse.parse texts));
+  check Alcotest.int "prepare: one hit per query" (h0 + (2 * nb)) (hits ());
+  check Alcotest.int "no new misses" (m0 + nb) (misses ())
+
 (* ---- instrumentation ---------------------------------------------------- *)
 
 let test_cohort_counters () =
@@ -200,5 +366,14 @@ let () =
           Alcotest.test_case "dedup" `Quick test_dedup ] );
       ( "blocked",
         [ Alcotest.test_case "row-length gate" `Slow test_blocked_gated ] );
+      ( "text",
+        [ Alcotest.test_case "imdb" `Slow test_text_imdb;
+          Alcotest.test_case "xmark" `Slow test_text_xmark;
+          Alcotest.test_case "dblp" `Slow test_text_dblp;
+          Alcotest.test_case "plan reuse" `Quick test_text_plan_reuse;
+          Alcotest.test_case "whitespace variants" `Quick test_text_whitespace_variants;
+          Alcotest.test_case "parse error" `Quick test_text_parse_error;
+          Alcotest.test_case "index bound" `Quick test_text_index_bound;
+          Alcotest.test_case "hit counter" `Quick test_text_hit_counter ] );
       ( "metrics",
         [ Alcotest.test_case "counters" `Quick test_cohort_counters ] ) ]

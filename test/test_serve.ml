@@ -477,6 +477,12 @@ let test_daemon_error_frames () =
   | Error (Error.Query _) -> ()
   | Error e -> Alcotest.failf "expected query error, got %s" (Error.to_string e)
   | Ok _ -> Alcotest.fail "unparsable query answered");
+  (match Serve.Client.estimate_batch c ~synopsis:"imdb" [| "//movie/title"; "[[[" |] with
+  | Error (Error.Query msg) ->
+    check Alcotest.bool ("batch error names its query: " ^ msg) true
+      (String.starts_with ~prefix:"query 1: " msg)
+  | Error e -> Alcotest.failf "expected query error, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "unparsable batch answered");
   (* the connection survives error frames: a good request still works *)
   (match Serve.Client.estimate c ~synopsis:"imdb" ~query:"//movie/title" with
   | Ok v -> check Alcotest.bool "finite estimate" true (Float.is_finite v)
@@ -980,6 +986,134 @@ let test_facade_agreement () =
   let _ = Xcluster.Metrics.json in
   ()
 
+(* ---- the source-text batch path ----------------------------------------- *)
+
+module Engine = Xc_serve.Engine
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let check_oracle tag syn texts got =
+  check Alcotest.int (tag ^ ": answer count") (Array.length texts) (Array.length got);
+  Array.iteri
+    (fun i text ->
+      check Alcotest.bool (Printf.sprintf "%s: query %d = oracle" tag i) true
+        (bits_equal (Xcluster.Query.estimate_uncached syn (Xcluster.Query.parse text)) got.(i)))
+    texts
+
+let texts_ok tag = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s: %s" tag (Error.to_string e)
+
+let test_texts_parse_error () =
+  let syn = Lazy.force synopsis_a in
+  let texts = Array.map fst (query_sources syn) in
+  let engine = Xc_core.Plan.Batch.create syn in
+  let bad = Array.copy texts in
+  bad.(2) <- "//movie[";
+  (match Engine.estimate_texts_with engine syn bad with
+  | Error (Error.Query msg) ->
+    check Alcotest.bool ("indexed message: " ^ msg) true
+      (String.starts_with ~prefix:"query 2: " msg)
+  | Error e -> Alcotest.failf "expected a query error, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "unparsable batch answered");
+  check_oracle "after the error" syn texts
+    (texts_ok "good batch" (Engine.estimate_texts_with engine syn texts))
+
+(* a generation swap evicts the registry's engine, and with it the text
+   index and the last plan: the next batch is answered by the new
+   generation *)
+let test_texts_across_swap () =
+  let g1 = Lazy.force synopsis_a and g2 = Lazy.force synopsis_a2 in
+  let texts = Array.map fst (query_sources g1) in
+  let reg = Registry.create () in
+  ignore (Registry.swap reg ~name:"imdb" g1);
+  let serve () =
+    match Registry.engine reg "imdb" with
+    | Ok (syn, eng) -> (syn, eng, texts_ok "batch" (Engine.estimate_texts_with eng syn texts))
+    | Error e -> Alcotest.failf "engine: %s" (Error.to_string e)
+  in
+  let _, eng1, r1 = serve () in
+  check_oracle "generation 1" g1 texts r1;
+  let _, _, r1' = serve () in
+  check_oracle "generation 1, warm" g1 texts r1';
+  ignore (Registry.swap reg ~name:"imdb" g2);
+  let syn, eng2, r2 = serve () in
+  check Alcotest.bool "served from the new generation" true (syn == g2);
+  check Alcotest.bool "fresh engine after the swap" true (eng2 != eng1);
+  check_oracle "generation 2" g2 texts r2;
+  check Alcotest.bool "the generations differ somewhere" true
+    (Array.exists2 (fun a b -> not (bits_equal a b)) r1 r2)
+
+(* Strict and Degrade on the text path behave exactly as on the parsed
+   path: a synopsis whose value-summary section is damaged (a lazy load
+   defers that check to first use) answers structural batches, fails
+   value predicates as Unavailable, counts the fallback only under
+   Degrade, and still reports a bad text as a query error. *)
+let test_texts_fallback_policies () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "imdb.syn" in
+  save_exn path (Lazy.force synopsis_a);
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  (* section 12 (vsumm_blob) of the v3 directory: big-endian offset and
+     length at entry + 8 / + 16 *)
+  let entry = 24 + (12 * 32) in
+  let get pos = Int64.to_int (String.get_int64_be good pos) in
+  let off = get (entry + 8) and len = get (entry + 16) in
+  check Alcotest.bool "value-summary section present" true (len > 0);
+  let b = Bytes.of_string good in
+  let i = off + (len / 2) in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 8));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let syn =
+    match Xc_core.Codec.load path with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "lazy load: %s" (Xc_core.Codec.error_to_string e)
+  in
+  let structural = [| "//movie/title"; "//actor/name" |] in
+  let valued = [| "//movie/title"; "//movie[year > 1990]" |] in
+  let bad_text = [| "//movie[year > 1990]"; "//movie[" |] in
+  let bad_text_msg =
+    match Xc_twig.Twig_parse.parse_result bad_text.(1) with
+    | Error msg -> msg
+    | Ok _ -> Alcotest.fail "fixture text parses"
+  in
+  let outcome = function
+    | Ok _ -> "ok"
+    | Error (Error.Query msg) -> "query:" ^ msg
+    | Error (Error.Unavailable _) -> "unavailable"
+    | Error e -> "other:" ^ Error.to_string e
+  in
+  List.iter
+    (fun (policy, fallback) ->
+      let options = Serve.options ~domains:1 ~fallback () in
+      let run texts =
+        let counted = counter "serve.batch_fallback" in
+        let r =
+          Engine.estimate_texts_with ~options (Xc_core.Plan.Batch.create syn) syn texts
+        in
+        (r, counter "serve.batch_fallback" - counted)
+      in
+      let as_parsed tag texts r =
+        let parsed = Serve.estimate_batch ~options syn (Array.map Xcluster.Query.parse texts) in
+        check Alcotest.string (policy ^ " " ^ tag ^ ": text path = parsed path")
+          (outcome parsed) (outcome r)
+      in
+      let r, fb = run structural in
+      as_parsed "structural" structural r;
+      check_oracle (policy ^ " structural") (Lazy.force synopsis_a) structural
+        (texts_ok "structural" r);
+      check Alcotest.int (policy ^ " structural: no fallback") 0 fb;
+      let r, fb = run valued in
+      as_parsed "valued" valued r;
+      check Alcotest.string (policy ^ " valued") "unavailable" (outcome r);
+      check Alcotest.int (policy ^ " valued: fallback counted under Degrade only")
+        (if fallback = Serve.Degrade then 1 else 0) fb;
+      let r, _ = run bad_text in
+      check Alcotest.string (policy ^ " bad text wins over the engine failure")
+        ("query:query 1: " ^ bad_text_msg) (outcome r))
+    [ ("degrade", Serve.Degrade); ("strict", Serve.Strict) ]
+
 (* ---- suite -------------------------------------------------------------- *)
 
 let () =
@@ -1024,6 +1158,12 @@ let () =
             test_registry_swap_generations;
           Alcotest.test_case "daemon swap storm is atomic" `Quick
             test_daemon_swap_storm ] );
+      ( "texts",
+        [ Alcotest.test_case "parse error is indexed" `Quick test_texts_parse_error;
+          Alcotest.test_case "answers follow a generation swap" `Quick
+            test_texts_across_swap;
+          Alcotest.test_case "Strict and Degrade as on parsed batches" `Quick
+            test_texts_fallback_policies ] );
       ( "facade",
         [ Alcotest.test_case "submodule surface agrees bitwise" `Quick
             test_facade_agreement ] ) ]

@@ -1,6 +1,7 @@
-(* Tests for Xc_util: the binary heap, the splitmix64 RNG, and the
-   Zipfian sampler. *)
+(* Tests for Xc_util: the binary heap, the splitmix64 RNG, the
+   Zipfian sampler, and the CRC-32 checksum. *)
 
+module Crc32 = Xc_util.Crc32
 module Heap = Xc_util.Heap
 module Rng = Xc_util.Rng
 module Zipf = Xc_util.Zipf
@@ -226,6 +227,59 @@ let test_zipf_sample_in_range =
           s >= 0 && s < n)
         (List.init 50 Fun.id))
 
+(* ---- Crc32 ------------------------------------------------------------ *)
+
+(* the plain one-table, one-byte-at-a-time CRC the sliced loop must
+   reproduce *)
+let crc_reference crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_known_answer () =
+  check Alcotest.int "check value" 0xCBF43926 (Crc32.digest "123456789");
+  check Alcotest.int "empty" 0 (Crc32.digest "");
+  (* long enough for many 8-byte strides plus a ragged tail *)
+  let s = String.init 1003 (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  check Alcotest.int "long string" (crc_reference 0 s ~pos:0 ~len:1003) (Crc32.digest s);
+  Alcotest.check_raises "range checked" (Invalid_argument "Crc32.update: range out of bounds")
+    (fun () -> ignore (Crc32.sub "abc" ~pos:2 ~len:2))
+
+let show_slice (s, pos, len, crc) = Printf.sprintf "%S pos=%d len=%d crc=%#x" s pos len crc
+
+let crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 31 >>= fun pos ->
+      int_range 0 40 >>= fun len ->
+      int_range 0 9 >>= fun extra ->
+      int_range 0 0xFFFFFFFF >>= fun crc ->
+      string_size ~gen:char (return (pos + len + extra)) >|= fun s -> (s, pos, len, crc))
+  in
+  QCheck.Test.make ~name:"crc32 = bytewise reference at any offset" ~count:1000
+    (QCheck.make ~print:show_slice gen)
+    (fun (s, pos, len, crc) ->
+      Crc32.sub s ~pos ~len = crc_reference 0 s ~pos ~len
+      && Crc32.update crc s ~pos ~len = crc_reference crc s ~pos ~len)
+
+let crc_update_concat =
+  QCheck.Test.make ~name:"update (digest a) b = digest (a ^ b)" ~count:500
+    QCheck.(pair (string_of_size (Gen.int_range 0 40)) (string_of_size (Gen.int_range 0 40)))
+    (fun (a, b) ->
+      Crc32.update (Crc32.digest a) b ~pos:0 ~len:(String.length b) = Crc32.digest (a ^ b))
+
+let seeded test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |]) test
+
 let () =
   Alcotest.run "xc_util"
     [ ( "heap",
@@ -253,4 +307,8 @@ let () =
           Alcotest.test_case "monotone" `Quick test_zipf_monotone;
           Alcotest.test_case "out of range" `Quick test_zipf_out_of_range;
           Alcotest.test_case "sampling skew" `Quick test_zipf_sampling_skew;
-          QCheck_alcotest.to_alcotest test_zipf_sample_in_range ] ) ]
+          QCheck_alcotest.to_alcotest test_zipf_sample_in_range ] );
+      ( "crc32",
+        [ Alcotest.test_case "known answers" `Quick test_crc_known_answer;
+          seeded crc_matches_reference;
+          seeded crc_update_concat ] ) ]
