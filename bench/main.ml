@@ -468,15 +468,6 @@ let run_serve () =
   done;
   let t_cohort = Unix.gettimeofday () -. t0 in
   let cohort_res = !cohort_res in
-  (* the opt-in blocked kernel: a different summation order on matrices
-     past the row-length gate, so its gate is a bounded relative |Δ|
-     against the bit-identical path, not zero *)
-  let t0 = Unix.gettimeofday () in
-  let blocked = ref [||] in
-  for _ = 1 to passes do
-    blocked := Xc_core.Plan.Batch.run_prepared ~blocked:true ~cohort:false engine prepared
-  done;
-  let t_blocked = Unix.gettimeofday () -. t0 in
   let domains_used = Xc_util.Par.max_used () in
   (* Latency quantiles are read here, before the cross-domain
      determinism runs: spawned worker domains — even parked ones —
@@ -520,14 +511,6 @@ let run_serve () =
             !ok)
           [ 1; 2; 4 ])
       [ false; true ]
-  in
-  let max_diff_blocked =
-    let d = ref 0.0 in
-    Array.iteri
-      (fun i v ->
-        d := Float.max !d (Float.abs (v -. batch.(i)) /. Float.max 1.0 (Float.abs batch.(i))))
-      !blocked;
-    !d
   in
   (* cold start: an eager v2 decode vs a lazy mapped v3 load of the
      same synopsis, min over repeats (the artifact is page-cached, so
@@ -580,7 +563,6 @@ let run_serve () =
   let speedup = t_planned /. Float.max t_batch 1e-9 in
   let qps = float_of_int (passes * nq) /. Float.max t_batch 1e-9 in
   let qps_cohort = float_of_int (passes * nq) /. Float.max t_cohort 1e-9 in
-  let qps_blocked = float_of_int (passes * nq) /. Float.max t_blocked 1e-9 in
   let cohort_ge_base = qps_cohort >= qps in
   Format.fprintf ppf "@.Batched serving (%s: %d queries x %d passes, %d domains)@."
     ds.Xc_exp.Runner.name nq passes requested;
@@ -602,9 +584,6 @@ let run_serve () =
     "  max |batch - planned| = %g   max |cohort - planned| = %g   deterministic across 1/2/4 domains: %b@."
     max_diff max_diff_cohort deterministic;
   Format.fprintf ppf
-    "  blocked kernel: %7.3f s (%.0f estimates/s)   max rel |Δ| vs bit-identical path = %g@."
-    t_blocked qps_blocked max_diff_blocked;
-  Format.fprintf ppf
     "  cold start: v2 eager %.3f ms   v3 lazy %.3f ms   (%.0fx)@."
     startup_ms_v2 startup_ms_v3 startup_speedup;
   Format.fprintf ppf
@@ -612,13 +591,13 @@ let run_serve () =
     first_answer_ms lazy_sections_verified first_answer_identical;
   let json =
     Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"t_planned_s\":%.4f,\"t_batch_s\":%.4f,\"speedup_batch\":%.2f,\"qps\":%.0f,\"qps_bigarray\":%.0f,\"qps_cohort\":%.0f,\"qps_blocked\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_base\":%b,\"warmup_ms\":%.2f,\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"max_diff\":%g,\"max_diff_cohort\":%g,\"max_diff_blocked\":%g,\"deterministic\":%b,\"startup_ms_v2\":%.4f,\"startup_ms_v3\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
+      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"t_planned_s\":%.4f,\"t_batch_s\":%.4f,\"speedup_batch\":%.2f,\"qps\":%.0f,\"qps_bigarray\":%.0f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_base\":%b,\"warmup_ms\":%.2f,\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"max_diff\":%g,\"max_diff_cohort\":%g,\"deterministic\":%b,\"startup_ms_v2\":%.4f,\"startup_ms_v3\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
       (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes requested
-      domains_used t_planned t_batch speedup qps qps qps_cohort qps_blocked
+      domains_used t_planned t_batch speedup qps qps qps_cohort
       t_cohort n_cohorts cohort_sharing cohort_ge_base warmup_ms p50 p95 p99
       prepare_s
       (Xc_core.Plan.Batch.n_matrices engine)
-      max_diff max_diff_cohort max_diff_blocked deterministic startup_ms_v2
+      max_diff max_diff_cohort deterministic startup_ms_v2
       startup_ms_v3 startup_speedup first_answer_ms lazy_sections_verified
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_serve.json" in
@@ -641,13 +620,6 @@ let run_serve () =
   if not deterministic then begin
     Format.fprintf ppf
       "  ERROR: batch estimates depend on the worker count@.";
-    exit 1
-  end;
-  if max_diff_blocked > 1e-9 then begin
-    Format.fprintf ppf
-      "  ERROR: blocked kernel diverged beyond float-reassociation noise (max rel \
-       |Δ| %g)@."
-      max_diff_blocked;
     exit 1
   end;
   if not first_answer_identical then begin

@@ -21,8 +21,8 @@
    Exit codes (every command):
      0    success
      1    verify: the synopsis file failed its integrity check
-     2    malformed or corrupt input (XML syntax error, corrupt synopsis,
-          unknown synopsis name, unreachable daemon)
+     2    malformed or corrupt input (XML syntax error, malformed query,
+          corrupt synopsis, unknown synopsis name, unreachable daemon)
      3    internal error (including daemon-side protocol violations)
      124  command-line usage error (cmdliner) *)
 
@@ -48,6 +48,9 @@ let guarded f =
     exit_corrupt
   | Xc_xml.Parser.Malformed msg ->
     Format.eprintf "xcluster: malformed XML: %s@." msg;
+    exit_corrupt
+  | Xc_twig.Twig_parse.Parse_error msg ->
+    Format.eprintf "xcluster: malformed query: %s@." msg;
     exit_corrupt
   | Sys_error msg ->
     Format.eprintf "xcluster: %s@." msg;
@@ -869,7 +872,9 @@ let () =
   let exits =
     Cmd.Exit.info ~doc:"on success." 0
     :: Cmd.Exit.info ~doc:"on a failed $(b,verify) (the synopsis file is corrupt)." exit_verify_failed
-    :: Cmd.Exit.info ~doc:"on malformed or corrupt input (XML syntax errors, corrupt synopsis files)." exit_corrupt
+    :: Cmd.Exit.info
+         ~doc:"on malformed or corrupt input (XML syntax errors, malformed queries, corrupt synopsis files)."
+         exit_corrupt
     :: Cmd.Exit.info ~doc:"on internal errors." exit_internal
     :: Cmd.Exit.defaults
   in

@@ -288,13 +288,6 @@ module Batch = struct
         Array.init k (fun i ->
             if i < have then sc.sc_slots.(i) else Array.make sc.sc_n 0.0)
 
-  (* Unrolled accumulation only pays off when a matrix's rows are long
-     enough to amortize the extra loop machinery; below this mean row
-     length the blocked kernel measurably *regresses* (BENCH_serve
-     qps_blocked at scale 1.0 / passes 5), so such matrices fall back
-     to the scalar kernel even under [blocked:true]. *)
-  let blocked_min_mean_row = 8.0
-
   (* one compiled query edge: the transition matrix's CSR buffers
      pre-fetched out of the record so the eval kernel reads them
      without indirection *)
@@ -302,7 +295,6 @@ module Batch = struct
     be_off : S.ba_i;
     be_idx : S.ba_i;
     be_w : S.ba_f;
-    be_unroll : bool;  (* rows long enough for the blocked kernel *)
     be_child : bnode;
   }
 
@@ -329,7 +321,6 @@ module Batch = struct
     f_off : S.ba_i;
     f_idx : S.ba_i;
     f_w : S.ba_f;
-    f_unroll : bool;
     f_child_slot : int;
   }
 
@@ -472,7 +463,6 @@ module Batch = struct
           { be_off = Transition.off mt;
             be_idx = Transition.idx mt;
             be_w = Transition.weights mt;
-            be_unroll = Transition.mean_row_len mt >= blocked_min_mean_row;
             be_child = compile_bnode t next_slot child (edge_support t mt support) })
         qnode.Twig_query.edges
       |> Array.of_list
@@ -611,49 +601,14 @@ module Batch = struct
     done;
     !sum
 
-  (* row dot product, 4-way unrolled: independent accumulators break the
-     add dependency chain, but the summation order changes — results can
-     differ from the sequential path by float non-associativity. Opt-in
-     ([blocked:true]); the bench measures and bounds the |Δ|. *)
-  let dot_unrolled (w : S.ba_f) (idx : S.ba_i) (cout : float array) lo hi =
-    let n = hi - lo in
-    if n < 8 then dot w idx cout lo hi
-    else begin
-      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-      let i = ref lo in
-      while !i + 3 < hi do
-        let i0 = !i in
-        s0 := !s0 +. (BA1.unsafe_get w i0 *. Array.unsafe_get cout (BA1.unsafe_get idx i0));
-        s1 :=
-          !s1
-          +. (BA1.unsafe_get w (i0 + 1)
-             *. Array.unsafe_get cout (BA1.unsafe_get idx (i0 + 1)));
-        s2 :=
-          !s2
-          +. (BA1.unsafe_get w (i0 + 2)
-             *. Array.unsafe_get cout (BA1.unsafe_get idx (i0 + 2)));
-        s3 :=
-          !s3
-          +. (BA1.unsafe_get w (i0 + 3)
-             *. Array.unsafe_get cout (BA1.unsafe_get idx (i0 + 3)));
-        i := i0 + 4
-      done;
-      let sum = ref (!s0 +. !s1 +. (!s2 +. !s3)) in
-      while !i < hi do
-        sum := !sum +. (BA1.unsafe_get w !i *. Array.unsafe_get cout (BA1.unsafe_get idx !i));
-        incr i
-      done;
-      !sum
-    end
-
   (* Per-node float operations replicate the memoized estimator exactly:
      accumulator starts at sigma (or 0 when sigma <= 0), each edge in
      document order maps a non-positive accumulator to 0 without
      touching the row and otherwise multiplies by the row dot product.
-     Blocking only reorders WHICH (node, edge) pairs run when — each
-     node's own op sequence is unchanged, so results stay bit-identical
-     to the unblocked fold (with [blocked:false]). *)
-  let eval_query ?(blocked = false) sc q =
+     Support blocks only reorder WHICH (node, edge) pairs run when —
+     each node's own op sequence is unchanged, so results stay
+     bit-identical to a node-at-a-time fold. *)
+  let eval_query sc q =
     if q.bq_zero then 0.0
     else begin
       scratch_ensure sc q.bq_slots;
@@ -682,11 +637,7 @@ module Batch = struct
               if a > 0.0 then begin
                 let u = Array.unsafe_get support k in
                 let lo = BA1.unsafe_get off u and hi = BA1.unsafe_get off (u + 1) in
-                let s =
-                  if blocked && be.be_unroll then dot_unrolled w idx cout lo hi
-                  else dot w idx cout lo hi
-                in
-                Array.unsafe_set accs (k - base) (a *. s)
+                Array.unsafe_set accs (k - base) (a *. dot w idx cout lo hi)
               end
               else Array.unsafe_set accs (k - base) 0.0
             done
@@ -738,7 +689,6 @@ module Batch = struct
                     Array.map
                       (fun e ->
                         { f_off = e.be_off; f_idx = e.be_idx; f_w = e.be_w;
-                          f_unroll = e.be_unroll;
                           f_child_slot = e.be_child.bn_slot })
                       bn.bn_edges }
                 :: !nodes
@@ -805,42 +755,6 @@ module Batch = struct
     done;
     !sum
 
-  (* plane twin of [dot_unrolled]: same 4-accumulator order, same < 8
-     scalar fallback *)
-  let dot_plane_unrolled (w : S.ba_f) (idx : S.ba_i) (buf : S.ba_f) base lo hi =
-    let n = hi - lo in
-    if n < 8 then dot_plane w idx buf base lo hi
-    else begin
-      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-      let i = ref lo in
-      while !i + 3 < hi do
-        let i0 = !i in
-        s0 :=
-          !s0
-          +. (BA1.unsafe_get w i0 *. BA1.unsafe_get buf (base + BA1.unsafe_get idx i0));
-        s1 :=
-          !s1
-          +. (BA1.unsafe_get w (i0 + 1)
-             *. BA1.unsafe_get buf (base + BA1.unsafe_get idx (i0 + 1)));
-        s2 :=
-          !s2
-          +. (BA1.unsafe_get w (i0 + 2)
-             *. BA1.unsafe_get buf (base + BA1.unsafe_get idx (i0 + 2)));
-        s3 :=
-          !s3
-          +. (BA1.unsafe_get w (i0 + 3)
-             *. BA1.unsafe_get buf (base + BA1.unsafe_get idx (i0 + 3)));
-        i := i0 + 4
-      done;
-      let sum = ref (!s0 +. !s1 +. (!s2 +. !s3)) in
-      while !i < hi do
-        sum :=
-          !sum +. (BA1.unsafe_get w !i *. BA1.unsafe_get buf (base + BA1.unsafe_get idx !i));
-        incr i
-      done;
-      !sum
-    end
-
   (* Matrix-major evaluation of one flat query against the worker's
      arena. Per-(node, support position) the float op sequence is
      exactly [eval_query]'s: start at the clamped sigma, each edge in
@@ -855,7 +769,7 @@ module Batch = struct
      - a task whose running root fold is already <= 0.0 is skipped
        entirely — the fold's own [acc <= 0.0 -> 0.0] arm never reads
        the task's sum, so not computing it changes nothing. *)
-  let eval_flat ~blocked ar fq =
+  let eval_flat ar fq =
     if fq.fq_zero then 0.0
     else begin
       let buf = ar.ar_buf and stride = ar.ar_n in
@@ -883,12 +797,7 @@ module Batch = struct
                 let lo = BA1.unsafe_get fe.f_off u
                 and hi = BA1.unsafe_get fe.f_off (u + 1) in
                 let cbase = fe.f_child_slot * stride in
-                let s =
-                  if blocked && fe.f_unroll then
-                    dot_plane_unrolled fe.f_w fe.f_idx buf cbase lo hi
-                  else dot_plane fe.f_w fe.f_idx buf cbase lo hi
-                in
-                v := !v *. s
+                v := !v *. dot_plane fe.f_w fe.f_idx buf cbase lo hi
               end
               else v := 0.0
             done;
@@ -913,12 +822,7 @@ module Batch = struct
               let lo = BA1.unsafe_get fe.f_off u
               and hi = BA1.unsafe_get fe.f_off (u + 1) in
               let cbase = fe.f_child_slot * stride in
-              let d =
-                if blocked && fe.f_unroll then
-                  dot_plane_unrolled fe.f_w fe.f_idx buf cbase lo hi
-                else dot_plane fe.f_w fe.f_idx buf cbase lo hi
-              in
-              v := !v *. d
+              v := !v *. dot_plane fe.f_w fe.f_idx buf cbase lo hi
             end
             else v := 0.0
           done;
@@ -1015,7 +919,7 @@ module Batch = struct
      in cp_values by its cohort-major position, and the result array is
      gathered through cp_src in input order — placement is a pure
      function of the input, so XC_DOMAINS cannot change the output. *)
-  let run_cohort ~domains ~blocked t plan =
+  let run_cohort ~domains t plan =
     let n = S.n_nodes t.bt_syn in
     let ncoh = Array.length plan.cp_cohorts in
     let lat = Array.make ncoh 0.0 in
@@ -1033,7 +937,7 @@ module Batch = struct
         let c0 = if sample then Unix.gettimeofday () else 0.0 in
         for p = start to start + len - 1 do
           plan.cp_values.(p) <-
-            eval_flat ~blocked ar (Array.unsafe_get plan.cp_queries p)
+            eval_flat ar (Array.unsafe_get plan.cp_queries p)
         done;
         (* workers touch only their own slot; the coordinator folds
            these into Metrics after the join *)
@@ -1053,12 +957,12 @@ module Batch = struct
     done;
     Array.map (fun p -> Array.unsafe_get plan.cp_values p) plan.cp_src
 
-  let run_prepared ?(domains = 0) ?(blocked = false) ?(cohort = true) t prepared =
+  let run_prepared ?(domains = 0) ?(cohort = true) t prepared =
     let nq = Array.length prepared.pr_queries in
     if nq = 0 then [||]
     else begin
       Metrics.incr m ~by:nq "batch.queries";
-      if cohort then run_cohort ~domains ~blocked t (plan_of prepared)
+      if cohort then run_cohort ~domains t (plan_of prepared)
       else begin
         (* query-major reference path: per-query latency histogram,
            per-query scratch walk — kept as the bit-exactness oracle
@@ -1071,7 +975,7 @@ module Batch = struct
             ~init:(fun () -> scratch_create n)
             (fun sc i q ->
               let q0 = Unix.gettimeofday () in
-              let v = eval_query ~blocked sc q in
+              let v = eval_query sc q in
               (* workers touch only their own slot; the coordinator folds
                  these into Metrics afterwards, in input order *)
               lat.(i) <- Unix.gettimeofday () -. q0;

@@ -164,24 +164,14 @@ module Batch : sig
   (** Text-index size above which {!prepare_texts} resets the index. *)
 
   val run_prepared :
-    ?domains:int -> ?blocked:bool -> ?cohort:bool -> t -> prepared -> float array
+    ?domains:int -> ?cohort:bool -> t -> prepared -> float array
   (** Evaluate; [result.(i)] answers query [i]. [domains] as in
       {!Xc_util.Par.map} ([<= 0] means [XC_DOMAINS]). [cohort]
       (default [true]) selects the matrix-major sweep; [cohort:false]
       the query-major reference walk — both bit-identical to the
-      uncached estimator. [blocked] (default [false]) switches the row
-      dot product to a 4-way unrolled kernel on matrices whose mean
-      row length is at least {!blocked_min_mean_row} (shorter-row
-      matrices keep the scalar kernel — unrolling regresses them):
-      faster on long rows but a {e different summation order}, so
-      results may differ from the sequential bit-identical path by
-      float non-associativity — the bench measures that |Δ| and
-      reports it as [max_diff_blocked]. Every default path keeps
-      [blocked:false]. *)
-
-  val blocked_min_mean_row : float
-  (** Mean-row-length threshold ({!Transition.mean_row_len}) at and
-      above which [blocked:true] actually uses the unrolled kernel. *)
+      uncached estimator. Serving always takes the default; the
+      reference walk is the tests' and the traced benchmark's
+      comparison path. *)
 
   val cohort_stats : prepared -> int * int * int
   (** [(cohorts, max_cohort, distinct)] for the batch's cohort plan

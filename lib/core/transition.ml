@@ -52,13 +52,6 @@ let nnz t =
   let module BA1 = Bigarray.Array1 in
   BA1.get t.tm_off (BA1.dim t.tm_off - 1)
 
-(* what the blocked-kernel gate keys on: unrolled accumulation only
-   pays off when rows are long enough to amortize the extra loop
-   machinery, and row length is a per-matrix property *)
-let mean_row_len t =
-  let n = n_rows t in
-  if n = 0 then 0.0 else float_of_int (nnz t) /. float_of_int n
-
 let row t u =
   let module BA1 = Bigarray.Array1 in
   let lo = BA1.get t.tm_off u and hi = BA1.get t.tm_off (u + 1) in

@@ -34,13 +34,6 @@ val nnz : t -> int
 (** Stored (source, target) entries — the matrix's memory footprint in
     cells. *)
 
-val mean_row_len : t -> float
-(** [nnz / n_rows] — the matrix's average stored entries per source
-    node. {!Plan.Batch} gates the opt-in 4-accumulator blocked kernel
-    on this: unrolling only pays off on long rows, and short-row
-    matrices (the common case on paper-scale workloads) fall back to
-    the scalar kernel automatically. 0 on an empty matrix. *)
-
 val row : t -> int -> Estimate.dist
 (** Row [u] as a fresh dist (copies the slice); for tests and
     diagnostics. Serving loops read {!off}/{!idx}/{!weights} in place. *)

@@ -180,20 +180,22 @@ let health st registry =
       h_draining = Atomic.get st.draining;
     }
 
+(* Both estimate frame kinds go through the registry's engine: a
+   single [Estimate] is a one-text batch, so the LRU is the only engine
+   cache the daemon fills and warm texts skip parse and compile. *)
+let estimate_texts registry options synopsis texts =
+  match Registry.engine registry synopsis with
+  | Error e -> error_frame e
+  | Ok (syn, eng) -> (
+    match Engine.estimate_texts_with ~options eng syn texts with
+    | Ok r -> Protocol.Floats r
+    | Error e -> error_frame e)
+
 let dispatch st config registry req =
   match req with
-  | Protocol.Estimate { synopsis; query } -> (
-    match Registry.find registry synopsis with
-    | None -> error_frame (Error.Admission (Printf.sprintf "unknown synopsis %S" synopsis))
-    | Some syn -> (
-      match Xc_twig.Twig_parse.parse query with
-      | exception Xc_twig.Twig_parse.Parse_error msg -> error_frame (Error.Query msg)
-      | exception _ -> error_frame (Error.Query "unparsable query")
-      | q -> (
-        match Engine.estimate_result ~options:config.options syn q with
-        | Ok v -> Protocol.Floats [| v |]
-        | Error e -> error_frame e)))
-  | Protocol.Estimate_batch { synopsis; queries; options } -> (
+  | Protocol.Estimate { synopsis; query } ->
+    estimate_texts registry config.options synopsis [| query |]
+  | Protocol.Estimate_batch { synopsis; queries; options } ->
     (* the request's options win; a request that left [domains]
        unpinned inherits the daemon's default. The batch-size limit is
        the daemon's, not the request's — a client cannot talk its way
@@ -213,12 +215,7 @@ let dispatch st config registry req =
             | None -> config.options.Options.domains);
         }
       in
-      match Registry.engine registry synopsis with
-      | Error e -> error_frame e
-      | Ok (syn, eng) -> (
-        match Engine.estimate_texts_with ~options eng syn queries with
-        | Ok r -> Protocol.Floats r
-        | Error e -> error_frame e))
+      estimate_texts registry options synopsis queries
   | Protocol.List_synopses ->
     Protocol.Synopses
       (Array.of_list (List.filter_map (listed_of registry) (Registry.names registry)))

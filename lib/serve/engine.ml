@@ -26,11 +26,6 @@ let table_find tbl create syn =
 let cache_for syn = table_find caches Plan.Cache.create syn
 let batch_for syn = table_find batch_engines Plan.Batch.create syn
 
-let drop syn =
-  let uid = Sealed.uid syn in
-  Hashtbl.remove caches uid;
-  Hashtbl.remove batch_engines uid
-
 let estimate_uncached = Xc_core.Estimate.selectivity
 
 (* Serving never raises on a per-synopsis failure: if the compiled
@@ -39,48 +34,36 @@ let estimate_uncached = Xc_core.Estimate.selectivity
    direct uncached path and the event is counted — the degraded answer
    is bit-identical, only slower. *)
 let estimate syn q =
-  match
-    let c = cache_for syn in
-    Plan.Cache.estimate_result c q
-  with
+  match Plan.Cache.estimate_result (cache_for syn) q with
   | Ok v -> v
-  | Error _ | (exception _) ->
+  | Error _ ->
     Metrics.incr Metrics.global "serve.fallback";
     estimate_uncached syn q
 
-(* A degraded answer still has to touch the synopsis: if the fallback
-   itself trips — a lazily loaded synopsis whose deferred section
-   verification fails (Codec.Lazy_failure) at this very access — there
-   is no answer to give, so serving reports Unavailable instead of
-   letting the exception escape the result-typed API. *)
-let degrade_result syn q =
-  Metrics.incr Metrics.global "serve.fallback";
-  match estimate_uncached syn q with
-  | v -> Ok v
-  | exception exn -> Error (Error.Unavailable (Printexc.to_string exn))
+(* The one degradation rung. A fast path that failed with [msg]
+   either answers from the oracle ([Degrade], counted under [counter])
+   or reports Unavailable ([Strict]). The oracle is
+   Estimate.selectivity itself, never another cached path, so a
+   degraded answer cannot re-enter a fast path or bump a second
+   counter. The oracle still has to touch the synopsis: if it trips
+   too — a lazily loaded synopsis whose deferred section verification
+   fails (Codec.Lazy_failure) at this very access — there is no answer
+   to give, so serving reports Unavailable instead of letting the
+   exception escape the result-typed API. *)
+let degrade options ~counter msg oracle =
+  match options.Options.fallback with
+  | Options.Strict -> Error (Error.Unavailable msg)
+  | Options.Degrade -> (
+    Metrics.incr Metrics.global counter;
+    match oracle () with
+    | v -> Ok v
+    | exception exn -> Error (Error.Unavailable (Printexc.to_string exn)))
 
 let estimate_result ?(options = Options.default) syn q =
-  match
-    let c = cache_for syn in
-    Plan.Cache.estimate_result c q
-  with
+  match Plan.Cache.estimate_result (cache_for syn) q with
   | Ok v -> Ok v
-  | Error msg | (exception Failure msg) -> (
-    match options.Options.fallback with
-    | Options.Degrade -> degrade_result syn q
-    | Options.Strict -> Error (Error.Unavailable msg))
-  | exception exn -> (
-    match options.Options.fallback with
-    | Options.Degrade -> degrade_result syn q
-    | Options.Strict -> Error (Error.Unavailable (Printexc.to_string exn)))
-
-(* Same containment for the batched fallback: [estimate]'s own
-   fallback re-raises on a synopsis that cannot be read at all. *)
-let degrade_batch syn queries =
-  Metrics.incr Metrics.global "serve.batch_fallback";
-  match Array.map (fun q -> estimate syn q) queries with
-  | r -> Ok r
-  | exception exn -> Error (Error.Unavailable (Printexc.to_string exn))
+  | Error msg ->
+    degrade options ~counter:"serve.fallback" msg (fun () -> estimate_uncached syn q)
 
 let query_error i msg = Error (Error.Query (Printf.sprintf "query %d: %s" i msg))
 
@@ -95,27 +78,20 @@ let parse_texts texts =
   in
   go 0 []
 
-(* The policy arms both batched entry points share. [parsed] yields the
-   batch's queries: for a text batch that is a parse, paid only here on
-   failure, and a bad text still wins over the engine failure. *)
-let batch_fallback options syn parsed msg =
+let run_prepared options engine prepared =
+  Plan.Batch.run_prepared ?domains:options.Options.domains engine prepared
+
+(* Any exception out of the batch engine is counted and degrades the
+   whole batch at once. [parsed] yields the batch's queries: for a text
+   batch that is a parse, paid only here on failure, so a bad text
+   still wins over the engine failure. *)
+let batch_failed options syn parsed exn =
+  Metrics.incr Metrics.global "batch.error";
   match parsed () with
   | Error _ as e -> e
-  | Ok queries -> (
-    match options.Options.fallback with
-    | Options.Degrade -> degrade_batch syn queries
-    | Options.Strict -> Error (Error.Unavailable msg))
-
-let run_prepared options engine prepared =
-  let cohort = options.Options.cohort in
-  match options.Options.domains with
-  | Some d -> Plan.Batch.run_prepared ~domains:d ~cohort engine prepared
-  | None -> Plan.Batch.run_prepared ~cohort engine prepared
-
-(* any exception out of the batch engine is counted and degrades *)
-let engine_failed options syn parsed exn =
-  Metrics.incr Metrics.global "batch.error";
-  batch_fallback options syn parsed (Printexc.to_string exn)
+  | Ok queries ->
+    degrade options ~counter:"serve.batch_fallback" (Printexc.to_string exn) (fun () ->
+        Array.map (estimate_uncached syn) queries)
 
 let estimate_texts_with ?(options = Options.default) engine syn texts =
   match
@@ -124,16 +100,13 @@ let estimate_texts_with ?(options = Options.default) engine syn texts =
     | Ok prepared -> Ok (run_prepared options engine prepared)
   with
   | r -> r
-  | exception exn -> engine_failed options syn (fun () -> parse_texts texts) exn
+  | exception exn -> batch_failed options syn (fun () -> parse_texts texts) exn
 
 let estimate_batch ?(options = Options.default) syn queries =
-  let parsed () = Ok queries in
-  match batch_for syn with
-  | exception exn -> batch_fallback options syn parsed (Printexc.to_string exn)
-  | engine -> (
-    match run_prepared options engine (Plan.Batch.prepare engine queries) with
-    | r -> Ok r
-    | exception exn -> engine_failed options syn parsed exn)
+  let engine = batch_for syn in
+  match run_prepared options engine (Plan.Batch.prepare engine queries) with
+  | r -> Ok r
+  | exception exn -> batch_failed options syn (fun () -> Ok queries) exn
 
 let estimate_batch_exn ?options syn queries =
   match estimate_batch ?options syn queries with

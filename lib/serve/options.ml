@@ -3,7 +3,6 @@ type fallback = Degrade | Strict
 type t = {
   domains : int option;
   fallback : fallback;
-  cohort : bool;
   max_batch : int;
   max_frame_bytes : int;
 }
@@ -15,13 +14,11 @@ let default =
   {
     domains = None;
     fallback = Degrade;
-    cohort = true;
     max_batch = default_max_batch;
     max_frame_bytes = default_max_frame_bytes;
   }
 
-let make ?domains ?(fallback = Degrade) ?(cohort = true)
-    ?(max_batch = default_max_batch)
+let make ?domains ?(fallback = Degrade) ?(max_batch = default_max_batch)
     ?(max_frame_bytes = default_max_frame_bytes) () =
   (match domains with
   | Some d when d <= 0 ->
@@ -31,10 +28,10 @@ let make ?domains ?(fallback = Degrade) ?(cohort = true)
     invalid_arg "Xc_serve.Options.make: max_batch must be positive";
   if max_frame_bytes <= 0 then
     invalid_arg "Xc_serve.Options.make: max_frame_bytes must be positive";
-  { domains; fallback; cohort; max_batch; max_frame_bytes }
+  { domains; fallback; max_batch; max_frame_bytes }
 
 let pp ppf t =
-  Format.fprintf ppf "{domains=%s; fallback=%s; cohort=%b; max_batch=%d; max_frame_bytes=%d}"
+  Format.fprintf ppf "{domains=%s; fallback=%s; max_batch=%d; max_frame_bytes=%d}"
     (match t.domains with None -> "env" | Some d -> string_of_int d)
     (match t.fallback with Degrade -> "degrade" | Strict -> "strict")
-    t.cohort t.max_batch t.max_frame_bytes
+    t.max_batch t.max_frame_bytes

@@ -10,11 +10,10 @@
 
 type fallback =
   | Degrade
-      (** on a fast-path failure, fall back to slower but bit-identical
-          estimation (cached per-query plans, then the uncached
-          estimator) and bump the [serve.fallback] /
-          [serve.batch_fallback] counters — the answer is always
-          produced *)
+      (** on a fast-path failure, answer through the slower but
+          bit-identical uncached estimator and bump one counter,
+          [serve.fallback] for a single query or [serve.batch_fallback]
+          for a whole batch *)
   | Strict
       (** on a fast-path failure, return {!Error.Unavailable} instead
           of degrading — for callers that would rather re-route than
@@ -25,12 +24,6 @@ type t = {
       (** batch evaluation worker count; [None] means the [XC_DOMAINS]
           environment default *)
   fallback : fallback;
-  cohort : bool;
-      (** matrix-major cohort evaluation for batch estimates (see
-          {!Xc_core.Plan.Batch.run_prepared}); [false] selects the
-          query-major reference walk. Both are bit-identical to the
-          uncached estimator — this switches the sweep order, not the
-          answer. *)
   max_batch : int;
       (** admission limit on queries per [Estimate_batch] request; an
           oversized batch is refused with {!Error.Admission} (a
@@ -44,13 +37,12 @@ type t = {
 }
 
 val default : t
-(** [{ domains = None; fallback = Degrade; cohort = true;
+(** [{ domains = None; fallback = Degrade;
       max_batch = 8192; max_frame_bytes = 1 lsl 26 }]. *)
 
 val make :
   ?domains:int ->
   ?fallback:fallback ->
-  ?cohort:bool ->
   ?max_batch:int ->
   ?max_frame_bytes:int ->
   unit ->

@@ -150,7 +150,6 @@ let get_count r ~elt_min ~what =
 let put_options buf (o : Options.t) =
   put_int buf (match o.domains with None -> -1 | Some d -> d);
   put_int buf (match o.fallback with Options.Degrade -> 0 | Options.Strict -> 1);
-  put_int buf (if o.cohort then 1 else 0);
   put_int buf o.max_batch;
   put_int buf o.max_frame_bytes
 
@@ -167,12 +166,6 @@ let get_options r =
     | 1 -> Options.Strict
     | f -> raise (Proto (Bad_length { len = f; what = "fallback field" }))
   in
-  let cohort =
-    match get_int r with
-    | 0 -> false
-    | 1 -> true
-    | c -> raise (Proto (Bad_length { len = c; what = "cohort field" }))
-  in
   let max_batch =
     match get_int r with
     | b when b > 0 -> b
@@ -183,7 +176,7 @@ let get_options r =
     | b when b > 0 -> b
     | b -> raise (Proto (Bad_length { len = b; what = "max_frame_bytes field" }))
   in
-  { Options.domains; fallback; cohort; max_batch; max_frame_bytes }
+  { Options.domains; fallback; max_batch; max_frame_bytes }
 
 let encode_request req =
   let buf = Buffer.create 128 in

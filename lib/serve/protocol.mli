@@ -49,6 +49,12 @@ type request =
       synopsis : string;
       queries : string array;
       options : Options.t;
+          (** on the wire, four ints in this order: [domains] ([-1] for
+              [None], else positive), [fallback] ([0] [Degrade], [1]
+              [Strict]), [max_batch], [max_frame_bytes]. Frames carry
+              no version field, so a peer still sending the older
+              five-int layout (a sweep-order flag after [fallback]) is
+              misread from the third int on. *)
     }
   | List_synopses
   | Stats  (** the daemon's metrics snapshot as JSON *)

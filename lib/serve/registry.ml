@@ -58,10 +58,9 @@ let generations_total t =
 let admit t name syn =
   (match Hashtbl.find_opt t.admitted name with
   | Some old when Sealed.uid old <> Sealed.uid syn ->
-    (* content changed: the cached engine and plan caches compiled
-       against the retired generation must go *)
+    (* content changed: the engine compiled against the retired
+       generation must go *)
     Lru.remove t.engines name;
-    Engine.drop old;
     Hashtbl.replace t.generations name (generation t name + 1)
   | Some _ -> ()
   | None -> Hashtbl.replace t.generations name (generation t name + 1));

@@ -24,9 +24,9 @@
     complete generation or the new one, never a half-repaired mixture;
     in-flight batches hold the [Sealed.t] they resolved and finish on
     the generation they started with. Retiring a generation also drops
-    its registry engine and the process-wide {!Engine} caches keyed on
-    its uid — stale engines are freed, never reused, because every
-    {!Xc_core.Synopsis.freeze} carries a fresh uid.
+    its registry engine — a stale engine is freed, never reused. The
+    LRU is the only engine cache the daemon fills: it answers both
+    [Estimate] and [Estimate_batch] frames through {!engine}.
 
     Counters: [serve.load_ok], [serve.load_error], [serve.engine_admit],
     [serve.engine_evict], [serve.engine_hit], [serve.swap],

@@ -96,7 +96,6 @@ module Serve = struct
   type options = Xc_serve.Options.t = {
     domains : int option;
     fallback : fallback;
-    cohort : bool;
     max_batch : int;
     max_frame_bytes : int;
   }

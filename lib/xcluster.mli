@@ -256,10 +256,6 @@ module Serve : sig
         (** batch worker count; [None] means the [XC_DOMAINS]
             environment default — the old [<= 0] sentinel is retired *)
     fallback : fallback;
-    cohort : bool;
-        (** matrix-major cohort evaluation (the default); [false]
-            selects the query-major reference walk — same answers
-            bit for bit, different sweep order *)
     max_batch : int;
         (** daemon admission limit on queries per batch request;
             oversized batches are refused with a typed admission
@@ -271,7 +267,6 @@ module Serve : sig
   val options :
     ?domains:int ->
     ?fallback:fallback ->
-    ?cohort:bool ->
     ?max_batch:int ->
     ?max_frame_bytes:int ->
     unit ->
@@ -280,7 +275,7 @@ module Serve : sig
       given, must be positive, as must the admission limits. *)
 
   val default_options : options
-  (** [{ domains = None; fallback = Degrade; cohort = true;
+  (** [{ domains = None; fallback = Degrade;
         max_batch = 8192; max_frame_bytes = 64 MiB }]. *)
 
   val estimate_batch :
@@ -293,9 +288,10 @@ module Serve : sig
       the plan caches, so repeated workloads amortize to array walks.
 
       Under {!Degrade} (the default) an engine failure falls back to
-      per-query estimation (which itself can fall back to the uncached
-      path), bumps [serve.batch_fallback], and the call still returns
-      [Ok]; under {!Strict} it returns [Error (Unavailable _)]. *)
+      the uncached estimator for the whole batch and bumps
+      [serve.batch_fallback] once; the call returns [Ok] unless the
+      uncached estimator fails too. Under {!Strict} it returns
+      [Error (Unavailable _)]. *)
 
   val estimate_batch_exn :
     ?options:options -> synopsis -> query array -> float array

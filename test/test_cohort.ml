@@ -142,27 +142,6 @@ let test_dedup () =
     (fun i q -> check0 "deduped batch = uncached" (Estimate.selectivity syn q) got.(i))
     queries
 
-(* ---- blocked kernel under the row-length gate --------------------------- *)
-
-let test_blocked_gated () =
-  let ds = Runner.xmark ~scale:0.02 ~n_queries:45 () in
-  let syn = small_synopsis ds in
-  let engine = Plan.Batch.create syn in
-  let prepared = Plan.Batch.prepare engine (Runner.workload_queries ds) in
-  let base = Plan.Batch.run_prepared ~domains:1 engine prepared in
-  List.iter
-    (fun cohort ->
-      let blocked = Plan.Batch.run_prepared ~domains:1 ~blocked:true ~cohort engine prepared in
-      Array.iteri
-        (fun i v ->
-          let tol = 1e-9 *. Float.max 1.0 (Float.abs base.(i)) in
-          check Alcotest.bool "blocked within float-reassociation tolerance" true
-            (Float.abs (v -. base.(i)) <= tol))
-        blocked)
-    [ true; false ];
-  check Alcotest.bool "gate threshold positive" true
-    (Plan.Batch.blocked_min_mean_row > 0.0)
-
 (* ---- the source-text path ----------------------------------------------- *)
 
 (* workload queries as source text: the pp rendering minus its leading
@@ -364,8 +343,6 @@ let () =
       ( "degenerate",
         [ Alcotest.test_case "singleton cohorts" `Quick test_singleton_cohorts;
           Alcotest.test_case "dedup" `Quick test_dedup ] );
-      ( "blocked",
-        [ Alcotest.test_case "row-length gate" `Slow test_blocked_gated ] );
       ( "text",
         [ Alcotest.test_case "imdb" `Slow test_text_imdb;
           Alcotest.test_case "xmark" `Slow test_text_xmark;

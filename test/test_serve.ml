@@ -61,6 +61,11 @@ let save_exn path syn =
   | Ok () -> ()
   | Error e -> Alcotest.failf "save %s: %s" path (Xc_core.Codec.error_to_string e)
 
+let load_exn path =
+  match Xcluster.Store.load path with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "load %s: %s" path (Xc_core.Codec.error_to_string e)
+
 (* ---- protocol round-trip ------------------------------------------------ *)
 
 let sample_requests =
@@ -72,8 +77,7 @@ let sample_requests =
         options =
           { Serve.default_options with
             Serve.domains = Some 3;
-            fallback = Serve.Strict;
-            cohort = false };
+            fallback = Serve.Strict };
       };
     Protocol.Estimate_batch
       { synopsis = ""; queries = [||]; options = Serve.default_options };
@@ -394,6 +398,11 @@ let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) sources f =
       rm_rf dir)
     (fun () -> f endpoint)
 
+let connect_exn endpoint =
+  match Serve.Client.connect endpoint with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "connect: %s" (Error.to_string e)
+
 let query_sources syn =
   let doc = Xc_data.Imdb.generate ~seed:81 ~n_movies:40 () in
   let spec = { Xc_twig.Workload.default_spec with n_queries = 40; seed = 9 } in
@@ -487,6 +496,15 @@ let test_daemon_error_frames () =
   (match Serve.Client.estimate c ~synopsis:"imdb" ~query:"//movie/title" with
   | Ok v -> check Alcotest.bool "finite estimate" true (Float.is_finite v)
   | Error e -> Alcotest.failf "estimate after errors: %s" (Error.to_string e));
+  (* the same typed errors once the synopsis's engine is resident *)
+  (match Serve.Client.estimate c ~synopsis:"imdb" ~query:"//movie[" with
+  | Error (Error.Query _) -> ()
+  | Error e -> Alcotest.failf "expected query error, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "unparsable query answered on a warm engine");
+  (match Serve.Client.estimate_batch c ~synopsis:"nope" [| "//a" |] with
+  | Error (Error.Admission _) -> ()
+  | Error e -> Alcotest.failf "expected admission error, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "unknown synopsis answered a batch");
   (match Serve.Client.list_synopses c with
   | Ok [| { Protocol.l_name = "imdb"; l_nodes; l_bytes; _ } |] ->
     check Alcotest.bool "listed sizes" true (l_nodes > 0 && l_bytes > 0)
@@ -887,12 +905,7 @@ let test_daemon_swap_storm () =
   let path2 = Filename.concat dir "g2.syn" in
   save_exn path1 (Lazy.force synopsis_a);
   save_exn path2 (Lazy.force synopsis_a2);
-  let load p =
-    match Xcluster.Store.load p with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "load: %s" (Xc_core.Codec.error_to_string e)
-  in
-  let g1 = load path1 and g2 = load path2 in
+  let g1 = load_exn path1 and g2 = load_exn path2 in
   let qs = query_sources g1 in
   let sources = Array.map fst qs in
   let bits = Array.map Int64.bits_of_float in
@@ -1044,6 +1057,55 @@ let test_texts_across_swap () =
   check Alcotest.bool "the generations differ somewhere" true
     (Array.exists2 (fun a b -> not (bits_equal a b)) r1 r2)
 
+(* Single Estimate frames go through the registry's engine, as batches
+   do: every answer is bit-identical to the oracle on the served
+   generation, a swap moves them to the new generation, and every frame
+   after the first is an engine-LRU hit. *)
+let test_single_frames () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path1 = Filename.concat dir "g1.syn" and path2 = Filename.concat dir "g2.syn" in
+  save_exn path1 (Lazy.force synopsis_a);
+  save_exn path2 (Lazy.force synopsis_a2);
+  let g1 = load_exn path1 and g2 = load_exn path2 in
+  let texts = Array.map fst (query_sources g1) in
+  let oracle syn = Array.map (fun t -> Xc_core.Estimate.selectivity syn (Xcluster.Query.parse t)) texts in
+  with_daemon [ ("imdb", path1) ] @@ fun endpoint ->
+  let c = connect_exn endpoint in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let singles () =
+    Array.map
+      (fun query ->
+        match Serve.Client.estimate c ~synopsis:"imdb" ~query with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "estimate %S: %s" query (Error.to_string e))
+      texts
+  in
+  let same tag expected got =
+    Array.iteri
+      (fun i v ->
+        check Alcotest.bool (Printf.sprintf "%s: query %d" tag i) true (bits_equal v got.(i)))
+      expected
+  in
+  let hits = counter "serve.engine_hit" and admits = counter "serve.engine_admit" in
+  let r1 = singles () in
+  same "generation 1 = Estimate.selectivity" (oracle g1) r1;
+  check Alcotest.int "one engine admitted" (admits + 1) (counter "serve.engine_admit");
+  check Alcotest.int "every later frame is an engine hit"
+    (hits + Array.length texts - 1)
+    (counter "serve.engine_hit");
+  same "warm single frames" r1 (singles ());
+  (match Serve.Client.estimate_batch c ~synopsis:"imdb" texts with
+  | Ok r -> same "single frames = one batch" r1 r
+  | Error e -> Alcotest.failf "batch: %s" (Error.to_string e));
+  (match Serve.Client.update c ~synopsis:"imdb" ~path:path2 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "swap: %s" (Error.to_string e));
+  let r2 = singles () in
+  same "generation 2 = Estimate.selectivity" (oracle g2) r2;
+  check Alcotest.bool "the generations differ somewhere" true
+    (Array.exists2 (fun a b -> not (bits_equal a b)) r1 r2)
+
 (* Strict and Degrade on the text path behave exactly as on the parsed
    path: a synopsis whose value-summary section is damaged (a lazy load
    defers that check to first use) answers structural batches, fails
@@ -1089,9 +1151,14 @@ let test_texts_fallback_policies () =
       let options = Serve.options ~domains:1 ~fallback () in
       let run texts =
         let counted = counter "serve.batch_fallback" in
+        let single = counter "serve.fallback" in
         let r =
           Engine.estimate_texts_with ~options (Xc_core.Plan.Batch.create syn) syn texts
         in
+        (* a failed batch degrades once, as a whole: it never re-enters
+           the per-query ladder and its own fallback counter *)
+        check Alcotest.int (policy ^ ": no per-query fallback inside a batch") single
+          (counter "serve.fallback");
         (r, counter "serve.batch_fallback" - counted)
       in
       let as_parsed tag texts r =
@@ -1111,7 +1178,29 @@ let test_texts_fallback_policies () =
         (if fallback = Serve.Degrade then 1 else 0) fb;
       let r, _ = run bad_text in
       check Alcotest.string (policy ^ " bad text wins over the engine failure")
-        ("query:query 1: " ^ bad_text_msg) (outcome r))
+        ("query:query 1: " ^ bad_text_msg) (outcome r);
+      (* the daemon's single Estimate frames under the same policy: each
+         answers as the one-text batch does, with the same fallback
+         count *)
+      with_daemon ~tune:(fun c -> { c with Serve.Daemon.options }) [ ("imdb", path) ]
+      @@ fun endpoint ->
+      let c = connect_exn endpoint in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      Array.iter
+        (fun text ->
+          let counted = counter "serve.batch_fallback" in
+          let single =
+            Result.map (fun v -> [| v |]) (Serve.Client.estimate c ~synopsis:"imdb" ~query:text)
+          in
+          let fb = counter "serve.batch_fallback" - counted in
+          let batch, fb' = run [| text |] in
+          let tag = Printf.sprintf "%s single frame %S" policy text in
+          check Alcotest.string (tag ^ " = one-text batch") (outcome batch) (outcome single);
+          check Alcotest.int (tag ^ ": fallback count") fb' fb;
+          match (batch, single) with
+          | Ok [| a |], Ok [| b |] -> check Alcotest.bool (tag ^ ": bitwise") true (bits_equal a b)
+          | _ -> ())
+        (Array.concat [ structural; valued; bad_text ]))
     [ ("degrade", Serve.Degrade); ("strict", Serve.Strict) ]
 
 (* ---- suite -------------------------------------------------------------- *)
@@ -1162,6 +1251,8 @@ let () =
         [ Alcotest.test_case "parse error is indexed" `Quick test_texts_parse_error;
           Alcotest.test_case "answers follow a generation swap" `Quick
             test_texts_across_swap;
+          Alcotest.test_case "single frames: oracle, swap, engine hits" `Quick
+            test_single_frames;
           Alcotest.test_case "Strict and Degrade as on parsed batches" `Quick
             test_texts_fallback_policies ] );
       ( "facade",
