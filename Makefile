@@ -1,4 +1,4 @@
-.PHONY: all build test check fmt bench bench-serve bench-fault bench-daemon bench-chaos bench-update clean
+.PHONY: all build test check fmt bench bench-serve bench-fault bench-chaos bench-update clean
 
 all: build
 
@@ -33,13 +33,6 @@ bench-serve:
 # contract violation). Appends a JSON line to BENCH_fault.json.
 bench-fault:
 	dune exec bench/main.exe -- fault
-
-# Estimation-daemon benchmark: a forked daemon driven by 1 and 4
-# concurrent clients, with bit-identity, fault-storm-survival, and
-# clean-shutdown gates (exits non-zero on any violation). Appends a
-# JSON line to BENCH_daemon.json.
-bench-daemon:
-	dune exec bench/main.exe -- daemon
 
 # Serving-plane chaos benchmark: stalled-peer isolation, slow-loris
 # eviction timing, overload shedding (typed Overloaded + with_retry

@@ -4,25 +4,28 @@
 
    Usage:  dune exec bench/main.exe [-- TARGET...]
    Targets: table1 table2 fig8a fig8b fig8c fig9 negative ablation-delta
-            ablation-text ablation-numeric auto-split pipeline seal build
-            serve fault daemon chaos update micro (default: all of them,
-            in that order)
+            ablation-text ablation-numeric auto-split seal build serve
+            fault chaos update micro (default: all of them, in that
+            order)
 
    Every run ends with a JSON metrics block (plan compiles, cache and
    reach-memo hit/miss counts, pool candidate evaluations, expansion
    depths, estimate latency) accumulated across the targets that ran.
 
-   Environment:
+   Environment (a value that does not parse exits 2, naming the
+   variable):
      XC_SCALE    document scale factor (default 1.0 = paper scale)
      XC_QUERIES  workload size (default 400)
-     XC_PASSES   repeated-workload passes for the pipeline/seal/serve
-                 targets (default 5)
+     XC_PASSES   repeated-workload passes for the seal/serve targets
+                 (default 5), and batches per concurrent client in the
+                 chaos target (default 3)
      XC_DOMAINS  worker count for the build target's parallel leg
                  (default 4) and the serve target's query sharding
                  (default 1; also the library-wide Par default).
                  Honored exactly — oversubscription warns loudly, and
                  both targets fail if the pool observably engaged a
                  different width than requested.
+     XC_BUILD_REPS  repetitions per leg of the build target (default 3)
      XC_FAULTS   fault-injection spec for the fault target (see
                  Xc_util.Fault); when unset the target installs its own
                  all-kinds storm
@@ -32,17 +35,29 @@
                  target, so a CI matrix replays distinct reproducible
                  storms over the same fault sites (default 0). *)
 
-let scale =
-  match Sys.getenv_opt "XC_SCALE" with
-  | Some s -> (try float_of_string s with Failure _ -> 1.0)
-  | None -> 1.0
+let env_value name parse ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+    match parse s with
+    | Some v -> v
+    | None ->
+      Printf.eprintf "bench: %s=%S is not a valid value\n%!" name s;
+      exit 2)
 
-let n_queries =
-  match Sys.getenv_opt "XC_QUERIES" with
-  | Some s -> (try int_of_string s with Failure _ -> 400)
-  | None -> 400
+let env_int name ~default = env_value name int_of_string_opt ~default
+let env_float name ~default = env_value name float_of_string_opt ~default
+let scale = env_float "XC_SCALE" ~default:1.0
+let n_queries = env_int "XC_QUERIES" ~default:400
 
 let ppf = Format.std_formatter
+
+let append_row file json =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+  output_string oc json;
+  output_char oc '\n';
+  close_out oc;
+  Format.fprintf ppf "  appended to %s@." file
 
 let timed name f =
   let t0 = Unix.gettimeofday () in
@@ -124,73 +139,17 @@ let run_ablation_text () =
   in
   Xc_exp.Report.ablation_text ppf ~name:ds.Xc_exp.Runner.name rows
 
-(* ---- compiled-pipeline speedup ----------------------------------------
-   The repeated-workload estimation loop: every workload query estimated
-   [passes] times against one synopsis, once through the direct
-   embedding enumeration and once through the compiled pipeline (plan
-   cache + reach memo). This is the serving pattern the pipeline
-   optimizes; the two paths must agree bit for bit. *)
-
-let run_pipeline () =
-  let passes =
-    match Sys.getenv_opt "XC_PASSES" with
-    | Some s -> (try int_of_string s with Failure _ -> 5)
-    | None -> 5
-  in
-  let ds = Lazy.force imdb in
-  let syn = Xcluster.Build.compress (Xcluster.Build.budget ~bstr_kb:20 ~bval_kb:150 ()) ds.Xc_exp.Runner.reference in
-  let queries = List.map (fun e -> e.Xc_twig.Workload.query) ds.Xc_exp.Runner.workload in
-  Xcluster.Metrics.reset ();
-  let t0 = Unix.gettimeofday () in
-  let sum_uncached = ref 0.0 in
-  for _ = 1 to passes do
-    List.iter
-      (fun q -> sum_uncached := !sum_uncached +. Xcluster.Query.estimate_uncached syn q)
-      queries
-  done;
-  let t_uncached = Unix.gettimeofday () -. t0 in
-  let cache = Xc_core.Plan.Cache.create syn in
-  let t0 = Unix.gettimeofday () in
-  let sum_planned = ref 0.0 in
-  for _ = 1 to passes do
-    List.iter
-      (fun q -> sum_planned := !sum_planned +. Xc_core.Plan.Cache.estimate cache q)
-      queries
-  done;
-  let t_planned = Unix.gettimeofday () -. t0 in
-  let max_diff =
-    List.fold_left
-      (fun acc q ->
-        Float.max acc
-          (Float.abs (Xcluster.Query.estimate_uncached syn q -. Xc_core.Plan.Cache.estimate cache q)))
-      0.0 queries
-  in
-  Format.fprintf ppf
-    "@.Compiled estimation pipeline (%s: %d queries x %d passes)@." ds.Xc_exp.Runner.name
-    (List.length queries) passes;
-  Format.fprintf ppf "  uncached: %7.3f s  (%.1f us/estimate)@." t_uncached
-    (1e6 *. t_uncached /. float_of_int (passes * List.length queries));
-  Format.fprintf ppf "  planned:  %7.3f s  (%.1f us/estimate)@." t_planned
-    (1e6 *. t_planned /. float_of_int (passes * List.length queries));
-  Format.fprintf ppf "  speedup:  %.1fx   max |planned - uncached| = %g@."
-    (t_uncached /. Float.max t_planned 1e-9)
-    max_diff;
-  Format.fprintf ppf "  metrics: %s@." (Xcluster.Metrics.json ())
-
 (* ---- frozen-vs-builder estimation (the Builder/Sealed split) -----------
    The same XMark workload estimated through the hashtable-walking
    builder estimator, the CSR sealed estimator, and the compiled plan
    cache, at the paper's default 20KB/150KB budgets. The three must
-   agree bit for bit; the speedup columns are what the freeze step buys
-   on repeated estimation. Each run appends a JSON line to
-   BENCH_seal.json so the CSR speedup is tracked across PRs. *)
+   agree bit for bit (the target exits non-zero otherwise); the speedup
+   columns are what the freeze step and the plan cache buy on repeated
+   estimation. Each run appends a JSON line to BENCH_seal.json so the
+   speedups are tracked across PRs. *)
 
 let run_seal () =
-  let passes =
-    match Sys.getenv_opt "XC_PASSES" with
-    | Some s -> (try int_of_string s with Failure _ -> 5)
-    | None -> 5
-  in
+  let passes = env_int "XC_PASSES" ~default:5 in
   let ds = Lazy.force xmark in
   let builder =
     timed "seal: xclusterbuild" (fun () ->
@@ -237,11 +196,11 @@ let run_seal () =
       (Unix.gettimeofday ()) ds.Xc_exp.Runner.name (List.length queries) passes
       t_builder t_sealed t_planned speedup_sealed speedup_planned max_diff
   in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_seal.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "  appended to BENCH_seal.json@."
+  append_row "BENCH_seal.json" json;
+  if max_diff <> 0.0 then begin
+    Format.fprintf ppf "  ERROR: estimation paths diverged (max diff %g)@." max_diff;
+    exit 1
+  end
 
 (* ---- construction speedup ---------------------------------------------
    XCLUSTERBUILD timed three ways at the paper's default budgets:
@@ -276,11 +235,7 @@ let sealed_mismatches a b =
   end
 
 let run_build () =
-  let par_domains =
-    match Sys.getenv_opt "XC_DOMAINS" with
-    | Some s -> (try max 1 (int_of_string s) with Failure _ -> 4)
-    | None -> 4
-  in
+  let par_domains = max 1 (env_int "XC_DOMAINS" ~default:4) in
   (* An explicitly requested worker count is honored exactly — a
      silent min() against the core count once turned "domains":4 into a
      single-worker run that still reported itself as parallel. We warn
@@ -292,11 +247,7 @@ let run_build () =
       "WARNING: XC_DOMAINS=%d oversubscribes this host (%d cores); expect \
        scheduling overhead, not speedup@."
       par_domains cores;
-  let reps =
-    match Sys.getenv_opt "XC_BUILD_REPS" with
-    | Some s -> (try max 1 (int_of_string s) with Failure _ -> 3)
-    | None -> 3
-  in
+  let reps = max 1 (env_int "XC_BUILD_REPS" ~default:3) in
   let bench_ds ds =
     let reference = ds.Xc_exp.Runner.reference in
     (* paper budgets (20KB/150KB) scaled with the document so the merge
@@ -382,11 +333,7 @@ let run_build () =
         (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale par_domains domains_used
         cores t_seq t_inc t_par speedup_inc speedup_par evals_seq evals_inc max_diff
     in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_build.json" in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Format.fprintf ppf "  appended to BENCH_build.json@.";
+    append_row "BENCH_build.json" json;
     if max_diff <> 0 then begin
       Format.fprintf ppf "  ERROR: construction paths diverged (diff %d)@." max_diff;
       exit 1
@@ -414,11 +361,7 @@ let run_build () =
    worker counts 1/2/4. *)
 
 let run_serve () =
-  let passes =
-    match Sys.getenv_opt "XC_PASSES" with
-    | Some s -> (try int_of_string s with Failure _ -> 5)
-    | None -> 5
-  in
+  let passes = env_int "XC_PASSES" ~default:5 in
   let requested = Xc_util.Par.env_domains () in
   let ds = Lazy.force xmark in
   let syn =
@@ -591,20 +534,16 @@ let run_serve () =
     first_answer_ms lazy_sections_verified first_answer_identical;
   let json =
     Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"t_planned_s\":%.4f,\"t_batch_s\":%.4f,\"speedup_batch\":%.2f,\"qps\":%.0f,\"qps_bigarray\":%.0f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_base\":%b,\"warmup_ms\":%.2f,\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"max_diff\":%g,\"max_diff_cohort\":%g,\"deterministic\":%b,\"startup_ms_v2\":%.4f,\"startup_ms_v3\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
+      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"t_planned_s\":%.4f,\"t_batch_s\":%.4f,\"speedup_batch\":%.2f,\"qps\":%.0f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_base\":%b,\"warmup_ms\":%.2f,\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"max_diff\":%g,\"max_diff_cohort\":%g,\"deterministic\":%b,\"startup_ms_v2\":%.4f,\"startup_ms_v3\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
       (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes requested
-      domains_used t_planned t_batch speedup qps qps qps_cohort
+      domains_used t_planned t_batch speedup qps qps_cohort
       t_cohort n_cohorts cohort_sharing cohort_ge_base warmup_ms p50 p95 p99
       prepare_s
       (Xc_core.Plan.Batch.n_matrices engine)
       max_diff max_diff_cohort deterministic startup_ms_v2
       startup_ms_v3 startup_speedup first_answer_ms lazy_sections_verified
   in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_serve.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "  appended to BENCH_serve.json@.";
+  append_row "BENCH_serve.json" json;
   if max_diff <> 0.0 then begin
     Format.fprintf ppf
       "  ERROR: batch estimates diverged from the planned path (max diff %g)@."
@@ -768,314 +707,9 @@ let run_fault () =
       (Unix.gettimeofday ()) fuzz_per_dataset !fuzz_errors storm_cycles !saves_ok
       !saves_err !loads_ok !loads_err !lazy_failures injected !violations from_env
   in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_fault.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "  appended to BENCH_fault.json@.";
+  append_row "BENCH_fault.json" json;
   if !violations > 0 then begin
     Format.fprintf ppf "  ERROR: %d fault-contract violations@." !violations;
-    exit 1
-  end
-
-(* ---- estimation daemon -------------------------------------------------
-   The serving-daemon benchmark behind BENCH_daemon.json: a forked
-   daemon process answering Estimate_batch frames over a Unix socket,
-   driven by 1 and 4 concurrent clients (domains doing only socket
-   I/O). Reports end-to-end throughput and client-observed request
-   latency percentiles per client count. Correctness gates (any failure
-   exits non-zero): every batch answer bit-identical to
-   estimate_uncached on the artifact the daemon serves (max_diff 0);
-   the daemon survives a fault storm on its socket-read site without
-   exiting; shutdown is acknowledged and the process exits 0. *)
-
-let run_daemon () =
-  let module Serve = Xcluster.Serve in
-  let module Fault = Xc_util.Fault in
-  let passes =
-    match Sys.getenv_opt "XC_PASSES" with
-    | Some s -> (try int_of_string s with Failure _ -> 3)
-    | None -> 3
-  in
-  let client_counts = [ 1; 4 ] in
-  let dir = Filename.temp_file "xc_daemon" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let syn_path = Filename.concat dir "bench.syn" in
-  let endpoint = Serve.Protocol.Unix_sock (Filename.concat dir "bench.sock") in
-  let storm_endpoint = Serve.Protocol.Unix_sock (Filename.concat dir "storm.sock") in
-  let ds = Lazy.force xmark in
-  let syn =
-    timed "daemon: build" (fun () ->
-        Xcluster.Build.compress
-          (Xcluster.Build.budget ~bstr_kb:20 ~bval_kb:150 ())
-          ds.Xc_exp.Runner.reference)
-  in
-  (match Xcluster.Store.save syn_path syn with
-  | Ok () -> ()
-  | Error e ->
-    Format.fprintf ppf "  ERROR: save: %s@." (Xc_core.Codec.error_to_string e);
-    exit 1);
-  (* the daemon parses query source text: render the workload back to
-     source (Twig_query.pp minus its leading "."), and compute the
-     reference estimates by the exact path the daemon takes — parse the
-     source, estimate uncached on the loaded artifact *)
-  let loaded =
-    match Xcluster.Store.load syn_path with
-    | Ok s -> s
-    | Error e ->
-      Format.fprintf ppf "  ERROR: load: %s@." (Xc_core.Codec.error_to_string e);
-      exit 1
-  in
-  let sources =
-    Array.map
-      (fun q ->
-        let s = Format.asprintf "%a" Xc_twig.Twig_query.pp q in
-        if String.length s > 0 && s.[0] = '.' then
-          String.sub s 1 (String.length s - 1)
-        else s)
-      (Xc_exp.Runner.workload_queries ds)
-  in
-  let nq = Array.length sources in
-  let reference =
-    Array.map
-      (fun src -> Xcluster.Query.estimate_uncached loaded (Xcluster.Query.parse src))
-      sources
-  in
-  (* children inherit the parent's fault state at fork time: hold it at
-     None for the measured phase (even under an ambient XC_FAULTS), arm
-     the storm only for the storm daemon *)
-  let ambient = Fault.current () in
-  Fault.configure None;
-  let fork_daemon endpoint =
-    (* flush before forking so the child cannot duplicate buffered
-       output. Both daemons are forked here, before the client domains
-       spawn: the OCaml 5 runtime refuses Unix.fork once any other
-       domain has been created. *)
-    Format.pp_print_flush ppf ();
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-      (try
-         let registry = Serve.Registry.create ~max_engines:4 () in
-         Serve.Registry.add_source registry ~name:"bench" ~path:syn_path;
-         let config =
-           { Serve.Daemon.default_config with
-             Serve.Daemon.endpoint;
-             max_engines = 4;
-             options = Serve.default_options }
-         in
-         Serve.Daemon.run ~config registry
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-    | pid -> pid
-  in
-  let wait_ready endpoint =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec loop () =
-      match Serve.Client.connect endpoint with
-      | Ok c -> Serve.Client.close c
-      | Error _ when Unix.gettimeofday () < deadline ->
-        ignore (Unix.select [] [] [] 0.05);
-        loop ()
-      | Error e ->
-        Format.fprintf ppf "  ERROR: daemon not accepting: %s@."
-          (Serve.Error.to_string e);
-        exit 1
-    in
-    loop ()
-  in
-  let violations = ref 0 in
-  let pid = fork_daemon endpoint in
-  (* the storm daemon inherits Truncate+Bit_flip faults armed on its
-     socket-read site AND its artifact-load site; it idles until the
-     storm phase below *)
-  let storm_rounds = 100 in
-  Fault.configure
-    (Some
-       { Fault.seed = 7; prob = 0.3; kinds = [ Fault.Truncate; Fault.Bit_flip ];
-         sites = [ "serve.recv"; "codec.load" ] });
-  let storm_pid = fork_daemon storm_endpoint in
-  Fault.configure None;
-  wait_ready endpoint;
-  (* measured phase: [clients] concurrent connections, each streaming
-     [passes] whole-workload batch requests *)
-  let measure clients =
-    let worker () =
-      Domain.spawn (fun () ->
-          match Serve.Client.connect endpoint with
-          | Error e -> Error (Serve.Error.to_string e)
-          | Ok c ->
-            let lats = ref [] in
-            let rec go i last =
-              if i = 0 then Ok last
-              else begin
-                let t0 = Unix.gettimeofday () in
-                match Serve.Client.estimate_batch c ~synopsis:"bench" sources with
-                | Ok r ->
-                  lats := (1e6 *. (Unix.gettimeofday () -. t0)) :: !lats;
-                  go (i - 1) r
-                | Error e -> Error (Serve.Error.to_string e)
-              end
-            in
-            let r = go passes [||] in
-            Serve.Client.close c;
-            match r with Ok last -> Ok (last, !lats) | Error e -> Error e)
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains = List.init clients (fun _ -> worker ()) in
-    let results = List.map Domain.join domains in
-    let wall = Unix.gettimeofday () -. t0 in
-    let max_diff = ref 0.0 in
-    let m = Xc_util.Metrics.create () in
-    List.iter
-      (fun r ->
-        match r with
-        | Error e ->
-          Format.fprintf ppf "  ERROR: client failed: %s@." e;
-          incr violations
-        | Ok (last, lats) ->
-          if Array.length last <> nq then begin
-            Format.fprintf ppf "  ERROR: short batch answer (%d of %d)@."
-              (Array.length last) nq;
-            incr violations
-          end
-          else
-            Array.iteri
-              (fun i v ->
-                if Int64.bits_of_float v <> Int64.bits_of_float reference.(i) then
-                  max_diff :=
-                    Float.max !max_diff (Float.abs (v -. reference.(i))))
-              last;
-          List.iter (fun l -> Xc_util.Metrics.observe m "daemon.request_us" l) lats)
-      results;
-    let p50, p95, p99 =
-      match
-        Xc_util.Metrics.quantiles m "daemon.request_us" [ 0.5; 0.95; 0.99 ]
-      with
-      | Some [ (_, a); (_, b); (_, c) ] -> (a, b, c)
-      | _ -> (0.0, 0.0, 0.0)
-    in
-    let answered = clients * passes * nq in
-    let qps = float_of_int answered /. Float.max wall 1e-9 in
-    if !max_diff <> 0.0 then incr violations;
-    Format.fprintf ppf
-      "  %d client(s): %.0f estimates/s   request p50 %.0f us  p95 %.0f us  p99 %.0f us   max |daemon - uncached| = %g@."
-      clients qps p50 p95 p99 !max_diff;
-    (clients, qps, p50, p95, p99, !max_diff)
-  in
-  Format.fprintf ppf "@.Estimation daemon (%s: %d queries x %d passes per client)@."
-    ds.Xc_exp.Runner.name nq passes;
-  let measured = List.map measure client_counts in
-  (* clean shutdown of the measured daemon *)
-  let shutdown_clean =
-    match Serve.Client.connect endpoint with
-    | Error _ -> false
-    | Ok c ->
-      let ok = Serve.Client.shutdown c = Ok () in
-      Serve.Client.close c;
-      ok
-  in
-  let exit_clean =
-    shutdown_clean
-    && (match Unix.waitpid [] pid with _, Unix.WEXITED 0 -> true | _ -> false)
-  in
-  if not exit_clean then begin
-    Format.fprintf ppf "  ERROR: daemon did not shut down cleanly@.";
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    incr violations
-  end;
-  (* storm phase: requests against the fault-armed daemon may fail with
-     typed errors (and it drops damaged connections), but the process
-     itself must survive the whole storm and still acknowledge a
-     shutdown *)
-  wait_ready storm_endpoint;
-  let storm_ok = ref 0 and storm_err = ref 0 in
-  for i = 0 to storm_rounds - 1 do
-    match Serve.Client.connect storm_endpoint with
-    | Error _ -> incr storm_err
-    | Ok c ->
-      (* every few rounds, a reload drives the storm through the
-         artifact-load site too (a faulted load is skipped and counted,
-         keeping the previously admitted synopsis) *)
-      (if i mod 5 = 0 then
-         match Serve.Client.reload c with
-         | Ok _ -> incr storm_ok
-         | Error _ -> incr storm_err
-       else
-         match
-           Serve.Client.estimate c ~synopsis:"bench" ~query:sources.(i mod nq)
-         with
-         | Ok _ -> incr storm_ok
-         | Error _ -> incr storm_err);
-      Serve.Client.close c
-  done;
-  let survived =
-    match Unix.waitpid [ Unix.WNOHANG ] storm_pid with
-    | 0, _ -> true
-    | _ -> false
-  in
-  if not survived then begin
-    Format.fprintf ppf "  ERROR: daemon exited under the socket fault storm@.";
-    incr violations
-  end;
-  (* the shutdown frame itself can be storm-damaged server-side: retry *)
-  let storm_shutdown =
-    if not survived then false
-    else begin
-      let rec retry n =
-        if n = 0 then false
-        else
-          match Serve.Client.connect storm_endpoint with
-          | Error _ -> retry (n - 1)
-          | Ok c ->
-            let r = Serve.Client.shutdown c in
-            Serve.Client.close c;
-            (match r with Ok () -> true | Error _ -> retry (n - 1))
-      in
-      retry 200
-      && (match Unix.waitpid [] storm_pid with
-         | _, Unix.WEXITED 0 -> true
-         | _ -> false)
-    end
-  in
-  if survived && not storm_shutdown then begin
-    Format.fprintf ppf "  ERROR: storm daemon refused a clean shutdown@.";
-    (try Unix.kill storm_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (Unix.waitpid [] storm_pid);
-    incr violations
-  end;
-  Format.fprintf ppf
-    "  storm: %d requests (%d answered, %d typed errors), survived: %b, clean shutdown: %b@."
-    storm_rounds !storm_ok !storm_err survived storm_shutdown;
-  Fault.configure ambient;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  let per_count =
-    String.concat ","
-      (List.map
-         (fun (clients, qps, p50, p95, p99, max_diff) ->
-           Printf.sprintf
-             "{\"clients\":%d,\"qps\":%.0f,\"p50_us\":%.2f,\"p95_us\":%.2f,\"p99_us\":%.2f,\"max_diff\":%g}"
-             clients qps p50 p95 p99 max_diff)
-         measured)
-  in
-  let json =
-    Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"runs\":[%s],\"storm_rounds\":%d,\"storm_ok\":%d,\"storm_err\":%d,\"storm_survived\":%b,\"shutdown_clean\":%b,\"storm_shutdown_clean\":%b}"
-      (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes per_count
-      storm_rounds !storm_ok !storm_err survived exit_clean storm_shutdown
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_daemon.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "  appended to BENCH_daemon.json@.";
-  if !violations > 0 then begin
-    Format.fprintf ppf "  ERROR: %d daemon-serving violations@." !violations;
     exit 1
   end
 
@@ -1101,18 +735,10 @@ let run_daemon () =
 let run_chaos () =
   let module Serve = Xcluster.Serve in
   let module Fault = Xc_util.Fault in
-  let passes =
-    match Sys.getenv_opt "XC_PASSES" with
-    | Some s -> (try int_of_string s with Failure _ -> 3)
-    | None -> 3
-  in
+  let passes = env_int "XC_PASSES" ~default:3 in
   (* XC_CHAOS_SEED offsets every storm's RNG stream, so a CI matrix
      replays distinct but reproducible storms over the same sites *)
-  let chaos_seed =
-    match Sys.getenv_opt "XC_CHAOS_SEED" with
-    | Some s -> (try int_of_string s with Failure _ -> 0)
-    | None -> 0
-  in
+  let chaos_seed = env_int "XC_CHAOS_SEED" ~default:0 in
   let dir = Filename.temp_file "xc_chaos" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -1608,11 +1234,7 @@ let run_chaos () =
       (String.concat "," storm_json)
       !conn_ok !conn_err post_storm_ping drain_ms drain_bound_ms !violations
   in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_chaos.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "  appended to BENCH_chaos.json@.";
+  append_row "BENCH_chaos.json" json;
   if !violations > 0 then begin
     Format.fprintf ppf "  ERROR: %d chaos violations@." !violations;
     exit 1
@@ -1635,11 +1257,7 @@ let run_chaos () =
 
 let run_update () =
   let module Registry = Xcluster.Serve.Registry in
-  let n_updates =
-    match Sys.getenv_opt "XC_UPDATES" with
-    | Some s -> (try max 2 (int_of_string s) with Failure _ -> 64)
-    | None -> 64
-  in
+  let n_updates = max 2 (env_int "XC_UPDATES" ~default:64) in
   let ds = Lazy.force xmark in
   let doc = ds.Xc_exp.Runner.doc in
   let min_extent = ds.Xc_exp.Runner.min_extent in
@@ -1786,11 +1404,7 @@ let run_update () =
       stats.Xcluster.Build.dirty stats.Xcluster.Build.repair_merges
       stats.Xcluster.Build.created stats.Xcluster.Build.removed swap_ok generation
   in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_update.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "  appended to BENCH_update.json@.";
+  append_row "BENCH_update.json" json;
   if !swap_violations > 0 then begin
     Format.fprintf ppf "  ERROR: %d swap-protocol violations@." !swap_violations;
     exit 1
@@ -1886,12 +1500,10 @@ let targets =
     ("ablation-text", run_ablation_text);
     ("ablation-numeric", run_ablation_numeric);
     ("auto-split", run_auto_split);
-    ("pipeline", run_pipeline);
     ("seal", run_seal);
     ("build", run_build);
     ("serve", run_serve);
     ("fault", run_fault);
-    ("daemon", run_daemon);
     ("chaos", run_chaos);
     ("update", run_update);
     ("micro", run_micro) ]

@@ -207,28 +207,7 @@ let workload_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload RNG seed.")
   in
-  let batch_arg =
-    Arg.(
-      value & flag
-      & info [ "batch" ]
-          ~doc:
-            "Serve the workload through the batched estimation engine \
-             (interned transition matrices, $(b,XC_DOMAINS)-way sharding) \
-             instead of per-query planned estimates, and report serving \
-             throughput and latency percentiles. Estimates are bit-identical \
-             either way.")
-  in
-  let stats_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "With $(b,--batch): print the serving metrics as JSON after the \
-             run, including the cohort counters ($(b,batch.cohorts), \
-             $(b,batch.cohort_max), $(b,batch.arena_resets), \
-             $(b,batch.minor_words)).")
-  in
-  let run file typing_name bstr bval n seed batch stats =
+  let run file typing_name bstr bval n seed =
     guarded @@ fun () ->
     let doc = load ~typing_name file in
     let syn =
@@ -237,54 +216,7 @@ let workload_cmd =
     let spec = { Xc_twig.Workload.default_spec with n_queries = n; seed } in
     let wl = Xc_twig.Workload.generate ~spec doc in
     let sanity = Xc_twig.Workload.sanity_bound wl in
-    let estimator =
-      if not batch then Xcluster.Query.estimate syn
-      else begin
-        let queries =
-          Array.of_list (List.map (fun e -> e.Xc_twig.Workload.query) wl)
-        in
-        Xcluster.Metrics.reset ();
-        let t0 = Unix.gettimeofday () in
-        let results = Xcluster.Serve.estimate_batch_exn syn queries in
-        let dt = Unix.gettimeofday () -. t0 in
-        let m = Xc_util.Metrics.global in
-        Format.printf
-          "batch: %d queries in %.1f ms (%.0f qps, %d matrices, %d domains used)@."
-          (Array.length queries) (1000.0 *. dt)
-          (float_of_int (Array.length queries) /. Float.max dt 1e-9)
-          (Xc_core.Plan.Batch.n_matrices (Xcluster.Serve.batch_engine syn))
-          (Xc_util.Par.max_used ());
-        (* the default cohort path records per-cohort latency; the
-           query-major path per-query — report whichever ran *)
-        (match
-           List.find_map
-             (fun name ->
-               match Xc_util.Metrics.quantiles m name [ 0.5; 0.95; 0.99 ] with
-               | Some qs -> Some (name, qs)
-               | None -> None)
-             [ "estimate.cohort_us"; "estimate.batch_us" ]
-         with
-        | Some (name, [ (_, p50); (_, p95); (_, p99) ]) ->
-          Format.printf "latency (%s): p50 %.1f  p95 %.1f  p99 %.1f@."
-            (if name = "estimate.cohort_us" then "us/cohort" else "us/query")
-            p50 p95 p99
-        | _ -> ());
-        Format.printf "cohorts: %d (max %d), arena resets %d, minor words %d@."
-          (Xc_util.Metrics.counter_value m "batch.cohorts")
-          (Xc_util.Metrics.counter_value m "batch.cohort_max")
-          (Xc_util.Metrics.counter_value m "batch.arena_resets")
-          (Xc_util.Metrics.counter_value m "batch.minor_words");
-        if stats then Format.printf "metrics: %s@." (Xcluster.Metrics.json ());
-        (* estimates keyed injectively by query structure, so the scorer
-           below reads the batch results *)
-        let by_key = Hashtbl.create (Array.length queries) in
-        Array.iteri
-          (fun i q -> Hashtbl.replace by_key (Xc_core.Plan.query_key q) results.(i))
-          queries;
-        fun q -> Hashtbl.find by_key (Xc_core.Plan.query_key q)
-      end
-    in
-    let scored = Xc_exp.Error_metric.score estimator wl in
+    let scored = Xc_exp.Error_metric.score (Xcluster.Query.estimate syn) wl in
     Format.printf "workload: %d positive twigs, sanity bound %.0f@."
       (List.length wl) sanity;
     Format.printf "overall avg. relative error: %.1f%%@."
@@ -303,9 +235,7 @@ let workload_cmd =
          "Generate a random positive twig workload over an XML file and report \
           the synopsis's per-class estimation error (the paper's Sec. 6 \
           methodology, on your own data).")
-    Term.(
-      const run $ file_arg $ typing_arg $ bstr_arg $ bval_arg $ n_arg $ seed_arg
-      $ batch_arg $ stats_arg)
+    Term.(const run $ file_arg $ typing_arg $ bstr_arg $ bval_arg $ n_arg $ seed_arg)
 
 (* ---- estimate ----------------------------------------------------------- *)
 

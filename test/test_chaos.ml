@@ -1,7 +1,8 @@
 (* Chaos suite for the serving plane: seeded fault storms over the
    injection sites the hardened daemon and client expose —
-   serve.accept, serve.send, serve.deadline, client.connect — plus a
-   combined storm over all of them. Gates, per storm:
+   serve.accept, serve.send, serve.deadline, client.connect, and
+   serve.recv together with codec.load under reloads — plus a combined
+   storm over the first four. Gates, per storm:
 
    - survival: every stormed operation resolves to Ok or a typed
      error (no exception escapes, no hang), and some operations —
@@ -109,8 +110,10 @@ let bits = Array.map Int64.bits_of_float
 
 (* [run_storm fault ~moved] boots a daemon, records a reference batch
    answer, rides out [fault], and checks the gates. [moved] is the
-   counter that proves the storm hit its site. *)
-let run_storm ?(ops = 30) ?(attempts = 10) fault ~moved () =
+   counter that proves the storm hit its site. With [reload], every
+   fifth operation is a Reload frame, so the storm also reaches the
+   daemon's artifact loads. *)
+let run_storm ?(ops = 30) ?(attempts = 10) ?(reload = false) fault ~moved () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "imdb.syn" in
@@ -136,7 +139,11 @@ let run_storm ?(ops = 30) ?(attempts = 10) fault ~moved () =
         let r =
           Serve.Client.with_retry ~attempts ~base_delay_s:0.005
             ~max_delay_s:0.05 ~seed:i ~timeout_s:5.0 endpoint (fun c ->
-              if i mod 3 = 0 then
+              if reload && i mod 5 = 0 then
+                match Serve.Client.reload c with
+                | Ok _ -> Ok ()
+                | Error e -> Error e
+              else if i mod 3 = 0 then
                 match Serve.Client.ping c with
                 | Ok h ->
                   check Alcotest.int "ping sees the synopsis" 1
@@ -210,6 +217,15 @@ let test_connect_storm () =
     (storm ~seed:4 0.4 [ "client.connect" ] [ Fault.Eio ])
     ~moved:"client.connect_error" ()
 
+(* damaged request frames, and damaged artifact reads on reload: the
+   daemon answers typed errors, keeps the admitted synopsis, and stays
+   exact *)
+let test_recv_storm () =
+  run_storm ~reload:true
+    (storm ~seed:6 0.3 [ "serve.recv"; "codec.load" ]
+       [ Fault.Truncate; Fault.Bit_flip ])
+    ~moved:"daemon.request_error" ()
+
 let test_combined_storm () =
   run_storm ~attempts:12
     (storm ~seed:5 0.15
@@ -224,4 +240,5 @@ let () =
           Alcotest.test_case "send storm" `Quick test_send_storm;
           Alcotest.test_case "deadline storm" `Quick test_deadline_storm;
           Alcotest.test_case "connect storm" `Quick test_connect_storm;
+          Alcotest.test_case "recv storm with reloads" `Quick test_recv_storm;
           Alcotest.test_case "combined storm" `Quick test_combined_storm ] ) ]
