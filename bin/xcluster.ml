@@ -22,7 +22,8 @@
      0    success
      1    verify: the synopsis file failed its integrity check
      2    malformed or corrupt input (XML syntax error, malformed query,
-          corrupt synopsis, unknown synopsis name, unreachable daemon)
+          corrupt synopsis, unknown synopsis name, unreachable daemon,
+          a malformed XC_SERVE_WORKERS / XC_SERVE_BACKLOG value)
      3    internal error (including daemon-side protocol violations)
      124  command-line usage error (cmdliner) *)
 
@@ -525,8 +526,21 @@ let serve_cmd =
       | Some n when n < 1 -> raise (Usage (flag ^ " must be >= 1"))
       | v -> v
     in
-    let workers = positive "--workers" workers in
-    let backlog = positive "--backlog" backlog in
+    (* an environment default must be a positive integer too: a
+       malformed one stops the command instead of falling back *)
+    let env_default name flag_value =
+      match Sys.getenv_opt name with
+      | None | Some "" -> flag_value
+      | Some s -> (
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> (
+          match flag_value with Some _ -> flag_value | None -> Some n)
+        | _ ->
+          raise
+            (Corrupt_input (Printf.sprintf "%s=%S: expected a positive integer" name s)))
+    in
+    let workers = env_default "XC_SERVE_WORKERS" (positive "--workers" workers) in
+    let backlog = env_default "XC_SERVE_BACKLOG" (positive "--backlog" backlog) in
     let max_pending = positive "--max-pending" max_pending in
     let ms flag v default =
       match positive flag v with

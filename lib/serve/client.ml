@@ -5,6 +5,8 @@ type t = {
   endpoint : Protocol.endpoint;
   timeout_s : float option;
   mutable fd : Unix.file_descr option; (* None once closed *)
+  into : Protocol.Frame.t; (* responses are read into this buffer *)
+  out : Protocol.Frame.t; (* requests are encoded into this one *)
 }
 
 let io fmt = Printf.ksprintf (fun m -> Error (Error.Io m)) fmt
@@ -100,7 +102,15 @@ let connect ?timeout_s endpoint =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match connect_fd endpoint timeout_s with
   | Error _ as e -> e
-  | Ok fd -> Ok { endpoint; timeout_s; fd = Some fd }
+  | Ok fd ->
+    Ok
+      {
+        endpoint;
+        timeout_s;
+        fd = Some fd;
+        into = Protocol.Frame.create ();
+        out = Protocol.Frame.create ();
+      }
 
 let close t =
   match t.fd with
@@ -113,19 +123,20 @@ let close t =
    Error.of_wire so the caller matches the same variant everywhere. *)
 let attempt t fd req =
   let deadline () = Option.map Protocol.deadline_after t.timeout_s in
-  match Protocol.send fd (Protocol.encode_request req) with
+  Protocol.encode_request_into t.out req;
+  match Protocol.send_frame fd t.out with
   | Error send_err -> (
     (* the daemon may have answered-and-closed before the request was
        even written — a shed connection's Overloaded frame, an evicted
        peer's Timeout frame — which turns the write into EPIPE while
        the frame sits readable in the receive buffer. Surface the
        daemon's verdict, not the write's symptom. *)
-    match Protocol.recv_response ?deadline:(deadline ()) fd with
+    match Protocol.recv_response ?deadline:(deadline ()) ~into:t.into fd with
     | Ok (Protocol.Error_frame { code; message }) ->
       Error (Error.of_wire code message)
     | Ok _ | Error _ -> Error send_err)
   | Ok () -> (
-    match Protocol.recv_response ?deadline:(deadline ()) fd with
+    match Protocol.recv_response ?deadline:(deadline ()) ~into:t.into fd with
     | Error _ as e -> e
     | Ok (Protocol.Error_frame { code; message }) ->
       Error (Error.of_wire code message)

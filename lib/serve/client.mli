@@ -3,9 +3,11 @@
     Result-first: every call returns [(_, Error.t) result] — connection
     trouble, protocol damage, and server-side error frames all arrive
     through the same {!Error.t} the rest of the serving layer uses.
-    A client is one socket; calls on it are request/response in order
-    (the daemon answers frames in order). Not domain-safe: one client
-    per domain.
+    A client is one socket and two frame buffers ({!Protocol.Frame}),
+    one it encodes requests into and one it reads responses into; calls
+    on it are request/response in order (the daemon answers frames in
+    order). A client and its buffers belong to one thread: calls on one
+    client must never overlap.
 
     {b Liveness.} [connect ~timeout_s] bounds the connection attempt
     (non-blocking connect + select) and installs the same budget as the

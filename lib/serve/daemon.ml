@@ -16,21 +16,13 @@ type config = {
   retry_after_ms : int;
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v when v > 0 -> v
-    | _ -> default)
-  | None -> default
-
 let default_config =
   {
     endpoint = Protocol.Unix_sock "xcluster.sock";
     max_engines = 8;
     options = Options.default;
-    workers = env_int "XC_SERVE_WORKERS" 4;
-    backlog = env_int "XC_SERVE_BACKLOG" 64;
+    workers = 4;
+    backlog = 64;
     max_pending = 64;
     recv_timeout_s = 30.0;
     send_timeout_s = 30.0;
@@ -248,14 +240,18 @@ let dispatch_guarded st config registry req =
 
 type conn_outcome = Hung_up | Evicted | Shutdown_now
 
-let send_response fd resp =
-  Protocol.send ~site:"serve.send" fd (Protocol.encode_response resp)
+let send_response ?(out = Protocol.Frame.create ()) fd resp =
+  Protocol.encode_response_into out resp;
+  Protocol.send_frame ~site:"serve.send" fd out
 
 (* Answer one connection's request stream until it hangs up, trips a
    deadline, breaks framing, or asks for shutdown. Runs on a worker
    thread; only the dispatch itself takes the global lock, so a peer
-   stalled mid-frame costs one worker, not the daemon. *)
+   stalled mid-frame costs one worker, not the daemon. The connection
+   owns one read and one write frame buffer, reused for every frame. *)
 let serve_conn st config registry fd =
+  let into = Protocol.Frame.create () and out = Protocol.Frame.create () in
+  let send_response = send_response ~out in
   let evict e =
     Metrics.incr Metrics.global "daemon.evicted";
     ignore (send_response fd (error_frame e));
@@ -265,7 +261,7 @@ let serve_conn st config registry fd =
     let deadline = Protocol.deadline_after config.request_budget_s in
     match
       Protocol.recv_request ~deadline
-        ~limit:config.options.Options.max_frame_bytes fd
+        ~limit:config.options.Options.max_frame_bytes ~into fd
     with
     | Ok None -> Hung_up (* client hung up at a frame boundary *)
     | Error (Error.Timeout _ as e) ->
@@ -361,9 +357,7 @@ let shed config fd =
   Metrics.incr Metrics.global "daemon.shed";
   let e = Error.Overloaded { retry_after_ms = config.retry_after_ms } in
   let code, message = Error.to_wire e in
-  ignore
-    (Protocol.send ~site:"serve.send" fd
-       (Protocol.encode_response (Protocol.Error_frame { code; message })));
+  ignore (send_response fd (Protocol.Error_frame { code; message }));
   close_quiet fd
 
 let admit st config fd =

@@ -92,10 +92,11 @@ type config = {
 
 val default_config : config
 (** Unix socket ["xcluster.sock"] in the working directory, 8 engines,
-    {!Options.default}; [workers] from [XC_SERVE_WORKERS] (default 4),
-    [backlog] from [XC_SERVE_BACKLOG] (default 64), [max_pending] 64,
-    30 s socket timeouts and request budget, 5 s drain, 100 ms retry
-    hint. *)
+    {!Options.default}, 4 workers, backlog 64, [max_pending] 64, 30 s
+    socket timeouts and request budget, 5 s drain, 100 ms retry hint.
+    Reads no environment: [xcluster serve] takes [workers] and
+    [backlog] from [XC_SERVE_WORKERS] and [XC_SERVE_BACKLOG] when its
+    flags are absent. *)
 
 val run :
   ?config:config ->

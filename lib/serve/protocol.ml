@@ -87,38 +87,78 @@ let tag_error = 0x7F
 let max_payload = 1 lsl 26 (* 64 MiB *)
 let header_bytes = 13 (* tag u8 + length u64 + crc u32 *)
 
+(* ---- frame buffers -----------------------------------------------------
+   One frame, header and payload, in bytes its owner reuses from frame
+   to frame. [len] is the visible length; bytes past it are stale. The
+   capacity starts at [initial_capacity] and doubles, so a connection
+   that keeps sending frames of one size stops allocating after its
+   first. *)
+
+module Frame = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int }
+
+  let initial_capacity = 1024
+  let create () = { bytes = Bytes.create initial_capacity; len = 0 }
+  let contents f = Bytes.sub_string f.bytes 0 f.len
+
+  (* room for [n] bytes in all, keeping the first [len] *)
+  let reserve f n =
+    if n > Bytes.length f.bytes then begin
+      let cap = ref (Bytes.length f.bytes) in
+      while !cap < n do
+        cap := 2 * !cap
+      done;
+      let b = Bytes.create !cap in
+      Bytes.blit f.bytes 0 b 0 f.len;
+      f.bytes <- b
+    end
+end
+
 (* ---- primitive writers ------------------------------------------------- *)
 
-let put_int buf n = Buffer.add_int64_be buf (Int64.of_int n)
-let put_float buf f = Buffer.add_int64_be buf (Int64.bits_of_float f)
+let[@inline] put_int64 (f : Frame.t) v =
+  Frame.reserve f (f.len + 8);
+  Bytes.set_int64_be f.bytes f.len v;
+  f.len <- f.len + 8
 
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
+let[@inline] put_int f n = put_int64 f (Int64.of_int n)
+let[@inline] put_float f x = put_int64 f (Int64.bits_of_float x)
 
-let frame tag payload =
-  let n = String.length payload in
-  let buf = Buffer.create (header_bytes + n) in
-  Buffer.add_char buf (Char.chr tag);
-  put_int buf n;
-  Buffer.add_int32_be buf (Int32.of_int (Crc32.digest payload));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+let put_string (f : Frame.t) s =
+  let n = String.length s in
+  put_int f n;
+  Frame.reserve f (f.len + n);
+  Bytes.blit_string s 0 f.bytes f.len n;
+  f.len <- f.len + n
+
+(* Encode one frame into [f]: reserve the header, let [payload] write
+   the payload in place and return the tag, then fill in the tag, the
+   length and the CRC. *)
+let encode_into (f : Frame.t) payload =
+  f.len <- header_bytes;
+  let tag = payload f in
+  let n = f.len - header_bytes in
+  Bytes.set_uint8 f.bytes 0 tag;
+  Bytes.set_int64_be f.bytes 1 (Int64.of_int n);
+  Bytes.set_int32_be f.bytes 9
+    (Int32.of_int (Crc32.sub (Bytes.unsafe_to_string f.bytes) ~pos:header_bytes ~len:n))
 
 (* ---- bounded reader ----------------------------------------------------
    The same discipline as Codec's: every read checks the frame bound,
    every count is validated against the remaining bytes before any
-   allocation, and all failures are the typed Error.protocol. *)
+   allocation, and all failures are the typed Error.protocol. The
+   reader only looks at [src], so it reads a frame buffer in place and
+   a string without a copy. *)
 
 exception Proto of Error.protocol
 
-type reader = { src : string; mutable pos : int; limit : int }
+type reader = { src : Bytes.t; mutable pos : int; limit : int }
 
 let remaining r = r.limit - r.pos
 
 let get_int r =
   if r.pos + 8 > r.limit then raise (Proto (Truncated { need = r.pos + 8 - r.limit }));
-  let v64 = String.get_int64_be r.src r.pos in
+  let v64 = Bytes.get_int64_be r.src r.pos in
   let v = Int64.to_int v64 in
   (* a sign-bit flip must not alias into a small int (cf. Codec) *)
   if Int64.of_int v <> v64 then
@@ -128,14 +168,14 @@ let get_int r =
 
 let get_float r =
   if r.pos + 8 > r.limit then raise (Proto (Truncated { need = r.pos + 8 - r.limit }));
-  let v = Int64.float_of_bits (String.get_int64_be r.src r.pos) in
+  let v = Int64.float_of_bits (Bytes.get_int64_be r.src r.pos) in
   r.pos <- r.pos + 8;
   v
 
 let get_string r =
   let n = get_int r in
   if n < 0 || n > remaining r then raise (Proto (Bad_length { len = n; what = "string length" }));
-  let s = String.sub r.src r.pos n in
+  let s = Bytes.sub_string r.src r.pos n in
   r.pos <- r.pos + n;
   s
 
@@ -178,9 +218,8 @@ let get_options r =
   in
   { Options.domains; fallback; max_batch; max_frame_bytes }
 
-let encode_request req =
-  let buf = Buffer.create 128 in
-  let tag =
+let encode_request_into f req =
+  encode_into f @@ fun buf ->
     match req with
     | Estimate { synopsis; query } ->
       put_string buf synopsis;
@@ -201,12 +240,9 @@ let encode_request req =
     | Reload -> tag_reload
     | Shutdown -> tag_shutdown
     | Ping -> tag_ping
-  in
-  frame tag (Buffer.contents buf)
 
-let encode_response resp =
-  let buf = Buffer.create 128 in
-  let tag =
+let encode_response_into f resp =
+  encode_into f @@ fun buf ->
     match resp with
     | Floats fs ->
       put_int buf (Array.length fs);
@@ -245,25 +281,37 @@ let encode_response resp =
       put_int buf code;
       put_string buf message;
       tag_error
-  in
-  frame tag (Buffer.contents buf)
 
-(* Split a raw frame into (tag, payload reader), checking the framing:
-   length bound, truncation, CRC. *)
-let open_frame s =
-  let n = String.length s in
-  if n < header_bytes then raise (Proto (Truncated { need = header_bytes - n }));
-  let tag = Char.code s.[0] in
-  let len64 = String.get_int64_be s 1 in
+let encode_request req =
+  let f = Frame.create () in
+  encode_request_into f req;
+  Frame.contents f
+
+let encode_response resp =
+  let f = Frame.create () in
+  encode_response_into f resp;
+  Frame.contents f
+
+(* The header's length field, validated against {!max_payload} before
+   anything is read or allocated for the payload. *)
+let declared_length src =
+  let len64 = Bytes.get_int64_be src 1 in
   let len = Int64.to_int len64 in
   if Int64.of_int len <> len64 || len < 0 || len > max_payload then
-    raise (Proto (Bad_length { len; what = "frame payload length" }));
+    Error (Error.Bad_length { len; what = "frame payload length" })
+  else Ok len
+
+(* Split the [n]-byte frame at the start of [src] into (tag, payload
+   reader), checking the framing: length bound, truncation, CRC. *)
+let open_frame src n =
+  if n < header_bytes then raise (Proto (Truncated { need = header_bytes - n }));
+  let len = match declared_length src with Ok len -> len | Error e -> raise (Proto e) in
   if header_bytes + len > n then
     raise (Proto (Truncated { need = header_bytes + len - n }));
-  let stored = Int32.to_int (String.get_int32_be s 9) land 0xFFFFFFFF in
-  let actual = Crc32.sub s ~pos:header_bytes ~len in
+  let stored = Int32.to_int (Bytes.get_int32_be src 9) land 0xFFFFFFFF in
+  let actual = Crc32.sub (Bytes.unsafe_to_string src) ~pos:header_bytes ~len in
   if stored <> actual then raise (Proto (Checksum_mismatch { stored; actual }));
-  (tag, { src = s; pos = header_bytes; limit = header_bytes + len })
+  (Bytes.get_uint8 src 0, { src; pos = header_bytes; limit = header_bytes + len })
 
 let parse_request (tag, r) =
   if tag = tag_estimate then
@@ -332,14 +380,15 @@ let parse_response (tag, r) =
 
 (* Total-decoding boundary: any stray exception out of parsing is
    normalized to a typed error, exactly like Codec's guard. *)
-let decode parse s =
-  match parse (open_frame s) with
+let decode parse src n =
+  match parse (open_frame src n) with
   | v -> Ok v
   | exception Proto e -> Error e
   | exception _ -> Error (Error.Bad_tag (-1))
 
-let decode_request s = decode parse_request s
-let decode_response s = decode parse_response s
+(* the reader never writes to [src], so a string is read in place *)
+let decode_request s = decode parse_request (Bytes.unsafe_of_string s) (String.length s)
+let decode_response s = decode parse_response (Bytes.unsafe_of_string s) (String.length s)
 
 (* ---- deadlines ---------------------------------------------------------
 
@@ -377,10 +426,10 @@ let timeout_error = function
 
 (* ---- socket transport -------------------------------------------------- *)
 
-let rec write_all fd s pos len =
+let rec write_all fd b pos len =
   if len > 0 then begin
-    let n = try Unix.write_substring fd s pos len with Unix.Unix_error (EINTR, _, _) -> 0 in
-    write_all fd s (pos + n) (len - n)
+    let n = try Unix.write fd b pos len with Unix.Unix_error (EINTR, _, _) -> 0 in
+    write_all fd b (pos + n) (len - n)
   end
 
 (* [site], when given, is a Fault injection point for the write path
@@ -388,11 +437,11 @@ let rec write_all fd s pos len =
    exactly as a real one would. A blocked write past SO_SNDTIMEO
    surfaces as EAGAIN and becomes {!Error.Timeout} — the peer stopped
    draining its socket. *)
-let send ?site fd s =
+let send_bytes ?site fd b len =
   let inject () = match site with None -> () | Some site -> Fault.raise_io ~site in
   match
     inject ();
-    write_all fd s 0 (String.length s)
+    write_all fd b 0 len
   with
   | () -> Ok ()
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
@@ -402,78 +451,85 @@ let send ?site fd s =
   | exception Fault.Injected { site; kind } ->
     Error (Error.Io (Printf.sprintf "send: injected %s at %s" (Fault.kind_name kind) site))
 
-(* Read exactly [len] bytes; [`Eof k] reports how many arrived before
-   the stream ended. [`Timeout] fires when the per-read SO_RCVTIMEO
-   timer expires (EAGAIN) or the frame deadline passes between partial
-   reads. *)
-let read_exact ?deadline ?deadline_site fd len =
-  let b = Bytes.create len in
+(* [write_all] only reads the bytes it is given *)
+let send ?site fd s = send_bytes ?site fd (Bytes.unsafe_of_string s) (String.length s)
+let send_frame ?site fd (f : Frame.t) = send_bytes ?site fd f.bytes f.len
+
+(* Read exactly [len] bytes into [b] at [off]; [`Eof k] reports how
+   many arrived before the stream ended. [`Timeout] fires when the
+   per-read SO_RCVTIMEO timer expires (EAGAIN) or the frame deadline
+   passes between partial reads. *)
+let read_exact ?deadline ?deadline_site fd b off len =
+  let stop = off + len in
   let expired () =
     match deadline with
     | None -> false
     | Some d -> deadline_expired ?site:deadline_site d
   in
-  let rec go off =
-    if off >= len then `Ok (Bytes.unsafe_to_string b)
+  let rec go pos =
+    if pos >= stop then `Ok
     else if expired () then `Timeout
     else
-      match Unix.read fd b off (len - off) with
-      | 0 -> `Eof off
-      | n -> go (off + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
+      match Unix.read fd b pos (stop - pos) with
+      | 0 -> `Eof (pos - off)
+      | n -> go (pos + n)
+      | exception Unix.Unix_error (EINTR, _, _) -> go pos
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Timeout
   in
-  go 0
+  go off
 
-(* Read one frame: header first (validating the length field before
-   the payload allocation), then the payload, which passes through the
+let recv_io e = Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e)))
+
+(* Read one frame into [f]: header first, validating the length field
+   before the buffer grows, then the payload, which passes through the
    Fault injection site so the harness can truncate or flip bits at
    the socket boundary. A damaged payload fails the CRC or the bounded
    reader — never crashes the process.
 
    [limit], when below {!max_payload}, is an admission bound: a frame
    declaring a larger payload is refused with {!Error.Admission}
-   {e before} the payload allocation. The refusal is permanent (the
-   same frame can never succeed) and desynchronizes the stream, so
-   callers close the connection after answering. *)
-let read_frame ~site ?deadline ?deadline_site ?(limit = max_payload) fd =
-  match read_exact ?deadline ?deadline_site fd header_bytes with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e)))
+   {e before} the buffer grows. The refusal is permanent (the same
+   frame can never succeed) and desynchronizes the stream, so callers
+   close the connection after answering. *)
+let read_frame ~site ?deadline ?deadline_site ?(limit = max_payload) (f : Frame.t) fd =
+  f.len <- 0;
+  match read_exact ?deadline ?deadline_site fd f.bytes 0 header_bytes with
+  | exception Unix.Unix_error (e, _, _) -> recv_io e
   | `Timeout -> Error (timeout_error deadline)
-  | `Eof 0 -> Ok None
+  | `Eof 0 -> Ok false
   | `Eof k -> Error (Error.Protocol (Truncated { need = header_bytes - k }))
-  | `Ok header -> (
-    let len64 = String.get_int64_be header 1 in
-    let len = Int64.to_int len64 in
-    if Int64.of_int len <> len64 || len < 0 || len > max_payload then
-      Error (Error.Protocol (Bad_length { len; what = "frame payload length" }))
-    else if len > limit then
+  | `Ok -> (
+    match declared_length f.bytes with
+    | Error p -> Error (Error.Protocol p)
+    | Ok len when len > limit ->
       Error
         (Error.Admission
            (Printf.sprintf "frame payload of %d bytes exceeds the %d-byte limit" len limit))
-    else
-      match read_exact ?deadline ?deadline_site fd len with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e)))
+    | Ok len -> (
+      f.len <- header_bytes;
+      Frame.reserve f (header_bytes + len);
+      match read_exact ?deadline ?deadline_site fd f.bytes header_bytes len with
+      | exception Unix.Unix_error (e, _, _) -> recv_io e
       | `Timeout -> Error (timeout_error deadline)
       | `Eof k -> Error (Error.Protocol (Truncated { need = len - k }))
-      | `Ok payload -> Ok (Some (header ^ Fault.mutate ~site payload)))
+      | `Ok ->
+        f.len <- header_bytes + Fault.mutate_sub ~site f.bytes ~pos:header_bytes ~len;
+        Ok true))
 
-let recv_request ?deadline ?limit fd =
-  match read_frame ~site:"serve.recv" ?deadline ~deadline_site:"serve.deadline" ?limit fd with
+let recv_request ?deadline ?limit ?(into = Frame.create ()) fd =
+  match read_frame ~site:"serve.recv" ?deadline ~deadline_site:"serve.deadline" ?limit into fd with
   | Error _ as e -> e
-  | Ok None -> Ok None
-  | Ok (Some s) -> (
-    match decode_request s with
+  | Ok false -> Ok None
+  | Ok true -> (
+    match decode parse_request into.bytes into.len with
     | Ok req -> Ok (Some req)
     | Error p -> Error (Error.Protocol p))
 
-let recv_response ?deadline fd =
-  match read_frame ~site:"client.recv" ?deadline fd with
+let recv_response ?deadline ?(into = Frame.create ()) fd =
+  match read_frame ~site:"client.recv" ?deadline into fd with
   | Error _ as e -> e
-  | Ok None -> Error (Error.Protocol Closed)
-  | Ok (Some s) -> (
-    match decode_response s with
+  | Ok false -> Error (Error.Protocol Closed)
+  | Ok true -> (
+    match decode parse_response into.bytes into.len with
     | Ok resp -> Ok resp
     | Error p -> Error (Error.Protocol p))

@@ -13,10 +13,15 @@
 
     The CRC-32 ({!Xc_util.Crc32}) covers the payload, so a flipped bit
     or truncated read is detected before any payload field is parsed.
-    Decoding is {b total}: hostile length fields are validated against
-    {!max_payload} (and payload-internal lengths against the frame
-    bound) before any allocation, and every way a frame can be wrong
-    surfaces as an [Error] of {!Error.protocol}, never an exception.
+    Decoding is {b total}: a hostile frame length is validated against
+    {!max_payload} before the read buffer grows, payload-internal
+    lengths against the frame bound before any allocation, and every
+    way a frame can be wrong surfaces as an [Error] of
+    {!Error.protocol}, never an exception.
+
+    Frames are encoded into and read into reusable {!Frame} buffers;
+    the string functions ({!encode_request}, {!decode_request}, …) are
+    thin wrappers over the same codec.
 
     Integers ride as 8-byte big-endian two's complement (rejected
     outside OCaml's 63-bit [int] range, so a sign-bit flip in a frame
@@ -100,15 +105,47 @@ type response =
 
 val max_payload : int
 (** Upper bound on a frame payload; larger length fields are rejected
-    as hostile before allocation. *)
+    as hostile before the read buffer grows. *)
 
-(* ---- frame codec (pure) ------------------------------------------------ *)
+(* ---- frame buffers ----------------------------------------------------- *)
+
+module Frame : sig
+  type t
+  (** A growable frame buffer: bytes plus a visible length. It holds
+      one whole frame, header and payload, and is reused from frame to
+      frame; its capacity starts at 1 KiB and doubles when a frame
+      needs more, and never shrinks. Encoding writes the payload in
+      place, then fills in the header's tag, length and CRC; reading
+      fills the header, then the payload, and decoding parses the
+      bytes in place.
+
+      Whoever creates a frame buffer owns it, and only one thread may
+      use it at a time. The daemon's connection loop owns one read and
+      one write buffer per connection; a {!Client.t} owns one of each
+      for its socket. Once a connection's buffers have grown to its
+      largest frame, a round trip allocates no frame-sized block at
+      either end. *)
+
+  val create : unit -> t
+
+  val contents : t -> string
+  (** A copy of the frame currently held. *)
+end
+
+(* ---- frame codec ------------------------------------------------------- *)
+
+val encode_request_into : Frame.t -> request -> unit
+(** Replace the buffer's contents with the encoded frame. *)
+
+val encode_response_into : Frame.t -> response -> unit
 
 val encode_request : request -> string
+(** {!encode_request_into} a fresh buffer, copied out. *)
+
 val encode_response : response -> string
 
 val decode_request : string -> (request, Error.protocol) result
-(** Decode one complete request frame. Total. *)
+(** Decode one complete request frame, in place. Total. *)
 
 val decode_response : string -> (response, Error.protocol) result
 
@@ -142,22 +179,46 @@ val send : ?site:string -> Unix.file_descr -> string -> (unit, Error.t) result
     [Error (Timeout _)] — the peer stopped draining its socket. [site],
     when given, is a write-path fault injection point ([serve.send]). *)
 
+val send_frame : ?site:string -> Unix.file_descr -> Frame.t -> (unit, Error.t) result
+(** {!send} for the frame a buffer holds, written straight from it. *)
+
+val read_frame :
+  site:string ->
+  ?deadline:deadline ->
+  ?deadline_site:string ->
+  ?limit:int ->
+  Frame.t ->
+  Unix.file_descr ->
+  (bool, Error.t) result
+(** Read one frame off the socket into the buffer, replacing its
+    contents, without decoding it: [Ok true] when a frame arrived,
+    [Ok false] on a clean end-of-stream at a frame boundary. The
+    header is read first and its length field checked against
+    {!max_payload} and [limit] before the buffer grows; the payload
+    then passes the read fault site [site] ({!Xc_util.Fault.mutate_sub}),
+    so a damaged payload fails decoding, never the read. [deadline]
+    bounds the whole frame, checked between partial reads at fault
+    site [deadline_site]; expiry and [SO_RCVTIMEO]'s [EAGAIN] both
+    surface as [Error (Timeout _)]. [limit], when below
+    {!max_payload}, refuses larger frames with [Error (Admission _)];
+    the stream is desynchronized after such a refusal, so the caller
+    must close the connection. This is the framing half of
+    {!recv_request} and {!recv_response}. *)
+
 val recv_request :
   ?deadline:deadline ->
   ?limit:int ->
+  ?into:Frame.t ->
   Unix.file_descr ->
   (request option, Error.t) result
-(** Read one frame off the socket (site [serve.recv]) and decode it.
-    [Ok None] is a clean end-of-stream at a frame boundary — the normal
-    way a client hangs up. [deadline] bounds the whole frame (checked at
-    fault site [serve.deadline]; expiry and [SO_RCVTIMEO]'s [EAGAIN]
-    both surface as [Error (Timeout _)]). [limit], when below
-    {!max_payload}, refuses larger frames with [Error (Admission _)]
-    before the payload allocation; the stream is desynchronized after
-    such a refusal, so the caller must close the connection. *)
+(** {!read_frame} at site [serve.recv] (deadline site
+    [serve.deadline]) into [into], then decode the request from it in
+    place. [Ok None] is a clean end-of-stream at a frame boundary — the
+    normal way a client hangs up. Without [into], a fresh buffer is
+    used for this one frame. *)
 
 val recv_response :
-  ?deadline:deadline -> Unix.file_descr -> (response, Error.t) result
-(** Read one response frame (site [client.recv]); end-of-stream here is
-    [Error (Protocol Closed)] — a response was owed. [deadline] bounds
-    the whole frame. *)
+  ?deadline:deadline -> ?into:Frame.t -> Unix.file_descr -> (response, Error.t) result
+(** {!read_frame} at site [client.recv] into [into], then decode the
+    response; end-of-stream here is [Error (Protocol Closed)] — a
+    response was owed. *)

@@ -117,25 +117,33 @@ let record ~site kind =
   ignore kind;
   Metrics.incr Metrics.global "fault.injected"
 
-let mutate ~site payload =
+(* [len] bytes at [pos] are the payload; the result is its visible
+   length after the fault. [mutate] runs this over a copy, so the two
+   forms draw the same values and replay a seeded storm identically. *)
+let mutate_sub ~site b ~pos ~len =
   ensure ();
   match !state with
-  | None -> payload
+  | None -> len
   | Some active ->
     if fires active ~site Truncate then begin
       record ~site Truncate;
-      let rng = snd active in
-      String.sub payload 0 (Rng.int rng (String.length payload + 1))
+      Rng.int (snd active) (len + 1)
     end
-    else if fires active ~site Bit_flip && String.length payload > 0 then begin
+    else if fires active ~site Bit_flip && len > 0 then begin
       record ~site Bit_flip;
       let rng = snd active in
-      let b = Bytes.of_string payload in
-      let i = Rng.int rng (Bytes.length b) in
+      let i = pos + Rng.int rng len in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8)));
-      Bytes.unsafe_to_string b
+      len
     end
-    else payload
+    else len
+
+let mutate ~site payload =
+  if not (enabled ()) then payload
+  else
+    let b = Bytes.of_string payload in
+    let len = mutate_sub ~site b ~pos:0 ~len:(Bytes.length b) in
+    if len = Bytes.length b then Bytes.unsafe_to_string b else Bytes.sub_string b 0 len
 
 let raise_io ~site =
   ensure ();

@@ -67,10 +67,19 @@ val injections : unit -> int
 
 (* ---- injection points ------------------------------------------------- *)
 
+val mutate_sub : site:string -> bytes -> pos:int -> len:int -> int
+(** A read-path injection point over the [len]-byte payload at [pos]
+    in a caller-owned buffer: returns [len] and leaves the bytes alone,
+    or — when a fault fires — damages them in place. [Bit_flip] flips
+    one bit of one payload byte and returns [len]; [Truncate] returns
+    a shorter visible length (possibly 0) and leaves the bytes as they
+    were. Allocates nothing. *)
+
 val mutate : site:string -> string -> string
-(** A read-path injection point: returns the payload unchanged, or —
-    when a [Truncate]/[Bit_flip] fault fires — a deterministically
-    damaged copy. *)
+(** {!mutate_sub} over a copy of a whole string: returns the payload
+    unchanged (physically, when no configuration is active), or a
+    deterministically damaged copy. The two forms draw the same random
+    values, so a seeded storm replays identically through either. *)
 
 val raise_io : site:string -> unit
 (** A write-path injection point: returns unit, or raises {!Injected}

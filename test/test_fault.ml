@@ -261,6 +261,47 @@ let with_faults cfg f =
 
 let faults ?(sites = []) ?(prob = 1.0) kinds = { Fault.seed = 5; prob; kinds; sites }
 
+(* The in-place read-path form draws what the string form draws, in the
+   same order: both replay the old string-only injection point's draw
+   sequence (modelled below), and the in-place form touches nothing
+   outside its byte range. *)
+let test_mutate_in_place_agrees () =
+  let cfg = { Fault.seed = 31; prob = 0.5; kinds = [ Fault.Truncate; Fault.Bit_flip ]; sites = [] } in
+  let payloads = List.init 300 (fun i -> String.init (i mod 40) (fun j -> Char.chr ((i * 7 + j) land 0xFF))) in
+  let model =
+    let rng = Rng.create cfg.Fault.seed in
+    List.map
+      (fun s ->
+        let n = String.length s in
+        if Rng.chance rng cfg.Fault.prob then String.sub s 0 (Rng.int rng (n + 1))
+        else if Rng.chance rng cfg.Fault.prob && n > 0 then begin
+          let b = Bytes.of_string s in
+          let i = Rng.int rng n in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8)));
+          Bytes.to_string b
+        end
+        else s)
+      payloads
+  in
+  let via_string = with_faults cfg (fun () -> List.map (Fault.mutate ~site:"t") payloads) in
+  let via_bytes =
+    with_faults cfg (fun () ->
+        List.map
+          (fun s ->
+            let n = String.length s in
+            let b = Bytes.make (n + 10) '#' in
+            Bytes.blit_string s 0 b 5 n;
+            let visible = Fault.mutate_sub ~site:"t" b ~pos:5 ~len:n in
+            check Alcotest.bool "visible length within the range" true (visible >= 0 && visible <= n);
+            check Alcotest.string "guard bytes untouched" "##########"
+              (Bytes.sub_string b 0 5 ^ Bytes.sub_string b (n + 5) 5);
+            Bytes.sub_string b 5 visible)
+          payloads)
+  in
+  check Alcotest.(list string) "string form = model" model via_string;
+  check Alcotest.(list string) "in-place form = string form" via_string via_bytes;
+  check Alcotest.bool "the storm fired" true (List.exists2 ( <> ) payloads via_string)
+
 let read_exn path =
   match Safe_io.read path with
   | Ok s -> s
@@ -383,6 +424,8 @@ let () =
           Alcotest.test_case "unknown version rejected" `Quick test_unsupported_version ] );
       ( "fault harness",
         [ Alcotest.test_case "XC_FAULTS parsing" `Quick test_fault_config_parsing;
+          Alcotest.test_case "in-place read fault agrees with the string form" `Quick
+            test_mutate_in_place_agrees;
           Alcotest.test_case "atomic replace survives faults" `Quick
             test_atomic_replace_survives_faults;
           Alcotest.test_case "save/load under fault storm" `Quick

@@ -247,6 +247,195 @@ let test_error_wire () =
       Error.Timeout { elapsed_ms = 1234 };
       Error.Overloaded { retry_after_ms = 250 } ]
 
+(* ---- generated round trips ---------------------------------------------
+   Every request and response variant, generated, must decode to itself
+   (floats bit for bit) through the string wrappers and through one
+   reused buffer pair over a socketpair. A test case is a run of frames
+   of random sizes, and the pair persists across cases, so a small
+   frame written or read after a large one would expose a stale byte. *)
+
+module G = QCheck.Gen
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let response_equal a b =
+  match (a, b) with
+  | Protocol.Floats x, Protocol.Floats y ->
+    Array.length x = Array.length y && Array.for_all2 bits_equal x y
+  | Protocol.Health h, Protocol.Health h' ->
+    bits_equal h.Protocol.h_uptime_s h'.Protocol.h_uptime_s
+    && { h with Protocol.h_uptime_s = 0.0 } = { h' with Protocol.h_uptime_s = 0.0 }
+  | _ -> a = b
+
+(* mostly small frames, now and then one of several kilobytes *)
+let gen_count = G.frequency [ (3, G.int_bound 4); (2, G.int_bound 64); (1, G.int_range 200 900) ]
+let gen_text = G.string_size ~gen:G.char (G.int_bound 48)
+let gen_float = G.map Int64.float_of_bits G.ui64
+
+let gen_options =
+  G.map4
+    (fun domains strict max_batch max_frame_bytes ->
+      { Serve.domains;
+        fallback = (if strict then Serve.Strict else Serve.Degrade);
+        max_batch;
+        max_frame_bytes })
+    (G.opt (G.int_range 1 64)) G.bool (G.int_range 1 max_int) (G.int_range 1 max_int)
+
+let gen_request =
+  G.oneof
+    [ G.map2 (fun synopsis query -> Protocol.Estimate { synopsis; query }) gen_text gen_text;
+      G.map3
+        (fun synopsis queries options -> Protocol.Estimate_batch { synopsis; queries; options })
+        gen_text (G.array_size gen_count gen_text) gen_options;
+      G.map2 (fun synopsis path -> Protocol.Update { synopsis; path }) gen_text gen_text;
+      G.oneofl
+        [ Protocol.List_synopses; Protocol.Stats; Protocol.Reload; Protocol.Shutdown;
+          Protocol.Ping ] ]
+
+let gen_response =
+  let listed =
+    G.map4
+      (fun l_name l_nodes l_edges l_bytes -> { Protocol.l_name; l_nodes; l_edges; l_bytes })
+      gen_text G.int G.int G.int
+  in
+  let health =
+    G.map3
+      (fun (h_synopses, h_generations) (h_queue, h_inflight) (h_uptime_s, h_draining) ->
+        Protocol.Health
+          { Protocol.h_synopses; h_generations; h_queue; h_inflight; h_uptime_s; h_draining })
+      (G.pair G.int G.int) (G.pair G.int G.int) (G.pair gen_float G.bool)
+  in
+  G.oneof
+    [ G.map (fun a -> Protocol.Floats a) (G.array_size gen_count gen_float);
+      G.map (fun a -> Protocol.Synopses a) (G.array_size gen_count listed);
+      G.map
+        (fun s -> Protocol.Stats_json s)
+        (G.string_size ~gen:G.char (G.map (fun n -> 40 * n) gen_count));
+      G.map2 (fun loaded skipped -> Protocol.Reloaded { loaded; skipped }) G.int G.int;
+      G.map (fun generation -> Protocol.Swapped { generation }) G.int;
+      G.pure Protocol.Done;
+      health;
+      G.map2 (fun code message -> Protocol.Error_frame { code; message }) G.int gen_text ]
+
+(* a write buffer, a read buffer and the socketpair between them *)
+type buffer_pair = {
+  w : Protocol.Frame.t;
+  r : Protocol.Frame.t;
+  tx : Unix.file_descr;
+  rx : Unix.file_descr;
+}
+
+let buffer_pair () =
+  let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  { w = Protocol.Frame.create (); r = Protocol.Frame.create (); tx; rx }
+
+let shared_pair = lazy (buffer_pair ())
+
+(* Send the frame [p.w] holds and [recv] it on the other end. The write
+   runs on its own thread, so a frame larger than the socket buffer
+   cannot deadlock the reader. *)
+let exchange p recv =
+  let sent = ref (Ok ()) in
+  let writer = Thread.create (fun () -> sent := Protocol.send_frame p.tx p.w) () in
+  let got = recv p.rx in
+  Thread.join writer;
+  (match !sent with Ok () -> () | Error e -> Alcotest.failf "send: %s" (Error.to_string e));
+  got
+
+let prop_request_roundtrip =
+  QCheck.Test.make ~name:"generated requests round-trip" ~count:150
+    (QCheck.make (G.list_size (G.int_range 1 6) gen_request))
+    (fun reqs ->
+      let p = Lazy.force shared_pair in
+      List.for_all
+        (fun req ->
+          let s = Protocol.encode_request req in
+          Protocol.encode_request_into p.w req;
+          Protocol.decode_request s = Ok req
+          && Protocol.Frame.contents p.w = s
+          && exchange p (fun fd -> Protocol.recv_request ~into:p.r fd) = Ok (Some req))
+        reqs)
+
+let prop_response_roundtrip =
+  QCheck.Test.make ~name:"generated responses round-trip, floats bitwise" ~count:150
+    (QCheck.make (G.list_size (G.int_range 1 6) gen_response))
+    (fun resps ->
+      let p = Lazy.force shared_pair in
+      let same resp = function Ok resp' -> response_equal resp resp' | Error _ -> false in
+      List.for_all
+        (fun resp ->
+          let s = Protocol.encode_response resp in
+          Protocol.encode_response_into p.w resp;
+          same resp (Protocol.decode_response s)
+          && Protocol.Frame.contents p.w = s
+          && same resp (exchange p (fun fd -> Protocol.recv_response ~into:p.r fd)))
+        resps)
+
+(* one read buffer, one write buffer: a frame that grows both, then
+   two small ones that must not see its bytes *)
+let test_reused_read_buffer () =
+  let p = buffer_pair () in
+  Fun.protect ~finally:(fun () -> Unix.close p.tx; Unix.close p.rx) @@ fun () ->
+  List.iter
+    (fun req ->
+      Protocol.encode_request_into p.w req;
+      match exchange p (fun fd -> Protocol.recv_request ~into:p.r fd) with
+      | Ok (Some req') -> check Alcotest.bool "request through the reused buffers" true (req = req')
+      | Ok None -> Alcotest.fail "end of stream"
+      | Error e -> Alcotest.failf "recv: %s" (Error.to_string e))
+    [ Protocol.Estimate_batch
+        {
+          synopsis = "xmark";
+          queries = Array.init 2000 (fun i -> Printf.sprintf "//open_auction[bidder/increase > %d]" i);
+          options = Serve.default_options;
+        };
+      Protocol.Estimate { synopsis = "xmark"; query = "//person/name" };
+      Protocol.Ping ]
+
+(* Once a connection's buffers have grown, encoding a 400-query batch
+   and a 400-float answer and reading a frame back allocate nothing on
+   the major heap (frame-sized blocks would land there directly). The
+   string wrapper, measured the same way, must register its blocks. *)
+let test_warm_frames_allocate_nothing () =
+  let p = buffer_pair () in
+  Fun.protect ~finally:(fun () -> Unix.close p.tx; Unix.close p.rx) @@ fun () ->
+  let batch =
+    Protocol.Estimate_batch
+      {
+        synopsis = "xmark";
+        queries = Array.init 400 (fun i -> Printf.sprintf "//open_auction[bidder/increase > %d]" i);
+        options = Serve.default_options;
+      }
+  in
+  let floats = Protocol.Floats (Array.init 400 (fun i -> float_of_int i /. 7.0)) in
+  let round () =
+    Protocol.encode_response_into p.w floats;
+    Protocol.encode_request_into p.w batch;
+    (match Protocol.send_frame p.tx p.w with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "send: %s" (Error.to_string e));
+    match Protocol.read_frame ~site:"serve.recv" p.r p.rx with
+    | Ok true -> ()
+    | Ok false -> Alcotest.fail "end of stream"
+    | Error e -> Alcotest.failf "recv: %s" (Error.to_string e)
+  in
+  (* [Gc.counters], not [Gc.quick_stat]: OCaml 5's quick_stat adds a
+     domain's direct major allocations in only at its next minor
+     collection, so it would read 0 here whatever [f] allocated *)
+  let major_words_added f =
+    Gc.minor ();
+    let _, _, before = Gc.counters () in
+    f ();
+    let _, _, after = Gc.counters () in
+    after -. before
+  in
+  round ();
+  check (Alcotest.float 0.0) "major words added by a warm encode + read" 0.0
+    (major_words_added round);
+  let frame_words = float_of_int (String.length (Protocol.encode_request batch) / 8) in
+  check Alcotest.bool "the string wrapper's frame-sized blocks are counted" true
+    (major_words_added (fun () -> ignore (Protocol.encode_request batch)) >= frame_words)
+
 (* ---- options ------------------------------------------------------------ *)
 
 let test_options_validation () =
@@ -1003,8 +1192,6 @@ let test_facade_agreement () =
 
 module Engine = Xc_serve.Engine
 
-let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
-
 let check_oracle tag syn texts got =
   check Alcotest.int (tag ^ ": answer count") (Array.length texts) (Array.length got);
   Array.iteri
@@ -1215,7 +1402,13 @@ let () =
           Alcotest.test_case "hostile length rejected" `Quick test_hostile_length;
           Alcotest.test_case "unknown tag rejected" `Quick test_bad_tag;
           Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;
-          Alcotest.test_case "errors cross the wire" `Quick test_error_wire ] );
+          Alcotest.test_case "errors cross the wire" `Quick test_error_wire;
+          QCheck_alcotest.to_alcotest prop_request_roundtrip;
+          QCheck_alcotest.to_alcotest prop_response_roundtrip;
+          Alcotest.test_case "reused read buffer: large frame, then small" `Quick
+            test_reused_read_buffer;
+          Alcotest.test_case "warm frames allocate no major words" `Quick
+            test_warm_frames_allocate_nothing ] );
       ( "options",
         [ Alcotest.test_case "validation" `Quick test_options_validation ] );
       ("lru", [ Alcotest.test_case "exact LRU policy" `Quick test_lru_policy ]);
