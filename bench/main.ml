@@ -893,10 +893,10 @@ let run_chaos () =
     fd
   in
   let raw_close fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> () in
-  (* a slow loris: half a frame header, then silence *)
+  (* a slow loris: half a frame header (its version byte), then silence *)
   let loris endpoint =
     let fd = raw_connect endpoint in
-    ignore (Unix.write_substring fd "\x01" 0 1);
+    ignore (Unix.write_substring fd (String.make 1 (Char.chr Serve.Protocol.version)) 0 1);
     fd
   in
   (* block until the daemon evicts the peer (EOF); returns seconds from

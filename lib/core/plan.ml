@@ -2,6 +2,7 @@ open Xc_twig
 module Metrics = Xc_util.Metrics
 module S = Synopsis.Sealed
 module BA1 = Bigarray.Array1
+module Slices = Xc_util.Slices
 
 let m = Metrics.global
 
@@ -343,15 +344,6 @@ module Batch = struct
     fq_tasks : ftask array;  (* document order *)
   }
 
-  type bquery = {
-    bq_zero : bool;  (* root predicates or an empty root expression *)
-    bq_root : (Estimate.dist * bnode) list;
-    bq_slots : int;
-    bq_id : int;  (* dense per-engine id; the cohort dedup key *)
-    bq_key : int;  (* cohort key: the first matrix the query touches *)
-    mutable bq_flat : fquery option;  (* memoized flat program *)
-  }
-
   (* A prepared workload carries its cohort plan (built lazily on the
      first cohort run, then reused for every pass): the batch's
      distinct queries in cohort-major order plus the input-index →
@@ -363,9 +355,20 @@ module Batch = struct
     cp_max_cohort : int;
     cp_slots : int;  (* max fq_slots — the arena's plane demand *)
     cp_values : float array;  (* per distinct query, rewritten per run *)
+    cp_lat : float array;  (* sampled per-cohort latency, rewritten per run *)
   }
 
-  type prepared = {
+  type bquery = {
+    bq_zero : bool;  (* root predicates or an empty root expression *)
+    bq_root : (Estimate.dist * bnode) list;
+    bq_slots : int;
+    bq_id : int;  (* dense per-engine id; the cohort dedup key *)
+    bq_key : int;  (* cohort key: the first matrix the query touches *)
+    mutable bq_flat : fquery option;  (* memoized flat program *)
+    mutable bq_single : prepared option;  (* memoized one-query batch *)
+  }
+
+  and prepared = {
     pr_queries : bquery array;
     mutable pr_plan : cohort_plan option;
   }
@@ -374,7 +377,7 @@ module Batch = struct
     bt_syn : S.t;
     bt_mats : (Path_expr.id, Transition.t) Hashtbl.t;
     bt_queries : (string, bquery) Hashtbl.t;
-    bt_texts : (string, bquery) Hashtbl.t;  (* raw source text -> compiled *)
+    bt_index : bquery Slices.Table.t;  (* raw source text -> compiled *)
     bt_next_id : int ref;
     mutable bt_last : prepared option;  (* last text batch, plan included *)
   }
@@ -389,19 +392,19 @@ module Batch = struct
     { bt_syn = syn;
       bt_mats = Hashtbl.create 32;
       bt_queries = Hashtbl.create 64;
-      bt_texts = Hashtbl.create 64;
+      bt_index = Slices.Table.create ();
       bt_next_id = ref 0;
       bt_last = None }
 
   let synopsis t = t.bt_syn
   let n_matrices t = Hashtbl.length t.bt_mats
   let n_queries t = Hashtbl.length t.bt_queries
-  let n_texts t = Hashtbl.length t.bt_texts
+  let n_texts t = Slices.Table.length t.bt_index
 
   let clear t =
     Hashtbl.reset t.bt_mats;
     Hashtbl.reset t.bt_queries;
-    Hashtbl.reset t.bt_texts;
+    Slices.Table.clear t.bt_index;
     t.bt_last <- None
 
   let mat_for t expr =
@@ -485,7 +488,7 @@ module Batch = struct
     in
     if zero then
       { bq_zero = true; bq_root = []; bq_slots = 0; bq_id = id; bq_key = -1;
-        bq_flat = None }
+        bq_flat = None; bq_single = None }
     else begin
       (* cohort key: the first transition matrix the evaluation streams
          (first child edge of the first root child that has one), so a
@@ -516,7 +519,7 @@ module Batch = struct
           root_q.Twig_query.edges
       in
       { bq_zero = false; bq_root = root; bq_slots = !next_slot; bq_id = id;
-        bq_key = key; bq_flat = None }
+        bq_key = key; bq_flat = None; bq_single = None }
     end
 
   (* the compiled query for [q], compiled on first sight of its key; a
@@ -547,45 +550,76 @@ module Batch = struct
 
   exception Bad_text of int * string
 
-  let same_queries a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (a.(i) == b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
+  (* The compiled query for text [i]: a known text is one probe of the
+     index on its bytes, in place — no string, no parse, no key render.
+     Only a new text is materialised; it takes the [prepare] route and
+     is indexed under its text, so whitespace variants share one
+     compiled query. *)
+  let resolve t hits texts i =
+    let src = Slices.source texts and off = Slices.off texts i and len = Slices.len texts i in
+    match Slices.Table.find t.bt_index src off len with
+    | bq ->
+      incr hits;
+      bq
+    | exception Not_found -> (
+      let text = Bytes.sub_string src off len in
+      match Twig_parse.parse_result text with
+      | Error msg -> raise_notrace (Bad_text (i, msg))
+      | Ok q ->
+        let bq = find_or_compile t hits q in
+        Slices.Table.add t.bt_index text bq;
+        bq)
 
-  (* A known text is one hashtable probe on the raw string — no parse,
-     no key render. A new one takes the [prepare] route and is recorded
-     under its text, so whitespace variants share one compiled query.
-     When the batch resolves to the last text batch's compiled queries,
-     physically and in order, that [prepared] (and its cohort plan) is
-     returned as is. *)
+  (* a one-query batch is the compiled query's own memoized [prepared],
+     cohort plan included *)
+  let singleton bq =
+    match bq.bq_single with
+    | Some p -> p
+    | None ->
+      let p = { pr_queries = [| bq |]; pr_plan = None } in
+      bq.bq_single <- Some p;
+      p
+
+  (* Resolve a batch against the last one: while text [i] resolves to
+     the last batch's query [i] nothing is built; the first divergence
+     copies the agreeing prefix into a fresh array, which the rest
+     fills. A batch that never diverges and has the last one's length
+     is answered by the last [prepared], cohort plan included. *)
+  let resolve_batch t hits texts =
+    let n = Slices.length texts in
+    let last = match t.bt_last with Some p -> p.pr_queries | None -> [||] in
+    let fresh = ref [||] in
+    for i = 0 to n - 1 do
+      let bq = resolve t hits texts i in
+      if Array.length !fresh > 0 then Array.unsafe_set !fresh i bq
+      else if i >= Array.length last || Array.unsafe_get last i != bq then begin
+        let a = Array.make n bq in
+        Array.blit last 0 a 0 i;
+        fresh := a
+      end
+    done;
+    match t.bt_last with
+    | Some p when Array.length !fresh = 0 && n = Array.length last -> p
+    | _ ->
+      let qs = if Array.length !fresh > 0 then !fresh else Array.sub last 0 n in
+      let p = { pr_queries = qs; pr_plan = None } in
+      t.bt_last <- Some p;
+      p
+
   let prepare_texts t texts =
-    if Hashtbl.length t.bt_texts > text_index_bound then begin
-      Hashtbl.reset t.bt_texts;
+    if Slices.Table.length t.bt_index > text_index_bound then begin
+      Slices.Table.clear t.bt_index;
       Metrics.incr m "batch.text_reset"
     end;
-    let lookup hits i text =
-      match Hashtbl.find_opt t.bt_texts text with
-      | Some bq ->
-        incr hits;
-        bq
-      | None -> (
-        match Twig_parse.parse_result text with
-        | Error msg -> raise_notrace (Bad_text (i, msg))
-        | Ok q ->
-          let bq = find_or_compile t hits q in
-          Hashtbl.add t.bt_texts text bq;
-          bq)
+    let prepare hits =
+      match Slices.length texts with
+      | 0 -> { pr_queries = [||]; pr_plan = None }
+      | 1 -> singleton (resolve t hits texts 0)
+      | _ -> resolve_batch t hits texts
     in
-    match counting_hits (fun hits -> Array.mapi (lookup hits) texts) with
+    match counting_hits prepare with
+    | p -> Ok p
     | exception Bad_text (i, msg) -> Error (i, msg)
-    | qs -> (
-      match t.bt_last with
-      | Some p when same_queries p.pr_queries qs -> Ok p
-      | _ ->
-        let p = { pr_queries = qs; pr_plan = None } in
-        t.bt_last <- Some p;
-        Ok p)
 
   (* evaluation runs over support blocks of this many nodes: the block's
      accumulators stay in registers/L1 while each edge's CSR slices
@@ -746,8 +780,10 @@ module Batch = struct
     ar
 
   (* row dot against an arena plane — same ascending multiply-add order
-     as [dot], so bit-identical; only the output storage differs *)
-  let dot_plane (w : S.ba_f) (idx : S.ba_i) (buf : S.ba_f) base lo hi =
+     as [dot], so bit-identical; only the output storage differs.
+     Inlined, so its float result is never boxed: called once per
+     (support node, edge), a boxed result would allocate per row. *)
+  let[@inline] dot_plane (w : S.ba_f) (idx : S.ba_i) (buf : S.ba_f) base lo hi =
     let sum = ref 0.0 in
     for i = lo to hi - 1 do
       sum :=
@@ -768,9 +804,11 @@ module Batch = struct
        weights;
      - a task whose running root fold is already <= 0.0 is skipped
        entirely — the fold's own [acc <= 0.0 -> 0.0] arm never reads
-       the task's sum, so not computing it changes nothing. *)
-  let eval_flat ar fq =
-    if fq.fq_zero then 0.0
+       the task's sum, so not computing it changes nothing.
+     The answer is stored into [values.(p)] rather than returned, so
+     it is never boxed. *)
+  let eval_flat ar fq (values : float array) p =
+    if fq.fq_zero then Array.unsafe_set values p 0.0
     else begin
       let buf = ar.ar_buf and stride = ar.ar_n in
       let ntasks = Array.length fq.fq_tasks in
@@ -831,7 +869,7 @@ module Batch = struct
         acc := !acc *. !s;
         incr ti
       done;
-      if !acc <= 0.0 then 0.0 else !acc
+      Array.unsafe_set values p (if !acc <= 0.0 then 0.0 else !acc)
     end
 
   (* Build the cohort plan for a prepared batch: dedup shared compiled
@@ -861,7 +899,7 @@ module Batch = struct
     let nd = Array.length distinct in
     if nd = 0 then
       { cp_queries = [||]; cp_src = [||]; cp_cohorts = [||]; cp_max_cohort = 0;
-        cp_slots = 1; cp_values = [||] }
+        cp_slots = 1; cp_values = [||]; cp_lat = [||] }
     else begin
       let cid_of_key = Hashtbl.create 64 in
       let ncoh = ref 0 in
@@ -899,7 +937,8 @@ module Batch = struct
         cp_cohorts = Array.init ncoh (fun c -> (start.(c), count.(c)));
         cp_max_cohort = Array.fold_left max 0 count;
         cp_slots = Array.fold_left (fun a f -> max a f.fq_slots) 1 flat;
-        cp_values = Array.make nd 0.0 }
+        cp_values = Array.make nd 0.0;
+        cp_lat = Array.make ncoh 0.0 }
     end
 
   let plan_of prepared =
@@ -914,30 +953,35 @@ module Batch = struct
     let p = plan_of prepared in
     (Array.length p.cp_cohorts, p.cp_max_cohort, Array.length p.cp_queries)
 
+  (* Cohort latency is sampled: cohorts run in fractions of a
+     microsecond, so timestamping each one would cost ~10% of the
+     sweep. Every 8th cohort is timed, and the stride widens on wide
+     batches so that a pass records at most 8 samples — the histogram
+     stays representative and a pass's metrics cost does not grow
+     with the batch. *)
+  let sample_stride ncoh = 8 * (1 + ((ncoh - 1) / 64))
+
   (* One batch pass, matrix-major: workers claim whole cohorts (the
      parallel unit is a cohort, never a query), each query's value lands
-     in cp_values by its cohort-major position, and the result array is
-     gathered through cp_src in input order — placement is a pure
-     function of the input, so XC_DOMAINS cannot change the output. *)
-  let run_cohort ~domains t plan =
+     in cp_values by its cohort-major position, and the answers are
+     gathered into [out] through cp_src in input order — placement is a
+     pure function of the input, so XC_DOMAINS cannot change the
+     output. *)
+  let run_cohort ~domains t plan (out : float array) =
     let n = S.n_nodes t.bt_syn in
     let ncoh = Array.length plan.cp_cohorts in
-    let lat = Array.make ncoh 0.0 in
+    let lat = plan.cp_lat and values = plan.cp_values in
+    let stride = sample_stride ncoh in
     let resets0 = Atomic.get arena_resets in
     let minor0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     Xc_util.Par.iter_chunked ~domains
       ~init:(fun () -> arena_for n plan.cp_slots)
       (fun ar ci (start, len) ->
-        (* latency is sampled on every 8th cohort: cohorts run in
-           fractions of a microsecond, so timestamping each one costs
-           ~10% of the sweep — sampling keeps the histogram
-           representative without charging the hot path for it *)
-        let sample = ci land 7 = 0 in
+        let sample = ci mod stride = 0 in
         let c0 = if sample then Unix.gettimeofday () else 0.0 in
         for p = start to start + len - 1 do
-          plan.cp_values.(p) <-
-            eval_flat ar (Array.unsafe_get plan.cp_queries p)
+          eval_flat ar (Array.unsafe_get plan.cp_queries p) values p
         done;
         (* workers touch only their own slot; the coordinator folds
            these into Metrics after the join *)
@@ -953,39 +997,52 @@ module Batch = struct
     let ci = ref 0 in
     while !ci < ncoh do
       Metrics.observe m "estimate.cohort_us" (1e6 *. lat.(!ci));
-      ci := !ci + 8
+      ci := !ci + stride
     done;
-    Array.map (fun p -> Array.unsafe_get plan.cp_values p) plan.cp_src
+    let src = plan.cp_src in
+    for i = 0 to Array.length src - 1 do
+      Array.unsafe_set out i (Array.unsafe_get values (Array.unsafe_get src i))
+    done
+
+  let run_into ?(domains = 0) t prepared out =
+    let nq = Array.length prepared.pr_queries in
+    if Array.length out < nq then invalid_arg "Plan.Batch.run_into: answer buffer too short";
+    if nq > 0 then begin
+      Metrics.incr m ~by:nq "batch.queries";
+      run_cohort ~domains t (plan_of prepared) out
+    end
 
   let run_prepared ?(domains = 0) ?(cohort = true) t prepared =
     let nq = Array.length prepared.pr_queries in
-    if nq = 0 then [||]
+    if cohort then begin
+      let out = Array.make nq 0.0 in
+      run_into ~domains t prepared out;
+      out
+    end
+    else if nq = 0 then [||]
     else begin
       Metrics.incr m ~by:nq "batch.queries";
-      if cohort then run_cohort ~domains t (plan_of prepared)
-      else begin
-        (* query-major reference path: per-query latency histogram,
-           per-query scratch walk — kept as the bit-exactness oracle
-           and the p50/p95/p99 source *)
-        let n = S.n_nodes t.bt_syn in
-        let lat = Array.make nq 0.0 in
-        let t0 = Unix.gettimeofday () in
-        let out =
-          Xc_util.Par.map_chunked ~domains
-            ~init:(fun () -> scratch_create n)
-            (fun sc i q ->
-              let q0 = Unix.gettimeofday () in
-              let v = eval_query sc q in
-              (* workers touch only their own slot; the coordinator folds
-                 these into Metrics afterwards, in input order *)
-              lat.(i) <- Unix.gettimeofday () -. q0;
-              v)
-            prepared.pr_queries
-        in
-        Metrics.add_time m "estimate.batch" (Unix.gettimeofday () -. t0);
-        Array.iter (fun dt -> Metrics.observe m "estimate.batch_us" (1e6 *. dt)) lat;
-        out
-      end
+      (* query-major reference path: per-query latency histogram,
+         per-query scratch walk — kept as the bit-exactness oracle
+         and the p50/p95/p99 source *)
+      let n = S.n_nodes t.bt_syn in
+      let lat = Array.make nq 0.0 in
+      let t0 = Unix.gettimeofday () in
+      let out =
+        Xc_util.Par.map_chunked ~domains
+          ~init:(fun () -> scratch_create n)
+          (fun sc i q ->
+            let q0 = Unix.gettimeofday () in
+            let v = eval_query sc q in
+            (* workers touch only their own slot; the coordinator folds
+               these into Metrics afterwards, in input order *)
+            lat.(i) <- Unix.gettimeofday () -. q0;
+            v)
+          prepared.pr_queries
+      in
+      Metrics.add_time m "estimate.batch" (Unix.gettimeofday () -. t0);
+      Array.iter (fun dt -> Metrics.observe m "estimate.batch_us" (1e6 *. dt)) lat;
+      out
     end
 
   let run ?domains ?cohort t queries =

@@ -122,9 +122,9 @@ end
     timers [batch.mat_build], [batch.compile], [batch.cohort_plan],
     [estimate.batch]; histograms [estimate.batch_us] (per-query
     latency, query-major path) and [estimate.cohort_us] (per-cohort
-    latency, matrix-major path, sampled on every 8th cohort so the
-    sub-microsecond hot loop is not charged for its own
-    timestamping). *)
+    latency, matrix-major path, sampled on every 8th cohort — and on
+    at most 8 cohorts per pass — so the sub-microsecond hot loop is not
+    charged for its own timestamping). *)
 module Batch : sig
   type t
   (** A batch engine bound to one sealed synopsis: its matrix registry
@@ -146,28 +146,47 @@ module Batch : sig
       transition matrix on first sight and caching compiled queries by
       key, so repeated and overlapping workloads amortize to lookups. *)
 
-  val prepare_texts : t -> string array -> (prepared, int * string) result
+  val prepare_texts : t -> Xc_util.Slices.t -> (prepared, int * string) result
   (** {!prepare} from query source text, for serving repeated
-      workloads. A text seen before is one hashtable probe — neither
-      parsed nor re-keyed; a new text is parsed, compiled as in
-      {!prepare} and indexed, so texts that differ only in whitespace
-      share one compiled query. When every text resolves to the same
-      compiled query as in the previous call, in the same order, the
-      previous [prepared] is returned with its cohort plan already
-      built. [Error (i, msg)] reports the first text that does not
-      parse. Once the text index holds more than {!text_index_bound}
-      entries, the next call empties it first (bumping
-      [batch.text_reset]); a batch never sees it reset midway.
-      Exceptions out of compilation propagate. *)
+      workloads; text [i] is slice [i] ({!Xc_util.Slices.of_strings}
+      makes slices of strings). A text seen before is one probe of the
+      text index on its bytes, in place — no string is built, nothing
+      is parsed or re-keyed; a new text is copied out, parsed, compiled
+      as in {!prepare} and indexed, so texts that differ only in
+      whitespace share one compiled query.
+
+      A warm call builds nothing proportional to its size. A one-text
+      call returns the compiled query's own memoized one-query
+      [prepared]. A longer one is checked against the previous longer
+      call as it resolves: when every text resolves to the same
+      compiled query as there, in the same order, the previous
+      [prepared] is returned with its cohort plan already built; an
+      array is built only from the first difference on. One-text calls
+      never replace that previous batch.
+
+      [Error (i, msg)] reports the first text that does not parse.
+      Once the text index holds more than {!text_index_bound} entries,
+      the next call empties it first (bumping [batch.text_reset]); a
+      batch never sees it reset midway. Exceptions out of compilation
+      propagate. *)
 
   val text_index_bound : int
   (** Text-index size above which {!prepare_texts} resets the index. *)
+
+  val run_into : ?domains:int -> t -> prepared -> float array -> unit
+  (** [run_into t p out] runs the matrix-major sweep and writes the
+      answer to query [i] into [out.(i)]; [out] may be longer than the
+      batch. With a warm cohort plan and a reused [out], a pass
+      allocates nothing that grows with the batch. [domains] as in
+      {!Xc_util.Par.map} ([<= 0] means [XC_DOMAINS]).
+      @raise Invalid_argument when [out] is shorter than the batch. *)
 
   val run_prepared :
     ?domains:int -> ?cohort:bool -> t -> prepared -> float array
   (** Evaluate; [result.(i)] answers query [i]. [domains] as in
       {!Xc_util.Par.map} ([<= 0] means [XC_DOMAINS]). [cohort]
-      (default [true]) selects the matrix-major sweep; [cohort:false]
+      (default [true]) selects the matrix-major sweep ({!run_into} a
+      fresh array); [cohort:false]
       the query-major reference walk — both bit-identical to the
       uncached estimator. Serving always takes the default; the
       reference walk is the tests' and the traced benchmark's

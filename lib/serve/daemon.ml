@@ -172,31 +172,45 @@ let health st registry =
       h_draining = Atomic.get st.draining;
     }
 
+(* What one request is answered with: the first [n] entries of the
+   connection's answer buffer, or a response. *)
+type reply = Answers of int | Reply of Protocol.response
+
+(* A connection's reusable request state: the slices an estimate
+   frame's query texts are read as, and the buffer their answers are
+   written to. *)
+type conn = { texts : Xc_util.Slices.t; mutable answers : float array }
+
 (* Both estimate frame kinds go through the registry's engine: a
    single [Estimate] is a one-text batch, so the LRU is the only engine
    cache the daemon fills and warm texts skip parse and compile. *)
-let estimate_texts registry options synopsis texts =
+let estimate_texts registry options synopsis conn =
   match Registry.engine registry synopsis with
-  | Error e -> error_frame e
+  | Error e -> Reply (error_frame e)
   | Ok (syn, eng) -> (
-    match Engine.estimate_texts_with ~options eng syn texts with
-    | Ok r -> Protocol.Floats r
-    | Error e -> error_frame e)
+    let n = Xc_util.Slices.length conn.texts in
+    if Array.length conn.answers < n then
+      conn.answers <- Array.make (max n (2 * Array.length conn.answers)) 0.0;
+    match Engine.estimate_texts_with ~options ~into:conn.answers eng syn conn.texts with
+    | Ok () -> Answers n
+    | Error e -> Reply (error_frame e))
 
-let dispatch st config registry req =
-  match req with
-  | Protocol.Estimate { synopsis; query } ->
-    estimate_texts registry config.options synopsis [| query |]
-  | Protocol.Estimate_batch { synopsis; queries; options } ->
+let dispatch st config registry conn incoming =
+  match incoming with
+  | Protocol.Estimates { synopsis; options = None } ->
+    estimate_texts registry config.options synopsis conn
+  | Protocol.Estimates { synopsis; options = Some options } ->
     (* the request's options win; a request that left [domains]
        unpinned inherits the daemon's default. The batch-size limit is
        the daemon's, not the request's — a client cannot talk its way
        past admission control. *)
-    if Array.length queries > config.options.Options.max_batch then
-      error_frame
-        (Error.Admission
-           (Printf.sprintf "batch of %d queries exceeds the %d-query limit"
-              (Array.length queries) config.options.Options.max_batch))
+    let n = Xc_util.Slices.length conn.texts in
+    if n > config.options.Options.max_batch then
+      Reply
+        (error_frame
+           (Error.Admission
+              (Printf.sprintf "batch of %d queries exceeds the %d-query limit" n
+                 config.options.Options.max_batch)))
     else
       let options =
         {
@@ -207,13 +221,17 @@ let dispatch st config registry req =
             | None -> config.options.Options.domains);
         }
       in
-      estimate_texts registry options synopsis queries
-  | Protocol.List_synopses ->
-    Protocol.Synopses
-      (Array.of_list (List.filter_map (listed_of registry) (Registry.names registry)))
-  | Protocol.Stats ->
-    Protocol.Stats_json (Metrics.to_json (Metrics.snapshot Metrics.global))
-  | Protocol.Update { synopsis; path } -> (
+      estimate_texts registry options synopsis conn
+  | Protocol.Request (Protocol.Estimate _ | Protocol.Estimate_batch _) ->
+    (* [Protocol.recv_view] reads every estimate frame as [Estimates] *)
+    assert false
+  | Protocol.Request Protocol.List_synopses ->
+    Reply
+      (Protocol.Synopses
+         (Array.of_list (List.filter_map (listed_of registry) (Registry.names registry))))
+  | Protocol.Request Protocol.Stats ->
+    Reply (Protocol.Stats_json (Metrics.to_json (Metrics.snapshot Metrics.global)))
+  | Protocol.Request (Protocol.Update { synopsis; path }) -> (
     (* the generation swap: verify-load the repaired artifact, then
        commit it under the name. A corrupt artifact is an error frame —
        the previous good generation keeps serving (skip-and-count). *)
@@ -222,19 +240,19 @@ let dispatch st config registry req =
     | Ok generation ->
       Metrics.observe Metrics.global "serve.swap_us"
         (1e6 *. (Unix.gettimeofday () -. t0));
-      Protocol.Swapped { generation }
-    | Error e -> error_frame e)
-  | Protocol.Reload ->
+      Reply (Protocol.Swapped { generation })
+    | Error e -> Reply (error_frame e))
+  | Protocol.Request Protocol.Reload ->
     let r = Registry.load registry in
-    Protocol.Reloaded { loaded = r.Registry.loaded; skipped = r.Registry.skipped }
-  | Protocol.Ping -> health st registry
-  | Protocol.Shutdown -> Protocol.Done
+    Reply (Protocol.Reloaded { loaded = r.Registry.loaded; skipped = r.Registry.skipped })
+  | Protocol.Request Protocol.Ping -> Reply (health st registry)
+  | Protocol.Request Protocol.Shutdown -> Reply Protocol.Done
 
 (* a dispatch arm that slips an exception past its own guards must not
    kill the connection loop, let alone the daemon *)
-let dispatch_guarded st config registry req =
-  try dispatch st config registry req
-  with exn -> error_frame (Error.Io (Printexc.to_string exn))
+let dispatch_guarded st config registry conn incoming =
+  try dispatch st config registry conn incoming
+  with exn -> Reply (error_frame (Error.Io (Printexc.to_string exn)))
 
 (* ---- connection loop --------------------------------------------------- *)
 
@@ -244,13 +262,23 @@ let send_response ?(out = Protocol.Frame.create ()) fd resp =
   Protocol.encode_response_into out resp;
   Protocol.send_frame ~site:"serve.send" fd out
 
+let send_reply ~out conn fd = function
+  | Answers n ->
+    Protocol.encode_floats_into out conn.answers n;
+    Protocol.send_frame ~site:"serve.send" fd out
+  | Reply resp -> send_response ~out fd resp
+
 (* Answer one connection's request stream until it hangs up, trips a
    deadline, breaks framing, or asks for shutdown. Runs on a worker
    thread; only the dispatch itself takes the global lock, so a peer
    stalled mid-frame costs one worker, not the daemon. The connection
-   owns one read and one write frame buffer, reused for every frame. *)
+   owns one read and one write frame buffer, the slices its query texts
+   are read as and its answer buffer, all reused for every frame: once
+   they have grown, a warm estimate request allocates nothing that
+   grows with its size. *)
 let serve_conn st config registry fd =
   let into = Protocol.Frame.create () and out = Protocol.Frame.create () in
+  let conn = { texts = Xc_util.Slices.create (); answers = [||] } in
   let send_response = send_response ~out in
   let evict e =
     Metrics.incr Metrics.global "daemon.evicted";
@@ -260,8 +288,8 @@ let serve_conn st config registry fd =
   let rec loop () =
     let deadline = Protocol.deadline_after config.request_budget_s in
     match
-      Protocol.recv_request ~deadline
-        ~limit:config.options.Options.max_frame_bytes ~into fd
+      Protocol.recv_view ~deadline
+        ~limit:config.options.Options.max_frame_bytes ~into ~texts:conn.texts fd
     with
     | Ok None -> Hung_up (* client hung up at a frame boundary *)
     | Error (Error.Timeout _ as e) ->
@@ -280,16 +308,18 @@ let serve_conn st config registry fd =
       ignore (send_response fd (error_frame e));
       Evicted
     | Error _ -> Hung_up (* socket trouble; nothing to answer on *)
-    | Ok (Some Protocol.Shutdown) ->
+    | Ok (Some (Protocol.Request Protocol.Shutdown)) ->
       ignore (send_response fd Protocol.Done);
       Shutdown_now
     | Ok (Some req) -> (
       Metrics.incr Metrics.global "daemon.requests";
       let t0 = Unix.gettimeofday () in
-      let resp = locked st.dispatch_lock (fun () -> dispatch_guarded st config registry req) in
+      let reply =
+        locked st.dispatch_lock (fun () -> dispatch_guarded st config registry conn req)
+      in
       Metrics.observe Metrics.global "daemon.request_us"
         (1e6 *. (Unix.gettimeofday () -. t0));
-      match send_response fd resp with
+      match send_reply ~out conn fd reply with
       | Ok () ->
         (* draining: finish what is in flight, then close. A request
            already on the wire counts as in flight — closing over it

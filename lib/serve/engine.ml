@@ -68,11 +68,11 @@ let estimate_result ?(options = Options.default) syn q =
 let query_error i msg = Error (Error.Query (Printf.sprintf "query %d: %s" i msg))
 
 let parse_texts texts =
-  let n = Array.length texts in
+  let n = Xc_util.Slices.length texts in
   let rec go i acc =
     if i = n then Ok (Array.of_list (List.rev acc))
     else
-      match Xc_twig.Twig_parse.parse_result texts.(i) with
+      match Xc_twig.Twig_parse.parse_result (Xc_util.Slices.to_string texts i) with
       | Ok q -> go (i + 1) (q :: acc)
       | Error msg -> query_error i msg
   in
@@ -93,14 +93,23 @@ let batch_failed options syn parsed exn =
     degrade options ~counter:"serve.batch_fallback" (Printexc.to_string exn) (fun () ->
         Array.map (estimate_uncached syn) queries)
 
-let estimate_texts_with ?(options = Options.default) engine syn texts =
+let estimate_texts_with ?(options = Options.default) ~into engine syn texts =
+  let n = Xc_util.Slices.length texts in
+  (* checked here as well as in [run_into]: past this point the handler
+     below would turn a short buffer into a failed, degraded batch *)
+  if Array.length into < n then invalid_arg "Engine.estimate_texts_with: answer buffer too short";
   match
     match Plan.Batch.prepare_texts engine texts with
     | Error (i, msg) -> query_error i msg
-    | Ok prepared -> Ok (run_prepared options engine prepared)
+    | Ok prepared -> Ok (Plan.Batch.run_into ?domains:options.Options.domains engine prepared into)
   with
   | r -> r
-  | exception exn -> batch_failed options syn (fun () -> parse_texts texts) exn
+  | exception exn -> (
+    match batch_failed options syn (fun () -> parse_texts texts) exn with
+    | Ok answers ->
+      Array.blit answers 0 into 0 n;
+      Ok ()
+    | Error _ as e -> e)
 
 let estimate_batch ?(options = Options.default) syn queries =
   let engine = batch_for syn in

@@ -62,20 +62,25 @@ val estimate_batch :
 
 val estimate_texts_with :
   ?options:Options.t ->
+  into:float array ->
   Xc_core.Plan.Batch.t ->
   synopsis ->
-  string array ->
-  (float array, Error.t) result
+  Xc_util.Slices.t ->
+  (unit, Error.t) result
 (** {!estimate_batch} from query source text, through a caller-supplied
     engine (the daemon's registry holds engines under its own LRU
     admission policy) — the daemon's path for both [Estimate] (a
-    one-text batch) and [Estimate_batch] frames. Texts go
-    through {!Xc_core.Plan.Batch.prepare_texts}, so a warm batch is
-    neither re-parsed, re-keyed nor re-planned. A text that does not
-    parse is [Error (Query "query i: ...")] for the first such [i].
-    On an engine failure the texts are parsed (a bad text still yields
-    [Query]) and the [Degrade]/[Strict] policy applies as in
-    {!estimate_batch}. Callers serialize calls on one engine. *)
+    one-text batch) and [Estimate_batch] frames. Text [i] is slice [i]
+    (the daemon's slices point into the read frame), and on [Ok] its
+    answer is in [into.(i)]; [into] may be longer than the batch. Texts
+    go through {!Xc_core.Plan.Batch.prepare_texts}, so a warm batch is
+    neither re-parsed, re-keyed nor re-planned, and with a reused
+    [into] it allocates nothing that grows with its size. A text that
+    does not parse is [Error (Query "query i: ...")] for the first
+    such [i]. On an engine failure the texts are parsed (a bad text
+    still yields [Query]) and the [Degrade]/[Strict] policy applies as
+    in {!estimate_batch}. Callers serialize calls on one engine.
+    @raise Invalid_argument when [into] is shorter than the batch. *)
 
 val estimate_batch_exn :
   ?options:Options.t -> synopsis -> query array -> float array

@@ -4,6 +4,7 @@ type protocol =
   | Bad_length of { len : int; what : string }
   | Checksum_mismatch of { stored : int; actual : int }
   | Closed
+  | Bad_version of int
 
 type t =
   | Codec of Xc_core.Codec.error
@@ -24,6 +25,7 @@ let pp_protocol ppf = function
     Format.fprintf ppf "frame checksum mismatch (stored %08x, computed %08x)"
       (stored land 0xFFFFFFFF) (actual land 0xFFFFFFFF)
   | Closed -> Format.fprintf ppf "connection closed"
+  | Bad_version v -> Format.fprintf ppf "frame version byte 0x%02x is not this peer's" v
 
 let pp ppf = function
   | Codec e -> Format.fprintf ppf "codec: %a" Xc_core.Codec.pp_error e
@@ -46,6 +48,7 @@ let to_string e = Format.asprintf "%a" pp e
    reconstruct the structured form, not just the category. *)
 let to_wire = function
   | Codec e -> (1, Xc_core.Codec.error_to_string e)
+  | Protocol (Bad_version v as p) -> (9, Format.asprintf "%d: %a" v pp_protocol p)
   | Protocol p -> (2, Format.asprintf "%a" pp_protocol p)
   | Admission msg -> (3, msg)
   | Query msg -> (4, msg)
@@ -75,4 +78,5 @@ let of_wire code message =
   | 5 -> Unavailable message
   | 7 -> Timeout { elapsed_ms = leading_int ~default:0 message }
   | 8 -> Overloaded { retry_after_ms = leading_int ~default:100 message }
+  | 9 -> Protocol (Bad_version (leading_int ~default:(-1) message))
   | _ -> Io message

@@ -23,6 +23,10 @@ type protocol =
   | Checksum_mismatch of { stored : int; actual : int }
       (** the payload failed its CRC-32 *)
   | Closed  (** the connection closed where a response was expected *)
+  | Bad_version of int
+      (** the frame's first byte, which is not {!Protocol.version}: the
+          peer speaks another frame layout (an older, unversioned peer
+          sends its tag there) *)
 
 type t =
   | Codec of Xc_core.Codec.error
@@ -53,14 +57,19 @@ val to_string : t -> string
 val to_wire : t -> int * string
 (** The [(code, message)] encoding of an error frame. Codes are stable
     protocol constants: 1 codec, 2 protocol, 3 admission, 4 query,
-    5 unavailable, 6 io, 7 timeout, 8 overloaded. *)
+    5 unavailable, 6 io, 7 timeout, 8 overloaded, 9 version (a
+    {!Bad_version} protocol error, whose message starts with the
+    refused byte in decimal). *)
 
 val of_wire : int -> string -> t
 (** Inverse of {!to_wire} up to structured detail: the category
     survives, nested payloads come back as their rendered message (a
     {!Codec} error resurfaces as [Codec (Io message)]). A remote
     {!Protocol} complaint — the peer judging {e our} bytes — comes back
-    as {!Io}, since locally the framing was fine. {!Timeout} and
-    {!Overloaded} reconstruct their millisecond fields from the
-    message's leading decimal, so a client's backoff still honors the
-    daemon's hint after the trip. Unknown codes map to {!Io}. *)
+    as {!Io}, since locally the framing was fine — except a version
+    refusal, which comes back as [Protocol (Bad_version b)]: the peer
+    does not speak this side's layout, which no retry can mend.
+    {!Timeout}, {!Overloaded} and {!Bad_version} reconstruct their
+    number from the message's leading decimal, so a client's backoff
+    still honors the daemon's hint after the trip. Unknown codes map
+    to {!Io}. *)

@@ -1,5 +1,6 @@
 module Crc32 = Xc_util.Crc32
 module Fault = Xc_util.Fault
+module Slices = Xc_util.Slices
 
 (* ---- endpoints --------------------------------------------------------- *)
 
@@ -84,8 +85,13 @@ let tag_swapped = 0x46
 let tag_health = 0x47
 let tag_error = 0x7F
 
+(* The first header byte. It lies outside the tag space (tags are at
+   most 0x7F), so a frame in the older, unversioned layout — whose
+   first byte is its tag — can never pass for this one. *)
+let version = 0xC1
+
 let max_payload = 1 lsl 26 (* 64 MiB *)
-let header_bytes = 13 (* tag u8 + length u64 + crc u32 *)
+let header_bytes = 14 (* version u8 + tag u8 + length u64 + crc u32 *)
 
 (* ---- frame buffers -----------------------------------------------------
    One frame, header and payload, in bytes its owner reuses from frame
@@ -132,15 +138,16 @@ let put_string (f : Frame.t) s =
   f.len <- f.len + n
 
 (* Encode one frame into [f]: reserve the header, let [payload] write
-   the payload in place and return the tag, then fill in the tag, the
-   length and the CRC. *)
+   the payload in place and return the tag, then fill in the version,
+   the tag, the length and the CRC. *)
 let encode_into (f : Frame.t) payload =
   f.len <- header_bytes;
   let tag = payload f in
   let n = f.len - header_bytes in
-  Bytes.set_uint8 f.bytes 0 tag;
-  Bytes.set_int64_be f.bytes 1 (Int64.of_int n);
-  Bytes.set_int32_be f.bytes 9
+  Bytes.set_uint8 f.bytes 0 version;
+  Bytes.set_uint8 f.bytes 1 tag;
+  Bytes.set_int64_be f.bytes 2 (Int64.of_int n);
+  Bytes.set_int32_be f.bytes 10
     (Int32.of_int (Crc32.sub (Bytes.unsafe_to_string f.bytes) ~pos:header_bytes ~len:n))
 
 (* ---- bounded reader ----------------------------------------------------
@@ -172,12 +179,24 @@ let get_float r =
   r.pos <- r.pos + 8;
   v
 
-let get_string r =
+(* a string's length field, checked against the bytes left; the
+   string itself starts at [r.pos] *)
+let get_string_length r =
   let n = get_int r in
   if n < 0 || n > remaining r then raise (Proto (Bad_length { len = n; what = "string length" }));
+  n
+
+let get_string r =
+  let n = get_string_length r in
   let s = Bytes.sub_string r.src r.pos n in
   r.pos <- r.pos + n;
   s
+
+(* the next string as a slice of the frame, nothing copied *)
+let get_slice r texts =
+  let n = get_string_length r in
+  Slices.add texts r.pos n;
+  r.pos <- r.pos + n
 
 let get_count r ~elt_min ~what =
   let n = get_int r in
@@ -241,12 +260,25 @@ let encode_request_into f req =
     | Shutdown -> tag_shutdown
     | Ping -> tag_ping
 
+let put_floats (f : Frame.t) fs n =
+  put_int f n;
+  Frame.reserve f (f.len + (8 * n));
+  for i = 0 to n - 1 do
+    Bytes.set_int64_be f.bytes f.len (Int64.bits_of_float (Array.unsafe_get fs i));
+    f.len <- f.len + 8
+  done
+
+let encode_floats_into f fs n =
+  if n < 0 || n > Array.length fs then invalid_arg "Protocol.encode_floats_into";
+  encode_into f @@ fun buf ->
+    put_floats buf fs n;
+    tag_floats
+
 let encode_response_into f resp =
   encode_into f @@ fun buf ->
     match resp with
     | Floats fs ->
-      put_int buf (Array.length fs);
-      Array.iter (put_float buf) fs;
+      put_floats buf fs (Array.length fs);
       tag_floats
     | Synopses ls ->
       put_int buf (Array.length ls);
@@ -292,39 +324,39 @@ let encode_response resp =
   encode_response_into f resp;
   Frame.contents f
 
+(* The header's version byte, checked before anything else in the
+   header is trusted. *)
+let check_version src =
+  let v = Bytes.get_uint8 src 0 in
+  if v <> version then Error (Error.Bad_version v) else Ok ()
+
 (* The header's length field, validated against {!max_payload} before
    anything is read or allocated for the payload. *)
 let declared_length src =
-  let len64 = Bytes.get_int64_be src 1 in
+  let len64 = Bytes.get_int64_be src 2 in
   let len = Int64.to_int len64 in
   if Int64.of_int len <> len64 || len < 0 || len > max_payload then
     Error (Error.Bad_length { len; what = "frame payload length" })
   else Ok len
 
 (* Split the [n]-byte frame at the start of [src] into (tag, payload
-   reader), checking the framing: length bound, truncation, CRC. *)
+   reader), checking the framing: version, length bound, truncation,
+   CRC. *)
 let open_frame src n =
+  if n >= 1 then (match check_version src with Ok () -> () | Error e -> raise (Proto e));
   if n < header_bytes then raise (Proto (Truncated { need = header_bytes - n }));
   let len = match declared_length src with Ok len -> len | Error e -> raise (Proto e) in
   if header_bytes + len > n then
     raise (Proto (Truncated { need = header_bytes + len - n }));
-  let stored = Int32.to_int (Bytes.get_int32_be src 9) land 0xFFFFFFFF in
+  let stored = Int32.to_int (Bytes.get_int32_be src 10) land 0xFFFFFFFF in
   let actual = Crc32.sub (Bytes.unsafe_to_string src) ~pos:header_bytes ~len in
   if stored <> actual then raise (Proto (Checksum_mismatch { stored; actual }));
-  (Bytes.get_uint8 src 0, { src; pos = header_bytes; limit = header_bytes + len })
+  (Bytes.get_uint8 src 1, { src; pos = header_bytes; limit = header_bytes + len })
 
-let parse_request (tag, r) =
-  if tag = tag_estimate then
-    let synopsis = get_string r in
-    let query = get_string r in
-    Estimate { synopsis; query }
-  else if tag = tag_estimate_batch then begin
-    let synopsis = get_string r in
-    let options = get_options r in
-    let n = get_count r ~elt_min:8 ~what:"query count" in
-    Estimate_batch { synopsis; queries = Array.init n (fun _ -> get_string r); options }
-  end
-  else if tag = tag_update then begin
+(* every request but the two estimate frames, which [parse_incoming]
+   reads *)
+let parse_control tag r =
+  if tag = tag_update then begin
     let synopsis = get_string r in
     let path = get_string r in
     Update { synopsis; path }
@@ -335,6 +367,40 @@ let parse_request (tag, r) =
   else if tag = tag_shutdown then Shutdown
   else if tag = tag_ping then Ping
   else raise (Proto (Bad_tag tag))
+
+type incoming =
+  | Estimates of { synopsis : string; options : Options.t option }
+  | Request of request
+
+(* The one reader of the estimate frame layout: the query texts become
+   slices of the frame, nothing copied. *)
+let parse_incoming texts (tag, r) =
+  Slices.reset texts r.src;
+  if tag = tag_estimate then begin
+    let synopsis = get_string r in
+    get_slice r texts;
+    Estimates { synopsis; options = None }
+  end
+  else if tag = tag_estimate_batch then begin
+    let synopsis = get_string r in
+    let options = get_options r in
+    let n = get_count r ~elt_min:8 ~what:"query count" in
+    for _ = 1 to n do
+      get_slice r texts
+    done;
+    Estimates { synopsis; options = Some options }
+  end
+  else Request (parse_control tag r)
+
+(* a request decoded whole: an estimate frame's slices copied out *)
+let parse_request frame =
+  let texts = Slices.create () in
+  match parse_incoming texts frame with
+  | Request req -> req
+  | Estimates { synopsis; options = None } -> Estimate { synopsis; query = Slices.to_string texts 0 }
+  | Estimates { synopsis; options = Some options } ->
+    Estimate_batch
+      { synopsis; queries = Array.init (Slices.length texts) (Slices.to_string texts); options }
 
 let parse_response (tag, r) =
   if tag = tag_floats then
@@ -389,6 +455,8 @@ let decode parse src n =
 (* the reader never writes to [src], so a string is read in place *)
 let decode_request s = decode parse_request (Bytes.unsafe_of_string s) (String.length s)
 let decode_response s = decode parse_response (Bytes.unsafe_of_string s) (String.length s)
+
+let view_request (f : Frame.t) texts = decode (parse_incoming texts) f.bytes f.len
 
 (* ---- deadlines ---------------------------------------------------------
 
@@ -455,22 +523,22 @@ let send_bytes ?site fd b len =
 let send ?site fd s = send_bytes ?site fd (Bytes.unsafe_of_string s) (String.length s)
 let send_frame ?site fd (f : Frame.t) = send_bytes ?site fd f.bytes f.len
 
-(* Read exactly [len] bytes into [b] at [off]; [`Eof k] reports how
-   many arrived before the stream ended. [`Timeout] fires when the
-   per-read SO_RCVTIMEO timer expires (EAGAIN) or the frame deadline
-   passes between partial reads. *)
-let read_exact ?deadline ?deadline_site fd b off len =
-  let stop = off + len in
+(* Read at least [need] and at most [len] bytes into [b] at [off];
+   [`Ok k] reports how many arrived, [`Eof k] how many arrived before
+   the stream ended. [`Timeout] fires when the per-read SO_RCVTIMEO
+   timer expires (EAGAIN) or the frame deadline passes between partial
+   reads. *)
+let read_some ?deadline ?deadline_site fd b off ~need len =
   let expired () =
     match deadline with
     | None -> false
     | Some d -> deadline_expired ?site:deadline_site d
   in
   let rec go pos =
-    if pos >= stop then `Ok
+    if pos - off >= need then `Ok (pos - off)
     else if expired () then `Timeout
     else
-      match Unix.read fd b pos (stop - pos) with
+      match Unix.read fd b pos (off + len - pos) with
       | 0 -> `Eof (pos - off)
       | n -> go (pos + n)
       | exception Unix.Unix_error (EINTR, _, _) -> go pos
@@ -478,10 +546,14 @@ let read_exact ?deadline ?deadline_site fd b off len =
   in
   go off
 
+let read_exact ?deadline ?deadline_site fd b off len =
+  read_some ?deadline ?deadline_site fd b off ~need:len len
+
 let recv_io e = Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e)))
 
-(* Read one frame into [f]: header first, validating the length field
-   before the buffer grows, then the payload, which passes through the
+(* Read one frame into [f]: header first, validating the version byte
+   and then the length field before the buffer grows, then the
+   payload, which passes through the
    Fault injection site so the harness can truncate or flip bits at
    the socket boundary. A damaged payload fails the CRC or the bounded
    reader — never crashes the process.
@@ -493,9 +565,25 @@ let recv_io e = Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e
    close the connection after answering. *)
 let read_frame ~site ?deadline ?deadline_site ?(limit = max_payload) (f : Frame.t) fd =
   f.len <- 0;
-  match read_exact ?deadline ?deadline_site fd f.bytes 0 header_bytes with
+  let header () =
+    (* the version byte is checked as soon as it arrives, so a peer
+       speaking another layout is refused at once, even one whose whole
+       frame is shorter than this header *)
+    match read_some ?deadline ?deadline_site fd f.bytes 0 ~need:1 header_bytes with
+    | (`Eof _ | `Timeout) as stop -> stop
+    | `Ok k -> (
+      match check_version f.bytes with
+      | Error p -> `Refused p
+      | Ok () -> (
+        match read_exact ?deadline ?deadline_site fd f.bytes k (header_bytes - k) with
+        | `Ok _ -> `Ok
+        | `Eof j -> `Eof (k + j)
+        | `Timeout -> `Timeout))
+  in
+  match header () with
   | exception Unix.Unix_error (e, _, _) -> recv_io e
   | `Timeout -> Error (timeout_error deadline)
+  | `Refused p -> Error (Error.Protocol p)
   | `Eof 0 -> Ok false
   | `Eof k -> Error (Error.Protocol (Truncated { need = header_bytes - k }))
   | `Ok -> (
@@ -512,16 +600,16 @@ let read_frame ~site ?deadline ?deadline_site ?(limit = max_payload) (f : Frame.
       | exception Unix.Unix_error (e, _, _) -> recv_io e
       | `Timeout -> Error (timeout_error deadline)
       | `Eof k -> Error (Error.Protocol (Truncated { need = len - k }))
-      | `Ok ->
+      | `Ok _ ->
         f.len <- header_bytes + Fault.mutate_sub ~site f.bytes ~pos:header_bytes ~len;
         Ok true))
 
-let recv_request ?deadline ?limit ?(into = Frame.create ()) fd =
+let recv_view ?deadline ?limit ~into ~texts fd =
   match read_frame ~site:"serve.recv" ?deadline ~deadline_site:"serve.deadline" ?limit into fd with
   | Error _ as e -> e
   | Ok false -> Ok None
   | Ok true -> (
-    match decode parse_request into.bytes into.len with
+    match view_request into texts with
     | Ok req -> Ok (Some req)
     | Error p -> Error (Error.Protocol p))
 

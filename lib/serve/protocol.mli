@@ -1,18 +1,21 @@
 (** The daemon's length-prefixed binary wire protocol.
 
     Every message travels as one {b frame} reusing the framed-section
-    discipline of the codec's v2 container — tag, length, checksum,
-    payload:
+    discipline of the codec's v2 container — version, tag, length,
+    checksum, payload:
 
     {v
-      +-----+----------------+-------------+------------------+
-      | tag |    length      |   CRC-32    |     payload      |
-      | u8  |  u64 BE bytes  | u32 BE      |  [length] bytes  |
-      +-----+----------------+-------------+------------------+
+      +---------+-----+----------------+-------------+------------------+
+      | version | tag |    length      |   CRC-32    |     payload      |
+      |   u8    | u8  |  u64 BE bytes  | u32 BE      |  [length] bytes  |
+      +---------+-----+----------------+-------------+------------------+
     v}
 
-    The CRC-32 ({!Xc_util.Crc32}) covers the payload, so a flipped bit
-    or truncated read is detected before any payload field is parsed.
+    The version byte is {!version}, outside the tag space, so a frame
+    from a peer speaking the older unversioned layout (tag first) is
+    refused from its first byte as [Bad_version], never misparsed. The
+    CRC-32 ({!Xc_util.Crc32}) covers the payload, so a flipped bit or
+    truncated read is detected before any payload field is parsed.
     Decoding is {b total}: a hostile frame length is validated against
     {!max_payload} before the read buffer grows, payload-internal
     lengths against the frame bound before any allocation, and every
@@ -21,7 +24,10 @@
 
     Frames are encoded into and read into reusable {!Frame} buffers;
     the string functions ({!encode_request}, {!decode_request}, …) are
-    thin wrappers over the same codec.
+    thin wrappers over the same codec. The daemon reads estimate
+    frames as views ({!view_request}): their query texts stay in the
+    read buffer as {!Xc_util.Slices}, and answers are encoded straight
+    from a float buffer ({!encode_floats_into}).
 
     Integers ride as 8-byte big-endian two's complement (rejected
     outside OCaml's 63-bit [int] range, so a sign-bit flip in a frame
@@ -56,10 +62,10 @@ type request =
       options : Options.t;
           (** on the wire, four ints in this order: [domains] ([-1] for
               [None], else positive), [fallback] ([0] [Degrade], [1]
-              [Strict]), [max_batch], [max_frame_bytes]. Frames carry
-              no version field, so a peer still sending the older
-              five-int layout (a sweep-order flag after [fallback]) is
-              misread from the third int on. *)
+              [Strict]), [max_batch], [max_frame_bytes]. A peer sending
+              the older five-int layout (a sweep-order flag after
+              [fallback]) also sends the older, unversioned header, so
+              its frames are refused as [Bad_version]. *)
     }
   | List_synopses
   | Stats  (** the daemon's metrics snapshot as JSON *)
@@ -103,6 +109,14 @@ type response =
   | Error_frame of { code : int; message : string }
       (** see {!Error.to_wire} / {!Error.of_wire} *)
 
+val version : int
+(** The frame layout's version byte, [0xC1]: the first byte of every
+    frame. Tags are at most [0x7F], so no unversioned frame starts with
+    it. *)
+
+val header_bytes : int
+(** Bytes before the payload: version, tag, length and CRC (14). *)
+
 val max_payload : int
 (** Upper bound on a frame payload; larger length fields are rejected
     as hostile before the read buffer grows. *)
@@ -139,6 +153,12 @@ val encode_request_into : Frame.t -> request -> unit
 
 val encode_response_into : Frame.t -> response -> unit
 
+val encode_floats_into : Frame.t -> float array -> int -> unit
+(** [encode_floats_into f fs n] is [encode_response_into f (Floats
+    (Array.sub fs 0 n))] without the copy: the daemon encodes answers
+    straight from its reusable answer buffer.
+    @raise Invalid_argument unless [0 <= n <= Array.length fs]. *)
+
 val encode_request : request -> string
 (** {!encode_request_into} a fresh buffer, copied out. *)
 
@@ -148,6 +168,25 @@ val decode_request : string -> (request, Error.protocol) result
 (** Decode one complete request frame, in place. Total. *)
 
 val decode_response : string -> (response, Error.protocol) result
+
+(** A request as the daemon reads it: estimate frames as views. *)
+type incoming =
+  | Estimates of { synopsis : string; options : Options.t option }
+      (** an [Estimate] ([options = None]) or [Estimate_batch] frame,
+          its query texts left in the read buffer as the slices
+          {!view_request} filled *)
+  | Request of request
+      (** any other request, decoded; never an [Estimate] or
+          [Estimate_batch] *)
+
+val view_request : Frame.t -> Xc_util.Slices.t -> (incoming, Error.protocol) result
+(** Decode the request frame the buffer holds, in place, with the same
+    checks as {!decode_request} (version, length bound, CRC, every
+    field bound). An estimate frame's query texts are not copied: the
+    slice set is reset onto the buffer and gets one slice per text, in
+    order, valid until the buffer is next written. Once the slice set
+    has grown to a connection's largest batch, this allocates nothing
+    that grows with the batch. Total. *)
 
 (* ---- deadlines --------------------------------------------------------- *)
 
@@ -193,8 +232,13 @@ val read_frame :
 (** Read one frame off the socket into the buffer, replacing its
     contents, without decoding it: [Ok true] when a frame arrived,
     [Ok false] on a clean end-of-stream at a frame boundary. The
-    header is read first and its length field checked against
-    {!max_payload} and [limit] before the buffer grows; the payload
+    header is read first. Its version byte is checked as soon as it
+    arrives — a wrong one is [Error (Protocol (Bad_version b))] at once,
+    even when the peer's whole frame is shorter than {!header_bytes} —
+    and its length field is checked against {!max_payload} and [limit]
+    before the buffer grows; after a refusal of either kind the stream
+    cannot resynchronize, so the caller must close the connection. The
+    payload
     then passes the read fault site [site] ({!Xc_util.Fault.mutate_sub}),
     so a damaged payload fails decoding, never the read. [deadline]
     bounds the whole frame, checked between partial reads at fault
@@ -203,19 +247,19 @@ val read_frame :
     {!max_payload}, refuses larger frames with [Error (Admission _)];
     the stream is desynchronized after such a refusal, so the caller
     must close the connection. This is the framing half of
-    {!recv_request} and {!recv_response}. *)
+    {!recv_view} and {!recv_response}. *)
 
-val recv_request :
+val recv_view :
   ?deadline:deadline ->
   ?limit:int ->
-  ?into:Frame.t ->
+  into:Frame.t ->
+  texts:Xc_util.Slices.t ->
   Unix.file_descr ->
-  (request option, Error.t) result
-(** {!read_frame} at site [serve.recv] (deadline site
-    [serve.deadline]) into [into], then decode the request from it in
-    place. [Ok None] is a clean end-of-stream at a frame boundary — the
-    normal way a client hangs up. Without [into], a fresh buffer is
-    used for this one frame. *)
+  (incoming option, Error.t) result
+(** The daemon's read path: {!read_frame} at site [serve.recv]
+    (deadline site [serve.deadline]) into [into], then {!view_request}
+    on it with [texts]. [Ok None] is a clean end-of-stream at a frame
+    boundary — the normal way a client hangs up. *)
 
 val recv_response :
   ?deadline:deadline -> ?into:Frame.t -> Unix.file_descr -> (response, Error.t) result

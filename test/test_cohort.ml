@@ -167,8 +167,11 @@ let texts_of ds =
 let oracle syn texts =
   Array.map (fun s -> Estimate.selectivity syn (Xc_twig.Twig_parse.parse s)) texts
 
+let prepare_texts engine texts =
+  Plan.Batch.prepare_texts engine (Xc_util.Slices.of_strings texts)
+
 let prepare_texts_exn engine texts =
-  match Plan.Batch.prepare_texts engine texts with
+  match prepare_texts engine texts with
   | Ok p -> p
   | Error (i, msg) -> Alcotest.failf "text %d rejected: %s" i msg
 
@@ -254,7 +257,7 @@ let test_text_parse_error () =
   let bad = Array.copy texts in
   bad.(3) <- "//movie[";
   bad.(5) <- "not a query";
-  (match Plan.Batch.prepare_texts engine bad with
+  (match prepare_texts engine bad with
   | Error (i, msg) ->
     check Alcotest.int "first bad index reported" 3 i;
     check Alcotest.bool "message from the parser" true (String.length msg > 0)
@@ -305,6 +308,167 @@ let test_text_hit_counter () =
   check Alcotest.int "prepare: one hit per query" (h0 + (2 * nb)) (hits ());
   check Alcotest.int "no new misses" (m0 + nb) (misses ())
 
+(* ---- the daemon's text path, generated ----------------------------------
+
+   Request streams as the daemon reads them: each request is encoded as
+   a frame and read back as a view, so its texts are slices of the
+   frame, then answered by Engine.estimate_texts_with into one reused
+   answer buffer, against one engine per dataset that lives across the
+   whole run. A stream mixes batches (duplicates and whitespace
+   variants of one query included), repeats of the last batch, single
+   Estimate frames between them, batches holding unparsable texts, and
+   at times a flood: a batch that fills the text index past its bound,
+   so the request after it starts with a reset. Every answer must equal
+   Estimate.selectivity bit for bit. *)
+
+module Protocol = Xc_serve.Protocol
+module Engine = Xc_serve.Engine
+module Slices = Xc_util.Slices
+module G = QCheck.Gen
+
+type step =
+  | Batch of (int * int) list  (* (pool text, whitespace variant) *)
+  | Again  (* the last batch, resent *)
+  | Single of int * int
+  | Bad of (int * int) list * int * int  (* a batch with two unparsable texts *)
+  | Flood
+
+let show_step = function
+  | Batch b -> Printf.sprintf "Batch[%d]" (List.length b)
+  | Again -> "Again"
+  | Single (k, w) -> Printf.sprintf "Single(%d,%d)" k w
+  | Bad (b, i, j) -> Printf.sprintf "Bad[%d](%d,%d)" (List.length b) i j
+  | Flood -> "Flood"
+
+let variant text = function
+  | 0 -> text
+  | 1 -> " " ^ text
+  | 2 -> text ^ "\t"
+  | _ -> "\n " ^ text ^ "  "
+
+let gen_stream npool =
+  let pick = G.pair (G.int_bound (npool - 1)) (G.int_bound 3) in
+  let batch = G.list_size (G.int_range 2 24) pick in
+  let step =
+    G.frequency
+      [ (5, G.map (fun b -> Batch b) batch);
+        (2, G.return Again);
+        (3, G.map (fun (k, w) -> Single (k, w)) pick);
+        (1, G.map3 (fun b i j -> Bad (b, i, j)) batch G.nat G.nat) ]
+  in
+  let steps = G.list_size (G.int_range 1 6) step in
+  G.map3
+    (fun a flood b -> a @ (if flood then [ Flood ] else []) @ b)
+    steps (G.frequencyl [ (1, true); (5, false) ]) steps
+
+type served = {
+  syn : S.t;
+  engine : Plan.Batch.t;
+  pool : string array;
+  expect : float array;  (* Estimate.selectivity of each pool text *)
+  frame : Protocol.Frame.t;
+  texts : Slices.t;
+  mutable answers : float array;
+  mutable floods : int;
+}
+
+let served_of ds =
+  let syn = small_synopsis ds in
+  let pool = texts_of ds in
+  { syn;
+    engine = Plan.Batch.create syn;
+    pool;
+    expect = oracle syn pool;
+    frame = Protocol.Frame.create ();
+    texts = Slices.create ();
+    answers = [||];
+    floods = 0 }
+
+let options = Xc_serve.Options.make ~domains:1 ()
+
+(* the request [queries] as the daemon serves it *)
+let serve sv queries =
+  let req =
+    match queries with
+    | [| query |] -> Protocol.Estimate { synopsis = "s"; query }
+    | _ -> Protocol.Estimate_batch { synopsis = "s"; queries; options }
+  in
+  Protocol.encode_request_into sv.frame req;
+  match Protocol.view_request sv.frame sv.texts with
+  | Error e -> QCheck.Test.fail_reportf "view: %a" Xc_serve.Error.pp_protocol e
+  | Ok (Protocol.Request _) -> QCheck.Test.fail_report "an estimate frame read as a request"
+  | Ok (Protocol.Estimates _) ->
+    let n = Slices.length sv.texts in
+    if n <> Array.length queries then QCheck.Test.fail_report "slice count";
+    if Array.length sv.answers < n then sv.answers <- Array.make n 0.0;
+    Engine.estimate_texts_with ~options ~into:sv.answers sv.engine sv.syn sv.texts
+
+(* serve [queries] and check the answers against [expect] *)
+let answered sv queries expect =
+  match serve sv queries with
+  | Error e -> QCheck.Test.fail_reportf "served error: %s" (Xc_serve.Error.to_string e)
+  | Ok () ->
+    Array.iteri
+      (fun i v ->
+        if not (bits_equal v sv.answers.(i)) then
+          QCheck.Test.fail_reportf "query %d (%S): served %h, oracle %h" i queries.(i)
+            sv.answers.(i) v)
+      expect
+
+let texts sv picks = Array.of_list (List.map (fun (k, w) -> variant sv.pool.(k) w) picks)
+let expected sv picks = Array.of_list (List.map (fun (k, _) -> sv.expect.(k)) picks)
+
+let run_step sv last step =
+  let resets = Metrics.counter_value Metrics.global "batch.text_reset" in
+  let over = Plan.Batch.n_texts sv.engine > Plan.Batch.text_index_bound in
+  (match step with
+  | Batch b ->
+    answered sv (texts sv b) (expected sv b);
+    last := b
+  | Again -> answered sv (texts sv !last) (expected sv !last)
+  | Single (k, w) -> answered sv (texts sv [ (k, w) ]) [| sv.expect.(k) |]
+  | Bad (b, i, j) -> (
+    let queries = texts sv b in
+    let n = Array.length queries in
+    let i = i mod n and j = j mod n in
+    queries.(i) <- "//movie[";
+    queries.(j) <- "not a query ][";
+    let first = min i j in
+    match serve sv queries with
+    | Error (Xc_serve.Error.Query msg)
+      when String.starts_with ~prefix:(Printf.sprintf "query %d: " first) msg ->
+      ()
+    | Error e ->
+      QCheck.Test.fail_reportf "bad text %d: got %s" first (Xc_serve.Error.to_string e)
+    | Ok () -> QCheck.Test.fail_report "a batch with unparsable texts was answered")
+  | Flood ->
+    (* bound + 1 texts no earlier request sent: a run of tabs unique to
+       this flood, then one of spaces unique within it *)
+    sv.floods <- sv.floods + 1;
+    let npool = Array.length sv.pool in
+    let n = Plan.Batch.text_index_bound + 1 in
+    answered sv
+      (Array.init n (fun k ->
+           String.make sv.floods '\t' ^ String.make (k / npool) ' ' ^ sv.pool.(k mod npool)))
+      (Array.init n (fun k -> sv.expect.(k mod npool))));
+  (* the index resets before a request exactly when it was over its
+     bound, never midway through one *)
+  let reset = Metrics.counter_value Metrics.global "batch.text_reset" - resets in
+  if reset <> if over then 1 else 0 then
+    QCheck.Test.fail_reportf "%s: %d text-index resets, the index was %s its bound"
+      (show_step step) reset (if over then "over" else "within")
+
+let prop_served ds_name ds =
+  let sv = lazy (served_of (Lazy.force ds)) in
+  QCheck.Test.make ~name:(ds_name ^ ": served texts = Estimate.selectivity, bitwise") ~count:30
+    (QCheck.make ~print:(fun s -> String.concat "; " (List.map show_step s))
+       (G.delay (fun () -> gen_stream (Array.length (Lazy.force sv).pool))))
+    (fun steps ->
+      let sv = Lazy.force sv in
+      let last = ref [ (0, 0); (0, 1) ] in
+      List.iter (run_step sv last) steps;
+      true)
+
 (* ---- instrumentation ---------------------------------------------------- *)
 
 let test_cohort_counters () =
@@ -352,5 +516,10 @@ let () =
           Alcotest.test_case "parse error" `Quick test_text_parse_error;
           Alcotest.test_case "index bound" `Quick test_text_index_bound;
           Alcotest.test_case "hit counter" `Quick test_text_hit_counter ] );
+      ( "served",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_served "imdb" (lazy (Runner.imdb ~scale:0.02 ~n_queries:45 ()));
+            prop_served "xmark" (lazy (Runner.xmark ~scale:0.02 ~n_queries:45 ()));
+            prop_served "dblp" (lazy (Runner.dblp ~scale:0.02 ~n_queries:45 ())) ] );
       ( "metrics",
         [ Alcotest.test_case "counters" `Quick test_cohort_counters ] ) ]

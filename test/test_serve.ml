@@ -180,10 +180,11 @@ let test_forged_crc () =
 (* a frame header advertising a huge payload must be rejected from the
    length field alone *)
 let test_hostile_length () =
-  let huge = Bytes.make 13 '\000' in
-  Bytes.set huge 0 '\x01';
+  let huge = Bytes.make Protocol.header_bytes '\000' in
+  Bytes.set_uint8 huge 0 Protocol.version;
+  Bytes.set huge 1 '\x01';
   (* length = max_int as 8-byte BE *)
-  Bytes.set_int64_be huge 1 (Int64.of_int max_int);
+  Bytes.set_int64_be huge 2 (Int64.of_int max_int);
   match Protocol.decode_request (Bytes.unsafe_to_string huge ^ String.make 64 'x') with
   | Error (Bad_length _) -> ()
   | Error e -> Alcotest.failf "expected bad length, got %a" Error.pp_protocol e
@@ -191,9 +192,10 @@ let test_hostile_length () =
 
 let test_bad_tag () =
   let payload_crc = Xc_util.Crc32.digest "" in
-  let b = Bytes.make 13 '\000' in
-  Bytes.set b 0 '\x33';
-  Bytes.set_int32_be b 9 (Int32.of_int payload_crc);
+  let b = Bytes.make Protocol.header_bytes '\000' in
+  Bytes.set_uint8 b 0 Protocol.version;
+  Bytes.set b 1 '\x33';
+  Bytes.set_int32_be b 10 (Int32.of_int payload_crc);
   match Protocol.decode_request (Bytes.unsafe_to_string b) with
   | Error (Bad_tag 0x33) -> ()
   | Error e -> Alcotest.failf "expected bad tag, got %a" Error.pp_protocol e
@@ -227,7 +229,10 @@ let test_error_wire () =
         | Error.Unavailable _, Error.Unavailable _
         | Error.Io _, Error.Io _ ->
           true
-        (* a remote protocol complaint intentionally comes back as Io *)
+        (* a version refusal comes back typed, with the refused byte *)
+        | Error.Protocol (Bad_version a), Error.Protocol (Bad_version b) -> a = b
+        (* any other remote protocol complaint intentionally comes back
+           as Io *)
         | Error.Protocol _, Error.Io _ -> true
         (* the numeric payloads ride in the message's leading decimal *)
         | Error.Timeout { elapsed_ms = a }, Error.Timeout { elapsed_ms = b } ->
@@ -240,6 +245,7 @@ let test_error_wire () =
       check Alcotest.bool "category survives the wire" true same)
     [ Error.Codec (Xc_core.Codec.Io "gone");
       Error.Protocol Error.Closed;
+      Error.Protocol (Error.Bad_version 0x08);
       Error.Admission "unknown";
       Error.Query "bad twig";
       Error.Unavailable "strict";
@@ -342,6 +348,13 @@ let exchange p recv =
   (match !sent with Ok () -> () | Error e -> Alcotest.failf "send: %s" (Error.to_string e));
   got
 
+(* read one frame into [p.r] and decode it whole *)
+let recv_request p fd =
+  match Protocol.read_frame ~site:"serve.recv" p.r fd with
+  | Ok true -> Result.map Option.some (Protocol.decode_request (Protocol.Frame.contents p.r))
+  | Ok false -> Ok None
+  | Error e -> Alcotest.failf "recv: %s" (Error.to_string e)
+
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"generated requests round-trip" ~count:150
     (QCheck.make (G.list_size (G.int_range 1 6) gen_request))
@@ -353,7 +366,34 @@ let prop_request_roundtrip =
           Protocol.encode_request_into p.w req;
           Protocol.decode_request s = Ok req
           && Protocol.Frame.contents p.w = s
-          && exchange p (fun fd -> Protocol.recv_request ~into:p.r fd) = Ok (Some req))
+          && exchange p (recv_request p) = Ok (Some req))
+        reqs)
+
+(* The daemon's read path: an estimate frame read as a view names its
+   texts as slices that spell the queries sent; any other request
+   decodes as [decode_request] does. *)
+let prop_request_view =
+  let texts = Xc_util.Slices.create () in
+  let spelled queries =
+    Xc_util.Slices.length texts = Array.length queries
+    && Array.for_all Fun.id (Array.mapi (fun i q -> Xc_util.Slices.to_string texts i = q) queries)
+  in
+  QCheck.Test.make ~name:"generated requests read as views" ~count:150
+    (QCheck.make (G.list_size (G.int_range 1 6) gen_request))
+    (fun reqs ->
+      let p = Lazy.force shared_pair in
+      List.for_all
+        (fun req ->
+          Protocol.encode_request_into p.w req;
+          match (req, exchange p (fun fd -> Protocol.recv_view ~into:p.r ~texts fd)) with
+          | ( Protocol.Estimate { synopsis; query },
+              Ok (Some (Protocol.Estimates { synopsis = s; options = None })) ) ->
+            s = synopsis && spelled [| query |]
+          | ( Protocol.Estimate_batch { synopsis; queries; options },
+              Ok (Some (Protocol.Estimates { synopsis = s; options = Some o })) ) ->
+            s = synopsis && o = options && spelled queries
+          | (Protocol.Estimate _ | Protocol.Estimate_batch _), _ -> false
+          | req, got -> got = Ok (Some (Protocol.Request req)))
         reqs)
 
 let prop_response_roundtrip =
@@ -379,10 +419,10 @@ let test_reused_read_buffer () =
   List.iter
     (fun req ->
       Protocol.encode_request_into p.w req;
-      match exchange p (fun fd -> Protocol.recv_request ~into:p.r fd) with
+      match exchange p (recv_request p) with
       | Ok (Some req') -> check Alcotest.bool "request through the reused buffers" true (req = req')
       | Ok None -> Alcotest.fail "end of stream"
-      | Error e -> Alcotest.failf "recv: %s" (Error.to_string e))
+      | Error e -> Alcotest.failf "decode: %s" (Error.to_string (Error.Protocol e)))
     [ Protocol.Estimate_batch
         {
           synopsis = "xmark";
@@ -543,8 +583,10 @@ let test_registry_engine_lru () =
 
 (* The daemon runs in a spawned domain of this process (Daemon.run
    blocks its caller; Shutdown exits it), clients in further domains
-   doing only socket I/O. *)
-let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) sources f =
+   doing only socket I/O. [same_domain] runs it on a thread of this
+   domain instead, so that this domain's GC counters include what it
+   allocates. *)
+let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) ?(same_domain = false) sources f =
   let dir = temp_dir () in
   let endpoint = Protocol.Unix_sock (Filename.concat dir "d.sock") in
   let registry = Registry.create ~max_engines () in
@@ -557,11 +599,14 @@ let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) sources f =
         max_engines;
         options = Serve.default_options }
   in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run ~config
-          ~on_ready:(fun _ -> Atomic.set ready true)
-          registry)
+  let join_daemon =
+    let run () = Serve.Daemon.run ~config ~on_ready:(fun _ -> Atomic.set ready true) registry in
+    if same_domain then
+      let th = Thread.create run () in
+      fun () -> Thread.join th
+    else
+      let d = Domain.spawn run in
+      fun () -> Domain.join d
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
@@ -583,7 +628,7 @@ let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) sources f =
             (match r with Ok () -> () | Error _ -> shut (n - 1))
       in
       shut 500;
-      Domain.join daemon;
+      join_daemon ();
       rm_rf dir)
     (fun () -> f endpoint)
 
@@ -592,9 +637,9 @@ let connect_exn endpoint =
   | Ok c -> c
   | Error e -> Alcotest.failf "connect: %s" (Error.to_string e)
 
-let query_sources syn =
+let query_sources ?(n_queries = 40) syn =
   let doc = Xc_data.Imdb.generate ~seed:81 ~n_movies:40 () in
-  let spec = { Xc_twig.Workload.default_spec with n_queries = 40; seed = 9 } in
+  let spec = { Xc_twig.Workload.default_spec with n_queries; seed = 9 } in
   let wl = Xc_twig.Workload.generate ~spec doc in
   (* daemon-side queries are source text: keep only workload queries
      whose rendering parses back (drop the leading "." of the pp form) *)
@@ -814,7 +859,8 @@ let test_slow_loris_evicted () =
   let evicted0 = counter "daemon.evicted" in
   let loris = raw_connect endpoint in
   Fun.protect ~finally:(fun () -> raw_close loris) @@ fun () ->
-  ignore (Unix.write_substring loris "\x01" 0 1);
+  (* half a header: the version byte, then silence *)
+  ignore (Unix.write_substring loris (String.make 1 (Char.chr Protocol.version)) 0 1);
   (* the stalled peer occupies one worker; the other still answers *)
   (match Serve.Client.connect endpoint with
   | Error e -> Alcotest.failf "connect during stall: %s" (Error.to_string e)
@@ -871,7 +917,8 @@ let test_overload_shed_and_retry () =
   (* a stalled peer checks out the single worker... *)
   let loris = raw_connect endpoint in
   Fun.protect ~finally:(fun () -> raw_close loris) @@ fun () ->
-  ignore (Unix.write_substring loris "\x01" 0 1);
+  (* half a header: the version byte, then silence *)
+  ignore (Unix.write_substring loris (String.make 1 (Char.chr Protocol.version)) 0 1);
   Unix.sleepf 0.05;
   (* ...a second connection fills the pending queue... *)
   let filler = raw_connect endpoint in
@@ -1036,6 +1083,126 @@ let test_client_connect_errors () =
   | Ok c ->
     Serve.Client.close c;
     Alcotest.fail "an unresolvable name connected somewhere"
+
+(* ---- frame versioning ----------------------------------------------------- *)
+
+(* A frame in the older, unversioned layout: tag u8, length u64 BE,
+   CRC-32 u32 BE, payload — the layout peers spoke before the version
+   byte, whose batch options were five ints. *)
+let old_layout_frame tag payload =
+  let b = Bytes.create (13 + String.length payload) in
+  Bytes.set_uint8 b 0 tag;
+  Bytes.set_int64_be b 1 (Int64.of_int (String.length payload));
+  Bytes.set_int32_be b 9 (Int32.of_int (Xc_util.Crc32.digest payload));
+  Bytes.blit_string payload 0 b 13 (String.length payload);
+  Bytes.to_string b
+
+let test_version_decode () =
+  let ping = Protocol.encode_request Protocol.Ping in
+  check Alcotest.int "version byte leads" Protocol.version (Char.code ping.[0]);
+  (match Protocol.decode_request (old_layout_frame 0x08 "") with
+  | Error (Bad_version 0x08) -> ()
+  | Error e -> Alcotest.failf "expected a version refusal, got %a" Error.pp_protocol e
+  | Ok _ -> Alcotest.fail "old-layout frame decoded");
+  let foreign = Bytes.of_string ping in
+  Bytes.set_uint8 foreign 0 0xC2;
+  match Protocol.decode_request (Bytes.to_string foreign) with
+  | Error (Bad_version 0xC2) -> ()
+  | Error e -> Alcotest.failf "expected a version refusal, got %a" Error.pp_protocol e
+  | Ok _ -> Alcotest.fail "foreign-version frame decoded"
+
+(* The daemon refuses an old-layout frame from its first byte — even a
+   bare 13-byte header, shorter than the current one — with a version
+   error frame, then closes the connection. *)
+let test_daemon_refuses_old_layout () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "imdb.syn" in
+  save_exn path (Lazy.force synopsis_a);
+  with_daemon [ ("imdb", path) ] @@ fun endpoint ->
+  let old_batch =
+    (* synopsis, then the five-int options, then one query *)
+    let b = Buffer.create 64 in
+    let int n =
+      let s = Bytes.create 8 in
+      Bytes.set_int64_be s 0 (Int64.of_int n);
+      Buffer.add_bytes b s
+    in
+    let str s = int (String.length s); Buffer.add_string b s in
+    str "imdb";
+    List.iter int [ -1; 0; 1; 8192; 1 lsl 26 ];
+    int 1;
+    str "//movie/title";
+    old_layout_frame 0x02 (Buffer.contents b)
+  in
+  List.iter
+    (fun (tag, frame) ->
+      let refused = counter "daemon.proto_error" in
+      let fd = raw_connect endpoint in
+      Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      ignore (Unix.write_substring fd frame 0 (String.length frame));
+      let r = Protocol.Frame.create () in
+      (match Protocol.read_frame ~site:"client.recv" r fd with
+      | Ok true -> (
+        match Protocol.decode_response (Protocol.Frame.contents r) with
+        | Ok (Protocol.Error_frame { code; message }) -> (
+          match Error.of_wire code message with
+          | Error.Protocol (Bad_version v) -> check Alcotest.int "the refused byte" tag v
+          | e -> Alcotest.failf "expected a version refusal, got %s" (Error.to_string e))
+        | Ok _ -> Alcotest.fail "old-layout frame answered"
+        | Error e -> Alcotest.failf "refusal frame damaged: %a" Error.pp_protocol e)
+      | Ok false -> Alcotest.fail "closed without an answer"
+      | Error e -> Alcotest.failf "no refusal frame: %s" (Error.to_string e));
+      (* then the stream ends: cleanly, or with a reset when the daemon
+         closed over the unread rest of the refused frame *)
+      (match Protocol.read_frame ~site:"client.recv" r fd with
+      | Ok false | Error (Error.Io _) -> ()
+      | Ok true -> Alcotest.fail "connection kept open after the refusal"
+      | Error e -> Alcotest.failf "expected end of stream, got %s" (Error.to_string e));
+      check Alcotest.int "refusal counted" (refused + 1) (counter "daemon.proto_error"))
+    [ (0x08, old_layout_frame 0x08 ""); (0x02, old_batch) ]
+
+(* A client reading a response in a layout it does not speak gets a
+   typed version error, and does not reconnect to retry. *)
+let test_client_refuses_foreign_version () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "peer.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> raw_close listener) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX sock);
+  Unix.listen listener 4;
+  (* a peer answering every request with a Health frame whose version
+     byte is not ours *)
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        let r = Protocol.Frame.create () and w = Protocol.Frame.create () in
+        (match Protocol.read_frame ~site:"serve.recv" r fd with
+        | Ok true ->
+          Protocol.encode_response_into w
+            (Protocol.Health
+               { Protocol.h_synopses = 0; h_generations = 0; h_queue = 0; h_inflight = 0;
+                 h_uptime_s = 0.0; h_draining = false });
+          let frame = Bytes.of_string (Protocol.Frame.contents w) in
+          Bytes.set_uint8 frame 0 (Protocol.version + 1);
+          ignore (Unix.write fd frame 0 (Bytes.length frame))
+        | _ -> ());
+        raw_close fd)
+      ()
+  in
+  let c = connect_exn (Protocol.Unix_sock sock) in
+  let reconnects = counter "client.reconnect" in
+  (match Serve.Client.ping c with
+  | Error (Error.Protocol (Bad_version v)) ->
+    check Alcotest.int "the refused byte" (Protocol.version + 1) v
+  | Error e -> Alcotest.failf "expected a version error, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "foreign-version response accepted");
+  check Alcotest.int "no reconnect" reconnects (counter "client.reconnect");
+  Serve.Client.close c;
+  Thread.join peer
 
 (* ---- generation swap ----------------------------------------------------- *)
 
@@ -1204,20 +1371,27 @@ let texts_ok tag = function
   | Ok r -> r
   | Error e -> Alcotest.failf "%s: %s" tag (Error.to_string e)
 
+(* the daemon's text path, on strings: one slice per text, answers
+   into a fresh buffer *)
+let estimate_texts ?options engine syn texts =
+  let into = Array.make (Array.length texts) 0.0 in
+  Engine.estimate_texts_with ?options ~into engine syn (Xc_util.Slices.of_strings texts)
+  |> Result.map (fun () -> into)
+
 let test_texts_parse_error () =
   let syn = Lazy.force synopsis_a in
   let texts = Array.map fst (query_sources syn) in
   let engine = Xc_core.Plan.Batch.create syn in
   let bad = Array.copy texts in
   bad.(2) <- "//movie[";
-  (match Engine.estimate_texts_with engine syn bad with
+  (match estimate_texts engine syn bad with
   | Error (Error.Query msg) ->
     check Alcotest.bool ("indexed message: " ^ msg) true
       (String.starts_with ~prefix:"query 2: " msg)
   | Error e -> Alcotest.failf "expected a query error, got %s" (Error.to_string e)
   | Ok _ -> Alcotest.fail "unparsable batch answered");
   check_oracle "after the error" syn texts
-    (texts_ok "good batch" (Engine.estimate_texts_with engine syn texts))
+    (texts_ok "good batch" (estimate_texts engine syn texts))
 
 (* a generation swap evicts the registry's engine, and with it the text
    index and the last plan: the next batch is answered by the new
@@ -1229,7 +1403,7 @@ let test_texts_across_swap () =
   ignore (Registry.swap reg ~name:"imdb" g1);
   let serve () =
     match Registry.engine reg "imdb" with
-    | Ok (syn, eng) -> (syn, eng, texts_ok "batch" (Engine.estimate_texts_with eng syn texts))
+    | Ok (syn, eng) -> (syn, eng, texts_ok "batch" (estimate_texts eng syn texts))
     | Error e -> Alcotest.failf "engine: %s" (Error.to_string e)
   in
   let _, eng1, r1 = serve () in
@@ -1340,7 +1514,7 @@ let test_texts_fallback_policies () =
         let counted = counter "serve.batch_fallback" in
         let single = counter "serve.fallback" in
         let r =
-          Engine.estimate_texts_with ~options (Xc_core.Plan.Batch.create syn) syn texts
+          estimate_texts ~options (Xc_core.Plan.Batch.create syn) syn texts
         in
         (* a failed batch degrades once, as a whole: it never re-enters
            the per-query ladder and its own fallback counter *)
@@ -1390,6 +1564,90 @@ let test_texts_fallback_policies () =
         (Array.concat [ structural; valued; bad_text ]))
     [ ("degrade", Serve.Degrade); ("strict", Serve.Strict) ]
 
+(* The daemon's whole warm estimate request — read_frame, the frame
+   view, the registry's engine, the cohort sweep, the answers encoded
+   into the write frame — against a live daemon on a thread of this
+   domain, so this domain's counters include the daemon's allocations.
+   The peer is raw: it sends a frame encoded into a warm buffer and
+   reads the answer frame without decoding it, which "warm frames
+   allocate no major words" shows allocates nothing. Major words are
+   counted with [Gc.counters], as there. Minor words are read with
+   [Gc.minor_words]: with the daemon on a second thread, [Gc.counters]
+   reported ~70 minor words per warm trip where [Gc.minor_words] and
+   the minor-collection rate over 2000 trips both showed ~550. Each
+   answer is checked against the oracle after the measured trip. *)
+let test_warm_requests_allocate_nothing () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "imdb.syn" in
+  save_exn path (Lazy.force synopsis_a);
+  let syn = load_exn path in
+  let base = Array.map fst (query_sources ~n_queries:400 syn) in
+  let nb = Array.length base in
+  (* [n] distinct texts: the workload's queries, then whitespace
+     variants of them *)
+  let texts n = Array.init n (fun i -> String.make (i / nb) ' ' ^ base.(i mod nb)) in
+  let options = Serve.options ~domains:1 () in
+  let tune c = { c with Serve.Daemon.options } in
+  with_daemon ~tune ~same_domain:true [ ("imdb", path) ] @@ fun endpoint ->
+  let fd = raw_connect endpoint in
+  Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
+  let w = Protocol.Frame.create () and r = Protocol.Frame.create () in
+  let trip req =
+    Protocol.encode_request_into w req;
+    (match Protocol.send_frame fd w with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "send: %s" (Error.to_string e));
+    match Protocol.read_frame ~site:"client.recv" r fd with
+    | Ok true -> ()
+    | Ok false -> Alcotest.fail "end of stream"
+    | Error e -> Alcotest.failf "recv: %s" (Error.to_string e)
+  in
+  (* (minor words, major words) added by one warm trip, and its answers *)
+  let counted req =
+    for _ = 1 to 3 do
+      trip req
+    done;
+    Gc.minor ();
+    let _, _, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    trip req;
+    let minor1 = Gc.minor_words () in
+    let _, _, major1 = Gc.counters () in
+    match Protocol.decode_response (Protocol.Frame.contents r) with
+    | Ok (Protocol.Floats answers) -> (minor1 -. minor0, major1 -. major0, answers)
+    | Ok _ -> Alcotest.fail "expected answers"
+    | Error e -> Alcotest.failf "answer frame: %a" Error.pp_protocol e
+  in
+  let batch n =
+    let texts = texts n in
+    let minor, major, answers =
+      counted (Protocol.Estimate_batch { synopsis = "imdb"; queries = texts; options })
+    in
+    check_oracle (Printf.sprintf "%d-query batch" n) syn texts answers;
+    check (Alcotest.float 0.0) (Printf.sprintf "major words added by a warm %d-query batch" n)
+      0.0 major;
+    minor
+  in
+  let minor400 = batch 400 in
+  let minor50 = batch 50 in
+  let single_minor, single_major, single =
+    counted (Protocol.Estimate { synopsis = "imdb"; query = base.(0) })
+  in
+  check_oracle "single estimate" syn [| base.(0) |] single;
+  check (Alcotest.float 0.0) "major words added by a warm single estimate" 0.0 single_major;
+  (* a request allocates a constant — timestamps, metric updates, the
+     request's option record — never a word per query. The batch sizes
+     differ in the one place a pass's metrics do: the sweep records at
+     most 8 sampled cohort latencies, which costs a few dozen words
+     each *)
+  let slack = 256.0 in
+  if minor400 > minor50 +. slack then
+    Alcotest.failf "a warm 400-query batch allocated %.0f minor words, a 50-query one %.0f"
+      minor400 minor50;
+  check Alcotest.bool "a warm single estimate allocates no more than a batch" true
+    (single_minor <= minor50 +. slack)
+
 (* ---- suite -------------------------------------------------------------- *)
 
 let () =
@@ -1404,6 +1662,7 @@ let () =
           Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;
           Alcotest.test_case "errors cross the wire" `Quick test_error_wire;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
+          QCheck_alcotest.to_alcotest prop_request_view;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
           Alcotest.test_case "reused read buffer: large frame, then small" `Quick
             test_reused_read_buffer;
@@ -1435,6 +1694,12 @@ let () =
             test_graceful_drain;
           Alcotest.test_case "connect failures are typed" `Quick
             test_client_connect_errors ] );
+      ( "version",
+        [ Alcotest.test_case "other layouts refused on decode" `Quick test_version_decode;
+          Alcotest.test_case "daemon refuses an old-layout frame" `Quick
+            test_daemon_refuses_old_layout;
+          Alcotest.test_case "client refuses a foreign-version response" `Quick
+            test_client_refuses_foreign_version ] );
       ( "swap",
         [ Alcotest.test_case "registry generations" `Quick
             test_registry_swap_generations;
@@ -1446,6 +1711,8 @@ let () =
             test_texts_across_swap;
           Alcotest.test_case "single frames: oracle, swap, engine hits" `Quick
             test_single_frames;
+          Alcotest.test_case "warm requests allocate no major words" `Quick
+            test_warm_requests_allocate_nothing;
           Alcotest.test_case "Strict and Degrade as on parsed batches" `Quick
             test_texts_fallback_policies ] );
       ( "facade",

@@ -278,6 +278,91 @@ let crc_update_concat =
     (fun (a, b) ->
       Crc32.update (Crc32.digest a) b ~pos:0 ~len:(String.length b) = Crc32.digest (a ^ b))
 
+(* ---- slices -------------------------------------------------------------- *)
+
+module Slices = Xc_util.Slices
+
+(* short texts over a small alphabet, so that equal texts, shared
+   prefixes and hash-slot collisions all come up *)
+let gen_texts =
+  QCheck.(
+    list_of_size (Gen.int_range 0 120)
+      (string_gen_of_size (Gen.int_range 0 20) (Gen.oneofl [ 'a'; 'b'; ' ' ])))
+
+(* a slice hashes and compares like the string it spells: the table
+   answers every slice exactly as a Hashtbl keyed by strings does, and
+   both hold the same number of texts *)
+let slices_table_matches_hashtbl =
+  QCheck.Test.make ~name:"slice table = Hashtbl on strings" ~count:300
+    (QCheck.pair gen_texts gen_texts)
+    (fun (stored, probed) ->
+      let table = Slices.Table.create () and model = Hashtbl.create 16 in
+      List.iteri
+        (fun i s ->
+          if not (Hashtbl.mem model s) then begin
+            Hashtbl.add model s i;
+            Slices.Table.add table s i
+          end)
+        stored;
+      let probes = Slices.of_strings (Array.of_list (stored @ probed)) in
+      let src = Slices.source probes in
+      let agrees i =
+        let s = Slices.to_string probes i in
+        Slices.hash_range src (Slices.off probes i) (Slices.len probes i)
+        = Slices.hash_range (Bytes.of_string s) 0 (String.length s)
+        &&
+        match Slices.Table.find table src (Slices.off probes i) (Slices.len probes i) with
+        | v -> Hashtbl.find_opt model s = Some v
+        | exception Not_found -> not (Hashtbl.mem model s)
+      in
+      Slices.Table.length table = Hashtbl.length model
+      && List.for_all agrees (List.init (Slices.length probes) Fun.id))
+
+let test_slices_reuse () =
+  let t = Slices.of_strings [| "//a"; ""; "//b/c" |] in
+  check Alcotest.int "three slices" 3 (Slices.length t);
+  check Alcotest.string "middle slice is empty" "" (Slices.to_string t 1);
+  check Alcotest.string "last slice" "//b/c" (Slices.to_string t 2);
+  (* a reset keeps the arrays and starts over on a new source *)
+  let src = Bytes.of_string "xx//dyy" in
+  Slices.reset t src;
+  Slices.add t 2 3;
+  check Alcotest.int "one slice after the reset" 1 (Slices.length t);
+  check Alcotest.string "slice of the new source" "//d" (Slices.to_string t 0);
+  (match Slices.off t 1 with
+  | _ -> Alcotest.fail "a slice past the end was readable"
+  | exception Invalid_argument _ -> ());
+  let cleared = Slices.Table.create () in
+  Slices.Table.add cleared "//d" 1;
+  Slices.Table.clear cleared;
+  check Alcotest.int "cleared table is empty" 0 (Slices.Table.length cleared);
+  match Slices.Table.find cleared src 2 3 with
+  | _ -> Alcotest.fail "a cleared text was found"
+  | exception Not_found -> ()
+
+(* Texts whose length is a multiple of 8 and that differ only in their
+   last two bytes (a family like [//movie/titleXY]) differ only in the
+   high bits of the last word hashed; they must still spread over the
+   slots of a 2^16-slot table rather than share one probe cluster. *)
+let test_hash_tail_spread () =
+  List.iter
+    (fun prefix ->
+      let texts =
+        List.concat_map
+          (fun x -> List.init 26 (fun y -> Printf.sprintf "%s%c%c" prefix x (Char.chr (97 + y))))
+          (List.init 26 (fun x -> Char.chr (97 + x)))
+      in
+      let slots = Hashtbl.create 1024 in
+      List.iter
+        (fun s ->
+          check Alcotest.int "length is a multiple of 8" 0 (String.length s mod 8);
+          Hashtbl.replace slots (Slices.hash_range (Bytes.of_string s) 0 (String.length s) land 0xFFFF) ())
+        texts;
+      if Hashtbl.length slots < List.length texts / 2 then
+        Alcotest.failf "%d texts ending in two varying bytes after %S fill only %d slots"
+          (List.length texts) prefix (Hashtbl.length slots))
+    [ "//movies/title"; "//open_auction[bid > 1"; "//item" ]
+
 let seeded test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |]) test
 
 let () =
@@ -311,4 +396,8 @@ let () =
       ( "crc32",
         [ Alcotest.test_case "known answers" `Quick test_crc_known_answer;
           seeded crc_matches_reference;
-          seeded crc_update_concat ] ) ]
+          seeded crc_update_concat ] );
+      ( "slices",
+        [ Alcotest.test_case "reuse and bounds" `Quick test_slices_reuse;
+          Alcotest.test_case "hash spreads the last bytes" `Quick test_hash_tail_spread;
+          seeded slices_table_matches_hashtbl ] ) ]
