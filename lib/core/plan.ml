@@ -57,9 +57,9 @@ type cnode = {
                                              matches Estimate exactly *)
 }
 
-type t = {
-  p_syn : S.t;
-  p_query : Twig_query.t;
+(* a twig query compiled against the memo's synopsis; only [Cache]
+   builds and runs these *)
+type plan = {
   p_memo : memo;
   p_root_edges : (Path_expr.t * cnode) list;
   p_root_zero : bool;  (* predicates on q0 can never be satisfied *)
@@ -71,27 +71,21 @@ let rec compile_node qnode =
     cn_edges =
       List.map (fun (expr, child) -> (expr, compile_node child)) qnode.Twig_query.edges }
 
-let compile_with_memo mc query =
+let compile mc query =
   Metrics.incr m "plan.compile";
   let root_q = query.Twig_query.root in
-  { p_syn = mc.mc_syn;
-    p_query = query;
-    p_memo = mc;
+  { p_memo = mc;
     p_root_edges =
       List.map (fun (expr, child) -> (expr, compile_node child)) root_q.Twig_query.edges;
     p_root_zero = root_q.Twig_query.preds <> [] }
-
-let compile syn query = compile_with_memo (memo_create syn) query
-
-let synopsis p = p.p_syn
-let query p = p.p_query
 
 (* Mirrors Estimate.selectivity operation for operation; the only change
    is that reach distributions come from the memo. *)
 let estimate_body p =
   if p.p_root_zero then 0.0
   else begin
-    let syn = p.p_syn and mc = p.p_memo in
+    let mc = p.p_memo in
+    let syn = mc.mc_syn in
     let memo : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
     let rec est cn idx =
       let key = (cn.cn_qid, idx) in
@@ -197,15 +191,12 @@ let query_key q =
 (* ---- the per-synopsis plan cache --------------------------------------- *)
 
 module Cache = struct
-  type plan = t
-
   type t = {
     c_memo : memo;
     c_plans : (string, plan) Hashtbl.t;
   }
 
   let create syn = { c_memo = memo_create syn; c_plans = Hashtbl.create 64 }
-  let synopsis c = c.c_memo.mc_syn
 
   let find_or_compile c q =
     let key = query_key q in
@@ -215,7 +206,7 @@ module Cache = struct
       plan
     | None ->
       Metrics.incr m "plan.cache_miss";
-      let plan = compile_with_memo c.c_memo q in
+      let plan = compile c.c_memo q in
       Hashtbl.add c.c_plans key plan;
       plan
 
@@ -249,8 +240,9 @@ end
    time: path expressions are interned to dense ints and materialized
    as Transition matrices once per synopsis, per-node predicate
    selectivities (sigma) are precomputed over each query node's support
-   set, and evaluation walks flat float arrays bottom-up — no hashing,
-   no allocation beyond per-worker scratch.
+   set, and each query compiles to a flat postorder program the cohort
+   sweep runs over per-worker float planes — no hashing, no allocation
+   beyond the worker arenas.
 
    Bit-identity argument, piece by piece:
    - matrix rows are built by folding Estimate.step_reach (the very
@@ -266,60 +258,26 @@ end
      synopsis, so computing it eagerly over the support set (instead of
      lazily via the memo) changes nothing.
    Supports propagate top-down (a child's support is the union of the
-   matrix rows over its parent's support), so every scratch cell a
+   matrix rows over its parent's support), so every plane cell a
    parent reads was written by its child in the same evaluation —
-   scratch is never zeroed between queries, and results cannot depend
+   planes are never zeroed between queries, and results cannot depend
    on which worker ran which query. *)
 
 module Batch = struct
-  (* per-worker evaluation scratch: one float array of length n_nodes
-     per query-node slot, grown to the widest query seen and reused
-     across the worker's whole chunk (the query-major path) *)
-  type scratch = {
-    sc_n : int;
-    mutable sc_slots : float array array;
-  }
-
-  let scratch_create n = { sc_n = n; sc_slots = [||] }
-
-  let scratch_ensure sc k =
-    let have = Array.length sc.sc_slots in
-    if have < k then
-      sc.sc_slots <-
-        Array.init k (fun i ->
-            if i < have then sc.sc_slots.(i) else Array.make sc.sc_n 0.0)
-
-  (* one compiled query edge: the transition matrix's CSR buffers
-     pre-fetched out of the record so the eval kernel reads them
-     without indirection *)
-  type bedge = {
-    be_off : S.ba_i;
-    be_idx : S.ba_i;
-    be_w : S.ba_f;
-    be_child : bnode;
-  }
-
-  and bnode = {
-    bn_slot : int;  (* scratch slot holding this node's values *)
-    bn_support : int array;  (* synopsis nodes this node is evaluated at *)
-    bn_sigma : float array;  (* predicate selectivity per support position *)
-    bn_edges : bedge array;  (* document order *)
-  }
-
-  (* ---- the flat cohort-eval program --------------------------------
-     The matrix-major path evaluates a query from a flattened postorder
-     program instead of walking the [bnode] tree: no recursion, no
-     closures, no per-node [Array.iter] dispatch. One [ftask] per root
+  (* ---- the flat program --------------------------------------------
+     A compiled query is a postorder program: no recursion, no
+     closures, no per-node dispatch when it runs. One [ftask] per root
      edge; its node array is the root subtree in postorder, so children
      are always evaluated before the edge that consumes them, and the
      LAST node is the root edge's own child (the "top" node), whose
      values are consumed only by the root-edge dot product — they are
      folded into that dot in the same loop instead of being scattered
-     into a plane nobody else reads. For the workload-median query
+     into a plane nobody else reads. Slots (plane numbers) are the
+     query nodes' preorder positions. For the workload-median query
      (one root edge, leaf child) the whole evaluation collapses to a
      single fused loop over [sigma] and the root weights. *)
   type fedge = {
-    f_off : S.ba_i;
+    f_off : S.ba_i;  (* the transition matrix's CSR buffers, pre-fetched *)
     f_idx : S.ba_i;
     f_w : S.ba_f;
     f_child_slot : int;
@@ -327,8 +285,8 @@ module Batch = struct
 
   type fnode = {
     f_slot : int;
-    f_support : int array;
-    f_sigma : float array;
+    f_support : int array;  (* synopsis nodes this node is evaluated at *)
+    f_sigma : float array;  (* predicate selectivity per support position *)
     f_edges : fedge array;  (* document order *)
   }
 
@@ -339,7 +297,7 @@ module Batch = struct
   }
 
   type fquery = {
-    fq_zero : bool;
+    fq_zero : bool;  (* root predicates or an empty root expression *)
     fq_slots : int;
     fq_tasks : ftask array;  (* document order *)
   }
@@ -359,12 +317,9 @@ module Batch = struct
   }
 
   type bquery = {
-    bq_zero : bool;  (* root predicates or an empty root expression *)
-    bq_root : (Estimate.dist * bnode) list;
-    bq_slots : int;
+    bq_prog : fquery;
     bq_id : int;  (* dense per-engine id; the cohort dedup key *)
     bq_key : int;  (* cohort key: the first matrix the query touches *)
-    mutable bq_flat : fquery option;  (* memoized flat program *)
     mutable bq_single : prepared option;  (* memoized one-query batch *)
   }
 
@@ -396,7 +351,6 @@ module Batch = struct
       bt_next_id = ref 0;
       bt_last = None }
 
-  let synopsis t = t.bt_syn
   let n_matrices t = Hashtbl.length t.bt_mats
   let n_queries t = Hashtbl.length t.bt_queries
   let n_texts t = Slices.Table.length t.bt_index
@@ -456,24 +410,30 @@ module Batch = struct
           1.0 pv)
       support
 
-  let rec compile_bnode t next_slot qnode support =
+  (* Compile [qnode]'s subtree over [support], consing its nodes onto
+     [nodes] in reverse postorder; slots are numbered in preorder *)
+  let rec compile_node t next_slot nodes qnode support =
     let slot = !next_slot in
     incr next_slot;
     let edges =
       List.map
         (fun (expr, child) ->
           let mt = mat_for t expr in
-          { be_off = Transition.off mt;
-            be_idx = Transition.idx mt;
-            be_w = Transition.weights mt;
-            be_child = compile_bnode t next_slot child (edge_support t mt support) })
+          let child_slot = !next_slot in
+          compile_node t next_slot nodes child (edge_support t mt support);
+          { f_off = Transition.off mt;
+            f_idx = Transition.idx mt;
+            f_w = Transition.weights mt;
+            f_child_slot = child_slot })
         qnode.Twig_query.edges
       |> Array.of_list
     in
-    { bn_slot = slot;
-      bn_support = support;
-      bn_sigma = sigma_of t qnode.Twig_query.preds support;
-      bn_edges = edges }
+    nodes :=
+      { f_slot = slot;
+        f_support = support;
+        f_sigma = sigma_of t qnode.Twig_query.preds support;
+        f_edges = edges }
+      :: !nodes
 
   let compile_query t q =
     let id = !(t.bt_next_id) in
@@ -487,8 +447,8 @@ module Batch = struct
       || List.exists (fun (expr, _) -> expr = []) root_q.Twig_query.edges
     in
     if zero then
-      { bq_zero = true; bq_root = []; bq_slots = 0; bq_id = id; bq_key = -1;
-        bq_flat = None; bq_single = None }
+      { bq_prog = { fq_zero = true; fq_slots = 0; fq_tasks = [||] };
+        bq_id = id; bq_key = -1; bq_single = None }
     else begin
       (* cohort key: the first transition matrix the evaluation streams
          (first child edge of the first root child that has one), so a
@@ -511,15 +471,21 @@ module Batch = struct
           | [] -> -1)
       in
       let next_slot = ref 0 in
-      let root =
+      let tasks =
         List.map
           (fun (expr, child) ->
             let rdist = Estimate.root_reach_dist t.bt_syn expr in
-            (rdist, compile_bnode t next_slot child rdist.Estimate.d_idx))
+            let nodes = ref [] in
+            (* the top node is evaluated over rdist.d_idx verbatim, so
+               ft_rw is position-aligned with its support — the root
+               dot needs no index lookup *)
+            compile_node t next_slot nodes child rdist.Estimate.d_idx;
+            { ft_rw = rdist.Estimate.d_w; ft_nodes = Array.of_list (List.rev !nodes) })
           root_q.Twig_query.edges
+        |> Array.of_list
       in
-      { bq_zero = false; bq_root = root; bq_slots = !next_slot; bq_id = id;
-        bq_key = key; bq_flat = None; bq_single = None }
+      { bq_prog = { fq_zero = false; fq_slots = !next_slot; fq_tasks = tasks };
+        bq_id = id; bq_key = key; bq_single = None }
     end
 
   (* the compiled query for [q], compiled on first sight of its key; a
@@ -621,124 +587,7 @@ module Batch = struct
     | p -> Ok p
     | exception Bad_text (i, msg) -> Error (i, msg)
 
-  (* evaluation runs over support blocks of this many nodes: the block's
-     accumulators stay in registers/L1 while each edge's CSR slices
-     stream through once per block instead of once per node *)
-  let block = 64
-
-  (* row dot product, sequential: the same multiply-add order as the
-     uncached estimator's fold over a reach dist — bit-identical *)
-  let dot (w : S.ba_f) (idx : S.ba_i) (cout : float array) lo hi =
-    let sum = ref 0.0 in
-    for i = lo to hi - 1 do
-      sum := !sum +. (BA1.unsafe_get w i *. Array.unsafe_get cout (BA1.unsafe_get idx i))
-    done;
-    !sum
-
-  (* Per-node float operations replicate the memoized estimator exactly:
-     accumulator starts at sigma (or 0 when sigma <= 0), each edge in
-     document order maps a non-positive accumulator to 0 without
-     touching the row and otherwise multiplies by the row dot product.
-     Support blocks only reorder WHICH (node, edge) pairs run when —
-     each node's own op sequence is unchanged, so results stay
-     bit-identical to a node-at-a-time fold. *)
-  let eval_query sc q =
-    if q.bq_zero then 0.0
-    else begin
-      scratch_ensure sc q.bq_slots;
-      let slots = sc.sc_slots in
-      let accs = Array.make block 0.0 in
-      let rec eval_node bn =
-        Array.iter (fun e -> eval_node e.be_child) bn.bn_edges;
-        let out = slots.(bn.bn_slot) in
-        let support = bn.bn_support and sigma = bn.bn_sigma in
-        let nsup = Array.length support in
-        let nedges = Array.length bn.bn_edges in
-        let b0 = ref 0 in
-        while !b0 < nsup do
-          let base = !b0 in
-          let bhi = min nsup (base + block) in
-          for k = base to bhi - 1 do
-            let sg = Array.unsafe_get sigma k in
-            Array.unsafe_set accs (k - base) (if sg <= 0.0 then 0.0 else sg)
-          done;
-          for e = 0 to nedges - 1 do
-            let be = Array.unsafe_get bn.bn_edges e in
-            let off = be.be_off and idx = be.be_idx and w = be.be_w in
-            let cout = slots.(be.be_child.bn_slot) in
-            for k = base to bhi - 1 do
-              let a = Array.unsafe_get accs (k - base) in
-              if a > 0.0 then begin
-                let u = Array.unsafe_get support k in
-                let lo = BA1.unsafe_get off u and hi = BA1.unsafe_get off (u + 1) in
-                Array.unsafe_set accs (k - base) (a *. dot w idx cout lo hi)
-              end
-              else Array.unsafe_set accs (k - base) 0.0
-            done
-          done;
-          for k = base to bhi - 1 do
-            Array.unsafe_set out (Array.unsafe_get support k) (Array.unsafe_get accs (k - base))
-          done;
-          b0 := bhi
-        done
-      in
-      List.iter (fun (_, c) -> eval_node c) q.bq_root;
-      List.fold_left
-        (fun acc (rdist, child) ->
-          if acc <= 0.0 then 0.0
-          else begin
-            let cout = slots.(child.bn_slot) in
-            let ridx = rdist.Estimate.d_idx and rw = rdist.Estimate.d_w in
-            let sum = ref 0.0 in
-            for i = 0 to Array.length ridx - 1 do
-              sum :=
-                !sum
-                +. (Array.unsafe_get rw i
-                   *. Array.unsafe_get cout (Array.unsafe_get ridx i))
-            done;
-            acc *. !sum
-          end)
-        1.0 q.bq_root
-    end
-
   (* ---- matrix-major cohort evaluation ------------------------------- *)
-
-  (* Flatten a compiled query into its postorder program, once; reused
-     for every subsequent pass over the same prepared batch. *)
-  let flatten bq =
-    match bq.bq_flat with
-    | Some f -> f
-    | None ->
-      let tasks =
-        List.map
-          (fun ((rdist : Estimate.dist), top) ->
-            let nodes = ref [] in
-            let rec go bn =
-              Array.iter (fun e -> go e.be_child) bn.bn_edges;
-              nodes :=
-                { f_slot = bn.bn_slot;
-                  f_support = bn.bn_support;
-                  f_sigma = bn.bn_sigma;
-                  f_edges =
-                    Array.map
-                      (fun e ->
-                        { f_off = e.be_off; f_idx = e.be_idx; f_w = e.be_w;
-                          f_child_slot = e.be_child.bn_slot })
-                      bn.bn_edges }
-                :: !nodes
-            in
-            go top;
-            (* compile_query evaluates the top node over rdist.d_idx
-               verbatim, so ft_rw is position-aligned with the top
-               node's support — the root dot needs no index lookup *)
-            { ft_rw = rdist.Estimate.d_w;
-              ft_nodes = Array.of_list (List.rev !nodes) })
-          bq.bq_root
-        |> Array.of_list
-      in
-      let f = { fq_zero = bq.bq_zero; fq_slots = bq.bq_slots; fq_tasks = tasks } in
-      bq.bq_flat <- Some f;
-      f
 
   (* Per-worker arena: one flat float64 plane per query-node slot, all
      in a single Bigarray (plane [s] is [buf.{s*stride .. s*stride+n-1}]).
@@ -779,10 +628,11 @@ module Batch = struct
     ar.ar_epoch <- ar.ar_epoch + 1;
     ar
 
-  (* row dot against an arena plane — same ascending multiply-add order
-     as [dot], so bit-identical; only the output storage differs.
-     Inlined, so its float result is never boxed: called once per
-     (support node, edge), a boxed result would allocate per row. *)
+  (* row dot against an arena plane — the same ascending multiply-add
+     order as the uncached estimator's fold over a reach dist, so
+     bit-identical. Inlined, so its float result is never boxed: called
+     once per (support node, edge), a boxed result would allocate per
+     row. *)
   let[@inline] dot_plane (w : S.ba_f) (idx : S.ba_i) (buf : S.ba_f) base lo hi =
     let sum = ref 0.0 in
     for i = lo to hi - 1 do
@@ -793,10 +643,10 @@ module Batch = struct
 
   (* Matrix-major evaluation of one flat query against the worker's
      arena. Per-(node, support position) the float op sequence is
-     exactly [eval_query]'s: start at the clamped sigma, each edge in
-     document order maps a non-positive value to 0.0 and otherwise
-     multiplies by the row dot. Two structural changes, both op-order
-     preserving:
+     exactly [estimate_body]'s per-(qid, idx) fold: start at the clamped
+     sigma, each edge in document order maps a non-positive value to
+     0.0 and otherwise multiplies by the row dot. Two structural
+     changes, both op-order preserving:
      - the top node's values fold straight into the root dot product
        instead of being scattered first — valid because its support IS
        the root dist's index array, so the dot visits exactly the
@@ -929,7 +779,7 @@ module Batch = struct
           order.(p) <- next.(c);
           next.(c) <- next.(c) + 1)
         cid;
-      let flat = Array.map flatten distinct in
+      let flat = Array.map (fun bq -> bq.bq_prog) distinct in
       let sorted = Array.make nd flat.(0) in
       Array.iteri (fun p f -> sorted.(order.(p)) <- f) flat;
       { cp_queries = sorted;
@@ -1012,41 +862,8 @@ module Batch = struct
       run_cohort ~domains t (plan_of prepared) out
     end
 
-  let run_prepared ?(domains = 0) ?(cohort = true) t prepared =
-    let nq = Array.length prepared.pr_queries in
-    if cohort then begin
-      let out = Array.make nq 0.0 in
-      run_into ~domains t prepared out;
-      out
-    end
-    else if nq = 0 then [||]
-    else begin
-      Metrics.incr m ~by:nq "batch.queries";
-      (* query-major reference path: per-query latency histogram,
-         per-query scratch walk — kept as the bit-exactness oracle
-         and the p50/p95/p99 source *)
-      let n = S.n_nodes t.bt_syn in
-      let lat = Array.make nq 0.0 in
-      let t0 = Unix.gettimeofday () in
-      let out =
-        Xc_util.Par.map_chunked ~domains
-          ~init:(fun () -> scratch_create n)
-          (fun sc i q ->
-            let q0 = Unix.gettimeofday () in
-            let v = eval_query sc q in
-            (* workers touch only their own slot; the coordinator folds
-               these into Metrics afterwards, in input order *)
-            lat.(i) <- Unix.gettimeofday () -. q0;
-            v)
-          prepared.pr_queries
-      in
-      Metrics.add_time m "estimate.batch" (Unix.gettimeofday () -. t0);
-      Array.iter (fun dt -> Metrics.observe m "estimate.batch_us" (1e6 *. dt)) lat;
-      out
-    end
-
-  let run ?domains ?cohort t queries =
-    run_prepared ?domains ?cohort t (prepare t queries)
-
-  let estimate t q = (run ~domains:1 t [| q |]).(0)
+  let run_prepared ?(domains = 0) ?cohort:_ t prepared =
+    let out = Array.make (Array.length prepared.pr_queries) 0.0 in
+    run_into ~domains t prepared out;
+    out
 end

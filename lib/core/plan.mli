@@ -1,14 +1,20 @@
-(** Compiled estimation plans (the query-time pipeline).
+(** Compiled estimation (the query-time pipeline).
 
     {!Estimate.selectivity} re-enumerates query embeddings and re-runs
     the capped breadth-first descendant expansion from scratch on every
-    call. This module compiles a {!Xc_twig.Twig_query.t} against a
-    sealed synopsis {e once} — pre-binding each predicate's value type,
-    fixing the edge-join order, and routing every path-expression
-    expansion through a per-synopsis memo table keyed by
-    [source index × path expression] — so repeated estimates reuse both
-    the plan and the expansion work of {e every} earlier estimate
-    against the same synopsis.
+    call. This module holds the two compiled engines beside it, each
+    for one access pattern:
+    - {!Cache}, the cold and one-shot path: it compiles a
+      {!Xc_twig.Twig_query.t} against a sealed synopsis {e once} —
+      pre-binding each predicate's value type, fixing the edge-join
+      order, and routing every path-expression expansion through a
+      per-synopsis memo table keyed by
+      [source index × path expression] — so repeated estimates reuse
+      both the plan and the expansion work of {e every} earlier
+      estimate against the same synopsis, and a first estimate expands
+      only the synopsis nodes it reaches;
+    - {!Batch}, the warm serving path: transition matrices built over
+      every synopsis node, paid back only over repeated batches.
 
     Memoized reach distributions are stored verbatim (the same
     {!Estimate.dist} arrays a fresh run would build), and the compiled
@@ -22,22 +28,9 @@
 
     Instrumentation goes to {!Xc_util.Metrics.global}: counters
     [plan.compile], [plan.cache_hit]/[plan.cache_miss] (query → plan
-    lookups), [reach.memo_hit]/[reach.memo_miss]; histogram
-    [reach.expansion_depth]; timer [estimate.plan]. *)
-
-type t
-(** A twig query compiled against one sealed synopsis. *)
-
-val compile : Synopsis.Sealed.t -> Xc_twig.Twig_query.t -> t
-(** Compile the query. The plan owns a private reach memo; use
-    {!Cache} to share the memo across queries. *)
-
-val estimate : t -> float
-(** Estimated number of binding tuples — bit-identical to
-    [Estimate.selectivity synopsis query]. *)
-
-val synopsis : t -> Synopsis.Sealed.t
-val query : t -> Xc_twig.Twig_query.t
+    lookups), [reach.memo_hit]/[reach.memo_miss], [plan.error];
+    histograms [reach.expansion_depth], [estimate.plan_us]; timer
+    [estimate.plan]. *)
 
 val query_key : Xc_twig.Twig_query.t -> string
 (** Injective serialization of a query's structure and predicates; the
@@ -48,17 +41,15 @@ val query_key : Xc_twig.Twig_query.t -> string
     other's expansion work (workload queries overlap heavily in their
     path fragments). *)
 module Cache : sig
-  type plan = t
   type t
 
   val create : Synopsis.Sealed.t -> t
-  val synopsis : t -> Synopsis.Sealed.t
-
-  val find_or_compile : t -> Xc_twig.Twig_query.t -> plan
-  (** Cached plan for the query, compiling on first sight. *)
 
   val estimate : t -> Xc_twig.Twig_query.t -> float
-  (** [estimate c q = Plan.estimate (find_or_compile c q)]. *)
+  (** Estimated number of binding tuples — bit-identical to
+      [Estimate.selectivity syn q] for the synopsis the cache was
+      created on. The query's plan is compiled on first sight of its
+      {!query_key} and reused after. *)
 
   val estimate_result : t -> Xc_twig.Twig_query.t -> (float, string) result
   (** {!estimate} with the serving failure contract: any exception out
@@ -87,31 +78,29 @@ end
     ({!Xc_twig.Path_expr.intern}) and materialized as a
     {!Transition} matrix once per synopsis, per-node predicate
     selectivities are precomputed over each query node's support set,
-    and evaluation is a bottom-up walk over flat per-worker float
-    arrays — plain CSR row dot products, no hashing or allocation on
-    the serving path.
+    and each query compiles to a flat postorder program — plain CSR
+    row dot products, no hashing or allocation on the serving path.
+    Building a matrix visits every synopsis node, so a cold pass costs
+    more here than through {!Cache}; the engine pays off on repeated
+    batches.
 
-    The default serving mode is {b matrix-major}: a prepared batch is
-    deduplicated (identical queries evaluate once) and its distinct
-    queries are grouped into {e cohorts} by the first transition matrix
-    each evaluation streams, laid out cohort-major so one matrix's CSR
-    slices are walked back-to-back for the whole cohort. Evaluation
-    runs from a flattened postorder program (no recursion or closures)
-    against a reusable per-worker arena — one flat float64 Bigarray of
-    per-slot planes, high-water sized, never zeroed between queries —
-    so per-query bookkeeping (timestamps, scratch allocation, histogram
-    updates) is amortized over whole cohorts. [cohort:false] selects
-    the original query-major walk, kept as the per-query-latency
-    reference path.
+    Evaluation is {b matrix-major}: a prepared batch is deduplicated
+    (identical queries evaluate once) and its distinct queries are
+    grouped into {e cohorts} by the first transition matrix each
+    evaluation streams, laid out cohort-major so one matrix's CSR
+    slices are walked back-to-back for the whole cohort. The programs
+    run against a reusable per-worker arena — one flat float64
+    Bigarray of per-slot planes, high-water sized, never zeroed between
+    queries — so per-query bookkeeping (timestamps, scratch
+    allocation, histogram updates) is amortized over whole cohorts.
 
-    Results on both paths are {b bit-identical} to
-    {!Estimate.selectivity} (matrix rows are built by the estimator's
-    own step code and the evaluation replicates its float-operation
-    order exactly, short-circuits included), and {b independent of the
-    worker count}: work shards across {!Xc_util.Par} domains in
-    contiguous chunks (of cohorts in matrix-major mode, of queries
-    otherwise) with results placed by input index, and no query's
-    evaluation reads state another query wrote.
+    Results are {b bit-identical} to {!Estimate.selectivity} (matrix
+    rows are built by the estimator's own step code and the evaluation
+    replicates its float-operation order exactly, short-circuits
+    included), and {b independent of the worker count}: cohorts shard
+    across {!Xc_util.Par} domains in contiguous chunks with results
+    placed by input index, and no query's evaluation reads state
+    another query wrote.
 
     Instrumentation (all recorded by the coordinating domain only):
     counters [batch.queries], [batch.query_hit]/[batch.query_miss]
@@ -120,11 +109,10 @@ end
     [batch.arena_resets] (arena (re)allocations), [batch.minor_words]
     (coordinator minor-heap words allocated during cohort passes);
     timers [batch.mat_build], [batch.compile], [batch.cohort_plan],
-    [estimate.batch]; histograms [estimate.batch_us] (per-query
-    latency, query-major path) and [estimate.cohort_us] (per-cohort
-    latency, matrix-major path, sampled on every 8th cohort — and on
-    at most 8 cohorts per pass — so the sub-microsecond hot loop is not
-    charged for its own timestamping). *)
+    [estimate.batch]; histogram [estimate.cohort_us] (per-cohort
+    latency, sampled on every 8th cohort — and on at most 8 cohorts
+    per pass — so the sub-microsecond hot loop is not charged for its
+    own timestamping). *)
 module Batch : sig
   type t
   (** A batch engine bound to one sealed synopsis: its matrix registry
@@ -183,29 +171,17 @@ module Batch : sig
 
   val run_prepared :
     ?domains:int -> ?cohort:bool -> t -> prepared -> float array
-  (** Evaluate; [result.(i)] answers query [i]. [domains] as in
-      {!Xc_util.Par.map} ([<= 0] means [XC_DOMAINS]). [cohort]
-      (default [true]) selects the matrix-major sweep ({!run_into} a
-      fresh array); [cohort:false]
-      the query-major reference walk — both bit-identical to the
-      uncached estimator. Serving always takes the default; the
-      reference walk is the tests' and the traced benchmark's
-      comparison path. *)
+  (** {!run_into} a fresh array; [result.(i)] answers query [i].
+      [cohort] is ignored: it survives only so that the benchmark
+      program, which passes [~cohort:true], keeps compiling until the
+      benchmark change that traces served requests from inside the
+      daemon (ROADMAP item 1) drops it. *)
 
   val cohort_stats : prepared -> int * int * int
   (** [(cohorts, max_cohort, distinct)] for the batch's cohort plan
       (building it if needed): number of cohorts, widest cohort, and
       distinct queries after dedup. [distinct /. cohorts] is the
       matrix-sharing factor the bench reports as [cohort_sharing]. *)
-
-  val run :
-    ?domains:int -> ?cohort:bool -> t -> Xc_twig.Twig_query.t array -> float array
-  (** [prepare] + [run_prepared]. *)
-
-  val estimate : t -> Xc_twig.Twig_query.t -> float
-  (** Single-query convenience; always sequential. *)
-
-  val synopsis : t -> Synopsis.Sealed.t
 
   val n_matrices : t -> int
   (** Distinct transition matrices built so far. *)

@@ -28,18 +28,6 @@ let batch_for syn = table_find batch_engines Plan.Batch.create syn
 
 let estimate_uncached = Xc_core.Estimate.selectivity
 
-(* Serving never raises on a per-synopsis failure: if the compiled
-   pipeline trips over a synopsis (decoded from a damaged store in a
-   way validation does not model), the estimate falls back to the
-   direct uncached path and the event is counted — the degraded answer
-   is bit-identical, only slower. *)
-let estimate syn q =
-  match Plan.Cache.estimate_result (cache_for syn) q with
-  | Ok v -> v
-  | Error _ ->
-    Metrics.incr Metrics.global "serve.fallback";
-    estimate_uncached syn q
-
 (* The one degradation rung. A fast path that failed with [msg]
    either answers from the oracle ([Degrade], counted under [counter])
    or reports Unavailable ([Strict]). The oracle is
@@ -64,6 +52,11 @@ let estimate_result ?(options = Options.default) syn q =
   | Ok v -> Ok v
   | Error msg ->
     degrade options ~counter:"serve.fallback" msg (fun () -> estimate_uncached syn q)
+
+let estimate syn q =
+  match estimate_result syn q with
+  | Ok v -> v
+  | Error e -> failwith (Error.to_string e)
 
 let query_error i msg = Error (Error.Query (Printf.sprintf "query %d: %s" i msg))
 

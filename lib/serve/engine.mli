@@ -39,16 +39,19 @@ val estimate_uncached : synopsis -> query -> float
 (** {!Xc_core.Estimate.selectivity} — the baseline every cached path is
     validated against, and the last rung of the degradation ladder. *)
 
-val estimate : synopsis -> query -> float
-(** Through the compiled plan cache; on any failure, degrades to
-    {!estimate_uncached} (bit-identical, slower) and bumps
-    [serve.fallback]. Raises only if {!estimate_uncached} does. *)
-
 val estimate_result :
   ?options:Options.t -> synopsis -> query -> (float, Error.t) result
-(** {!estimate} under a policy: [Degrade] returns [Ok] unless
-    {!estimate_uncached} raises too ([Error (Unavailable _)]); [Strict]
+(** Through the compiled plan cache; on any failure the policy
+    applies. [Degrade] answers from {!estimate_uncached}
+    (bit-identical, slower) and bumps [serve.fallback], returning
+    [Error (Unavailable _)] only if the oracle raises too; [Strict]
     returns [Error (Unavailable _)] when the compiled path failed. *)
+
+val estimate : synopsis -> query -> float
+(** {!estimate_result} under the default [Degrade] policy.
+    @raise Failure with {!Error.to_string}'s message when the oracle
+    fails too (a lazily loaded synopsis whose deferred section
+    verification fails). *)
 
 val estimate_batch :
   ?options:Options.t -> synopsis -> query array -> (float array, Error.t) result

@@ -11,7 +11,7 @@
 
     Errors cross the wire as [(code, message)] pairs ({!to_wire} /
     {!of_wire}); the category survives the trip exactly, the structured
-    detail is flattened into the message. *)
+    detail is folded into the message. *)
 
 type protocol =
   | Truncated of { need : int }

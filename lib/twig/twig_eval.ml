@@ -37,7 +37,7 @@ let pull_step doc step cur =
 
 let pull_expr doc expr arr = List.fold_right (fun step acc -> pull_step doc step acc) expr arr
 
-let eval_query doc query =
+let bindings_per_node doc query =
   let nodes = doc.Document.nodes in
   let n = Array.length nodes in
   let rec eval qnode =
@@ -52,8 +52,6 @@ let eval_query doc query =
         else List.fold_left (fun acc arr -> acc *. arr.(i)) 1.0 pulled_children)
   in
   eval query.Twig_query.root
-
-let bindings_per_node = eval_query
 
 (* The root variable q0 binds to the virtual *document node*, so a
    top-level [/db] step selects the root element and a top-level [//x]

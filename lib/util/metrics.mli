@@ -87,7 +87,7 @@ val quantiles_of_stat : hist_stat -> float list -> (float * float) list
 
 val quantiles : t -> string -> float list -> (float * float) list option
 (** Quantiles of a live histogram by name; [None] when it does not
-    exist. [quantiles m "estimate.batch_us" \[0.5; 0.95; 0.99\]] is the
+    exist. [quantiles m "estimate.plan_us" \[0.5; 0.95; 0.99\]] is the
     p50/p95/p99 read the CLI and bench surface. *)
 
 val to_json : snapshot -> string

@@ -119,6 +119,19 @@ let await w =
     raise e
   | None -> ()
 
+(* Run [chunk 0 .. chunk (d - 1)]: chunks 1.. on pool workers, chunk 0
+   on the caller. Every worker is awaited before anything is raised, so
+   no job outlives the call; then the exception of the lowest-numbered
+   chunk that raised propagates (the caller's own chunk counts as 0). *)
+let fork_join d chunk =
+  let workers = acquire (d - 1) in
+  Array.iteri (fun i w -> submit w (fun () -> chunk (i + 1))) workers;
+  let first_exn = ref (match chunk 0 with () -> None | exception e -> Some e) in
+  Array.iter
+    (fun w -> try await w with e -> if Option.is_none !first_exn then first_exn := Some e)
+    workers;
+  Option.iter raise !first_exn
+
 let map ?(domains = 0) f arr =
   let n = Array.length arr in
   let d = min (resolve domains) n in
@@ -133,35 +146,17 @@ let map ?(domains = 0) f arr =
        which domain computed what *)
     let bound i = i * n / d in
     let parts = Array.make d [||] in
-    let chunk i () =
-      let lo = bound i and hi = bound (i + 1) in
-      parts.(i) <- Array.init (hi - lo) (fun k -> f arr.(lo + k))
-    in
-    let workers = acquire (d - 1) in
-    Array.iteri (fun i w -> submit w (chunk (i + 1))) workers;
-    chunk 0 ();
-    (* wait for every worker before raising so no job outlives the call *)
-    let first_exn = ref None in
-    Array.iter
-      (fun w ->
-        try await w with e -> if !first_exn = None then first_exn := Some e)
-      workers;
-    (match !first_exn with
-    | Some e -> raise e
-    | None -> ());
+    fork_join d (fun i ->
+        let lo = bound i and hi = bound (i + 1) in
+        parts.(i) <- Array.init (hi - lo) (fun k -> f arr.(lo + k)));
     Array.concat (Array.to_list parts)
   end
 
 (* Like [map], but each worker materializes one private context (the
-   batched estimator's scratch arrays) before walking its contiguous
-   chunk, and [f] also receives the element's input index so workers
-   can write into caller-provided per-element slots (latency arrays)
-   without sharing. Results land at the input index, so output order —
-   and, for pure [f], output contents — are independent of the worker
-   count. *)
-(* Like [map_chunked], but [f] returns nothing: workers write their
-   results into caller-provided slots (disjoint by construction — each
-   input index is visited exactly once) instead of the pool
+   cohort sweep's arena) before walking its contiguous chunk, and [f]
+   returns nothing: it receives the element's input index and writes
+   its result into caller-provided slots (disjoint by construction —
+   each input index is visited exactly once) instead of the pool
    materializing per-chunk arrays and concatenating them. The batched
    estimator's cohort sweep uses this to place per-cohort results
    straight into one shared value plane with zero result-array
@@ -180,57 +175,10 @@ let iter_chunked ?(domains = 0) ~init f arr =
     else begin
       note_usage n d;
       let bound i = i * n / d in
-      let chunk i () =
-        let lo = bound i and hi = bound (i + 1) in
-        let ctx = init () in
-        for k = lo to hi - 1 do
-          f ctx k arr.(k)
-        done
-      in
-      let workers = acquire (d - 1) in
-      Array.iteri (fun i w -> submit w (chunk (i + 1))) workers;
-      chunk 0 ();
-      let first_exn = ref None in
-      Array.iter
-        (fun w ->
-          try await w with e -> if !first_exn = None then first_exn := Some e)
-        workers;
-      match !first_exn with
-      | Some e -> raise e
-      | None -> ()
-    end
-  end
-
-let map_chunked ?(domains = 0) ~init f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let d = min (resolve domains) n in
-    if d <= 1 || n < seq_cutoff then begin
-      note_usage n 1;
-      let ctx = init () in
-      Array.mapi (fun i x -> f ctx i x) arr
-    end
-    else begin
-      note_usage n d;
-      let bound i = i * n / d in
-      let parts = Array.make d [||] in
-      let chunk i () =
-        let lo = bound i and hi = bound (i + 1) in
-        let ctx = init () in
-        parts.(i) <- Array.init (hi - lo) (fun k -> f ctx (lo + k) arr.(lo + k))
-      in
-      let workers = acquire (d - 1) in
-      Array.iteri (fun i w -> submit w (chunk (i + 1))) workers;
-      chunk 0 ();
-      let first_exn = ref None in
-      Array.iter
-        (fun w ->
-          try await w with e -> if !first_exn = None then first_exn := Some e)
-        workers;
-      (match !first_exn with
-      | Some e -> raise e
-      | None -> ());
-      Array.concat (Array.to_list parts)
+      fork_join d (fun i ->
+          let ctx = init () in
+          for k = bound i to bound (i + 1) - 1 do
+            f ctx k arr.(k)
+          done)
     end
   end

@@ -26,25 +26,19 @@ val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~domains f arr] is [Array.map f arr], computed by [domains]
     workers in contiguous chunks. [domains <= 0] (the default) means
     "use {!env_domains}". Runs sequentially when only one worker is
-    requested or the array is small. [f] must not mutate shared state;
-    a worker exception is re-raised in the caller after all workers
-    finished their chunks. *)
-
-val map_chunked :
-  ?domains:int -> init:(unit -> 'c) -> ('c -> int -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_chunked ~init f arr] is [Array.mapi (f ctx) arr] with one
-    private [ctx = init ()] per worker, created inside the worker's
-    domain before it walks its contiguous chunk. Built for stateful
-    scratch (the batched estimator's evaluation arrays): [f] may
-    mutate its own [ctx] freely but must leave no result depending on
-    what earlier elements did to it. Same chunking, exception, and
-    determinism contract as {!map}. *)
+    requested or the array is small. [f] must not mutate shared state.
+    An exception out of [f] is re-raised in the caller only after every
+    worker finished its chunk; when several chunks raise, the one
+    covering the lowest indices wins. *)
 
 val iter_chunked :
   ?domains:int -> init:(unit -> 'c) -> ('c -> int -> 'a -> unit) -> 'a array -> unit
 (** [iter_chunked ~init f arr] is [Array.iteri (f ctx) arr] with one
-    private [ctx = init ()] per worker — {!map_chunked} without the
-    result arrays. [f] communicates by writing caller-provided slots
+    private [ctx = init ()] per worker, created inside the worker's
+    domain before it walks its contiguous chunk. Built for stateful
+    scratch (the batched estimator's arenas): [f] may mutate its own
+    [ctx] freely but must leave no result depending on what earlier
+    elements did to it. [f] communicates by writing caller-provided slots
     keyed by the input index it receives; since every index is visited
     exactly once, such writes are disjoint across workers. The batched
     estimator's cohort sweep places results straight into a shared
@@ -63,7 +57,7 @@ val reset_usage : unit -> unit
 
 val max_used : unit -> int
 (** Widest fan-out (workers actually engaged, caller included) any
-    [map]/[map_chunked] call executed since {!reset_usage}; 0 when no
+    [map]/[iter_chunked] call executed since {!reset_usage}; 0 when no
     call ran. The bench harness checks this against the requested
     worker count and fails loudly on silent degradation — unlike a
     configured value, this is observed from the pool itself. *)

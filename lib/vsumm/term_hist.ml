@@ -7,7 +7,7 @@ type mat = {
   bucket : Rle_bitmap.t;
   bucket_avg : float;
   mutable flat : (int array * float array) option;
-      (* memoized support flattening (terms ascending, estimated freqs);
+      (* memoized flat support (terms ascending, estimated freqs);
          summaries are immutable so the cache never invalidates *)
 }
 
@@ -311,7 +311,7 @@ let compress_once_eager t =
     Some (err, saved, Mat compressed)
   end
 
-(* flattened support, memoized: the Δ metric evaluates dot products for
+(* flat support, memoized: the Δ metric evaluates dot products for
    hundreds of thousands of candidate merges, so this path is hot *)
 let flat t =
   let m = force t in

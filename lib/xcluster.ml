@@ -54,8 +54,6 @@ end
 module Query = struct
   let parse = Xc_twig.Twig_parse.parse
   let estimate = Xc_serve.Engine.estimate
-  let plan syn q = Plan.Cache.find_or_compile (Xc_serve.Engine.cache_for syn) q
-  let estimate_with_plan = Plan.estimate
   let estimate_uncached = Xc_serve.Engine.estimate_uncached
   let explain = Xc_core.Estimate.explain
 

@@ -163,15 +163,9 @@ module Query : sig
       Serving degrades instead of raising: if plan compilation or
       evaluation fails for this synopsis, the call falls back to the
       bit-identical uncached estimator and bumps the [serve.fallback]
-      counter in {!Xc_util.Metrics.global}. *)
-
-  val plan : synopsis -> query -> Xc_core.Plan.t
-  (** The cached compiled plan (compiling on first sight) for callers
-      that estimate the same query many times and want to skip even
-      the cache lookup. *)
-
-  val estimate_with_plan : Xc_core.Plan.t -> float
-  (** Estimate from a compiled plan ({!Xc_core.Plan.estimate}). *)
+      counter in {!Xc_util.Metrics.global}.
+      @raise Failure when the uncached estimator fails too (a lazily
+      loaded synopsis whose deferred section verification fails). *)
 
   val estimate_uncached : synopsis -> query -> float
   (** The direct embedding enumeration

@@ -11,7 +11,8 @@
    - a lazy (mapped) load of a damaged file either fails at admission
      (eager-group sections) or raises Codec.Lazy_failure at the first
      access that needed the damaged section — and the serve engine
-     contains that into a typed error, never a crash;
+     contains that into a typed error (a [Failure] from the facade's
+     single-query estimate), never a crash;
    - fault storms at the mmap-path sites (codec.map,
      codec.section_verify) never produce an untyped failure;
    - v1 and v2 files still decode to the same estimates;
@@ -197,14 +198,26 @@ let test_lazy_deferred_failure () =
     | exception exn ->
       Alcotest.failf "expected Lazy_failure, got %s" (Printexc.to_string exn));
     (* the serve engine contains the same failure into a typed error *)
-    match
-      Xc_serve.Engine.estimate_result lazy_syn (Xc_twig.Twig_parse.parse "//movie/title")
-    with
+    (match
+       Xc_serve.Engine.estimate_result lazy_syn (Xc_twig.Twig_parse.parse "//movie/title")
+     with
     | Error (Xc_serve.Error.Unavailable _) -> ()
     | Error e -> Alcotest.failf "expected Unavailable, got %s" (Xc_serve.Error.to_string e)
     | Ok _ -> Alcotest.fail "engine served an estimate off a damaged section"
     | exception exn ->
-      Alcotest.failf "engine leaked %s" (Printexc.to_string exn)));
+      Alcotest.failf "engine leaked %s" (Printexc.to_string exn));
+    (* the facade's single-query estimate takes the same fallback arm:
+       one serve.fallback bump, then Failure, since the oracle trips too *)
+    let fallbacks () =
+      Xc_util.Metrics.counter_value Xc_util.Metrics.global "serve.fallback"
+    in
+    let before = fallbacks () in
+    (match Xcluster.Query.estimate lazy_syn (Xc_twig.Twig_parse.parse "//movie/year") with
+    | _ -> Alcotest.fail "facade estimated off a damaged section"
+    | exception Failure _ -> ()
+    | exception exn ->
+      Alcotest.failf "expected Failure, got %s" (Printexc.to_string exn));
+    check Alcotest.int "one serve.fallback" (before + 1) (fallbacks ())));
   (* damage in the value-summary blob defers to the first value read:
      structural queries still answer, a value predicate trips *)
   corrupt_section "vsumm_blob";

@@ -1,8 +1,8 @@
 (* Tests for the matrix-major cohort path: it must be bit-identical to
-   both the uncached estimator and the query-major reference walk on
-   every dataset, independent of the worker count, safe to run against
-   alternating synopses on the same reused worker arenas, and correct
-   in the degenerate case where every query lands in its own cohort.
+   the uncached estimator on every dataset, independent of the worker
+   count, safe to run against alternating synopses on the same reused
+   worker arenas, and correct in the degenerate case where every query
+   lands in its own cohort.
    The source-text entry point (prepare_texts) must answer exactly as
    the parsed query does, reuse a repeated batch's plan, and keep its
    text index bounded. *)
@@ -22,7 +22,7 @@ let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
 let small_synopsis ds =
   Build.run (Build.budget ~bstr_kb:10 ~bval_kb:60 ()) ds.Runner.reference
 
-(* ---- cohort = query-major = uncached, on every dataset ----------------- *)
+(* ---- cohort = uncached, on every dataset -------------------------------- *)
 
 let cohort_equivalence_on ds =
   let syn = small_synopsis ds in
@@ -30,13 +30,10 @@ let cohort_equivalence_on ds =
   let queries = Runner.workload_queries ds in
   let prepared = Plan.Batch.prepare engine queries in
   let cohort = Plan.Batch.run_prepared ~domains:1 engine prepared in
-  let reference = Plan.Batch.run_prepared ~domains:1 ~cohort:false engine prepared in
   Array.iteri
     (fun i q ->
-      let uncached = Estimate.selectivity syn q in
-      check0 "cohort = uncached" uncached cohort.(i);
-      check Alcotest.bool "cohort = query-major, bitwise" true
-        (bits_equal cohort.(i) reference.(i)))
+      check Alcotest.bool (Printf.sprintf "cohort = uncached, bitwise (query %d)" i) true
+        (bits_equal (Estimate.selectivity syn q) cohort.(i)))
     queries;
   let cohorts, max_cohort, distinct = Plan.Batch.cohort_stats prepared in
   check Alcotest.bool "has cohorts" true (cohorts >= 1);
@@ -52,21 +49,35 @@ let test_cohort_dblp () = cohort_equivalence_on (Runner.dblp ~scale:0.02 ~n_quer
 
 (* ---- worker-count independence ----------------------------------------- *)
 
-let test_cohort_domains_bitwise () =
-  let n = 2 * Xc_util.Par.seq_cutoff in
-  let ds = Runner.xmark ~scale:0.02 ~n_queries:n () in
+(* enough queries that the sweep has at least Par's sequential cutoff
+   of cohorts, so 2 and 4 workers genuinely shard it *)
+let test_domains_bitwise () =
+  let ds = Runner.xmark ~scale:0.02 ~n_queries:(4 * Xc_util.Par.seq_cutoff) () in
   let syn = small_synopsis ds in
   let engine = Plan.Batch.create syn in
-  let prepared = Plan.Batch.prepare engine (Runner.workload_queries ds) in
+  let queries = Runner.workload_queries ds in
+  let prepared = Plan.Batch.prepare engine queries in
+  let cohorts, _, _ = Plan.Batch.cohort_stats prepared in
+  check Alcotest.bool
+    (Printf.sprintf "%d cohorts clear the cutoff" cohorts)
+    true
+    (cohorts >= Xc_util.Par.seq_cutoff);
   let base = Plan.Batch.run_prepared ~domains:1 engine prepared in
+  Array.iteri
+    (fun i q ->
+      check Alcotest.bool (Printf.sprintf "1 domain = uncached, bitwise (query %d)" i) true
+        (bits_equal (Estimate.selectivity syn q) base.(i)))
+    queries;
   List.iter
     (fun d ->
+      Xc_util.Par.reset_usage ();
       let r = Plan.Batch.run_prepared ~domains:d engine prepared in
+      check Alcotest.int (Printf.sprintf "%d workers engaged" d) d (Xc_util.Par.max_used ());
       check Alcotest.int "same length" (Array.length base) (Array.length r);
       Array.iteri
         (fun i v ->
           check Alcotest.bool
-            (Printf.sprintf "cohort bitwise identical at %d domains (query %d)" d i)
+            (Printf.sprintf "bitwise identical at %d domains (query %d)" d i)
             true (bits_equal v base.(i)))
         r)
     [ 2; 4 ]
@@ -121,9 +132,12 @@ let test_singleton_cohorts () =
   let got = Plan.Batch.run_prepared ~domains:1 engine prepared in
   Array.iteri
     (fun i q ->
-      check0 "singleton cohort = uncached" (Estimate.selectivity syn q) got.(i);
-      (* the single-query entry point rides the same path *)
-      check0 "Batch.estimate agrees" got.(i) (Plan.Batch.estimate engine q))
+      let uncached = Estimate.selectivity syn q in
+      check0 "singleton cohort = uncached" uncached got.(i);
+      (* a one-query batch rides the same path *)
+      let single = Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare engine [| q |]) in
+      check Alcotest.bool "one-query batch = uncached, bitwise" true
+        (bits_equal uncached single.(0)))
     queries
 
 (* ---- dedup: repeated queries evaluate once ------------------------------ *)
@@ -501,7 +515,7 @@ let () =
           Alcotest.test_case "xmark" `Slow test_cohort_xmark;
           Alcotest.test_case "dblp" `Slow test_cohort_dblp ] );
       ( "determinism",
-        [ Alcotest.test_case "bitwise across domains" `Slow test_cohort_domains_bitwise ] );
+        [ Alcotest.test_case "bitwise across domains" `Slow test_domains_bitwise ] );
       ( "arena",
         [ Alcotest.test_case "generation swap" `Slow test_arena_generation_swap ] );
       ( "degenerate",

@@ -1,4 +1,4 @@
-(* Tests for the compiled estimation pipeline: Plan/Plan.Cache
+(* Tests for the compiled estimation pipeline: Plan.Cache
    bit-identity with both estimator baselines on all three datasets'
    workloads, freeze-snapshot semantics of the sealed synopsis, and the
    Metrics registry. *)
@@ -98,13 +98,24 @@ let test_freeze_snapshots () =
   checkf "old snapshot still answers" 8.0 (Plan.Cache.estimate cache q)
 
 let test_plan_reuse () =
-  (* a compiled plan is a pure function of (sealed, query): repeated
-     estimation answers identically with no recompilation *)
+  (* a cached plan is a pure function of (sealed, query): repeated
+     estimation answers identically, bit for bit the uncached value,
+     with no recompilation *)
   let syn, _, _, _ = tiny_builder () in
   let sealed = Synopsis.freeze syn in
-  let plan = Plan.compile sealed (Xc_twig.Twig_parse.parse "//b") in
-  checkf "first" 8.0 (Plan.estimate plan);
-  checkf "second" 8.0 (Plan.estimate plan)
+  let q = Xc_twig.Twig_parse.parse "//b" in
+  let uncached = Estimate.selectivity sealed q in
+  checkf "tiny twig" 8.0 uncached;
+  let cache = Plan.Cache.create sealed in
+  let compiles0 = Metrics.counter_value Metrics.global "plan.compile" in
+  List.iter
+    (fun tag ->
+      check Alcotest.bool (tag ^ " = uncached, bitwise") true
+        (Int64.bits_of_float (Plan.Cache.estimate cache q) = Int64.bits_of_float uncached))
+    [ "first"; "second" ];
+  check Alcotest.int "compiled once" (compiles0 + 1)
+    (Metrics.counter_value Metrics.global "plan.compile");
+  check Alcotest.int "one plan" 1 (Plan.Cache.n_plans cache)
 
 let test_vsumm_deep_copied_on_freeze () =
   (* freeze deep-copies value summaries, so phase-2 compression of the
