@@ -1392,6 +1392,9 @@ let micro_tests () =
         [| Xc_xml.Dictionary.of_string (Printf.sprintf "t%d" (i mod 80)) |])
   in
   let values = Array.init 5000 (fun i -> i * i mod 1000) in
+  (* the request frames of perfbench's batch-hot and point-skew workloads *)
+  let frame_batch = String.init 22_658 (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  let frame_point = String.sub frame_batch 0 58 in
   [ Test.make ~name:"reference-build(10k-element doc)" (Staged.stage (fun () ->
         ignore (Xc_core.Reference.build ~min_extent:8 doc)));
     Test.make ~name:"xclusterbuild(8KB+60KB)" (Staged.stage (fun () ->
@@ -1408,7 +1411,11 @@ let micro_tests () =
     Test.make ~name:"histogram-build(5k values)" (Staged.stage (fun () ->
         ignore (Xc_vsumm.Histogram.build values)));
     Test.make ~name:"codec-roundtrip" (Staged.stage (fun () ->
-        ignore (Xc_core.Codec.of_string (Xc_core.Codec.to_string syn)))) ]
+        ignore (Xc_core.Codec.of_string (Xc_core.Codec.to_string syn))));
+    Test.make ~name:"crc32(22.6 KB)" (Staged.stage (fun () ->
+        ignore (Xc_util.Crc32.digest frame_batch)));
+    Test.make ~name:"crc32(58 B)" (Staged.stage (fun () ->
+        ignore (Xc_util.Crc32.digest frame_point))) ]
 
 let run_micro () =
   let open Bechamel in

@@ -337,10 +337,12 @@ module Batch = struct
     mutable bt_last : prepared option;  (* last text batch, plan included *)
   }
 
-  (* Whitespace variants of one query are distinct texts, so a client
-     could grow the text index without limit; past this many entries it
-     is reset, between batches only. Twice the serving layer's default
-     batch-size limit, so steady full-size batches never thrash it. *)
+  (* Whitespace variants of one query are distinct texts, and distinct
+     queries distinct compiled queries, so a client could grow the text
+     index or the query cache without limit; past this many entries
+     either is reset, between batches only. Twice the serving layer's
+     default batch-size limit, so steady full-size batches never thrash
+     them. *)
   let text_index_bound = 16_384
 
   let create syn =
@@ -510,7 +512,21 @@ module Batch = struct
       ~finally:(fun () -> if !hits > 0 then Metrics.incr m ~by:!hits "batch.query_hit")
       (fun () -> f hits)
 
+  (* Between batches: past the bound, compiled queries go with their
+     matrices, memoized plans and texts ([clear]); a text index grown
+     by whitespace variants alone goes by itself. *)
+  let bound t =
+    if Hashtbl.length t.bt_queries > text_index_bound then begin
+      clear t;
+      Metrics.incr m "batch.query_reset"
+    end
+    else if Slices.Table.length t.bt_index > text_index_bound then begin
+      Slices.Table.clear t.bt_index;
+      Metrics.incr m "batch.text_reset"
+    end
+
   let prepare t queries =
+    bound t;
     let qs = counting_hits (fun hits -> Array.map (find_or_compile t hits) queries) in
     { pr_queries = qs; pr_plan = None }
 
@@ -573,10 +589,7 @@ module Batch = struct
       p
 
   let prepare_texts t texts =
-    if Slices.Table.length t.bt_index > text_index_bound then begin
-      Slices.Table.clear t.bt_index;
-      Metrics.incr m "batch.text_reset"
-    end;
+    bound t;
     let prepare hits =
       match Slices.length texts with
       | 0 -> { pr_queries = [||]; pr_plan = None }
@@ -594,15 +607,14 @@ module Batch = struct
      Grown to the high-water (n_nodes × max slots) and then reused for
      every cohort the worker ever runs — planes are NEVER zeroed between
      queries: supports propagate top-down, so every cell a parent reads
-     was written by its child earlier in the same evaluation. Reuse is
-     tracked by a per-batch epoch bump; [arena_resets] counts the
-     (rare) reallocation events. Lives in domain-local storage so the
-     persistent Par worker domains keep their arenas across batches. *)
+     was written by its child earlier in the same evaluation.
+     [arena_resets] counts the (rare) reallocation events. Lives in
+     domain-local storage so the persistent Par worker domains keep
+     their arenas across batches. *)
   type arena = {
     mutable ar_buf : S.ba_f;
     mutable ar_n : int;  (* plane stride *)
     mutable ar_slots : int;
-    mutable ar_epoch : int;
   }
 
   (* workers must not touch the (unsynchronized) Metrics registry; the
@@ -613,8 +625,7 @@ module Batch = struct
     Domain.DLS.new_key (fun () ->
         { ar_buf = BA1.create Bigarray.float64 Bigarray.c_layout 0;
           ar_n = 0;
-          ar_slots = 0;
-          ar_epoch = 0 })
+          ar_slots = 0 })
 
   let arena_for n slots =
     let ar = Domain.DLS.get arena_key in
@@ -625,7 +636,6 @@ module Batch = struct
       ar.ar_slots <- s';
       Atomic.incr arena_resets
     end;
-    ar.ar_epoch <- ar.ar_epoch + 1;
     ar
 
   (* row dot against an arena plane — the same ascending multiply-add

@@ -105,6 +105,7 @@ end
     Instrumentation (all recorded by the coordinating domain only):
     counters [batch.queries], [batch.query_hit]/[batch.query_miss]
     (hits bumped once per batch), [batch.text_reset],
+    [batch.query_reset],
     [batch.cohorts], [batch.cohort_max] (high-water),
     [batch.arena_resets] (arena (re)allocations), [batch.minor_words]
     (coordinator minor-heap words allocated during cohort passes);
@@ -132,7 +133,11 @@ module Batch : sig
   val prepare : t -> Xc_twig.Twig_query.t array -> prepared
   (** Compile the workload, building each distinct path expression's
       transition matrix on first sight and caching compiled queries by
-      key, so repeated and overlapping workloads amortize to lookups. *)
+      key, so repeated and overlapping workloads amortize to lookups.
+      Once more than {!text_index_bound} compiled queries are cached,
+      the next call (here or in {!prepare_texts}) first drops them
+      with {!clear}, bumping [batch.query_reset]; a [prepared] made
+      before stays runnable. *)
 
   val prepare_texts : t -> Xc_util.Slices.t -> (prepared, int * string) result
   (** {!prepare} from query source text, for serving repeated
@@ -155,11 +160,15 @@ module Batch : sig
       [Error (i, msg)] reports the first text that does not parse.
       Once the text index holds more than {!text_index_bound} entries,
       the next call empties it first (bumping [batch.text_reset]); a
-      batch never sees it reset midway. Exceptions out of compilation
+      batch never sees it reset midway. The compiled-query bound of
+      {!prepare} applies here too, and its reset empties the text
+      index with everything else. Exceptions out of compilation
       propagate. *)
 
   val text_index_bound : int
-  (** Text-index size above which {!prepare_texts} resets the index. *)
+  (** Text-index size above which {!prepare_texts} resets the index,
+      and compiled-query count above which {!prepare} and
+      {!prepare_texts} {!clear} the engine. *)
 
   val run_into : ?domains:int -> t -> prepared -> float array -> unit
   (** [run_into t p out] runs the matrix-major sweep and writes the

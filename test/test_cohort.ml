@@ -305,6 +305,43 @@ let test_text_index_bound () =
     (Metrics.counter_value Metrics.global "batch.text_reset");
   check Alcotest.int "index holds only the new batch" nb (Plan.Batch.n_texts engine)
 
+(* distinct queries, not whitespace variants, grow the compiled-query
+   cache; batches of new queries until it passes the bound, and the
+   next batch clears the whole engine first *)
+let test_query_cache_bound () =
+  let syn, texts = Lazy.force text_fixture in
+  let engine = Plan.Batch.create syn in
+  let bound = Plan.Batch.text_index_bound in
+  let counter name = Metrics.counter_value Metrics.global name in
+  let query_resets0 = counter "batch.query_reset" in
+  let text_resets0 = counter "batch.text_reset" in
+  let chunk = 1024 in
+  let batches = (bound / chunk) + 1 in
+  for b = 0 to batches - 1 do
+    let batch =
+      Array.init chunk (fun k ->
+          Printf.sprintf "//movie[year > %d]/title" (1000 + (b * chunk) + k))
+    in
+    let tag = Printf.sprintf "new queries %d" b in
+    check_answers tag (oracle syn batch) (run_texts engine batch);
+    check Alcotest.int (tag ^ ": no reset yet") query_resets0
+      (counter "batch.query_reset");
+    check Alcotest.int (tag ^ ": one compiled query per text") ((b + 1) * chunk)
+      (Plan.Batch.n_queries engine)
+  done;
+  check Alcotest.bool "over the bound" true (Plan.Batch.n_queries engine > bound);
+  (* the next batch clears the engine first and is answered afresh *)
+  check_answers "after reset" (oracle syn texts) (run_texts engine texts);
+  check Alcotest.int "reset counted" (query_resets0 + 1) (counter "batch.query_reset");
+  check Alcotest.int "not counted as a text-index reset" text_resets0
+    (counter "batch.text_reset");
+  check Alcotest.bool "compiled queries back under the bound" true
+    (Plan.Batch.n_queries engine <= Array.length texts);
+  check Alcotest.int "text index holds only the new batch" (Array.length texts)
+    (Plan.Batch.n_texts engine);
+  let again = [| "//movie[year > 1000]/title"; "//movie[year > 1990]/title" |] in
+  check_answers "a flooded query again" (oracle syn again) (run_texts engine again)
+
 let test_text_hit_counter () =
   let syn, texts = Lazy.force text_fixture in
   let engine = Plan.Batch.create syn in
@@ -529,6 +566,7 @@ let () =
           Alcotest.test_case "whitespace variants" `Quick test_text_whitespace_variants;
           Alcotest.test_case "parse error" `Quick test_text_parse_error;
           Alcotest.test_case "index bound" `Quick test_text_index_bound;
+          Alcotest.test_case "query cache bound" `Quick test_query_cache_bound;
           Alcotest.test_case "hit counter" `Quick test_text_hit_counter ] );
       ( "served",
         List.map QCheck_alcotest.to_alcotest

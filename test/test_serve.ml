@@ -177,6 +177,26 @@ let test_forged_crc () =
   | Error e -> Alcotest.failf "expected checksum mismatch, got %a" Error.pp_protocol e
   | Ok _ -> Alcotest.fail "bit-flipped frame decoded successfully"
 
+(* the CRC field (bytes 10-13, u32 BE) of two fixed frames, pinned: a
+   checksum implementation that changed any wire byte fails here *)
+let test_golden_frame_crcs () =
+  let crc_field frame = Int32.to_int (String.get_int32_be frame 10) land 0xFFFFFFFF in
+  let batch =
+    Protocol.encode_request
+      (Protocol.Estimate_batch
+         {
+           synopsis = "xmark";
+           queries = Array.init 64 (Printf.sprintf "//open_auction[initial > %d]/bidder");
+           options = Serve.options ~domains:2 ~max_batch:512 ();
+         })
+  in
+  let answers = Array.init 100 (fun i -> float_of_int i *. 0.37) in
+  let floats = Protocol.encode_response (Protocol.Floats answers) in
+  check Alcotest.int "Estimate_batch frame length" 2809 (String.length batch);
+  check Alcotest.int "Estimate_batch frame CRC" 0x71fe8fb1 (crc_field batch);
+  check Alcotest.int "Floats frame length" 822 (String.length floats);
+  check Alcotest.int "Floats frame CRC" 0x3419661c (crc_field floats)
+
 (* a frame header advertising a huge payload must be rejected from the
    length field alone *)
 let test_hostile_length () =
@@ -1657,6 +1677,7 @@ let () =
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
           Alcotest.test_case "truncation is total" `Quick test_truncation_total;
           Alcotest.test_case "forged CRC detected" `Quick test_forged_crc;
+          Alcotest.test_case "golden frame CRCs" `Quick test_golden_frame_crcs;
           Alcotest.test_case "hostile length rejected" `Quick test_hostile_length;
           Alcotest.test_case "unknown tag rejected" `Quick test_bad_tag;
           Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;

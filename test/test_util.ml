@@ -231,7 +231,7 @@ let test_zipf_sample_in_range =
 
 (* ---- Crc32 ------------------------------------------------------------ *)
 
-(* the plain one-table, one-byte-at-a-time CRC the sliced loop must
+(* the plain one-table, one-byte-at-a-time CRC that Crc32 must
    reproduce *)
 let crc_reference crc s ~pos ~len =
   let table =
@@ -251,7 +251,7 @@ let crc_reference crc s ~pos ~len =
 let test_crc_known_answer () =
   check Alcotest.int "check value" 0xCBF43926 (Crc32.digest "123456789");
   check Alcotest.int "empty" 0 (Crc32.digest "");
-  (* long enough for many 8-byte strides plus a ragged tail *)
+  (* long enough for zlib's main loop plus a ragged tail *)
   let s = String.init 1003 (fun i -> Char.chr ((i * 131) land 0xFF)) in
   check Alcotest.int "long string" (crc_reference 0 s ~pos:0 ~len:1003) (Crc32.digest s);
   Alcotest.check_raises "range checked" (Invalid_argument "Crc32.update: range out of bounds")
@@ -259,26 +259,47 @@ let test_crc_known_answer () =
 
 let show_slice (s, pos, len, crc) = Printf.sprintf "%S pos=%d len=%d crc=%#x" s pos len crc
 
+(* zlib folds bytes one at a time below 47 bytes and runs its main loop
+   above, so lengths mix short ones with long ones up to ~70 KB *)
+let gen_crc_len = QCheck.Gen.(frequency [ (3, int_range 0 64); (1, int_range 65 70_000) ])
+
 let crc_matches_reference =
   let gen =
     QCheck.Gen.(
       int_range 0 31 >>= fun pos ->
-      int_range 0 40 >>= fun len ->
+      gen_crc_len >>= fun len ->
       int_range 0 9 >>= fun extra ->
       int_range 0 0xFFFFFFFF >>= fun crc ->
       string_size ~gen:char (return (pos + len + extra)) >|= fun s -> (s, pos, len, crc))
   in
+  let print (s, pos, len, crc) =
+    if String.length s <= 80 then show_slice (s, pos, len, crc)
+    else Printf.sprintf "<%d bytes> pos=%d len=%d crc=%#x" (String.length s) pos len crc
+  in
   QCheck.Test.make ~name:"crc32 = bytewise reference at any offset" ~count:1000
-    (QCheck.make ~print:show_slice gen)
+    (QCheck.make ~print gen)
     (fun (s, pos, len, crc) ->
       Crc32.sub s ~pos ~len = crc_reference 0 s ~pos ~len
       && Crc32.update crc s ~pos ~len = crc_reference crc s ~pos ~len)
 
 let crc_update_concat =
+  let str = QCheck.Gen.(string_size gen_crc_len) in
   QCheck.Test.make ~name:"update (digest a) b = digest (a ^ b)" ~count:500
-    QCheck.(pair (string_of_size (Gen.int_range 0 40)) (string_of_size (Gen.int_range 0 40)))
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "<%d + %d bytes>" (String.length a) (String.length b))
+       QCheck.Gen.(pair str str))
     (fun (a, b) ->
       Crc32.update (Crc32.digest a) b ~pos:0 ~len:(String.length b) = Crc32.digest (a ^ b))
+
+(* a fixed, seeded 1 MiB string and its checksum, pinned: a change of
+   implementation that altered any artifact or frame CRC fails here *)
+let test_crc_golden () =
+  let rng = Rng.create 2006 in
+  let s = String.init (1 lsl 20) (fun _ -> Char.chr (Rng.int rng 256)) in
+  check Alcotest.int "reference" (crc_reference 0 s ~pos:0 ~len:(String.length s))
+    (Crc32.digest s);
+  check Alcotest.int "pinned" 0x5aa97c4c (Crc32.digest s)
 
 (* ---- slices -------------------------------------------------------------- *)
 
@@ -479,6 +500,7 @@ let () =
           QCheck_alcotest.to_alcotest test_zipf_sample_in_range ] );
       ( "crc32",
         [ Alcotest.test_case "known answers" `Quick test_crc_known_answer;
+          Alcotest.test_case "golden 1 MiB digest" `Quick test_crc_golden;
           seeded crc_matches_reference;
           seeded crc_update_concat ] );
       ( "slices",
