@@ -321,87 +321,28 @@ let vtype_tag = function
   | Value.Tstring -> 2
   | Value.Ttext -> 3
 
-let get_vtype r =
-  let at = r.pos in
-  match get_int r with
+let vtype_of_tag ~pos = function
   | 0 -> Value.Tnull
   | 1 -> Value.Tnumeric
   | 2 -> Value.Tstring
   | 3 -> Value.Ttext
-  | tag ->
-    err (Corrupt { pos = at; what = Printf.sprintf "unknown value-type tag %d" tag })
+  | tag -> err (Corrupt { pos; what = Printf.sprintf "unknown value-type tag %d" tag })
+
+let get_vtype r =
+  let pos = r.pos in
+  vtype_of_tag ~pos (get_int r)
 
 (* ---- encoding --------------------------------------------------------------
-   The node-record payload is shared between versions: nodes in
-   ascending-sid order with sid-keyed edges, which is exactly the
-   sealed form's index order; decoding rebuilds a Builder and freezes
-   it, so a load/save round trip re-canonicalizes nothing.
+   Only v3 is written (see the layout at the top); v1 and v2 files
+   remain readable below. *)
 
-   v1 (legacy) wraps it unframed:
-     magic | version | term table | doc_height root n_nodes | nodes
-   v2 frames header / terms / nodes into sections, each
-     tag | payload length | CRC-32 | payload
-   so any damage is detected section-locally before decoding. *)
-
-let encode_nodes tt syn =
-  let body = Buffer.create 65536 in
-  let n = S.n_nodes syn in
-  let child_off = S.child_off syn
-  and child_idx = S.child_idx syn
-  and child_avg = S.child_avg syn in
-  for i = 0 to n - 1 do
-    put_int body (S.sid_of_index syn i);
-    put_string body (Label.to_string (S.label syn i));
-    put_int body (vtype_tag (S.vtype syn i));
-    put_int body (S.count syn i);
-    put_vsumm tt body (S.vsumm syn i);
-    put_int body (child_off.(i + 1) - child_off.(i));
-    for e = child_off.(i) to child_off.(i + 1) - 1 do
-      put_int body (S.sid_of_index syn child_idx.(e));
-      put_float body child_avg.(e)
-    done
-  done;
-  Buffer.contents body
-
-let encode_terms tt =
-  let buf = Buffer.create 4096 in
-  put_list buf put_string
-    (List.rev_map (fun id -> Dictionary.to_string (Dictionary.unsafe_of_int id)) tt.ids);
-  Buffer.contents buf
-
-let add_section out ~tag payload =
-  put_int out tag;
-  put_int out (String.length payload);
-  put_int out (Crc32.digest payload);
-  Buffer.add_string out payload
-
-let to_string_v2 syn =
-  let tt = tt_create () in
-  let nodes = encode_nodes tt syn in
-  let terms = encode_terms tt in
-  let header =
-    let b = Buffer.create 24 in
-    put_int b (S.doc_height syn);
-    put_int b (S.root_sid syn);
-    put_int b (S.n_nodes syn);
-    Buffer.contents b
-  in
-  let out = Buffer.create (String.length nodes + String.length terms + 128) in
-  Buffer.add_string out magic;
-  put_int out version_v2;
-  add_section out ~tag:tag_header header;
-  add_section out ~tag:tag_terms terms;
-  add_section out ~tag:tag_nodes nodes;
-  Buffer.contents out
-
-(* the v3 mmap-friendly section layout (see the diagram at the top) *)
-let to_string_v3 syn =
+let to_string syn =
   let n = S.n_nodes syn in
   let ne = S.n_edges syn in
   let tt = tt_create () in
-  (* value summaries first: encoding in node index order discovers
-     terms in the same order as the v2 writer, which keeps term-table
-     contents identical across versions (and round trips bit-exact) *)
+  (* value summaries first: the term table numbers terms in the order
+     this node-order walk discovers them, so a decode/re-encode round
+     trip within one process is bit-exact *)
   let blob = Buffer.create 65536 in
   let voff = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -453,7 +394,8 @@ let to_string_v3 syn =
   in
   let terms =
     let b = Buffer.create 4096 in
-    Buffer.add_string b (encode_terms tt);
+    put_list b put_string
+      (List.rev_map (fun id -> Dictionary.to_string (Dictionary.unsafe_of_int id)) tt.ids);
     pad8 b;
     Buffer.contents b
   in
@@ -495,22 +437,6 @@ let to_string_v3 syn =
   Array.iter (Buffer.add_string out) payloads;
   Buffer.contents out
 
-let to_string = to_string_v3
-
-let to_string_v1 syn =
-  let tt = tt_create () in
-  let nodes = encode_nodes tt syn in
-  let terms = encode_terms tt in
-  let out = Buffer.create (String.length nodes + String.length terms + 64) in
-  Buffer.add_string out magic;
-  put_int out version_v1;
-  Buffer.add_string out terms;
-  put_int out (S.doc_height syn);
-  put_int out (S.root_sid syn);
-  put_int out (S.n_nodes syn);
-  Buffer.add_string out nodes;
-  Buffer.contents out
-
 let size_on_disk syn = String.length (to_string syn)
 
 (* ---- decoding -------------------------------------------------------------- *)
@@ -520,8 +446,17 @@ let decode_terms r =
     (get_list r ~elt_min:8 ~what:"term-table size" (fun r ->
          Dictionary.of_string (get_string r)))
 
-(* The shared node-record payload. Consumes the reader exactly to its
-   limit; the caller supplies the header fields. *)
+(* ---- v1 / v2 ------------------------------------------------------------
+   Both legacy formats carry one node-record payload: nodes in
+   ascending-sid order with sid-keyed edges, the sealed form's index
+   order. v1 wraps it unframed:
+     magic | version | term table | doc_height root n_nodes | nodes
+   v2 frames header / terms / nodes into sections, each
+     tag | payload length | CRC-32 | payload
+   so damage is detected section-locally before decoding.
+
+   [decode_graph] reads the payload, consuming the reader exactly to
+   its limit; the caller supplies the header fields. *)
 let decode_graph r ~terms ~doc_height ~root ~n_nodes =
   if doc_height < 0 || doc_height > 1_000_000 then
     err (Bad_length { pos = 0; len = doc_height; what = "document height" });
@@ -579,7 +514,9 @@ let section_name tag =
   else if tag = tag_terms then "terms"
   else "nodes"
 
-let get_section r ~tag =
+(* One v2 section frame: its payload's reader and (stored, computed)
+   CRC, with [r] moved past the frame. *)
+let v2_frame r ~tag =
   let name = section_name tag in
   let at = r.pos in
   let t = get_int r in
@@ -595,9 +532,14 @@ let get_section r ~tag =
   if len < 0 || len > remaining r then
     err (Bad_length { pos = len_at; len; what = name ^ " section length" });
   let actual = Crc32.sub r.src ~pos:r.pos ~len in
-  if actual <> stored then err (Checksum_mismatch { section = name; stored; actual });
   let section = { src = r.src; pos = r.pos; limit = r.pos + len } in
   r.pos <- r.pos + len;
+  (section, stored, actual)
+
+let get_section r ~tag =
+  let section, stored, actual = v2_frame r ~tag in
+  if actual <> stored then
+    err (Checksum_mismatch { section = section_name tag; stored; actual });
   section
 
 let decode_header r =
@@ -703,10 +645,11 @@ let expect_words e count =
   if e.e_len / 8 <> count then
     err (Bad_length { pos = e.e_off; len = e.e_len; what = e.e_name ^ " section length" })
 
-(* [n] length-prefixed strings, byte-packed then zero-padded to 8 *)
-let parse_v3_strings src e n f =
+(* a byte-packed section (labels, terms): [f] reads its records, and
+   only the zero pad to 8 may follow them *)
+let parse_v3_packed src e f =
   let r = { src; pos = e.e_off; limit = e.e_off + e.e_len } in
-  let out = Array.init n (fun _ -> f (get_string r)) in
+  let out = f r in
   if remaining r >= 8 then
     err (Corrupt { pos = r.pos; what = "trailing bytes in " ^ e.e_name ^ " section" });
   out
@@ -715,20 +658,7 @@ let parse_v3_vtypes src e n =
   if e.e_len < n || e.e_len - n >= 8 then
     err (Bad_length { pos = e.e_off; len = e.e_len; what = "vtypes section length" });
   Array.init n (fun i ->
-      match Char.code (String.unsafe_get src (e.e_off + i)) with
-      | 0 -> Value.Tnull
-      | 1 -> Value.Tnumeric
-      | 2 -> Value.Tstring
-      | 3 -> Value.Ttext
-      | tag ->
-        err (Corrupt { pos = e.e_off + i; what = Printf.sprintf "unknown value-type tag %d" tag }))
-
-let parse_v3_terms src e =
-  let r = { src; pos = e.e_off; limit = e.e_off + e.e_len } in
-  let terms = decode_terms r in
-  if remaining r >= 8 then
-    err (Corrupt { pos = r.pos; what = "trailing bytes in terms section" });
-  terms
+      vtype_of_tag ~pos:(e.e_off + i) (Char.code (String.unsafe_get src (e.e_off + i))))
 
 (* value-summary offsets: monotone, starting at 0, ending within the
    blob (the blob's trailing distance is its alignment pad, < 8) *)
@@ -764,16 +694,38 @@ let get_vsumm_slice terms blob ~lo ~hi =
     err (Corrupt { pos = r.pos; what = "trailing bytes in value summary" });
   v
 
-let seal_v3 ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
-    ~child_avg ~parent_off ~parent_idx ~vsumms ~vsumm_decode ~on_first_touch =
-  let syn =
-    S.of_flat ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
-      ~child_avg ~parent_off ~parent_idx ~vsumms ~vsumm_decode ~on_first_touch
+type v3_nodes = {
+  doc_height : int;
+  root : int;  (* index, not sid *)
+  n : int;
+  ne : int;
+  sids : int array;
+  counts : int array;
+  labels : Label.t array;
+  vtypes : Value.vtype array;
+}
+
+(* The node-attribute sections (header, sids, counts, labels, vtypes)
+   plus the shape checks: what the eager decoder and the mapped loader
+   both read up front. Byte 0 of [src] is file offset [base] — the
+   whole container, or the prefix read after the prologue. *)
+let parse_v3_nodes src entries ~base =
+  let at i = { (entries.(i)) with e_off = entries.(i).e_off - base } in
+  let doc_height, root_sid, n, ne = parse_v3_header src (at 0) in
+  (* every word-array section's length follows from the header's
+     counts: check them all before any is read *)
+  List.iter
+    (fun (i, count) -> expect_words entries.(i) count)
+    [ (1, n); (2, n); (5, n + 1); (6, ne); (7, ne); (8, n + 1); (9, ne); (11, n + 1) ];
+  let sids = ints_of_le src ~pos:(at 1).e_off ~count:n in
+  let counts = ints_of_le src ~pos:(at 2).e_off ~count:n in
+  let labels =
+    parse_v3_packed src (at 3) (fun r ->
+        Array.init n (fun _ -> Label.of_string (get_string r)))
   in
-  (match S.validate syn with
-  | Ok () -> ()
-  | Error e -> err (Corrupt { pos = 0; what = "decoded synopsis is inconsistent: " ^ e }));
-  syn
+  let vtypes = parse_v3_vtypes src (at 4) n in
+  let root = root_index_of_sid sids root_sid in
+  { doc_height; root; n; ne; sids; counts; labels; vtypes }
 
 (* the eager v3 decoder: every CRC checked, every section copied out of
    the string, every value summary materialized. The totality/fuzzing
@@ -781,25 +733,15 @@ let seal_v3 ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_id
 let decode_v3 src =
   let entries = parse_v3_dir src ~total:(String.length src) in
   Array.iter (fun e -> check_v3_crc src e) entries;
-  let doc_height, root_sid, n, ne = parse_v3_header src entries.(0) in
-  expect_words entries.(1) n;
-  expect_words entries.(2) n;
-  expect_words entries.(5) (n + 1);
-  expect_words entries.(6) ne;
-  expect_words entries.(7) ne;
-  expect_words entries.(8) (n + 1);
-  expect_words entries.(9) ne;
-  expect_words entries.(11) (n + 1);
-  let sids = ints_of_le src ~pos:entries.(1).e_off ~count:n in
-  let counts = ints_of_le src ~pos:entries.(2).e_off ~count:n in
-  let labels = parse_v3_strings src entries.(3) n Label.of_string in
-  let vtypes = parse_v3_vtypes src entries.(4) n in
+  let { doc_height; root; n; ne; sids; counts; labels; vtypes } =
+    parse_v3_nodes src entries ~base:0
+  in
   let child_off = ba_i_of_le src ~pos:entries.(5).e_off ~count:(n + 1) in
   let child_idx = ba_i_of_le src ~pos:entries.(6).e_off ~count:ne in
   let child_avg = ba_f_of_le src ~pos:entries.(7).e_off ~count:ne in
   let parent_off = ba_i_of_le src ~pos:entries.(8).e_off ~count:(n + 1) in
   let parent_idx = ba_i_of_le src ~pos:entries.(9).e_off ~count:ne in
-  let terms = parse_v3_terms src entries.(10) in
+  let terms = parse_v3_packed src entries.(10) decode_terms in
   let voff = parse_v3_voff src entries.(11) ~n ~blob_len:entries.(12).e_len in
   let blob_off = entries.(12).e_off in
   let vsumms =
@@ -807,9 +749,14 @@ let decode_v3 src =
         Some
           (get_vsumm_slice terms src ~lo:(blob_off + voff.(i)) ~hi:(blob_off + voff.(i + 1))))
   in
-  let root = root_index_of_sid sids root_sid in
-  seal_v3 ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
-    ~child_avg ~parent_off ~parent_idx ~vsumms ~vsumm_decode:None ~on_first_touch:None
+  let syn =
+    S.of_flat ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
+      ~child_avg ~parent_off ~parent_idx ~vsumms ~vsumm_decode:None ~on_first_touch:None
+  in
+  (match S.validate syn with
+  | Ok () -> ()
+  | Error e -> err (Corrupt { pos = 0; what = "decoded synopsis is inconsistent: " ^ e }));
+  syn
 
 let with_version src k =
   let r = { src; pos = 0; limit = String.length src } in
@@ -824,20 +771,19 @@ let with_version src k =
    decoder feeds (histogram/suffix-tree constructors, freeze);
    normalize every failure mode to the typed error — decoding is
    total. *)
-let guard f =
+let guard ?(path = "") f =
+  let fail e =
+    record_error e;
+    Error e
+  in
   match f () with
   | v -> Ok v
-  | exception Decode e ->
-    record_error e;
-    Error e
-  | exception Stack_overflow ->
-    let e = Corrupt { pos = 0; what = "decoder stack overflow" } in
-    record_error e;
-    Error e
+  | exception Decode e -> fail e
+  | exception Xc_util.Fault.Injected _ -> fail (Io (path ^ ": injected map fault"))
+  | exception Unix.Unix_error (ec, _, _) -> fail (Io (path ^ ": " ^ Unix.error_message ec))
+  | exception Stack_overflow -> fail (Corrupt { pos = 0; what = "decoder stack overflow" })
   | exception exn ->
-    let e = Corrupt { pos = 0; what = "decoder failure: " ^ Printexc.to_string exn } in
-    record_error e;
-    Error e
+    fail (Corrupt { pos = 0; what = "decoder failure: " ^ Printexc.to_string exn })
 
 let of_string src =
   guard (fun () ->
@@ -886,6 +832,12 @@ let read_file path =
    when the synopsis is collected (eviction from the serve engine's LRU
    drops the last reference; the GC then unmaps). *)
 
+let with_fd path f =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd)
+
 let read_exact fd len =
   let buf = Bytes.create len in
   let rec go off =
@@ -908,8 +860,7 @@ let string_of_map cmap ~pos ~len =
 
 let map_v3 path =
   Xc_util.Fault.raise_io ~site:"codec.map";
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  with_fd path @@ fun fd ->
   let total = (Unix.fstat fd).Unix.st_size in
   if total < v3_data_pos then err (Truncated { pos = total; need = v3_data_pos - total });
   let prologue = Xc_util.Fault.mutate ~site:"codec.load" (read_exact fd v3_data_pos) in
@@ -922,24 +873,12 @@ let map_v3 path =
   let eager_len = entries.(5).e_off - v3_data_pos in
   let eager0 = read_exact fd eager_len in
   let eager = Xc_util.Fault.mutate ~site:"codec.load" eager0 in
-  (* reposition entry offsets into the eager buffer *)
-  let shift e = { e with e_off = e.e_off - v3_data_pos } in
-  let eager_entries = Array.map shift (Array.sub entries 0 5) in
-  Array.iter (fun e -> check_v3_crc eager e) eager_entries;
-  let doc_height, root_sid, n, ne = parse_v3_header eager eager_entries.(0) in
-  expect_words entries.(1) n;
-  expect_words entries.(2) n;
-  expect_words entries.(5) (n + 1);
-  expect_words entries.(6) ne;
-  expect_words entries.(7) ne;
-  expect_words entries.(8) (n + 1);
-  expect_words entries.(9) ne;
-  expect_words entries.(11) (n + 1);
-  let sids = ints_of_le eager ~pos:eager_entries.(1).e_off ~count:n in
-  let counts = ints_of_le eager ~pos:eager_entries.(2).e_off ~count:n in
-  let labels = parse_v3_strings eager eager_entries.(3) n Label.of_string in
-  let vtypes = parse_v3_vtypes eager eager_entries.(4) n in
-  let root = root_index_of_sid sids root_sid in
+  for i = 0 to 4 do
+    check_v3_crc eager { (entries.(i)) with e_off = entries.(i).e_off - v3_data_pos }
+  done;
+  let { doc_height; root; n; ne = _; sids; counts; labels; vtypes } =
+    parse_v3_nodes eager entries ~base:v3_data_pos
+  in
   let cmap =
     Bigarray.array1_of_genarray
       (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| total |])
@@ -998,7 +937,9 @@ let map_v3 path =
       (let terms_s = verify_lazy entries.(10) in
        let voff_s = verify_lazy entries.(11) in
        let blob = verify_lazy entries.(12) in
-       let terms = parse_v3_terms terms_s { (entries.(10)) with e_off = 0 } in
+       let terms =
+         parse_v3_packed terms_s { (entries.(10)) with e_off = 0 } decode_terms
+       in
        let voff =
          parse_v3_voff voff_s { (entries.(11)) with e_off = 0 } ~n ~blob_len:(String.length blob)
        in
@@ -1023,55 +964,19 @@ let map_v3 path =
 
 (* which version is on disk, without reading the payload *)
 let sniff_version path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> None
-  | fd ->
-    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    let buf = Bytes.create 12 in
-    let rec go off =
-      if off = 12 then 12
-      else
-        match Unix.read fd buf off (12 - off) with
-        | 0 -> off
-        | k -> go (off + k)
-        | exception Unix.Unix_error _ -> off
-    in
-    if go 0 < 12 then None
-    else if not (String.equal (Bytes.sub_string buf 0 4) magic) then None
-    else
-      let v64 = Bytes.get_int64_be buf 4 in
-      let v = Int64.to_int v64 in
-      if Int64.of_int v <> v64 then None else Some v
-
-let load_v3_mapped path =
-  match map_v3 path with
-  | syn -> Ok syn
-  | exception Decode e ->
-    record_error e;
-    Error e
-  | exception Xc_util.Fault.Injected _ ->
-    let e = Io (path ^ ": injected map fault") in
-    record_error e;
-    Error e
-  | exception Unix.Unix_error (ec, _, _) ->
-    let e = Io (path ^ ": " ^ Unix.error_message ec) in
-    record_error e;
-    Error e
-  | exception Stack_overflow ->
-    let e = Corrupt { pos = 0; what = "decoder stack overflow" } in
-    record_error e;
-    Error e
-  | exception exn ->
-    let e = Corrupt { pos = 0; what = "decoder failure: " ^ Printexc.to_string exn } in
-    record_error e;
-    Error e
+  match with_fd path (fun fd -> read_exact fd 12) with
+  | exception (Unix.Unix_error _ | Decode _) -> None
+  | buf when String.equal (String.sub buf 0 4) magic -> (
+    match get_int { src = buf; pos = 4; limit = 12 } with
+    | v -> Some v
+    | exception Decode _ -> None)
+  | _ -> None
 
 let load ?(eager = false) path =
   if eager || Sys.big_endian then Result.bind (read_file path) of_string
   else
     match sniff_version path with
-    | Some v when v = version -> load_v3_mapped path
+    | Some v when v = version -> guard ~path (fun () -> map_v3 path)
     | Some _ | None ->
       (* v1/v2, foreign, or unreadable: the string path decodes or
          reports the precise error *)
@@ -1149,32 +1054,19 @@ let sections_string ?(eager = true) src =
                 sec_crc_ok = None
               } ]
           else if v = version_v2 then begin
-            let out = ref [] in
-            List.iter
-              (fun tag ->
-                let name = section_name tag in
-                let at = r.pos in
-                let t = get_int r in
-                if t <> tag then
-                  err
-                    (Corrupt
-                       { pos = at;
-                         what =
-                           Printf.sprintf "expected %s section (tag %d), found tag %d" name
-                             tag t
-                       });
-                let len_at = r.pos in
-                let len = get_int r in
-                let stored = get_int r in
-                if len < 0 || len > remaining r then
-                  err (Bad_length { pos = len_at; len; what = name ^ " section length" });
-                let actual = Crc32.sub r.src ~pos:r.pos ~len in
-                out := { sec_name = name; sec_bytes = len; sec_crc_ok = Some (actual = stored) } :: !out;
-                r.pos <- r.pos + len)
-              [ tag_header; tag_terms; tag_nodes ];
+            let out =
+              List.map
+                (fun tag ->
+                  let sec, stored, actual = v2_frame r ~tag in
+                  { sec_name = section_name tag;
+                    sec_bytes = sec.limit - sec.pos;
+                    sec_crc_ok = Some (actual = stored)
+                  })
+                [ tag_header; tag_terms; tag_nodes ]
+            in
             if r.pos <> r.limit then
               err (Corrupt { pos = r.pos; what = "trailing bytes after last section" });
-            List.rev !out
+            out
           end
           else begin
             let entries = parse_v3_dir src ~total:(String.length src) in

@@ -21,10 +21,9 @@
     ([Unix.map_file]) straight into the sealed synopsis's Bigarray
     backing store, zero-copy, with CRC verification deferred to first
     touch (see {e lazy verification} below). {b v2} (framed sections,
-    big-endian records) and {b v1} (unframed, no checksums) files
-    remain readable: the decoder negotiates on the version field, and
-    {!to_string_v2}/{!to_string_v1} keep producing the old formats for
-    interop and testing.
+    big-endian records) and {b v1} (unframed, no checksums) files are
+    readable, not writable: the decoder negotiates on the version
+    field, and v3 is the only format this module writes.
 
     {b Failure contract.} Decoding via {!of_string} is total: every
     way an input can be wrong — foreign file, truncation, bit rot,
@@ -69,7 +68,7 @@ type error =
       (** a count or length field is negative or larger than the
           remaining input could possibly satisfy *)
   | Checksum_mismatch of { section : string; stored : int; actual : int }
-      (** a v2 section failed its CRC-32 *)
+      (** a section (or the v3 directory) failed its CRC-32 *)
   | Corrupt of { pos : int; what : string }
       (** structurally invalid content (bad tag, duplicate node,
           inconsistent graph, …) *)
@@ -89,15 +88,6 @@ exception Lazy_failure of error
 val to_string : Synopsis.Sealed.t -> string
 (** The v3 encoding. *)
 
-val to_string_v2 : Synopsis.Sealed.t -> string
-(** The framed big-endian v2 encoding, kept for interop with pre-v3
-    stores and for differential tests. New code should write v3. *)
-
-val to_string_v1 : Synopsis.Sealed.t -> string
-(** The legacy unframed v1 encoding, kept so compatibility tests (and
-    tooling that must interoperate with pre-v2 stores) can produce v1
-    bytes. New code should write v3. *)
-
 val size_on_disk : Synopsis.Sealed.t -> int
 (** Byte length of the v3 encoding — directory, checksums, and
     alignment padding beyond the model's
@@ -108,7 +98,7 @@ val size_on_disk : Synopsis.Sealed.t -> int
 (* ---- decoding --------------------------------------------------------- *)
 
 val of_string : string -> (Synopsis.Sealed.t, error) result
-(** Decode either format version. Total: never raises. *)
+(** Decode any format version (v1, v2 or v3). Total: never raises. *)
 
 val of_string_exn : string -> Synopsis.Sealed.t
 (** @raise Failure with the rendered error on any decode failure. *)

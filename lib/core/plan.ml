@@ -188,6 +188,12 @@ let query_key q =
   add_node q.Twig_query.root;
   Buffer.contents buf
 
+(* Distinct queries grow both caches (and whitespace variants the
+   batch text index) without limit; past this many entries a cache is
+   reset. Twice the serving layer's default batch-size limit, so steady
+   full-size batches never thrash the batch engine. *)
+let cache_bound = 16_384
+
 (* ---- the per-synopsis plan cache --------------------------------------- *)
 
 module Cache = struct
@@ -198,6 +204,11 @@ module Cache = struct
 
   let create syn = { c_memo = memo_create syn; c_plans = Hashtbl.create 64 }
 
+  let clear c =
+    Hashtbl.reset c.c_plans;
+    Hashtbl.reset c.c_memo.mc_reach;
+    Hashtbl.reset c.c_memo.mc_root
+
   let find_or_compile c q =
     let key = query_key q in
     match Hashtbl.find_opt c.c_plans key with
@@ -206,6 +217,10 @@ module Cache = struct
       plan
     | None ->
       Metrics.incr m "plan.cache_miss";
+      if Hashtbl.length c.c_plans > cache_bound then begin
+        clear c;
+        Metrics.incr m "plan_cache.reset"
+      end;
       let plan = compile c.c_memo q in
       Hashtbl.add c.c_plans key plan;
       plan
@@ -225,11 +240,6 @@ module Cache = struct
 
   let n_plans c = Hashtbl.length c.c_plans
   let reach_entries c = Hashtbl.length c.c_memo.mc_reach + Hashtbl.length c.c_memo.mc_root
-
-  let clear c =
-    Hashtbl.reset c.c_plans;
-    Hashtbl.reset c.c_memo.mc_reach;
-    Hashtbl.reset c.c_memo.mc_root
 end
 
 (* ---- batched serving ---------------------------------------------------
@@ -337,13 +347,9 @@ module Batch = struct
     mutable bt_last : prepared option;  (* last text batch, plan included *)
   }
 
-  (* Whitespace variants of one query are distinct texts, and distinct
-     queries distinct compiled queries, so a client could grow the text
-     index or the query cache without limit; past this many entries
-     either is reset, between batches only. Twice the serving layer's
-     default batch-size limit, so steady full-size batches never thrash
-     them. *)
-  let text_index_bound = 16_384
+  (* the text index and the compiled queries are reset past it, between
+     batches only *)
+  let text_index_bound = cache_bound
 
   let create syn =
     { bt_syn = syn;

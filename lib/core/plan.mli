@@ -28,7 +28,8 @@
 
     Instrumentation goes to {!Xc_util.Metrics.global}: counters
     [plan.compile], [plan.cache_hit]/[plan.cache_miss] (query → plan
-    lookups), [reach.memo_hit]/[reach.memo_miss], [plan.error];
+    lookups), [plan_cache.reset], [reach.memo_hit]/[reach.memo_miss],
+    [plan.error];
     histograms [reach.expansion_depth], [estimate.plan_us]; timer
     [estimate.plan]. *)
 
@@ -49,7 +50,10 @@ module Cache : sig
   (** Estimated number of binding tuples — bit-identical to
       [Estimate.selectivity syn q] for the synopsis the cache was
       created on. The query's plan is compiled on first sight of its
-      {!query_key} and reused after. *)
+      {!query_key} and reused after. A miss that finds more than
+      {!Batch.text_index_bound} plans cached first empties the cache
+      ({!clear}, bumping [plan_cache.reset]), so a long-lived cache
+      stays bounded however many distinct queries it sees. *)
 
   val estimate_result : t -> Xc_twig.Twig_query.t -> (float, string) result
   (** {!estimate} with the serving failure contract: any exception out
@@ -168,7 +172,8 @@ module Batch : sig
   val text_index_bound : int
   (** Text-index size above which {!prepare_texts} resets the index,
       and compiled-query count above which {!prepare} and
-      {!prepare_texts} {!clear} the engine. *)
+      {!prepare_texts} {!clear} the engine; {!Cache} bounds its plans
+      by the same constant. *)
 
   val run_into : ?domains:int -> t -> prepared -> float array -> unit
   (** [run_into t p out] runs the matrix-major sweep and writes the

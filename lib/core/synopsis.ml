@@ -180,12 +180,6 @@ module Builder = struct
   let fold f init t = Hashtbl.fold (fun _ node acc -> f acc node) t.nodes init
   let n_edges t = fold (fun acc node -> acc + Hashtbl.length node.children) 0 t
 
-  let children_list t node =
-    Hashtbl.fold (fun sid avg acc -> (find t sid, avg) :: acc) node.children []
-
-  let parents_list t node =
-    Hashtbl.fold (fun sid () acc -> find t sid :: acc) node.parents []
-
   let succ _t node f = Hashtbl.iter f node.children
   let pred _t node f = Hashtbl.iter (fun sid () -> f sid) node.parents
 
@@ -194,7 +188,6 @@ module Builder = struct
 
   let has_parent node parent = Hashtbl.mem node.parents parent
   let out_degree node = Hashtbl.length node.children
-  let in_degree node = Hashtbl.length node.parents
 
   let group_keys t = Hashtbl.fold (fun key _ acc -> key :: acc) t.groups []
 
@@ -345,7 +338,6 @@ module Levels = struct
 
   let level t sid = Hashtbl.find_opt t.tbl sid
   let get t ~default sid = Option.value ~default (Hashtbl.find_opt t.tbl sid)
-  let iter_levels f t = Hashtbl.iter f t.tbl
   let max_level t = t.lmax
 end
 
@@ -507,7 +499,6 @@ module Sealed = struct
         (fun k -> t.sids.(BA1.get t.parent_idx (BA1.get t.parent_off i + k)))
 
   let out_degree t i = touch t; BA1.get t.child_off (i + 1) - BA1.get t.child_off i
-  let in_degree t i = touch t; BA1.get t.parent_off (i + 1) - BA1.get t.parent_off i
 
   let structural_bytes t =
     (Size.node_bytes * n_nodes t) + (Size.edge_bytes * n_edges t)

@@ -80,8 +80,6 @@ module Builder : sig
   val n_edges : t -> int
   val iter : (node -> unit) -> t -> unit
   val fold : ('a -> node -> 'a) -> 'a -> t -> 'a
-  val children_list : t -> node -> (node * float) list
-  val parents_list : t -> node -> node list
 
   val succ : t -> node -> (int -> float -> unit) -> unit
   (** Iterate the node's outgoing edges as [f child_sid avg_count];
@@ -95,7 +93,6 @@ module Builder : sig
 
   val has_parent : node -> int -> bool
   val out_degree : node -> int
-  val in_degree : node -> int
 
   val group_key : node -> int * int * int
   (** The merge-compatibility class of a node: (label, value type,
@@ -164,9 +161,6 @@ module Levels : sig
   val set : t -> int -> int -> unit
   (** Record the level of a node created after {!compute} (the merge
       loop assigns new nodes [min] of their sources' levels). *)
-
-  val iter_levels : (int -> int -> unit) -> t -> unit
-  (** [f sid level] over every recorded node; unspecified order. *)
 
   val max_level : t -> int
   (** Largest recorded level; 0 when empty. O(1). *)
@@ -292,7 +286,6 @@ module Sealed : sig
   (** Parent sids of a cluster (by sid), ascending. *)
 
   val out_degree : t -> int -> int
-  val in_degree : t -> int -> int
   val structural_bytes : t -> int
   val value_bytes : t -> int
   val n_value_nodes : t -> int

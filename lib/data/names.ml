@@ -68,11 +68,6 @@ let auction_types = [| "Regular"; "Featured"; "Dutch" |]
 let person_name rng =
   Printf.sprintf "%s %s" (Rng.pick rng first_names) (Rng.pick rng last_names)
 
-let movie_title rng =
-  let n = 1 + Rng.int rng 4 in
-  let words = List.init n (fun _ -> Rng.pick rng title_words) in
-  String.concat " " words
-
 let email rng =
   Printf.sprintf "%s.%s@%s.example"
     (String.lowercase_ascii (Rng.pick rng first_names))
@@ -82,10 +77,6 @@ let email rng =
 let phone rng =
   Printf.sprintf "+%d (%03d) %07d" (1 + Rng.int rng 99) (Rng.int rng 1000)
     (Rng.int rng 10_000_000)
-
-let date_string rng =
-  Printf.sprintf "%02d/%02d/%04d" (1 + Rng.int rng 28) (1 + Rng.int rng 12)
-    (1998 + Rng.int rng 8)
 
 let time_string rng =
   Printf.sprintf "%02d:%02d:%02d" (Rng.int rng 24) (Rng.int rng 60) (Rng.int rng 60)

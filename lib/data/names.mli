@@ -20,14 +20,8 @@ val auction_types : string array
 val person_name : Xc_util.Rng.t -> string
 (** "First Last". *)
 
-val movie_title : Xc_util.Rng.t -> string
-(** 1–4 title words, capitalized. *)
-
 val email : Xc_util.Rng.t -> string
 val phone : Xc_util.Rng.t -> string
-val date_string : Xc_util.Rng.t -> string
-(** "DD/MM/YYYY" in 1998–2005, matching the XMark flavour. *)
-
 val time_string : Xc_util.Rng.t -> string
 val credit_card : Xc_util.Rng.t -> string
 val url : Xc_util.Rng.t -> string

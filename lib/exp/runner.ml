@@ -21,8 +21,6 @@ let estimator syn =
   let cache = Xc_core.Plan.Cache.create syn in
   fun query -> Xc_core.Plan.Cache.estimate cache query
 
-let estimator_uncached syn query = Xc_core.Estimate.selectivity syn query
-
 (* The positive workload as a query array, in workload order — the
    shape Plan.Batch serves (and the serve bench shards). *)
 let workload_queries ds =

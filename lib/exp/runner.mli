@@ -95,10 +95,6 @@ val estimator : Xc_core.Synopsis.Sealed.t -> Xc_twig.Twig_query.t -> float
     memoized reach expansions across queries. Floats are identical to
     {!Xc_core.Estimate.selectivity}. *)
 
-val estimator_uncached : Xc_core.Synopsis.Sealed.t -> Xc_twig.Twig_query.t -> float
-(** The direct {!Xc_core.Estimate.selectivity} path, kept as the
-    baseline the pipeline is validated and benchmarked against. *)
-
 val workload_queries : dataset -> Xc_twig.Twig_query.t array
 (** The positive workload as a query array (workload order) — the shape
     {!Xc_core.Plan.Batch} serves. *)

@@ -84,20 +84,6 @@ let load t =
       else { acc with skipped = acc.skipped + 1 })
     { loaded = 0; skipped = 0 } (sources t)
 
-(* The source registration happens only after the artifact verifies:
-   a corrupt path must not clobber the last good source either — a
-   later directory-wide reload would otherwise re-trip over it and the
-   registry would have forgotten where the good generation came from. *)
-let load_one t ~name ~path =
-  match Codec.load path with
-  | Ok syn ->
-    add_source t ~name ~path;
-    admit t name syn;
-    Ok ()
-  | Error e ->
-    Metrics.incr Metrics.global "serve.load_error";
-    Error (Error.Codec e)
-
 (* ---- generation swap ---------------------------------------------------- *)
 
 let swap t ~name syn =

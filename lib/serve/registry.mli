@@ -65,13 +65,6 @@ val load : t -> load_report
     nothing. Only the report's [skipped] field and the counter reveal
     the failure. *)
 
-val load_one : t -> name:string -> path:string -> (unit, Error.t) result
-(** Verify-then-admit just this artifact. The source registration also
-    only happens on success: a corrupt [path] leaves both the previous
-    admission {e and} the previous source of [name] untouched (so a
-    later {!load} still reloads from the last good path), returns the
-    codec error, and counts [serve.load_error]. *)
-
 (* ---- generation swap ---------------------------------------------------- *)
 
 val swap : t -> name:string -> Xc_core.Synopsis.Sealed.t -> int

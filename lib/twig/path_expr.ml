@@ -15,8 +15,6 @@ type t = step list
 
 let child tag = { axis = Child; test = Tag (Xc_xml.Label.of_string tag) }
 let desc tag = { axis = Descendant; test = Tag (Xc_xml.Label.of_string tag) }
-let child_any = { axis = Child; test = Wildcard }
-let desc_any = { axis = Descendant; test = Wildcard }
 
 let of_steps = function
   | [] -> invalid_arg "Path_expr.of_steps: empty expression"

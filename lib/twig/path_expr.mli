@@ -22,8 +22,6 @@ type t = step list
 
 val child : string -> step
 val desc : string -> step
-val child_any : step
-val desc_any : step
 
 val of_steps : step list -> t
 (** @raise Invalid_argument on the empty list. *)

@@ -37,22 +37,6 @@ let pull_step doc step cur =
 
 let pull_expr doc expr arr = List.fold_right (fun step acc -> pull_step doc step acc) expr arr
 
-let bindings_per_node doc query =
-  let nodes = doc.Document.nodes in
-  let n = Array.length nodes in
-  let rec eval qnode =
-    let pulled_children =
-      List.map (fun (expr, child) -> pull_expr doc expr (eval child)) qnode.Twig_query.edges
-    in
-    Array.init n (fun i ->
-        let sat =
-          List.for_all (fun p -> Predicate.matches p nodes.(i).Node.value) qnode.Twig_query.preds
-        in
-        if not sat then 0.0
-        else List.fold_left (fun acc arr -> acc *. arr.(i)) 1.0 pulled_children)
-  in
-  eval query.Twig_query.root
-
 (* The root variable q0 binds to the virtual *document node*, so a
    top-level [/db] step selects the root element and a top-level [//x]
    step ranges over every element including the root. *)

@@ -13,11 +13,6 @@
 val selectivity : Xc_xml.Document.t -> Twig_query.t -> float
 (** Number of binding tuples of the query on the document. *)
 
-val bindings_per_node : Xc_xml.Document.t -> Twig_query.t -> float array
-(** For diagnostics: the root variable's per-element binding counts
-    (entry [0] is the selectivity, other entries are counts that the
-    query would produce were the root variable bound elsewhere). *)
-
 val matches_path : Xc_xml.Document.t -> Path_expr.t -> int -> int -> bool
 (** [matches_path doc expr src dst] — does element [dst] lie in the
     result of evaluating [expr] from element [src]? (Test helper;

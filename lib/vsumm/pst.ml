@@ -345,18 +345,6 @@ let dot_products a b =
 
 let size_bytes t = node_bytes * t.n_nodes
 
-let strings_total_bytes t =
-  let total = ref 0 in
-  let rec scan depth node =
-    List.iter
-      (fun (_, child) ->
-        total := !total + depth + 1;
-        scan (depth + 1) child)
-      node.children
-  in
-  scan 0 t.root;
-  !total
-
 let pp ppf t = Format.fprintf ppf "pst(n=%.0f, nodes=%d)" t.n t.n_nodes
 
 let build ?max_depth ?(max_nodes = 4096) strings =

@@ -64,9 +64,6 @@ val dot_products : t -> t -> float * float * float
 val size_bytes : t -> int
 (** 9 bytes per node (symbol + count + structure). *)
 
-val strings_total_bytes : t -> int
-(** Diagnostic: sum over nodes of node depth (size of a naive listing). *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints node and string counts only. *)
 

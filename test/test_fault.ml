@@ -70,9 +70,15 @@ let mutate rng good =
 
 let fuzz_iterations = 2_100
 
-let test_fuzz name () =
-  let syn = force name in
-  let good = Codec.to_string syn in
+(* the golden v1/v2/v3 files of one IMDB synopsis, written by each
+   format's writer; only v3 is still written, the others are read *)
+let golden v =
+  let path = Printf.sprintf "golden/imdb.v%d.syn" v in
+  match Safe_io.read path with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "read %s failed: %s" path (Safe_io.error_to_string e)
+
+let fuzz good () =
   let rng = Rng.create 20_260_806 in
   let ok = ref 0 and errors = ref 0 in
   for i = 1 to fuzz_iterations do
@@ -91,9 +97,11 @@ let test_fuzz name () =
   check Alcotest.bool "ran the full budget" true (!ok + !errors = fuzz_iterations);
   check Alcotest.bool "mutations were mostly detected" true (!errors > fuzz_iterations / 2)
 
-(* every single-bit flip must be caught: the v2 format has no byte
-   outside the magic/version/framing fields and the CRC-covered
-   section payloads *)
+let test_fuzz name () = fuzz (Codec.to_string (force name)) ()
+
+(* every single-bit flip must be caught: the v3 format has no byte
+   outside the magic/version fields, the CRC-covered section
+   directory and the CRC-covered section payloads *)
 let test_every_bit_flip_detected () =
   let doc =
     Xc_xml.Parser.parse_string
@@ -202,9 +210,14 @@ let test_hostile_lengths () =
 
 let est syn q = Xc_core.Estimate.selectivity syn (Xc_twig.Twig_parse.parse q)
 
+(* the v1 golden file decodes to the synopsis the v3 golden file holds *)
 let test_v1_still_decodes () =
-  let syn = force "imdb" in
-  let v1 = Codec.to_string_v1 syn in
+  let v1 = golden 1 in
+  let syn =
+    match Codec.of_string (golden 3) with
+    | Ok syn -> syn
+    | Error e -> Alcotest.failf "v3 decode failed: %s" (Codec.error_to_string e)
+  in
   match Codec.of_string v1 with
   | Error e -> Alcotest.failf "v1 decode failed: %s" (Codec.error_to_string e)
   | Ok decoded ->
@@ -212,7 +225,9 @@ let test_v1_still_decodes () =
     check Alcotest.int "same edges" (S.n_edges syn) (S.n_edges decoded);
     List.iter
       (fun q ->
-        check (Alcotest.float 0.0) ("estimate " ^ q) (est syn q) (est decoded q))
+        check Alcotest.int64 ("estimate bits " ^ q)
+          (Int64.bits_of_float (est syn q))
+          (Int64.bits_of_float (est decoded q)))
       [ "//movie/year[. > 1990]"; "//movie[year > 1990]"; "//movie/title" ];
     (match Codec.verify_string v1 with
     | Ok info ->
@@ -415,6 +430,10 @@ let () =
         [ Alcotest.test_case "fuzz imdb (2100 mutations)" `Quick (test_fuzz "imdb");
           Alcotest.test_case "fuzz xmark (2100 mutations)" `Quick (test_fuzz "xmark");
           Alcotest.test_case "fuzz dblp (2100 mutations)" `Quick (test_fuzz "dblp");
+          Alcotest.test_case "fuzz golden v1 (2100 mutations)" `Quick (fun () ->
+              fuzz (golden 1) ());
+          Alcotest.test_case "fuzz golden v2 (2100 mutations)" `Quick (fun () ->
+              fuzz (golden 2) ());
           Alcotest.test_case "every bit flip detected" `Quick test_every_bit_flip_detected;
           Alcotest.test_case "clean round trip is bit-exact" `Quick test_roundtrip_bit_exact;
           Alcotest.test_case "hostile lengths rejected pre-allocation" `Quick

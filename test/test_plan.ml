@@ -168,6 +168,27 @@ let test_cache_hits_counted () =
   Plan.Cache.clear cache;
   check Alcotest.int "cleared" 0 (Plan.Cache.n_plans cache)
 
+(* a long-lived cache fed ever-new distinct queries: the miss that finds
+   more than the bound cached empties the cache first, once, and every
+   answer stays bit-identical to the oracle *)
+let test_cache_bound () =
+  let doc = Xc_data.Imdb.generate ~seed:11 ~n_movies:30 () in
+  let syn = Synopsis.freeze (Xc_core.Reference.build ~min_extent:4 doc) in
+  let cache = Plan.Cache.create syn in
+  let bound = Plan.Batch.text_index_bound in
+  let resets () = Metrics.counter_value Metrics.global "plan_cache.reset" in
+  let resets0 = resets () in
+  for k = 0 to bound + 1 do
+    let text = Printf.sprintf "//movie[year > %d]/title" (1000 + k) in
+    let q = Xc_twig.Twig_parse.parse text in
+    let planned = Plan.Cache.estimate cache q in
+    let oracle = Estimate.selectivity syn q in
+    if Int64.bits_of_float planned <> Int64.bits_of_float oracle then
+      Alcotest.failf "query %d: planned %h differs from the oracle" k planned
+  done;
+  check Alcotest.int "exactly one reset" (resets0 + 1) (resets ());
+  check Alcotest.bool "plans back under the bound" true (Plan.Cache.n_plans cache < bound)
+
 (* ---- metrics registry -------------------------------------------------- *)
 
 let test_metrics_registry () =
@@ -215,7 +236,8 @@ let () =
           Alcotest.test_case "vsumm deep copy" `Quick test_vsumm_deep_copied_on_freeze ] );
       ( "cache",
         [ Alcotest.test_case "query keys injective" `Quick test_query_key_injective;
-          Alcotest.test_case "hit/miss counters" `Quick test_cache_hits_counted ] );
+          Alcotest.test_case "hit/miss counters" `Quick test_cache_hits_counted;
+          Alcotest.test_case "bounded under distinct queries" `Quick test_cache_bound ] );
       ( "metrics",
         [ Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "json" `Quick test_metrics_json ] ) ]
