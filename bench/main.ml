@@ -891,6 +891,7 @@ let run_chaos () =
     let domains = List.init 2 (fun _ -> worker ()) in
     let results = List.map Domain.join domains in
     let m = Xc_util.Metrics.create () in
+    let req_us = Xc_util.Metrics.histogram ~registry:m ~doc:"measured request latency, us" "req_us" in
     let ok = ref true in
     List.iter
       (fun r ->
@@ -899,7 +900,7 @@ let run_chaos () =
           Format.fprintf ppf "  ERROR: measured client failed: %s@." e;
           ok := false
         | Ok lats ->
-          List.iter (fun l -> Xc_util.Metrics.observe m "req_us" l) lats)
+          List.iter (fun l -> Xc_util.Metrics.observe req_us l) lats)
       results;
     let p99 =
       match Xc_util.Metrics.quantiles m "req_us" [ 0.99 ] with
@@ -1390,6 +1391,18 @@ let micro_tests () =
   (* the request frames of perfbench's batch-hot and point-skew workloads *)
   let frame_batch = String.init 22_658 (fun i -> Char.chr ((i * 131) land 0xFF)) in
   let frame_point = String.sub frame_batch 0 58 in
+  (* the metric handles' hot-path costs, on a private registry *)
+  let registry = Xc_util.Metrics.create () in
+  let bump = Xc_util.Metrics.counter ~registry ~doc:"micro" "micro.counter" in
+  let hist = Xc_util.Metrics.histogram ~registry ~doc:"micro" "micro.histogram" in
+  (* a point-skew request frame (51 bytes), written to one end of a
+     socketpair and read off the other into a warm buffer *)
+  let point =
+    Xcluster.Serve.Protocol.encode_request
+      (Xcluster.Serve.Protocol.Estimate { synopsis = "imdb"; query = "//movie[year>190]" })
+  in
+  let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rframe = Xcluster.Serve.Protocol.Frame.create () in
   [ Test.make ~name:"reference-build(10k-element doc)" (Staged.stage (fun () ->
         ignore (Xc_core.Reference.build ~min_extent:8 doc)));
     Test.make ~name:"xclusterbuild(8KB+60KB)" (Staged.stage (fun () ->
@@ -1410,7 +1423,16 @@ let micro_tests () =
     Test.make ~name:"crc32(22.6 KB)" (Staged.stage (fun () ->
         ignore (Xc_util.Crc32.digest frame_batch)));
     Test.make ~name:"crc32(58 B)" (Staged.stage (fun () ->
-        ignore (Xc_util.Crc32.digest frame_point))) ]
+        ignore (Xc_util.Crc32.digest frame_point)));
+    Test.make ~name:"metrics counter bump" (Staged.stage (fun () -> Xc_util.Metrics.incr bump));
+    Test.make ~name:"metrics histogram observe" (Staged.stage (fun () ->
+        Xc_util.Metrics.observe hist 12.5));
+    Test.make ~name:(Printf.sprintf "write + read_frame(%d B)" (String.length point))
+      (Staged.stage (fun () ->
+           ignore (Unix.write_substring tx point 0 (String.length point));
+           match Xcluster.Serve.Protocol.read_frame ~site:"serve.recv" rframe rx with
+           | Ok true -> ()
+           | Ok false | Error _ -> failwith "micro: read_frame failed")) ]
 
 let run_micro () =
   let open Bechamel in
@@ -1432,7 +1454,8 @@ let run_micro () =
               Format.fprintf ppf "%-36s %10.2f ms@." name (est /. 1e6)
             else if est >= 1e3 then
               Format.fprintf ppf "%-36s %10.2f us@." name (est /. 1e3)
-            else Format.fprintf ppf "%-36s %10.0f ns@." name est
+            else if est >= 100.0 then Format.fprintf ppf "%-36s %10.0f ns@." name est
+            else Format.fprintf ppf "%-36s %10.1f ns@." name est
           | Some [] | None -> Format.fprintf ppf "%-36s (no estimate)@." name)
         analyzed)
     (micro_tests ());

@@ -112,7 +112,7 @@ let phase1_repair params syn ~frontier =
       | None -> exhausted := true
     done;
     if !str_size > params.bstr then begin
-      Xc_util.Metrics.(incr global "update.repair_widened");
+      Xc_util.Metrics.incr Xc_util.Meters.Update.repair_widened;
       let before = B.n_nodes syn in
       phase1_merge params syn;
       merges := !merges + (before - B.n_nodes syn);
@@ -160,7 +160,7 @@ let compression_loop params heap syn val_size =
     match Heap.pop heap with
     | None -> exhausted := true
     | Some (_, (sid, step)) ->
-      Xc_util.Metrics.(incr global "build.compression_steps");
+      Xc_util.Metrics.incr Xc_util.Meters.Build.compression_steps;
       let node = B.find syn sid in
       let before = Xc_vsumm.Value_summary.size_bytes (B.vsumm node) in
       let vsumm' =
@@ -202,7 +202,7 @@ let phase2_repair params syn ~frontier =
       (List.sort_uniq Int.compare frontier);
     compression_loop params heap syn val_size;
     if !val_size > params.bval then begin
-      Xc_util.Metrics.(incr global "update.compress_widened");
+      Xc_util.Metrics.incr Xc_util.Meters.Update.compress_widened;
       phase2_compress params syn
     end;
     Log.debug (fun m ->
@@ -211,8 +211,8 @@ let phase2_repair params syn ~frontier =
 
 let run_builder params reference =
   let syn = B.copy reference in
-  Xc_util.Metrics.(time global "build.phase1") (fun () -> phase1_merge params syn);
-  Xc_util.Metrics.(time global "build.phase2") (fun () -> phase2_compress params syn);
+  Xc_util.Metrics.time Xc_util.Meters.Build.phase1 (fun () -> phase1_merge params syn);
+  Xc_util.Metrics.time Xc_util.Meters.Build.phase2 (fun () -> phase2_compress params syn);
   syn
 
 let run params reference = Synopsis.freeze (run_builder params reference)

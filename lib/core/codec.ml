@@ -4,6 +4,7 @@ module S = Synopsis.Sealed
 module Crc32 = Xc_util.Crc32
 module Safe_io = Xc_util.Safe_io
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 open Xc_xml
 
 let magic = "XCLU"
@@ -98,9 +99,9 @@ exception Decode of error
 let err e = raise (Decode e)
 
 let record_error e =
-  Metrics.incr Metrics.global "codec.decode_error";
+  Metrics.incr Meters.Codec.decode_error;
   match e with
-  | Checksum_mismatch _ -> Metrics.incr Metrics.global "codec.crc_mismatch"
+  | Checksum_mismatch _ -> Metrics.incr Meters.Codec.crc_mismatch
   | _ -> ()
 
 (* ---- primitive encoders ------------------------------------------------ *)
@@ -208,23 +209,38 @@ let ints_of_le src ~pos ~count = Array.init count (fun i -> get_int_le src (pos 
 
 (* ---- term table ---------------------------------------------------------
    Term identifiers are process-local, so the encoding embeds the spelling
-   of every term it references and the decoder re-interns them. *)
+   of every term it references and the decoder re-interns them. The
+   table lists the spellings in ascending text order, and each text
+   summary lists its terms in table order, so the bytes written depend
+   on the synopsis alone — not on the order in which this process
+   happened to intern its terms. *)
 
 type term_table = {
-  mutable ids : int list; (* referenced ids, reverse order of discovery *)
+  spellings : string list; (* ascending *)
   index : (int, int) Hashtbl.t; (* global id -> local index *)
 }
 
-let tt_create () = { ids = []; index = Hashtbl.create 256 }
+(* the table of every term the synopsis's text summaries reference *)
+let term_table syn =
+  let ids = Hashtbl.create 256 in
+  let add id = Hashtbl.replace ids id () in
+  for i = 0 to S.n_nodes syn - 1 do
+    match S.vsumm syn i with
+    | Vs.Vtext th ->
+      let top, bucket, _ = Xc_vsumm.Term_hist.parts th in
+      List.iter (fun (id, _) -> add id) top;
+      List.iter add bucket
+    | Vs.Vnone | Vs.Vnum _ | Vs.Vstr _ -> ()
+  done;
+  let by_text =
+    Hashtbl.fold (fun id () acc -> (Dictionary.to_string (Dictionary.unsafe_of_int id), id) :: acc) ids []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let index = Hashtbl.create (List.length by_text) in
+  List.iteri (fun local (_, id) -> Hashtbl.add index id local) by_text;
+  { spellings = List.map fst by_text; index }
 
-let tt_local tt id =
-  match Hashtbl.find_opt tt.index id with
-  | Some local -> local
-  | None ->
-    let local = Hashtbl.length tt.index in
-    Hashtbl.add tt.index id local;
-    tt.ids <- id :: tt.ids;
-    local
+let tt_local tt id = Hashtbl.find tt.index id
 
 (* ---- value summaries ----------------------------------------------------- *)
 
@@ -253,12 +269,15 @@ let put_vsumm tt buf = function
     put_int buf 3;
     put_float buf (Xc_vsumm.Term_hist.n_documents th);
     let top, bucket, bucket_avg = Xc_vsumm.Term_hist.parts th in
+    let top =
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.map (fun (id, f) -> (tt_local tt id, f)) top)
+    in
     put_list buf
-      (fun buf (id, f) ->
-        put_int buf (tt_local tt id);
+      (fun buf (local, f) ->
+        put_int buf local;
         put_float buf f)
       top;
-    put_list buf (fun buf id -> put_int buf (tt_local tt id)) bucket;
+    put_list buf put_int (List.sort Int.compare (List.map (tt_local tt) bucket));
     put_float buf bucket_avg
 
 let get_vsumm terms r =
@@ -339,10 +358,7 @@ let get_vtype r =
 let to_string syn =
   let n = S.n_nodes syn in
   let ne = S.n_edges syn in
-  let tt = tt_create () in
-  (* value summaries first: the term table numbers terms in the order
-     this node-order walk discovers them, so a decode/re-encode round
-     trip within one process is bit-exact *)
+  let tt = term_table syn in
   let blob = Buffer.create 65536 in
   let voff = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -394,8 +410,7 @@ let to_string syn =
   in
   let terms =
     let b = Buffer.create 4096 in
-    put_list b put_string
-      (List.rev_map (fun id -> Dictionary.to_string (Dictionary.unsafe_of_int id)) tt.ids);
+    put_list b put_string tt.spellings;
     pad8 b;
     Buffer.contents b
   in
@@ -803,7 +818,7 @@ let save path syn =
   match Safe_io.write_atomic path (to_string syn) with
   | Ok () -> Ok ()
   | Error e ->
-    Metrics.incr Metrics.global "codec.save_error";
+    Metrics.incr Meters.Codec.save_error;
     Error (Io (path ^ ": " ^ Safe_io.error_to_string e))
 
 let save_exn path syn =
@@ -906,9 +921,9 @@ let map_v3 path =
         (string_of_map cmap ~pos:e.e_off ~len:e.e_len)
     in
     let actual = Crc32.digest s in
-    Metrics.incr Metrics.global "codec.lazy_verify";
+    Metrics.incr Meters.Codec.lazy_verify;
     if actual <> e.e_crc then begin
-      Metrics.incr Metrics.global "codec.crc_mismatch";
+      Metrics.incr Meters.Codec.crc_mismatch;
       raise (Lazy_failure (Checksum_mismatch { section = e.e_name; stored = e.e_crc; actual }))
     end;
     s
@@ -957,7 +972,7 @@ let map_v3 path =
         (Lazy_failure
            (Corrupt { pos = voff.(i); what = "value-summary decode failure: " ^ Printexc.to_string exn }))
   in
-  Metrics.incr Metrics.global "codec.mmap_load";
+  Metrics.incr Meters.Codec.mmap_load;
   S.of_flat ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
     ~child_avg ~parent_off ~parent_idx ~vsumms:(Array.make n None)
     ~vsumm_decode:(Some vsumm_decode) ~on_first_touch:(Some on_first_touch)

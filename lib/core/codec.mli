@@ -6,7 +6,9 @@
     is a self-contained, versioned binary encoding that embeds the label
     names and dictionary terms it references; loading re-interns them,
     so identifiers are stable across processes even though the global
-    intern tables differ.
+    intern tables differ. Terms are numbered in text order, so the
+    bytes {!to_string} writes for a synopsis do not depend on the order
+    in which the writing process interned its terms.
 
     {b Format v3} (what {!to_string}/{!save} write) lays the synopsis
     out as a fixed 13-entry section directory followed by raw,

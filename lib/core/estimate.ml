@@ -1,6 +1,7 @@
 open Xc_twig
 module Vs = Xc_vsumm.Value_summary
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module B = Synopsis.Builder
 module S = Synopsis.Sealed
 module BA1 = Bigarray.Array1
@@ -131,7 +132,7 @@ let step_reach syn step dist =
       done;
       frontier := next
     done;
-    Metrics.observe Metrics.global "reach.expansion_depth" (float_of_int !depth);
+    Metrics.observe Meters.Reach.expansion_depth (float_of_int !depth);
     gather n acc flag !touched
 
 let reach_dist syn expr src =
@@ -293,7 +294,7 @@ let b_step_reach syn step dist =
         next;
       frontier := next
     done;
-    Metrics.observe Metrics.global "reach.expansion_depth" (float_of_int !depth);
+    Metrics.observe Meters.Reach.expansion_depth (float_of_int !depth);
     b_sorted_pairs out
 
 let b_reach syn expr src =

@@ -1,10 +1,9 @@
 open Xc_twig
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module S = Synopsis.Sealed
 module BA1 = Bigarray.Array1
 module Slices = Xc_util.Slices
-
-let m = Metrics.global
 
 (* ---- the shared reach memo -------------------------------------------- *)
 
@@ -28,10 +27,10 @@ let memo_reach mc expr idx =
   let key = (idx, expr) in
   match Hashtbl.find_opt mc.mc_reach key with
   | Some d ->
-    Metrics.incr m "reach.memo_hit";
+    Metrics.incr Meters.Reach.memo_hit;
     d
   | None ->
-    Metrics.incr m "reach.memo_miss";
+    Metrics.incr Meters.Reach.memo_miss;
     let d = Estimate.reach_dist mc.mc_syn expr idx in
     Hashtbl.add mc.mc_reach key d;
     d
@@ -39,10 +38,10 @@ let memo_reach mc expr idx =
 let memo_root_reach mc expr =
   match Hashtbl.find_opt mc.mc_root expr with
   | Some d ->
-    Metrics.incr m "reach.memo_hit";
+    Metrics.incr Meters.Reach.memo_hit;
     d
   | None ->
-    Metrics.incr m "reach.memo_miss";
+    Metrics.incr Meters.Reach.memo_miss;
     let d = Estimate.root_reach_dist mc.mc_syn expr in
     Hashtbl.add mc.mc_root expr d;
     d
@@ -72,7 +71,7 @@ let rec compile_node qnode =
       List.map (fun (expr, child) -> (expr, compile_node child)) qnode.Twig_query.edges }
 
 let compile mc query =
-  Metrics.incr m "plan.compile";
+  Metrics.incr Meters.Plan.compile;
   let root_q = query.Twig_query.root in
   { p_memo = mc;
     p_root_edges =
@@ -139,8 +138,8 @@ let estimate p =
   let t0 = Unix.gettimeofday () in
   let r = estimate_body p in
   let dt = Unix.gettimeofday () -. t0 in
-  Metrics.add_time m "estimate.plan" dt;
-  Metrics.observe m "estimate.plan_us" (1e6 *. dt);
+  Metrics.add_time Meters.Plan.estimate dt;
+  Metrics.observe Meters.Plan.estimate_us (1e6 *. dt);
   r
 
 (* ---- query keys -------------------------------------------------------- *)
@@ -213,13 +212,13 @@ module Cache = struct
     let key = query_key q in
     match Hashtbl.find_opt c.c_plans key with
     | Some plan ->
-      Metrics.incr m "plan.cache_hit";
+      Metrics.incr Meters.Plan.cache_hit;
       plan
     | None ->
-      Metrics.incr m "plan.cache_miss";
+      Metrics.incr Meters.Plan.cache_miss;
       if Hashtbl.length c.c_plans > cache_bound then begin
         clear c;
-        Metrics.incr m "plan_cache.reset"
+        Metrics.incr Meters.Plan.cache_reset
       end;
       let plan = compile c.c_memo q in
       Hashtbl.add c.c_plans key plan;
@@ -235,7 +234,7 @@ module Cache = struct
     match estimate c q with
     | v -> Ok v
     | exception exn ->
-      Metrics.incr m "plan.error";
+      Metrics.incr Meters.Plan.error;
       Error (Printexc.to_string exn)
 
   let n_plans c = Hashtbl.length c.c_plans
@@ -375,7 +374,7 @@ module Batch = struct
     | Some mt -> mt
     | None ->
       let mt =
-        Metrics.time m "batch.mat_build" (fun () -> Transition.build t.bt_syn expr)
+        Metrics.time Meters.Batch.mat_build (fun () -> Transition.build t.bt_syn expr)
       in
       Hashtbl.add t.bt_mats id mt;
       mt
@@ -498,7 +497,7 @@ module Batch = struct
 
   (* the compiled query for [q], compiled on first sight of its key; a
      hit only bumps [hits], which the batch folds into [batch.query_hit]
-     once instead of taking the metrics lock per query *)
+     once instead of one atomic add per query *)
   let find_or_compile t hits q =
     let key = query_key q in
     match Hashtbl.find_opt t.bt_queries key with
@@ -506,8 +505,8 @@ module Batch = struct
       incr hits;
       bq
     | None ->
-      Metrics.incr m "batch.query_miss";
-      let bq = Metrics.time m "batch.compile" (fun () -> compile_query t q) in
+      Metrics.incr Meters.Batch.query_miss;
+      let bq = Metrics.time Meters.Batch.compile (fun () -> compile_query t q) in
       Hashtbl.add t.bt_queries key bq;
       bq
 
@@ -515,7 +514,7 @@ module Batch = struct
   let counting_hits f =
     let hits = ref 0 in
     Fun.protect
-      ~finally:(fun () -> if !hits > 0 then Metrics.incr m ~by:!hits "batch.query_hit")
+      ~finally:(fun () -> if !hits > 0 then Metrics.add Meters.Batch.query_hit !hits)
       (fun () -> f hits)
 
   (* Between batches: past the bound, compiled queries go with their
@@ -524,11 +523,11 @@ module Batch = struct
   let bound t =
     if Hashtbl.length t.bt_queries > text_index_bound then begin
       clear t;
-      Metrics.incr m "batch.query_reset"
+      Metrics.incr Meters.Batch.query_reset
     end
     else if Slices.Table.length t.bt_index > text_index_bound then begin
       Slices.Table.clear t.bt_index;
-      Metrics.incr m "batch.text_reset"
+      Metrics.incr Meters.Batch.text_reset
     end
 
   let prepare t queries =
@@ -614,7 +613,7 @@ module Batch = struct
      every cohort the worker ever runs — planes are NEVER zeroed between
      queries: supports propagate top-down, so every cell a parent reads
      was written by its child earlier in the same evaluation.
-     [arena_resets] counts the (rare) reallocation events. Lives in
+     [batch.arena_resets] counts the (rare) reallocation events. Lives in
      domain-local storage so the persistent Par worker domains keep
      their arenas across batches. *)
   type arena = {
@@ -622,10 +621,6 @@ module Batch = struct
     mutable ar_n : int;  (* plane stride *)
     mutable ar_slots : int;
   }
-
-  (* workers must not touch the (unsynchronized) Metrics registry; the
-     coordinator folds this delta in after the join *)
-  let arena_resets : int Atomic.t = Atomic.make 0
 
   let arena_key : arena Domain.DLS.key =
     Domain.DLS.new_key (fun () ->
@@ -640,7 +635,7 @@ module Batch = struct
       ar.ar_buf <- BA1.create Bigarray.float64 Bigarray.c_layout (n' * s');
       ar.ar_n <- n';
       ar.ar_slots <- s';
-      Atomic.incr arena_resets
+      Metrics.incr Meters.Batch.arena_resets
     end;
     ar
 
@@ -811,7 +806,7 @@ module Batch = struct
     match prepared.pr_plan with
     | Some p -> p
     | None ->
-      let p = Metrics.time m "batch.cohort_plan" (fun () -> build_plan prepared) in
+      let p = Metrics.time Meters.Batch.cohort_plan (fun () -> build_plan prepared) in
       prepared.pr_plan <- Some p;
       p
 
@@ -838,7 +833,6 @@ module Batch = struct
     let ncoh = Array.length plan.cp_cohorts in
     let lat = plan.cp_lat and values = plan.cp_values in
     let stride = sample_stride ncoh in
-    let resets0 = Atomic.get arena_resets in
     let minor0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     Xc_util.Par.iter_chunked ~domains
@@ -853,16 +847,15 @@ module Batch = struct
            these into Metrics after the join *)
         if sample then lat.(ci) <- Unix.gettimeofday () -. c0)
       plan.cp_cohorts;
-    Metrics.add_time m "estimate.batch" (Unix.gettimeofday () -. t0);
-    Metrics.incr m ~by:ncoh "batch.cohorts";
-    Metrics.record_max m "batch.cohort_max" plan.cp_max_cohort;
-    Metrics.incr m ~by:(Atomic.get arena_resets - resets0) "batch.arena_resets";
+    Metrics.add_time Meters.Batch.sweep (Unix.gettimeofday () -. t0);
+    Metrics.add Meters.Batch.cohorts ncoh;
+    Metrics.record_max Meters.Batch.cohort_max plan.cp_max_cohort;
     (* coordinator-side minor allocation across the whole pass: the
        cohort path's figure of merit is this staying near zero *)
-    Metrics.incr m ~by:(int_of_float (Gc.minor_words () -. minor0)) "batch.minor_words";
+    Metrics.add Meters.Batch.minor_words (int_of_float (Gc.minor_words () -. minor0));
     let ci = ref 0 in
     while !ci < ncoh do
-      Metrics.observe m "estimate.cohort_us" (1e6 *. lat.(!ci));
+      Metrics.observe Meters.Batch.cohort_us (1e6 *. lat.(!ci));
       ci := !ci + stride
     done;
     let src = plan.cp_src in
@@ -874,7 +867,7 @@ module Batch = struct
     let nq = Array.length prepared.pr_queries in
     if Array.length out < nq then invalid_arg "Plan.Batch.run_into: answer buffer too short";
     if nq > 0 then begin
-      Metrics.incr m ~by:nq "batch.queries";
+      Metrics.add Meters.Batch.queries nq;
       run_cohort ~domains t (plan_of prepared) out
     end
 

@@ -1,5 +1,6 @@
 module Heap = Xc_util.Heap
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module Par = Xc_util.Par
 module B = Synopsis.Builder
 
@@ -73,8 +74,8 @@ let score_cands config syn pairs =
   let n = Array.length pairs in
   if n = 0 then [||]
   else begin
-    Metrics.incr Metrics.global "pool.cand_evals" ~by:n;
-    Metrics.time Metrics.global "pool.score" (fun () ->
+    Metrics.add Meters.Pool.cand_evals n;
+    Metrics.time Meters.Pool.score (fun () ->
         Par.map ~domains:config.domains (eval_pair config syn) pairs)
   end
 
@@ -158,15 +159,15 @@ let group_pairs config arr =
   !out
 
 let build config syn ~levels ~level =
-  Metrics.incr Metrics.global "pool.builds";
-  Metrics.time Metrics.global (if config.full_scan then "pool.build_full" else "pool.build_inc") @@ fun () ->
+  Metrics.incr Meters.Pool.builds;
+  Metrics.time (if config.full_scan then Meters.Pool.build_full else Meters.Pool.build_inc) @@ fun () ->
   let pairs =
     Array.of_list
       (List.concat_map
          (fun (_, members) -> group_pairs config members)
          (collect_groups config syn ~levels ~level))
   in
-  Metrics.incr Metrics.global "pool.evals_build" ~by:(Array.length pairs);
+  Metrics.add Meters.Pool.evals_build (Array.length pairs);
   let cands = score_cands config syn pairs in
   if config.full_scan then
     (* pre-index baseline: the comparator recomputes the priority
@@ -193,7 +194,7 @@ let build config syn ~levels ~level =
   heap
 
 let push_neighbors config syn heap ~levels ~level node =
-  Metrics.incr Metrics.global "pool.pushes";
+  Metrics.incr Meters.Pool.pushes;
   let key = group_key node in
   let scanned = ref 0 in
   let dist other = abs (B.count other - B.count node) in
@@ -203,7 +204,7 @@ let push_neighbors config syn heap ~levels ~level node =
   in
   (* the [neighbor_k] group members nearest [node] by (count distance,
      sid) — the same winners whichever collection strategy below ran *)
-  let nearest = Metrics.time Metrics.global (if config.full_scan then "pool.select_full" else "pool.select_inc") @@ fun () ->
+  let nearest = Metrics.time (if config.full_scan then Meters.Pool.select_full else Meters.Pool.select_inc) @@ fun () ->
     if config.full_scan then begin
       (* pre-index baseline: scan the whole node table, sort all
          members, take the top k *)
@@ -279,15 +280,15 @@ let push_neighbors config syn heap ~levels ~level node =
       Array.sub best 0 !m
     end
   in
-  Metrics.incr Metrics.global "pool.scanned" ~by:!scanned;
-  Metrics.incr Metrics.global "pool.evals_push" ~by:(Array.length nearest);
+  Metrics.add Meters.Pool.scanned !scanned;
+  Metrics.add Meters.Pool.evals_push (Array.length nearest);
   let cands = score_cands config syn (Array.map (fun o -> (node, o)) nearest) in
   Array.sort cand_compare cands;
   Array.iter (fun c -> Heap.push heap (cand_priority c) c) cands
 
 let build_frontier config syn ~levels ~frontier =
-  Metrics.incr Metrics.global "pool.frontier_builds";
-  Metrics.time Metrics.global "pool.build_frontier" @@ fun () ->
+  Metrics.incr Meters.Pool.frontier_builds;
+  Metrics.time Meters.Pool.build_frontier @@ fun () ->
   let heap = Heap.create () in
   List.iter
     (fun sid ->
@@ -303,7 +304,7 @@ let rec pop_valid config syn heap =
   | None -> None
   | Some (_, c) ->
     if not (B.mem syn c.u && B.mem syn c.v) then begin
-      Metrics.incr Metrics.global "pool.stale_dropped";
+      Metrics.incr Meters.Pool.stale_dropped;
       pop_valid config syn heap
     end
     else begin
@@ -317,8 +318,8 @@ let rec pop_valid config syn heap =
       let saved = Merge.saved_bytes syn u v in
       if saved = c.saved then Some c
       else begin
-        Metrics.incr Metrics.global "pool.rescored";
-        Metrics.incr Metrics.global "pool.cand_evals";
+        Metrics.incr Meters.Pool.rescored;
+        Metrics.incr Meters.Pool.cand_evals;
         let c' = eval_pair config syn (u, v) in
         Heap.push heap (cand_priority c') c';
         pop_valid config syn heap

@@ -1,5 +1,6 @@
 module B = Synopsis.Builder
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module Vs = Xc_vsumm.Value_summary
 open Xc_xml
 
@@ -253,7 +254,7 @@ let write_deltas acc =
               | _ ->
                 (* kind mismatch: keep the established summary rather
                    than corrupt it — counted, visible in metrics *)
-                Metrics.incr Metrics.global "update.vsumm_kept";
+                Metrics.incr Meters.Update.vsumm_kept;
                 None
           in
           Option.iter
@@ -268,7 +269,7 @@ let write_deltas acc =
 (* ---- entry points ------------------------------------------------------ *)
 
 let apply ~budget syn mutations =
-  Metrics.time Metrics.global "update.apply" @@ fun () ->
+  Metrics.time Meters.Update.apply @@ fun () ->
   (* resolve every parent path against the untouched builder first: a
      malformed batch is rejected wholesale, nothing written *)
   let rec resolve_all = function
@@ -282,7 +283,7 @@ let apply ~budget syn mutations =
   match resolve_all mutations with
   | Error _ as e -> e
   | Ok hosts ->
-    Metrics.incr Metrics.global "update.mutations" ~by:(List.length mutations);
+    Metrics.add Meters.Update.mutations (List.length mutations);
     let acc =
       { syn; count_deltas = Hashtbl.create 64; edge_deltas = Hashtbl.create 64;
         added_values = Hashtbl.create 16; created_for = Hashtbl.create 8;
@@ -296,11 +297,11 @@ let apply ~budget syn mutations =
       mutations hosts;
     let removed, frontier = write_deltas acc in
     let created = List.length acc.created in
-    Metrics.incr Metrics.global "update.created" ~by:created;
-    Metrics.incr Metrics.global "update.removed" ~by:removed;
-    Metrics.incr Metrics.global "update.skipped_branches" ~by:acc.skipped;
+    Metrics.add Meters.Update.created created;
+    Metrics.add Meters.Update.removed removed;
+    Metrics.add Meters.Update.skipped_branches acc.skipped;
     let repair_merges =
-      Metrics.time Metrics.global "update.repair" @@ fun () ->
+      Metrics.time Meters.Update.repair @@ fun () ->
       let merges = Build.phase1_repair budget syn ~frontier in
       Build.phase2_repair budget syn ~frontier;
       merges

@@ -1,4 +1,5 @@
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module Fault = Xc_util.Fault
 
 type t = {
@@ -38,13 +39,13 @@ let connect_fd endpoint timeout_s =
     let ep = Protocol.endpoint_to_string endpoint in
     match Fault.raise_io ~site:"client.connect" with
     | exception Fault.Injected { kind; _ } ->
-      Metrics.incr Metrics.global "client.connect_error";
+      Metrics.incr Meters.Client.connect_error;
       io "connect %s: injected %s" ep (Fault.kind_name kind)
     | () -> (
       let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       let fail e =
         (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-        Metrics.incr Metrics.global "client.connect_error";
+        Metrics.incr Meters.Client.connect_error;
         io "connect %s: %s" ep (Unix.error_message e)
       in
       let finish () =
@@ -88,7 +89,7 @@ let connect_fd endpoint timeout_s =
           in
           if not pending_ok then begin
             (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-            Metrics.incr Metrics.global "client.connect_error";
+            Metrics.incr Meters.Client.connect_error;
             Error (Error.Timeout { elapsed_ms = int_of_float (budget *. 1000.0) })
           end
           else
@@ -112,11 +113,14 @@ let connect ?timeout_s endpoint =
         out = Protocol.Frame.create ();
       }
 
+(* the read buffer's carry-over belongs to the socket it was read
+   from, so it goes with it *)
 let close t =
   match t.fd with
   | None -> ()
   | Some fd ->
     t.fd <- None;
+    Protocol.Frame.clear t.into;
     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
 
 (* One round trip; a server-side error frame comes back through
@@ -153,9 +157,8 @@ let round_trip ?(idempotent = false) t req =
   | Some fd -> (
     match attempt t fd req with
     | Error (Error.Io _ | Error.Protocol Error.Closed) when idempotent -> (
-      Metrics.incr Metrics.global "client.reconnect";
-      (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-      t.fd <- None;
+      Metrics.incr Meters.Client.reconnect;
+      close t;
       match connect_fd t.endpoint t.timeout_s with
       | Error _ as e -> e
       | Ok fd ->
@@ -250,7 +253,7 @@ let with_retry ?(attempts = 5) ?(base_delay_s = 0.01) ?(max_delay_s = 0.5)
     in
     match r with
     | Error e when k + 1 < attempts && transient e ->
-      Metrics.incr Metrics.global "client.retry";
+      Metrics.incr Meters.Client.retry;
       let hint =
         match e with
         | Error.Overloaded { retry_after_ms } -> retry_after_ms

@@ -24,7 +24,10 @@
     {!shutdown}) transparently reconnect once when the connection turns
     out dead — the daemon evicts idle peers and closes keep-alive
     connections on drain, so the first request after a pause may find a
-    stale socket ([client.reconnect] counts these). {!with_retry} adds
+    stale socket ([client.reconnect] counts these). Bytes the read
+    buffer holds past the last response belong to the old socket and
+    are dropped with it, on reconnect as on {!close}, so a new
+    connection never reads a stale frame. {!with_retry} adds
     the cross-connection policy: capped jittered exponential backoff
     over fresh connections, honoring the daemon's
     {!Error.Overloaded} [retry_after_ms] hint as a floor. *)

@@ -1,5 +1,6 @@
 module Sealed = Xc_core.Synopsis.Sealed
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module Fault = Xc_util.Fault
 
 type config = {
@@ -154,7 +155,7 @@ let listed_of registry name =
       }
 
 let error_frame e =
-  Metrics.incr Metrics.global "daemon.request_error";
+  Metrics.incr Meters.Daemon.request_error;
   let code, message = Error.to_wire e in
   Protocol.Error_frame { code; message }
 
@@ -238,7 +239,7 @@ let dispatch st config registry conn incoming =
     let t0 = Unix.gettimeofday () in
     match Registry.swap_from registry ~name:synopsis ~path with
     | Ok generation ->
-      Metrics.observe Metrics.global "serve.swap_us"
+      Metrics.observe Meters.Serve.swap_us
         (1e6 *. (Unix.gettimeofday () -. t0));
       Reply (Protocol.Swapped { generation })
     | Error e -> Reply (error_frame e))
@@ -281,7 +282,7 @@ let serve_conn st config registry fd =
   let conn = { texts = Xc_util.Slices.create (); answers = [||] } in
   let send_response = send_response ~out in
   let evict e =
-    Metrics.incr Metrics.global "daemon.evicted";
+    Metrics.incr Meters.Daemon.evicted;
     ignore (send_response fd (error_frame e));
     Evicted
   in
@@ -295,7 +296,7 @@ let serve_conn st config registry fd =
     | Error (Error.Timeout _ as e) ->
       (* slow-loris or dead peer: a read stalled past SO_RCVTIMEO or
          the frame dribbled past the request budget *)
-      Metrics.incr Metrics.global "daemon.timeouts";
+      Metrics.incr Meters.Daemon.timeouts;
       evict e
     | Error (Error.Admission _ as e) ->
       (* an over-limit frame was refused before its payload was read;
@@ -304,7 +305,7 @@ let serve_conn st config registry fd =
     | Error (Error.Protocol _ as e) ->
       (* a damaged or hostile frame: answer (best-effort) and drop the
          connection — framing cannot resync after a bad length *)
-      Metrics.incr Metrics.global "daemon.proto_error";
+      Metrics.incr Meters.Daemon.proto_error;
       ignore (send_response fd (error_frame e));
       Evicted
     | Error _ -> Hung_up (* socket trouble; nothing to answer on *)
@@ -312,24 +313,30 @@ let serve_conn st config registry fd =
       ignore (send_response fd Protocol.Done);
       Shutdown_now
     | Ok (Some req) -> (
-      Metrics.incr Metrics.global "daemon.requests";
+      Metrics.incr Meters.Daemon.requests;
       let t0 = Unix.gettimeofday () in
       let reply =
         locked st.dispatch_lock (fun () -> dispatch_guarded st config registry conn req)
       in
-      Metrics.observe Metrics.global "daemon.request_us"
+      Metrics.observe Meters.Daemon.request_us
         (1e6 *. (Unix.gettimeofday () -. t0));
       match send_reply ~out conn fd reply with
       | Ok () ->
         (* draining: finish what is in flight, then close. A request
-           already on the wire counts as in flight — closing over it
+           already on the wire, or already read into the buffer past
+           the last frame, counts as in flight — closing over it
            unread would reset the peer instead of answering it. *)
-        if Atomic.get st.draining && not (readable_now fd) then Hung_up else loop ()
+        if
+          Atomic.get st.draining
+          && Protocol.Frame.buffered into = 0
+          && not (readable_now fd)
+        then Hung_up
+        else loop ()
       | Error (Error.Timeout _) ->
         (* the peer stopped draining its socket: writing would block
            forever, so the response is abandoned and the peer evicted *)
-        Metrics.incr Metrics.global "daemon.timeouts";
-        Metrics.incr Metrics.global "daemon.evicted";
+        Metrics.incr Meters.Daemon.timeouts;
+        Metrics.incr Meters.Daemon.evicted;
         Evicted
       | Error _ -> Hung_up)
   in
@@ -362,7 +369,7 @@ let worker st config registry wid =
         try serve_conn st config registry fd
         with exn ->
           (* nothing inside a connection is allowed to be fatal *)
-          Metrics.incr Metrics.global "daemon.request_error";
+          Metrics.incr Meters.Daemon.request_error;
           ignore (send_response fd (error_frame (Error.Io (Printexc.to_string exn))));
           Hung_up
       in
@@ -384,14 +391,14 @@ let worker st config registry wid =
    dozen bytes — it fits the socket's send buffer, so this cannot wedge
    the accept loop even against a peer that never reads. *)
 let shed config fd =
-  Metrics.incr Metrics.global "daemon.shed";
+  Metrics.incr Meters.Daemon.shed;
   let e = Error.Overloaded { retry_after_ms = config.retry_after_ms } in
   let code, message = Error.to_wire e in
   ignore (send_response fd (Protocol.Error_frame { code; message }));
   close_quiet fd
 
 let admit st config fd =
-  Metrics.incr Metrics.global "daemon.conns";
+  Metrics.incr Meters.Daemon.conns;
   set_conn_timeouts config fd;
   let admitted =
     locked st.q_lock (fun () ->
@@ -418,7 +425,7 @@ let accept_loop st config listener pipe_rd =
       match Unix.select [ listener; pipe_rd ] [] [] (-1.0) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go consec
       | exception Unix.Unix_error (_, _, _) ->
-        Metrics.incr Metrics.global "daemon.accept_error";
+        Metrics.incr Meters.Daemon.accept_error;
         backoff (consec + 1);
         go (consec + 1)
       | ready, _, _ ->
@@ -431,12 +438,12 @@ let accept_loop st config listener pipe_rd =
           | exception Fault.Injected _ ->
             (* the chaos harness refusing this accept: count it like a
                real transient accept failure *)
-            Metrics.incr Metrics.global "daemon.accept_error";
+            Metrics.incr Meters.Daemon.accept_error;
             backoff (consec + 1);
             go (consec + 1)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go consec
           | exception Unix.Unix_error (_, _, _) ->
-            Metrics.incr Metrics.global "daemon.accept_error";
+            Metrics.incr Meters.Daemon.accept_error;
             backoff (consec + 1);
             go (consec + 1)
           | fd, _ ->
@@ -508,7 +515,7 @@ let run ?(config = default_config) ?(on_ready = fun _ -> ()) registry =
         (fun _ fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error (_, _, _) -> ())
         st.active);
   List.iter Thread.join threads;
-  Metrics.observe Metrics.global "daemon.drain_ms"
+  Metrics.observe Meters.Daemon.drain_ms
     (1000.0 *. (Unix.gettimeofday () -. t_drain));
   remove_stop_pipe pipe_wr;
   close_quiet pipe_rd;

@@ -1,6 +1,7 @@
 module Plan = Xc_core.Plan
 module Sealed = Xc_core.Synopsis.Sealed
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 
 type synopsis = Sealed.t
 type query = Xc_twig.Twig_query.t
@@ -42,7 +43,7 @@ let degrade options ~counter msg oracle =
   match options.Options.fallback with
   | Options.Strict -> Error (Error.Unavailable msg)
   | Options.Degrade -> (
-    Metrics.incr Metrics.global counter;
+    Metrics.incr counter;
     match oracle () with
     | v -> Ok v
     | exception exn -> Error (Error.Unavailable (Printexc.to_string exn)))
@@ -51,7 +52,7 @@ let estimate_result ?(options = Options.default) syn q =
   match Plan.Cache.estimate_result (cache_for syn) q with
   | Ok v -> Ok v
   | Error msg ->
-    degrade options ~counter:"serve.fallback" msg (fun () -> estimate_uncached syn q)
+    degrade options ~counter:Meters.Serve.fallback msg (fun () -> estimate_uncached syn q)
 
 let estimate syn q =
   match estimate_result syn q with
@@ -79,11 +80,11 @@ let run_prepared options engine prepared =
    batch that is a parse, paid only here on failure, so a bad text
    still wins over the engine failure. *)
 let batch_failed options syn parsed exn =
-  Metrics.incr Metrics.global "batch.error";
+  Metrics.incr Meters.Batch.error;
   match parsed () with
   | Error _ as e -> e
   | Ok queries ->
-    degrade options ~counter:"serve.batch_fallback" (Printexc.to_string exn) (fun () ->
+    degrade options ~counter:Meters.Serve.batch_fallback (Printexc.to_string exn) (fun () ->
         Array.map (estimate_uncached syn) queries)
 
 let estimate_texts_with ?(options = Options.default) ~into engine syn texts =

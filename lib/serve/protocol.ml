@@ -1,5 +1,7 @@
 module Crc32 = Xc_util.Crc32
 module Fault = Xc_util.Fault
+module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 module Slices = Xc_util.Slices
 
 (* ---- endpoints --------------------------------------------------------- *)
@@ -95,27 +97,39 @@ let header_bytes = 14 (* version u8 + tag u8 + length u64 + crc u32 *)
 
 (* ---- frame buffers -----------------------------------------------------
    One frame, header and payload, in bytes its owner reuses from frame
-   to frame. [len] is the visible length; bytes past it are stale. The
-   capacity starts at [initial_capacity] and doubles, so a connection
-   that keeps sending frames of one size stops allocating after its
-   first. *)
+   to frame. [len] is the visible length. A read buffer may also hold
+   the start of the next frame: the [carry] bytes at [carry_pos], read
+   past the frame in the same read() call. Every other byte is stale.
+   The capacity starts at [initial_capacity] and doubles, so a
+   connection that keeps sending frames of one size stops allocating
+   after its first. *)
 
 module Frame = struct
-  type t = { mutable bytes : Bytes.t; mutable len : int }
+  type t = {
+    mutable bytes : Bytes.t;
+    mutable len : int;
+    mutable carry_pos : int;
+    mutable carry : int;
+  }
 
   let initial_capacity = 1024
-  let create () = { bytes = Bytes.create initial_capacity; len = 0 }
+  let create () = { bytes = Bytes.create initial_capacity; len = 0; carry_pos = 0; carry = 0 }
   let contents f = Bytes.sub_string f.bytes 0 f.len
+  let buffered f = f.carry
 
-  (* room for [n] bytes in all, keeping the first [len] *)
-  let reserve f n =
+  let clear f =
+    f.len <- 0;
+    f.carry <- 0
+
+  (* room for [n] bytes in all, keeping the first [keep] *)
+  let reserve ?keep f n =
     if n > Bytes.length f.bytes then begin
       let cap = ref (Bytes.length f.bytes) in
       while !cap < n do
         cap := 2 * !cap
       done;
       let b = Bytes.create !cap in
-      Bytes.blit f.bytes 0 b 0 f.len;
+      Bytes.blit f.bytes 0 b 0 (Option.value keep ~default:f.len);
       f.bytes <- b
     end
 end
@@ -523,40 +537,55 @@ let send_bytes ?site fd b len =
 let send ?site fd s = send_bytes ?site fd (Bytes.unsafe_of_string s) (String.length s)
 let send_frame ?site fd (f : Frame.t) = send_bytes ?site fd f.bytes f.len
 
-(* Read at least [need] and at most [len] bytes into [b] at [off];
-   [`Ok k] reports how many arrived, [`Eof k] how many arrived before
-   the stream ended. [`Timeout] fires when the per-read SO_RCVTIMEO
-   timer expires (EAGAIN) or the frame deadline passes between partial
+(* one read() call, counted whether it returns or raises *)
+let read_counted fd b off len =
+  match Unix.read fd b off len with
+  | n ->
+    Metrics.incr Meters.Protocol.read_calls;
+    n
+  | exception e ->
+    Metrics.incr Meters.Protocol.read_calls;
+    raise e
+
+(* Read into [f.bytes] from [have] until at least [need] bytes are
+   held, asking each read() for all the room the buffer has, so bytes
+   already waiting past [need] arrive in the same call. [`Ok k] reports
+   how many bytes the buffer holds, [`Eof k] how many it held when the
+   stream ended. [`Timeout] fires when the per-read SO_RCVTIMEO timer
+   expires (EAGAIN) or the frame deadline passes between partial
    reads. *)
-let read_some ?deadline ?deadline_site fd b off ~need len =
+let fill ?deadline ?deadline_site fd (f : Frame.t) have ~need =
   let expired () =
     match deadline with
     | None -> false
     | Some d -> deadline_expired ?site:deadline_site d
   in
-  let rec go pos =
-    if pos - off >= need then `Ok (pos - off)
+  let rec go have =
+    if have >= need then `Ok have
     else if expired () then `Timeout
-    else
-      match Unix.read fd b pos (off + len - pos) with
-      | 0 -> `Eof (pos - off)
-      | n -> go (pos + n)
-      | exception Unix.Unix_error (EINTR, _, _) -> go pos
+    else begin
+      match read_counted fd f.bytes have (Bytes.length f.bytes - have) with
+      | 0 -> `Eof have
+      | n -> go (have + n)
+      | exception Unix.Unix_error (EINTR, _, _) -> go have
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Timeout
+    end
   in
-  go off
-
-let read_exact ?deadline ?deadline_site fd b off len =
-  read_some ?deadline ?deadline_site fd b off ~need:len len
+  go have
 
 let recv_io e = Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e)))
 
-(* Read one frame into [f]: header first, validating the version byte
-   and then the length field before the buffer grows, then the
-   payload, which passes through the
-   Fault injection site so the harness can truncate or flip bits at
-   the socket boundary. A damaged payload fails the CRC or the bounded
-   reader — never crashes the process.
+(* Read one frame into [f]. The bytes a previous read carried past its
+   frame move to the front and count first; then each read() fills as
+   much of the buffer as the socket has ready, so a frame already whole
+   in the socket costs one call. The version byte is checked as soon as
+   there is one, and the length field as soon as the header is whole —
+   against {!max_payload}, then against [limit] — before the buffer
+   grows. The payload then passes through the Fault injection site, so
+   the harness can truncate or flip bits at the socket boundary. A
+   damaged payload fails the CRC or the bounded reader — never crashes
+   the process. Bytes read past the frame stay in [f] as the next
+   frame's start; after an error none do.
 
    [limit], when below {!max_payload}, is an admission bound: a frame
    declaring a larger payload is refused with {!Error.Admission}
@@ -564,45 +593,51 @@ let recv_io e = Error (Error.Io (Printf.sprintf "recv: %s" (Unix.error_message e
    frame can never succeed) and desynchronizes the stream, so callers
    close the connection after answering. *)
 let read_frame ~site ?deadline ?deadline_site ?(limit = max_payload) (f : Frame.t) fd =
-  f.len <- 0;
-  let header () =
+  let carried = f.carry in
+  if carried > 0 && f.carry_pos > 0 then Bytes.blit f.bytes f.carry_pos f.bytes 0 carried;
+  Frame.clear f;
+  let fill = fill ?deadline ?deadline_site fd f in
+  let frame () =
     (* the version byte is checked as soon as it arrives, so a peer
        speaking another layout is refused at once, even one whose whole
-       frame is shorter than this header *)
-    match read_some ?deadline ?deadline_site fd f.bytes 0 ~need:1 header_bytes with
-    | (`Eof _ | `Timeout) as stop -> stop
-    | `Ok k -> (
+       frame is shorter than the header *)
+    match fill carried ~need:1 with
+    | `Eof _ -> `End
+    | `Timeout -> `Timeout
+    | `Ok have -> (
       match check_version f.bytes with
-      | Error p -> `Refused p
+      | Error p -> `Refused (Error.Protocol p)
       | Ok () -> (
-        match read_exact ?deadline ?deadline_site fd f.bytes k (header_bytes - k) with
-        | `Ok _ -> `Ok
-        | `Eof j -> `Eof (k + j)
-        | `Timeout -> `Timeout))
+        match fill have ~need:header_bytes with
+        | `Eof have -> `Truncated (header_bytes - have)
+        | `Timeout -> `Timeout
+        | `Ok have -> (
+          match declared_length f.bytes with
+          | Error p -> `Refused (Error.Protocol p)
+          | Ok len when len > limit ->
+            `Refused
+              (Error.Admission
+                 (Printf.sprintf "frame payload of %d bytes exceeds the %d-byte limit" len limit))
+          | Ok len -> (
+            let total = header_bytes + len in
+            Frame.reserve ~keep:have f total;
+            match fill have ~need:total with
+            | `Eof have -> `Truncated (total - have)
+            | `Timeout -> `Timeout
+            | `Ok have -> `Frame (len, have)))))
   in
-  match header () with
+  match frame () with
   | exception Unix.Unix_error (e, _, _) -> recv_io e
+  | `End -> Ok false
   | `Timeout -> Error (timeout_error deadline)
-  | `Refused p -> Error (Error.Protocol p)
-  | `Eof 0 -> Ok false
-  | `Eof k -> Error (Error.Protocol (Truncated { need = header_bytes - k }))
-  | `Ok -> (
-    match declared_length f.bytes with
-    | Error p -> Error (Error.Protocol p)
-    | Ok len when len > limit ->
-      Error
-        (Error.Admission
-           (Printf.sprintf "frame payload of %d bytes exceeds the %d-byte limit" len limit))
-    | Ok len -> (
-      f.len <- header_bytes;
-      Frame.reserve f (header_bytes + len);
-      match read_exact ?deadline ?deadline_site fd f.bytes header_bytes len with
-      | exception Unix.Unix_error (e, _, _) -> recv_io e
-      | `Timeout -> Error (timeout_error deadline)
-      | `Eof k -> Error (Error.Protocol (Truncated { need = len - k }))
-      | `Ok _ ->
-        f.len <- header_bytes + Fault.mutate_sub ~site f.bytes ~pos:header_bytes ~len;
-        Ok true))
+  | `Refused e -> Error e
+  | `Truncated need -> Error (Error.Protocol (Truncated { need }))
+  | `Frame (len, have) ->
+    let total = header_bytes + len in
+    f.carry_pos <- total;
+    f.carry <- have - total;
+    f.len <- header_bytes + Fault.mutate_sub ~site f.bytes ~pos:header_bytes ~len;
+    Ok true
 
 let recv_view ?deadline ?limit ~into ~texts fd =
   match read_frame ~site:"serve.recv" ?deadline ~deadline_site:"serve.deadline" ?limit into fd with

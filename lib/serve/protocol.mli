@@ -129,9 +129,15 @@ module Frame : sig
       one whole frame, header and payload, and is reused from frame to
       frame; its capacity starts at 1 KiB and doubles when a frame
       needs more, and never shrinks. Encoding writes the payload in
-      place, then fills in the header's tag, length and CRC; reading
-      fills the header, then the payload, and decoding parses the
-      bytes in place.
+      place, then fills in the header's tag, length and CRC; decoding
+      parses the bytes in place.
+
+      A {b read} buffer holds more: {!read_frame} asks each read() for
+      all the room the buffer has, so it may read past its frame, and
+      it keeps those bytes ({e carry-over}) as the start of the next
+      frame it reads. A read buffer is therefore a connection's
+      inbound stream state: never encode into it, and {!clear} it when
+      the connection it reads from is closed or replaced.
 
       Whoever creates a frame buffer owns it, and only one thread may
       use it at a time. The daemon's connection loop owns one read and
@@ -144,6 +150,13 @@ module Frame : sig
 
   val contents : t -> string
   (** A copy of the frame currently held. *)
+
+  val buffered : t -> int
+  (** Bytes of the next frame already read into the buffer (its
+      carry-over): a request in flight, though the socket may be empty. *)
+
+  val clear : t -> unit
+  (** Drop the frame and any carry-over. *)
 end
 
 (* ---- frame codec ------------------------------------------------------- *)
@@ -232,13 +245,17 @@ val read_frame :
 (** Read one frame off the socket into the buffer, replacing its
     contents, without decoding it: [Ok true] when a frame arrived,
     [Ok false] on a clean end-of-stream at a frame boundary. The
-    header is read first. Its version byte is checked as soon as it
-    arrives — a wrong one is [Error (Protocol (Bad_version b))] at once,
-    even when the peer's whole frame is shorter than {!header_bytes} —
-    and its length field is checked against {!max_payload} and [limit]
-    before the buffer grows; after a refusal of either kind the stream
-    cannot resynchronize, so the caller must close the connection. The
-    payload
+    buffer's carry-over ({!Frame.buffered}) is the frame's first
+    bytes; each read() then asks for all the room the buffer has, so
+    a frame already whole in the socket costs one call, and bytes read
+    past the frame stay in the buffer as the next frame's carry-over
+    (after an error, none do). The version byte is checked as soon as
+    there is one — a wrong one is [Error (Protocol (Bad_version b))]
+    at once, even when the peer's whole frame is shorter than
+    {!header_bytes} — and the length field is checked against
+    {!max_payload} and [limit] before the buffer grows; after a
+    refusal of either kind the stream cannot resynchronize, so the
+    caller must close the connection. The payload
     then passes the read fault site [site] ({!Xc_util.Fault.mutate_sub}),
     so a damaged payload fails decoding, never the read. [deadline]
     bounds the whole frame, checked between partial reads at fault
@@ -265,4 +282,5 @@ val recv_response :
   ?deadline:deadline -> ?into:Frame.t -> Unix.file_descr -> (response, Error.t) result
 (** {!read_frame} at site [client.recv] into [into], then decode the
     response; end-of-stream here is [Error (Protocol Closed)] — a
-    response was owed. *)
+    response was owed. Without [into], a fresh buffer is read into and
+    any carry-over is dropped with it. *)

@@ -2,6 +2,7 @@ module Codec = Xc_core.Codec
 module Sealed = Xc_core.Synopsis.Sealed
 module Plan = Xc_core.Plan
 module Metrics = Xc_util.Metrics
+module Meters = Xc_util.Meters
 
 type t = {
   sources : (string, string) Hashtbl.t; (* name -> path *)
@@ -65,7 +66,7 @@ let admit t name syn =
   | Some _ -> ()
   | None -> Hashtbl.replace t.generations name (generation t name + 1));
   Hashtbl.replace t.admitted name syn;
-  Metrics.incr Metrics.global "serve.load_ok"
+  Metrics.incr Meters.Serve.load_ok
 
 let load_source t name path =
   match Codec.load path with
@@ -73,7 +74,7 @@ let load_source t name path =
     admit t name syn;
     true
   | Error e ->
-    Metrics.incr Metrics.global "serve.load_error";
+    Metrics.incr Meters.Serve.load_error;
     ignore (e : Codec.error);
     false
 
@@ -87,7 +88,7 @@ let load t =
 (* ---- generation swap ---------------------------------------------------- *)
 
 let swap t ~name syn =
-  Metrics.incr Metrics.global "serve.swap";
+  Metrics.incr Meters.Serve.swap;
   admit t name syn;
   generation t name
 
@@ -98,8 +99,8 @@ let swap_from t ~name ~path =
     Ok (swap t ~name syn)
   | Error e ->
     (* skip-and-count: the previous good generation keeps serving *)
-    Metrics.incr Metrics.global "serve.load_error";
-    Metrics.incr Metrics.global "serve.swap_skipped";
+    Metrics.incr Meters.Serve.load_error;
+    Metrics.incr Meters.Serve.swap_skipped;
     Error (Error.Codec e)
 
 let find t name = Hashtbl.find_opt t.admitted name
@@ -116,12 +117,12 @@ let engine t name =
     Error (Error.Admission (Printf.sprintf "unknown synopsis %S" name))
   | Some syn -> (
     match Lru.find t.engines name with
-    | Some eng -> Metrics.incr Metrics.global "serve.engine_hit"; Ok (syn, eng)
+    | Some eng -> Metrics.incr Meters.Serve.engine_hit; Ok (syn, eng)
     | None ->
       let eng = Plan.Batch.create syn in
-      Metrics.incr Metrics.global "serve.engine_admit";
+      Metrics.incr Meters.Serve.engine_admit;
       (match Lru.put t.engines name eng with
-      | Some (_, _) -> Metrics.incr Metrics.global "serve.engine_evict"
+      | Some (_, _) -> Metrics.incr Meters.Serve.engine_evict
       | None -> ());
       Ok (syn, eng))
 

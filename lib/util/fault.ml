@@ -115,7 +115,7 @@ let record ~site kind =
   incr injected;
   ignore site;
   ignore kind;
-  Metrics.incr Metrics.global "fault.injected"
+  Metrics.incr Meters.Fault.injected
 
 (* [len] bytes at [pos] are the payload; the result is its visible
    length after the fault. [mutate] runs this over a copy, so the two

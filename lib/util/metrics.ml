@@ -1,10 +1,28 @@
+(* Handles are registered once and updated without the registry: a
+   counter is an atomic int, a timer or histogram a record guarded by
+   its own mutex. The registry's mutex guards only registration and
+   the read side, so an update never contends with a snapshot for
+   more than one handle's few scalar writes. *)
+
+type kind = Counter | High_water | Timer | Histogram
+
+let kind_name = function
+  | Counter -> "counter"
+  | High_water -> "high-water"
+  | Timer -> "timer"
+  | Histogram -> "histogram"
+
+type counter = int Atomic.t
+
 type timer = {
+  tm_lock : Mutex.t;
   mutable tm_count : int;
   mutable tm_total : float;
   mutable tm_max : float;
 }
 
-type hist = {
+type histogram = {
+  hs_lock : Mutex.t;
   mutable hs_count : int;
   mutable hs_sum : float;
   mutable hs_min : float;
@@ -12,41 +30,21 @@ type hist = {
   hs_buckets : int array;  (* index i counts samples with 2^((i-1)/8) < v <= 2^(i/8) *)
 }
 
+type handle = C of counter | T of timer | H of histogram
+
+type entry = { e_kind : kind; e_doc : string; e_handle : handle }
+
 type t = {
-  m_lock : Mutex.t;
-      (* guards the three tables and every record they hold: serving
-         worker threads and domains bump counters concurrently, and an
-         unguarded Hashtbl resize under contention corrupts the table *)
-  m_counters : (string, int ref) Hashtbl.t;
-  m_timers : (string, timer) Hashtbl.t;
-  m_hists : (string, hist) Hashtbl.t;
+  m_lock : Mutex.t;  (* guards [m_entries]; never taken by an update *)
+  m_entries : (string, entry) Hashtbl.t;
 }
 
-let create () =
-  { m_lock = Mutex.create ();
-    m_counters = Hashtbl.create 16;
-    m_timers = Hashtbl.create 16;
-    m_hists = Hashtbl.create 16 }
-
+let create () = { m_lock = Mutex.create (); m_entries = Hashtbl.create 128 }
 let global = create ()
 
-let locked t f =
-  Mutex.lock t.m_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m_lock) f
-
-let incr ?(by = 1) t name =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.m_counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t.m_counters name (ref by)
-
-(* high-water counter: keeps the largest value recorded since the last
-   reset (e.g. the widest query cohort a batch ever collapsed to) *)
-let record_max t name v =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.m_counters name with
-  | Some r -> if v > !r then r := v
-  | None -> Hashtbl.add t.m_counters name (ref v)
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* 8 sub-buckets per power-of-two octave: 512 buckets span (0, 2^64)
    with bucket edges a factor 2^(1/8) (~9%) apart. Whole-octave
@@ -65,44 +63,75 @@ let bucket_of v =
 
 let bucket_le i = Float.pow 2.0 (float_of_int i /. sub_per_octave)
 
-let observe t name v =
-  locked t @@ fun () ->
+(* ---- registration ----------------------------------------------------- *)
+
+let register ?(registry = global) ~doc kind name handle =
+  locked registry.m_lock (fun () ->
+      if Hashtbl.mem registry.m_entries name then
+        invalid_arg (Printf.sprintf "Metrics: %S is already registered" name);
+      Hashtbl.add registry.m_entries name { e_kind = kind; e_doc = doc; e_handle = handle })
+
+let counter ?registry ~doc name =
+  let c = Atomic.make 0 in
+  register ?registry ~doc Counter name (C c);
+  c
+
+let high_water ?registry ~doc name =
+  let c = Atomic.make 0 in
+  register ?registry ~doc High_water name (C c);
+  c
+
+let timer ?registry ~doc name =
+  let tm = { tm_lock = Mutex.create (); tm_count = 0; tm_total = 0.0; tm_max = 0.0 } in
+  register ?registry ~doc Timer name (T tm);
+  tm
+
+let histogram ?registry ~doc name =
   let h =
-    match Hashtbl.find_opt t.m_hists name with
-    | Some h -> h
-    | None ->
-      let h =
-        { hs_count = 0; hs_sum = 0.0; hs_min = infinity; hs_max = neg_infinity;
-          hs_buckets = Array.make n_buckets 0 }
-      in
-      Hashtbl.add t.m_hists name h;
-      h
+    { hs_lock = Mutex.create (); hs_count = 0; hs_sum = 0.0; hs_min = infinity;
+      hs_max = neg_infinity; hs_buckets = Array.make n_buckets 0 }
   in
+  register ?registry ~doc Histogram name (H h);
+  h
+
+let sorted_entries t =
+  locked t.m_lock (fun () -> Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.m_entries [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let catalogue t = List.map (fun (name, e) -> (name, e.e_kind, e.e_doc)) (sorted_entries t)
+
+(* ---- recording ---------------------------------------------------------
+   The timer and histogram updates cannot raise, so their mutex is
+   released without a [Fun.protect] closure. *)
+
+let incr c = Atomic.incr c
+let add c n = ignore (Atomic.fetch_and_add c n)
+
+let rec record_max c v =
+  let cur = Atomic.get c in
+  if v > cur && not (Atomic.compare_and_set c cur v) then record_max c v
+
+let observe h v =
+  let b = bucket_of v in
+  Mutex.lock h.hs_lock;
   h.hs_count <- h.hs_count + 1;
   h.hs_sum <- h.hs_sum +. v;
   if v < h.hs_min then h.hs_min <- v;
   if v > h.hs_max then h.hs_max <- v;
-  let b = bucket_of v in
-  h.hs_buckets.(b) <- h.hs_buckets.(b) + 1
+  Array.unsafe_set h.hs_buckets b (Array.unsafe_get h.hs_buckets b + 1);
+  Mutex.unlock h.hs_lock
 
-let add_time t name dt =
-  locked t @@ fun () ->
-  let tm =
-    match Hashtbl.find_opt t.m_timers name with
-    | Some tm -> tm
-    | None ->
-      let tm = { tm_count = 0; tm_total = 0.0; tm_max = 0.0 } in
-      Hashtbl.add t.m_timers name tm;
-      tm
-  in
+let add_time tm dt =
+  Mutex.lock tm.tm_lock;
   tm.tm_count <- tm.tm_count + 1;
   tm.tm_total <- tm.tm_total +. dt;
-  if dt > tm.tm_max then tm.tm_max <- dt
+  if dt > tm.tm_max then tm.tm_max <- dt;
+  Mutex.unlock tm.tm_lock
 
-let time t name f =
+let time tm f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  add_time t name (Unix.gettimeofday () -. t0);
+  add_time tm (Unix.gettimeofday () -. t0);
   r
 
 (* ---- snapshots -------------------------------------------------------- *)
@@ -127,35 +156,56 @@ type snapshot = {
   histograms : (string * hist_stat) list;
 }
 
-let sorted_bindings tbl f =
-  Hashtbl.fold (fun name v acc -> (name, f v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let timer_stat tm =
+  locked tm.tm_lock (fun () ->
+      { t_count = tm.tm_count; t_total = tm.tm_total; t_max = tm.tm_max })
+
+let hist_stat h =
+  locked h.hs_lock (fun () ->
+      let buckets = ref [] in
+      for i = n_buckets - 1 downto 0 do
+        if h.hs_buckets.(i) > 0 then buckets := (bucket_le i, h.hs_buckets.(i)) :: !buckets
+      done;
+      { h_count = h.hs_count; h_sum = h.hs_sum; h_min = h.hs_min; h_max = h.hs_max;
+        h_buckets = !buckets })
+
+(* a stat with at least one sample since the last reset; an empty
+   histogram's min and max are infinite *)
+let sampled_timer tm = match timer_stat tm with { t_count = 0; _ } -> None | s -> Some s
+let sampled_hist h = match hist_stat h with { h_count = 0; _ } -> None | s -> Some s
 
 let snapshot t =
-  locked t @@ fun () ->
-  { counters = sorted_bindings t.m_counters (fun r -> !r);
+  let entries = sorted_entries t in
+  let pick f = List.filter_map (fun (name, e) -> Option.map (fun v -> (name, v)) (f e.e_handle)) entries in
+  { counters = pick (function C c -> Some (Atomic.get c) | T _ | H _ -> None);
     timers =
-      sorted_bindings t.m_timers (fun tm ->
-          { t_count = tm.tm_count; t_total = tm.tm_total; t_max = tm.tm_max });
+      pick (function T tm -> sampled_timer tm | C _ | H _ -> None);
     histograms =
-      sorted_bindings t.m_hists (fun h ->
-          let buckets = ref [] in
-          for i = n_buckets - 1 downto 0 do
-            if h.hs_buckets.(i) > 0 then
-              buckets := (bucket_le i, h.hs_buckets.(i)) :: !buckets
-          done;
-          { h_count = h.hs_count; h_sum = h.hs_sum; h_min = h.hs_min;
-            h_max = h.hs_max; h_buckets = !buckets }) }
+      pick (function H h -> sampled_hist h | C _ | T _ -> None) }
 
 let reset t =
-  locked t @@ fun () ->
-  Hashtbl.reset t.m_counters;
-  Hashtbl.reset t.m_timers;
-  Hashtbl.reset t.m_hists
+  List.iter
+    (fun (_, e) ->
+      match e.e_handle with
+      | C c -> Atomic.set c 0
+      | T tm ->
+        locked tm.tm_lock (fun () ->
+            tm.tm_count <- 0;
+            tm.tm_total <- 0.0;
+            tm.tm_max <- 0.0)
+      | H h ->
+        locked h.hs_lock (fun () ->
+            h.hs_count <- 0;
+            h.hs_sum <- 0.0;
+            h.hs_min <- infinity;
+            h.hs_max <- neg_infinity;
+            Array.fill h.hs_buckets 0 n_buckets 0))
+    (sorted_entries t)
+
+let find t name = locked t.m_lock (fun () -> Hashtbl.find_opt t.m_entries name)
 
 let counter_value t name =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.m_counters name with Some r -> !r | None -> 0
+  match find t name with Some { e_handle = C c; _ } -> Atomic.get c | Some _ | None -> 0
 
 (* ---- quantiles --------------------------------------------------------
    Histogram buckets are eighth-octave magnitude classes, so a
@@ -189,20 +239,9 @@ let quantile_of_stat h q =
 let quantiles_of_stat h qs = List.map (fun q -> (q, quantile_of_stat h q)) qs
 
 let quantiles t name qs =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.m_hists name with
-  | None -> None
-  | Some h ->
-    let buckets = ref [] in
-    for i = n_buckets - 1 downto 0 do
-      if h.hs_buckets.(i) > 0 then
-        buckets := (bucket_le i, h.hs_buckets.(i)) :: !buckets
-    done;
-    let stat =
-      { h_count = h.hs_count; h_sum = h.hs_sum; h_min = h.hs_min;
-        h_max = h.hs_max; h_buckets = !buckets }
-    in
-    Some (quantiles_of_stat stat qs)
+  match find t name with
+  | Some { e_handle = H h; _ } -> Option.map (fun s -> quantiles_of_stat s qs) (sampled_hist h)
+  | Some _ | None -> None
 
 (* ---- rendering -------------------------------------------------------- *)
 

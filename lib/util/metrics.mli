@@ -1,48 +1,84 @@
 (** Lightweight process-local metrics: counters, wall-clock timers and
     value histograms behind a [snapshot]/[reset] API.
 
-    The estimation pipeline (plan compilation, reach-memo hits/misses,
-    descendant-expansion depth, estimate latency) reports into the
-    {!global} registry; the bench harness and the [xcluster estimate
-    --stats] CLI flag render a snapshot as JSON. Registries are cheap
-    hash tables — a counter bump is one lookup and one integer add — so
-    instrumentation can stay on in hot paths. Thread-safe: every
-    operation takes the registry's internal mutex, so worker threads
-    and domains may report into one registry concurrently (the serving
-    daemon does). The critical sections are a table lookup and a few
-    scalar updates — contention, not the lock itself, is the only cost
-    that can show up in a profile. *)
+    A metric is a {b handle}, registered once under its name and kind
+    ({!counter}, {!high_water}, {!timer}, {!histogram}) and then updated
+    through the handle alone: no name is hashed and no table is looked
+    up on the hot path. The library's handles are all registered in
+    {!Meters} into the {!global} registry, which is that module's one
+    list of every metric it emits; the bench harness and the
+    [xcluster estimate --stats] flag render a snapshot as JSON, and the
+    daemon returns one for [Stats].
+
+    Thread-safe without a registry-wide lock on the write path: a
+    counter is an [int Atomic.t], so a bump is one atomic add and a
+    high-water update one compare-and-set loop; a timer or histogram
+    holds a mutex of its own, taken only around its few scalar updates.
+    The registry's own mutex guards registration and the read side
+    ({!snapshot}, {!reset}, {!counter_value}, {!quantiles}), never an
+    update. Worker threads and domains may therefore update one handle
+    concurrently (the serving daemon does). *)
 
 type t
 (** A metrics registry. *)
 
 val global : t
-(** The registry the library instruments by default. *)
+(** The registry the library instruments ({!Meters}). *)
 
 val create : unit -> t
 
+(* ---- handles --------------------------------------------------------- *)
+
+type kind =
+  | Counter  (** a monotone count since the last reset *)
+  | High_water  (** the largest value recorded since the last reset *)
+  | Timer  (** wall-clock durations: count / total / max *)
+  | Histogram  (** sampled values: count / sum / min / max + buckets *)
+
+val kind_name : kind -> string
+(** ["counter"], ["high-water"], ["timer"], ["histogram"]. *)
+
+type counter
+type timer
+type histogram
+
+val counter : ?registry:t -> doc:string -> string -> counter
+(** Register a counter under a name (default registry {!global}).
+    [doc] is its one-line meaning, listed by {!catalogue}.
+    @raise Invalid_argument when the registry already holds the name. *)
+
+val high_water : ?registry:t -> doc:string -> string -> counter
+(** A counter updated with {!record_max} (e.g. [batch.cohort_max], the
+    widest query cohort any batch collapsed to). Renders like any
+    other counter. *)
+
+val timer : ?registry:t -> doc:string -> string -> timer
+val histogram : ?registry:t -> doc:string -> string -> histogram
+
+val catalogue : t -> (string * kind * string) list
+(** Every handle registered in the registry: name, kind and one-line
+    meaning, sorted by name. *)
+
 (* ---- recording ------------------------------------------------------- *)
 
-val incr : ?by:int -> t -> string -> unit
-(** Bump a counter, creating it at 0 on first use. *)
+val incr : counter -> unit
+(** Add 1: one atomic add, no lock. *)
 
-val record_max : t -> string -> int -> unit
-(** High-water counter: keep the largest value recorded since the last
-    reset (e.g. [batch.cohort_max], the widest query cohort any batch
-    collapsed to). Renders like any other counter. *)
+val add : counter -> int -> unit
 
-val observe : t -> string -> float -> unit
-(** Record a sample into a histogram (count/sum/min/max plus
-    eighth-octave magnitude buckets — 8 sub-buckets per power of two),
-    creating it on first use. *)
+val record_max : counter -> int -> unit
+(** Keep the largest value recorded since the last reset. *)
 
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk and record its wall-clock duration, in seconds, under
-    the name as a timer (count/total/max). Exceptions propagate without
-    recording. *)
+val observe : histogram -> float -> unit
+(** Record a sample (count/sum/min/max plus eighth-octave magnitude
+    buckets — 8 sub-buckets per power of two). *)
 
-val add_time : t -> string -> float -> unit
-(** Record an externally measured duration (seconds) under a timer. *)
+val time : timer -> (unit -> 'a) -> 'a
+(** Run the thunk and record its wall-clock duration, in seconds.
+    Exceptions propagate without recording. *)
+
+val add_time : timer -> float -> unit
+(** Record an externally measured duration (seconds). *)
 
 (* ---- reading --------------------------------------------------------- *)
 
@@ -63,16 +99,21 @@ type hist_stat = {
 }
 
 type snapshot = {
-  counters : (string * int) list;        (** sorted by name *)
-  timers : (string * timer_stat) list;   (** sorted by name *)
-  histograms : (string * hist_stat) list;(** sorted by name *)
+  counters : (string * int) list;        (** every counter, sorted by name *)
+  timers : (string * timer_stat) list;   (** with samples, sorted by name *)
+  histograms : (string * hist_stat) list;(** with samples, sorted by name *)
 }
+(** Timers and histograms without a sample since the last reset are
+    left out, so no rendered field is ever infinite. *)
 
 val snapshot : t -> snapshot
+
 val reset : t -> unit
+(** Zero every handle in place; the handles stay registered and valid. *)
 
 val counter_value : t -> string -> int
-(** Current value of a counter; 0 when it was never bumped. *)
+(** Current value of a counter by name; 0 when no such counter is
+    registered. *)
 
 val quantile_of_stat : hist_stat -> float -> float
 (** Quantile [q ∈ \[0, 1\]] of a histogram, interpolated linearly
@@ -86,9 +127,9 @@ val quantiles_of_stat : hist_stat -> float list -> (float * float) list
 (** [(q, value)] per requested quantile. *)
 
 val quantiles : t -> string -> float list -> (float * float) list option
-(** Quantiles of a live histogram by name; [None] when it does not
-    exist. [quantiles m "estimate.plan_us" \[0.5; 0.95; 0.99\]] is the
-    p50/p95/p99 read the CLI and bench surface. *)
+(** Quantiles of a histogram by name; [None] when it does not exist or
+    has no sample. [quantiles m "estimate.plan_us" \[0.5; 0.95; 0.99\]]
+    is the p50/p95/p99 read the CLI and bench surface. *)
 
 val to_json : snapshot -> string
 (** Single-line JSON object:

@@ -75,7 +75,7 @@ module Store = struct
     match Xc_core.Codec.load ?eager path with
     | Ok _ as ok -> ok
     | Error _ as e ->
-      Mx.incr Mx.global "serve.load_error";
+      Mx.incr Xc_util.Meters.Serve.load_error;
       e
 
   let save_exn = Xc_core.Codec.save_exn

@@ -151,8 +151,9 @@ let test_intern_roundtrip () =
 
 let test_quantiles () =
   let m = Metrics.create () in
+  let lat = Metrics.histogram ~registry:m ~doc:"samples" "lat" in
   for i = 1 to 1000 do
-    Metrics.observe m "lat" (float_of_int i)
+    Metrics.observe lat (float_of_int i)
   done;
   (match Metrics.quantiles m "lat" [ 0.5; 0.95; 0.99 ] with
   | Some [ (_, p50); (_, p95); (_, p99) ] ->
@@ -164,7 +165,7 @@ let test_quantiles () =
   | _ -> Alcotest.fail "expected three quantiles");
   check Alcotest.bool "missing histogram" true (Metrics.quantiles m "nope" [ 0.5 ] = None);
   (* single observation: every quantile collapses to it via clamping *)
-  Metrics.observe m "one" 7.0;
+  Metrics.observe (Metrics.histogram ~registry:m ~doc:"one sample" "one") 7.0;
   (match Metrics.quantiles m "one" [ 0.0; 0.5; 1.0 ] with
   | Some qs -> List.iter (fun (_, v) -> check0 "clamped to the sample" 7.0 v) qs
   | None -> Alcotest.fail "expected quantiles");
@@ -182,9 +183,10 @@ let test_quantiles () =
    resolve the clusters. *)
 let test_quantile_resolution () =
   let m = Metrics.create () in
-  for _ = 1 to 940 do Metrics.observe m "lat" 560.0 done;
-  for _ = 1 to 50 do Metrics.observe m "lat" 800.0 done;
-  for _ = 1 to 10 do Metrics.observe m "lat" 1010.0 done;
+  let lat = Metrics.histogram ~registry:m ~doc:"samples" "lat" in
+  for _ = 1 to 940 do Metrics.observe lat 560.0 done;
+  for _ = 1 to 50 do Metrics.observe lat 800.0 done;
+  for _ = 1 to 10 do Metrics.observe lat 1010.0 done;
   match Metrics.quantiles m "lat" [ 0.95; 0.99 ] with
   | Some [ (_, p95); (_, p99) ] ->
     (* the true p95 is 800 (samples 941..990); demand < 10% error *)

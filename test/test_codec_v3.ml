@@ -173,6 +173,71 @@ let in_temp_dir f =
     (fun () -> f dir)
 
 (* section [k]'s (offset, length) from the encoded directory *)
+(* ---- reproducible bytes ---------------------------------------------------
+
+   Term identifiers are process-local: their order is the order in
+   which a process first interned each spelling. Two forked children
+   intern the golden file's terms in different orders — one first sees
+   them when it decodes the file, the other generates the document the
+   file was built from first — and each re-encodes the decoded golden
+   v3 synopsis. The bytes must be identical. Runs first in this suite,
+   before the test process itself interns any of those terms, so the
+   children do not inherit one id order from it. *)
+
+let term_order syn =
+  (* the synopsis's terms, in identifier order *)
+  let ids = Hashtbl.create 256 in
+  for i = 0 to S.n_nodes syn - 1 do
+    match S.vsumm syn i with
+    | Xc_vsumm.Value_summary.Vtext th ->
+      let top, bucket, _ = Xc_vsumm.Term_hist.parts th in
+      List.iter (fun (id, _) -> Hashtbl.replace ids id ()) top;
+      List.iter (fun id -> Hashtbl.replace ids id ()) bucket
+    | _ -> ()
+  done;
+  Hashtbl.fold (fun id () acc -> id :: acc) ids []
+  |> List.sort Int.compare
+  |> List.map (fun id -> Xc_xml.Dictionary.to_string (Xc_xml.Dictionary.unsafe_of_int id))
+  |> String.concat " "
+
+let encode_in_child ~dir name intern_first =
+  let out = Filename.concat dir name in
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        intern_first ();
+        let syn = decode_exn "golden v3" (golden 3) in
+        write_exn out (Codec.to_string syn);
+        write_exn (out ^ ".order") (term_order syn);
+        0
+      with _ -> 1
+    in
+    Unix._exit code
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> (read_exn out, read_exn (out ^ ".order"))
+    | _ -> Alcotest.failf "child %s failed" name)
+
+let test_bytes_independent_of_interning () =
+  in_temp_dir @@ fun dir ->
+  let noise () =
+    for i = 1 to 5000 do
+      ignore (Xc_xml.Dictionary.of_string (Printf.sprintf "noise%d" i))
+    done
+  in
+  let a, order_a = encode_in_child ~dir "a.syn" noise in
+  let b, order_b =
+    encode_in_child ~dir "b.syn" (fun () ->
+        ignore (Xc_data.Imdb.generate ~seed:81 ~n_movies:40 ());
+        noise ())
+  in
+  check Alcotest.bool "the children interned the terms in different orders" true
+    (order_a <> order_b);
+  check Alcotest.bool "identical bytes" true (String.equal a b);
+  check_same_synopsis "re-encoded" ~expected:(decode_exn "golden v3" (golden 3))
+    (decode_exn "re-encoded" a)
+
 let section_extent encoded k =
   let entry = 24 + (k * 32) in
   let get pos = Int64.to_int (String.get_int64_be encoded pos) in
@@ -383,7 +448,10 @@ let test_sections_report () =
 
 let () =
   Alcotest.run ~and_exit:false "codec_v3"
-    [ ( "bit identity",
+    [ ( "reproducible",
+        [ Alcotest.test_case "v3 bytes independent of interning order" `Quick
+            test_bytes_independent_of_interning ] );
+      ( "bit identity",
         [ Alcotest.test_case "v3 decode = v2 decode" `Quick test_v3_v2_bit_identity;
           Alcotest.test_case "re-encoding idempotent" `Quick test_v3_reencode_idempotent ] );
       ( "bit flips",

@@ -193,15 +193,21 @@ let test_cache_bound () =
 
 let test_metrics_registry () =
   let m = Metrics.create () in
-  Metrics.incr m "c";
-  Metrics.incr ~by:2 m "c";
+  let c = Metrics.counter ~registry:m ~doc:"a counter" "c" in
+  let hw = Metrics.high_water ~registry:m ~doc:"a high-water mark" "hw" in
+  let h = Metrics.histogram ~registry:m ~doc:"a histogram" "h" in
+  let tm = Metrics.timer ~registry:m ~doc:"a timer" "t" in
+  Metrics.incr c;
+  Metrics.add c 2;
   check Alcotest.int "counter" 3 (Metrics.counter_value m "c");
-  Metrics.observe m "h" 3.0;
-  Metrics.observe m "h" 5.0;
-  let r = Metrics.time m "t" (fun () -> 42) in
+  List.iter (Metrics.record_max hw) [ 4; 9; 2 ];
+  check Alcotest.int "high-water" 9 (Metrics.counter_value m "hw");
+  Metrics.observe h 3.0;
+  Metrics.observe h 5.0;
+  let r = Metrics.time tm (fun () -> 42) in
   check Alcotest.int "time passes through" 42 r;
   let s = Metrics.snapshot m in
-  check Alcotest.int "counters" 1 (List.length s.Metrics.counters);
+  check Alcotest.int "counters" 2 (List.length s.Metrics.counters);
   (match s.Metrics.histograms with
   | [ ("h", h) ] ->
     check Alcotest.int "obs" 2 h.Metrics.h_count;
@@ -213,15 +219,98 @@ let test_metrics_registry () =
   | _ -> Alcotest.fail "expected one timer");
   let json = Metrics.to_json s in
   check Alcotest.bool "json mentions counter" true (contains json "\"c\":3");
+  (match Metrics.counter ~registry:m ~doc:"again" "c" with
+  | _ -> Alcotest.fail "a second registration of one name was accepted"
+  | exception Invalid_argument _ -> ());
+  (* reset zeroes the handles in place: they stay registered and live *)
   Metrics.reset m;
-  check Alcotest.int "reset" 0 (Metrics.counter_value m "c")
+  check Alcotest.int "reset" 0 (Metrics.counter_value m "c");
+  check Alcotest.int "reset high-water" 0 (Metrics.counter_value m "hw");
+  let s = Metrics.snapshot m in
+  check Alcotest.int "counters stay listed" 2 (List.length s.Metrics.counters);
+  check Alcotest.bool "empty histograms and timers are left out" true
+    (s.Metrics.histograms = [] && s.Metrics.timers = []);
+  check Alcotest.bool "no infinite field" false (contains (Metrics.to_json s) "inf");
+  check Alcotest.bool "no quantiles of an empty histogram" true
+    (Metrics.quantiles m "h" [ 0.5 ] = None);
+  Metrics.incr c;
+  Metrics.observe h 7.0;
+  check Alcotest.int "the handle counts after a reset" 1 (Metrics.counter_value m "c");
+  check Alcotest.int "the histogram samples after a reset" 1
+    (List.length (Metrics.snapshot m).Metrics.histograms)
 
 let test_metrics_json () =
   let m = Metrics.create () in
-  Metrics.incr m "plan.compile";
+  Metrics.incr (Metrics.counter ~registry:m ~doc:"compiles" "plan.compile");
   let json = Metrics.to_json (Metrics.snapshot m) in
   check Alcotest.bool "counter in json" true (contains json "\"plan.compile\":1");
   check Alcotest.bool "object shape" true (contains json "\"counters\":{")
+
+(* Counters bumped from several domains at once lose no update. *)
+let test_metrics_concurrent () =
+  let m = Metrics.create () in
+  let c = Metrics.counter ~registry:m ~doc:"bumps" "c" in
+  let h = Metrics.histogram ~registry:m ~doc:"samples" "h" in
+  let per = 20_000 in
+  let worker () =
+    Domain.spawn (fun () ->
+        for i = 1 to per do
+          Metrics.incr c;
+          if i mod 10 = 0 then Metrics.observe h 1.0
+        done)
+  in
+  List.iter Domain.join [ worker (); worker () ];
+  check Alcotest.int "every bump" (2 * per) (Metrics.counter_value m "c");
+  match (Metrics.snapshot m).Metrics.histograms with
+  | [ (_, s) ] -> check Alcotest.int "every sample" (2 * per / 10) s.Metrics.h_count
+  | _ -> Alcotest.fail "expected one histogram"
+
+(* ---- the metric catalogue ------------------------------------------------
+
+   [Xc_util.Meters] registers every metric the library emits; DESIGN.md
+   lists them in one table between two marker comments, one row per
+   metric: | `name` | kind | meaning |. The two must agree row for row,
+   in both directions. *)
+
+let design_rows () =
+  let ic = open_in "../DESIGN.md" in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let rec skip_to_begin = function
+    | [] -> Alcotest.fail "DESIGN.md has no metric-catalogue table"
+    | l :: rest when String.trim l = "<!-- metric-catalogue:begin -->" -> rest
+    | _ :: rest -> skip_to_begin rest
+  in
+  let rec rows acc = function
+    | [] -> Alcotest.fail "DESIGN.md's metric-catalogue table is not closed"
+    | l :: _ when String.trim l = "<!-- metric-catalogue:end -->" -> List.rev acc
+    | l :: rest -> (
+      match List.map String.trim (String.split_on_char '|' l) with
+      | [ ""; name; kind; meaning; "" ]
+        when String.length name > 2 && name.[0] = '`' && name.[String.length name - 1] = '`' ->
+        rows ((String.sub name 1 (String.length name - 2), kind, meaning) :: acc) rest
+      | _ -> rows acc rest)
+  in
+  rows [] (skip_to_begin lines)
+
+let test_metric_catalogue () =
+  let code =
+    List.map (fun (n, k, d) -> (n, Metrics.kind_name k, d)) (Xc_util.Meters.catalogue ())
+  in
+  let doc = List.sort compare (design_rows ()) in
+  let show (n, k, d) = Printf.sprintf "| `%s` | %s | %s |" n k d in
+  let missing = List.filter (fun r -> not (List.mem r doc)) code in
+  let extra = List.filter (fun r -> not (List.mem r code)) doc in
+  if missing <> [] || extra <> [] then
+    Alcotest.failf "DESIGN.md's metric table and Xc_util.Meters differ.\nemitted, not documented:\n%s\ndocumented, not emitted:\n%s"
+      (String.concat "\n" (List.map show missing))
+      (String.concat "\n" (List.map show extra));
+  check Alcotest.int "one row per metric" (List.length code) (List.length doc);
+  check Alcotest.bool "the daemon's Stats lists every counter" true
+    (let json = Metrics.to_json (Metrics.snapshot Metrics.global) in
+     List.for_all
+       (fun (n, k, _) -> k <> "counter" || contains json (Printf.sprintf "\"%s\":" n))
+       code)
 
 let () =
   Alcotest.run "plan"
@@ -240,4 +329,6 @@ let () =
           Alcotest.test_case "bounded under distinct queries" `Quick test_cache_bound ] );
       ( "metrics",
         [ Alcotest.test_case "registry" `Quick test_metrics_registry;
-          Alcotest.test_case "json" `Quick test_metrics_json ] ) ]
+          Alcotest.test_case "json" `Quick test_metrics_json;
+          Alcotest.test_case "concurrent updates" `Quick test_metrics_concurrent;
+          Alcotest.test_case "catalogue matches DESIGN.md" `Quick test_metric_catalogue ] ) ]

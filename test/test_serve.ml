@@ -1668,6 +1668,223 @@ let test_warm_requests_allocate_nothing () =
   check Alcotest.bool "a warm single estimate allocates no more than a batch" true
     (single_minor <= minor50 +. slack)
 
+(* ---- carry-over reads ------------------------------------------------------
+
+   [read_frame] asks each read() for all the room its buffer has, so it
+   may read past a frame; those bytes stay in the buffer and start the
+   next frame. *)
+
+let read_calls () = counter "protocol.read_calls"
+
+(* Any sequence of valid frames, concatenated and written in chunks of
+   any size (a byte at a time up to all at once), reads back frame for
+   frame, with nothing left over. The writer runs on its own thread and
+   yields between chunks, so reads land mid-header and mid-payload. *)
+let prop_chunked_stream =
+  QCheck.Test.make ~name:"concatenated frames read back in any chunking" ~count:80
+    (QCheck.make
+       (G.triple (G.list_size (G.int_range 1 6) gen_request) (G.int_bound 3) G.int))
+    (fun (reqs, mode, seed) ->
+      let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close tx; Unix.close rx) @@ fun () ->
+      let stream = String.concat "" (List.map Protocol.encode_request reqs) in
+      let total = String.length stream in
+      (* a byte at a time costs a syscall per byte: dribble only the
+         first kilobytes of a long stream *)
+      let max_chunk =
+        match mode with 0 -> 1 | 1 -> 16 | 2 -> 4096 | _ -> total
+      in
+      let rng = Random.State.make [| seed |] in
+      let writer =
+        Thread.create
+          (fun () ->
+            let pos = ref 0 in
+            while !pos < total do
+              let cap = if !pos >= 4096 then max 4096 max_chunk else max_chunk in
+              let n = min (total - !pos) (1 + Random.State.int rng cap) in
+              let w = Unix.write_substring tx stream !pos n in
+              pos := !pos + w;
+              Thread.yield ()
+            done)
+          ()
+      in
+      let r = Protocol.Frame.create () in
+      let back =
+        List.map
+          (fun _ ->
+            match Protocol.read_frame ~site:"serve.recv" r rx with
+            | Ok true -> Protocol.decode_request (Protocol.Frame.contents r)
+            | Ok false -> Error Error.Closed
+            | Error e -> Alcotest.failf "recv: %s" (Error.to_string e))
+          reqs
+      in
+      Thread.join writer;
+      back = List.map Result.ok reqs && Protocol.Frame.buffered r = 0)
+
+(* A frame whole in the socket costs one read(); three written at once
+   cost one between them. *)
+let test_one_read_per_frame () =
+  let p = buffer_pair () in
+  Fun.protect ~finally:(fun () -> Unix.close p.tx; Unix.close p.rx) @@ fun () ->
+  let point = Protocol.Estimate { synopsis = "imdb"; query = "//movie/title" } in
+  let frame = Protocol.encode_request point in
+  let read () =
+    match Protocol.read_frame ~site:"serve.recv" p.r p.rx with
+    | Ok true -> check Alcotest.bool "frame read back" true (Protocol.decode_request (Protocol.Frame.contents p.r) = Ok point)
+    | Ok false -> Alcotest.fail "end of stream"
+    | Error e -> Alcotest.failf "recv: %s" (Error.to_string e)
+  in
+  ignore (Unix.write_substring p.tx frame 0 (String.length frame));
+  let c0 = read_calls () in
+  read ();
+  check Alcotest.int "one read for a whole frame" (c0 + 1) (read_calls ());
+  let three = String.concat "" [ frame; frame; frame ] in
+  ignore (Unix.write_substring p.tx three 0 (String.length three));
+  let c0 = read_calls () in
+  read ();
+  check Alcotest.int "the rest carried over" (2 * String.length frame)
+    (Protocol.Frame.buffered p.r);
+  read ();
+  read ();
+  check Alcotest.int "one read for three whole frames" (c0 + 1) (read_calls ());
+  check Alcotest.int "nothing left" 0 (Protocol.Frame.buffered p.r)
+
+(* A carried partial header, then a hang-up: a typed truncation naming
+   the missing header bytes; a carried partial payload likewise. *)
+let test_carried_partial_then_hangup () =
+  let frame = Protocol.encode_request Protocol.Ping in
+  let batch =
+    Protocol.encode_request
+      (Protocol.Estimate_batch
+         { synopsis = "x"; queries = [| "//a"; "//b" |]; options = Serve.default_options })
+  in
+  List.iter
+    (fun (what, tail, need) ->
+      let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close rx) @@ fun () ->
+      let s = frame ^ tail in
+      ignore (Unix.write_substring tx s 0 (String.length s));
+      Unix.close tx;
+      let r = Protocol.Frame.create () in
+      (match Protocol.read_frame ~site:"serve.recv" r rx with
+      | Ok true -> check Alcotest.int (what ^ ": carried") (String.length tail) (Protocol.Frame.buffered r)
+      | _ -> Alcotest.failf "%s: the whole first frame did not read" what);
+      match Protocol.read_frame ~site:"serve.recv" r rx with
+      | Error (Error.Protocol (Truncated { need = n })) -> check Alcotest.int (what ^ ": missing bytes") need n
+      | Error e -> Alcotest.failf "%s: expected a truncation, got %s" what (Error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: a truncated frame read" what)
+    [ ("partial header", String.sub frame 0 5, Protocol.header_bytes - 5);
+      ("partial payload", String.sub batch 0 30, String.length batch - 30) ]
+
+(* Request frames written to a live daemon in one write are answered in
+   order, each bit-identical to Estimate.selectivity; the answers,
+   which may also arrive together, are read through one buffer. *)
+let test_daemon_pipelined_frames () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "imdb.syn" in
+  save_exn path (Lazy.force synopsis_a);
+  let syn = load_exn path in
+  let qs = Array.sub (query_sources syn) 0 5 in
+  with_daemon [ ("imdb", path) ] @@ fun endpoint ->
+  let fd = raw_connect endpoint in
+  Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let texts = Array.map fst qs in
+  let reqs =
+    Array.to_list (Array.map (fun query -> Protocol.Estimate { synopsis = "imdb"; query }) texts)
+    @ [ Protocol.Estimate_batch { synopsis = "imdb"; queries = texts; options = Serve.default_options } ]
+  in
+  let burst = String.concat "" (List.map Protocol.encode_request reqs) in
+  check Alcotest.int "one write" (String.length burst)
+    (Unix.write_substring fd burst 0 (String.length burst));
+  let r = Protocol.Frame.create () in
+  let next () =
+    match Protocol.recv_response ~into:r fd with
+    | Ok (Protocol.Floats fs) -> fs
+    | Ok _ -> Alcotest.fail "unexpected response kind"
+    | Error e -> Alcotest.failf "recv: %s" (Error.to_string e)
+  in
+  Array.iteri (fun i text -> check_oracle (Printf.sprintf "frame %d" i) syn [| text |] (next ())) texts;
+  check_oracle "batch frame" syn texts (next ())
+
+(* A client whose connection died with bytes read past its last answer
+   drops them on reconnect: the answer on the new connection is its
+   own, not a stale frame's bytes. The peer answers its first request
+   with the answer, a whole stale frame and the start of another, then
+   hangs up; the client's next request fails on the dead socket and
+   reconnects. *)
+let test_client_drops_carry_on_reconnect () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "peer.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> raw_close listener) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX sock);
+  Unix.listen listener 4;
+  let first_closed = Atomic.make false in
+  let floats v = Protocol.encode_response (Protocol.Floats [| v |]) in
+  let peer =
+    Thread.create
+      (fun () ->
+        let serve reply =
+          let fd, _ = Unix.accept listener in
+          let r = Protocol.Frame.create () in
+          (match Protocol.read_frame ~site:"serve.recv" r fd with
+          | Ok true -> ignore (Unix.write_substring fd reply 0 (String.length reply))
+          | _ -> ());
+          raw_close fd
+        in
+        let stale = floats 777.0 in
+        serve (floats 1.0 ^ floats 666.0 ^ String.sub stale 0 20);
+        Atomic.set first_closed true;
+        serve (floats 2.0))
+      ()
+  in
+  let c = connect_exn (Protocol.Unix_sock sock) in
+  let estimate () =
+    match Serve.Client.estimate c ~synopsis:"imdb" ~query:"//movie" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "estimate: %s" (Error.to_string e)
+  in
+  check (Alcotest.float 0.0) "first answer" 1.0 (estimate ());
+  while not (Atomic.get first_closed) do
+    Thread.delay 0.001
+  done;
+  let reconnects = counter "client.reconnect" in
+  check (Alcotest.float 0.0) "the new connection's answer" 2.0 (estimate ());
+  check Alcotest.int "one reconnect" (reconnects + 1) (counter "client.reconnect");
+  Serve.Client.close c;
+  Thread.join peer
+
+(* A warm point round trip makes one read() at each end: the daemon
+   reads the request frame, the client the answer frame. The read
+   counter is bumped after each read() returns, so a daemon blocked
+   waiting for the next request has not counted that read yet. *)
+let test_point_round_trip_reads () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "imdb.syn" in
+  save_exn path (Lazy.force synopsis_a);
+  let syn = load_exn path in
+  let text = fst (query_sources syn).(0) in
+  with_daemon [ ("imdb", path) ] @@ fun endpoint ->
+  let c = connect_exn endpoint in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let estimate () =
+    match Serve.Client.estimate c ~synopsis:"imdb" ~query:text with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "estimate: %s" (Error.to_string e)
+  in
+  ignore (estimate ());
+  let trips = 50 in
+  let c0 = read_calls () in
+  for _ = 1 to trips do
+    ignore (estimate ())
+  done;
+  check Alcotest.int "one read per frame at each end" (2 * trips) (read_calls () - c0);
+  check_oracle "the answer" syn [| text |] [| estimate () |]
+
 (* ---- suite -------------------------------------------------------------- *)
 
 let () =
@@ -1689,6 +1906,17 @@ let () =
             test_reused_read_buffer;
           Alcotest.test_case "warm frames allocate no major words" `Quick
             test_warm_frames_allocate_nothing ] );
+      ( "framing",
+        [ QCheck_alcotest.to_alcotest prop_chunked_stream;
+          Alcotest.test_case "one read per whole frame" `Quick test_one_read_per_frame;
+          Alcotest.test_case "carried partial frame, then hang-up" `Quick
+            test_carried_partial_then_hangup;
+          Alcotest.test_case "daemon answers pipelined frames in order" `Quick
+            test_daemon_pipelined_frames;
+          Alcotest.test_case "reconnect drops stale bytes" `Quick
+            test_client_drops_carry_on_reconnect;
+          Alcotest.test_case "warm point round trip: one read per end" `Quick
+            test_point_round_trip_reads ] );
       ( "options",
         [ Alcotest.test_case "validation" `Quick test_options_validation ] );
       ("lru", [ Alcotest.test_case "exact LRU policy" `Quick test_lru_policy ]);
