@@ -61,7 +61,7 @@ let assign_paths doc =
 let refine ?(min_extent = 1) ?value_min_extent doc initial =
   let value_min_extent = Option.value ~default:min_extent value_min_extent in
   let nodes = doc.Document.nodes in
-  let parents = Document.parent_table doc in
+  let parents = doc.Document.parents in
   let n = Array.length nodes in
   (* per-element pooling threshold: value-bearing elements use the larger
      bound so that value summaries only split along heavyweight

@@ -2,10 +2,19 @@ module Metrics = Xc_util.Metrics
 module Meters = Xc_util.Meters
 module Fault = Xc_util.Fault
 
+(* [Dropped]: a request failed in transit, so where the stream stands is
+   unknown (a timed-out request's answer may still arrive). The socket
+   is gone and the next request opens a new one. [Closed]: the caller
+   closed the client. *)
+type conn =
+  | Open of Unix.file_descr
+  | Dropped
+  | Closed
+
 type t = {
   endpoint : Protocol.endpoint;
   timeout_s : float option;
-  mutable fd : Unix.file_descr option; (* None once closed *)
+  mutable conn : conn;
   into : Protocol.Frame.t; (* responses are read into this buffer *)
   out : Protocol.Frame.t; (* requests are encoded into this one *)
 }
@@ -108,25 +117,35 @@ let connect ?timeout_s endpoint =
       {
         endpoint;
         timeout_s;
-        fd = Some fd;
+        conn = Open fd;
         into = Protocol.Frame.create ();
         out = Protocol.Frame.create ();
       }
 
 (* the read buffer's carry-over belongs to the socket it was read
    from, so it goes with it *)
-let close t =
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-    t.fd <- None;
+let shut t next =
+  (match t.conn with
+  | Open fd ->
     Protocol.Frame.clear t.into;
     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+  | Dropped | Closed -> ());
+  t.conn <- next
+
+let close t = shut t Closed
 
 (* One round trip; a server-side error frame comes back through
-   Error.of_wire so the caller matches the same variant everywhere. *)
+   Error.of_wire so the caller matches the same variant everywhere.
+   An error frame is a whole answer and keeps the connection; any other
+   failure drops it, since the wire has no request ids: after a send or
+   receive error the next frame on this socket may answer an earlier
+   request. *)
 let attempt t fd req =
   let deadline () = Option.map Protocol.deadline_after t.timeout_s in
+  let drop e =
+    shut t Dropped;
+    Error e
+  in
   Protocol.encode_request_into t.out req;
   match Protocol.send_frame fd t.out with
   | Error send_err -> (
@@ -136,34 +155,38 @@ let attempt t fd req =
        the frame sits readable in the receive buffer. Surface the
        daemon's verdict, not the write's symptom. *)
     match Protocol.recv_response ?deadline:(deadline ()) ~into:t.into fd with
-    | Ok (Protocol.Error_frame { code; message }) ->
-      Error (Error.of_wire code message)
-    | Ok _ | Error _ -> Error send_err)
+    | Ok (Protocol.Error_frame { code; message }) -> drop (Error.of_wire code message)
+    | Ok _ | Error _ -> drop send_err)
   | Ok () -> (
     match Protocol.recv_response ?deadline:(deadline ()) ~into:t.into fd with
-    | Error _ as e -> e
+    | Error e -> drop e
     | Ok (Protocol.Error_frame { code; message }) ->
       Error (Error.of_wire code message)
     | Ok resp -> Ok resp)
 
-(* [idempotent] requests may transparently reconnect once when the
-   connection turns out dead (the daemon evicts idle peers; a drain
-   closes keep-alive connections between requests). Non-idempotent
-   requests — Update, Shutdown — never do: the first attempt may have
-   been applied before the connection died. *)
+let reconnect_and_send t req =
+  Metrics.incr Meters.Client.reconnect;
+  match connect_fd t.endpoint t.timeout_s with
+  | Error _ as e -> e
+  | Ok fd ->
+    t.conn <- Open fd;
+    attempt t fd req
+
+(* A dropped connection is reopened before the next request goes out:
+   that request was never sent, so this is no retry. Beyond that,
+   [idempotent] requests may transparently resend once on a new
+   connection when the open one turns out dead (the daemon evicts idle
+   peers; a drain closes keep-alive connections between requests).
+   Non-idempotent requests — Update, Shutdown — never resend: the first
+   attempt may have been applied before the connection died. *)
 let round_trip ?(idempotent = false) t req =
-  match t.fd with
-  | None -> Error (Error.Io "client is closed")
-  | Some fd -> (
+  match t.conn with
+  | Closed -> Error (Error.Io "client is closed")
+  | Dropped -> reconnect_and_send t req
+  | Open fd -> (
     match attempt t fd req with
-    | Error (Error.Io _ | Error.Protocol Error.Closed) when idempotent -> (
-      Metrics.incr Meters.Client.reconnect;
-      close t;
-      match connect_fd t.endpoint t.timeout_s with
-      | Error _ as e -> e
-      | Ok fd ->
-        t.fd <- Some fd;
-        attempt t fd req)
+    | Error (Error.Io _ | Error.Protocol Error.Closed) when idempotent ->
+      reconnect_and_send t req
     | r -> r)
 
 let unexpected () = Error (Error.Io "unexpected response kind")

@@ -24,10 +24,16 @@
     {!shutdown}) transparently reconnect once when the connection turns
     out dead — the daemon evicts idle peers and closes keep-alive
     connections on drain, so the first request after a pause may find a
-    stale socket ([client.reconnect] counts these). Bytes the read
-    buffer holds past the last response belong to the old socket and
-    are dropped with it, on reconnect as on {!close}, so a new
-    connection never reads a stale frame. {!with_retry} adds
+    stale socket ([client.reconnect] counts these). Any failure other
+    than a daemon's error frame — a receive {!Error.Timeout}, a
+    truncated or damaged frame, a failed write — drops the connection:
+    the wire carries no request ids, so a late answer to a timed-out
+    request would otherwise be read as the next request's. The next
+    request, of any kind, opens a new connection first (it was never
+    sent, so this is no retry; [client.reconnect] counts it too). Bytes
+    the read buffer holds past the last response belong to the old
+    socket and are dropped with it, on reconnect as on {!close}, so a
+    new connection never reads a stale frame. {!with_retry} adds
     the cross-connection policy: capped jittered exponential backoff
     over fresh connections, honoring the daemon's
     {!Error.Overloaded} [retry_after_ms] hint as a floor. *)
@@ -40,7 +46,8 @@ val connect : ?timeout_s:float -> Protocol.endpoint -> (t, Error.t) result
     the [client.connect] fault site. *)
 
 val close : t -> unit
-(** Idempotent. *)
+(** Idempotent. A closed client answers every request with
+    [Error (Io "client is closed")]. *)
 
 val estimate :
   t -> synopsis:string -> query:string -> (float, Error.t) result

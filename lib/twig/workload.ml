@@ -43,7 +43,7 @@ type index = {
 
 let build_index ?value_paths doc =
   let nodes = doc.Document.nodes in
-  let parents = Document.parent_table doc in
+  let parents = doc.Document.parents in
   let designated =
     match value_paths with
     | None -> None

@@ -31,16 +31,7 @@ let struct_exact_random_docs =
   QCheck.Test.make ~name:"reference estimates structural twigs exactly" ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let rng = Xc_util.Rng.create seed in
-      let tags = [| "a"; "b"; "c"; "d" |] in
-      let rec gen depth =
-        let n = if depth >= 3 then 0 else Xc_util.Rng.int rng 4 in
-        Node.make (Xc_util.Rng.pick rng tags)
-          ~children:(List.init n (fun _ -> gen (depth + 1)))
-      in
-      let doc =
-        Document.create (Node.make "r" ~children:(List.init 3 (fun _ -> gen 0)))
-      in
+      let doc = Random_doc.generate (Xc_util.Rng.create seed) in
       let reference = Synopsis.freeze (Reference.build ~min_extent:1 doc) in
       List.for_all
         (fun q -> Float.abs (exact doc q -. est reference q) < 1e-6)

@@ -1857,6 +1857,110 @@ let test_client_drops_carry_on_reconnect () =
   Serve.Client.close c;
   Thread.join peer
 
+(* A peer that answers Estimate request "k" with the float k after
+   [delay k] seconds, one thread per connection, until [stop]. A client
+   whose receive timeout fires before the answer drops the connection;
+   the late answer then lands on a closed socket, never in front of the
+   next request's. *)
+let with_scripted_peer ~delay f =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "peer.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> raw_close listener) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX sock);
+  Unix.listen listener 8;
+  let stop = Atomic.make false in
+  let conns = ref [] in
+  let serve fd =
+    let r = Protocol.Frame.create () and w = Protocol.Frame.create () in
+    let rec loop () =
+      match Protocol.read_frame ~site:"serve.recv" r fd with
+      | Ok true -> (
+        match Protocol.decode_request (Protocol.Frame.contents r) with
+        | Ok (Protocol.Estimate { query; _ }) ->
+          let k = float_of_string query in
+          Thread.delay (delay k);
+          Protocol.encode_response_into w (Protocol.Floats [| k |]);
+          (match Protocol.send_frame fd w with Ok () -> loop () | Error _ -> ())
+        | Ok _ | Error _ -> ())
+      | Ok false | Error _ -> ()
+    in
+    loop ();
+    raw_close fd
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ listener ] [] [] 0.02 with
+          | _ :: _, _, _ ->
+            let fd, _ = Unix.accept listener in
+            conns := Thread.create serve fd :: !conns
+          | [], _, _ -> ()
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join acceptor;
+      List.iter Thread.join !conns)
+    (fun () -> f (Protocol.Unix_sock sock))
+
+let ask c k = Serve.Client.estimate c ~synopsis:"s" ~query:(string_of_int k)
+
+let test_client_drops_after_timeout () =
+  with_scripted_peer
+    ~delay:(fun k -> if k = 1.0 then 0.8 else 0.0)
+    (fun endpoint ->
+      let c =
+        match Serve.Client.connect ~timeout_s:0.2 endpoint with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" (Error.to_string e)
+      in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      (match ask c 1 with
+      | Error (Error.Timeout _) -> ()
+      | Ok v -> Alcotest.failf "request 1 answered %g before its delay" v
+      | Error e -> Alcotest.failf "request 1: %s" (Error.to_string e));
+      let reconnects = counter "client.reconnect" in
+      (* the peer answers request 1 while request 2 is out *)
+      (match ask c 2 with
+      | Ok v -> check (Alcotest.float 0.0) "request 2 gets its own answer" 2.0 v
+      | Error e -> Alcotest.failf "request 2: %s" (Error.to_string e));
+      check Alcotest.int "one reconnect" (reconnects + 1) (counter "client.reconnect");
+      Thread.delay 0.7;
+      match ask c 3 with
+      | Ok v -> check (Alcotest.float 0.0) "request 3 after the late answer" 3.0 v
+      | Error e -> Alcotest.failf "request 3: %s" (Error.to_string e))
+
+let prop_no_stale_answers =
+  (* any mix of prompt and late answers: every request gets its own
+     float or a typed error, never an earlier request's float *)
+  QCheck.Test.make ~name:"client answers are never another request's" ~count:10
+    QCheck.(list_of_size (Gen.int_range 2 5) bool)
+    (fun lates ->
+      let lates = Array.of_list lates in
+      with_scripted_peer
+        ~delay:(fun k -> if lates.(int_of_float k) then 0.12 else 0.0)
+        (fun endpoint ->
+          match Serve.Client.connect ~timeout_s:0.05 endpoint with
+          | Error e -> QCheck.Test.fail_reportf "connect: %s" (Error.to_string e)
+          | Ok c ->
+            Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun k _ ->
+                   match ask c k with
+                   | Ok v when v = float_of_int k -> true
+                   | Ok v -> QCheck.Test.fail_reportf "request %d answered %g" k v
+                   | Error (Error.Timeout _ | Error.Io _ | Error.Protocol _) -> true
+                   | Error e ->
+                     QCheck.Test.fail_reportf "request %d: unexpected failure %s" k
+                       (Error.to_string e))
+                 lates)))
+
 (* A warm point round trip makes one read() at each end: the daemon
    reads the request frame, the client the answer frame. The read
    counter is bumped after each read() returns, so a daemon blocked
@@ -1915,6 +2019,9 @@ let () =
             test_daemon_pipelined_frames;
           Alcotest.test_case "reconnect drops stale bytes" `Quick
             test_client_drops_carry_on_reconnect;
+          Alcotest.test_case "a timed-out answer never reaches the next request" `Quick
+            test_client_drops_after_timeout;
+          QCheck_alcotest.to_alcotest prop_no_stale_answers;
           Alcotest.test_case "warm point round trip: one read per end" `Quick
             test_point_round_trip_reads ] );
       ( "options",
