@@ -22,9 +22,9 @@ fmt:
 bench:
 	dune exec bench/main.exe
 
-# Paper-scale serving benchmark: batched estimation vs the planned
-# path, with throughput, latency percentiles, and bit-identity gates.
-# Appends a JSON line to BENCH_serve.json.
+# Paper-scale serving benchmark: batched estimation vs the oracle,
+# with throughput and bit-identity gates. Appends a JSON line to
+# BENCH_serve.json.
 bench-serve:
 	dune exec bench/main.exe -- serve
 

@@ -5,12 +5,12 @@
    Usage:  dune exec bench/main.exe [-- TARGET...]
    Targets: table1 table2 fig8a fig8b fig8c fig9 negative ablation-delta
             ablation-text ablation-numeric auto-split seal build serve
-            fault chaos update micro (default: all of them, in that
+            cold fault chaos update micro (default: all of them, in that
             order)
 
-   Every run ends with a JSON metrics block (plan compiles, cache and
-   reach-memo hit/miss counts, pool candidate evaluations, expansion
-   depths, estimate latency) accumulated across the targets that ran.
+   Every run ends with a JSON metrics block (batch compiles and hits,
+   transition rows built, pool candidate evaluations, expansion depths,
+   sweep latency) accumulated across the targets that ran.
 
    Environment (a value that does not parse exits 2, naming the
    variable):
@@ -139,14 +139,24 @@ let run_ablation_text () =
   in
   Xc_exp.Report.ablation_text ppf ~name:ds.Xc_exp.Runner.name rows
 
+(* A query answered the way a one-shot caller is answered: a one-query
+   batch on [engine], without the serving layer's fallback, so a fault
+   in the engine fails the gate instead of being answered by the
+   oracle. *)
+let one_query engine q =
+  let module B = Xc_core.Plan.Batch in
+  (B.run_prepared ~domains:1 engine (B.prepare_one engine q)).(0)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 (* ---- frozen-vs-builder estimation (the Builder/Sealed split) -----------
    The same XMark workload estimated through the hashtable-walking
-   builder estimator, the CSR sealed estimator, and the compiled plan
-   cache, at the paper's default 20KB/150KB budgets. The three must
-   agree bit for bit (the target exits non-zero otherwise); the speedup
-   columns are what the freeze step and the plan cache buy on repeated
-   estimation. Each run appends a JSON line to BENCH_seal.json so the
-   speedups are tracked across PRs. *)
+   builder estimator, the CSR sealed estimator, and one-query batches
+   on one engine, at the paper's default 20KB/150KB budgets. The three
+   must agree bit for bit (the target exits non-zero otherwise); the
+   speedup columns are what the freeze step and the compiled engine buy
+   on repeated estimation. Each run appends a JSON line to
+   BENCH_seal.json so the speedups are tracked across PRs. *)
 
 let run_seal () =
   let passes = env_int "XC_PASSES" ~default:5 in
@@ -167,37 +177,39 @@ let run_seal () =
   in
   let t_builder, sum_builder = time (Xc_core.Estimate.selectivity_builder builder) in
   let t_sealed, sum_sealed = time (Xc_core.Estimate.selectivity syn) in
-  let cache = Xc_core.Plan.Cache.create syn in
-  let t_planned, sum_planned = time (Xc_core.Plan.Cache.estimate cache) in
-  let max_diff =
+  let engine = Xc_core.Plan.Batch.create syn in
+  let t_one, sum_one = time (one_query engine) in
+  let max_diff, bitwise =
     List.fold_left
-      (fun acc q ->
+      (fun (acc, bitwise) q ->
         let b = Xc_core.Estimate.selectivity_builder builder q in
         let s = Xc_core.Estimate.selectivity syn q in
-        let p = Xc_core.Plan.Cache.estimate cache q in
-        Float.max acc (Float.max (Float.abs (b -. s)) (Float.abs (b -. p))))
-      0.0 queries
+        let p = one_query engine q in
+        ( Float.max acc (Float.max (Float.abs (b -. s)) (Float.abs (b -. p))),
+          bitwise && same_bits b s && same_bits b p ))
+      (0.0, true) queries
   in
   let per t = 1e6 *. t /. float_of_int (passes * List.length queries) in
   let speedup_sealed = t_builder /. Float.max t_sealed 1e-9 in
-  let speedup_planned = t_builder /. Float.max t_planned 1e-9 in
+  let speedup_one = t_builder /. Float.max t_one 1e-9 in
   Format.fprintf ppf "@.Frozen-vs-builder estimation (%s: %d queries x %d passes)@."
     ds.Xc_exp.Runner.name (List.length queries) passes;
   Format.fprintf ppf "  builder:  %7.3f s  (%.1f us/estimate)@." t_builder (per t_builder);
   Format.fprintf ppf "  sealed:   %7.3f s  (%.1f us/estimate)  %.1fx@." t_sealed
     (per t_sealed) speedup_sealed;
-  Format.fprintf ppf "  planned:  %7.3f s  (%.1f us/estimate)  %.1fx@." t_planned
-    (per t_planned) speedup_planned;
-  Format.fprintf ppf "  max |diff| across the three paths = %g  (sums %g %g %g)@."
-    max_diff sum_builder sum_sealed sum_planned;
+  Format.fprintf ppf "  one-query batch:  %7.3f s  (%.1f us/estimate)  %.1fx@." t_one
+    (per t_one) speedup_one;
+  Format.fprintf ppf
+    "  max |diff| across the three paths = %g  bitwise: %b  (sums %g %g %g)@."
+    max_diff bitwise sum_builder sum_sealed sum_one;
   let json =
     Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"queries\":%d,\"passes\":%d,\"t_builder_s\":%.4f,\"t_sealed_s\":%.4f,\"t_planned_s\":%.4f,\"speedup_sealed\":%.2f,\"speedup_planned\":%.2f,\"max_diff\":%g}"
+      "{\"ts\":%.0f,\"dataset\":%S,\"queries\":%d,\"passes\":%d,\"t_builder_s\":%.4f,\"t_sealed_s\":%.4f,\"t_one_s\":%.4f,\"speedup_sealed\":%.2f,\"speedup_one\":%.2f,\"max_diff\":%g,\"bitwise\":%b}"
       (Unix.gettimeofday ()) ds.Xc_exp.Runner.name (List.length queries) passes
-      t_builder t_sealed t_planned speedup_sealed speedup_planned max_diff
+      t_builder t_sealed t_one speedup_sealed speedup_one max_diff bitwise
   in
   append_row "BENCH_seal.json" json;
-  if max_diff <> 0.0 then begin
+  if not bitwise then begin
     Format.fprintf ppf "  ERROR: estimation paths diverged (max diff %g)@." max_diff;
     exit 1
   end
@@ -351,15 +363,13 @@ let run_build () =
 
 (* ---- batched serving --------------------------------------------------
    The serving benchmark behind BENCH_serve.json: the XMark workload
-   estimated through the compiled plan cache (the cold, one-shot path)
-   and through Plan.Batch's cohort sweep (interned transition matrices
-   + XC_DOMAINS-way sharding, the warm serving path). Each side's cold
-   cost is reported on its own: one pass on a fresh cache
-   (t_planned_cold_s) against matrix/query compilation (prepare_s).
-   The timed loops then run [passes] warm passes down each path.
+   estimated through the oracle (Estimate.selectivity, one pass:
+   t_oracle_cold_s — it keeps no state, so every pass is cold) and
+   through Plan.Batch's cohort sweep (interned transition matrices +
+   XC_DOMAINS-way sharding), whose cold side is query compilation
+   (prepare_s). The timed loop then runs [passes] warm sweeps.
    Correctness gates (any failure exits non-zero): sweep estimates must
-   be bit-identical to the planned path and across worker counts
-   1/2/4. *)
+   be bit-identical to the oracle and across worker counts 1/2/4. *)
 
 let run_serve () =
   let passes = env_int "XC_PASSES" ~default:5 in
@@ -373,15 +383,9 @@ let run_serve () =
   in
   let queries = Xc_exp.Runner.workload_queries ds in
   let nq = Array.length queries in
-  let cache = Xc_core.Plan.Cache.create syn in
   let t0 = Unix.gettimeofday () in
-  let planned = Array.map (Xc_core.Plan.Cache.estimate cache) queries in
-  let t_planned_cold = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to passes do
-    Array.iter (fun q -> ignore (Xc_core.Plan.Cache.estimate cache q)) queries
-  done;
-  let t_planned = Unix.gettimeofday () -. t0 in
+  let oracle = Array.map (Xc_core.Estimate.selectivity syn) queries in
+  let t_oracle_cold = Unix.gettimeofday () -. t0 in
   let engine = Xc_core.Plan.Batch.create syn in
   let t0 = Unix.gettimeofday () in
   let prepared = Xc_core.Plan.Batch.prepare engine queries in
@@ -410,9 +414,10 @@ let run_serve () =
   let cohort_sharing = float_of_int n_distinct /. float_of_int (max 1 n_cohorts) in
   let max_diff_cohort =
     let d = ref 0.0 in
-    Array.iteri (fun i v -> d := Float.max !d (Float.abs (v -. planned.(i)))) cohort_res;
+    Array.iteri (fun i v -> d := Float.max !d (Float.abs (v -. oracle.(i)))) cohort_res;
     !d
   in
+  let bitwise_oracle = Array.for_all2 same_bits cohort_res oracle in
   (* bitwise determinism across worker counts: the sharding must never
      change a float *)
   let deterministic =
@@ -465,30 +470,27 @@ let run_serve () =
     Xc_util.Metrics.counter_value Xc_util.Metrics.global "codec.lazy_verify"
     - lazy_before
   in
-  let first_answer_identical =
-    Int64.bits_of_float first_answer = Int64.bits_of_float planned.(0)
-  in
+  let first_answer_identical = same_bits first_answer oracle.(0) in
   Sys.remove v3_path;
   let per t = 1e6 *. t /. float_of_int (passes * nq) in
-  let qps_planned = float_of_int (passes * nq) /. Float.max t_planned 1e-9 in
+  let qps_oracle = float_of_int nq /. Float.max t_oracle_cold 1e-9 in
   let qps_cohort = float_of_int (passes * nq) /. Float.max t_cohort 1e-9 in
-  let cohort_ge_planned = qps_cohort >= qps_planned in
+  let cohort_ge_oracle = qps_cohort >= qps_oracle in
   Format.fprintf ppf "@.Batched serving (%s: %d queries x %d passes, %d domains)@."
     ds.Xc_exp.Runner.name nq passes requested;
   Format.fprintf ppf
-    "  cold:     planned first pass %.4f s   batch prepare %.4f s  [%d matrices]@."
-    t_planned_cold prepare_s
-    (Xc_core.Plan.Batch.n_matrices engine);
-  Format.fprintf ppf "  planned:  %7.3f s  (%.1f us/estimate)  %.0f estimates/s@." t_planned
-    (per t_planned) qps_planned;
+    "  cold:     oracle pass %.4f s (%.0f estimates/s)   batch prepare %.4f s  [%d matrices, %d rows]@."
+    t_oracle_cold qps_oracle prepare_s
+    (Xc_core.Plan.Batch.n_matrices engine)
+    (Xc_core.Plan.Batch.rows_built engine);
   Format.fprintf ppf
-    "  cohort:   %7.3f s  (%.1f us/estimate)  %.0f estimates/s  (%.2fx planned)   [%d cohorts, %.1f queries/cohort, warm-up %.1f ms]@."
+    "  cohort:   %7.3f s  (%.1f us/estimate)  %.0f estimates/s  (%.2fx oracle)   [%d cohorts, %.1f queries/cohort, warm-up %.1f ms]@."
     t_cohort (per t_cohort) qps_cohort
-    (qps_cohort /. Float.max qps_planned 1e-9)
+    (qps_cohort /. Float.max qps_oracle 1e-9)
     n_cohorts cohort_sharing warmup_ms;
   Format.fprintf ppf
-    "  max |cohort - planned| = %g   deterministic across 1/2/4 domains: %b@."
-    max_diff_cohort deterministic;
+    "  max |cohort - oracle| = %g   bitwise: %b   deterministic across 1/2/4 domains: %b@."
+    max_diff_cohort bitwise_oracle deterministic;
   Format.fprintf ppf
     "  cold start: v3 eager %.3f ms   v3 lazy %.3f ms   (%.0fx)@."
     startup_ms_eager startup_ms_lazy startup_speedup;
@@ -497,18 +499,19 @@ let run_serve () =
     first_answer_ms lazy_sections_verified first_answer_identical;
   let json =
     Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"t_planned_s\":%.4f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_planned\":%b,\"warmup_ms\":%.2f,\"t_planned_cold_s\":%.4f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"max_diff_cohort\":%g,\"deterministic\":%b,\"startup_ms_eager\":%.4f,\"startup_ms_lazy\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
+      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"qps_oracle\":%.0f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_oracle\":%b,\"warmup_ms\":%.2f,\"t_oracle_cold_s\":%.4f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"rows_built\":%d,\"max_diff_cohort\":%g,\"bitwise_oracle\":%b,\"deterministic\":%b,\"startup_ms_eager\":%.4f,\"startup_ms_lazy\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
       (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes requested
-      domains_used t_planned qps_cohort t_cohort n_cohorts cohort_sharing
-      cohort_ge_planned warmup_ms t_planned_cold prepare_s
+      domains_used qps_oracle qps_cohort t_cohort n_cohorts cohort_sharing
+      cohort_ge_oracle warmup_ms t_oracle_cold prepare_s
       (Xc_core.Plan.Batch.n_matrices engine)
-      max_diff_cohort deterministic startup_ms_eager
+      (Xc_core.Plan.Batch.rows_built engine)
+      max_diff_cohort bitwise_oracle deterministic startup_ms_eager
       startup_ms_lazy startup_speedup first_answer_ms lazy_sections_verified
   in
   append_row "BENCH_serve.json" json;
-  if max_diff_cohort <> 0.0 then begin
+  if not bitwise_oracle then begin
     Format.fprintf ppf
-      "  ERROR: cohort estimates diverged from the planned path (max diff %g)@."
+      "  ERROR: cohort estimates diverged from the oracle (max diff %g)@."
       max_diff_cohort;
     exit 1
   end;
@@ -526,6 +529,102 @@ let run_serve () =
       "  ERROR: a lazy v3 load is only %.1fx faster than an eager v3 decode \
        (gate: 10x)@."
       startup_speedup;
+    exit 1
+  end
+
+(* ---- cold vs warm -------------------------------------------------------
+   What a fresh engine costs, behind BENCH_cold.json. Per dataset (XMark,
+   IMDB, DBLP at XC_SCALE with XC_QUERIES queries), compressed to the
+   paper's 20KB/150KB budgets, on one domain, [cold_reps] repetitions of:
+   - cold: Plan.Batch.prepare plus one sweep on a fresh engine;
+   - warm: a second sweep of that prepared batch;
+   - one query: the workload's first query on a fresh engine.
+   Each figure is the median of the repetitions, with its interquartile
+   range. Every answer must equal Estimate.selectivity bit for bit (the
+   target exits 1 otherwise). The row counts show what building rows on
+   demand saves: rows built against one row per synopsis node per
+   matrix. *)
+
+let cold_reps = 5
+
+(* linear interpolation between closest ranks *)
+let quantile samples q =
+  let a = Array.copy samples in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let h = q *. float_of_int (n - 1) in
+  let lo = truncate h in
+  let hi = Int.min (n - 1) (lo + 1) in
+  a.(lo) +. ((h -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+
+let run_cold () =
+  let module B = Xc_core.Plan.Batch in
+  let ms f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, 1000.0 *. (Unix.gettimeofday () -. t0))
+  in
+  let bench_ds ds =
+    let name = ds.Xc_exp.Runner.name in
+    let bitwise = ref true in
+    let syn =
+      timed ("cold: xclusterbuild " ^ name) (fun () ->
+          Xcluster.Build.compress
+            (Xcluster.Build.budget ~bstr_kb:20 ~bval_kb:150 ())
+            ds.Xc_exp.Runner.reference)
+    in
+    let queries = Xc_exp.Runner.workload_queries ds in
+    let oracle = Array.map (Xc_core.Estimate.selectivity syn) queries in
+    let cold = Array.make cold_reps 0.0
+    and warm = Array.make cold_reps 0.0
+    and one = Array.make cold_reps 0.0 in
+    let rows = ref (0, 0, 0) in
+    for r = 0 to cold_reps - 1 do
+      let engine = B.create syn in
+      let (prepared, cold_res), t_cold =
+        ms (fun () ->
+            let p = B.prepare engine queries in
+            (p, B.run_prepared ~domains:1 engine p))
+      in
+      let warm_res, t_warm = ms (fun () -> B.run_prepared ~domains:1 engine prepared) in
+      let one_engine = B.create syn in
+      let one_res, t_one = ms (fun () -> one_query one_engine queries.(0)) in
+      cold.(r) <- t_cold;
+      warm.(r) <- t_warm;
+      one.(r) <- t_one;
+      rows :=
+        ( B.rows_built engine,
+          Xc_core.Synopsis.Sealed.n_nodes syn * B.n_matrices engine,
+          B.rows_built one_engine );
+      if
+        not
+          (Array.for_all2 same_bits cold_res oracle
+          && Array.for_all2 same_bits warm_res oracle
+          && same_bits one_res oracle.(0))
+      then bitwise := false
+    done;
+    let med a = quantile a 0.5 and iqr a = quantile a 0.75 -. quantile a 0.25 in
+    let rows_built, rows_full, one_rows = !rows in
+    Format.fprintf ppf
+      "  %-6s (%d nodes): cold %.2f ms (IQR %.2f)   warm %.4f ms (IQR %.4f)   one query \
+       %.3f ms (IQR %.3f)   rows %d of %d, one query %d@."
+      name
+      (Xc_core.Synopsis.Sealed.n_nodes syn)
+      (med cold) (iqr cold) (med warm) (iqr warm) (med one) (iqr one) rows_built rows_full
+      one_rows;
+    append_row "BENCH_cold.json"
+      (Printf.sprintf
+         "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"nodes\":%d,\"reps\":%d,\"cold_ms\":%.3f,\"cold_iqr_ms\":%.3f,\"warm_ms\":%.4f,\"warm_iqr_ms\":%.4f,\"one_ms\":%.4f,\"one_iqr_ms\":%.4f,\"rows_built\":%d,\"rows_full\":%d,\"one_rows\":%d,\"bitwise\":%b}"
+         (Unix.gettimeofday ()) name scale (Array.length queries)
+         (Xc_core.Synopsis.Sealed.n_nodes syn)
+         cold_reps (med cold) (iqr cold) (med warm) (iqr warm) (med one) (iqr one) rows_built
+         rows_full one_rows !bitwise);
+    !bitwise
+  in
+  Format.fprintf ppf "@.Cold vs warm (one domain, median of %d)@." cold_reps;
+  let bitwise = List.map bench_ds [ Lazy.force xmark; Lazy.force imdb; Lazy.force dblp ] in
+  if List.mem false bitwise then begin
+    Format.fprintf ppf "  ERROR: an answer differs from the oracle@.";
     exit 1
   end
 
@@ -711,13 +810,7 @@ let run_chaos () =
   in
   let sources =
     let all =
-      Array.map
-        (fun q ->
-          let s = Format.asprintf "%a" Xc_twig.Twig_query.pp q in
-          if String.length s > 0 && s.[0] = '.' then
-            String.sub s 1 (String.length s - 1)
-          else s)
-        (Xc_exp.Runner.workload_queries ds)
+      Array.map (Format.asprintf "%a" Xc_twig.Twig_query.pp) (Xc_exp.Runner.workload_queries ds)
     in
     Array.sub all 0 (Int.min 60 (Array.length all))
   in
@@ -1478,6 +1571,7 @@ let targets =
     ("seal", run_seal);
     ("build", run_build);
     ("serve", run_serve);
+    ("cold", run_cold);
     ("fault", run_fault);
     ("chaos", run_chaos);
     ("update", run_update);

@@ -269,8 +269,9 @@ let estimate_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print the estimation pipeline's metrics (plan compiles, cache \
-             hits, expansion depths, latency) as JSON after the estimate.")
+            "Print the estimation pipeline's metrics (batch compiles, \
+             transition rows built, expansion depths, compile and sweep \
+             timers) as JSON after the estimate.")
   in
   let run file typing_name bstr bval synopsis query verify explain stats =
     guarded @@ fun () ->
@@ -308,16 +309,7 @@ let estimate_cmd =
                 Format.printf "  cluster %d <%s>: %.1f expected elements@." sid label w)
             e.Xc_core.Estimate.bindings)
         (Xcluster.Query.explain syn q);
-    if stats then begin
-      Format.printf "metrics: %s@." (Xcluster.Metrics.json ());
-      match
-        Xc_util.Metrics.quantiles Xc_util.Metrics.global "estimate.plan_us"
-          [ 0.5; 0.95; 0.99 ]
-      with
-      | Some [ (_, p50); (_, p95); (_, p99) ] ->
-        Format.printf "latency (us): p50 %.1f  p95 %.1f  p99 %.1f@." p50 p95 p99
-      | _ -> ()
-    end;
+    if stats then Format.printf "metrics: %s@." (Xcluster.Metrics.json ());
     0
   in
   Cmd.v

@@ -65,5 +65,6 @@ let () =
       "//paper[abstract ftcontains(twig)]"; "//*[year < 2000]" ];
 
   (* 5. Estimation ran through the compiled pipeline: the per-synopsis
-        plan cache and reach memo show up in the metrics snapshot. *)
+        batch engine's compiles and transition rows show up in the
+        metrics snapshot. *)
   Format.printf "@.pipeline metrics: %s@." (Xcluster.Metrics.json ())

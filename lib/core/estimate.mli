@@ -49,9 +49,9 @@ type dist = {
 }
 (** A node-weight distribution over sealed node indices — what one
     path-expression expansion produces and what the estimator folds
-    over. {!Plan}'s per-synopsis memo stores these verbatim, which keeps
-    memoized estimates bit-identical to uncached ones (same arrays, same
-    fold order). *)
+    over. {!Transition} stores these verbatim as matrix rows, which
+    keeps compiled estimates bit-identical to uncached ones (same
+    arrays, same fold order). *)
 
 val reach : Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> int -> (int * float) list
 (** [(v, count)] pairs keyed by sid, ascending: the expected number of

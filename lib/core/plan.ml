@@ -5,143 +5,6 @@ module S = Synopsis.Sealed
 module BA1 = Bigarray.Array1
 module Slices = Xc_util.Slices
 
-(* ---- the shared reach memo -------------------------------------------- *)
-
-(* Expansion results are memoized per sealed synopsis, keyed by source
-   index × path expression (and by expression alone for paths rooted at
-   the virtual document node). The cached value is the exact dist a
-   fresh Estimate run would have built, so folding over it reproduces
-   the uncached float operations in the same order. A sealed synopsis
-   never mutates, so entries never go stale — there is no generation
-   counter to validate against. *)
-type memo = {
-  mc_syn : S.t;
-  mc_reach : (int * Path_expr.t, Estimate.dist) Hashtbl.t;
-  mc_root : (Path_expr.t, Estimate.dist) Hashtbl.t;
-}
-
-let memo_create syn =
-  { mc_syn = syn; mc_reach = Hashtbl.create 256; mc_root = Hashtbl.create 16 }
-
-let memo_reach mc expr idx =
-  let key = (idx, expr) in
-  match Hashtbl.find_opt mc.mc_reach key with
-  | Some d ->
-    Metrics.incr Meters.Reach.memo_hit;
-    d
-  | None ->
-    Metrics.incr Meters.Reach.memo_miss;
-    let d = Estimate.reach_dist mc.mc_syn expr idx in
-    Hashtbl.add mc.mc_reach key d;
-    d
-
-let memo_root_reach mc expr =
-  match Hashtbl.find_opt mc.mc_root expr with
-  | Some d ->
-    Metrics.incr Meters.Reach.memo_hit;
-    d
-  | None ->
-    Metrics.incr Meters.Reach.memo_miss;
-    let d = Estimate.root_reach_dist mc.mc_syn expr in
-    Hashtbl.add mc.mc_root expr d;
-    d
-
-(* ---- compiled queries -------------------------------------------------- *)
-
-type cnode = {
-  cn_qid : int;
-  cn_preds : (Predicate.t * Xc_xml.Value.vtype) list;  (* vtype pre-bound *)
-  cn_edges : (Path_expr.t * cnode) list;  (* document order, preserved so
-                                             the float product order
-                                             matches Estimate exactly *)
-}
-
-(* a twig query compiled against the memo's synopsis; only [Cache]
-   builds and runs these *)
-type plan = {
-  p_memo : memo;
-  p_root_edges : (Path_expr.t * cnode) list;
-  p_root_zero : bool;  (* predicates on q0 can never be satisfied *)
-}
-
-let rec compile_node qnode =
-  { cn_qid = qnode.Twig_query.qid;
-    cn_preds = List.map (fun p -> (p, Predicate.vtype p)) qnode.Twig_query.preds;
-    cn_edges =
-      List.map (fun (expr, child) -> (expr, compile_node child)) qnode.Twig_query.edges }
-
-let compile mc query =
-  Metrics.incr Meters.Plan.compile;
-  let root_q = query.Twig_query.root in
-  { p_memo = mc;
-    p_root_edges =
-      List.map (fun (expr, child) -> (expr, compile_node child)) root_q.Twig_query.edges;
-    p_root_zero = root_q.Twig_query.preds <> [] }
-
-(* Mirrors Estimate.selectivity operation for operation; the only change
-   is that reach distributions come from the memo. *)
-let estimate_body p =
-  if p.p_root_zero then 0.0
-  else begin
-    let mc = p.p_memo in
-    let syn = mc.mc_syn in
-    let memo : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-    let rec est cn idx =
-      let key = (cn.cn_qid, idx) in
-      match Hashtbl.find_opt memo key with
-      | Some v -> v
-      | None ->
-        let sigma =
-          List.fold_left
-            (fun acc (pred, vt) -> acc *. Estimate.predicate_selectivity_typed vt syn idx pred)
-            1.0 cn.cn_preds
-        in
-        let result =
-          if sigma <= 0.0 then 0.0
-          else
-            List.fold_left
-              (fun acc (expr, child) ->
-                if acc <= 0.0 then 0.0
-                else begin
-                  let reached = memo_reach mc expr idx in
-                  let sum = ref 0.0 in
-                  for i = 0 to Array.length reached.Estimate.d_idx - 1 do
-                    sum :=
-                      !sum
-                      +. (reached.Estimate.d_w.(i) *. est child reached.Estimate.d_idx.(i))
-                  done;
-                  acc *. !sum
-                end)
-              sigma cn.cn_edges
-        in
-        Hashtbl.replace memo key result;
-        result
-    in
-    List.fold_left
-      (fun acc (expr, child) ->
-        if acc <= 0.0 then 0.0
-        else
-          match expr with
-          | [] -> 0.0
-          | _ :: _ ->
-            let reached = memo_root_reach mc expr in
-            let sum = ref 0.0 in
-            for i = 0 to Array.length reached.Estimate.d_idx - 1 do
-              sum :=
-                !sum +. (reached.Estimate.d_w.(i) *. est child reached.Estimate.d_idx.(i))
-            done;
-            acc *. !sum)
-      1.0 p.p_root_edges
-  end
-
-let estimate p =
-  let t0 = Unix.gettimeofday () in
-  let r = estimate_body p in
-  let dt = Unix.gettimeofday () -. t0 in
-  Metrics.add_time Meters.Plan.estimate dt;
-  Metrics.observe Meters.Plan.estimate_us (1e6 *. dt);
-  r
-
 (* ---- query keys -------------------------------------------------------- *)
 
 (* Deterministic, injective rendering of a query's structure. Label and
@@ -187,85 +50,29 @@ let query_key q =
   add_node q.Twig_query.root;
   Buffer.contents buf
 
-(* Distinct queries grow both caches (and whitespace variants the
-   batch text index) without limit; past this many entries a cache is
-   reset. Twice the serving layer's default batch-size limit, so steady
-   full-size batches never thrash the batch engine. *)
-let cache_bound = 16_384
-
-(* ---- the per-synopsis plan cache --------------------------------------- *)
-
-module Cache = struct
-  type t = {
-    c_memo : memo;
-    c_plans : (string, plan) Hashtbl.t;
-  }
-
-  let create syn = { c_memo = memo_create syn; c_plans = Hashtbl.create 64 }
-
-  let clear c =
-    Hashtbl.reset c.c_plans;
-    Hashtbl.reset c.c_memo.mc_reach;
-    Hashtbl.reset c.c_memo.mc_root
-
-  let find_or_compile c q =
-    let key = query_key q in
-    match Hashtbl.find_opt c.c_plans key with
-    | Some plan ->
-      Metrics.incr Meters.Plan.cache_hit;
-      plan
-    | None ->
-      Metrics.incr Meters.Plan.cache_miss;
-      if Hashtbl.length c.c_plans > cache_bound then begin
-        clear c;
-        Metrics.incr Meters.Plan.cache_reset
-      end;
-      let plan = compile c.c_memo q in
-      Hashtbl.add c.c_plans key plan;
-      plan
-
-  let estimate c q = estimate (find_or_compile c q)
-
-  (* The serving boundary: a synopsis that decoded but is broken in a
-     way compilation or evaluation trips over must degrade, not take
-     the server down. Callers (the [Xcluster] facade) fall back to the
-     uncached estimator on [Error]. *)
-  let estimate_result c q =
-    match estimate c q with
-    | v -> Ok v
-    | exception exn ->
-      Metrics.incr Meters.Plan.error;
-      Error (Printexc.to_string exn)
-
-  let n_plans c = Hashtbl.length c.c_plans
-  let reach_entries c = Hashtbl.length c.c_memo.mc_reach + Hashtbl.length c.c_memo.mc_root
-end
-
 (* ---- batched serving ---------------------------------------------------
 
-   The planned path above still pays, per estimate, a query-key render,
-   structural Path_expr hashing in the reach memo, and a fresh
-   (qid, idx) hashtable. The batch engine moves all of that to prepare
-   time: path expressions are interned to dense ints and materialized
-   as Transition matrices once per synopsis, per-node predicate
-   selectivities (sigma) are precomputed over each query node's support
-   set, and each query compiles to a flat postorder program the cohort
-   sweep runs over per-worker float planes — no hashing, no allocation
-   beyond the worker arenas.
+   Estimate.selectivity re-enumerates embeddings and re-expands every
+   path expression on each call. The batch engine moves all of that to
+   prepare time: path expressions are interned to dense ints and get one
+   Transition matrix per synopsis, whose rows compilation builds on
+   demand; per-node predicate selectivities (sigma) are precomputed over
+   each query node's support set; and each query compiles to a flat
+   postorder program the cohort sweep runs over per-worker float planes
+   — no hashing, no allocation beyond the worker arenas.
 
    Bit-identity argument, piece by piece:
-   - matrix rows are built by folding Estimate.step_reach (the very
-     code the uncached estimator runs), so row floats are bit-identical
-     to reach_dist's;
+   - matrix rows are Estimate.reach_dist's own dists, so row floats are
+     bit-identical to the ones the oracle folds over;
    - sigma is the same predicate fold over the same (pred, vtype) list
      in the same order;
    - the per-node edge fold and the row dot product replicate
-     estimate_body's operation order exactly, including the
+     Estimate.selectivity's operation order exactly, including the
      [sigma <= 0.0] and [acc <= 0.0] short-circuits and the
      [[] -> 0.0] root-expression case;
    - each (query node, synopsis node) value is a pure function of the
      synopsis, so computing it eagerly over the support set (instead of
-     lazily via the memo) changes nothing.
+     lazily, as the oracle's memo does) changes nothing.
    Supports propagate top-down (a child's support is the union of the
    matrix rows over its parent's support), so every plane cell a
    parent reads was written by its child in the same evaluation —
@@ -284,9 +91,13 @@ module Batch = struct
      into a plane nobody else reads. Slots (plane numbers) are the
      query nodes' preorder positions. For the workload-median query
      (one root edge, leaf child) the whole evaluation collapses to a
-     single fused loop over [sigma] and the root weights. *)
+     single fused loop over [sigma] and the root weights.
+     An edge reads its transition matrix in place: the row bounds and
+     CSR buffers, fetched after compilation built every row the edge
+     reads (a later growth of the matrix leaves these buffers as they
+     are). *)
   type fedge = {
-    f_off : S.ba_i;  (* the transition matrix's CSR buffers, pre-fetched *)
+    f_spans : int array;
     f_idx : S.ba_i;
     f_w : S.ba_f;
     f_child_slot : int;
@@ -346,9 +157,11 @@ module Batch = struct
     mutable bt_last : prepared option;  (* last text batch, plan included *)
   }
 
-  (* the text index and the compiled queries are reset past it, between
-     batches only *)
-  let text_index_bound = cache_bound
+  (* Distinct queries grow the compiled-query table (and whitespace
+     variants the text index) without limit; past this many entries one
+     is reset, between batches only. Twice the serving layer's default
+     batch-size limit, so steady full-size batches never thrash. *)
+  let text_index_bound = 16_384
 
   let create syn =
     { bt_syn = syn;
@@ -360,6 +173,9 @@ module Batch = struct
 
   let n_matrices t = Hashtbl.length t.bt_mats
   let n_queries t = Hashtbl.length t.bt_queries
+  let sum_mats t f = Hashtbl.fold (fun _ mt acc -> acc + f mt) t.bt_mats 0
+  let rows_built t = sum_mats t Transition.rows_built
+  let nnz t = sum_mats t Transition.nnz
   let n_texts t = Slices.Table.length t.bt_index
 
   let clear t =
@@ -374,21 +190,23 @@ module Batch = struct
     | Some mt -> mt
     | None ->
       let mt =
-        Metrics.time Meters.Batch.mat_build (fun () -> Transition.build t.bt_syn expr)
+        Metrics.time Meters.Batch.mat_build (fun () -> Transition.create t.bt_syn expr)
       in
       Hashtbl.add t.bt_mats id mt;
       mt
 
   (* child-endpoint support of an edge: the union of the matrix rows of
-     every supported source, ascending *)
+     every supported source, ascending. Builds those rows first — the
+     only rows the edge's sweep will read. *)
   let edge_support t mt support =
+    Array.iter (Transition.ensure mt) support;
     let n = S.n_nodes t.bt_syn in
     let mark = Bytes.make n '\000' in
-    let off = Transition.off mt and idx = Transition.idx mt in
+    let spans = Transition.spans mt and idx = Transition.idx mt in
     let count = ref 0 in
     Array.iter
       (fun u ->
-        for i = BA1.unsafe_get off u to BA1.unsafe_get off (u + 1) - 1 do
+        for i = Array.unsafe_get spans (2 * u) to Array.unsafe_get spans ((2 * u) + 1) - 1 do
           let v = BA1.unsafe_get idx i in
           if Bytes.unsafe_get mark v = '\000' then begin
             Bytes.unsafe_set mark v '\001';
@@ -428,7 +246,7 @@ module Batch = struct
           let mt = mat_for t expr in
           let child_slot = !next_slot in
           compile_node t next_slot nodes child (edge_support t mt support);
-          { f_off = Transition.off mt;
+          { f_spans = Transition.spans mt;
             f_idx = Transition.idx mt;
             f_w = Transition.weights mt;
             f_child_slot = child_slot })
@@ -567,6 +385,10 @@ module Batch = struct
       bq.bq_single <- Some p;
       p
 
+  let prepare_one t q =
+    bound t;
+    counting_hits (fun hits -> singleton (find_or_compile t hits q))
+
   (* Resolve a batch against the last one: while text [i] resolves to
      the last batch's query [i] nothing is built; the first divergence
      copies the agreeing prefix into a fresh array, which the rest
@@ -654,7 +476,7 @@ module Batch = struct
 
   (* Matrix-major evaluation of one flat query against the worker's
      arena. Per-(node, support position) the float op sequence is
-     exactly [estimate_body]'s per-(qid, idx) fold: start at the clamped
+     exactly Estimate.selectivity's per-(qid, idx) fold: start at the clamped
      sigma, each edge in document order maps a non-positive value to
      0.0 and otherwise multiplies by the row dot. Two structural
      changes, both op-order preserving:
@@ -693,8 +515,8 @@ module Batch = struct
               if !v > 0.0 then begin
                 let fe = Array.unsafe_get edges e in
                 let u = Array.unsafe_get support k in
-                let lo = BA1.unsafe_get fe.f_off u
-                and hi = BA1.unsafe_get fe.f_off (u + 1) in
+                let lo = Array.unsafe_get fe.f_spans (2 * u)
+                and hi = Array.unsafe_get fe.f_spans ((2 * u) + 1) in
                 let cbase = fe.f_child_slot * stride in
                 v := !v *. dot_plane fe.f_w fe.f_idx buf cbase lo hi
               end
@@ -718,8 +540,8 @@ module Batch = struct
             if !v > 0.0 then begin
               let fe = Array.unsafe_get edges e in
               let u = Array.unsafe_get support k in
-              let lo = BA1.unsafe_get fe.f_off u
-              and hi = BA1.unsafe_get fe.f_off (u + 1) in
+              let lo = Array.unsafe_get fe.f_spans (2 * u)
+              and hi = Array.unsafe_get fe.f_spans ((2 * u) + 1) in
               let cbase = fe.f_child_slot * stride in
               v := !v *. dot_plane fe.f_w fe.f_idx buf cbase lo hi
             end
@@ -875,4 +697,12 @@ module Batch = struct
     let out = Array.make (Array.length prepared.pr_queries) 0.0 in
     run_into ~domains t prepared out;
     out
+end
+
+(* kept only so the benchmark compiles; ROADMAP item 2's benchmark PR
+   deletes it *)
+module Cache = struct
+  type t = Batch.t
+
+  let n_plans = Batch.n_queries
 end

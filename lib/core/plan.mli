@@ -1,92 +1,36 @@
-(** Compiled estimation (the query-time pipeline).
+(** Compiled estimation (the query-time pipeline): the one fast path
+    beside the oracle.
 
     {!Estimate.selectivity} re-enumerates query embeddings and re-runs
     the capped breadth-first descendant expansion from scratch on every
-    call. This module holds the two compiled engines beside it, each
-    for one access pattern:
-    - {!Cache}, the cold and one-shot path: it compiles a
-      {!Xc_twig.Twig_query.t} against a sealed synopsis {e once} —
-      pre-binding each predicate's value type, fixing the edge-join
-      order, and routing every path-expression expansion through a
-      per-synopsis memo table keyed by
-      [source index × path expression] — so repeated estimates reuse
-      both the plan and the expansion work of {e every} earlier
-      estimate against the same synopsis, and a first estimate expands
-      only the synopsis nodes it reaches;
-    - {!Batch}, the warm serving path: transition matrices built over
-      every synopsis node, paid back only over repeated batches.
+    call; it stays the paper-faithful oracle. {!Batch} is the one
+    compiled engine beside it, for one query and for whole batches
+    alike: it compiles a query once per synopsis into a flat program
+    over {!Transition} matrices whose rows are built on demand — only
+    the rows of the synopsis nodes the query reaches — and then answers
+    it with a read-only sweep. A cold one-query estimate therefore pays
+    for the nodes it touches, and a warm batch for nothing but array
+    traversals. Answers are {b bit-identical} to the oracle.
 
-    Memoized reach distributions are stored verbatim (the same
-    {!Estimate.dist} arrays a fresh run would build), and the compiled
-    estimator performs the same float operations in the same order as
-    {!Estimate.selectivity}, so planned estimates are {b bit-identical}
-    to uncached ones.
-
-    A {!Synopsis.Sealed.t} never mutates, so memo entries never go
-    stale — the generation-invalidation machinery the builder-based
-    pipeline needed is gone.
-
-    Instrumentation goes to {!Xc_util.Metrics.global}: counters
-    [plan.compile], [plan.cache_hit]/[plan.cache_miss] (query → plan
-    lookups), [plan_cache.reset], [reach.memo_hit]/[reach.memo_miss],
-    [plan.error];
-    histograms [reach.expansion_depth], [estimate.plan_us]; timer
-    [estimate.plan]. *)
+    A {!Synopsis.Sealed.t} never mutates, so compiled queries and
+    matrix rows never go stale. *)
 
 val query_key : Xc_twig.Twig_query.t -> string
 (** Injective serialization of a query's structure and predicates; the
-    plan-cache key. *)
-
-(** Per-synopsis plan cache: maps queries to compiled plans and shares
-    one reach memo across all of them, so distinct queries reuse each
-    other's expansion work (workload queries overlap heavily in their
-    path fragments). *)
-module Cache : sig
-  type t
-
-  val create : Synopsis.Sealed.t -> t
-
-  val estimate : t -> Xc_twig.Twig_query.t -> float
-  (** Estimated number of binding tuples — bit-identical to
-      [Estimate.selectivity syn q] for the synopsis the cache was
-      created on. The query's plan is compiled on first sight of its
-      {!query_key} and reused after. A miss that finds more than
-      {!Batch.text_index_bound} plans cached first empties the cache
-      ({!clear}, bumping [plan_cache.reset]), so a long-lived cache
-      stays bounded however many distinct queries it sees. *)
-
-  val estimate_result : t -> Xc_twig.Twig_query.t -> (float, string) result
-  (** {!estimate} with the serving failure contract: any exception out
-      of compilation or evaluation (a synopsis that decoded but is
-      broken in a way {!Synopsis.Sealed.validate} does not model, a
-      query the compiler cannot place) becomes [Error] and bumps the
-      [plan.error] counter, so a server can fall back to the uncached
-      estimator instead of dying. *)
-
-  val n_plans : t -> int
-  (** Compiled plans currently cached. *)
-
-  val reach_entries : t -> int
-  (** Memoized reach distributions currently live. *)
-
-  val clear : t -> unit
-  (** Drop all plans and memo entries (e.g. to bound memory). *)
-end
+    compiled-query key. *)
 
 (** Batched estimation serving over precomputed transition matrices.
 
-    Where {!Cache} still pays per estimate for a query-key render,
-    structural path-expression hashing in the reach memo, and a fresh
-    per-call hashtable, the batch engine moves all lookup work to
-    prepare time: every distinct path expression is interned
-    ({!Xc_twig.Path_expr.intern}) and materialized as a
-    {!Transition} matrix once per synopsis, per-node predicate
-    selectivities are precomputed over each query node's support set,
-    and each query compiles to a flat postorder program — plain CSR
-    row dot products, no hashing or allocation on the serving path.
-    Building a matrix visits every synopsis node, so a cold pass costs
-    more here than through {!Cache}; the engine pays off on repeated
-    batches.
+    The engine moves all lookup work to prepare time: every distinct
+    path expression is interned ({!Xc_twig.Path_expr.intern}) and gets
+    one {!Transition} matrix per synopsis, created empty; compiling a
+    query builds the rows of the synopsis nodes in each edge's support
+    and no others, precomputes per-node predicate selectivities over
+    each query node's support set, and emits a flat postorder program
+    — plain CSR row dot products, no hashing or allocation on the
+    serving path. Compilation is the only writer: every row a prepared
+    batch reads exists before its sweep starts, so the sweep, on any
+    number of domains, only reads.
 
     Evaluation is {b matrix-major}: a prepared batch is deduplicated
     (identical queries evaluate once) and its distinct queries are
@@ -113,6 +57,7 @@ end
     [batch.cohorts], [batch.cohort_max] (high-water),
     [batch.arena_resets] (arena (re)allocations), [batch.minor_words]
     (coordinator minor-heap words allocated during cohort passes);
+    [batch.mat_rows] (transition rows built on demand);
     timers [batch.mat_build], [batch.compile], [batch.cohort_plan],
     [estimate.batch]; histogram [estimate.cohort_us] (per-cohort
     latency, sampled on every 8th cohort — and on at most 8 cohorts
@@ -143,6 +88,12 @@ module Batch : sig
       with {!clear}, bumping [batch.query_reset]; a [prepared] made
       before stays runnable. *)
 
+  val prepare_one : t -> Xc_twig.Twig_query.t -> prepared
+  (** {!prepare} of a one-query batch, without building one: the
+      compiled query's own memoized one-query [prepared], cohort plan
+      included, so a warm call allocates nothing. The bound of
+      {!prepare} applies. *)
+
   val prepare_texts : t -> Xc_util.Slices.t -> (prepared, int * string) result
   (** {!prepare} from query source text, for serving repeated
       workloads; text [i] is slice [i] ({!Xc_util.Slices.of_strings}
@@ -171,9 +122,8 @@ module Batch : sig
 
   val text_index_bound : int
   (** Text-index size above which {!prepare_texts} resets the index,
-      and compiled-query count above which {!prepare} and
-      {!prepare_texts} {!clear} the engine; {!Cache} bounds its plans
-      by the same constant. *)
+      and compiled-query count above which {!prepare},
+      {!prepare_one} and {!prepare_texts} {!clear} the engine. *)
 
   val run_into : ?domains:int -> t -> prepared -> float array -> unit
   (** [run_into t p out] runs the matrix-major sweep and writes the
@@ -186,10 +136,8 @@ module Batch : sig
   val run_prepared :
     ?domains:int -> ?cohort:bool -> t -> prepared -> float array
   (** {!run_into} a fresh array; [result.(i)] answers query [i].
-      [cohort] is ignored: it survives only so that the benchmark
-      program, which passes [~cohort:true], keeps compiling until the
-      benchmark change that traces served requests from inside the
-      daemon (ROADMAP item 1) drops it. *)
+      [cohort] is ignored: kept only so the benchmark compiles;
+      ROADMAP item 2's benchmark PR deletes it. *)
 
   val cohort_stats : prepared -> int * int * int
   (** [(cohorts, max_cohort, distinct)] for the batch's cohort plan
@@ -198,7 +146,13 @@ module Batch : sig
       matrix-sharing factor the bench reports as [cohort_sharing]. *)
 
   val n_matrices : t -> int
-  (** Distinct transition matrices built so far. *)
+  (** Distinct transition matrices created so far. *)
+
+  val rows_built : t -> int
+  (** Transition rows built so far, summed over the matrices. *)
+
+  val nnz : t -> int
+  (** Stored entries of those rows ({!Transition.nnz}, summed). *)
 
   val n_queries : t -> int
   (** Compiled queries currently cached. *)
@@ -209,4 +163,13 @@ module Batch : sig
   val clear : t -> unit
   (** Drop matrices, compiled queries and the text index (to bound
       memory). *)
+end
+
+(** Kept only so the benchmark compiles; ROADMAP item 2's benchmark PR
+    deletes it. No other caller may use it. *)
+module Cache : sig
+  type t = Batch.t
+
+  val n_plans : t -> int
+  (** {!Batch.n_queries}. *)
 end

@@ -12,14 +12,11 @@ type dataset = {
   value_min_extent : int;
 }
 
-(* All experiment scoring goes through the compiled pipeline: one plan
-   cache per synopsis, created at partial application, so the thousands
-   of workload estimates behind each figure share compiled plans and
-   memoized reach expansions. Estimates are bit-identical to
-   Estimate.selectivity (see Plan). *)
-let estimator syn =
-  let cache = Xc_core.Plan.Cache.create syn in
-  fun query -> Xc_core.Plan.Cache.estimate cache query
+(* All experiment scoring goes through the compiled pipeline: the
+   synopsis's one batch engine, so the thousands of workload estimates
+   behind each figure share compiled queries and transition rows.
+   Estimates are bit-identical to Estimate.selectivity (see Plan). *)
+let estimator = Xc_serve.Engine.estimate
 
 (* The positive workload as a query array, in workload order — the
    shape Plan.Batch serves (and the serve bench shards). *)

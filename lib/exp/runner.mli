@@ -89,11 +89,11 @@ val ablation_text : ?top_ks:int list -> dataset ->
     baseline repeated). *)
 
 val estimator : Xc_core.Synopsis.Sealed.t -> Xc_twig.Twig_query.t -> float
-(** The compiled estimation pipeline: partial application
-    [estimator syn] allocates a {!Xc_core.Plan.Cache} for the synopsis,
-    and the returned closure estimates through it, sharing plans and
-    memoized reach expansions across queries. Floats are identical to
-    {!Xc_core.Estimate.selectivity}. *)
+(** The compiled estimation pipeline:
+    {!Xc_serve.Engine.estimate}, a one-query batch on the synopsis's
+    one batch engine ({!Xc_serve.Engine.batch_for}), so estimates
+    share compiled queries and transition rows across queries. Floats
+    are identical to {!Xc_core.Estimate.selectivity}. *)
 
 val workload_queries : dataset -> Xc_twig.Twig_query.t array
 (** The positive workload as a query array (workload order) — the shape

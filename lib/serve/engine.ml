@@ -8,24 +8,24 @@ type query = Xc_twig.Twig_query.t
 
 let max_cached = 64
 
-(* One plan cache / batch engine per synopsis, keyed by its
-   process-unique uid (a sealed synopsis never mutates, so a cache
-   stays valid for the synopsis's whole lifetime). *)
-let caches : (int, Plan.Cache.t) Hashtbl.t = Hashtbl.create 16
+(* One batch engine per synopsis, keyed by its process-unique uid (a
+   sealed synopsis never mutates, so an engine stays valid for the
+   synopsis's whole lifetime). *)
 let batch_engines : (int, Plan.Batch.t) Hashtbl.t = Hashtbl.create 16
 
-let table_find tbl create syn =
+let batch_for syn =
   let uid = Sealed.uid syn in
-  match Hashtbl.find_opt tbl uid with
+  match Hashtbl.find_opt batch_engines uid with
   | Some v -> v
   | None ->
-    if Hashtbl.length tbl >= max_cached then Hashtbl.reset tbl;
-    let v = create syn in
-    Hashtbl.add tbl uid v;
+    if Hashtbl.length batch_engines >= max_cached then Hashtbl.reset batch_engines;
+    let v = Plan.Batch.create syn in
+    Hashtbl.add batch_engines uid v;
     v
 
-let cache_for syn = table_find caches Plan.Cache.create syn
-let batch_for syn = table_find batch_engines Plan.Batch.create syn
+(* kept only so the benchmark compiles; ROADMAP item 2's benchmark PR
+   deletes it *)
+let cache_for = batch_for
 
 let estimate_uncached = Xc_core.Estimate.selectivity
 
@@ -48,17 +48,6 @@ let degrade options ~counter msg oracle =
     | v -> Ok v
     | exception exn -> Error (Error.Unavailable (Printexc.to_string exn)))
 
-let estimate_result ?(options = Options.default) syn q =
-  match Plan.Cache.estimate_result (cache_for syn) q with
-  | Ok v -> Ok v
-  | Error msg ->
-    degrade options ~counter:Meters.Serve.fallback msg (fun () -> estimate_uncached syn q)
-
-let estimate syn q =
-  match estimate_result syn q with
-  | Ok v -> v
-  | Error e -> failwith (Error.to_string e)
-
 let query_error i msg = Error (Error.Query (Printf.sprintf "query %d: %s" i msg))
 
 let parse_texts texts =
@@ -74,6 +63,22 @@ let parse_texts texts =
 
 let run_prepared options engine prepared =
   Plan.Batch.run_prepared ?domains:options.Options.domains engine prepared
+
+(* A single query is a one-query batch on the synopsis's engine; a
+   failure is counted as a batch failure and degrades this one query. *)
+let estimate_result ?(options = Options.default) syn q =
+  let engine = batch_for syn in
+  match run_prepared options engine (Plan.Batch.prepare_one engine q) with
+  | r -> Ok r.(0)
+  | exception exn ->
+    Metrics.incr Meters.Batch.error;
+    degrade options ~counter:Meters.Serve.fallback (Printexc.to_string exn) (fun () ->
+        estimate_uncached syn q)
+
+let estimate syn q =
+  match estimate_result syn q with
+  | Ok v -> v
+  | Error e -> failwith (Error.to_string e)
 
 (* Any exception out of the batch engine is counted and degrades the
    whole batch at once. [parsed] yields the batch's queries: for a text

@@ -4,10 +4,10 @@
     The daemon answers both request kinds, [Estimate] and
     [Estimate_batch], through {!estimate_texts_with} on the engine its
     {!Registry} holds, so the registry's LRU is the only engine cache
-    it fills. The {!Xcluster} facade's entry points use the
-    per-synopsis {!Xc_core.Plan.Cache} and {!Xc_core.Plan.Batch}
-    instances below, keyed by the synopsis's process-unique uid in
-    bounded tables.
+    it fills. The {!Xcluster} facade's entry points, single queries
+    and batches alike, use the one per-synopsis {!Xc_core.Plan.Batch}
+    engine below ({!batch_for}), keyed by the synopsis's process-unique
+    uid in a bounded table.
 
     Every serving path {b degrades instead of raising}: a fast-path
     failure is answered by {!Xc_core.Estimate.selectivity} directly —
@@ -18,34 +18,37 @@
     synopsis whose deferred section verification fails), the answer is
     [Error (Unavailable _)].
 
-    The tables are bounded ({!max_cached} synopses) because synopses
+    The table is bounded ({!max_cached} synopses) because synopses
     are long-lived in any serving scenario, but a workload churning
     through thousands of short-lived synopses (budget sweeps) must not
-    accumulate dead caches. *)
+    accumulate dead engines. *)
 
 type synopsis = Xc_core.Synopsis.Sealed.t
 type query = Xc_twig.Twig_query.t
 
 val max_cached : int
-(** Bound on each per-uid table; on overflow the table resets. *)
-
-val cache_for : synopsis -> Xc_core.Plan.Cache.t
-(** The synopsis's plan cache, created on first use. *)
+(** Bound on the per-uid table; on overflow the table resets. *)
 
 val batch_for : synopsis -> Xc_core.Plan.Batch.t
 (** The synopsis's batch engine, created on first use. *)
 
+val cache_for : synopsis -> Xc_core.Plan.Cache.t
+(** {!batch_for}. Kept only so the benchmark compiles; ROADMAP item 2's
+    benchmark PR deletes it. No other caller may use it. *)
+
 val estimate_uncached : synopsis -> query -> float
-(** {!Xc_core.Estimate.selectivity} — the baseline every cached path is
+(** {!Xc_core.Estimate.selectivity} — the oracle the batch engine is
     validated against, and the last rung of the degradation ladder. *)
 
 val estimate_result :
   ?options:Options.t -> synopsis -> query -> (float, Error.t) result
-(** Through the compiled plan cache; on any failure the policy
-    applies. [Degrade] answers from {!estimate_uncached}
+(** A one-query batch on {!batch_for}'s engine
+    ({!Xc_core.Plan.Batch.prepare_one}: a warm query is neither
+    re-compiled nor re-planned). On any failure it bumps [batch.error]
+    and the policy applies. [Degrade] answers from {!estimate_uncached}
     (bit-identical, slower) and bumps [serve.fallback], returning
     [Error (Unavailable _)] only if the oracle raises too; [Strict]
-    returns [Error (Unavailable _)] when the compiled path failed. *)
+    returns [Error (Unavailable _)] when the engine failed. *)
 
 val estimate : synopsis -> query -> float
 (** {!estimate_result} under the default [Degrade] policy.

@@ -5,18 +5,19 @@ type t =
   | Ft_any of Xc_xml.Dictionary.term list
   | Ft_excludes of Xc_xml.Dictionary.term list
 
+(* A plain scan: exact counts of contains queries call this once per
+   string element, so it allocates nothing. *)
 let contains_substring ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
-  if nl = 0 then true
-  else if nl > hl then false
-  else begin
-    let rec at i = i <= hl - nl && (matches_at i || at (i + 1))
-    and matches_at i =
-      let rec chars j = j >= nl || (haystack.[i + j] = needle.[j] && chars (j + 1)) in
-      chars 0
-    in
-    at 0
-  end
+  let found = ref (nl = 0) and i = ref 0 in
+  while (not !found) && !i <= hl - nl do
+    let j = ref 0 in
+    while !j < nl && String.unsafe_get haystack (!i + !j) = String.unsafe_get needle !j do
+      incr j
+    done;
+    if !j = nl then found := true else incr i
+  done;
+  !found
 
 let matches pred value =
   match pred, value with
@@ -49,9 +50,26 @@ let pp_terms ppf terms =
     ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
     Xc_xml.Dictionary.pp ppf terms
 
+(* A needle prints bare when the parser reads it back unchanged: no edge
+   whitespace (a bare needle is trimmed), no ')' (it ends a bare
+   needle) and no leading '"' (it opens a quoted one). Any other needle
+   prints quoted, with '"' and '\\' escaped by a backslash. *)
+let pp_needle ppf s =
+  if String.trim s = s && (not (String.contains s ')')) && not (String.starts_with ~prefix:"\"" s)
+  then Format.pp_print_string ppf s
+  else begin
+    Format.pp_print_char ppf '"';
+    String.iter
+      (fun c ->
+        if c = '"' || c = '\\' then Format.pp_print_char ppf '\\';
+        Format.pp_print_char ppf c)
+      s;
+    Format.pp_print_char ppf '"'
+  end
+
 let pp ppf = function
   | Range (l, h) -> Format.fprintf ppf "in %d..%d" l h
-  | Contains qs -> Format.fprintf ppf "contains(%s)" qs
+  | Contains qs -> Format.fprintf ppf "contains(%a)" pp_needle qs
   | Ft_contains terms ->
     Format.fprintf ppf "ftcontains(%a)" pp_terms terms
   | Ft_any terms -> Format.fprintf ppf "ftany(%a)" pp_terms terms

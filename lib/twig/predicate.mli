@@ -8,7 +8,9 @@ type t =
   | Range of int * int
       (** [Range (l, h)] — inclusive numeric range [l, h]. *)
   | Contains of string
-      (** [contains(qs)] — SQL-LIKE-style substring match. *)
+      (** [contains(qs)] — SQL-LIKE-style substring match. {!pp} quotes
+          a needle the bare syntax cannot carry (edge whitespace, a
+          [')'], a leading ['"']). *)
   | Ft_contains of Xc_xml.Dictionary.term list
       (** [ftcontains(t1,...,tk)] — conjunctive exact term matches. *)
   | Ft_any of Xc_xml.Dictionary.term list

@@ -64,6 +64,28 @@ let read_until st c =
     st.pos <- i + 1;
     s
 
+(* A quoted contains needle, the cursor on its opening '"': a backslash
+   takes the next byte literally. *)
+let read_quoted st =
+  let buf = Buffer.create 16 in
+  st.pos <- st.pos + 1;
+  let rec go () =
+    if eof st then fail st "unterminated string"
+    else
+      match peek st with
+      | '"' -> st.pos <- st.pos + 1
+      | '\\' when st.pos + 1 < String.length st.src ->
+        Buffer.add_char buf st.src.[st.pos + 1];
+        st.pos <- st.pos + 2;
+        go ()
+      | c ->
+        Buffer.add_char buf c;
+        st.pos <- st.pos + 1;
+        go ()
+  in
+  go ();
+  Buffer.contents buf
+
 (* Consume a keyword only when followed by a non-name character, so that
    tags like "incategory" or "containsfoo" are not mistaken for it. *)
 let eat_kw st kw =
@@ -95,7 +117,15 @@ let try_valuepred st =
   if eat_kw st "contains" then begin
     skip_spaces st;
     if not (eat st "(") then fail st "expected '(' after contains";
-    Some (Predicate.Contains (String.trim (read_until st ')')))
+    skip_spaces st;
+    (* a bare needle is trimmed; a quoted one is taken as written *)
+    if (not (eof st)) && peek st = '"' then begin
+      let needle = read_quoted st in
+      skip_spaces st;
+      if not (eat st ")") then fail st "expected ')' after a quoted needle";
+      Some (Predicate.Contains needle)
+    end
+    else Some (Predicate.Contains (String.trim (read_until st ')')))
   end
   else if eat_kw st "ftcontains" then
     Some (Predicate.Ft_contains (ft_terms st "ftcontains"))

@@ -13,12 +13,20 @@
     branch   ::= NAME-or-step relpath?     a leading NAME means /NAME
     valuepred::= ">" INT | ">=" INT | "<" INT | "<=" INT | "=" INT
                | "in" INT ".." INT
-               | "contains" "(" chars ")"
+               | "contains" "(" chars ")"     chars trimmed, no ')'
+               | "contains" "(" '"' qchars '"' ")"
+                                            taken as written; a backslash
+                                            quotes the next byte
                | "ftcontains" "(" word ("," word)* ")"
     v}
 
     Example: [//paper[year > 2000][abstract ftcontains(synopsis, xml)]
-    /title[contains(Tree)]]. *)
+    /title[contains(Tree)]].
+
+    Parsing is the inverse of {!Twig_query.pp} on every query with one
+    root edge and no root predicate (the shape this grammar can
+    express): [parse (Format.asprintf "%a" Twig_query.pp q)] has the
+    same structure, predicates and evaluation order as [q]. *)
 
 exception Parse_error of string
 

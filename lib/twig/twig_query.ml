@@ -70,17 +70,18 @@ let class_name = function
   | Cmixed -> "Mixed"
 
 let pp ppf t =
-  let rec pp_node ppf n =
+  let rec pp_node ~top ppf n =
     List.iter (fun p -> Format.fprintf ppf "[. %a]" Predicate.pp p) n.preds;
-    match n.edges with
-    | [] -> ()
-    | [ (expr, child) ] -> Format.fprintf ppf "%a%a" Path_expr.pp expr pp_node child
-    | edges ->
-      List.iteri
-        (fun i (expr, child) ->
-          if i < List.length edges - 1 then
-            Format.fprintf ppf "[%a%a]" Path_expr.pp expr pp_node child
-          else Format.fprintf ppf "%a%a" Path_expr.pp expr pp_node child)
-        edges
+    let last = List.length n.edges - 1 in
+    (* Every edge but the last prints as a bracketed branch, and the last
+       one continues the path — unless it is the only edge of an inner
+       node without predicates: Twig_parse would read a continuation
+       there as more steps of the incoming edge's expression. *)
+    List.iteri
+      (fun i (expr, child) ->
+        if i < last || ((not top) && n.preds = [] && last = 0) then
+          Format.fprintf ppf "[%a%a]" Path_expr.pp expr (pp_node ~top:false) child
+        else Format.fprintf ppf "%a%a" Path_expr.pp expr (pp_node ~top:false) child)
+      n.edges
   in
-  Format.fprintf ppf "@[<h>.%a@]" pp_node t.root
+  Format.fprintf ppf "@[<h>%a@]" (pp_node ~top:true) t.root

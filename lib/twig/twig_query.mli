@@ -43,6 +43,7 @@ val classify : t -> query_class
 val n_predicates : t -> int
 val iter_nodes : (node -> unit) -> t -> unit
 val pp : Format.formatter -> t -> unit
-(** XPath-ish rendering with bracketed branches and predicates. *)
+(** XPath-ish rendering with bracketed branches and predicates, in the
+    syntax {!Twig_parse.parse} reads back. *)
 
 val class_name : query_class -> string

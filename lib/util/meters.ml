@@ -28,24 +28,8 @@ module Codec = struct
 end
 
 module Reach = struct
-  let memo_hit = counter "reach.memo_hit" ~doc:"Plan.Cache reach-memo lookups answered from the memo"
-  let memo_miss = counter "reach.memo_miss" ~doc:"Plan.Cache reach-memo lookups that expanded"
-
   let expansion_depth =
     histogram "reach.expansion_depth" ~doc:"breadth-first levels of one descendant expansion"
-end
-
-module Plan = struct
-  let compile = counter "plan.compile" ~doc:"queries compiled by Plan.Cache"
-  let cache_hit = counter "plan.cache_hit" ~doc:"Plan.Cache lookups that found a compiled plan"
-  let cache_miss = counter "plan.cache_miss" ~doc:"Plan.Cache lookups that compiled"
-  let error = counter "plan.error" ~doc:"Plan.Cache estimates that raised (the caller degrades)"
-
-  let cache_reset =
-    counter "plan_cache.reset" ~doc:"Plan.Cache clears past the plan bound (16 384)"
-
-  let estimate = timer "estimate.plan" ~doc:"one Plan.Cache estimate"
-  let estimate_us = histogram "estimate.plan_us" ~doc:"latency of one Plan.Cache estimate, us"
 end
 
 module Batch = struct
@@ -69,7 +53,8 @@ module Batch = struct
     counter "batch.minor_words" ~doc:"minor-heap words the coordinator allocated during sweeps"
 
   let error = counter "batch.error" ~doc:"batches the engine raised on (the batch degrades)"
-  let mat_build = timer "batch.mat_build" ~doc:"one transition matrix built"
+  let mat_rows = counter "batch.mat_rows" ~doc:"transition rows built on demand by compilation"
+  let mat_build = timer "batch.mat_build" ~doc:"one empty transition matrix created"
   let compile = timer "batch.compile" ~doc:"one batch query compiled"
   let cohort_plan = timer "batch.cohort_plan" ~doc:"one batch's cohort plan built"
   let sweep = timer "estimate.batch" ~doc:"one cohort sweep over a prepared batch"

@@ -17,19 +17,7 @@ module Codec : sig
 end
 
 module Reach : sig
-  val memo_hit : Metrics.counter
-  val memo_miss : Metrics.counter
   val expansion_depth : Metrics.histogram
-end
-
-module Plan : sig
-  val compile : Metrics.counter
-  val cache_hit : Metrics.counter
-  val cache_miss : Metrics.counter
-  val error : Metrics.counter
-  val cache_reset : Metrics.counter
-  val estimate : Metrics.timer
-  val estimate_us : Metrics.histogram
 end
 
 module Batch : sig
@@ -43,6 +31,7 @@ module Batch : sig
   val arena_resets : Metrics.counter
   val minor_words : Metrics.counter
   val error : Metrics.counter
+  val mat_rows : Metrics.counter
   val mat_build : Metrics.timer
   val compile : Metrics.timer
   val cohort_plan : Metrics.timer

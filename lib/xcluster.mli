@@ -30,8 +30,8 @@
     ({!Xc_core.Synopsis.Sealed.t}): {!Build.compress}/{!Build.run}
     freeze on the way out, {!Build.seal} freezes a builder directly,
     and estimation, explanation, and persistence accept only the sealed
-    form. Sealed synopses never mutate, so the per-synopsis plan caches
-    need no invalidation machinery.
+    form. Sealed synopses never mutate, so the per-synopsis estimation
+    engines need no invalidation machinery.
 
     {b Incremental maintenance.} A live builder can absorb document
     mutations without a rebuild: {!Build.update} applies a batch of
@@ -155,22 +155,24 @@ module Query : sig
 
   val estimate : synopsis -> query -> float
   (** Estimated number of binding tuples, through the compiled
-      pipeline. The plan cache is keyed on the synopsis's
+      pipeline: a one-query batch on the synopsis's
+      {!Xc_core.Plan.Batch} engine, the same one {!Serve.estimate_batch}
+      uses. The engine is keyed on the synopsis's
       {!Xc_core.Synopsis.Sealed.uid} and created on first use; sealed
-      synopses never mutate, so cached plans and memos stay valid
-      forever.
+      synopses never mutate, so compiled queries and transition rows
+      stay valid forever.
 
-      Serving degrades instead of raising: if plan compilation or
-      evaluation fails for this synopsis, the call falls back to the
-      bit-identical uncached estimator and bumps the [serve.fallback]
-      counter in {!Xc_util.Metrics.global}.
+      Serving degrades instead of raising: if compilation or evaluation
+      fails for this synopsis, the call falls back to the bit-identical
+      uncached estimator and bumps the [batch.error] and
+      [serve.fallback] counters in {!Xc_util.Metrics.global}.
       @raise Failure when the uncached estimator fails too (a lazily
       loaded synopsis whose deferred section verification fails). *)
 
   val estimate_uncached : synopsis -> query -> float
   (** The direct embedding enumeration
-      ({!Xc_core.Estimate.selectivity}), bypassing plans and memos —
-      the baseline the pipeline is validated against. *)
+      ({!Xc_core.Estimate.selectivity}), bypassing the compiled engine
+      — the oracle the pipeline is validated against. *)
 
   val explain : synopsis -> query -> Xc_core.Estimate.explanation list
   (** Per query variable, the clusters it binds to
@@ -278,8 +280,9 @@ module Serve : sig
       [result.(i)] for query [i], bit-identical to {!Query.estimate} /
       {!Query.estimate_uncached} and independent of the worker count.
       The per-synopsis engine — interned path-expression transition
-      matrices plus compiled queries — is cached by synopsis uid like
-      the plan caches, so repeated workloads amortize to array walks.
+      matrices plus compiled queries — is cached by synopsis uid and
+      shared with {!Query.estimate}, so repeated workloads amortize to
+      array walks.
 
       Under {!Degrade} (the default) an engine failure falls back to
       the uncached estimator for the whole batch and bumps

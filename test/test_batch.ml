@@ -42,16 +42,28 @@ let small_synopsis ds =
 
 (* every row of every workload expression's matrix must be bitwise the
    dist Estimate.reach_dist builds from that source — including the
-   multi-step compositions and bounded descendant closures *)
+   multi-step compositions and bounded descendant closures — whatever
+   order the rows are built in: rows are built on demand and appended,
+   so a shuffled order lays them out differently in the buffers *)
 let test_matrix_rows () =
   let ds = Runner.imdb ~scale:0.01 ~n_queries:40 () in
   let syn = small_synopsis ds in
   let exprs = workload_exprs ds in
+  let rng = Xc_util.Rng.create 7 in
   check Alcotest.bool "workload has expressions" true (List.length exprs > 0);
   List.iter
     (fun expr ->
-      let mt = Transition.build syn expr in
-      check Alcotest.int "one row per node" (S.n_nodes syn) (Transition.n_rows mt);
+      let mt = Transition.create syn expr in
+      check Alcotest.int "created empty" 0 (Transition.rows_built mt);
+      let order = Array.init (S.n_nodes syn) Fun.id in
+      for i = Array.length order - 1 downto 1 do
+        let j = Xc_util.Rng.int rng (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      Array.iter (Transition.ensure mt) order;
+      check Alcotest.int "one row per node" (S.n_nodes syn) (Transition.rows_built mt);
       for u = 0 to S.n_nodes syn - 1 do
         let row = Transition.row mt u in
         let ref_d = Estimate.reach_dist syn expr u in
@@ -104,6 +116,82 @@ let batch_equivalence_on ds =
 let test_batch_imdb () = batch_equivalence_on (Runner.imdb ~scale:0.02 ~n_queries:45 ())
 let test_batch_xmark () = batch_equivalence_on (Runner.xmark ~scale:0.02 ~n_queries:45 ())
 let test_batch_dblp () = batch_equivalence_on (Runner.dblp ~scale:0.02 ~n_queries:45 ())
+
+(* a one-query compile builds only the rows its query reaches: on XMark,
+   every workload query with an inner edge (a root edge reads no
+   matrix), compiled alone on a fresh engine, builds fewer rows than one
+   per node per matrix and stores no more entries than its matrices
+   built in full — fewer over the workload, since a query rarely reaches
+   every non-empty row *)
+let test_one_query_rows () =
+  let ds = Runner.xmark ~scale:0.02 ~n_queries:40 () in
+  let syn = small_synopsis ds in
+  let n = S.n_nodes syn in
+  let rec exprs n = List.concat_map (fun (e, c) -> e :: exprs c) n.Xc_twig.Twig_query.edges in
+  let total = ref 0 and total_full = ref 0 in
+  Array.iter
+    (fun q ->
+      let inner =
+        List.concat_map (fun (_, c) -> exprs c) q.Xc_twig.Twig_query.root.Xc_twig.Twig_query.edges
+        |> List.map Path_expr.intern |> List.sort_uniq compare
+      in
+      if inner <> [] then begin
+        let engine = Plan.Batch.create syn in
+        let got = (Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare_one engine q)).(0) in
+        check Alcotest.bool "= oracle, bitwise" true (bits_equal got (Estimate.selectivity syn q));
+        let full_nnz =
+          List.fold_left
+            (fun acc id ->
+              let mt = Transition.create syn (Path_expr.of_id id) in
+              for u = 0 to n - 1 do
+                Transition.ensure mt u
+              done;
+              acc + Transition.nnz mt)
+            0 inner
+        in
+        let mats = Plan.Batch.n_matrices engine in
+        check Alcotest.int "one matrix per inner expression" (List.length inner) mats;
+        check Alcotest.bool "fewer rows than nodes x matrices" true
+          (Plan.Batch.rows_built engine < n * mats);
+        check Alcotest.bool "no more entries than the full matrices" true
+          (Plan.Batch.nnz engine <= full_nnz);
+        total := !total + Plan.Batch.nnz engine;
+        total_full := !total_full + full_nnz
+      end)
+    (Runner.workload_queries ds);
+  check Alcotest.bool "the workload has inner edges" true (!total_full > 0);
+  check Alcotest.bool
+    (Printf.sprintf "%d entries stored over the workload, fewer than %d" !total !total_full)
+    true (!total < !total_full)
+
+(* On random documents and random twigs (every predicate kind, empty
+   edge expressions and root predicates included), a fresh engine asked
+   one query, an engine asked all of them as one batch, and the oracle
+   agree bit for bit. *)
+let one_vs_batch_vs_oracle =
+  QCheck.Test.make ~name:"one query = batch = oracle, bitwise" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xc_util.Rng.create seed in
+      let doc = Random_doc.generate ~values:true rng in
+      let syn = Synopsis.freeze (Xc_core.Reference.build ~min_extent:1 doc) in
+      let queries = Array.init 8 (fun _ -> Random_doc.twig rng) in
+      let batch =
+        let engine = Plan.Batch.create syn in
+        Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare engine queries)
+      in
+      Array.iteri
+        (fun i q ->
+          let engine = Plan.Batch.create syn in
+          let one =
+            (Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare_one engine q)).(0)
+          in
+          let oracle = Estimate.selectivity syn q in
+          if not (bits_equal one oracle && bits_equal batch.(i) oracle) then
+            QCheck.Test.fail_reportf "%a: one query %h, batch %h, oracle %h" Xc_twig.Twig_query.pp
+              q one batch.(i) oracle)
+        queries;
+      true)
 
 let test_facade_batch () =
   let ds = Runner.imdb ~scale:0.01 ~n_queries:30 () in
@@ -200,7 +288,9 @@ let () =
   Alcotest.run "batch"
     [ ( "transition",
         [ Alcotest.test_case "matrix rows = reach_dist" `Slow test_matrix_rows;
-          Alcotest.test_case "root rows" `Quick test_matrix_root_row ] );
+          Alcotest.test_case "root rows" `Quick test_matrix_root_row;
+          Alcotest.test_case "one query builds few rows" `Quick test_one_query_rows;
+          QCheck_alcotest.to_alcotest one_vs_batch_vs_oracle ] );
       ( "equivalence",
         [ Alcotest.test_case "imdb" `Slow test_batch_imdb;
           Alcotest.test_case "xmark" `Slow test_batch_xmark;

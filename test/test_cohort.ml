@@ -158,18 +158,14 @@ let test_dedup () =
 
 (* ---- the source-text path ----------------------------------------------- *)
 
-(* workload queries as source text: the pp rendering minus its leading
-   ".", kept only when it parses back; distinct and non-empty *)
+(* workload queries as source text: the pp rendering, kept only when it
+   parses back; distinct and non-empty *)
 let texts_of ds =
   let seen = Hashtbl.create 64 in
   Runner.workload_queries ds
   |> Array.to_list
   |> List.filter_map (fun q ->
          let s = Format.asprintf "%a" Xc_twig.Twig_query.pp q in
-         let s =
-           if String.length s > 0 && s.[0] = '.' then String.sub s 1 (String.length s - 1)
-           else s
-         in
          match Xc_twig.Twig_parse.parse s with
          | _ when Hashtbl.mem seen s -> None
          | _ ->

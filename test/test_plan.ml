@@ -1,7 +1,8 @@
-(* Tests for the compiled estimation pipeline: Plan.Cache
-   bit-identity with both estimator baselines on all three datasets'
-   workloads, freeze-snapshot semantics of the sealed synopsis, and the
-   Metrics registry. *)
+(* Tests for the compiled estimation pipeline: one-query Plan.Batch
+   estimates bit-identical with both estimator baselines on all three
+   datasets' workloads, the engine's reuse, counters and bound,
+   freeze-snapshot semantics of the sealed synopsis, and the Metrics
+   registry. *)
 
 open Xc_xml
 module Synopsis = Xc_core.Synopsis
@@ -25,32 +26,35 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* ---- builder / sealed / planned equivalence ---------------------------- *)
+(* a query answered as a one-query batch, the way one-shot callers are *)
+let one engine q = (Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare_one engine q)).(0)
+
+(* ---- builder / sealed / compiled equivalence --------------------------- *)
 
 (* The property the whole pipeline rests on: for every workload query,
    the hashtable-walking builder estimator, the CSR sealed estimator,
-   and the plan-cached estimator produce bit-identical floats. Each
-   estimate runs twice so the second pass exercises the warm plan cache
-   and reach memo. *)
+   and a one-query batch produce bit-identical floats. Each estimate
+   runs twice so the second pass exercises the warm compiled query and
+   its transition rows. *)
 let equivalence_on ds =
   let builder =
     Build.run_builder (Build.budget ~bstr_kb:10 ~bval_kb:60 ()) ds.Runner.reference
   in
   let syn = Synopsis.freeze builder in
-  let cache = Plan.Cache.create syn in
+  let engine = Plan.Batch.create syn in
   List.iter
     (fun e ->
       let q = e.Xc_twig.Workload.query in
       let baseline = Estimate.selectivity_builder builder q in
       let uncached = Estimate.selectivity syn q in
-      let cold = Plan.Cache.estimate cache q in
-      let warm = Plan.Cache.estimate cache q in
+      let cold = one engine q in
+      let warm = one engine q in
       check0 "sealed = builder" baseline uncached;
       check0 "cold = uncached" uncached cold;
       check0 "warm = uncached" uncached warm)
     ds.Runner.workload;
-  check Alcotest.bool "plans cached" true (Plan.Cache.n_plans cache > 0);
-  check Alcotest.bool "reach memoized" true (Plan.Cache.reach_entries cache > 0)
+  check Alcotest.bool "queries compiled" true (Plan.Batch.n_queries engine > 0);
+  check Alcotest.bool "transition rows built" true (Plan.Batch.rows_built engine > 0)
 
 let test_equivalence_imdb () = equivalence_on (Runner.imdb ~scale:0.02 ~n_queries:45 ())
 let test_equivalence_xmark () = equivalence_on (Runner.xmark ~scale:0.02 ~n_queries:45 ())
@@ -80,42 +84,45 @@ let tiny_builder () =
 
 let test_freeze_snapshots () =
   (* a sealed synopsis is a snapshot: builder mutations after freeze are
-     invisible to it, its caches, and its plans — re-freezing is how you
-     publish an update, and it carries a fresh uid for cache keying *)
+     invisible to it, its engine, and its compiled queries — re-freezing
+     is how you publish an update, and it carries a fresh uid for engine
+     keying *)
   let syn, _r, a, b = tiny_builder () in
   let sealed = Synopsis.freeze syn in
   let q = Xc_twig.Twig_parse.parse "//a/b" in
-  let cache = Plan.Cache.create sealed in
-  checkf "tiny twig" 8.0 (Plan.Cache.estimate cache q);
-  check Alcotest.bool "memo populated" true (Plan.Cache.reach_entries cache > 0);
+  let engine = Plan.Batch.create sealed in
+  checkf "tiny twig" 8.0 (one engine q);
+  check Alcotest.int "query compiled" 1 (Plan.Batch.n_queries engine);
   (* double the a->b fanout in the builder *)
   B.set_edge syn ~parent:(B.sid a) ~child:(B.sid b) 4.0;
-  checkf "sealed unaffected (cached)" 8.0 (Plan.Cache.estimate cache q);
+  checkf "sealed unaffected (compiled)" 8.0 (one engine q);
   checkf "sealed unaffected (uncached)" 8.0 (Estimate.selectivity sealed q);
   let sealed2 = Synopsis.freeze syn in
   check Alcotest.bool "fresh uid per freeze" true (S.uid sealed2 <> S.uid sealed);
   checkf "new snapshot sees doubled fanout" 16.0 (Estimate.selectivity sealed2 q);
-  checkf "old snapshot still answers" 8.0 (Plan.Cache.estimate cache q)
+  checkf "old snapshot still answers" 8.0 (one engine q)
 
 let test_plan_reuse () =
-  (* a cached plan is a pure function of (sealed, query): repeated
+  (* a compiled query is a pure function of (sealed, query): repeated
      estimation answers identically, bit for bit the uncached value,
-     with no recompilation *)
+     with no recompilation and the same memoized one-query batch *)
   let syn, _, _, _ = tiny_builder () in
   let sealed = Synopsis.freeze syn in
   let q = Xc_twig.Twig_parse.parse "//b" in
   let uncached = Estimate.selectivity sealed q in
   checkf "tiny twig" 8.0 uncached;
-  let cache = Plan.Cache.create sealed in
-  let compiles0 = Metrics.counter_value Metrics.global "plan.compile" in
+  let engine = Plan.Batch.create sealed in
+  let compiles0 = Metrics.counter_value Metrics.global "batch.query_miss" in
   List.iter
     (fun tag ->
       check Alcotest.bool (tag ^ " = uncached, bitwise") true
-        (Int64.bits_of_float (Plan.Cache.estimate cache q) = Int64.bits_of_float uncached))
+        (Int64.bits_of_float (one engine q) = Int64.bits_of_float uncached))
     [ "first"; "second" ];
   check Alcotest.int "compiled once" (compiles0 + 1)
-    (Metrics.counter_value Metrics.global "plan.compile");
-  check Alcotest.int "one plan" 1 (Plan.Cache.n_plans cache)
+    (Metrics.counter_value Metrics.global "batch.query_miss");
+  check Alcotest.int "one compiled query" 1 (Plan.Batch.n_queries engine);
+  check Alcotest.bool "one memoized batch" true
+    (Plan.Batch.prepare_one engine q == Plan.Batch.prepare_one engine q)
 
 let test_vsumm_deep_copied_on_freeze () =
   (* freeze deep-copies value summaries, so phase-2 compression of the
@@ -156,38 +163,40 @@ let test_cache_hits_counted () =
   let syn, _, _, _ = tiny_builder () in
   let sealed = Synopsis.freeze syn in
   let q = Xc_twig.Twig_parse.parse "//a/b" in
-  let cache = Plan.Cache.create sealed in
+  let engine = Plan.Batch.create sealed in
   let m = Metrics.global in
-  let h0 = Metrics.counter_value m "plan.cache_hit" in
-  let m0 = Metrics.counter_value m "plan.cache_miss" in
-  ignore (Plan.Cache.estimate cache q);
-  ignore (Plan.Cache.estimate cache q);
-  check Alcotest.int "one miss" (m0 + 1) (Metrics.counter_value m "plan.cache_miss");
-  check Alcotest.int "one hit" (h0 + 1) (Metrics.counter_value m "plan.cache_hit");
-  check Alcotest.int "one plan" 1 (Plan.Cache.n_plans cache);
-  Plan.Cache.clear cache;
-  check Alcotest.int "cleared" 0 (Plan.Cache.n_plans cache)
+  let h0 = Metrics.counter_value m "batch.query_hit" in
+  let m0 = Metrics.counter_value m "batch.query_miss" in
+  ignore (one engine q);
+  ignore (one engine q);
+  check Alcotest.int "one miss" (m0 + 1) (Metrics.counter_value m "batch.query_miss");
+  check Alcotest.int "one hit" (h0 + 1) (Metrics.counter_value m "batch.query_hit");
+  check Alcotest.int "one compiled query" 1 (Plan.Batch.n_queries engine);
+  Plan.Batch.clear engine;
+  check Alcotest.int "cleared" 0 (Plan.Batch.n_queries engine);
+  check Alcotest.int "rows cleared" 0 (Plan.Batch.rows_built engine)
 
-(* a long-lived cache fed ever-new distinct queries: the miss that finds
-   more than the bound cached empties the cache first, once, and every
-   answer stays bit-identical to the oracle *)
+(* a long-lived engine fed ever-new distinct one-query batches: the call
+   that finds more than the bound compiled empties the engine first,
+   once, and every answer stays bit-identical to the oracle *)
 let test_cache_bound () =
   let doc = Xc_data.Imdb.generate ~seed:11 ~n_movies:30 () in
   let syn = Synopsis.freeze (Xc_core.Reference.build ~min_extent:4 doc) in
-  let cache = Plan.Cache.create syn in
+  let engine = Plan.Batch.create syn in
   let bound = Plan.Batch.text_index_bound in
-  let resets () = Metrics.counter_value Metrics.global "plan_cache.reset" in
+  let resets () = Metrics.counter_value Metrics.global "batch.query_reset" in
   let resets0 = resets () in
   for k = 0 to bound + 1 do
     let text = Printf.sprintf "//movie[year > %d]/title" (1000 + k) in
     let q = Xc_twig.Twig_parse.parse text in
-    let planned = Plan.Cache.estimate cache q in
+    let compiled = one engine q in
     let oracle = Estimate.selectivity syn q in
-    if Int64.bits_of_float planned <> Int64.bits_of_float oracle then
-      Alcotest.failf "query %d: planned %h differs from the oracle" k planned
+    if Int64.bits_of_float compiled <> Int64.bits_of_float oracle then
+      Alcotest.failf "query %d: compiled %h differs from the oracle" k compiled
   done;
   check Alcotest.int "exactly one reset" (resets0 + 1) (resets ());
-  check Alcotest.bool "plans back under the bound" true (Plan.Cache.n_plans cache < bound)
+  check Alcotest.bool "compiled queries back under the bound" true
+    (Plan.Batch.n_queries engine < bound)
 
 (* ---- metrics registry -------------------------------------------------- *)
 

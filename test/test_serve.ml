@@ -662,15 +662,10 @@ let query_sources ?(n_queries = 40) syn =
   let spec = { Xc_twig.Workload.default_spec with n_queries; seed = 9 } in
   let wl = Xc_twig.Workload.generate ~spec doc in
   (* daemon-side queries are source text: keep only workload queries
-     whose rendering parses back (drop the leading "." of the pp form) *)
+     whose rendering parses back *)
   wl
   |> List.filter_map (fun e ->
          let s = Format.asprintf "%a" Xc_twig.Twig_query.pp e.Xc_twig.Workload.query in
-         let s =
-           if String.length s > 0 && s.[0] = '.' then
-             String.sub s 1 (String.length s - 1)
-           else s
-         in
          match Xcluster.Query.parse s with
          | q -> Some (s, Xcluster.Query.estimate_uncached syn q)
          | exception _ -> None)

@@ -63,6 +63,31 @@ let test_predicate_contains () =
   check Alcotest.bool "longer than hay" false (Predicate.matches (Contains "hihi") (Value.Str "hi"));
   check Alcotest.bool "wrong type" false (Predicate.matches (Contains "3") (Value.Numeric 3))
 
+(* contains against a naive String.sub scan, with needles that are
+   empty, as long as the haystack (equal or not) and longer than it *)
+let contains_against_scan =
+  let module G = QCheck.Gen in
+  let ab n = G.string_size ~gen:(G.oneofl [ 'a'; 'b' ]) (G.int_bound n) in
+  let gen =
+    G.(
+      ab 8 >>= fun hay ->
+      oneof
+        [ ab 10;
+          return "";
+          return hay;
+          map (fun c -> String.mapi (fun i x -> if i = 0 then c else x) hay) (oneofl [ 'a'; 'b' ]);
+          map (fun s -> hay ^ s) (ab 3) ]
+      >|= fun needle -> (hay, needle))
+  in
+  QCheck.Test.make ~name:"contains = naive scan" ~count:500
+    (QCheck.make ~print:(fun (h, n) -> Printf.sprintf "hay %S, needle %S" h n) gen)
+    (fun (hay, needle) ->
+      let nl = String.length needle in
+      let rec scan i =
+        i + nl <= String.length hay && (String.sub hay i nl = needle || scan (i + 1))
+      in
+      Predicate.matches (Contains needle) (Value.Str hay) = scan 0)
+
 let test_predicate_ftcontains () =
   let xml = Dictionary.of_string "xml" and tree = Dictionary.of_string "tree" in
   let v = Value.text_of_terms [ xml; tree ] in
@@ -165,9 +190,51 @@ let test_parse_pp_roundtrip () =
     (fun s ->
       let q = Twig_parse.parse s in
       let printed = Format.asprintf "%a" Twig_query.pp q in
-      let q2 = Twig_parse.parse (String.sub printed 1 (String.length printed - 1)) in
+      let q2 = Twig_parse.parse printed in
       check Alcotest.int ("same shape: " ^ s) q.Twig_query.n_nodes q2.Twig_query.n_nodes)
     [ "/db/paper/title"; "//paper[year > 2000]/title"; "//a[b][c]//d" ]
+
+(* Twig_parse.parse reads back what Twig_query.pp prints: the same
+   structure, predicates and order, so the same compiled-query key. *)
+let roundtrips q =
+  let printed = Format.asprintf "%a" Twig_query.pp q in
+  match Twig_parse.parse printed with
+  | q' -> Xc_core.Plan.query_key q' = Xc_core.Plan.query_key q
+  | exception Twig_parse.Parse_error msg -> QCheck.Test.fail_reportf "%S: %s" printed msg
+
+let workload_docs =
+  lazy
+    [ Xc_data.Xmark.generate ~seed:5 ~scale:0.01 ();
+      Xc_data.Imdb.generate ~seed:5 ~n_movies:60 ();
+      Xc_data.Dblp.generate ~seed:5 ~n_authors:60 () ]
+
+(* every twig the three generators make — range, contains and ftcontains
+   predicates from positive workloads, and the negatives' sabotaged ones *)
+let pp_parse_workload =
+  QCheck.Test.make ~name:"parse (pp q) = q on workload twigs" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun doc ->
+          let spec = { Workload.default_spec with n_queries = 24; seed } in
+          List.for_all
+            (fun e -> roundtrips e.Workload.query)
+            (Workload.generate ~spec doc @ Workload.negative ~n:8 ~seed doc))
+        (Lazy.force workload_docs))
+
+(* any needle: edge whitespace, parentheses, quotes and backslashes *)
+let pp_parse_needles =
+  let gen = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; ' '; '\t'; ')'; '('; '"'; '\\'; ']' ]) (int_bound 6)) in
+  QCheck.Test.make ~name:"parse (pp q) = q on any contains needle" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun needle ->
+      roundtrips
+        (Twig_query.make
+           ( [],
+             [ ( [ Path_expr.desc "a" ],
+                 Twig_query.node ~preds:[ Contains needle ]
+                   ~edges:[ ([ Path_expr.child "b" ], Twig_query.node ~preds:[ Contains needle ] ()) ]
+                   () ) ] )))
 
 (* ---- Twig_eval -------------------------------------------------------------- *)
 
@@ -240,62 +307,13 @@ let eval_against_naive =
       let got = Twig_eval.selectivity doc (Twig_parse.parse ("//" ^ tag)) in
       Float.abs (got -. float_of_int !naive) < 1e-9)
 
-(* A random twig over Random_doc's tags (plus r and a tag no element
-   carries): child and descendant steps, wildcards, branches, empty edge
-   expressions, and predicates of every kind, on the root too. *)
-let random_twig rng =
-  let module Rng = Xc_util.Rng in
-  let tag () =
-    if Rng.chance rng 0.1 then Rng.pick rng [| "r"; "e" |] else Rng.pick rng Random_doc.tags
-  in
-  let term () = Dictionary.of_string (Rng.pick rng Random_doc.terms) in
-  let terms () = List.init (1 + Rng.int rng 2) (fun _ -> term ()) in
-  let pred () : Predicate.t =
-    match Rng.int rng 5 with
-    | 0 ->
-      let lo = Rng.int rng 10 in
-      Range (lo, lo + Rng.int rng 6)
-    | 1 -> Contains (Rng.pick rng [| "a"; "b"; "ab"; "ca"; "" |])
-    | 2 -> Ft_contains (terms ())
-    | 3 -> Ft_any (terms ())
-    | _ -> Ft_excludes (terms ())
-  in
-  let preds () =
-    if Rng.chance rng 0.75 then []
-    else List.init (if Rng.chance rng 0.2 then 2 else 1) (fun _ -> pred ())
-  in
-  let step p_desc =
-    { Path_expr.axis = (if Rng.chance rng p_desc then Path_expr.Descendant else Path_expr.Child);
-      test =
-        (if Rng.chance rng 0.2 then Path_expr.Wildcard
-         else Path_expr.Tag (Label.of_string (tag ()))) }
-  in
-  (* a top-level child step must name the root r to match anything, so
-     top-level expressions mostly start with a descendant step *)
-  let expr ~top =
-    if Rng.chance rng 0.1 then []
-    else
-      List.init (if Rng.chance rng 0.3 then 2 else 1) (fun i ->
-          step (if top && i = 0 then 0.8 else 0.6))
-  in
-  let rec node depth =
-    let n_edges = if depth >= 2 then 0 else Rng.int rng 3 in
-    let edges = List.init n_edges (fun _ -> (expr ~top:false, node (depth + 1))) in
-    Twig_query.node ~preds:(preds ()) ~edges ()
-  in
-  let root_preds = if Rng.chance rng 0.05 then [ pred () ] else [] in
-  let edges =
-    List.init (if Rng.chance rng 0.3 then 2 else 1) (fun _ -> (expr ~top:true, node 1))
-  in
-  Twig_query.make (root_preds, edges)
-
 let eval_against_reference =
   QCheck.Test.make ~name:"indexed evaluator = dense reference, bit for bit" ~count:400
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Xc_util.Rng.create seed in
       let doc = Random_doc.generate ~values:true rng in
-      let q = random_twig rng in
+      let q = Random_doc.twig rng in
       let got = Twig_eval.selectivity doc q and want = Twig_reference.selectivity doc q in
       Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
       || QCheck.Test.fail_reportf "%a: indexed %h, reference %h" Twig_query.pp q got want)
@@ -397,7 +415,8 @@ let () =
     [ ( "predicate",
         [ Alcotest.test_case "range" `Quick test_predicate_range;
           Alcotest.test_case "contains" `Quick test_predicate_contains;
-          Alcotest.test_case "ftcontains" `Quick test_predicate_ftcontains ] );
+          Alcotest.test_case "ftcontains" `Quick test_predicate_ftcontains;
+          QCheck_alcotest.to_alcotest contains_against_scan ] );
       ( "twig_query",
         [ Alcotest.test_case "make ids" `Quick test_query_make_assigns_ids;
           Alcotest.test_case "classify" `Quick test_query_classify ] );
@@ -409,7 +428,9 @@ let () =
           Alcotest.test_case "wildcard" `Quick test_parse_wildcard;
           Alcotest.test_case "keyword-like tags" `Quick test_parse_keyword_like_tags;
           Alcotest.test_case "errors" `Quick test_parse_errors;
-          Alcotest.test_case "pp roundtrip" `Quick test_parse_pp_roundtrip ] );
+          Alcotest.test_case "pp roundtrip" `Quick test_parse_pp_roundtrip;
+          QCheck_alcotest.to_alcotest pp_parse_workload;
+          QCheck_alcotest.to_alcotest pp_parse_needles ] );
       ( "twig_eval",
         [ Alcotest.test_case "child paths" `Quick test_eval_child_paths;
           Alcotest.test_case "descendant" `Quick test_eval_descendant;
@@ -465,7 +486,7 @@ let test_ft_pp_roundtrip () =
     (fun s ->
       let q = Twig_parse.parse s in
       let printed = Format.asprintf "%a" Twig_query.pp q in
-      let q2 = Twig_parse.parse (String.sub printed 1 (String.length printed - 1)) in
+      let q2 = Twig_parse.parse printed in
       check Alcotest.bool ("pp roundtrip " ^ s) true
         (Format.asprintf "%a" Twig_query.pp q2 = printed))
     [ "//paper[abs ftany(xml,tree)]"; "//paper[abs ftexcludes(xml)]" ]
