@@ -12,8 +12,6 @@ type budget = {
   pool : Pool.config;
 }
 
-type params = budget
-
 let default_bstr_kb = 20
 let default_bval_kb = 150
 
@@ -33,8 +31,6 @@ let budget_split ?(pool = Pool.default_config) ~total_kb ~ratio () =
     min total_kb (max 0 (int_of_float (Float.round (ratio *. float_of_int total_kb))))
   in
   budget ~pool ~bstr_kb ~bval_kb:(total_kb - bstr_kb) ()
-
-let params ?pool ~bstr_kb ~bval_kb () = budget ?pool ~bstr_kb ~bval_kb ()
 
 (* ---- phase 1: structure-value merge ---------------------------------- *)
 
@@ -128,28 +124,16 @@ let phase1_repair params syn ~frontier =
 
 (* Exactly one heap entry exists per node at any time (a node's summary
    changes only when its entry is popped, after which a fresh entry is
-   pushed), so entries are never stale and each can carry the
+   pushed), so entries are never stale and each carries the
    [Value_summary.step] of its preview: the pop applies the carried
-   result instead of redoing the preview's search.
-
-   The [full_scan] config keeps the historical two-pass form —
-   preview via {!Delta.compression_delta}, then a from-scratch
-   {!Xc_vsumm.Value_summary.apply_compression} at pop — as the
-   sequential-baseline leg of the construction benchmark. Both paths
-   walk the same compression sequence and produce identical synopses. *)
-let compression_push params heap syn node =
-  if params.pool.Pool.full_scan then (
-    match Delta.compression_delta syn node with
-    | Some (delta, saved) ->
-      Heap.push heap (Delta.marginal_loss delta saved) (B.sid node, None)
-    | None -> ())
-  else
-    match Delta.compression_step syn node with
-    | Some (delta, step) ->
-      Heap.push heap
-        (Delta.marginal_loss delta step.Xc_vsumm.Value_summary.saved)
-        (B.sid node, Some step)
-    | None -> ()
+   result instead of redoing the preview's search. *)
+let compression_push heap syn node =
+  match Delta.compression_step syn node with
+  | Some (delta, step) ->
+    Heap.push heap
+      (Delta.marginal_loss delta step.Xc_vsumm.Value_summary.saved)
+      (B.sid node, step)
+  | None -> ()
 
 (* Pop/apply/re-push until the value budget holds or the heap is dry;
    both phase2_compress and the localized repair drive this loop, they
@@ -163,25 +147,18 @@ let compression_loop params heap syn val_size =
       Xc_util.Metrics.incr Xc_util.Meters.Build.compression_steps;
       let node = B.find syn sid in
       let before = Xc_vsumm.Value_summary.size_bytes (B.vsumm node) in
-      let vsumm' =
-        match step with
-        | Some s -> Some (s.Xc_vsumm.Value_summary.apply ())
-        | None -> Xc_vsumm.Value_summary.apply_compression (B.vsumm node)
-      in
-      (match vsumm' with
-      | Some vsumm' ->
-        B.set_vsumm syn node vsumm';
-        let after = Xc_vsumm.Value_summary.size_bytes vsumm' in
-        val_size := !val_size - (before - after);
-        compression_push params heap syn node
-      | None -> ())
+      let vsumm' = step.Xc_vsumm.Value_summary.apply () in
+      B.set_vsumm syn node vsumm';
+      let after = Xc_vsumm.Value_summary.size_bytes vsumm' in
+      val_size := !val_size - (before - after);
+      compression_push heap syn node
   done
 
 let phase2_compress params syn =
   let val_size = ref (B.value_bytes syn) in
   if !val_size > params.bval then begin
     let heap = Heap.create () in
-    B.iter (compression_push params heap syn) syn;
+    B.iter (compression_push heap syn) syn;
     compression_loop params heap syn val_size;
     Log.debug (fun m -> m "phase2 done: %a value bytes" Size.pp_bytes !val_size)
   end
@@ -189,16 +166,16 @@ let phase2_compress params syn =
 (* Localized phase-2 repair: only the dirty clusters' summaries changed
    (inserts fused fresh detail into them), so only they can have
    profitable compression steps. Seed the heap from the frontier; if
-   that is not enough to meet the budget, widen to the full scan once
-   (the usual case never needs to: deletes shrink summaries and inserts
-   touch a handful of clusters). *)
+   that is not enough to meet the budget, widen once to the
+   whole-synopsis phase 2 (the usual case never needs to: deletes
+   shrink summaries and inserts touch a handful of clusters). *)
 let phase2_repair params syn ~frontier =
   let val_size = ref (B.value_bytes syn) in
   if !val_size > params.bval then begin
     let heap = Heap.create () in
     List.iter
       (fun sid ->
-        if B.mem syn sid then compression_push params heap syn (B.find syn sid))
+        if B.mem syn sid then compression_push heap syn (B.find syn sid))
       (List.sort_uniq Int.compare frontier);
     compression_loop params heap syn val_size;
     if !val_size > params.bval then begin
@@ -241,9 +218,6 @@ let sweep_at base ~bstr_kbs reference =
   List.map
     (fun (kb, syn) -> (kb, Synopsis.freeze syn))
     (sweep_builders base ~bstr_kbs reference)
-
-let sweep ?(pool = Pool.default_config) ~bval_kb ~bstr_kbs reference =
-  sweep_at (budget ~pool ~bstr_kb:0 ~bval_kb ()) ~bstr_kbs reference
 
 (* ---- automated budget split ------------------------------------------- *)
 

@@ -20,9 +20,6 @@ type budget = {
 (** The one budget record every construction entry point takes; build
     it with the smart constructors below. *)
 
-type params = budget
-(** @deprecated Historical alias of {!budget}. *)
-
 val budget : ?pool:Pool.config -> ?bstr_kb:int -> ?bval_kb:int -> unit -> budget
 (** Budget from kilobyte counts (defaults: 20 KB structural, 150 KB
     value — the paper's 200 KB operating point minus rounding). *)
@@ -37,13 +34,10 @@ val budget_split : ?pool:Pool.config -> total_kb:int -> ratio:float -> unit -> b
     [total_kb]. Raises [Invalid_argument] on a non-positive total or an
     out-of-range ratio. *)
 
-val params : ?pool:Pool.config -> bstr_kb:int -> bval_kb:int -> unit -> params
-(** @deprecated Thin wrapper over {!budget}. *)
-
-val phase1_merge : params -> Synopsis.Builder.t -> unit
+val phase1_merge : budget -> Synopsis.Builder.t -> unit
 (** Runs the structure-value merge phase in place. *)
 
-val phase2_compress : params -> Synopsis.Builder.t -> unit
+val phase2_compress : budget -> Synopsis.Builder.t -> unit
 (** Runs the value-summary compression phase in place. *)
 
 val phase1_repair : budget -> Synopsis.Builder.t -> frontier:int list -> int
@@ -62,32 +56,26 @@ val phase2_repair : budget -> Synopsis.Builder.t -> frontier:int list -> unit
     budget still does not hold (counted under
     [update.compress_widened]). *)
 
-val run_builder : params -> Synopsis.Builder.t -> Synopsis.Builder.t
+val run_builder : budget -> Synopsis.Builder.t -> Synopsis.Builder.t
 (** Full XCLUSTERBUILD on a private copy of the reference synopsis,
     returned still mutable (the argument is not modified). Callers that
     want to estimate should {!Synopsis.freeze} the result or use {!run};
     the unfrozen form exists for benchmarks and incremental tooling. *)
 
-val run : params -> Synopsis.Builder.t -> Synopsis.Sealed.t
+val run : budget -> Synopsis.Builder.t -> Synopsis.Sealed.t
 (** [Synopsis.freeze ∘ run_builder]: the normal way to build. *)
 
 val sweep_at :
   budget -> bstr_kbs:int list -> Synopsis.Builder.t -> (int * Synopsis.Sealed.t) list
 (** Builds one synopsis per structural budget in [bstr_kbs] (the
     budget's own [bstr] is ignored; its value budget and pool config
-    apply to every point), sharing the greedy merge prefix across
-    points as described under {!sweep}. *)
-
-val sweep : ?pool:Pool.config -> bval_kb:int -> bstr_kbs:int list ->
-  Synopsis.Builder.t -> (int * Synopsis.Sealed.t) list
-(** Thin wrapper over {!sweep_at}.
-    Builds one synopsis per structural budget, sharing the greedy merge
-    prefix: budgets are processed in decreasing order on a single
-    synopsis, snapshotting (copy + value compression + freeze) at each.
-    This is exactly equivalent to independent runs because the greedy
-    merge sequence is budget-prefix-consistent. Returns (budget KB,
-    synopsis) in the input order. A budget of 0 is served by merging
-    down to the tag-only minimum. *)
+    apply to every point), sharing the greedy merge prefix: budgets are
+    processed in decreasing order on a single synopsis, snapshotting
+    (copy + value compression + freeze) at each. This is exactly
+    equivalent to independent runs because the greedy merge sequence
+    is budget-prefix-consistent. Returns (budget KB, synopsis) in the
+    input order. A budget of 0 is served by merging down to the
+    tag-only minimum. *)
 
 val auto_split : ?ratios:float list -> total_kb:int ->
   sample:(Synopsis.Sealed.t -> float) -> Synopsis.Builder.t ->

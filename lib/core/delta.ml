@@ -113,9 +113,6 @@ let merge_delta_counted ?(structural_only = false) syn u v =
   (* numerical noise can push the quadratic forms slightly negative *)
   (Float.max 0.0 ((cu *. du) +. (cv *. dv)), merged_children)
 
-let merge_delta ?structural_only syn u v =
-  fst (merge_delta_counted ?structural_only syn u v)
-
 let compression_step syn u =
   match Vs.compress_step (B.vsumm u) with
   | None -> None
@@ -124,8 +121,5 @@ let compression_step syn u =
     B.succ syn u (fun _ avg -> struct_factor := !struct_factor +. (avg *. avg));
     let delta = float_of_int (B.count u) *. !struct_factor *. step.Vs.err in
     Some (delta, step)
-
-let compression_delta syn u =
-  Option.map (fun (delta, step) -> (delta, step.Vs.saved)) (compression_step syn u)
 
 let marginal_loss delta saved = delta /. float_of_int (max 1 saved)

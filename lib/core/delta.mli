@@ -16,33 +16,25 @@
     products are needed — O(|children| + |atomic predicates|) per
     candidate. *)
 
-val merge_delta : ?structural_only:bool -> Synopsis.Builder.t ->
-  Synopsis.Builder.node -> Synopsis.Builder.node -> float
-(** Δ of merging the two nodes. [structural_only] replaces the atomic
-    predicate set by the single trivial predicate (σ ≡ 1), yielding a
-    TREESKETCH-style purely structural clustering error (the A1
-    ablation baseline). *)
-
 val merge_delta_counted : ?structural_only:bool -> Synopsis.Builder.t ->
   Synopsis.Builder.node -> Synopsis.Builder.node -> float * int
-(** [(Δ, merged child count)] — the number of distinct children the
-    merged node would have falls out of the same child-edge gather that
-    computes the structural dot products, so candidate scoring can feed
-    it to {!Merge.saved_bytes_with} instead of gathering twice. *)
-
-val compression_delta :
-  Synopsis.Builder.t -> Synopsis.Builder.node -> (float * int) option
-(** [(Δ, bytes saved)] of the next value-compression step on the node's
-    summary: Δ = |u| · (1 + Σ_c count(u,c)²) · Σ_p (σ_p − σ′_p)². [None]
-    when the summary cannot be compressed further. *)
+(** [(Δ, merged child count)] of merging the two nodes. The number of
+    distinct children the merged node would have falls out of the same
+    child-edge gather that computes the structural dot products, so
+    candidate scoring can feed it to {!Merge.saved_bytes_with} instead
+    of gathering twice. [structural_only] replaces the atomic predicate
+    set by the single trivial predicate (σ ≡ 1), yielding a
+    TREESKETCH-style purely structural clustering error (the A1
+    ablation baseline). *)
 
 val compression_step :
   Synopsis.Builder.t -> Synopsis.Builder.node ->
   (float * Xc_vsumm.Value_summary.step) option
-(** Like {!compression_delta}, but also returns the
-    {!Xc_vsumm.Value_summary.step} whose [apply] thunk finalizes the
-    previewed compression without redoing its work. The step is valid
-    until the node's summary next changes. *)
+(** Δ of the next value-compression step on the node's summary, with the
+    {!Xc_vsumm.Value_summary.step} whose [apply] thunk finalizes it:
+    Δ = |u| · (1 + Σ_c count(u,c)²) · Σ_p (σ_p − σ′_p)². [None] when the
+    summary cannot be compressed further. The step is valid until the
+    node's summary next changes. *)
 
 val marginal_loss : float -> int -> float
 (** [Δ / max(1, saved_bytes)] — the ranking key of the build heaps. *)

@@ -133,7 +133,6 @@ module Batch = struct
     cp_max_cohort : int;
     cp_slots : int;  (* max fq_slots — the arena's plane demand *)
     cp_values : float array;  (* per distinct query, rewritten per run *)
-    cp_lat : float array;  (* sampled per-cohort latency, rewritten per run *)
   }
 
   type bquery = {
@@ -582,7 +581,7 @@ module Batch = struct
     let nd = Array.length distinct in
     if nd = 0 then
       { cp_queries = [||]; cp_src = [||]; cp_cohorts = [||]; cp_max_cohort = 0;
-        cp_slots = 1; cp_values = [||]; cp_lat = [||] }
+        cp_slots = 1; cp_values = [||] }
     else begin
       let cid_of_key = Hashtbl.create 64 in
       let ncoh = ref 0 in
@@ -620,8 +619,7 @@ module Batch = struct
         cp_cohorts = Array.init ncoh (fun c -> (start.(c), count.(c)));
         cp_max_cohort = Array.fold_left max 0 count;
         cp_slots = Array.fold_left (fun a f -> max a f.fq_slots) 1 flat;
-        cp_values = Array.make nd 0.0;
-        cp_lat = Array.make ncoh 0.0 }
+        cp_values = Array.make nd 0.0 }
     end
 
   let plan_of prepared =
@@ -636,14 +634,6 @@ module Batch = struct
     let p = plan_of prepared in
     (Array.length p.cp_cohorts, p.cp_max_cohort, Array.length p.cp_queries)
 
-  (* Cohort latency is sampled: cohorts run in fractions of a
-     microsecond, so timestamping each one would cost ~10% of the
-     sweep. Every 8th cohort is timed, and the stride widens on wide
-     batches so that a pass records at most 8 samples — the histogram
-     stays representative and a pass's metrics cost does not grow
-     with the batch. *)
-  let sample_stride ncoh = 8 * (1 + ((ncoh - 1) / 64))
-
   (* One batch pass, matrix-major: workers claim whole cohorts (the
      parallel unit is a cohort, never a query), each query's value lands
      in cp_values by its cohort-major position, and the answers are
@@ -653,21 +643,15 @@ module Batch = struct
   let run_cohort ~domains t plan (out : float array) =
     let n = S.n_nodes t.bt_syn in
     let ncoh = Array.length plan.cp_cohorts in
-    let lat = plan.cp_lat and values = plan.cp_values in
-    let stride = sample_stride ncoh in
+    let values = plan.cp_values in
     let minor0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     Xc_util.Par.iter_chunked ~domains
       ~init:(fun () -> arena_for n plan.cp_slots)
-      (fun ar ci (start, len) ->
-        let sample = ci mod stride = 0 in
-        let c0 = if sample then Unix.gettimeofday () else 0.0 in
+      (fun ar _ (start, len) ->
         for p = start to start + len - 1 do
           eval_flat ar (Array.unsafe_get plan.cp_queries p) values p
-        done;
-        (* workers touch only their own slot; the coordinator folds
-           these into Metrics after the join *)
-        if sample then lat.(ci) <- Unix.gettimeofday () -. c0)
+        done)
       plan.cp_cohorts;
     Metrics.add_time Meters.Batch.sweep (Unix.gettimeofday () -. t0);
     Metrics.add Meters.Batch.cohorts ncoh;
@@ -675,11 +659,6 @@ module Batch = struct
     (* coordinator-side minor allocation across the whole pass: the
        cohort path's figure of merit is this staying near zero *)
     Metrics.add Meters.Batch.minor_words (int_of_float (Gc.minor_words () -. minor0));
-    let ci = ref 0 in
-    while !ci < ncoh do
-      Metrics.observe Meters.Batch.cohort_us (1e6 *. lat.(!ci));
-      ci := !ci + stride
-    done;
     let src = plan.cp_src in
     for i = 0 to Array.length src - 1 do
       Array.unsafe_set out i (Array.unsafe_get values (Array.unsafe_get src i))

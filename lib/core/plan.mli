@@ -39,8 +39,8 @@ val query_key : Xc_twig.Twig_query.t -> string
     slices are walked back-to-back for the whole cohort. The programs
     run against a reusable per-worker arena — one flat float64
     Bigarray of per-slot planes, high-water sized, never zeroed between
-    queries — so per-query bookkeeping (timestamps, scratch
-    allocation, histogram updates) is amortized over whole cohorts.
+    queries — so per-query bookkeeping (scratch allocation, metric
+    updates) is amortized over whole cohorts.
 
     Results are {b bit-identical} to {!Estimate.selectivity} (matrix
     rows are built by the estimator's own step code and the evaluation
@@ -59,10 +59,9 @@ val query_key : Xc_twig.Twig_query.t -> string
     (coordinator minor-heap words allocated during cohort passes);
     [batch.mat_rows] (transition rows built on demand);
     timers [batch.mat_build], [batch.compile], [batch.cohort_plan],
-    [estimate.batch]; histogram [estimate.cohort_us] (per-cohort
-    latency, sampled on every 8th cohort — and on at most 8 cohorts
-    per pass — so the sub-microsecond hot loop is not charged for its
-    own timestamping). *)
+    [estimate.batch] (one per cohort pass; cohorts themselves run in
+    fractions of a microsecond, below the clock's resolution, and are
+    not timed). *)
 module Batch : sig
   type t
   (** A batch engine bound to one sealed synopsis: its matrix registry

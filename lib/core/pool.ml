@@ -20,32 +20,24 @@ type config = {
   pair_cap : int;
   structural_only : bool;
   domains : int;
-  full_scan : bool;
 }
 
 let default_config =
   { hm = 10_000; hl = 5_000; neighbor_k = 16; pair_cap = 4_000;
-    structural_only = false; domains = 0; full_scan = false }
+    structural_only = false; domains = 0 }
 
 let group_key = B.group_key
 
-(* Scoring a candidate is a pure read over the builder (merge_delta and
+(* Scoring a candidate is a pure read over the builder (Δ and
    saved_bytes mutate nothing), which is what makes batch evaluation
-   embarrassingly parallel below. The default path shares one child-edge
-   gather between Δ and saved_bytes; [full_scan] keeps the original two
-   independent gathers as the cost-faithful pre-index baseline. Both
-   produce identical candidates. *)
+   embarrassingly parallel below. Δ and saved_bytes share one
+   child-edge gather. *)
 let eval_pair config syn (u, v) =
-  if config.full_scan then
-    let delta = Delta.merge_delta ~structural_only:config.structural_only syn u v in
-    let saved = Merge.saved_bytes syn u v in
-    { u = B.sid u; v = B.sid v; delta; saved }
-  else
-    let delta, merged_children =
-      Delta.merge_delta_counted ~structural_only:config.structural_only syn u v
-    in
-    let saved = Merge.saved_bytes_with syn u v ~merged_children in
-    { u = B.sid u; v = B.sid v; delta; saved }
+  let delta, merged_children =
+    Delta.merge_delta_counted ~structural_only:config.structural_only syn u v
+  in
+  let saved = Merge.saved_bytes_with syn u v ~merged_children in
+  { u = B.sid u; v = B.sid v; delta; saved }
 
 let cand_priority c = Delta.marginal_loss c.delta c.saved
 
@@ -81,49 +73,16 @@ let score_cands config syn pairs =
 
 (* All groups of >= 2 mergeable nodes with level <= threshold, as
    sid-sorted member arrays in ascending key order (deterministic
-   regardless of group-index hashtable layout). [full_scan] ignores the
-   incremental group index and regroups by scanning every node — the
-   pre-index baseline, kept for benchmarking and differential tests. *)
-let collect_groups config syn ~levels ~level =
+   regardless of group-index hashtable layout). *)
+let collect_groups syn ~levels ~level =
   let eligible node =
     Synopsis.Levels.get levels ~default:max_int (B.sid node) <= level
   in
-  let members_of key =
-    let ms = ref [] in
-    B.iter_group syn key (fun node -> if eligible node then ms := node :: !ms);
-    !ms
-  in
-  let raw =
-    if config.full_scan then begin
-      let tbl = Hashtbl.create 64 in
-      B.iter
-        (fun node ->
-          if eligible node then begin
-            let key = group_key node in
-            let ms =
-              match Hashtbl.find_opt tbl key with
-              | Some ms -> ms
-              | None ->
-                let ms = ref [] in
-                Hashtbl.add tbl key ms;
-                ms
-            in
-            ms := node :: !ms
-          end)
-        syn;
-      Hashtbl.fold (fun key ms acc -> (key, !ms) :: acc) tbl []
-    end
-    else
-      List.filter_map
-        (fun key ->
-          match members_of key with
-          | [] | [ _ ] -> None
-          | ms -> Some (key, ms))
-        (B.group_keys syn)
-  in
-  raw
-  |> List.filter_map (fun (key, ms) ->
-         match ms with
+  B.group_keys syn
+  |> List.filter_map (fun key ->
+         let ms = ref [] in
+         B.iter_group syn key (fun node -> if eligible node then ms := node :: !ms);
+         match !ms with
          | [] | [ _ ] -> None
          | ms ->
            let arr = Array.of_list ms in
@@ -160,32 +119,27 @@ let group_pairs config arr =
 
 let build config syn ~levels ~level =
   Metrics.incr Meters.Pool.builds;
-  Metrics.time (if config.full_scan then Meters.Pool.build_full else Meters.Pool.build_inc) @@ fun () ->
+  Metrics.time Meters.Pool.build_inc @@ fun () ->
   let pairs =
     Array.of_list
       (List.concat_map
          (fun (_, members) -> group_pairs config members)
-         (collect_groups config syn ~levels ~level))
+         (collect_groups syn ~levels ~level))
   in
   Metrics.add Meters.Pool.evals_build (Array.length pairs);
   let cands = score_cands config syn pairs in
-  if config.full_scan then
-    (* pre-index baseline: the comparator recomputes the priority
-       division on every comparison, as the original code did *)
-    Array.sort cand_compare cands
-  else begin
-    (* same order, priorities divided out once instead of per compare *)
-    let keyed = Array.map (fun c -> (cand_priority c, c)) cands in
-    Array.sort
-      (fun (pa, a) (pb, b) ->
-        let c = Float.compare pa pb in
-        if c <> 0 then c
-        else
-          let c = Int.compare a.u b.u in
-          if c <> 0 then c else Int.compare a.v b.v)
-      keyed;
-    Array.iteri (fun i (_, c) -> cands.(i) <- c) keyed
-  end;
+  (* the [cand_compare] order, with priorities divided out once
+     instead of per comparison *)
+  let keyed = Array.map (fun c -> (cand_priority c, c)) cands in
+  Array.sort
+    (fun (pa, a) (pb, b) ->
+      let c = Float.compare pa pb in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.u b.u in
+        if c <> 0 then c else Int.compare a.v b.v)
+    keyed;
+  Array.iteri (fun i (_, c) -> cands.(i) <- c) keyed;
   let keep = min config.hm (Array.length cands) in
   let heap = Heap.create ~capacity:(max 64 keep) () in
   for i = 0 to keep - 1 do
@@ -203,82 +157,62 @@ let push_neighbors config syn heap ~levels ~level node =
     && Synopsis.Levels.get levels ~default:max_int (B.sid other) <= level
   in
   (* the [neighbor_k] group members nearest [node] by (count distance,
-     sid) — the same winners whichever collection strategy below ran *)
-  let nearest = Metrics.time (if config.full_scan then Meters.Pool.select_full else Meters.Pool.select_inc) @@ fun () ->
-    if config.full_scan then begin
-      (* pre-index baseline: scan the whole node table, sort all
-         members, take the top k *)
-      let members = ref [] in
-      B.iter
-        (fun other ->
-          incr scanned;
-          if group_key other = key && eligible other then members := other :: !members)
-        syn;
-      let arr = Array.of_list !members in
-      Array.sort
-        (fun a b ->
-          let c = Int.compare (dist a) (dist b) in
-          if c <> 0 then c else Int.compare (B.sid a) (B.sid b))
-        arr;
-      Array.sub arr 0 (min config.neighbor_k (Array.length arr))
-    end
-    else begin
-      (* binary-search the node's count in the (count, sid)-sorted group
-         array and expand outward, keeping an insertion-sorted top-k by
-         (dist, sid). The walk stops once both frontiers are strictly
-         farther than the current k-th best — no remaining member can
-         enter (a tie at the k-th distance can still displace on sid, so
-         equal-distance frontiers keep going). Worst case O(g) when
-         eligible members are scarce; typically O(log g + k). *)
-      let k = config.neighbor_k in
-      let best = Array.make k node and bdist = Array.make k max_int in
-      let m = ref 0 in
-      let before other d i =
-        d < bdist.(i) || (d = bdist.(i) && B.sid other < B.sid best.(i))
-      in
-      let visit other =
-        incr scanned;
-        if eligible other then begin
-          let d = dist other in
-          if !m < k || before other d (k - 1) then begin
-            let stop = min !m (k - 1) in
-            let i = ref stop in
-            while !i > 0 && before other d (!i - 1) do
-              best.(!i) <- best.(!i - 1);
-              bdist.(!i) <- bdist.(!i - 1);
-              decr i
-            done;
-            best.(!i) <- other;
-            bdist.(!i) <- d;
-            if !m < k then incr m
-          end
+     sid): binary-search the node's count in the (count, sid)-sorted
+     group array and expand outward, keeping an insertion-sorted top-k
+     by (dist, sid). The walk stops once both frontiers are strictly
+     farther than the current k-th best — no remaining member can enter
+     (a tie at the k-th distance can still displace on sid, so
+     equal-distance frontiers keep going). Worst case O(g) when eligible
+     members are scarce; typically O(log g + k). *)
+  let nearest = Metrics.time Meters.Pool.select_inc @@ fun () ->
+    let k = config.neighbor_k in
+    let best = Array.make k node and bdist = Array.make k max_int in
+    let m = ref 0 in
+    let before other d i =
+      d < bdist.(i) || (d = bdist.(i) && B.sid other < B.sid best.(i))
+    in
+    let visit other =
+      incr scanned;
+      if eligible other then begin
+        let d = dist other in
+        if !m < k || before other d (k - 1) then begin
+          let stop = min !m (k - 1) in
+          let i = ref stop in
+          while !i > 0 && before other d (!i - 1) do
+            best.(!i) <- best.(!i - 1);
+            bdist.(!i) <- bdist.(!i - 1);
+            decr i
+          done;
+          best.(!i) <- other;
+          bdist.(!i) <- d;
+          if !m < k then incr m
         end
-      in
-      let arr, len = B.group_members syn key in
-      let c0 = B.count node in
-      (* leftmost index with count >= c0 *)
-      let lo = ref 0 and hi = ref len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if B.count arr.(mid) < c0 then lo := mid + 1 else hi := mid
-      done;
-      let left = ref (!lo - 1) and right = ref !lo in
-      let continue = ref true in
-      while !continue && (!left >= 0 || !right < len) do
-        let dl = if !left >= 0 then c0 - B.count arr.(!left) else max_int in
-        let dr = if !right < len then B.count arr.(!right) - c0 else max_int in
-        if !m = k && min dl dr > bdist.(k - 1) then continue := false
-        else if dl <= dr then begin
-          visit arr.(!left);
-          decr left
-        end
-        else begin
-          visit arr.(!right);
-          incr right
-        end
-      done;
-      Array.sub best 0 !m
-    end
+      end
+    in
+    let arr, len = B.group_members syn key in
+    let c0 = B.count node in
+    (* leftmost index with count >= c0 *)
+    let lo = ref 0 and hi = ref len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if B.count arr.(mid) < c0 then lo := mid + 1 else hi := mid
+    done;
+    let left = ref (!lo - 1) and right = ref !lo in
+    let continue = ref true in
+    while !continue && (!left >= 0 || !right < len) do
+      let dl = if !left >= 0 then c0 - B.count arr.(!left) else max_int in
+      let dr = if !right < len then B.count arr.(!right) - c0 else max_int in
+      if !m = k && min dl dr > bdist.(k - 1) then continue := false
+      else if dl <= dr then begin
+        visit arr.(!left);
+        decr left
+      end
+      else begin
+        visit arr.(!right);
+        incr right
+      end
+    done;
+    Array.sub best 0 !m
   in
   Metrics.add Meters.Pool.scanned !scanned;
   Metrics.add Meters.Pool.evals_push (Array.length nearest);

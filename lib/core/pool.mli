@@ -41,11 +41,6 @@ type config = {
       (** candidate-scoring workers; [<= 0] (the default) defers to the
           [XC_DOMAINS] environment variable via
           {!Xc_util.Par.env_domains} *)
-  full_scan : bool;
-      (** bypass the Builder group index and regroup by scanning every
-          node — the pre-index sequential baseline, kept for the [build]
-          bench target and differential tests (identical results,
-          asymptotically slower) *)
 }
 
 val default_config : config

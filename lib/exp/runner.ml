@@ -162,13 +162,15 @@ let measure ds bstr_kb bval_kb syn =
     class_errs = Error_metric.per_class_relative ~sanity:ds.sanity scored }
 
 let fig8 ?(budgets_kb = default_budgets) ?(bval_kb = 150) ds =
-  let snapshots = Xc_core.Build.sweep ~bval_kb ~bstr_kbs:budgets_kb ds.reference in
+  let snapshots =
+    Xc_core.Build.sweep_at (Xc_core.Build.budget ~bval_kb ()) ~bstr_kbs:budgets_kb ds.reference
+  in
   List.map (fun (kb, syn) -> measure ds kb bval_kb syn) snapshots
 
 (* ---- Figure 9: low-count absolute error ------------------------------ *)
 
 let build_at ds ~bstr_kb ~bval_kb =
-  Xc_core.Build.run (Xc_core.Build.params ~bstr_kb ~bval_kb ()) ds.reference
+  Xc_core.Build.run (Xc_core.Build.budget ~bstr_kb ~bval_kb ()) ds.reference
 
 let fig9 ?(bstr_kb = 50) ?(bval_kb = 150) ds =
   let syn = build_at ds ~bstr_kb ~bval_kb in
@@ -195,7 +197,8 @@ let structural_error ds syn =
 let ablation_delta ?(budgets_kb = [ 5; 10; 20; 40 ]) ?(bval_kb = 150) ds =
   let with_pool structural_only =
     let pool = { Xc_core.Pool.default_config with structural_only } in
-    Xc_core.Build.sweep ~pool ~bval_kb ~bstr_kbs:budgets_kb ds.reference
+    Xc_core.Build.sweep_at (Xc_core.Build.budget ~pool ~bval_kb ()) ~bstr_kbs:budgets_kb
+      ds.reference
   in
   let full = with_pool false and struct_only = with_pool true in
   List.map2
@@ -218,7 +221,7 @@ let ablation_text ?(top_ks = [ 64; 256; 1024; 4096 ]) ds =
         ~value_min_extent:ds.value_min_extent ~value_paths:ds.value_paths ds.doc
     in
     let syn =
-      Xc_core.Build.run (Xc_core.Build.params ~bstr_kb:20 ~bval_kb:150 ()) reference
+      Xc_core.Build.run (Xc_core.Build.budget ~bstr_kb:20 ~bval_kb:150 ()) reference
     in
     text_error ds syn
   in
@@ -281,7 +284,7 @@ let auto_split_demo ?(total_kb = 200) ds =
         let bstr_kb = int_of_float (Float.round (ratio *. float_of_int total_kb)) in
         let bval_kb = total_kb - bstr_kb in
         let syn =
-          Xc_core.Build.run (Xc_core.Build.params ~bstr_kb ~bval_kb ()) ds.reference
+          Xc_core.Build.run (Xc_core.Build.budget ~bstr_kb ~bval_kb ()) ds.reference
         in
         (bstr_kb, bval_kb, sample syn))
       ratios

@@ -58,9 +58,6 @@ module Batch = struct
   let compile = timer "batch.compile" ~doc:"one batch query compiled"
   let cohort_plan = timer "batch.cohort_plan" ~doc:"one batch's cohort plan built"
   let sweep = timer "estimate.batch" ~doc:"one cohort sweep over a prepared batch"
-
-  let cohort_us =
-    histogram "estimate.cohort_us" ~doc:"sampled latency of one cohort (at most 8 per pass), us"
 end
 
 module Update = struct
@@ -96,9 +93,7 @@ module Pool = struct
   let rescored = counter "pool.rescored" ~doc:"popped candidates rescored because stale"
   let score = timer "pool.score" ~doc:"one candidate-scoring pass"
   let build_inc = timer "pool.build_inc" ~doc:"one pool build, incremental collection"
-  let build_full = timer "pool.build_full" ~doc:"one pool build, full scan"
   let select_inc = timer "pool.select_inc" ~doc:"one neighbour selection, incremental"
-  let select_full = timer "pool.select_full" ~doc:"one neighbour selection, full scan"
   let build_frontier = timer "pool.build_frontier" ~doc:"one frontier pool build"
 end
 

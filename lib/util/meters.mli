@@ -36,7 +36,6 @@ module Batch : sig
   val compile : Metrics.timer
   val cohort_plan : Metrics.timer
   val sweep : Metrics.timer
-  val cohort_us : Metrics.histogram
 end
 
 module Update : sig
@@ -63,9 +62,7 @@ module Pool : sig
   val rescored : Metrics.counter
   val score : Metrics.timer
   val build_inc : Metrics.timer
-  val build_full : Metrics.timer
   val select_inc : Metrics.timer
-  val select_full : Metrics.timer
   val build_frontier : Metrics.timer
 end
 

@@ -128,7 +128,7 @@ val quantiles_of_stat : hist_stat -> float list -> (float * float) list
 
 val quantiles : t -> string -> float list -> (float * float) list option
 (** Quantiles of a histogram by name; [None] when it does not exist or
-    has no sample. [quantiles m "estimate.cohort_us" \[0.5; 0.95; 0.99\]]
+    has no sample. [quantiles m "daemon.request_us" \[0.5; 0.95; 0.99\]]
     reads a histogram's p50/p95/p99. *)
 
 val to_json : snapshot -> string

@@ -273,44 +273,6 @@ let compress_once t =
     Some (err, saved, Cur c')
   end
 
-(* The pre-cursor implementation, kept verbatim as the cost-faithful
-   baseline for the construction benchmark: every step rescans the
-   indexed terms for the minimum and eagerly rebuilds both arrays.
-   Values are bit-identical to [compress_once] — the first-minimum scan
-   picks the same index as [order], and the average/err/saved chains are
-   the same float arithmetic. *)
-let compress_once_eager t =
-  let m = force t in
-  let k = Array.length m.top_terms in
-  if k = 0 then None
-  else begin
-    (* find the lowest-frequency indexed term *)
-    let worst = ref 0 in
-    for i = 1 to k - 1 do
-      if m.top_freqs.(i) < m.top_freqs.(!worst) then worst := i
-    done;
-    let demoted_id = m.top_terms.(!worst) and demoted_f = m.top_freqs.(!worst) in
-    let old_n = float_of_int (Rle_bitmap.cardinality m.bucket) in
-    let old_avg = m.bucket_avg in
-    let new_avg = ((old_avg *. old_n) +. demoted_f) /. (old_n +. 1.0) in
-    let bucket = Rle_bitmap.add m.bucket demoted_id in
-    let compressed =
-      { n = m.n;
-        top_terms =
-          Array.init (k - 1) (fun i -> m.top_terms.(if i < !worst then i else i + 1));
-        top_freqs =
-          Array.init (k - 1) (fun i -> m.top_freqs.(if i < !worst then i else i + 1));
-        bucket;
-        bucket_avg = new_avg;
-        flat = None }
-    in
-    let d1 = demoted_f -. new_avg in
-    let d2 = old_avg -. new_avg in
-    let err = (d1 *. d1) +. (old_n *. d2 *. d2) in
-    let saved = size_bytes (Mat m) - size_bytes (Mat compressed) in
-    Some (err, saved, Mat compressed)
-  end
-
 (* flat support, memoized: the Δ metric evaluates dot products for
    hundreds of thousands of candidate merges, so this path is hot *)
 let flat t =

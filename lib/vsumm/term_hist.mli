@@ -54,12 +54,6 @@ val compress_once : t -> (float * int * t) option
     phase 2 — costs O(log k) per step instead of O(k) array rebuilds.
     Accessors force materialization transparently (memoized). *)
 
-val compress_once_eager : t -> (float * int * t) option
-(** The pre-cursor implementation of {!compress_once}, retained as the
-    cost-faithful baseline for the construction benchmark: every step
-    rescans the indexed terms for the minimum and eagerly rebuilds both
-    arrays, O(k) per step. Bit-identical results to {!compress_once}. *)
-
 val support_seq : t -> (int * float) Seq.t
 (** All (term, estimated frequency) pairs, ascending by term id — the
     atomic predicates of the Δ metric. *)

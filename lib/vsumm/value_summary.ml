@@ -122,26 +122,6 @@ let compress_step = function
       (fun (err, saved, th') -> { err; saved; apply = (fun () -> Vtext th') })
       (Term_hist.compress_once th)
 
-(* [preview_compression]/[apply_compression] are the pre-step-carrying
-   two-pass protocol: preview the step, discard the work, redo it at
-   apply time. They survive as the cost-faithful baseline for the
-   construction benchmark (and as a convenient standalone API), hence
-   the eager term-histogram variant — same values, pre-cursor cost. *)
-let preview_compression = function
-  | Vnone -> None
-  | Vnum h ->
-    if Histogram.n_buckets h < 2 then None
-    else Some (fst (Histogram.compress_error h), 8)
-  | Vstr p -> Option.map (fun err -> (err, 9)) (Pst.peek_prune p)
-  | Vtext th ->
-    Option.map (fun (err, saved, _) -> (err, saved)) (Term_hist.compress_once_eager th)
-
-let apply_compression = function
-  | Vnone -> None
-  | Vnum h -> if Histogram.n_buckets h < 2 then None else Some (Vnum (Histogram.compress_once h))
-  | Vstr p -> Option.map (fun _ -> Vstr p) (Pst.prune_once p)
-  | Vtext th -> Option.map (fun (_, _, th') -> Vtext th') (Term_hist.compress_once_eager th)
-
 (* A typed cluster without a summary is an undesignated path: the
    synopsis carries no evidence that its values ever satisfy predicates,
    so σ estimates to 0 — this keeps generalized steps (//tag) from

@@ -53,20 +53,6 @@ val compress_step : t -> step option
     the preview's work. [None] when the summary cannot be compressed
     further. *)
 
-val preview_compression : t -> (float * int) option
-(** [(Σ_p (σ_p − σ′_p)², bytes saved)] for the next compression step on
-    this summary, or [None] when it cannot be compressed further.
-    Same values as {!compress_step} without the carried result, at the
-    pre-step-carrying cost (the preview's work is discarded). *)
-
-val apply_compression : t -> t option
-(** Applies the step previewed by {!preview_compression}, redoing the
-    preview's search. Returns the compressed summary ([Vstr] is pruned
-    in place and returned). Together with {!preview_compression} this is
-    the two-pass protocol the construction benchmark uses as its
-    cost-faithful baseline; both produce summaries bit-identical to
-    {!compress_step}-then-[apply]. *)
-
 val numeric_selectivity : t -> lo:int -> hi:int -> float
 (** σ of a range predicate [\[lo, hi\]] (inclusive). [Vnone] → 0.0:
     a typed cluster without a summary is an undesignated path, and

@@ -37,7 +37,7 @@ let datasets =
       lazy
         (let doc = Xc_data.Imdb.generate ~seed:81 ~n_movies:40 () in
          let reference = Reference.build ~min_extent:4 doc in
-         Build.run (Build.params ~bstr_kb:3 ~bval_kb:15 ()) reference) );
+         Build.run (Build.budget ~bstr_kb:3 ~bval_kb:15 ()) reference) );
     ( "xmark",
       lazy
         (let doc = Xc_data.Xmark.generate ~seed:82 ~scale:0.01 () in

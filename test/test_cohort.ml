@@ -523,8 +523,14 @@ let test_cohort_counters () =
   let syn = small_synopsis ds in
   let engine = Plan.Batch.create syn in
   let prepared = Plan.Batch.prepare engine (Runner.workload_queries ds) in
+  let passes () =
+    match List.assoc_opt "estimate.batch" (Metrics.snapshot Metrics.global).Metrics.timers with
+    | Some t -> t.Metrics.t_count
+    | None -> 0
+  in
   Metrics.reset Metrics.global;
   ignore (Plan.Batch.run_prepared ~domains:1 engine prepared);
+  check Alcotest.int "estimate.batch times the pass" 1 (passes ());
   let cohorts, max_cohort, _ = Plan.Batch.cohort_stats prepared in
   check Alcotest.int "batch.cohorts counts the pass" cohorts
     (Metrics.counter_value Metrics.global "batch.cohorts");
@@ -537,9 +543,7 @@ let test_cohort_counters () =
   ignore (Plan.Batch.run_prepared ~domains:1 engine prepared);
   check Alcotest.int "arena reused, not regrown" resets1
     (Metrics.counter_value Metrics.global "batch.arena_resets");
-  match Metrics.quantiles Metrics.global "estimate.cohort_us" [ 0.5 ] with
-  | Some _ -> ()
-  | None -> Alcotest.fail "expected estimate.cohort_us histogram"
+  check Alcotest.int "estimate.batch times each pass" 2 (passes ())
 
 let () =
   Alcotest.run "cohort"

@@ -216,7 +216,7 @@ let test_merge_to_tag_only_equivalence () =
   (* merging everything mergeable yields the tag-only structural counts *)
   let doc = sample_doc () in
   let syn = B.copy (Reference.build ~min_extent:1 doc) in
-  let params = Build.params ~bstr_kb:0 ~bval_kb:10_000 () in
+  let params = Build.budget ~bstr_kb:0 ~bval_kb:10_000 () in
   Build.phase1_merge { params with Build.bstr = 0 } syn;
   check Alcotest.bool "valid" true (B.validate syn = Ok ());
   let tag = Reference.tag_only doc in
@@ -262,6 +262,9 @@ let test_merge_self_loop () =
 
 (* ---- Delta ------------------------------------------------------------------ *)
 
+let merge_delta ?structural_only syn u v =
+  fst (Delta.merge_delta_counted ?structural_only syn u v)
+
 let test_delta_identical_is_zero () =
   (* merging two clusters with identical centroids and values costs 0 *)
   let syn = B.create ~doc_height:2 in
@@ -277,7 +280,7 @@ let test_delta_identical_is_zero () =
   B.set_root syn (B.sid r);
   B.set_edge syn ~parent:(B.sid r) ~child:(B.sid u) 5.0;
   B.set_edge syn ~parent:(B.sid r) ~child:(B.sid v) 5.0;
-  checkf "zero delta" 0.0 (Delta.merge_delta syn u v)
+  checkf "zero delta" 0.0 (merge_delta syn u v)
 
 let test_delta_grows_with_dissimilarity () =
   let syn = B.create ~doc_height:2 in
@@ -296,7 +299,7 @@ let test_delta_grows_with_dissimilarity () =
   List.iter
     (fun n -> B.set_edge syn ~parent:(B.sid r) ~child:(B.sid n) 20.0)
     [ u; v1; v2 ];
-  let d_near = Delta.merge_delta syn u v1 and d_far = Delta.merge_delta syn u v2 in
+  let d_near = merge_delta syn u v1 and d_far = merge_delta syn u v2 in
   check Alcotest.bool "near < far" true (d_near < d_far);
   check Alcotest.bool "positive" true (d_near > 0.0)
 
@@ -308,12 +311,12 @@ let test_delta_structural_component () =
       ~vsumm:Vs.vnone
   in
   B.set_edge syn ~parent:(B.sid c) ~child:(B.sid b) 7.0;
-  let d = Delta.merge_delta syn a c in
+  let d = merge_delta syn a c in
   check Alcotest.bool "fanout difference costs" true (d > 0.0);
   (* structural_only agrees here because the values are Null anyway *)
-  checkf "structural-only same" d (Delta.merge_delta ~structural_only:true syn a c)
+  checkf "structural-only same" d (merge_delta ~structural_only:true syn a c)
 
-let test_compression_delta () =
+let test_compression_step () =
   let syn = B.create ~doc_height:2 in
   let vs = Vs.of_values (List.init 64 (fun i -> Value.Numeric i)) in
   let u =
@@ -321,10 +324,10 @@ let test_compression_delta () =
       ~vsumm:vs
   in
   B.set_root syn (B.sid u);
-  match Delta.compression_delta syn u with
-  | Some (delta, saved) ->
+  match Delta.compression_step syn u with
+  | Some (delta, step) ->
     check Alcotest.bool "delta >= 0" true (delta >= 0.0);
-    check Alcotest.int "histogram step saves 8" 8 saved
+    check Alcotest.int "histogram step saves 8" 8 step.Vs.saved
   | None -> Alcotest.fail "expected a compression step"
 
 (* ---- Pool ------------------------------------------------------------------- *)
@@ -382,7 +385,7 @@ let test_pool_orders_by_marginal_loss () =
 let sealed_all_exhausted syn =
   let ok = ref true in
   for i = 0 to S.n_nodes syn - 1 do
-    if Vs.preview_compression (S.vsumm syn i) <> None then ok := false
+    if Option.is_some (Vs.compress_step (S.vsumm syn i)) then ok := false
   done;
   !ok
 
@@ -390,7 +393,7 @@ let test_build_meets_budgets () =
   let doc = Xc_data.Imdb.generate ~seed:11 ~n_movies:400 () in
   let reference = Reference.build ~min_extent:8 doc in
   let str_before = B.structural_bytes reference in
-  let params = Build.params ~bstr_kb:6 ~bval_kb:40 () in
+  let params = Build.budget ~bstr_kb:6 ~bval_kb:40 () in
   let syn = Build.run params reference in
   check Alcotest.bool "structural budget met" true
     (S.structural_bytes syn <= Size.kb 6);
@@ -405,7 +408,7 @@ let test_build_meets_budgets () =
 let test_build_extent_mass_invariant () =
   let doc = Xc_data.Imdb.generate ~seed:12 ~n_movies:300 () in
   let reference = Reference.build doc in
-  let syn = Build.run (Build.params ~bstr_kb:4 ~bval_kb:30 ()) reference in
+  let syn = Build.run (Build.budget ~bstr_kb:4 ~bval_kb:30 ()) reference in
   let mass = Array.fold_left ( + ) 0 (S.counts syn) in
   check Alcotest.int "extent mass preserved" (Document.n_elements doc) mass
 
@@ -413,8 +416,8 @@ let test_build_sweep_prefix_consistency () =
   (* sweep snapshots equal independent runs at the same budget *)
   let doc = Xc_data.Imdb.generate ~seed:13 ~n_movies:250 () in
   let reference = Reference.build doc in
-  let sweep = Build.sweep ~bval_kb:40 ~bstr_kbs:[ 8; 4 ] reference in
-  let independent = Build.run (Build.params ~bstr_kb:4 ~bval_kb:40 ()) reference in
+  let sweep = Build.sweep_at (Build.budget ~bval_kb:40 ()) ~bstr_kbs:[ 8; 4 ] reference in
+  let independent = Build.run (Build.budget ~bstr_kb:4 ~bval_kb:40 ()) reference in
   let at4 = List.assoc 4 sweep in
   check Alcotest.int "same nodes" (S.n_nodes independent) (S.n_nodes at4);
   check Alcotest.int "same structural bytes" (S.structural_bytes independent)
@@ -516,7 +519,7 @@ let test_codec_roundtrip_compressed () =
   (* compressed summaries (including TEXT buckets) round-trip too *)
   let doc = Xc_data.Imdb.generate ~seed:21 ~n_movies:150 () in
   let reference = Reference.build ~min_extent:8 doc in
-  let syn = Build.run (Build.params ~bstr_kb:3 ~bval_kb:20 ()) reference in
+  let syn = Build.run (Build.budget ~bstr_kb:3 ~bval_kb:20 ()) reference in
   let decoded = Xc_core.Codec.of_string_exn (Xc_core.Codec.to_string syn) in
   check Alcotest.int "same value bytes" (S.value_bytes syn)
     (S.value_bytes decoded);
@@ -575,7 +578,7 @@ let () =
         [ Alcotest.test_case "identical zero" `Quick test_delta_identical_is_zero;
           Alcotest.test_case "dissimilarity" `Quick test_delta_grows_with_dissimilarity;
           Alcotest.test_case "structural" `Quick test_delta_structural_component;
-          Alcotest.test_case "compression" `Quick test_compression_delta ] );
+          Alcotest.test_case "compression" `Quick test_compression_step ] );
       ( "pool",
         [ Alcotest.test_case "compatible pairs" `Quick test_pool_only_compatible_pairs;
           Alcotest.test_case "level filter" `Quick test_pool_respects_level;
@@ -628,7 +631,7 @@ let test_auto_split () =
   check Alcotest.bool "built within structural budget" true
     (S.structural_bytes best <= max params.Build.bstr (S.structural_bytes best));
   (* and is at least as good as the extreme all-value split *)
-  let all_value = Build.run (Build.params ~bstr_kb:0 ~bval_kb:40 ()) reference in
+  let all_value = Build.run (Build.budget ~bstr_kb:0 ~bval_kb:40 ()) reference in
   check Alcotest.bool "no worse than 0-structure" true
     (sample best <= sample all_value +. 1e-9)
 

@@ -202,14 +202,14 @@ let test_merge_shared_parent_edge_counts () =
   check Alcotest.int "saved as predicted" (before - predicted)
     (B.structural_bytes syn)
 
-let test_compression_delta_none_for_vnone () =
+let test_compression_step_none_for_vnone () =
   let syn = B.create ~doc_height:2 in
   let u =
     B.add_node syn ~label:(Xc_xml.Label.of_string "x") ~vtype:Xc_xml.Value.Tnull
       ~count:3 ~vsumm:Value_summary.vnone
   in
   B.set_root syn (B.sid u);
-  check Alcotest.bool "no op" true (Xc_core.Delta.compression_delta syn u = None)
+  check Alcotest.bool "no op" true (Option.is_none (Xc_core.Delta.compression_step syn u))
 
 (* ---- Codec fuzz ----------------------------------------------------------------- *)
 
@@ -319,7 +319,7 @@ let () =
       ( "synopsis",
         [ Alcotest.test_case "levels with cycle" `Quick test_levels_with_cycle;
           Alcotest.test_case "shared parent merge" `Quick test_merge_shared_parent_edge_counts;
-          Alcotest.test_case "vnone compression" `Quick test_compression_delta_none_for_vnone ] );
+          Alcotest.test_case "vnone compression" `Quick test_compression_step_none_for_vnone ] );
       ( "codec",
         [ QCheck_alcotest.to_alcotest codec_rejects_corruption ] );
       ( "parser",

@@ -24,7 +24,7 @@ let datasets =
         (let doc = Xc_data.Imdb.generate ~seed:71 ~n_movies:40 () in
          let reference = Reference.build ~min_extent:4 doc in
          (* compress so TEXT buckets and pruned summaries are on disk too *)
-         Build.run (Build.params ~bstr_kb:3 ~bval_kb:15 ()) reference) );
+         Build.run (Build.budget ~bstr_kb:3 ~bval_kb:15 ()) reference) );
     ( "xmark",
       lazy
         (let doc = Xc_data.Xmark.generate ~seed:72 ~scale:0.01 () in

@@ -43,7 +43,7 @@ let test_predicate_monotonicity () =
   (* under any synopsis, adding a predicate cannot increase the estimate *)
   let doc = Xc_data.Imdb.generate ~seed:52 ~n_movies:300 () in
   let reference = Reference.build doc in
-  let syn = Build.run (Build.params ~bstr_kb:4 ~bval_kb:30 ()) reference in
+  let syn = Build.run (Build.budget ~bstr_kb:4 ~bval_kb:30 ()) reference in
   List.iter
     (fun (broad, narrow) ->
       let b = est syn broad and n = est syn narrow in
@@ -60,7 +60,7 @@ let test_budget_monotone_size () =
   let sizes =
     List.map
       (fun kb ->
-        let syn = Build.run (Build.params ~bstr_kb:kb ~bval_kb:20 ()) reference in
+        let syn = Build.run (Build.budget ~bstr_kb:kb ~bval_kb:20 ()) reference in
         Synopsis.Sealed.structural_bytes syn)
       [ 1; 2; 4; 8 ]
   in
@@ -81,7 +81,7 @@ let test_wildcard_total_counts () =
     (est (Synopsis.freeze reference) "//*");
   (* and the same must hold on any compressed synopsis: merges preserve
      extent mass *)
-  let syn = Build.run (Build.params ~bstr_kb:1 ~bval_kb:10 ()) reference in
+  let syn = Build.run (Build.budget ~bstr_kb:1 ~bval_kb:10 ()) reference in
   checkf "compressed //* = all elements" (float_of_int (Document.n_elements doc))
     (est syn "//*")
 
@@ -100,7 +100,7 @@ let test_file_roundtrip_pipeline () =
         (Document.n_elements doc2);
       (* and the re-parsed document supports the full pipeline *)
       let reference = Reference.build doc2 in
-      let syn = Build.run (Build.params ~bstr_kb:2 ~bval_kb:16 ()) reference in
+      let syn = Build.run (Build.budget ~bstr_kb:2 ~bval_kb:16 ()) reference in
       List.iter
         (fun q ->
           let t = exact doc2 q and e = est syn q in
@@ -134,7 +134,7 @@ let test_workload_respects_designated_paths () =
 let test_persistence_matches_live_estimates () =
   let doc = Xc_data.Xmark.generate ~seed:57 ~scale:0.03 () in
   let reference = Reference.build ~min_extent:4 doc in
-  let syn = Build.run (Build.params ~bstr_kb:4 ~bval_kb:30 ()) reference in
+  let syn = Build.run (Build.budget ~bstr_kb:4 ~bval_kb:30 ()) reference in
   let loaded = Xc_core.Codec.of_string_exn (Xc_core.Codec.to_string syn) in
   let spec = { Workload.default_spec with n_queries = 30 } in
   let wl = Workload.generate ~spec doc in

@@ -1,9 +1,11 @@
-(* Tests for the incremental construction substrate of this PR: the
-   Builder's group index (vs a from-scratch regrouping, across random
-   merge sequences and full builds), the candidate-evaluation and
-   member-scan bounds of push_neighbors (no full node-table iteration),
-   pop-time candidate revalidation, and bit-identical sealed output
-   across scoring-worker counts (XC_DOMAINS determinism). *)
+(* Tests for incremental construction: the Builder's group index (vs a
+   from-scratch regrouping, across random merge sequences and full
+   builds), the neighbour selection of push_neighbors (the nearest
+   members by count, as a plain sort picks them, and the member-scan
+   bounds that keep it off the node table), pop-time candidate
+   revalidation, bit-identical sealed output across scoring-worker
+   counts (XC_DOMAINS determinism), and the pinned digests of seeded
+   builds in golden/builds.txt. *)
 
 open Xc_xml
 module Synopsis = Xc_core.Synopsis
@@ -142,15 +144,80 @@ let test_push_neighbors_bounded () =
   let scanned_big = counter "pool.scanned" - scanned0 in
   let k = Pool.default_config.Pool.neighbor_k in
   check Alcotest.bool "count window stops early on large groups" true
-    (scanned_big < big && scanned_big <= (2 * (k + 1)) + 1);
-  (* the full-scan baseline really does visit the whole node table *)
-  let scanned0 = counter "pool.scanned" in
-  let heap = Xc_util.Heap.create () in
-  Pool.push_neighbors
-    { Pool.default_config with Pool.full_scan = true }
-    syn heap ~levels ~level:99 node;
-  let scanned_full = counter "pool.scanned" - scanned0 in
-  check Alcotest.int "full scan visits every node" (B.n_nodes syn) scanned_full
+    (scanned_big < big && scanned_big <= (2 * (k + 1)) + 1)
+
+(* push_neighbors pairs [node] with exactly the [neighbor_k] eligible
+   members of its group nearest by (|count difference|, sid) — here
+   computed with a plain sort over the whole group. Counts come from a
+   narrow range so ties are common, levels make only some members
+   eligible, and groups range from a single member to far above
+   [neighbor_k]; a second label's nodes must never be chosen. *)
+let nearest_property =
+  QCheck.Test.make ~name:"push_neighbors picks the nearest by (count, sid)" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let module R = Xc_util.Rng in
+      let rng = R.create seed in
+      let syn = B.create ~doc_height:2 in
+      let root = add syn "r" 1 in
+      B.set_root syn (B.sid root);
+      let k = R.int_range rng 1 24 in
+      let g = 1 + R.int rng (if R.bool rng then 20 else 300) in
+      let spread = 1 + R.int rng 40 in
+      let member label =
+        let n = add syn label (1 + R.int rng spread) in
+        B.set_edge syn ~parent:(B.sid root) ~child:(B.sid n) 1.0;
+        n
+      in
+      (* interleave the two labels so sids of group and noise mix *)
+      let group = ref [] in
+      for _ = 1 to g do
+        group := member "a" :: !group;
+        if R.bool rng then ignore (member "z")
+      done;
+      let group = Array.of_list !group in
+      let levels = Levels.compute syn in
+      let max_level = 3 in
+      Array.iter (fun n -> Levels.set levels (B.sid n) (R.int rng (max_level + 1))) group;
+      let level = R.int rng (max_level + 1) in
+      let node = R.pick rng group in
+      let expected =
+        let dist n = abs (B.count n - B.count node) in
+        let eligible =
+          List.filter
+            (fun n ->
+              B.sid n <> B.sid node
+              && Levels.get levels ~default:max_int (B.sid n) <= level)
+            (Array.to_list group)
+        in
+        List.sort
+          (fun a b ->
+            let c = Int.compare (dist a) (dist b) in
+            if c <> 0 then c else Int.compare (B.sid a) (B.sid b))
+          eligible
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map B.sid |> List.sort Int.compare
+      in
+      let heap = Xc_util.Heap.create () in
+      let config = { Pool.default_config with Pool.neighbor_k = k } in
+      Pool.push_neighbors config syn heap ~levels ~level node;
+      let rec drain acc =
+        match Xc_util.Heap.pop heap with
+        | None -> acc
+        | Some (_, c) ->
+          if c.Pool.u <> B.sid node then
+            QCheck.Test.fail_reportf "candidate (%d, %d) does not start at node %d" c.Pool.u
+              c.Pool.v (B.sid node);
+          drain (c.Pool.v :: acc)
+      in
+      let actual = List.sort Int.compare (drain []) in
+      if actual <> expected then
+        QCheck.Test.fail_reportf
+          "k=%d g=%d level=%d node %d (count %d):\n  expected [%s]\n  actual   [%s]" k g level
+          (B.sid node) (B.count node)
+          (String.concat ";" (List.map string_of_int expected))
+          (String.concat ";" (List.map string_of_int actual));
+      true)
 
 (* ---- pop-time revalidation -------------------------------------------------- *)
 
@@ -209,22 +276,84 @@ let test_domains_bit_identical () =
       in
       let s1 = build { Pool.default_config with Pool.domains = 1 } in
       let s4 = build { Pool.default_config with Pool.domains = 4 } in
-      let scan =
-        build { Pool.default_config with Pool.domains = 1; full_scan = true }
-      in
       check Alcotest.bool (name ^ ": 1 vs 4 domains bit-identical") true
-        (sealed_equal s1 s4);
-      check Alcotest.bool (name ^ ": indexed vs full-scan bit-identical") true
-        (sealed_equal s1 scan))
+        (sealed_equal s1 s4))
     datasets
+
+(* ---- pinned build output ------------------------------------------------------ *)
+
+(* One line per seeded build: the case and the MD5 of the sealed
+   synopsis's encoding, which covers every array of the sealed form. A
+   change to construction that moves any build byte fails here; the
+   whole actual list is left in builds.actual beside the test
+   executable to regenerate golden/builds.txt from, which is right
+   only when a change is meant to alter the synopses built. This runs
+   first in the executable: label and term ids are interned per
+   process, and term order can steer the greedy choices. *)
+let golden = "golden/builds.txt"
+
+let build_lines () =
+  let datasets =
+    [ ("imdb", "n_movies=60", lazy (Xc_data.Imdb.generate ~seed:3 ~n_movies:60 ()));
+      ("xmark", "scale=0.005", lazy (Xc_data.Xmark.generate ~seed:4 ~scale:0.005 ()));
+      ("dblp", "n_authors=70", lazy (Xc_data.Dblp.generate ~seed:5 ~n_authors:70 ())) ]
+  in
+  let cases =
+    List.concat_map
+      (fun (name, _, _) -> [ (name, false, 3, 24); (name, false, 4, 64) ])
+      datasets
+    @ [ ("imdb", true, 3, 24) ]
+  in
+  let references =
+    List.map
+      (fun (name, size, doc) ->
+        (name, (size, lazy (Reference.build ~min_extent:2 (Lazy.force doc)))))
+      datasets
+  in
+  List.map
+    (fun (name, structural_only, bstr_kb, bval_kb) ->
+      let size, reference = List.assoc name references in
+      let pool = { Pool.default_config with Pool.structural_only } in
+      let sealed =
+        Build.run (Build.budget ~pool ~bstr_kb ~bval_kb ()) (Lazy.force reference)
+      in
+      Printf.sprintf "%s %s bstr=%dKB bval=%dKB%s %s" name size bstr_kb bval_kb
+        (if structural_only then " structural_only" else "")
+        (Digest.to_hex (Digest.string (Codec.to_string sealed))))
+    cases
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_builds_pinned () =
+  let actual = build_lines () in
+  let expected = read_lines golden in
+  if actual <> expected then begin
+    Out_channel.with_open_text "builds.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first i = function
+      | e :: es, a :: as_ -> if e = a then first (i + 1) (es, as_) else (i, e, a)
+      | e :: _, [] -> (i, e, "<missing>")
+      | [], a :: _ -> (i, "<missing>", a)
+      | [], [] -> (i, "", "")
+    in
+    let i, e, a = first 1 (expected, actual) in
+    Alcotest.failf
+      "line %d differs (actual lines in builds.actual):\n  expected %s\n  actual   %s" i e a
+  end
 
 let () =
   Alcotest.run "xc_pool"
-    [ ( "group-index",
+    [ ( "golden",
+        [ Alcotest.test_case "seeded builds" `Quick test_builds_pinned ] );
+      ( "group-index",
         [ Alcotest.test_case "random merges" `Quick test_group_index_random_merges;
           Alcotest.test_case "full build" `Quick test_group_index_after_full_build ] );
       ( "bounded-work",
-        [ Alcotest.test_case "push_neighbors" `Quick test_push_neighbors_bounded ] );
+        [ Alcotest.test_case "push_neighbors" `Quick test_push_neighbors_bounded;
+          QCheck_alcotest.to_alcotest nearest_property ] );
       ( "revalidation",
         [ Alcotest.test_case "pop rescored" `Quick test_pop_valid_revalidates ] );
       ( "determinism",

@@ -182,7 +182,7 @@ let test_freeze_csr_well_formed () =
 let test_freeze_after_build_csr () =
   let doc = Xc_data.Xmark.generate ~seed:5 ~scale:0.01 () in
   let reference = Reference.build ~min_extent:2 doc in
-  let sealed = Build.run (Build.params ~bstr_kb:2 ~bval_kb:16 ()) reference in
+  let sealed = Build.run (Build.budget ~bstr_kb:2 ~bval_kb:16 ()) reference in
   check Alcotest.bool "compressed sealed valid" true (S.validate sealed = Ok ())
 
 let () =

@@ -406,17 +406,15 @@ let test_vs_compression_cycle () =
   let vs = ref (Value_summary.of_values (List.init 200 (fun i -> Numeric (i mod 40)))) in
   let total_before = Value_summary.size_bytes !vs in
   let rec squeeze n =
-    match Value_summary.preview_compression !vs with
-    | Some (err, saved) ->
-      check Alcotest.bool "err nonneg" true (err >= 0.0);
-      (match Value_summary.apply_compression !vs with
-      | Some vs' ->
-        check Alcotest.int "saved matches"
-          (Value_summary.size_bytes !vs - saved)
-          (Value_summary.size_bytes vs');
-        vs := vs';
-        squeeze (n + 1)
-      | None -> Alcotest.fail "preview promised a step")
+    match Value_summary.compress_step !vs with
+    | Some step ->
+      check Alcotest.bool "err nonneg" true (step.Value_summary.err >= 0.0);
+      let vs' = step.Value_summary.apply () in
+      check Alcotest.int "saved matches"
+        (Value_summary.size_bytes !vs - step.Value_summary.saved)
+        (Value_summary.size_bytes vs');
+      vs := vs';
+      squeeze (n + 1)
     | None -> n
   in
   let steps = squeeze 0 in
