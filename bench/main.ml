@@ -849,10 +849,7 @@ let run_chaos () =
          Serve.Registry.add_source registry ~name:"chaos" ~path:syn_path;
          let config =
            tune
-             { Serve.Daemon.default_config with
-               Serve.Daemon.endpoint;
-               max_engines = 4;
-               options = Serve.default_options }
+             { Serve.Daemon.default_config with Serve.Daemon.endpoint }
          in
          Serve.Daemon.run ~config registry
        with _ -> Unix._exit 1);

@@ -413,13 +413,6 @@ let endpoint_of socket =
   | Ok e -> e
   | Error msg -> raise (Usage msg)
 
-let serve_options ~domains ~strict =
-  try
-    Xcluster.Serve.options ?domains
-      ~fallback:(if strict then Xcluster.Serve.Strict else Xcluster.Serve.Degrade)
-      ()
-  with Invalid_argument msg -> raise (Usage msg)
-
 let serve_cmd =
   let synopsis_args =
     Arg.(
@@ -451,16 +444,8 @@ let serve_cmd =
       value & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Default domain count for batch evaluation when a request does \
-             not pin its own (falls back to $(b,XC_DOMAINS) when omitted).")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:
-            "Answer engine trouble with error frames instead of degrading \
-             to uncached estimation.")
+            "Worker domains for batch evaluation, the same for every request \
+             (falls back to $(b,XC_DOMAINS) when omitted).")
   in
   let workers_arg =
     Arg.(
@@ -508,16 +493,16 @@ let serve_cmd =
             "How long a graceful shutdown waits for in-flight requests \
              before forcing the remaining sockets shut (default 5000).")
   in
-  let run socket synopses dir max_engines domains strict workers backlog
+  let run socket synopses dir max_engines domains workers backlog
       max_pending timeout_ms budget_ms drain_ms =
     guarded @@ fun () ->
     let endpoint = endpoint_of socket in
-    let options = serve_options ~domains ~strict in
     if max_engines < 1 then raise (Usage "--max-engines must be >= 1");
     let positive flag = function
       | Some n when n < 1 -> raise (Usage (flag ^ " must be >= 1"))
       | v -> v
     in
+    let domains = positive "--domains" domains in
     (* an environment default must be a positive integer too: a
        malformed one stops the command instead of falling back *)
     let env_default name flag_value =
@@ -564,8 +549,7 @@ let serve_cmd =
       {
         d with
         Xcluster.Serve.Daemon.endpoint;
-        max_engines;
-        options;
+        domains;
         workers = Option.value ~default:d.Xcluster.Serve.Daemon.workers workers;
         backlog = Option.value ~default:d.Xcluster.Serve.Daemon.backlog backlog;
         max_pending =
@@ -599,7 +583,7 @@ let serve_cmd =
           shutdown frame arrives.")
     Term.(
       const run $ socket_arg $ synopsis_args $ dir_arg $ max_engines_arg
-      $ domains_arg $ strict_arg $ workers_arg $ backlog_arg $ max_pending_arg
+      $ domains_arg $ workers_arg $ backlog_arg $ max_pending_arg
       $ timeout_ms_arg $ budget_ms_arg $ drain_ms_arg)
 
 (* ---- client ------------------------------------------------------------- *)
@@ -631,18 +615,6 @@ let client_cmd =
           ~doc:
             "Twig query source text; repeatable for $(b,batch), exactly one \
              for $(b,estimate).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Pin the daemon-side domain count for this batch.")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:"Refuse degraded (uncached) evaluation for this batch.")
   in
   let path_arg =
     Arg.(
@@ -678,7 +650,7 @@ let client_cmd =
     | Xcluster.Serve.Error.Protocol _ -> exit_internal
     | _ -> exit_corrupt
   in
-  let run socket op name queries domains strict path retries timeout_ms =
+  let run socket op name queries path retries timeout_ms =
     guarded @@ fun () ->
     let endpoint = endpoint_of socket in
     let require_name () =
@@ -716,9 +688,8 @@ let client_cmd =
       | `Batch -> (
         let synopsis = require_name () in
         if queries = [] then raise (Usage "batch needs at least one -q QUERY");
-        let options = serve_options ~domains ~strict in
         let qs = Array.of_list queries in
-        match Xcluster.Serve.Client.estimate_batch c ~options ~synopsis qs with
+        match Xcluster.Serve.Client.estimate_batch c ~synopsis qs with
         | Ok ests ->
           Array.iteri (fun i est -> Format.printf "%s\t%.6f@." qs.(i) est) ests;
           Ok 0
@@ -801,8 +772,8 @@ let client_cmd =
           metrics, probe its health, swap a synopsis to a repaired \
           generation, trigger an artifact reload, or shut it down.")
     Term.(
-      const run $ socket_arg $ op_arg $ name_arg $ query_args $ domains_arg
-      $ strict_arg $ path_arg $ retries_arg $ client_timeout_arg)
+      const run $ socket_arg $ op_arg $ name_arg $ query_args $ path_arg
+      $ retries_arg $ client_timeout_arg)
 
 let () =
   let exits =

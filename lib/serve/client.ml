@@ -197,10 +197,10 @@ let estimate t ~synopsis ~query =
   | Ok _ -> unexpected ()
   | Error _ as e -> e
 
-let estimate_batch t ?(options = Options.default) ~synopsis queries =
+let estimate_batch t ~synopsis queries =
   match
     round_trip ~idempotent:true t
-      (Protocol.Estimate_batch { synopsis; queries; options })
+      (Protocol.Estimate_batch { synopsis; queries; options = Options.default })
   with
   | Ok (Protocol.Floats r) ->
     if Array.length r = Array.length queries then Ok r else unexpected ()

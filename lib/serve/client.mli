@@ -54,13 +54,11 @@ val estimate :
 (** [query] is twig source text, parsed daemon-side. *)
 
 val estimate_batch :
-  t ->
-  ?options:Options.t ->
-  synopsis:string ->
-  string array ->
-  (float array, Error.t) result
+  t -> synopsis:string -> string array -> (float array, Error.t) result
 (** [result.(i)] answers query [i] — floats bit-identical to what the
-    daemon computed (they travel as IEEE-754 bit patterns). *)
+    daemon computed (they travel as IEEE-754 bit patterns). The daemon
+    decides how the batch is evaluated; a batch above its [max_batch]
+    is refused with {!Error.Admission}. *)
 
 val list_synopses : t -> (Protocol.listed array, Error.t) result
 val stats : t -> (string, Error.t) result

@@ -5,8 +5,9 @@ module Fault = Xc_util.Fault
 
 type config = {
   endpoint : Protocol.endpoint;
-  max_engines : int;
-  options : Options.t;
+  domains : int option;
+  max_batch : int;
+  max_frame_bytes : int;
   workers : int;
   backlog : int;
   max_pending : int;
@@ -20,8 +21,9 @@ type config = {
 let default_config =
   {
     endpoint = Protocol.Unix_sock "xcluster.sock";
-    max_engines = 8;
-    options = Options.default;
+    domains = None;
+    max_batch = 8192;
+    max_frame_bytes = 1 lsl 26;
     workers = 4;
     backlog = 64;
     max_pending = 64;
@@ -182,47 +184,31 @@ type reply = Answers of int | Reply of Protocol.response
    written to. *)
 type conn = { texts : Xc_util.Slices.t; mutable answers : float array }
 
-(* Both estimate frame kinds go through the registry's engine: a
-   single [Estimate] is a one-text batch, so the LRU is the only engine
-   cache the daemon fills and warm texts skip parse and compile. *)
-let estimate_texts registry options synopsis conn =
-  match Registry.engine registry synopsis with
-  | Error e -> Reply (error_frame e)
-  | Ok (syn, eng) -> (
-    let n = Xc_util.Slices.length conn.texts in
-    if Array.length conn.answers < n then
-      conn.answers <- Array.make (max n (2 * Array.length conn.answers)) 0.0;
-    match Engine.estimate_texts_with ~options ~into:conn.answers eng syn conn.texts with
-    | Ok () -> Answers n
-    | Error e -> Reply (error_frame e))
-
 let dispatch st config registry conn incoming =
   match incoming with
-  | Protocol.Estimates { synopsis; options = None } ->
-    estimate_texts registry config.options synopsis conn
-  | Protocol.Estimates { synopsis; options = Some options } ->
-    (* the request's options win; a request that left [domains]
-       unpinned inherits the daemon's default. The batch-size limit is
-       the daemon's, not the request's — a client cannot talk its way
-       past admission control. *)
+  | Protocol.Estimates { synopsis } -> (
+    (* Both estimate frame kinds go through the registry's engine: a
+       single [Estimate] is a one-text batch, so the LRU is the only
+       engine cache the daemon fills and warm texts skip parse and
+       compile. The limits and the worker count are the daemon's own;
+       a request carries none. *)
     let n = Xc_util.Slices.length conn.texts in
-    if n > config.options.Options.max_batch then
+    if n > config.max_batch then
       Reply
         (error_frame
            (Error.Admission
-              (Printf.sprintf "batch of %d queries exceeds the %d-query limit" n
-                 config.options.Options.max_batch)))
+              (Printf.sprintf "batch of %d queries exceeds the %d-query limit" n config.max_batch)))
     else
-      let options =
-        {
-          options with
-          Options.domains =
-            (match options.Options.domains with
-            | Some _ as d -> d
-            | None -> config.options.Options.domains);
-        }
-      in
-      estimate_texts registry options synopsis conn
+      match Registry.engine registry synopsis with
+      | Error e -> Reply (error_frame e)
+      | Ok (syn, eng) -> (
+        if Array.length conn.answers < n then
+          conn.answers <- Array.make (max n (2 * Array.length conn.answers)) 0.0;
+        match
+          Engine.estimate_texts_with ?domains:config.domains ~into:conn.answers eng syn conn.texts
+        with
+        | Ok () -> Answers n
+        | Error e -> Reply (error_frame e)))
   | Protocol.Request (Protocol.Estimate _ | Protocol.Estimate_batch _) ->
     (* [Protocol.recv_view] reads every estimate frame as [Estimates] *)
     assert false
@@ -289,8 +275,7 @@ let serve_conn st config registry fd =
   let rec loop () =
     let deadline = Protocol.deadline_after config.request_budget_s in
     match
-      Protocol.recv_view ~deadline
-        ~limit:config.options.Options.max_frame_bytes ~into ~texts:conn.texts fd
+      Protocol.recv_view ~deadline ~limit:config.max_frame_bytes ~into ~texts:conn.texts fd
     with
     | Ok None -> Hung_up (* client hung up at a frame boundary *)
     | Error (Error.Timeout _ as e) ->
@@ -455,6 +440,12 @@ let accept_loop st config listener pipe_rd =
 (* ---- run / drain -------------------------------------------------------- *)
 
 let run ?(config = default_config) ?(on_ready = fun _ -> ()) registry =
+  if config.max_batch <= 0 then invalid_arg "Daemon.run: max_batch must be positive";
+  if config.max_frame_bytes <= 0 then invalid_arg "Daemon.run: max_frame_bytes must be positive";
+  (match config.domains with
+  | Some d when d <= 0 ->
+    invalid_arg "Daemon.run: domains must be positive (None for the XC_DOMAINS default)"
+  | _ -> ());
   (* a client hanging up mid-response must be an EPIPE result, not a
      fatal signal *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

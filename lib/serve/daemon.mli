@@ -28,11 +28,11 @@
     [max_pending]; when it is full the daemon answers
     {!Error.Overloaded} with its [retry_after_ms] hint and closes
     ([daemon.shed]). Oversized requests are refused with
-    {!Error.Admission} — frames above [options.max_frame_bytes] before
-    their payload is even read, batches above [options.max_batch]
-    before any query parses. Those are permanent refusals, deliberately
-    distinct from [Overloaded] so {!Client.with_retry} does not spin on
-    a request that can never succeed.
+    {!Error.Admission} — frames above [max_frame_bytes] before their
+    payload is even read, batches above [max_batch] before any query
+    parses. Those are permanent refusals, deliberately distinct from
+    [Overloaded] so {!Client.with_retry} does not spin on a request
+    that can never succeed.
 
     {b Drain.} {!stop} (or a [Shutdown] frame) wakes the accept loop
     through a self-pipe, the listener closes (new connections are
@@ -45,11 +45,12 @@
     at any point before its connection closes.
 
     {b Failure contract.} The daemon never exits on a per-request
-    failure: unknown synopses, unparsable queries, strict-mode
-    refusals, and internal evaluation errors are answered with typed
-    error frames; a protocol violation on a connection (damaged frame,
-    hostile length, CRC mismatch) is answered best-effort and the
-    connection closes (framing cannot resync); accept failures are
+    failure: unknown synopses, unparsable queries, estimates the
+    degraded path could not give either, and internal evaluation
+    errors are answered with typed error frames; a protocol violation
+    on a connection (damaged frame, hostile length, CRC mismatch) is
+    answered best-effort and the connection closes (framing cannot
+    resync); accept failures are
     counted ([daemon.accept_error]) and backed off after repeated
     occurrence instead of busy-spinning on e.g. [EMFILE]. Corrupt
     artifacts at load/reload time are skipped and counted by the
@@ -65,12 +66,19 @@
 
 type config = {
   endpoint : Protocol.endpoint;
-  max_engines : int;  (** bound of the registry's engine LRU *)
-  options : Options.t;
-      (** defaults for requests that do not pin their own: [domains]
-          applies when a request carries [None]; [fallback] applies to
-          single-estimate requests; [max_batch] / [max_frame_bytes] are
-          the daemon's admission limits (a request cannot raise them) *)
+  domains : int option;
+      (** worker domains for batch evaluation; [None] means the
+          [XC_DOMAINS] environment default. No request can change it. *)
+  max_batch : int;
+      (** admission limit on queries per estimate request; a larger
+          batch is refused with {!Error.Admission} (a permanent error —
+          retrying the same batch cannot succeed, so it is deliberately
+          {e not} {!Error.Overloaded}) *)
+  max_frame_bytes : int;
+      (** admission limit on one request frame's payload, clamped to
+          the protocol ceiling ({!Protocol.max_payload}); a larger frame
+          is refused with {!Error.Admission} before its payload is
+          read *)
   workers : int;
       (** worker-thread pool size — the number of connections served
           concurrently; at least 1 *)
@@ -91,9 +99,10 @@ type config = {
 }
 
 val default_config : config
-(** Unix socket ["xcluster.sock"] in the working directory, 8 engines,
-    {!Options.default}, 4 workers, backlog 64, [max_pending] 64, 30 s
-    socket timeouts and request budget, 5 s drain, 100 ms retry hint.
+(** Unix socket ["xcluster.sock"] in the working directory, [domains]
+    [None], [max_batch] 8192, [max_frame_bytes] 64 MiB, 4 workers,
+    backlog 64, [max_pending] 64, 30 s socket timeouts and request
+    budget, 5 s drain, 100 ms retry hint.
     Reads no environment: [xcluster serve] takes [workers] and
     [backlog] from [XC_SERVE_WORKERS] and [XC_SERVE_BACKLOG] when its
     flags are absent. *)
@@ -107,7 +116,10 @@ val run :
     start the worker pool, call [on_ready] once the socket accepts
     connections, and serve until a [Shutdown] frame arrives or {!stop}
     is called — then drain gracefully and join every worker before
-    returning. Blocks the calling domain.
+    returning. Blocks the calling domain. The engine LRU's bound is the
+    registry's ({!Registry.create}).
+    @raise Invalid_argument on a non-positive [max_batch],
+    [max_frame_bytes] or [domains], before anything is loaded or bound.
     @raise Failure if the endpoint cannot be bound (that one is fatal:
     there is no daemon without a socket). *)
 

@@ -29,9 +29,8 @@ let cache_for = batch_for
 
 let estimate_uncached = Xc_core.Estimate.selectivity
 
-(* The one degradation rung. A fast path that failed with [msg]
-   either answers from the oracle ([Degrade], counted under [counter])
-   or reports Unavailable ([Strict]). The oracle is
+(* The one degradation rung: a fast path failed, so answer from the
+   oracle and count it under [counter]. The oracle is
    Estimate.selectivity itself, never another cached path, so a
    degraded answer cannot re-enter a fast path or bump a second
    counter. The oracle still has to touch the synopsis: if it trips
@@ -39,14 +38,11 @@ let estimate_uncached = Xc_core.Estimate.selectivity
    fails (Codec.Lazy_failure) at this very access — there is no answer
    to give, so serving reports Unavailable instead of letting the
    exception escape the result-typed API. *)
-let degrade options ~counter msg oracle =
-  match options.Options.fallback with
-  | Options.Strict -> Error (Error.Unavailable msg)
-  | Options.Degrade -> (
-    Metrics.incr counter;
-    match oracle () with
-    | v -> Ok v
-    | exception exn -> Error (Error.Unavailable (Printexc.to_string exn)))
+let degrade ~counter oracle =
+  Metrics.incr counter;
+  match oracle () with
+  | v -> Ok v
+  | exception exn -> Error (Error.Unavailable (Printexc.to_string exn))
 
 let query_error i msg = Error (Error.Query (Printf.sprintf "query %d: %s" i msg))
 
@@ -61,19 +57,15 @@ let parse_texts texts =
   in
   go 0 []
 
-let run_prepared options engine prepared =
-  Plan.Batch.run_prepared ?domains:options.Options.domains engine prepared
-
 (* A single query is a one-query batch on the synopsis's engine; a
    failure is counted as a batch failure and degrades this one query. *)
-let estimate_result ?(options = Options.default) syn q =
+let estimate_result syn q =
   let engine = batch_for syn in
-  match run_prepared options engine (Plan.Batch.prepare_one engine q) with
+  match Plan.Batch.run_prepared engine (Plan.Batch.prepare_one engine q) with
   | r -> Ok r.(0)
-  | exception exn ->
+  | exception _ ->
     Metrics.incr Meters.Batch.error;
-    degrade options ~counter:Meters.Serve.fallback (Printexc.to_string exn) (fun () ->
-        estimate_uncached syn q)
+    degrade ~counter:Meters.Serve.fallback (fun () -> estimate_uncached syn q)
 
 let estimate syn q =
   match estimate_result syn q with
@@ -84,15 +76,15 @@ let estimate syn q =
    whole batch at once. [parsed] yields the batch's queries: for a text
    batch that is a parse, paid only here on failure, so a bad text
    still wins over the engine failure. *)
-let batch_failed options syn parsed exn =
+let batch_failed syn parsed =
   Metrics.incr Meters.Batch.error;
   match parsed () with
   | Error _ as e -> e
   | Ok queries ->
-    degrade options ~counter:Meters.Serve.batch_fallback (Printexc.to_string exn) (fun () ->
+    degrade ~counter:Meters.Serve.batch_fallback (fun () ->
         Array.map (estimate_uncached syn) queries)
 
-let estimate_texts_with ?(options = Options.default) ~into engine syn texts =
+let estimate_texts_with ?domains ~into engine syn texts =
   let n = Xc_util.Slices.length texts in
   (* checked here as well as in [run_into]: past this point the handler
      below would turn a short buffer into a failed, degraded batch *)
@@ -100,23 +92,18 @@ let estimate_texts_with ?(options = Options.default) ~into engine syn texts =
   match
     match Plan.Batch.prepare_texts engine texts with
     | Error (i, msg) -> query_error i msg
-    | Ok prepared -> Ok (Plan.Batch.run_into ?domains:options.Options.domains engine prepared into)
+    | Ok prepared -> Ok (Plan.Batch.run_into ?domains engine prepared into)
   with
   | r -> r
-  | exception exn -> (
-    match batch_failed options syn (fun () -> parse_texts texts) exn with
+  | exception _ -> (
+    match batch_failed syn (fun () -> parse_texts texts) with
     | Ok answers ->
       Array.blit answers 0 into 0 n;
       Ok ()
     | Error _ as e -> e)
 
-let estimate_batch ?(options = Options.default) syn queries =
+let estimate_batch ?domains syn queries =
   let engine = batch_for syn in
-  match run_prepared options engine (Plan.Batch.prepare engine queries) with
+  match Plan.Batch.run_prepared ?domains engine (Plan.Batch.prepare engine queries) with
   | r -> Ok r
-  | exception exn -> batch_failed options syn (fun () -> Ok queries) exn
-
-let estimate_batch_exn ?options syn queries =
-  match estimate_batch ?options syn queries with
-  | Ok r -> r
-  | Error e -> failwith (Error.to_string e)
+  | exception _ -> batch_failed syn (fun () -> Ok queries)

@@ -4,8 +4,8 @@
     fail with — a corrupt synopsis artifact ({!Codec}), a damaged or
     hostile wire frame ({!Protocol}), a request for a synopsis the
     registry does not hold or will not admit ({!Admission}), an
-    unparsable twig ({!Query}), a strict-mode refusal to degrade
-    ({!Unavailable}), or plain socket trouble ({!Io}) — is one
+    unparsable twig ({!Query}), an estimate neither the fast path nor
+    the oracle could give ({!Unavailable}), or plain socket trouble ({!Io}) — is one
     constructor of {!t}, so callers match on a single variant instead
     of threading three error types through their plumbing.
 
@@ -36,8 +36,9 @@ type t =
       (** the registry does not hold (or will not admit) the synopsis *)
   | Query of string  (** the twig query failed to parse *)
   | Unavailable of string
-      (** strict fallback policy: the fast path failed and degradation
-          was not permitted *)
+      (** the fast path failed and the oracle it degrades to failed
+          too — a lazily loaded synopsis whose deferred section
+          verification fails at that access *)
   | Io of string  (** connect/send/recv failure *)
   | Timeout of { elapsed_ms : int }
       (** a read/write/request deadline was exceeded — the daemon

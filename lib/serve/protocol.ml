@@ -90,7 +90,7 @@ let tag_error = 0x7F
 (* The first header byte. It lies outside the tag space (tags are at
    most 0x7F), so a frame in the older, unversioned layout — whose
    first byte is its tag — can never pass for this one. *)
-let version = 0xC1
+let version = 0xC2
 
 let max_payload = 1 lsl 26 (* 64 MiB *)
 let header_bytes = 14 (* version u8 + tag u8 + length u64 + crc u32 *)
@@ -220,37 +220,6 @@ let get_count r ~elt_min ~what =
 
 (* ---- payload codecs ---------------------------------------------------- *)
 
-let put_options buf (o : Options.t) =
-  put_int buf (match o.domains with None -> -1 | Some d -> d);
-  put_int buf (match o.fallback with Options.Degrade -> 0 | Options.Strict -> 1);
-  put_int buf o.max_batch;
-  put_int buf o.max_frame_bytes
-
-let get_options r =
-  let domains =
-    match get_int r with
-    | d when d > 0 -> Some d
-    | -1 -> None
-    | d -> raise (Proto (Bad_length { len = d; what = "domains field" }))
-  in
-  let fallback =
-    match get_int r with
-    | 0 -> Options.Degrade
-    | 1 -> Options.Strict
-    | f -> raise (Proto (Bad_length { len = f; what = "fallback field" }))
-  in
-  let max_batch =
-    match get_int r with
-    | b when b > 0 -> b
-    | b -> raise (Proto (Bad_length { len = b; what = "max_batch field" }))
-  in
-  let max_frame_bytes =
-    match get_int r with
-    | b when b > 0 -> b
-    | b -> raise (Proto (Bad_length { len = b; what = "max_frame_bytes field" }))
-  in
-  { Options.domains; fallback; max_batch; max_frame_bytes }
-
 let encode_request_into f req =
   encode_into f @@ fun buf ->
     match req with
@@ -258,9 +227,8 @@ let encode_request_into f req =
       put_string buf synopsis;
       put_string buf query;
       tag_estimate
-    | Estimate_batch { synopsis; queries; options } ->
+    | Estimate_batch { synopsis; queries; options = _ } ->
       put_string buf synopsis;
-      put_options buf options;
       put_int buf (Array.length queries);
       Array.iter (put_string buf) queries;
       tag_estimate_batch
@@ -383,7 +351,7 @@ let parse_control tag r =
   else raise (Proto (Bad_tag tag))
 
 type incoming =
-  | Estimates of { synopsis : string; options : Options.t option }
+  | Estimates of { synopsis : string }
   | Request of request
 
 (* The one reader of the estimate frame layout: the query texts become
@@ -393,28 +361,32 @@ let parse_incoming texts (tag, r) =
   if tag = tag_estimate then begin
     let synopsis = get_string r in
     get_slice r texts;
-    Estimates { synopsis; options = None }
+    Estimates { synopsis }
   end
   else if tag = tag_estimate_batch then begin
     let synopsis = get_string r in
-    let options = get_options r in
     let n = get_count r ~elt_min:8 ~what:"query count" in
     for _ = 1 to n do
       get_slice r texts
     done;
-    Estimates { synopsis; options = Some options }
+    Estimates { synopsis }
   end
   else Request (parse_control tag r)
 
 (* a request decoded whole: an estimate frame's slices copied out *)
-let parse_request frame =
+let parse_request ((tag, _) as frame) =
   let texts = Slices.create () in
   match parse_incoming texts frame with
   | Request req -> req
-  | Estimates { synopsis; options = None } -> Estimate { synopsis; query = Slices.to_string texts 0 }
-  | Estimates { synopsis; options = Some options } ->
+  | Estimates { synopsis } when tag = tag_estimate ->
+    Estimate { synopsis; query = Slices.to_string texts 0 }
+  | Estimates { synopsis } ->
     Estimate_batch
-      { synopsis; queries = Array.init (Slices.length texts) (Slices.to_string texts); options }
+      {
+        synopsis;
+        queries = Array.init (Slices.length texts) (Slices.to_string texts);
+        options = Options.default;
+      }
 
 let parse_response (tag, r) =
   if tag = tag_floats then

@@ -60,12 +60,13 @@ type request =
       synopsis : string;
       queries : string array;
       options : Options.t;
-          (** on the wire, four ints in this order: [domains] ([-1] for
-              [None], else positive), [fallback] ([0] [Degrade], [1]
-              [Strict]), [max_batch], [max_frame_bytes]. A peer sending
-              the older five-int layout (a sweep-order flag after
-              [fallback]) also sends the older, unversioned header, so
-              its frames are refused as [Bad_version]. *)
+          (** not encoded, kept only so the benchmark compiles; a
+              decoded frame carries {!Options.default}. The daemon's
+              own {!Daemon.config} decides how a batch is served. A
+              peer sending the older layout, with option ints between
+              the synopsis and the query count, also sends an older
+              version byte, so its frames are refused as
+              [Bad_version]. *)
     }
   | List_synopses
   | Stats  (** the daemon's metrics snapshot as JSON *)
@@ -110,9 +111,10 @@ type response =
       (** see {!Error.to_wire} / {!Error.of_wire} *)
 
 val version : int
-(** The frame layout's version byte, [0xC1]: the first byte of every
+(** The frame layout's version byte, [0xC2]: the first byte of every
     frame. Tags are at most [0x7F], so no unversioned frame starts with
-    it. *)
+    it. [0xC1] frames, whose [Estimate_batch] carried four option ints,
+    are refused as [Bad_version]. *)
 
 val header_bytes : int
 (** Bytes before the payload: version, tag, length and CRC (14). *)
@@ -184,10 +186,10 @@ val decode_response : string -> (response, Error.protocol) result
 
 (** A request as the daemon reads it: estimate frames as views. *)
 type incoming =
-  | Estimates of { synopsis : string; options : Options.t option }
-      (** an [Estimate] ([options = None]) or [Estimate_batch] frame,
-          its query texts left in the read buffer as the slices
-          {!view_request} filled *)
+  | Estimates of { synopsis : string }
+      (** an [Estimate] or [Estimate_batch] frame, its query texts left
+          in the read buffer as the slices {!view_request} filled (one
+          for an [Estimate]) *)
   | Request of request
       (** any other request, decoded; never an [Estimate] or
           [Estimate_batch] *)

@@ -89,22 +89,9 @@ module Serve = struct
 
   type error = Error.t
 
-  type fallback = Xc_serve.Options.fallback = Degrade | Strict
-
-  type options = Xc_serve.Options.t = {
-    domains : int option;
-    fallback : fallback;
-    max_batch : int;
-    max_frame_bytes : int;
-  }
-
-  let options = Xc_serve.Options.make
-  let default_options = Xc_serve.Options.default
   let estimate_batch = Xc_serve.Engine.estimate_batch
-  let estimate_batch_exn = Xc_serve.Engine.estimate_batch_exn
   let batch_engine = Xc_serve.Engine.batch_for
 
-  module Options = Xc_serve.Options
   module Protocol = Xc_serve.Protocol
   module Registry = Xc_serve.Registry
   module Daemon = Xc_serve.Daemon

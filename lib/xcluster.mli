@@ -9,9 +9,8 @@
       compiled pipeline;
     - {!Store} — crash-safe persistence with typed, result-first
       errors;
-    - {!Serve} — the serving layer: batched estimation under explicit
-      {!Serve.options}, and the multi-synopsis daemon
-      (registry/daemon/client);
+    - {!Serve} — the serving layer: batched estimation, and the
+      multi-synopsis daemon (registry/daemon/client);
     - {!Metrics} — the global instrumentation registry.
 
     Everything underneath ([Xc_core], [Xc_twig], [Xc_serve], …) remains
@@ -234,8 +233,8 @@ module Store : sig
       damage instead of stopping at the first bad checksum. *)
 end
 
-(** The serving layer: batched estimation under explicit options, and
-    the multi-synopsis daemon. *)
+(** The serving layer: batched estimation, and the multi-synopsis
+    daemon. *)
 module Serve : sig
   module Error = Xc_serve.Error
   (** The serving layer's single error variant: codec, protocol,
@@ -243,57 +242,20 @@ module Serve : sig
 
   type error = Error.t
 
-  type fallback = Xc_serve.Options.fallback =
-    | Degrade  (** fall back to slower, bit-identical estimation *)
-    | Strict  (** surface {!Error.Unavailable} instead of degrading *)
-
-  type options = Xc_serve.Options.t = {
-    domains : int option;
-        (** batch worker count; [None] means the [XC_DOMAINS]
-            environment default — the old [<= 0] sentinel is retired *)
-    fallback : fallback;
-    max_batch : int;
-        (** daemon admission limit on queries per batch request;
-            oversized batches are refused with a typed admission
-            error *)
-    max_frame_bytes : int;
-        (** daemon admission limit on one wire frame's payload *)
-  }
-
-  val options :
-    ?domains:int ->
-    ?fallback:fallback ->
-    ?max_batch:int ->
-    ?max_frame_bytes:int ->
-    unit ->
-    options
-  (** Smart constructor ({!Xc_serve.Options.make}); [domains], when
-      given, must be positive, as must the admission limits. *)
-
-  val default_options : options
-  (** [{ domains = None; fallback = Degrade;
-        max_batch = 8192; max_frame_bytes = 64 MiB }]. *)
-
   val estimate_batch :
-    ?options:options -> synopsis -> query array -> (float array, error) result
+    ?domains:int -> synopsis -> query array -> (float array, error) result
   (** Batched serving through {!Xc_core.Plan.Batch}: answers
       [result.(i)] for query [i], bit-identical to {!Query.estimate} /
-      {!Query.estimate_uncached} and independent of the worker count.
-      The per-synopsis engine — interned path-expression transition
-      matrices plus compiled queries — is cached by synopsis uid and
-      shared with {!Query.estimate}, so repeated workloads amortize to
-      array walks.
+      {!Query.estimate_uncached} and independent of the worker count
+      ([domains] as in {!Xc_core.Plan.Batch.run_into}; omitted, the
+      [XC_DOMAINS] default). The per-synopsis engine — interned
+      path-expression transition matrices plus compiled queries — is
+      cached by synopsis uid and shared with {!Query.estimate}, so
+      repeated workloads amortize to array walks.
 
-      Under {!Degrade} (the default) an engine failure falls back to
-      the uncached estimator for the whole batch and bumps
-      [serve.batch_fallback] once; the call returns [Ok] unless the
-      uncached estimator fails too. Under {!Strict} it returns
-      [Error (Unavailable _)]. *)
-
-  val estimate_batch_exn :
-    ?options:options -> synopsis -> query array -> float array
-  (** {!estimate_batch}, raising [Failure] on a strict-mode error;
-      never raises under {!Degrade}. *)
+      An engine failure falls back to the uncached estimator for the
+      whole batch and bumps [serve.batch_fallback] once; the call
+      returns [Ok] unless the uncached estimator fails too. *)
 
   val batch_engine : synopsis -> Xc_core.Plan.Batch.t
   (** The cached batch engine behind {!estimate_batch} (created on
@@ -301,7 +263,6 @@ module Serve : sig
       {!Xc_core.Plan.Batch.prepare}/[run_prepared] control or its size
       accessors. *)
 
-  module Options = Xc_serve.Options
   module Protocol = Xc_serve.Protocol
   (** Frame layout and message types of the daemon's wire protocol. *)
 

@@ -197,9 +197,8 @@ let test_facade_batch () =
   let ds = Runner.imdb ~scale:0.01 ~n_queries:30 () in
   let syn = small_synopsis ds in
   let queries = Runner.workload_queries ds in
-  let options = Xcluster.Serve.options ~domains:1 () in
   let res =
-    match Xcluster.Serve.estimate_batch ~options syn queries with
+    match Xcluster.Serve.estimate_batch ~domains:1 syn queries with
     | Ok res -> res
     | Error e -> Alcotest.failf "estimate_batch: %s" (Xcluster.Serve.Error.to_string e)
   in

@@ -66,8 +66,6 @@ let with_daemon sources f =
   let config =
     { Serve.Daemon.default_config with
       Serve.Daemon.endpoint;
-      max_engines = 4;
-      options = Serve.default_options;
       workers = 3;
       max_pending = 16;
       recv_timeout_s = 0.5;

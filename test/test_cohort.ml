@@ -431,14 +431,12 @@ let served_of ds =
     answers = [||];
     floods = 0 }
 
-let options = Xc_serve.Options.make ~domains:1 ()
-
 (* the request [queries] as the daemon serves it *)
 let serve sv queries =
   let req =
     match queries with
     | [| query |] -> Protocol.Estimate { synopsis = "s"; query }
-    | _ -> Protocol.Estimate_batch { synopsis = "s"; queries; options }
+    | _ -> Protocol.Estimate_batch { synopsis = "s"; queries; options = Xc_serve.Options.default }
   in
   Protocol.encode_request_into sv.frame req;
   match Protocol.view_request sv.frame sv.texts with
@@ -448,7 +446,7 @@ let serve sv queries =
     let n = Slices.length sv.texts in
     if n <> Array.length queries then QCheck.Test.fail_report "slice count";
     if Array.length sv.answers < n then sv.answers <- Array.make n 0.0;
-    Engine.estimate_texts_with ~options ~into:sv.answers sv.engine sv.syn sv.texts
+    Engine.estimate_texts_with ~domains:1 ~into:sv.answers sv.engine sv.syn sv.texts
 
 (* serve [queries] and check the answers against [expect] *)
 let answered sv queries expect =

@@ -9,6 +9,7 @@ module Serve = Xcluster.Serve
 module Protocol = Serve.Protocol
 module Error = Serve.Error
 module Registry = Serve.Registry
+module Options = Xc_serve.Options
 module Lru = Xc_serve.Lru
 module Metrics = Xc_util.Metrics
 module Fault = Xc_util.Fault
@@ -74,13 +75,9 @@ let sample_requests =
       {
         synopsis = "x";
         queries = [| "//a"; "//b[. > 3]/c"; "//d[. ftcontains(war)]" |];
-        options =
-          { Serve.default_options with
-            Serve.domains = Some 3;
-            fallback = Serve.Strict };
+        options = Options.default;
       };
-    Protocol.Estimate_batch
-      { synopsis = ""; queries = [||]; options = Serve.default_options };
+    Protocol.Estimate_batch { synopsis = ""; queries = [||]; options = Options.default };
     Protocol.List_synopses;
     Protocol.Stats;
     Protocol.Update { synopsis = "imdb"; path = "/var/lib/xc/imdb.g2.syn" };
@@ -154,7 +151,7 @@ let test_truncation_total () =
          {
            synopsis = "syn";
            queries = [| "//a/b"; "//c" |];
-           options = Serve.default_options;
+           options = Options.default;
          })
   in
   for len = 0 to String.length frame - 1 do
@@ -187,13 +184,13 @@ let test_golden_frame_crcs () =
          {
            synopsis = "xmark";
            queries = Array.init 64 (Printf.sprintf "//open_auction[initial > %d]/bidder");
-           options = Serve.options ~domains:2 ~max_batch:512 ();
+           options = Options.default;
          })
   in
   let answers = Array.init 100 (fun i -> float_of_int i *. 0.37) in
   let floats = Protocol.encode_response (Protocol.Floats answers) in
-  check Alcotest.int "Estimate_batch frame length" 2809 (String.length batch);
-  check Alcotest.int "Estimate_batch frame CRC" 0x71fe8fb1 (crc_field batch);
+  check Alcotest.int "Estimate_batch frame length" 2777 (String.length batch);
+  check Alcotest.int "Estimate_batch frame CRC" 0xe03ef4e1 (crc_field batch);
   check Alcotest.int "Floats frame length" 822 (String.length floats);
   check Alcotest.int "Floats frame CRC" 0x3419661c (crc_field floats)
 
@@ -298,21 +295,18 @@ let gen_count = G.frequency [ (3, G.int_bound 4); (2, G.int_bound 64); (1, G.int
 let gen_text = G.string_size ~gen:G.char (G.int_bound 48)
 let gen_float = G.map Int64.float_of_bits G.ui64
 
-let gen_options =
-  G.map4
-    (fun domains strict max_batch max_frame_bytes ->
-      { Serve.domains;
-        fallback = (if strict then Serve.Strict else Serve.Degrade);
-        max_batch;
-        max_frame_bytes })
-    (G.opt (G.int_range 1 64)) G.bool (G.int_range 1 max_int) (G.int_range 1 max_int)
+(* a daemon's [max_frame_bytes]: mostly near the generated frames'
+   sizes, now and then far past any of them *)
+let gen_frame_limit =
+  G.frequency [ (2, G.int_range 1 256); (3, G.int_range 1 16384); (1, G.int_range 1 max_int) ]
 
 let gen_request =
   G.oneof
     [ G.map2 (fun synopsis query -> Protocol.Estimate { synopsis; query }) gen_text gen_text;
-      G.map3
-        (fun synopsis queries options -> Protocol.Estimate_batch { synopsis; queries; options })
-        gen_text (G.array_size gen_count gen_text) gen_options;
+      G.map2
+        (fun synopsis queries ->
+          Protocol.Estimate_batch { synopsis; queries; options = Options.default })
+        gen_text (G.array_size gen_count gen_text);
       G.map2 (fun synopsis path -> Protocol.Update { synopsis; path }) gen_text gen_text;
       G.oneofl
         [ Protocol.List_synopses; Protocol.Stats; Protocol.Reload; Protocol.Shutdown;
@@ -406,15 +400,33 @@ let prop_request_view =
         (fun req ->
           Protocol.encode_request_into p.w req;
           match (req, exchange p (fun fd -> Protocol.recv_view ~into:p.r ~texts fd)) with
-          | ( Protocol.Estimate { synopsis; query },
-              Ok (Some (Protocol.Estimates { synopsis = s; options = None })) ) ->
+          | Protocol.Estimate { synopsis; query }, Ok (Some (Protocol.Estimates { synopsis = s }))
+            ->
             s = synopsis && spelled [| query |]
-          | ( Protocol.Estimate_batch { synopsis; queries; options },
-              Ok (Some (Protocol.Estimates { synopsis = s; options = Some o })) ) ->
-            s = synopsis && o = options && spelled queries
+          | ( Protocol.Estimate_batch { synopsis; queries; _ },
+              Ok (Some (Protocol.Estimates { synopsis = s })) ) ->
+            s = synopsis && spelled queries
           | (Protocol.Estimate _ | Protocol.Estimate_batch _), _ -> false
           | req, got -> got = Ok (Some (Protocol.Request req)))
         reqs)
+
+(* The daemon reads every frame under its [max_frame_bytes]: a frame
+   whose payload fits is read, a larger one is refused as Admission
+   from its header alone. Each frame gets its own socket pair, since a
+   refusal leaves the rest of the frame unread. *)
+let prop_frame_limit =
+  QCheck.Test.make ~name:"generated frames under generated frame limits" ~count:150
+    (QCheck.make (G.pair gen_request gen_frame_limit))
+    (fun (req, limit) ->
+      let p = buffer_pair () in
+      Fun.protect ~finally:(fun () -> Unix.close p.tx; Unix.close p.rx) @@ fun () ->
+      Protocol.encode_request_into p.w req;
+      let payload = String.length (Protocol.Frame.contents p.w) - Protocol.header_bytes in
+      let texts = Xc_util.Slices.create () in
+      match exchange p (fun fd -> Protocol.recv_view ~limit ~into:p.r ~texts fd) with
+      | Ok (Some _) -> payload <= limit
+      | Error (Error.Admission _) -> payload > limit
+      | Ok None | Error _ -> false)
 
 let prop_response_roundtrip =
   QCheck.Test.make ~name:"generated responses round-trip, floats bitwise" ~count:150
@@ -447,7 +459,7 @@ let test_reused_read_buffer () =
         {
           synopsis = "xmark";
           queries = Array.init 2000 (fun i -> Printf.sprintf "//open_auction[bidder/increase > %d]" i);
-          options = Serve.default_options;
+          options = Options.default;
         };
       Protocol.Estimate { synopsis = "xmark"; query = "//person/name" };
       Protocol.Ping ]
@@ -464,7 +476,7 @@ let test_warm_frames_allocate_nothing () =
       {
         synopsis = "xmark";
         queries = Array.init 400 (fun i -> Printf.sprintf "//open_auction[bidder/increase > %d]" i);
-        options = Serve.default_options;
+        options = Options.default;
       }
   in
   let floats = Protocol.Floats (Array.init 400 (fun i -> float_of_int i /. 7.0)) in
@@ -496,30 +508,29 @@ let test_warm_frames_allocate_nothing () =
   check Alcotest.bool "the string wrapper's frame-sized blocks are counted" true
     (major_words_added (fun () -> ignore (Protocol.encode_request batch)) >= frame_words)
 
-(* ---- options ------------------------------------------------------------ *)
+(* ---- daemon config ------------------------------------------------------ *)
 
-let test_options_validation () =
-  let o = Serve.options ~domains:2 ~fallback:Serve.Strict () in
-  check Alcotest.bool "fields" true
-    (o.Serve.domains = Some 2 && o.Serve.fallback = Serve.Strict);
-  check Alcotest.bool "default degrades" true
-    (Serve.default_options.Serve.fallback = Serve.Degrade
-    && Serve.default_options.Serve.domains = None);
+(* Daemon.run refuses a non-positive admission limit or worker count
+   before it loads or binds anything. A config it wrongly accepts is
+   stopped as soon as it is up, so the failure is reported, not hung. *)
+let test_config_validation () =
+  let d = Serve.Daemon.default_config in
+  check Alcotest.bool "default domains defer to XC_DOMAINS" true (d.Serve.Daemon.domains = None);
   check Alcotest.bool "default admission limits are positive" true
-    (Serve.default_options.Serve.max_batch > 0
-    && Serve.default_options.Serve.max_frame_bytes > 0);
-  (match Serve.options ~max_batch:16 ~max_frame_bytes:4096 () with
-  | { Serve.max_batch = 16; max_frame_bytes = 4096; _ } -> ()
-  | _ -> Alcotest.fail "admission limits not threaded");
-  (match Serve.options ~max_batch:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "max_batch = 0 accepted");
-  (match Serve.options ~max_frame_bytes:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "max_frame_bytes = 0 accepted");
-  match Serve.options ~domains:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "domains = 0 accepted"
+    (d.Serve.Daemon.max_batch > 0 && d.Serve.Daemon.max_frame_bytes > 0);
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let d = { d with Serve.Daemon.endpoint = Protocol.Unix_sock (Filename.concat dir "d.sock") } in
+  List.iter
+    (fun (what, config) ->
+      let stop_when_up _ = Serve.Daemon.stop () in
+      match Serve.Daemon.run ~config ~on_ready:stop_when_up (Registry.create ()) with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s accepted" what)
+    [ ("max_batch = 0", { d with Serve.Daemon.max_batch = 0 });
+      ("max_batch = -1", { d with Serve.Daemon.max_batch = -1 });
+      ("max_frame_bytes = 0", { d with Serve.Daemon.max_frame_bytes = 0 });
+      ("domains = 0", { d with Serve.Daemon.domains = Some 0 }) ]
 
 (* ---- LRU ---------------------------------------------------------------- *)
 
@@ -614,10 +625,7 @@ let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) ?(same_domain = false) s
   let ready = Atomic.make false in
   let config =
     tune
-      { Serve.Daemon.default_config with
-        Serve.Daemon.endpoint;
-        max_engines;
-        options = Serve.default_options }
+      { Serve.Daemon.default_config with Serve.Daemon.endpoint }
   in
   let join_daemon =
     let run () = Serve.Daemon.run ~config ~on_ready:(fun _ -> Atomic.set ready true) registry in
@@ -972,9 +980,7 @@ let test_admission_limits () =
   let path = Filename.concat dir "imdb.syn" in
   save_exn path (Lazy.force synopsis_a);
   let tune c =
-    { c with
-      Serve.Daemon.options = Serve.options ~max_batch:4 ~max_frame_bytes:2048 ()
-    }
+    { c with Serve.Daemon.max_batch = 4; max_frame_bytes = 2048 }
   in
   with_daemon ~tune [ ("imdb", path) ] @@ fun endpoint ->
   match Serve.Client.connect endpoint with
@@ -1030,8 +1036,6 @@ let test_graceful_drain () =
   let config =
     { Serve.Daemon.default_config with
       Serve.Daemon.endpoint;
-      max_engines = 4;
-      options = Serve.default_options;
       workers = 2;
       drain_timeout_s = 5.0 }
   in
@@ -1112,6 +1116,40 @@ let old_layout_frame tag payload =
   Bytes.blit_string payload 0 b 13 (String.length payload);
   Bytes.to_string b
 
+(* A payload of 8-byte big-endian ints and length-prefixed strings, as
+   frames encode them. *)
+let payload_of fields =
+  let b = Buffer.create 64 in
+  let int n =
+    let s = Bytes.create 8 in
+    Bytes.set_int64_be s 0 (Int64.of_int n);
+    Buffer.add_bytes b s
+  in
+  List.iter
+    (function
+      | `Int n -> int n
+      | `Str s ->
+        int (String.length s);
+        Buffer.add_string b s)
+    fields;
+  Buffer.contents b
+
+(* A version-0xC1 Estimate_batch frame: the current header, but a
+   payload with four option ints (domains, fallback, max_batch,
+   max_frame_bytes) between the synopsis and the query count. *)
+let c1_batch_frame =
+  let payload =
+    payload_of
+      [ `Str "imdb"; `Int (-1); `Int 0; `Int 8192; `Int (1 lsl 26); `Int 1; `Str "//movie/title" ]
+  in
+  let b = Bytes.create (Protocol.header_bytes + String.length payload) in
+  Bytes.set_uint8 b 0 0xC1;
+  Bytes.set_uint8 b 1 0x02;
+  Bytes.set_int64_be b 2 (Int64.of_int (String.length payload));
+  Bytes.set_int32_be b 10 (Int32.of_int (Xc_util.Crc32.digest payload));
+  Bytes.blit_string payload 0 b Protocol.header_bytes (String.length payload);
+  Bytes.to_string b
+
 let test_version_decode () =
   let ping = Protocol.encode_request Protocol.Ping in
   check Alcotest.int "version byte leads" Protocol.version (Char.code ping.[0]);
@@ -1119,16 +1157,21 @@ let test_version_decode () =
   | Error (Bad_version 0x08) -> ()
   | Error e -> Alcotest.failf "expected a version refusal, got %a" Error.pp_protocol e
   | Ok _ -> Alcotest.fail "old-layout frame decoded");
+  (match Protocol.decode_request c1_batch_frame with
+  | Error (Bad_version 0xC1) -> ()
+  | Error e -> Alcotest.failf "expected a version refusal, got %a" Error.pp_protocol e
+  | Ok _ -> Alcotest.fail "0xC1 batch frame decoded");
   let foreign = Bytes.of_string ping in
-  Bytes.set_uint8 foreign 0 0xC2;
+  Bytes.set_uint8 foreign 0 0xC3;
   match Protocol.decode_request (Bytes.to_string foreign) with
-  | Error (Bad_version 0xC2) -> ()
+  | Error (Bad_version 0xC3) -> ()
   | Error e -> Alcotest.failf "expected a version refusal, got %a" Error.pp_protocol e
   | Ok _ -> Alcotest.fail "foreign-version frame decoded"
 
 (* The daemon refuses an old-layout frame from its first byte — even a
    bare 13-byte header, shorter than the current one — with a version
-   error frame, then closes the connection. *)
+   error frame, then closes the connection; a 0xC1 batch frame
+   likewise. *)
 let test_daemon_refuses_old_layout () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1137,18 +1180,10 @@ let test_daemon_refuses_old_layout () =
   with_daemon [ ("imdb", path) ] @@ fun endpoint ->
   let old_batch =
     (* synopsis, then the five-int options, then one query *)
-    let b = Buffer.create 64 in
-    let int n =
-      let s = Bytes.create 8 in
-      Bytes.set_int64_be s 0 (Int64.of_int n);
-      Buffer.add_bytes b s
-    in
-    let str s = int (String.length s); Buffer.add_string b s in
-    str "imdb";
-    List.iter int [ -1; 0; 1; 8192; 1 lsl 26 ];
-    int 1;
-    str "//movie/title";
-    old_layout_frame 0x02 (Buffer.contents b)
+    old_layout_frame 0x02
+      (payload_of
+         [ `Str "imdb"; `Int (-1); `Int 0; `Int 1; `Int 8192; `Int (1 lsl 26); `Int 1;
+           `Str "//movie/title" ])
   in
   List.iter
     (fun (tag, frame) ->
@@ -1176,7 +1211,7 @@ let test_daemon_refuses_old_layout () =
       | Ok true -> Alcotest.fail "connection kept open after the refusal"
       | Error e -> Alcotest.failf "expected end of stream, got %s" (Error.to_string e));
       check Alcotest.int "refusal counted" (refused + 1) (counter "daemon.proto_error"))
-    [ (0x08, old_layout_frame 0x08 ""); (0x02, old_batch) ]
+    [ (0x08, old_layout_frame 0x08 ""); (0x02, old_batch); (0xC1, c1_batch_frame) ]
 
 (* A client reading a response in a layout it does not speak gets a
    typed version error, and does not reconnect to retry. *)
@@ -1388,9 +1423,9 @@ let texts_ok tag = function
 
 (* the daemon's text path, on strings: one slice per text, answers
    into a fresh buffer *)
-let estimate_texts ?options engine syn texts =
+let estimate_texts ?domains engine syn texts =
   let into = Array.make (Array.length texts) 0.0 in
-  Engine.estimate_texts_with ?options ~into engine syn (Xc_util.Slices.of_strings texts)
+  Engine.estimate_texts_with ?domains ~into engine syn (Xc_util.Slices.of_strings texts)
   |> Result.map (fun () -> into)
 
 let test_texts_parse_error () =
@@ -1482,12 +1517,12 @@ let test_single_frames () =
   check Alcotest.bool "the generations differ somewhere" true
     (Array.exists2 (fun a b -> not (bits_equal a b)) r1 r2)
 
-(* Strict and Degrade on the text path behave exactly as on the parsed
-   path: a synopsis whose value-summary section is damaged (a lazy load
+(* Degradation on the text path behaves exactly as on the parsed path:
+   a synopsis whose value-summary section is damaged (a lazy load
    defers that check to first use) answers structural batches, fails
-   value predicates as Unavailable, counts the fallback only under
-   Degrade, and still reports a bad text as a query error. *)
-let test_texts_fallback_policies () =
+   value predicates as Unavailable once the oracle trips too, counts
+   the fallback, and still reports a bad text as a query error. *)
+let test_texts_degrade () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "imdb.syn" in
@@ -1522,62 +1557,54 @@ let test_texts_fallback_policies () =
     | Error (Error.Unavailable _) -> "unavailable"
     | Error e -> "other:" ^ Error.to_string e
   in
-  List.iter
-    (fun (policy, fallback) ->
-      let options = Serve.options ~domains:1 ~fallback () in
-      let run texts =
-        let counted = counter "serve.batch_fallback" in
-        let single = counter "serve.fallback" in
-        let r =
-          estimate_texts ~options (Xc_core.Plan.Batch.create syn) syn texts
-        in
-        (* a failed batch degrades once, as a whole: it never re-enters
-           the per-query ladder and its own fallback counter *)
-        check Alcotest.int (policy ^ ": no per-query fallback inside a batch") single
-          (counter "serve.fallback");
-        (r, counter "serve.batch_fallback" - counted)
+  let run texts =
+    let counted = counter "serve.batch_fallback" in
+    let single = counter "serve.fallback" in
+    let r = estimate_texts ~domains:1 (Xc_core.Plan.Batch.create syn) syn texts in
+    (* a failed batch degrades once, as a whole: it never re-enters
+       the per-query ladder and its own fallback counter *)
+    check Alcotest.int "no per-query fallback inside a batch" single
+      (counter "serve.fallback");
+    (r, counter "serve.batch_fallback" - counted)
+  in
+  let as_parsed tag texts r =
+    let parsed = Serve.estimate_batch ~domains:1 syn (Array.map Xcluster.Query.parse texts) in
+    check Alcotest.string (tag ^ ": text path = parsed path")
+      (outcome parsed) (outcome r)
+  in
+  let r, fb = run structural in
+  as_parsed "structural" structural r;
+  check_oracle "structural" (Lazy.force synopsis_a) structural
+    (texts_ok "structural" r);
+  check Alcotest.int "structural: no fallback" 0 fb;
+  let r, fb = run valued in
+  as_parsed "valued" valued r;
+  check Alcotest.string "valued" "unavailable" (outcome r);
+  check Alcotest.int "valued: fallback counted" 1 fb;
+  let r, _ = run bad_text in
+  check Alcotest.string "bad text wins over the engine failure"
+    ("query:query 1: " ^ bad_text_msg) (outcome r);
+  (* the daemon's single Estimate frames: each answers as the one-text
+     batch does, with the same fallback count *)
+  with_daemon ~tune:(fun c -> { c with Serve.Daemon.domains = Some 1 }) [ ("imdb", path) ]
+  @@ fun endpoint ->
+  let c = connect_exn endpoint in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  Array.iter
+    (fun text ->
+      let counted = counter "serve.batch_fallback" in
+      let single =
+        Result.map (fun v -> [| v |]) (Serve.Client.estimate c ~synopsis:"imdb" ~query:text)
       in
-      let as_parsed tag texts r =
-        let parsed = Serve.estimate_batch ~options syn (Array.map Xcluster.Query.parse texts) in
-        check Alcotest.string (policy ^ " " ^ tag ^ ": text path = parsed path")
-          (outcome parsed) (outcome r)
-      in
-      let r, fb = run structural in
-      as_parsed "structural" structural r;
-      check_oracle (policy ^ " structural") (Lazy.force synopsis_a) structural
-        (texts_ok "structural" r);
-      check Alcotest.int (policy ^ " structural: no fallback") 0 fb;
-      let r, fb = run valued in
-      as_parsed "valued" valued r;
-      check Alcotest.string (policy ^ " valued") "unavailable" (outcome r);
-      check Alcotest.int (policy ^ " valued: fallback counted under Degrade only")
-        (if fallback = Serve.Degrade then 1 else 0) fb;
-      let r, _ = run bad_text in
-      check Alcotest.string (policy ^ " bad text wins over the engine failure")
-        ("query:query 1: " ^ bad_text_msg) (outcome r);
-      (* the daemon's single Estimate frames under the same policy: each
-         answers as the one-text batch does, with the same fallback
-         count *)
-      with_daemon ~tune:(fun c -> { c with Serve.Daemon.options }) [ ("imdb", path) ]
-      @@ fun endpoint ->
-      let c = connect_exn endpoint in
-      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-      Array.iter
-        (fun text ->
-          let counted = counter "serve.batch_fallback" in
-          let single =
-            Result.map (fun v -> [| v |]) (Serve.Client.estimate c ~synopsis:"imdb" ~query:text)
-          in
-          let fb = counter "serve.batch_fallback" - counted in
-          let batch, fb' = run [| text |] in
-          let tag = Printf.sprintf "%s single frame %S" policy text in
-          check Alcotest.string (tag ^ " = one-text batch") (outcome batch) (outcome single);
-          check Alcotest.int (tag ^ ": fallback count") fb' fb;
-          match (batch, single) with
-          | Ok [| a |], Ok [| b |] -> check Alcotest.bool (tag ^ ": bitwise") true (bits_equal a b)
-          | _ -> ())
-        (Array.concat [ structural; valued; bad_text ]))
-    [ ("degrade", Serve.Degrade); ("strict", Serve.Strict) ]
+      let fb = counter "serve.batch_fallback" - counted in
+      let batch, fb' = run [| text |] in
+      let tag = Printf.sprintf "single frame %S" text in
+      check Alcotest.string (tag ^ " = one-text batch") (outcome batch) (outcome single);
+      check Alcotest.int (tag ^ ": fallback count") fb' fb;
+      match (batch, single) with
+      | Ok [| a |], Ok [| b |] -> check Alcotest.bool (tag ^ ": bitwise") true (bits_equal a b)
+      | _ -> ())
+    (Array.concat [ structural; valued; bad_text ])
 
 (* The daemon's whole warm estimate request — read_frame, the frame
    view, the registry's engine, the cohort sweep, the answers encoded
@@ -1602,8 +1629,7 @@ let test_warm_requests_allocate_nothing () =
   (* [n] distinct texts: the workload's queries, then whitespace
      variants of them *)
   let texts n = Array.init n (fun i -> String.make (i / nb) ' ' ^ base.(i mod nb)) in
-  let options = Serve.options ~domains:1 () in
-  let tune c = { c with Serve.Daemon.options } in
+  let tune c = { c with Serve.Daemon.domains = Some 1 } in
   with_daemon ~tune ~same_domain:true [ ("imdb", path) ] @@ fun endpoint ->
   let fd = raw_connect endpoint in
   Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
@@ -1637,7 +1663,8 @@ let test_warm_requests_allocate_nothing () =
   let batch n =
     let texts = texts n in
     let minor, major, answers =
-      counted (Protocol.Estimate_batch { synopsis = "imdb"; queries = texts; options })
+      counted
+        (Protocol.Estimate_batch { synopsis = "imdb"; queries = texts; options = Options.default })
     in
     check_oracle (Printf.sprintf "%d-query batch" n) syn texts answers;
     check (Alcotest.float 0.0) (Printf.sprintf "major words added by a warm %d-query batch" n)
@@ -1651,11 +1678,8 @@ let test_warm_requests_allocate_nothing () =
   in
   check_oracle "single estimate" syn [| base.(0) |] single;
   check (Alcotest.float 0.0) "major words added by a warm single estimate" 0.0 single_major;
-  (* a request allocates a constant — timestamps, metric updates, the
-     request's option record — never a word per query. The batch sizes
-     differ in the one place a pass's metrics do: the sweep records at
-     most 8 sampled cohort latencies, which costs a few dozen words
-     each *)
+  (* a request allocates a constant — timestamps, metric updates —
+     never a word per query *)
   let slack = 256.0 in
   if minor400 > minor50 +. slack then
     Alcotest.failf "a warm 400-query batch allocated %.0f minor words, a 50-query one %.0f"
@@ -1751,7 +1775,7 @@ let test_carried_partial_then_hangup () =
   let batch =
     Protocol.encode_request
       (Protocol.Estimate_batch
-         { synopsis = "x"; queries = [| "//a"; "//b" |]; options = Serve.default_options })
+         { synopsis = "x"; queries = [| "//a"; "//b" |]; options = Options.default })
   in
   List.iter
     (fun (what, tail, need) ->
@@ -1788,7 +1812,7 @@ let test_daemon_pipelined_frames () =
   let texts = Array.map fst qs in
   let reqs =
     Array.to_list (Array.map (fun query -> Protocol.Estimate { synopsis = "imdb"; query }) texts)
-    @ [ Protocol.Estimate_batch { synopsis = "imdb"; queries = texts; options = Serve.default_options } ]
+    @ [ Protocol.Estimate_batch { synopsis = "imdb"; queries = texts; options = Options.default } ]
   in
   let burst = String.concat "" (List.map Protocol.encode_request reqs) in
   check Alcotest.int "one write" (String.length burst)
@@ -2000,6 +2024,7 @@ let () =
           Alcotest.test_case "errors cross the wire" `Quick test_error_wire;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_view;
+          QCheck_alcotest.to_alcotest prop_frame_limit;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
           Alcotest.test_case "reused read buffer: large frame, then small" `Quick
             test_reused_read_buffer;
@@ -2019,8 +2044,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_no_stale_answers;
           Alcotest.test_case "warm point round trip: one read per end" `Quick
             test_point_round_trip_reads ] );
-      ( "options",
-        [ Alcotest.test_case "validation" `Quick test_options_validation ] );
+      ( "config",
+        [ Alcotest.test_case "validation" `Quick test_config_validation ] );
       ("lru", [ Alcotest.test_case "exact LRU policy" `Quick test_lru_policy ]);
       ( "registry",
         [ Alcotest.test_case "corrupt artifact skipped and counted" `Quick
@@ -2064,8 +2089,7 @@ let () =
             test_single_frames;
           Alcotest.test_case "warm requests allocate no major words" `Quick
             test_warm_requests_allocate_nothing;
-          Alcotest.test_case "Strict and Degrade as on parsed batches" `Quick
-            test_texts_fallback_policies ] );
+          Alcotest.test_case "Degrade as on parsed batches" `Quick test_texts_degrade ] );
       ( "facade",
         [ Alcotest.test_case "submodule surface agrees bitwise" `Quick
             test_facade_agreement ] ) ]
