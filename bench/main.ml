@@ -237,11 +237,11 @@ let sealed_mismatches a b =
       if (S.label a i :> int) <> (S.label b i :> int) then incr mism;
       if S.count a i <> S.count b i then incr mism
     done;
-    let ia = S.child_idx a and ib = S.child_idx b in
-    let wa = S.child_avg a and wb = S.child_avg b in
+    let ia = S.child_idx_ba a and ib = S.child_idx_ba b in
+    let wa = S.child_avg_ba a and wb = S.child_avg_ba b in
     for e = 0 to S.n_edges a - 1 do
-      if ia.(e) <> ib.(e) then incr mism;
-      if wa.(e) <> wb.(e) then incr mism
+      if ia.{e} <> ib.{e} then incr mism;
+      if wa.{e} <> wb.{e} then incr mism
     done;
     !mism
   end
@@ -429,29 +429,36 @@ let run_serve () =
         !ok)
       [ 1; 2; 4 ]
   in
-  (* cold start: an eager decode vs a lazy mapped load of the same v3
-     artifact, min over repeats (the artifact is page-cached, so this
-     isolates decode work, which is what the lazy path removes) *)
+  (* cold start: a full decode (read + of_string) vs a lazy mapped load
+     of the same v3 artifact, min over repeats (the artifact is
+     page-cached, so this isolates decode work, which is what the lazy
+     path removes) *)
   let v3_path = Filename.temp_file "xc_bench_serve" ".syn" in
   (match Xc_core.Codec.save v3_path syn with
   | Ok () -> ()
   | Error e -> failwith (Xc_core.Codec.error_to_string e));
-  let time_load ~eager =
+  let time_load load =
     let best = ref infinity in
     for _ = 1 to 20 do
       let t0 = Unix.gettimeofday () in
-      (match Xc_core.Codec.load ~eager v3_path with
+      (match load v3_path with
       | Ok s -> ignore (Xcluster.Query.n_nodes s)
       | Error e -> failwith (Xc_core.Codec.error_to_string e));
       best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
     1000.0 *. !best
   in
-  let startup_ms_eager = time_load ~eager:true in
-  let startup_ms_lazy = time_load ~eager:false in
+  let decode path =
+    match Xc_util.Safe_io.read path with
+    | Ok src -> Xc_core.Codec.of_string src
+    | Error e -> failwith (Xc_util.Safe_io.error_to_string e)
+  in
+  let startup_ms_eager = time_load decode in
+  let startup_ms_lazy = time_load Xc_core.Codec.load in
   let startup_speedup = startup_ms_eager /. Float.max startup_ms_lazy 1e-9 in
-  (* first answer off the cold lazy map: deferred verification runs
-     here, and the answer must still be bit-identical *)
+  (* first answer off the cold lazy map: deferred verification (the CSR
+     sections' CRCs and the decoder's structural checks) runs here, and
+     the answer must still be bit-identical *)
   let lazy_syn =
     match Xc_core.Codec.load v3_path with
     | Ok s -> s
@@ -489,7 +496,7 @@ let run_serve () =
     "  max |cohort - oracle| = %g   bitwise: %b   deterministic across 1/2/4 domains: %b@."
     max_diff_cohort bitwise_oracle deterministic;
   Format.fprintf ppf
-    "  cold start: v3 eager %.3f ms   v3 lazy %.3f ms   (%.0fx)@."
+    "  cold start: v3 full decode %.3f ms   v3 lazy map %.3f ms   (%.0fx)@."
     startup_ms_eager startup_ms_lazy startup_speedup;
   Format.fprintf ppf
     "  first answer off the map: %.3f ms, %d sections lazily verified, bit-identical: %b@."
@@ -523,7 +530,7 @@ let run_serve () =
   end;
   if startup_speedup < 10.0 then begin
     Format.fprintf ppf
-      "  ERROR: a lazy v3 load is only %.1fx faster than an eager v3 decode \
+      "  ERROR: a lazy v3 load is only %.1fx faster than a full v3 decode \
        (gate: 10x)@."
       startup_speedup;
     exit 1

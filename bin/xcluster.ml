@@ -5,7 +5,7 @@
      inspect   parse an XML file and print its statistics
      build     build an XCluster synopsis for an XML file and report sizes
      estimate  estimate (and optionally verify) a twig query's selectivity
-     verify    check a saved synopsis's integrity without loading it
+     verify    check a saved synopsis's integrity by a full decode
      serve     run the multi-synopsis estimation daemon
      client    talk to a running daemon
 
@@ -22,8 +22,7 @@
      0    success
      1    verify: the synopsis file failed its integrity check
      2    malformed or corrupt input (XML syntax error, malformed query,
-          corrupt synopsis, unknown synopsis name, unreachable daemon,
-          a malformed XC_SERVE_WORKERS / XC_SERVE_BACKLOG value)
+          corrupt synopsis, unknown synopsis name, unreachable daemon)
      3    internal error (including daemon-side protocol violations)
      124  command-line usage error (cmdliner) *)
 
@@ -326,21 +325,6 @@ let verify_cmd =
       required & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"Synopsis file saved by $(b,build --save).")
   in
-  let lazy_arg =
-    Arg.(
-      value & flag
-      & info [ "lazy" ]
-          ~doc:
-            "Check only what a lazy $(b,load) verifies at admission (v3: \
-             prologue, directory checksum, and the node-attribute sections); \
-             the CSR and value-summary sections are reported unchecked. \
-             Mirrors the daemon's cold-start admission check.")
-  in
-  let eager_arg =
-    Arg.(
-      value & flag
-      & info [ "eager" ] ~doc:"Verify every section CRC (the default).")
-  in
   let sections_arg =
     Arg.(
       value & flag
@@ -350,8 +334,8 @@ let verify_cmd =
              does not stop at the first bad section — it localizes the \
              damage.")
   in
-  let print_sections file ~eager =
-    match Xcluster.Store.sections ~eager file with
+  let print_sections file =
+    match Xcluster.Store.sections file with
     | Ok secs ->
       List.iter
         (fun s ->
@@ -360,42 +344,37 @@ let verify_cmd =
             (match s.Xc_core.Codec.sec_crc_ok with
             | Some true -> "crc ok"
             | Some false -> "CRC MISMATCH"
-            | None -> "unchecked"))
+            | None -> "no crc"))
         secs
     | Error e ->
       (* framing damage: no directory to report section-by-section *)
       Format.printf "  (no section report: %s)@." (Xc_core.Codec.error_to_string e)
   in
-  let run file lazy_mode eager_mode sections =
+  let run file sections =
     guarded @@ fun () ->
-    if lazy_mode && eager_mode then
-      raise (Usage "--lazy and --eager are mutually exclusive");
-    let eager = not lazy_mode in
-    match Xcluster.Store.verify ~eager file with
+    match Xcluster.Store.verify file with
     | Ok info ->
       Format.printf "%s: OK (format v%d, %d nodes, %d bytes, %s)@." file
         info.Xc_core.Codec.i_version info.Xc_core.Codec.i_nodes
         info.Xc_core.Codec.i_bytes
-        (if info.Xc_core.Codec.i_checksummed then "checksums verified"
-         else if info.Xc_core.Codec.i_version = 1 then
+        (if info.Xc_core.Codec.i_version = 1 then
            "no checksums in v1: verified by full decode"
-         else "lazy: admission-time checks only");
-      if sections then print_sections file ~eager;
+         else "checksums verified");
+      if sections then print_sections file;
       0
     | Error e ->
       Format.eprintf "%s: CORRUPT: %s@." file (Xc_core.Codec.error_to_string e);
-      if sections then print_sections file ~eager;
+      if sections then print_sections file;
       exit_verify_failed
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Check a saved synopsis's integrity (framing and per-section CRC-32 \
-          for the v2/v3 formats; a full decode for checksum-less v1 files) \
-          without building the synopsis. $(b,--lazy) restricts the check to \
-          what a lazy load verifies at admission; $(b,--sections) prints a \
-          per-section CRC report. Exits 0 when intact, 1 when corrupt.")
-    Term.(const run $ file $ lazy_arg $ eager_arg $ sections_arg)
+         "Check a saved synopsis's integrity by the full decode a load \
+          holds it to: every per-section CRC-32 (v2/v3 formats) and every \
+          structural check. $(b,--sections) prints a per-section CRC \
+          report. Exits 0 when intact, 1 when corrupt.")
+    Term.(const run $ file $ sections_arg)
 
 (* ---- serve -------------------------------------------------------------- *)
 
@@ -453,13 +432,13 @@ let serve_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Worker-thread pool size: connections served concurrently \
-             (default $(b,XC_SERVE_WORKERS) or 4).")
+             (default 4).")
   in
   let backlog_arg =
     Arg.(
       value & opt (some int) None
       & info [ "backlog" ] ~docv:"N"
-          ~doc:"Listen backlog (default $(b,XC_SERVE_BACKLOG) or 64).")
+          ~doc:"Listen backlog (default 64).")
   in
   let max_pending_arg =
     Arg.(
@@ -503,21 +482,8 @@ let serve_cmd =
       | v -> v
     in
     let domains = positive "--domains" domains in
-    (* an environment default must be a positive integer too: a
-       malformed one stops the command instead of falling back *)
-    let env_default name flag_value =
-      match Sys.getenv_opt name with
-      | None | Some "" -> flag_value
-      | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> (
-          match flag_value with Some _ -> flag_value | None -> Some n)
-        | _ ->
-          raise
-            (Corrupt_input (Printf.sprintf "%s=%S: expected a positive integer" name s)))
-    in
-    let workers = env_default "XC_SERVE_WORKERS" (positive "--workers" workers) in
-    let backlog = env_default "XC_SERVE_BACKLOG" (positive "--backlog" backlog) in
+    let workers = positive "--workers" workers in
+    let backlog = positive "--backlog" backlog in
     let max_pending = positive "--max-pending" max_pending in
     let ms flag v default =
       match positive flag v with

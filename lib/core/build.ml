@@ -44,7 +44,7 @@ let phase1_merge params syn =
     let exhausted = ref false in
     while !str_size > params.bstr && not !exhausted do
       (* replenish the pool when it runs low (Fig. 5, lines 8-9) *)
-      if Heap.length !pool <= params.pool.hl then begin
+      if Heap.length !pool <= Pool.hl then begin
         levels := Levels.compute syn;
         let lmax = Levels.max_level !levels in
         let next_level = max (!max_new_level + 1) (!level + 1) in

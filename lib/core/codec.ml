@@ -69,8 +69,8 @@ type error =
   | Io of string
 
 exception Lazy_failure of error
-(* deferred-verification failure: a lazily loaded v3 section failed its
-   CRC (or bounds check) on first touch, after load had already
+(* deferred-verification failure: a lazily loaded v3 section failed a
+   check of the decoder's on first touch, after load had already
    returned [Ok]. Serving layers catch this and degrade. *)
 
 let pp_error ppf = function
@@ -97,6 +97,24 @@ let () =
 exception Decode of error
 
 let err e = raise (Decode e)
+
+(* [e] with its byte position moved [off] further on: a section read
+   out of its own copy reports where its bytes sit in the file *)
+let at_offset off = function
+  | Truncated r -> Truncated { r with pos = r.pos + off }
+  | Bad_length r -> Bad_length { r with pos = r.pos + off }
+  | Corrupt r -> Corrupt { r with pos = r.pos + off }
+  | (Bad_magic | Unsupported_version _ | Checksum_mismatch _ | Io _) as e -> e
+
+let within off f = try f () with Decode e -> err (at_offset off e)
+
+(* Corrupt input can surface as stray exceptions from components the
+   decoder feeds (histogram/suffix-tree constructors, freeze): each
+   failure mode has one typed error, whichever reader met it *)
+let error_of_exn = function
+  | Decode e -> e
+  | Stack_overflow -> Corrupt { pos = 0; what = "decoder stack overflow" }
+  | exn -> Corrupt { pos = 0; what = "decoder failure: " ^ Printexc.to_string exn }
 
 let record_error e =
   Metrics.incr Meters.Codec.decode_error;
@@ -189,8 +207,8 @@ let get_int_le src pos =
 module BA1 = Bigarray.Array1
 
 (* decode a little-endian int64 section into a fresh Bigarray (the
-   eager, endianness-independent path; the mmap path aliases the file
-   bytes instead) *)
+   string decoder's endianness-independent path; the mmap path aliases
+   the file bytes instead) *)
 let ba_i_of_le src ~pos ~count =
   let b = BA1.create Bigarray.int Bigarray.c_layout count in
   for i = 0 to count - 1 do
@@ -396,11 +414,7 @@ let to_string syn =
     pad8 b;
     Buffer.contents b
   in
-  let child_off = S.child_off syn
-  and child_idx = S.child_idx syn
-  and child_avg = S.child_avg syn
-  and parent_off = S.parent_off syn
-  and parent_idx = S.parent_idx syn in
+  let ints_ba count b = ints count (BA1.get b) in
   let floats count f =
     let b = Buffer.create (8 * count) in
     for i = 0 to count - 1 do
@@ -421,11 +435,11 @@ let to_string syn =
        ints n (fun i -> counts.(i));
        labels;
        vtypes;
-       ints (n + 1) (fun i -> child_off.(i));
-       ints ne (fun i -> child_idx.(i));
-       floats ne (fun i -> child_avg.(i));
-       ints (n + 1) (fun i -> parent_off.(i));
-       ints ne (fun i -> parent_idx.(i));
+       ints_ba (n + 1) (S.child_off_ba syn);
+       ints_ba ne (S.child_idx_ba syn);
+       floats ne (BA1.get (S.child_avg_ba syn));
+       ints_ba (n + 1) (S.parent_off_ba syn);
+       ints_ba ne (S.parent_idx_ba syn);
        terms;
        ints (n + 1) (fun i -> voff.(i));
        Buffer.contents blob |]
@@ -689,7 +703,7 @@ let parse_v3_voff src e ~n ~blob_len =
     err (Bad_length { pos = e.e_off + (8 * n); len = voff.(n); what = "value-summary blob length" });
   voff
 
-let root_index_of_sid sids root_sid =
+let root_index_of_sid sids root_sid ~pos =
   let lo = ref 0 and hi = ref (Array.length sids - 1) in
   let found = ref (-1) in
   while !found < 0 && !lo <= !hi do
@@ -699,7 +713,7 @@ let root_index_of_sid sids root_sid =
     else hi := mid - 1
   done;
   if !found < 0 then
-    err (Corrupt { pos = 0; what = Printf.sprintf "root id %d not among nodes" root_sid });
+    err (Corrupt { pos; what = Printf.sprintf "root id %d not among nodes" root_sid });
   !found
 
 let get_vsumm_slice terms blob ~lo ~hi =
@@ -721,16 +735,19 @@ type v3_nodes = {
 }
 
 (* The node-attribute sections (header, sids, counts, labels, vtypes)
-   plus the shape checks: what the eager decoder and the mapped loader
+   plus the shape checks: what the string decoder and the mapped loader
    both read up front. Byte 0 of [src] is file offset [base] — the
-   whole container, or the prefix read after the prologue. *)
+   whole container, or the prefix read after the prologue; errors
+   report file offsets either way. Sid order and positive counts are
+   among {!check_invariants}' rules. *)
 let parse_v3_nodes src entries ~base =
+  within base @@ fun () ->
   let at i = { (entries.(i)) with e_off = entries.(i).e_off - base } in
   let doc_height, root_sid, n, ne = parse_v3_header src (at 0) in
   (* every word-array section's length follows from the header's
      counts: check them all before any is read *)
   List.iter
-    (fun (i, count) -> expect_words entries.(i) count)
+    (fun (i, count) -> expect_words (at i) count)
     [ (1, n); (2, n); (5, n + 1); (6, ne); (7, ne); (8, n + 1); (9, ne); (11, n + 1) ];
   let sids = ints_of_le src ~pos:(at 1).e_off ~count:n in
   let counts = ints_of_le src ~pos:(at 2).e_off ~count:n in
@@ -739,10 +756,18 @@ let parse_v3_nodes src entries ~base =
         Array.init n (fun _ -> Label.of_string (get_string r)))
   in
   let vtypes = parse_v3_vtypes src (at 4) n in
-  let root = root_index_of_sid sids root_sid in
+  let root = root_index_of_sid sids root_sid ~pos:((at 0).e_off + 8) in
   { doc_height; root; n; ne; sids; counts; labels; vtypes }
 
-(* the eager v3 decoder: every CRC checked, every section copied out of
+(* The structural rules every v3 reader holds a synopsis to (CSR shape
+   and agreement, sid order, positive counts) — the decoder before it
+   returns, the mapped loader at first touch. *)
+let check_invariants syn =
+  match S.invariants syn with
+  | Ok () -> ()
+  | Error e -> err (Corrupt { pos = 0; what = "decoded synopsis is inconsistent: " ^ e })
+
+(* the string v3 decoder: every CRC checked, every section copied out of
    the string, every value summary materialized. The totality/fuzzing
    contract lives here; the mmap path below is the fast lane. *)
 let decode_v3 src =
@@ -768,9 +793,7 @@ let decode_v3 src =
     S.of_flat ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
       ~child_avg ~parent_off ~parent_idx ~vsumms ~vsumm_decode:None ~on_first_touch:None
   in
-  (match S.validate syn with
-  | Ok () -> ()
-  | Error e -> err (Corrupt { pos = 0; what = "decoded synopsis is inconsistent: " ^ e }));
+  check_invariants syn;
   syn
 
 let with_version src k =
@@ -782,30 +805,32 @@ let with_version src k =
   if v <> version_v1 && v <> version_v2 && v <> version then err (Unsupported_version v);
   k v r
 
-(* Corrupt input can surface as stray exceptions from components the
-   decoder feeds (histogram/suffix-tree constructors, freeze);
-   normalize every failure mode to the typed error — decoding is
-   total. *)
+(* every failure mode becomes the typed error — decoding is total *)
 let guard ?(path = "") f =
-  let fail e =
-    record_error e;
-    Error e
-  in
   match f () with
   | v -> Ok v
-  | exception Decode e -> fail e
-  | exception Xc_util.Fault.Injected _ -> fail (Io (path ^ ": injected map fault"))
-  | exception Unix.Unix_error (ec, _, _) -> fail (Io (path ^ ": " ^ Unix.error_message ec))
-  | exception Stack_overflow -> fail (Corrupt { pos = 0; what = "decoder stack overflow" })
   | exception exn ->
-    fail (Corrupt { pos = 0; what = "decoder failure: " ^ Printexc.to_string exn })
+    let e =
+      match exn with
+      | Xc_util.Fault.Injected _ -> Io (path ^ ": injected map fault")
+      | Unix.Unix_error (ec, _, _) -> Io (path ^ ": " ^ Unix.error_message ec)
+      | exn -> error_of_exn exn
+    in
+    record_error e;
+    Error e
 
-let of_string src =
-  guard (fun () ->
-      with_version src (fun v r ->
-          if v = version_v1 then decode_v1 r
-          else if v = version_v2 then decode_v2 r
-          else decode_v3 src))
+(* the one definition of a valid artifact: the version and what its
+   decoder accepts *)
+let decode src =
+  with_version src (fun v r ->
+      let syn =
+        if v = version_v1 then decode_v1 r
+        else if v = version_v2 then decode_v2 r
+        else decode_v3 src
+      in
+      (v, syn))
+
+let of_string src = guard (fun () -> snd (decode src))
 
 let of_string_exn src =
   match of_string src with
@@ -838,12 +863,14 @@ let read_file path =
 
    A v3 container on a little-endian host loads in ~O(directory): the
    prologue and the small node-attribute sections (header, sids, counts,
-   labels, vtypes) are read and CRC-verified eagerly, the five CSR
-   sections become file-backed Bigarray slices ([Unix.map_file]) whose
-   CRCs and structural bounds are verified once on the synopsis's first
-   numeric access, and value summaries decode per node on first touch.
-   Deferred failures surface as {!Lazy_failure} at the access point —
-   [load] itself has already returned [Ok]. The mapping is released
+   labels, vtypes) are read, CRC-verified and checked eagerly, the five
+   CSR sections become file-backed Bigarray slices ([Unix.map_file])
+   whose CRCs and the decoder's structural checks run once on the
+   synopsis's first numeric access, and value summaries decode per node
+   on first touch. No check here is the mapped path's own: each is one
+   the decoder runs, with the same typed error. Deferred failures
+   surface as {!Lazy_failure} at the access point — [load] itself has
+   already returned [Ok]. The mapping is released
    when the synopsis is collected (eviction from the serve engine's LRU
    drops the last reference; the GC then unmaps). *)
 
@@ -872,6 +899,21 @@ let string_of_map cmap ~pos ~len =
     Bytes.unsafe_set b i (BA1.unsafe_get cmap (pos + i))
   done;
   Bytes.unsafe_to_string b
+
+(* a deferred check's failure, as the decoder would have typed it *)
+let lazily f =
+  match f () with
+  | v -> v
+  | exception (Lazy_failure _ as exn) -> raise exn
+  | exception exn -> raise (Lazy_failure (error_of_exn exn))
+
+(* every word of an int section read back through [get_int_le]: a
+   [Bigarray.int] view would silently drop the top bit of a word the
+   decoder refuses *)
+let check_words s =
+  for k = 0 to (String.length s / 8) - 1 do
+    ignore (get_int_le s (8 * k))
+  done
 
 let map_v3 path =
   Xc_util.Fault.raise_io ~site:"codec.map";
@@ -924,28 +966,20 @@ let map_v3 path =
     Metrics.incr Meters.Codec.lazy_verify;
     if actual <> e.e_crc then begin
       Metrics.incr Meters.Codec.crc_mismatch;
-      raise (Lazy_failure (Checksum_mismatch { section = e.e_name; stored = e.e_crc; actual }))
+      err (Checksum_mismatch { section = e.e_name; stored = e.e_crc; actual })
     end;
     s
   in
-  let csr_fail msg = raise (Lazy_failure (Corrupt { pos = 0; what = msg })) in
-  let check_csr name (off : S.ba_i) (idx : S.ba_i) =
-    if BA1.get off 0 <> 0 || BA1.get off n <> BA1.dim idx then
-      csr_fail (name ^ " offsets out of bounds");
-    for i = 0 to n - 1 do
-      if BA1.get off i > BA1.get off (i + 1) then csr_fail (name ^ " offsets not monotone")
-    done;
-    for e = 0 to BA1.dim idx - 1 do
-      let v = BA1.get idx e in
-      if v < 0 || v >= n then csr_fail (name ^ " target out of range")
-    done
-  in
-  let on_first_touch () =
-    List.iter (fun i -> ignore (verify_lazy entries.(i))) [ 5; 6; 7; 8; 9 ];
-    (* the kernels index with [unsafe_get]: structural bounds are part
-       of what first-touch verification must establish *)
-    check_csr "child" child_off child_idx;
-    check_csr "parent" parent_off parent_idx
+  (* the CSR group, in the decoder's order: CRCs, the int words, then
+     the invariants the decoder checks before it returns *)
+  let on_first_touch syn =
+    lazily @@ fun () ->
+    List.iter
+      (fun i ->
+        let s = verify_lazy entries.(i) in
+        if i <> 7 then within entries.(i).e_off (fun () -> check_words s))
+      [ 5; 6; 7; 8; 9 ];
+    check_invariants syn
   in
   let vgroup =
     lazy
@@ -953,24 +987,21 @@ let map_v3 path =
        let voff_s = verify_lazy entries.(11) in
        let blob = verify_lazy entries.(12) in
        let terms =
-         parse_v3_packed terms_s { (entries.(10)) with e_off = 0 } decode_terms
+         within entries.(10).e_off (fun () ->
+             parse_v3_packed terms_s { (entries.(10)) with e_off = 0 } decode_terms)
        in
        let voff =
-         parse_v3_voff voff_s { (entries.(11)) with e_off = 0 } ~n ~blob_len:(String.length blob)
+         within entries.(11).e_off (fun () ->
+             parse_v3_voff voff_s { (entries.(11)) with e_off = 0 } ~n
+               ~blob_len:(String.length blob))
        in
        (terms, voff, blob))
   in
   let vsumm_decode i =
-    let terms, voff, blob =
-      try Lazy.force vgroup with Decode e -> raise (Lazy_failure e)
-    in
-    try get_vsumm_slice terms blob ~lo:voff.(i) ~hi:voff.(i + 1) with
-    | Decode e -> raise (Lazy_failure e)
-    | Lazy_failure _ as exn -> raise exn
-    | exn ->
-      raise
-        (Lazy_failure
-           (Corrupt { pos = voff.(i); what = "value-summary decode failure: " ^ Printexc.to_string exn }))
+    lazily @@ fun () ->
+    let terms, voff, blob = Lazy.force vgroup in
+    within entries.(12).e_off (fun () ->
+        get_vsumm_slice terms blob ~lo:voff.(i) ~hi:voff.(i + 1))
   in
   Metrics.incr Meters.Codec.mmap_load;
   S.of_flat ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off ~child_idx
@@ -987,15 +1018,13 @@ let sniff_version path =
     | exception Decode _ -> None)
   | _ -> None
 
-let load ?(eager = false) path =
-  if eager || Sys.big_endian then Result.bind (read_file path) of_string
-  else
-    match sniff_version path with
-    | Some v when v = version -> guard ~path (fun () -> map_v3 path)
-    | Some _ | None ->
-      (* v1/v2, foreign, or unreadable: the string path decodes or
-         reports the precise error *)
-      Result.bind (read_file path) of_string
+let load path =
+  match if Sys.big_endian then None else sniff_version path with
+  | Some v when v = version -> guard ~path (fun () -> map_v3 path)
+  | Some _ | None ->
+    (* v1/v2, foreign, unreadable, or a big-endian host: the string
+       path decodes or reports the precise error *)
+    Result.bind (read_file path) of_string
 
 let load_exn path =
   match load path with
@@ -1008,59 +1037,24 @@ type info = {
   i_version : int;
   i_nodes : int;
   i_bytes : int;
-  i_checksummed : bool;
 }
 
 type section_status = {
   sec_name : string;
   sec_bytes : int;
-  sec_crc_ok : bool option;  (* None: carries no CRC, or skipped (lazy mode) *)
+  sec_crc_ok : bool option;  (* None: v1 carries no CRC *)
 }
 
-let verify_v3 ~eager src =
-  let entries = parse_v3_dir src ~total:(String.length src) in
-  (* the header section is what a lazy load verifies at admission; the
-     remaining payloads only under [eager] *)
-  check_v3_crc src entries.(0);
-  if eager then Array.iter (fun e -> check_v3_crc src e) entries;
-  let _doc_height, _root_sid, n, _ne = parse_v3_header src entries.(0) in
-  { i_version = 3; i_nodes = n; i_bytes = String.length src; i_checksummed = eager }
+let verify path =
+  Result.bind (read_file path) (fun src ->
+      guard (fun () ->
+          let v, syn = decode src in
+          { i_version = v; i_nodes = S.n_nodes syn; i_bytes = String.length src }))
 
-let verify_string ?(eager = true) src =
-  guard (fun () ->
-      with_version src (fun v r ->
-          if v = version_v1 then
-            (* v1 carries no checksums: a full decode is the only check *)
-            let syn = decode_v1 r in
-            { i_version = 1;
-              i_nodes = S.n_nodes syn;
-              i_bytes = String.length src;
-              i_checksummed = false
-            }
-          else if v = version_v2 then begin
-            let _doc_height, _root, n_nodes = decode_header r in
-            if n_nodes < 0 then
-              err (Bad_length { pos = 0; len = n_nodes; what = "node count" });
-            let terms_sec = get_section r ~tag:tag_terms in
-            ignore (terms_sec : reader);
-            let nodes_sec = get_section r ~tag:tag_nodes in
-            ignore (nodes_sec : reader);
-            if r.pos <> r.limit then
-              err (Corrupt { pos = r.pos; what = "trailing bytes after last section" });
-            { i_version = 2;
-              i_nodes = n_nodes;
-              i_bytes = String.length src;
-              i_checksummed = true
-            }
-          end
-          else verify_v3 ~eager src))
-
-let verify ?eager path = Result.bind (read_file path) (verify_string ?eager)
-
-(* Per-section CRC report. Unlike {!verify_string} this does not stop
-   at the first mismatch — the point is to localize damage. Framing
-   errors (bad magic, a corrupt directory) still fail the whole call. *)
-let sections_string ?(eager = true) src =
+(* Per-section CRC report. Unlike {!verify} this does not stop at the
+   first mismatch — the point is to localize damage. Framing errors
+   (bad magic, a corrupt directory) still fail the whole call. *)
+let sections_string src =
   guard (fun () ->
       with_version src (fun v r ->
           if v = version_v1 then
@@ -1083,19 +1077,14 @@ let sections_string ?(eager = true) src =
               err (Corrupt { pos = r.pos; what = "trailing bytes after last section" });
             out
           end
-          else begin
-            let entries = parse_v3_dir src ~total:(String.length src) in
+          else
             Array.to_list
-              (Array.mapi
-                 (fun i e ->
-                   let checked = eager || i = 0 in
+              (Array.map
+                 (fun e ->
                    { sec_name = e.e_name;
                      sec_bytes = e.e_len;
-                     sec_crc_ok =
-                       (if checked then Some (Crc32.sub src ~pos:e.e_off ~len:e.e_len = e.e_crc)
-                        else None)
+                     sec_crc_ok = Some (Crc32.sub src ~pos:e.e_off ~len:e.e_len = e.e_crc)
                    })
-                 entries)
-          end))
+                 (parse_v3_dir src ~total:(String.length src)))))
 
-let sections ?eager path = Result.bind (read_file path) (sections_string ?eager)
+let sections path = Result.bind (read_file path) sections_string

@@ -21,11 +21,12 @@
     detectable. The layout is what makes {!load} near-constant-time:
     on a little-endian host the numeric sections are memory-mapped
     ([Unix.map_file]) straight into the sealed synopsis's Bigarray
-    backing store, zero-copy, with CRC verification deferred to first
-    touch (see {e lazy verification} below). {b v2} (framed sections,
-    big-endian records) and {b v1} (unframed, no checksums) files are
-    readable, not writable: the decoder negotiates on the version
-    field, and v3 is the only format this module writes.
+    backing store, zero-copy, with their verification deferred to
+    first touch (see {e one definition of a valid artifact} below).
+    {b v2} (framed sections, big-endian records) and {b v1} (unframed,
+    no checksums) files are readable, not writable: the decoder
+    negotiates on the version field, and v3 is the only format this
+    module writes.
 
     {b Failure contract.} Decoding via {!of_string} is total: every
     way an input can be wrong — foreign file, truncation, bit rot,
@@ -36,23 +37,27 @@
     for callers that have already verified their input; they raise
     [Failure] with the rendered error.
 
-    {b Lazy verification} extends that contract along one explicit
-    seam: a {e lazy} {!load} of a v3 file verifies the prologue,
-    directory, and node-attribute sections before returning [Ok], but
-    defers the CSR sections' CRCs (and structural bounds) to the
-    synopsis's first numeric access and each value summary's decode to
-    its first read. Those deferred checks raise {!Lazy_failure}
-    carrying the same typed {!error} at the {e access} point — the
-    serve layer catches it and degrades, exactly as it would for a
-    load-time [Error]. Pass [~eager:true] (or run on a big-endian
-    host) to get the fully-verified string path with no deferred
-    failures. Each lazily verified section bumps [codec.lazy_verify].
+    {b One definition of a valid artifact.} What {!of_string} accepts
+    is valid, and every other reader holds a file to exactly those
+    checks: {!verify} {e is} that decode, and a mapped {!load} runs
+    the same checks, only later. It verifies the prologue, directory,
+    and node-attribute sections before returning [Ok], runs the CSR
+    sections' CRCs and the decoder's structural invariants
+    ({!Synopsis.Sealed.invariants}: CSR shape, sid order, positive
+    counts) on the synopsis's first numeric access, and decodes each
+    value summary on its first read. Those deferred checks raise
+    {!Lazy_failure} carrying the error the decoder would have returned
+    at the {e access} point — the serve layer catches it and degrades,
+    exactly as it would for a load-time [Error]. A caller that wants a
+    synopsis checked in full up front reads the file and calls
+    {!of_string}. Each lazily verified section bumps
+    [codec.lazy_verify].
 
     Persistence goes through {!Xc_util.Safe_io}: {!save} writes
     atomically (temp file → fsync → rename), so a crash mid-save
     leaves the previous synopsis intact; {!load} reads through the
-    fault-injection sites ([codec.load] on the string path and eager
-    prefix, [codec.map] before mapping, [codec.section_verify] at
+    fault-injection sites ([codec.load] on the string path and the
+    mapped path's node-attribute prefix, [codec.map] before mapping, [codec.section_verify] at
     first touch), so the harness can exercise every failure path.
     Decode failures bump [codec.decode_error] (and CRC failures
     additionally [codec.crc_mismatch]) in {!Xc_util.Metrics.global}.
@@ -80,10 +85,10 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 exception Lazy_failure of error
-(** A deferred verification or decode failure from a lazily loaded v3
+(** A deferred verification or decode failure from a mapped v3
     synopsis, raised at the first access that needed the damaged
-    section (see the lazy-verification contract above). Never escapes
-    an {e eager} load. *)
+    section; it carries the error {!of_string} returns for the same
+    bytes. Never raised by a synopsis {!of_string} returned. *)
 
 (* ---- encoding --------------------------------------------------------- *)
 
@@ -114,17 +119,17 @@ val save : string -> Synopsis.Sealed.t -> (unit, error) result
 val save_exn : string -> Synopsis.Sealed.t -> unit
 (** @raise Failure on I/O failure. *)
 
-val load : ?eager:bool -> string -> (Synopsis.Sealed.t, error) result
-(** Read and decode. [load] itself never raises. With [eager:false]
-    (the default), a v3 file on a little-endian host is memory-mapped
-    with per-section verification deferred to first touch — the
-    near-constant-time path; deferred failures later raise
-    {!Lazy_failure} at the access point. [eager:true] (and every
-    v1/v2 or big-endian load) reads and fully verifies up front, so
-    the returned synopsis can never raise. *)
+val load : string -> (Synopsis.Sealed.t, error) result
+(** Read and decode. [load] itself never raises. A v3 file on a
+    little-endian host is memory-mapped with the rest of the
+    decoder's checks deferred to first touch — the near-constant-time
+    path; deferred failures later raise {!Lazy_failure} at the access
+    point. Every other file (v1, v2, or any file on a big-endian host)
+    takes the string path, {!of_string}, so the returned synopsis can
+    never raise. *)
 
 val load_exn : string -> Synopsis.Sealed.t
-(** Lazy {!load}. @raise Failure on read or decode failure. *)
+(** {!load}. @raise Failure on read or decode failure. *)
 
 (* ---- integrity -------------------------------------------------------- *)
 
@@ -132,38 +137,27 @@ type info = {
   i_version : int;
   i_nodes : int;
   i_bytes : int;  (** encoded size *)
-  i_checksummed : bool;
-      (** whether every section CRC was verified by this call: true
-          for v2 and eager v3; false for v1 (no checksums — a full
-          decode is the only check) and lazy v3 (directory + header
-          only, the admission-time subset) *)
 }
+(** v2 and v3 files carry per-section checksums; v1 files have none,
+    and the full decode is their only check. *)
 
-val verify_string : ?eager:bool -> string -> (info, error) result
-(** Integrity check without building a synopsis: validates magic,
-    version, and section framing, plus every CRC (v2, and v3 with
-    [eager:true], the default), the directory/header subset a lazy
-    load would check (v3 with [eager:false]), or fully decodes (v1,
-    which has nothing cheaper). *)
-
-val verify : ?eager:bool -> string -> (info, error) result
-(** {!verify_string} over a file's contents. *)
+val verify : string -> (info, error) result
+(** Integrity check of a file: its version, then the same full decode
+    {!of_string} runs (every checksum and every structural check), so
+    [verify] refuses exactly what {!of_string} refuses, with the same
+    error. *)
 
 type section_status = {
   sec_name : string;
   sec_bytes : int;
-  sec_crc_ok : bool option;
-      (** [None] when the section carries no CRC (v1) or the check was
-          skipped (lazy mode) *)
+  sec_crc_ok : bool option;  (** [None] when the section carries no CRC (v1) *)
 }
 
-val sections_string : ?eager:bool -> string -> (section_status list, error) result
-(** Per-section CRC report, in file order. Unlike {!verify_string}
-    this does not stop at the first bad checksum — it localizes the
-    damage. [eager:false] checks only what a lazy v3 load would at
-    admission (the header section), reporting the rest unchecked.
-    Framing damage (bad magic, corrupt directory) still fails the
-    whole call. *)
+val sections_string : string -> (section_status list, error) result
+(** Per-section CRC report, in file order, with every section's CRC
+    checked. Unlike {!verify} this does not stop at the first bad
+    checksum — it localizes the damage. Framing damage (bad magic,
+    corrupt directory) still fails the whole call. *)
 
-val sections : ?eager:bool -> string -> (section_status list, error) result
+val sections : string -> (section_status list, error) result
 (** {!sections_string} over a file's contents. *)

@@ -13,18 +13,17 @@ type cand = {
 
 type t = cand Heap.t
 
+let hm = 10_000
+let hl = 5_000
+let pair_cap = 4_000
+
 type config = {
-  hm : int;
-  hl : int;
   neighbor_k : int;
-  pair_cap : int;
   structural_only : bool;
   domains : int;
 }
 
-let default_config =
-  { hm = 10_000; hl = 5_000; neighbor_k = 16; pair_cap = 4_000;
-    structural_only = false; domains = 0 }
+let default_config = { neighbor_k = 16; structural_only = false; domains = 0 }
 
 let group_key = B.group_key
 
@@ -95,7 +94,7 @@ let group_pairs config arr =
   let g = Array.length arr in
   let out = ref [] in
   if g >= 2 then
-    if g * (g - 1) / 2 <= config.pair_cap then
+    if g * (g - 1) / 2 <= pair_cap then
       for i = 0 to g - 2 do
         for j = i + 1 to g - 1 do
           out := (arr.(i), arr.(j)) :: !out
@@ -140,7 +139,7 @@ let build config syn ~levels ~level =
         if c <> 0 then c else Int.compare a.v b.v)
     keyed;
   Array.iteri (fun i (_, c) -> cands.(i) <- c) keyed;
-  let keep = min config.hm (Array.length cands) in
+  let keep = min hm (Array.length cands) in
   let heap = Heap.create ~capacity:(max 64 keep) () in
   for i = 0 to keep - 1 do
     Heap.push heap (cand_priority cands.(i)) cands.(i)

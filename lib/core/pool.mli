@@ -8,8 +8,8 @@
 
     Two efficiency heuristics bound the quadratic pair space (both
     documented in DESIGN.md): per-group pair generation falls back to
-    count-nearest-neighbour pairing when a group is large, and the pool
-    keeps only the [hm] best candidates.
+    count-nearest-neighbour pairing when a group is large ({!pair_cap}),
+    and the pool keeps only the {!hm} best candidates.
 
     Construction performance (DESIGN.md Sec. 8): compatible peers come
     from the Builder's incrementally maintained group index, so neither
@@ -31,11 +31,19 @@ type cand = {
 
 type t = cand Xc_util.Heap.t
 
+val hm : int
+(** Maximum pool size: 10 000, the paper's H_m. *)
+
+val hl : int
+(** Replenish threshold: {!Build} rebuilds the pool once it holds at
+    most this many candidates — 5 000, the paper's H_l. *)
+
+val pair_cap : int
+(** Most pairs a group contributes exhaustively (4 000); a larger group
+    pairs each node with its [neighbor_k] count-nearest peers instead. *)
+
 type config = {
-  hm : int;           (** max pool size (paper: 10000) *)
-  hl : int;           (** replenish threshold (paper: 5000) *)
   neighbor_k : int;   (** neighbours per node when a group is too large *)
-  pair_cap : int;     (** max exhaustive pairs per group *)
   structural_only : bool;  (** TREESKETCH-style Δ (ablation) *)
   domains : int;
       (** candidate-scoring workers; [<= 0] (the default) defers to the
@@ -54,7 +62,7 @@ val group_key : Synopsis.Builder.node -> int * int * int
 val build : config -> Synopsis.Builder.t -> levels:Synopsis.Levels.t ->
   level:int -> t
 (** Builds a fresh pool of candidates among nodes with level ≤ [level],
-    keeping the [hm] best by marginal loss. *)
+    keeping the {!hm} best by marginal loss. *)
 
 val build_frontier : config -> Synopsis.Builder.t ->
   levels:Synopsis.Levels.t -> frontier:int list -> t

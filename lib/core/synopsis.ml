@@ -372,7 +372,7 @@ module Sealed = struct
     child_avg : ba_f;
     parent_off : ba_i;
     parent_idx : ba_i;
-    mutable on_first_touch : (unit -> unit) option;
+    mutable on_first_touch : (t -> unit) option;
   }
 
   let ba_i_of_array (a : int array) : ba_i =
@@ -385,18 +385,17 @@ module Sealed = struct
     Array.iteri (fun i v -> BA1.unsafe_set b i v) a;
     b
 
-  let array_of_ba_i (b : ba_i) = Array.init (BA1.dim b) (fun i -> BA1.unsafe_get b i)
-  let array_of_ba_f (b : ba_f) = Array.init (BA1.dim b) (fun i -> BA1.unsafe_get b i)
-
   (* Run the deferred-verification hook exactly once, before the first
-     access to the numeric backing store. On failure the hook stays
-     armed so every subsequent access re-raises instead of silently
-     serving unverified data. *)
+     access to the numeric backing store. The hook is handed [t] and
+     reads its raw fields ({!invariants}), never an accessor, so it
+     cannot re-enter [touch]. On failure the hook stays armed so every
+     subsequent access re-raises instead of silently serving
+     unverified data. *)
   let touch t =
     match t.on_first_touch with
     | None -> ()
     | Some f ->
-      f ();
+      f t;
       t.on_first_touch <- None
 
   let uid t = t.uid
@@ -449,13 +448,6 @@ module Sealed = struct
   let child_avg_ba t = touch t; t.child_avg
   let parent_off_ba t = touch t; t.parent_off
   let parent_idx_ba t = touch t; t.parent_idx
-
-  (* materializing compatibility views (cold paths hoist these once) *)
-  let child_off t = array_of_ba_i (child_off_ba t)
-  let child_idx t = array_of_ba_i (child_idx_ba t)
-  let child_avg t = array_of_ba_f (child_avg_ba t)
-  let parent_off t = array_of_ba_i (parent_off_ba t)
-  let parent_idx t = array_of_ba_i (parent_idx_ba t)
 
   (* binary search for [target] in [arr.(lo..hi-1)] (a sorted CSR row) *)
   let row_find (arr : ba_i) lo hi target =
@@ -519,8 +511,7 @@ module Sealed = struct
     done;
     !acc
 
-  let validate t =
-    touch t;
+  let invariants t =
     let problems = ref [] in
     let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
     let n = n_nodes t in
@@ -535,10 +526,12 @@ module Sealed = struct
         if BA1.get off 0 <> 0 || BA1.get off n <> BA1.dim idx then bad "%s_off bounds" name;
         for i = 0 to n - 1 do
           if BA1.get off i > BA1.get off (i + 1) then bad "%s_off not monotone at %d" name i;
-          for e = max 0 (BA1.get off i) to min (BA1.dim idx) (BA1.get off (i + 1)) - 1 do
+          (* clamped: a negative offset is reported, never indexed with *)
+          let lo = max 0 (BA1.get off i) in
+          for e = lo to min (BA1.dim idx) (BA1.get off (i + 1)) - 1 do
             if BA1.get idx e < 0 || BA1.get idx e >= n then
               bad "%s target out of range at %d" name e;
-            if e > BA1.get off i && BA1.get idx (e - 1) >= BA1.get idx e then
+            if e > lo && BA1.get idx (e - 1) >= BA1.get idx e then
               bad "%s row %d not strictly ascending" name i
           done
         done
@@ -580,10 +573,14 @@ module Sealed = struct
     | [] -> Ok ()
     | ps -> Error (String.concat "; " ps)
 
+  let validate t =
+    touch t;
+    invariants t
+
   (* Direct construction from decoded parts — the codec's zero-copy
      load path, which bypasses the Builder round trip entirely. The
      caller owns the invariants ({!validate} is available; the lazy
-     load path defers CRC + bounds checks to [on_first_touch]). *)
+     load path defers its CRCs and {!invariants} to [on_first_touch]). *)
   let of_flat ~doc_height ~root ~sids ~labels ~vtypes ~counts ~child_off
       ~child_idx ~child_avg ~parent_off ~parent_idx ~vsumms ~vsumm_decode
       ~on_first_touch =

@@ -181,14 +181,6 @@ module Sealed : sig
 
   type ba_i = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  val ba_i_of_array : int array -> ba_i
-  (** Copying conversions between boxed arrays and the unboxed buffers
-      (helpers for the codec and the transition-matrix builder). *)
-
-  val ba_f_of_array : float array -> ba_f
-  val array_of_ba_i : ba_i -> int array
-  val array_of_ba_f : ba_f -> float array
-
   val uid : t -> int
   (** Process-unique id; every {!freeze} allocates a fresh one. Plan
       caches key on it — a sealed synopsis never mutates, so the key
@@ -246,16 +238,6 @@ module Sealed : sig
   val parent_off_ba : t -> ba_i
   val parent_idx_ba : t -> ba_i
 
-  val child_off : t -> int array
-  (** Materializing compatibility views of the CSR: each call copies the
-      backing buffer into a fresh array. Cold paths only — hoist the
-      copy out of any loop, or use the [_ba] accessors. *)
-
-  val child_idx : t -> int array
-  val child_avg : t -> float array
-  val parent_off : t -> int array
-  val parent_idx : t -> int array
-
   val of_flat :
     doc_height:int -> root:int -> sids:int array ->
     labels:Xc_xml.Label.t array -> vtypes:Xc_xml.Value.vtype array ->
@@ -263,13 +245,14 @@ module Sealed : sig
     child_avg:ba_f -> parent_off:ba_i -> parent_idx:ba_i ->
     vsumms:Xc_vsumm.Value_summary.t option array ->
     vsumm_decode:(int -> Xc_vsumm.Value_summary.t) option ->
-    on_first_touch:(unit -> unit) option -> t
+    on_first_touch:(t -> unit) option -> t
   (** Direct construction from decoded parts — the codec's load path,
       which bypasses the Builder round trip. A fresh {!uid} is
       allocated and [fcounts] derived from [counts]. [vsumm_decode]
       fills [None] cells of [vsumms] on demand; [on_first_touch] runs
-      once before the first numeric-buffer access (deferred CRC
-      verification — it stays armed if it raises, so every subsequent
+      once, on the synopsis itself, before the first numeric-buffer
+      access (deferred verification: section CRCs, then
+      {!invariants} — it stays armed if it raises, so every subsequent
       access re-raises). The caller owns the structural invariants;
       {!validate} checks them (forcing the touch hook, not the value
       summaries). *)
@@ -293,7 +276,14 @@ module Sealed : sig
   val validate : t -> (unit, string) result
   (** CSR invariants: offsets monotone and bounded, rows sorted and
       duplicate-free, child/parent rows mutually consistent, counts
-      positive, root in range. *)
+      positive, sids ascending, root in range. Runs the first-touch
+      hook first, so on a lazily loaded synopsis a deferred failure
+      raises the codec's exception. *)
+
+  val invariants : t -> (unit, string) result
+  (** The checks of {!validate} over the raw buffers, without running
+      the first-touch hook — what that hook itself runs, so a mapped
+      synopsis is held to exactly the rules a decoded one is. *)
 
   val pp_stats : Format.formatter -> t -> unit
 end

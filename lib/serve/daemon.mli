@@ -103,9 +103,8 @@ val default_config : config
     [None], [max_batch] 8192, [max_frame_bytes] 64 MiB, 4 workers,
     backlog 64, [max_pending] 64, 30 s socket timeouts and request
     budget, 5 s drain, 100 ms retry hint.
-    Reads no environment: [xcluster serve] takes [workers] and
-    [backlog] from [XC_SERVE_WORKERS] and [XC_SERVE_BACKLOG] when its
-    flags are absent. *)
+    Reads no environment: [xcluster serve] sets [workers] and
+    [backlog] from its [--workers] and [--backlog] flags. *)
 
 val run :
   ?config:config ->

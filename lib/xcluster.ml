@@ -71,8 +71,8 @@ module Store = struct
 
   let save = Xc_core.Codec.save
 
-  let load ?eager path =
-    match Xc_core.Codec.load ?eager path with
+  let load path =
+    match Xc_core.Codec.load path with
     | Ok _ as ok -> ok
     | Error _ as e ->
       Mx.incr Xc_util.Meters.Serve.load_error;

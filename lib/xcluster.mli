@@ -204,14 +204,15 @@ module Store : sig
       mmap-friendly v3 format via {!Xc_core.Codec.save}; on [Error _]
       a pre-existing file at the path is untouched. *)
 
-  val load : ?eager:bool -> string -> (synopsis, error) result
-  (** Read and decode; [load] itself never raises. With [eager:false]
-      (the default) a v3 file on a little-endian host memory-maps in
-      near-constant time, deferring per-section CRC verification and
-      value-summary decoding to first touch; a deferred failure raises
-      {!Xc_core.Codec.Lazy_failure} at the access point (the serve
-      layer catches it and degrades). [eager:true] fully verifies up
-      front. Failures additionally bump [serve.load_error] — a server
+  val load : string -> (synopsis, error) result
+  (** Read and decode; [load] itself never raises. A v3 file on a
+      little-endian host memory-maps in near-constant time, deferring
+      the CSR sections' checks and value-summary decoding to first
+      touch; a deferred failure raises {!Xc_core.Codec.Lazy_failure} at
+      the access point (the serve layer catches it and degrades). The
+      checks are the decoder's own, so the mapped synopsis fails
+      exactly where {!Xc_core.Codec.of_string} would have refused the
+      file. Failures additionally bump [serve.load_error] — a server
       that keeps a directory of synopses uses this to skip (and count)
       corrupt artifacts instead of dying on the first one. *)
 
@@ -220,15 +221,15 @@ module Store : sig
       intact). *)
 
   val load_exn : string -> synopsis
-  (** Lazy {!load}. @raise Failure on read or decode failure. *)
+  (** {!load}. @raise Failure on read or decode failure. *)
 
-  val verify : ?eager:bool -> string -> (Xc_core.Codec.info, error) result
-  (** Integrity check (framing + per-section CRC-32 for v2/v3, full
-      decode for v1) without building the synopsis —
-      {!Xc_core.Codec.verify}. [eager:false] checks only the subset a
-      lazy v3 load verifies at admission. *)
+  val verify : string -> (Xc_core.Codec.info, error) result
+  (** Integrity check: the full decode {!Xc_core.Codec.of_string} runs
+      (per-section CRC-32 for v2/v3, every structural check for all
+      versions) — {!Xc_core.Codec.verify}. Refuses exactly what a
+      decode refuses. *)
 
-  val sections : ?eager:bool -> string -> (Xc_core.Codec.section_status list, error) result
+  val sections : string -> (Xc_core.Codec.section_status list, error) result
   (** Per-section CRC report ({!Xc_core.Codec.sections}): localizes
       damage instead of stopping at the first bad checksum. *)
 end

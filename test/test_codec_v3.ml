@@ -12,15 +12,20 @@
      detected, and sampled payload flips land in the right section's
      CRC;
    - a lazy (mapped) load of a damaged file either fails at admission
-     (eager-group sections) or raises Codec.Lazy_failure at the first
-     access that needed the damaged section — and the serve engine
-     contains that into a typed error (a [Failure] from the facade's
-     single-query estimate), never a crash;
+     (node-attribute sections) or raises Codec.Lazy_failure at the
+     first access that needed the damaged section — and the serve
+     engine contains that into a typed error (a [Failure] from the
+     facade's single-query estimate), never a crash;
+   - one definition of a valid artifact: for damage the checksums
+     cannot see (a word overwritten, the CRCs recomputed), of_string,
+     verify and a mapped load followed by a full walk refuse exactly
+     the same files with the same error, and answer bit-identically
+     when they accept;
    - fault storms at the mmap-path sites (codec.map,
      codec.section_verify) never produce an untyped failure;
    - every value-summary kind is on disk in the golden files, so each
      reader arm is exercised;
-   - the per-section report localizes damage and reflects lazy mode. *)
+   - the per-section report localizes damage. *)
 
 module Codec = Xc_core.Codec
 module S = Xc_core.Synopsis.Sealed
@@ -243,12 +248,12 @@ let section_extent encoded k =
   let get pos = Int64.to_int (String.get_int64_be encoded pos) in
   (get (entry + 8), get (entry + 16))
 
+let section_names =
+  [| "header"; "sids"; "counts"; "labels"; "vtypes"; "child_off"; "child_idx";
+     "child_avg"; "parent_off"; "parent_idx"; "terms"; "vsumm_off"; "vsumm_blob" |]
+
 let section_index name =
-  let names =
-    [| "header"; "sids"; "counts"; "labels"; "vtypes"; "child_off"; "child_idx";
-       "child_avg"; "parent_off"; "parent_idx"; "terms"; "vsumm_off"; "vsumm_blob" |]
-  in
-  let rec find i = if names.(i) = name then i else find (i + 1) in
+  let rec find i = if section_names.(i) = name then i else find (i + 1) in
   find 0
 
 let test_lazy_deferred_failure () =
@@ -315,10 +320,17 @@ let test_lazy_deferred_failure () =
     | exception Codec.Lazy_failure _ -> ()
     | exception exn ->
       Alcotest.failf "expected Lazy_failure, got %s" (Printexc.to_string exn)));
-  (* eager mode refuses all three up front *)
-  (match Codec.load ~eager:true path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "eager load admitted a damaged file");
+  (* the full decode refuses all three up front *)
+  List.iter
+    (fun name ->
+      corrupt_section name;
+      match Codec.of_string (read_exn path) with
+      | Error (Codec.Checksum_mismatch { section; _ }) when section = name -> ()
+      | Error e ->
+        Alcotest.failf "%s: expected its checksum mismatch, got %s" name
+          (Codec.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: full decode admitted a damaged file" name)
+    [ "counts"; "child_idx"; "vsumm_blob" ];
   (* and an undamaged file answers bit-identically through the map *)
   write_exn path good;
   match Codec.load path with
@@ -327,6 +339,215 @@ let test_lazy_deferred_failure () =
     List.iter
       (fun q -> check_bits ("mapped " ^ q) (est syn q) (est lazy_syn q))
       (queries_of "imdb")
+
+(* ---- one definition of a valid artifact -----------------------------------
+
+   Damage the checksums cannot see: bytes rewritten inside one section,
+   then that section's CRC and the directory CRC recomputed. Whatever
+   the decoder makes of such a file, every other reader must agree. *)
+
+(* [s] with section [k]'s CRC and the directory CRC recomputed *)
+let reseal s k =
+  let off, len = section_extent s k in
+  let b = Bytes.of_string s in
+  let entry = 24 + (k * 32) in
+  Bytes.set_int64_be b (entry + 24) (Int64.of_int (Xc_util.Crc32.sub s ~pos:off ~len));
+  let dir_crc = Xc_util.Crc32.sub (Bytes.unsafe_to_string b) ~pos:12 ~len:(440 - 12) in
+  Bytes.set_int64_be b 440 (Int64.of_int dir_crc);
+  Bytes.unsafe_to_string b
+
+(* Every check a mapped synopsis defers, run now: the first-touch
+   verification (through [validate]) and every value summary's
+   decode. A deferred failure raises Codec.Lazy_failure. *)
+let full_walk syn =
+  (match S.validate syn with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "mapped synopsis passed first touch but not validate: %s" e);
+  for i = 0 to S.n_nodes syn - 1 do
+    ignore (S.vsumm syn i)
+  done
+
+(* a mapped load followed by the full walk: [Error] at admission or
+   at a deferred check *)
+let mapped_outcome path =
+  match Codec.load path with
+  | Error e -> Error e
+  | Ok syn -> (
+    match full_walk syn with
+    | () -> Ok syn
+    | exception Codec.Lazy_failure e -> Error e)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
+  at 0
+
+let write_raw path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* two targets of one child_idx row swapped and the CRCs recomputed:
+   the row is no longer ascending, and nothing but the structural
+   check can tell *)
+let test_unsorted_row_refused () =
+  in_temp_dir @@ fun dir ->
+  let syn = force "imdb" in
+  let good = Codec.to_string syn in
+  let k_off = section_index "child_off" and k_idx = section_index "child_idx" in
+  let off_pos, _ = section_extent good k_off in
+  let idx_pos, _ = section_extent good k_idx in
+  let child_off i = Int64.to_int (String.get_int64_le good (off_pos + (8 * i))) in
+  let rec wide_row i = if child_off (i + 1) - child_off i >= 2 then i else wide_row (i + 1) in
+  let row = wide_row 0 in
+  let b = Bytes.of_string good in
+  let e = idx_pos + (8 * child_off row) in
+  Bytes.set_int64_le b e (String.get_int64_le good (e + 8));
+  Bytes.set_int64_le b (e + 8) (String.get_int64_le good e);
+  let bad = reseal (Bytes.unsafe_to_string b) k_idx in
+  let path = Filename.concat dir "unsorted.syn" in
+  write_raw path bad;
+  (* the decoder refuses it *)
+  let refusal =
+    match Codec.of_string bad with
+    | Error (Codec.Corrupt { what; _ } as e) ->
+      let needle = Printf.sprintf "child row %d not strictly ascending" row in
+      check Alcotest.bool ("decoder names " ^ needle) true
+        (contains what needle);
+      e
+    | Error e -> Alcotest.failf "expected Corrupt, got %s" (Codec.error_to_string e)
+    | Ok _ -> Alcotest.fail "of_string admitted an unsorted CSR row"
+  in
+  (* verify refuses it with the same error *)
+  (match Codec.verify path with
+  | Error e ->
+    check Alcotest.string "verify's error" (Codec.error_to_string refusal)
+      (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "verify admitted an unsorted CSR row");
+  (* the mapped load admits it (the CSR sections are deferred), and
+     its first numeric access raises the decoder's error *)
+  (match Codec.load path with
+  | Error e -> Alcotest.failf "mapped load refused at admission: %s" (Codec.error_to_string e)
+  | Ok mapped -> (
+    (match S.child_idx_ba mapped with
+    | _ -> Alcotest.fail "first numeric access admitted an unsorted CSR row"
+    | exception Codec.Lazy_failure e ->
+      check Alcotest.string "first touch's error" (Codec.error_to_string refusal)
+        (Codec.error_to_string e));
+    (* the hook stays armed, and the engine answers Unavailable *)
+    match Xc_serve.Engine.estimate_result mapped (Xc_twig.Twig_parse.parse "//movie/title") with
+    | Error (Xc_serve.Error.Unavailable _) -> ()
+    | Error e -> Alcotest.failf "expected Unavailable, got %s" (Xc_serve.Error.to_string e)
+    | Ok _ -> Alcotest.fail "engine served an estimate off an unsorted CSR row"));
+  (* the facade's store refuses nothing at load either, and fails the
+     same way at first touch *)
+  match Xcluster.Store.load path with
+  | Error e -> Alcotest.failf "Store.load refused at admission: %s" (Codec.error_to_string e)
+  | Ok mapped -> (
+    match Xcluster.Query.validate mapped with
+    | _ -> Alcotest.fail "Query.validate admitted an unsorted CSR row"
+    | exception Codec.Lazy_failure _ -> ())
+
+(* a negative CSR offset is an inconsistency the structural check
+   names, not an exception it throws *)
+let test_negative_offset_typed () =
+  let good = Codec.to_string (force "imdb") in
+  let k = section_index "child_off" in
+  let off, _ = section_extent good k in
+  let b = Bytes.of_string good in
+  Bytes.set_int64_le b (off + 8) (-2L);
+  match Codec.of_string (reseal (Bytes.unsafe_to_string b) k) with
+  | Error (Codec.Corrupt { what; _ }) ->
+    check Alcotest.bool ("a named inconsistency: " ^ what) true
+      (contains what "decoded synopsis is inconsistent")
+  | Error e -> Alcotest.failf "expected Corrupt, got %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "of_string admitted a negative CSR offset"
+
+module G = QCheck.Gen
+
+(* one rewritten 8-byte word: section [k], word [w], new bytes [v] *)
+type rewrite = { k : int; w : int; v : string }
+
+let print_rewrite { k; w; v } =
+  Printf.sprintf "%s word %d := %S" section_names.(k) w v
+
+let definition_subject =
+  lazy
+    (let doc = Xc_data.Imdb.generate ~seed:81 ~n_movies:40 () in
+     let workload =
+       Xc_twig.Workload.generate
+         ~spec:{ Xc_twig.Workload.default_spec with n_queries = 24; seed = 5 }
+         doc
+     in
+     (Codec.to_string (force "imdb"), List.map (fun e -> e.Xc_twig.Workload.query) workload))
+
+(* forced on first draw, not at start-up: the suite's first test must
+   run before this process interns the synopsis's terms *)
+let gen_rewrite () =
+  let open G in
+  let encoded = fst (Lazy.force definition_subject) in
+  let n = S.n_nodes (force "imdb") in
+  let nonempty = List.filter (fun k -> snd (section_extent encoded k) >= 8) (List.init 13 Fun.id) in
+  oneofl nonempty >>= fun k ->
+  let off, len = section_extent encoded k in
+  int_range 0 ((len / 8) - 1) >>= fun w ->
+  let word i = String.sub encoded (off + (8 * i)) 8 in
+  let le x =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 x;
+    Bytes.to_string b
+  in
+  let be x =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_be b 0 x;
+    Bytes.to_string b
+  in
+  let small = map Int64.of_int (int_range (-2) (n + 2)) in
+  map
+    (fun v -> { k; w; v })
+    (oneof
+       [ map le small;  (* an index, count or offset of the numeric sections *)
+         map be small;  (* a length or tag of the byte-packed ones *)
+         map
+           (fun bit -> le (Int64.logxor (String.get_int64_le (word w) 0) (Int64.shift_left 1L bit)))
+           (int_range 0 63);
+         map word (int_range 0 ((len / 8) - 1));  (* another word of the section *)
+         map le ui64 ])
+
+let rewrite encoded { k; w; v } =
+  let off, _ = section_extent encoded k in
+  let b = Bytes.of_string encoded in
+  Bytes.blit_string v 0 b (off + (8 * w)) 8;
+  reseal (Bytes.unsafe_to_string b) k
+
+let answers syn queries =
+  List.map
+    (fun q ->
+      match Xc_core.Estimate.selectivity syn q with
+      | v -> Ok (Int64.bits_of_float v)
+      | exception exn -> Error (Printexc.to_string exn))
+    queries
+
+let prop_one_definition =
+  QCheck.Test.make ~name:"CRC-consistent rewrites: decode, verify and map agree" ~count:300
+    (QCheck.make ~print:print_rewrite (G.delay gen_rewrite))
+    (fun r ->
+      let encoded, queries = Lazy.force definition_subject in
+      let bad = rewrite encoded r in
+      let path = Filename.temp_file "xc_definition" ".syn" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      write_raw path bad;
+      let show = Codec.error_to_string in
+      let decoded = Codec.of_string bad in
+      (match (decoded, Codec.verify path) with
+      | Ok _, Ok _ -> ()
+      | Error a, Error b when a = b -> ()
+      | Error a, Error b -> QCheck.Test.fail_reportf "decoder: %s; verify: %s" (show a) (show b)
+      | Ok _, Error b -> QCheck.Test.fail_reportf "verify refused what the decoder accepts: %s" (show b)
+      | Error a, Ok _ -> QCheck.Test.fail_reportf "verify accepted what the decoder refuses: %s" (show a));
+      match (decoded, mapped_outcome path) with
+      | Error a, Error b ->
+        a = b || QCheck.Test.fail_reportf "decoder: %s; mapped: %s" (show a) (show b)
+      | Ok d, Ok m -> answers d queries = answers m queries
+      | Ok _, Error b -> QCheck.Test.fail_reportf "the map refused what the decoder accepts: %s" (show b)
+      | Error a, Ok _ -> QCheck.Test.fail_reportf "the map accepted what the decoder refuses: %s" (show a))
 
 (* ---- fault storms at the mmap sites -------------------------------------- *)
 
@@ -398,10 +619,12 @@ let test_old_versions_decode () =
   List.iter
     (fun (what, version, encoded) ->
       check_same_synopsis what ~expected:d3 (decode_exn what encoded);
-      match Codec.verify_string encoded with
+      match Codec.verify (Printf.sprintf "golden/imdb.v%d.syn" version) with
       | Ok info ->
         check Alcotest.int (what ^ " version") version info.Codec.i_version;
-        check Alcotest.bool (what ^ " checksummed") (version > 1) info.Codec.i_checksummed
+        (* v2 and v3 carry checksums, v1 none *)
+        check Alcotest.bool (what ^ " checksummed") (version > 1) (info.Codec.i_version > 1);
+        check Alcotest.int (what ^ " nodes") (S.n_nodes d3) info.Codec.i_nodes
       | Error e -> Alcotest.failf "%s verify failed: %s" what (Codec.error_to_string e))
     [ ("golden v1", 1, golden 1); ("golden v2", 2, golden 2); ("golden v3", 3, golden 3) ]
 
@@ -416,22 +639,8 @@ let test_sections_report () =
     check Alcotest.int "13 sections" 13 (List.length secs);
     List.iteri
       (fun i s ->
-        check Alcotest.string "section name"
-          [| "header"; "sids"; "counts"; "labels"; "vtypes"; "child_off";
-             "child_idx"; "child_avg"; "parent_off"; "parent_idx"; "terms";
-             "vsumm_off"; "vsumm_blob" |].(i)
-          s.Codec.sec_name;
+        check Alcotest.string "section name" section_names.(i) s.Codec.sec_name;
         check Alcotest.(option bool) ("crc ok: " ^ s.Codec.sec_name) (Some true)
-          s.Codec.sec_crc_ok)
-      secs);
-  (* lazy mode reports only the admission-time check *)
-  (match Codec.sections_string ~eager:false v3 with
-  | Error e -> Alcotest.failf "lazy sections failed: %s" (Codec.error_to_string e)
-  | Ok secs ->
-    List.iteri
-      (fun i s ->
-        check Alcotest.(option bool) ("lazy crc: " ^ s.Codec.sec_name)
-          (if i = 0 then Some true else None)
           s.Codec.sec_crc_ok)
       secs);
   (* damage is localized, and the report does not stop at the first hit *)
@@ -460,6 +669,12 @@ let () =
       ( "lazy verification",
         [ Alcotest.test_case "deferred failure containment" `Quick
             test_lazy_deferred_failure ] );
+      ( "one definition",
+        [ Alcotest.test_case "unsorted CSR row refused by every reader" `Quick
+            test_unsorted_row_refused;
+          Alcotest.test_case "negative CSR offset is a named inconsistency" `Quick
+            test_negative_offset_typed;
+          QCheck_alcotest.to_alcotest prop_one_definition ] );
       ( "fault storms",
         [ Alcotest.test_case "mmap sites total" `Quick test_fault_storm_mmap_sites ] );
       ( "versioning",
