@@ -341,10 +341,7 @@ let verify_cmd =
         (fun s ->
           Format.printf "  %-10s %10d bytes  %s@." s.Xc_core.Codec.sec_name
             s.Xc_core.Codec.sec_bytes
-            (match s.Xc_core.Codec.sec_crc_ok with
-            | Some true -> "crc ok"
-            | Some false -> "CRC MISMATCH"
-            | None -> "no crc"))
+            (if s.Xc_core.Codec.sec_crc_ok then "crc ok" else "CRC MISMATCH"))
         secs
     | Error e ->
       (* framing damage: no directory to report section-by-section *)
@@ -354,12 +351,8 @@ let verify_cmd =
     guarded @@ fun () ->
     match Xcluster.Store.verify file with
     | Ok info ->
-      Format.printf "%s: OK (format v%d, %d nodes, %d bytes, %s)@." file
-        info.Xc_core.Codec.i_version info.Xc_core.Codec.i_nodes
-        info.Xc_core.Codec.i_bytes
-        (if info.Xc_core.Codec.i_version = 1 then
-           "no checksums in v1: verified by full decode"
-         else "checksums verified");
+      Format.printf "%s: OK (format v%d, %d nodes, %d bytes, checksums verified)@." file
+        Xc_core.Codec.version info.Xc_core.Codec.i_nodes info.Xc_core.Codec.i_bytes;
       if sections then print_sections file;
       0
     | Error e ->
@@ -371,9 +364,11 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:
          "Check a saved synopsis's integrity by the full decode a load \
-          holds it to: every per-section CRC-32 (v2/v3 formats) and every \
-          structural check. $(b,--sections) prints a per-section CRC \
-          report. Exits 0 when intact, 1 when corrupt.")
+          holds it to: every per-section CRC-32 and every structural \
+          check. A file in an older format (v1, v2) is refused as an \
+          unsupported version; rebuild it from its document. \
+          $(b,--sections) prints a per-section CRC report. Exits 0 when \
+          intact, 1 when corrupt.")
     Term.(const run $ file $ sections_arg)
 
 (* ---- serve -------------------------------------------------------------- *)

@@ -1,5 +1,4 @@
 module Vs = Xc_vsumm.Value_summary
-module B = Synopsis.Builder
 module S = Synopsis.Sealed
 module Crc32 = Xc_util.Crc32
 module Safe_io = Xc_util.Safe_io
@@ -9,23 +8,17 @@ open Xc_xml
 
 let magic = "XCLU"
 let version = 3
-let version_v2 = 2
-let version_v1 = 1
 
-(* v2 section tags, in file order *)
-let tag_header = 1
-let tag_terms = 2
-let tag_nodes = 3
-
-(* v3 layout: a fixed 13-entry section directory up front, then raw
-   alignment-padded section payloads. Numeric sections are little-endian
-   64-bit words so [Unix.map_file] can expose them as Bigarray slices
-   zero-copy on little-endian hosts; byte-granular sections (labels,
-   terms, value summaries) keep the v2 big-endian record idiom and are
-   parsed, not mapped. Every byte of the container from offset 12 on is
-   CRC-covered: the directory (including the 4 alignment pad bytes) by
-   the directory CRC, each payload (including its trailing pad) by its
-   entry's CRC — a single flipped bit anywhere is detectable.
+(* v3 layout, the only one read or written: a fixed 13-entry section
+   directory up front, then raw alignment-padded section payloads.
+   Numeric sections are little-endian 64-bit words so [Unix.map_file]
+   can expose them as Bigarray slices zero-copy on little-endian hosts;
+   byte-granular sections (labels, terms, value summaries) are
+   big-endian length-prefixed records, parsed, not mapped. Every byte
+   of the container from offset 12 on is CRC-covered: the directory
+   (including the 4 alignment pad bytes) by the directory CRC, each
+   payload (including its trailing pad) by its entry's CRC — a single
+   flipped bit anywhere is detectable.
 
      0  magic "XCLU"
      4  version (int64 BE) = 3
@@ -51,12 +44,6 @@ let v3_section_name tag =
   if tag >= 1 && tag <= v3_n_sections then v3_section_names.(tag - 1)
   else Printf.sprintf "section-%d" tag
 
-(* A node record is at least sid + label length + vtype + count +
-   vsumm tag + edge count = 48 bytes; an edge is 16. Guards below use
-   these floors to reject counts no remaining input could satisfy. *)
-let node_min_bytes = 48
-let edge_min_bytes = 16
-
 (* ---- errors ------------------------------------------------------------ *)
 
 type error =
@@ -76,7 +63,10 @@ exception Lazy_failure of error
 let pp_error ppf = function
   | Bad_magic -> Format.fprintf ppf "bad magic (not an XCluster synopsis file)"
   | Unsupported_version v ->
-    Format.fprintf ppf "unsupported format version %d (this build reads 1-%d)" v version
+    Format.fprintf ppf
+      "unsupported format version %d (this build reads only v%d: rebuild the synopsis \
+       from its document)"
+      v version
   | Truncated { pos; need } ->
     Format.fprintf ppf "truncated input at byte %d (%d more bytes needed)" pos need
   | Bad_length { pos; len; what } ->
@@ -365,13 +355,7 @@ let vtype_of_tag ~pos = function
   | 3 -> Value.Ttext
   | tag -> err (Corrupt { pos; what = Printf.sprintf "unknown value-type tag %d" tag })
 
-let get_vtype r =
-  let pos = r.pos in
-  vtype_of_tag ~pos (get_int r)
-
-(* ---- encoding --------------------------------------------------------------
-   Only v3 is written (see the layout at the top); v1 and v2 files
-   remain readable below. *)
+(* ---- encoding (the layout at the top) ------------------------------------ *)
 
 let to_string syn =
   let n = S.n_nodes syn in
@@ -474,122 +458,6 @@ let decode_terms r =
   Array.of_list
     (get_list r ~elt_min:8 ~what:"term-table size" (fun r ->
          Dictionary.of_string (get_string r)))
-
-(* ---- v1 / v2 ------------------------------------------------------------
-   Both legacy formats carry one node-record payload: nodes in
-   ascending-sid order with sid-keyed edges, the sealed form's index
-   order. v1 wraps it unframed:
-     magic | version | term table | doc_height root n_nodes | nodes
-   v2 frames header / terms / nodes into sections, each
-     tag | payload length | CRC-32 | payload
-   so damage is detected section-locally before decoding.
-
-   [decode_graph] reads the payload, consuming the reader exactly to
-   its limit; the caller supplies the header fields. *)
-let decode_graph r ~terms ~doc_height ~root ~n_nodes =
-  if doc_height < 0 || doc_height > 1_000_000 then
-    err (Bad_length { pos = 0; len = doc_height; what = "document height" });
-  if n_nodes < 0 || n_nodes > remaining r / node_min_bytes then
-    err (Bad_length { pos = r.pos; len = n_nodes; what = "node count" });
-  let syn = B.create ~doc_height in
-  let edges = ref [] in
-  for _ = 1 to n_nodes do
-    let at = r.pos in
-    let sid = get_int r in
-    if sid < 0 then
-      err (Corrupt { pos = at; what = Printf.sprintf "negative node id %d" sid });
-    let label = Label.of_string (get_string r) in
-    let vtype = get_vtype r in
-    let count = get_int r in
-    let vsumm = get_vsumm terms r in
-    if B.mem syn sid then
-      err (Corrupt { pos = at; what = Printf.sprintf "duplicate node id %d" sid });
-    ignore (B.add_node_at syn ~sid ~label ~vtype ~count ~vsumm);
-    let ne_at = r.pos in
-    let n_edges = get_int r in
-    if n_edges < 0 || n_edges > remaining r / edge_min_bytes then
-      err (Bad_length { pos = ne_at; len = n_edges; what = "edge count" });
-    for _ = 1 to n_edges do
-      let e_at = r.pos in
-      let child = get_int r in
-      let avg = get_float r in
-      edges := (e_at, sid, child, avg) :: !edges
-    done
-  done;
-  if r.pos <> r.limit then err (Corrupt { pos = r.pos; what = "trailing bytes" });
-  List.iter
-    (fun (at, parent, child, avg) ->
-      if not (B.mem syn child) then
-        err (Corrupt { pos = at; what = Printf.sprintf "edge to unknown node %d" child });
-      B.set_edge syn ~parent ~child avg)
-    !edges;
-  if not (B.mem syn root) then
-    err (Corrupt { pos = 0; what = Printf.sprintf "root id %d not among nodes" root });
-  B.set_root syn root;
-  (match B.validate syn with
-  | Ok () -> ()
-  | Error e -> err (Corrupt { pos = 0; what = "decoded synopsis is inconsistent: " ^ e }));
-  Synopsis.freeze syn
-
-let decode_v1 r =
-  let terms = decode_terms r in
-  let doc_height = get_int r in
-  let root = get_int r in
-  let n_nodes = get_int r in
-  decode_graph r ~terms ~doc_height ~root ~n_nodes
-
-let section_name tag =
-  if tag = tag_header then "header"
-  else if tag = tag_terms then "terms"
-  else "nodes"
-
-(* One v2 section frame: its payload's reader and (stored, computed)
-   CRC, with [r] moved past the frame. *)
-let v2_frame r ~tag =
-  let name = section_name tag in
-  let at = r.pos in
-  let t = get_int r in
-  if t <> tag then
-    err
-      (Corrupt
-         { pos = at;
-           what = Printf.sprintf "expected %s section (tag %d), found tag %d" name tag t
-         });
-  let len_at = r.pos in
-  let len = get_int r in
-  let stored = get_int r in
-  if len < 0 || len > remaining r then
-    err (Bad_length { pos = len_at; len; what = name ^ " section length" });
-  let actual = Crc32.sub r.src ~pos:r.pos ~len in
-  let section = { src = r.src; pos = r.pos; limit = r.pos + len } in
-  r.pos <- r.pos + len;
-  (section, stored, actual)
-
-let get_section r ~tag =
-  let section, stored, actual = v2_frame r ~tag in
-  if actual <> stored then
-    err (Checksum_mismatch { section = section_name tag; stored; actual });
-  section
-
-let decode_header r =
-  let header = get_section r ~tag:tag_header in
-  let doc_height = get_int header in
-  let root = get_int header in
-  let n_nodes = get_int header in
-  if header.pos <> header.limit then
-    err (Corrupt { pos = header.pos; what = "trailing bytes in header section" });
-  (doc_height, root, n_nodes)
-
-let decode_v2 r =
-  let doc_height, root, n_nodes = decode_header r in
-  let terms_sec = get_section r ~tag:tag_terms in
-  let terms = decode_terms terms_sec in
-  if terms_sec.pos <> terms_sec.limit then
-    err (Corrupt { pos = terms_sec.pos; what = "trailing bytes in terms section" });
-  let nodes_sec = get_section r ~tag:tag_nodes in
-  if r.pos <> r.limit then
-    err (Corrupt { pos = r.pos; what = "trailing bytes after last section" });
-  decode_graph nodes_sec ~terms ~doc_height ~root ~n_nodes
 
 (* ---- v3 ---------------------------------------------------------------- *)
 
@@ -767,10 +635,20 @@ let check_invariants syn =
   | Ok () -> ()
   | Error e -> err (Corrupt { pos = 0; what = "decoded synopsis is inconsistent: " ^ e })
 
-(* the string v3 decoder: every CRC checked, every section copied out of
-   the string, every value summary materialized. The totality/fuzzing
-   contract lives here; the mmap path below is the fast lane. *)
-let decode_v3 src =
+(* magic, then version: the first checks every reader makes, on the
+   whole input or on the prefix of a file it has read *)
+let check_version src =
+  if String.length src < 4 || not (String.equal (String.sub src 0 4) magic) then
+    err Bad_magic;
+  let v = get_int { src; pos = 4; limit = String.length src } in
+  if v <> version then err (Unsupported_version v)
+
+(* the one definition of a valid artifact: what this decoder accepts.
+   Every CRC checked, every section copied out of the string, every
+   value summary materialized. The totality/fuzzing contract lives
+   here; the mmap path below is the fast lane. *)
+let decode src =
+  check_version src;
   let entries = parse_v3_dir src ~total:(String.length src) in
   Array.iter (fun e -> check_v3_crc src e) entries;
   let { doc_height; root; n; ne; sids; counts; labels; vtypes } =
@@ -796,15 +674,6 @@ let decode_v3 src =
   check_invariants syn;
   syn
 
-let with_version src k =
-  let r = { src; pos = 0; limit = String.length src } in
-  if String.length src < 4 || not (String.equal (String.sub src 0 4) magic) then
-    err Bad_magic;
-  r.pos <- 4;
-  let v = get_int r in
-  if v <> version_v1 && v <> version_v2 && v <> version then err (Unsupported_version v);
-  k v r
-
 (* every failure mode becomes the typed error — decoding is total *)
 let guard ?(path = "") f =
   match f () with
@@ -819,18 +688,7 @@ let guard ?(path = "") f =
     record_error e;
     Error e
 
-(* the one definition of a valid artifact: the version and what its
-   decoder accepts *)
-let decode src =
-  with_version src (fun v r ->
-      let syn =
-        if v = version_v1 then decode_v1 r
-        else if v = version_v2 then decode_v2 r
-        else decode_v3 src
-      in
-      (v, syn))
-
-let of_string src = guard (fun () -> snd (decode src))
+let of_string src = guard (fun () -> decode src)
 
 let of_string_exn src =
   match of_string src with
@@ -861,7 +719,7 @@ let read_file path =
 
 (* ---- the v3 mmap load path --------------------------------------------
 
-   A v3 container on a little-endian host loads in ~O(directory): the
+   On a little-endian host a container loads in ~O(directory): the
    prologue and the small node-attribute sections (header, sids, counts,
    labels, vtypes) are read, CRC-verified and checked eagerly, the five
    CSR sections become file-backed Bigarray slices ([Unix.map_file])
@@ -870,7 +728,8 @@ let read_file path =
    on first touch. No check here is the mapped path's own: each is one
    the decoder runs, with the same typed error. Deferred failures
    surface as {!Lazy_failure} at the access point — [load] itself has
-   already returned [Ok]. The mapping is released
+   already returned [Ok] — and the synopsis re-raises that same
+   exception at every later access. The mapping is released
    when the synopsis is collected (eviction from the serve engine's LRU
    drops the last reference; the GC then unmaps). *)
 
@@ -919,11 +778,13 @@ let map_v3 path =
   Xc_util.Fault.raise_io ~site:"codec.map";
   with_fd path @@ fun fd ->
   let total = (Unix.fstat fd).Unix.st_size in
-  if total < v3_data_pos then err (Truncated { pos = total; need = v3_data_pos - total });
-  let prologue = Xc_util.Fault.mutate ~site:"codec.load" (read_exact fd v3_data_pos) in
-  if not (String.equal (String.sub prologue 0 4) magic) then err Bad_magic;
-  let v = get_int { src = prologue; pos = 4; limit = v3_data_pos } in
-  if v <> version then err (Unsupported_version v);
+  (* the prologue, or the whole file when it is shorter, checked in the
+     decoder's order: a short, foreign or old-format file gets the
+     error {!decode} gives it *)
+  let prologue =
+    Xc_util.Fault.mutate ~site:"codec.load" (read_exact fd (min total v3_data_pos))
+  in
+  check_version prologue;
   let entries = parse_v3_dir prologue ~total in
   (* eager group: the prologue plus everything a registry needs to admit
      and describe the artifact — node attributes stay boxed anyway *)
@@ -1008,23 +869,11 @@ let map_v3 path =
     ~child_avg ~parent_off ~parent_idx ~vsumms:(Array.make n None)
     ~vsumm_decode:(Some vsumm_decode) ~on_first_touch:(Some on_first_touch)
 
-(* which version is on disk, without reading the payload *)
-let sniff_version path =
-  match with_fd path (fun fd -> read_exact fd 12) with
-  | exception (Unix.Unix_error _ | Decode _) -> None
-  | buf when String.equal (String.sub buf 0 4) magic -> (
-    match get_int { src = buf; pos = 4; limit = 12 } with
-    | v -> Some v
-    | exception Decode _ -> None)
-  | _ -> None
-
+(* a big-endian host cannot alias the little-endian words: the string
+   decode is its only path *)
 let load path =
-  match if Sys.big_endian then None else sniff_version path with
-  | Some v when v = version -> guard ~path (fun () -> map_v3 path)
-  | Some _ | None ->
-    (* v1/v2, foreign, unreadable, or a big-endian host: the string
-       path decodes or reports the precise error *)
-    Result.bind (read_file path) of_string
+  if Sys.big_endian then Result.bind (read_file path) of_string
+  else guard ~path (fun () -> map_v3 path)
 
 let load_exn path =
   match load path with
@@ -1034,7 +883,6 @@ let load_exn path =
 (* ---- integrity ---------------------------------------------------------- *)
 
 type info = {
-  i_version : int;
   i_nodes : int;
   i_bytes : int;
 }
@@ -1042,49 +890,28 @@ type info = {
 type section_status = {
   sec_name : string;
   sec_bytes : int;
-  sec_crc_ok : bool option;  (* None: v1 carries no CRC *)
+  sec_crc_ok : bool;
 }
 
 let verify path =
   Result.bind (read_file path) (fun src ->
       guard (fun () ->
-          let v, syn = decode src in
-          { i_version = v; i_nodes = S.n_nodes syn; i_bytes = String.length src }))
+          let syn = decode src in
+          { i_nodes = S.n_nodes syn; i_bytes = String.length src }))
 
 (* Per-section CRC report. Unlike {!verify} this does not stop at the
    first mismatch — the point is to localize damage. Framing errors
    (bad magic, a corrupt directory) still fail the whole call. *)
 let sections_string src =
   guard (fun () ->
-      with_version src (fun v r ->
-          if v = version_v1 then
-            [ { sec_name = "payload";
-                sec_bytes = String.length src - r.pos;
-                sec_crc_ok = None
-              } ]
-          else if v = version_v2 then begin
-            let out =
-              List.map
-                (fun tag ->
-                  let sec, stored, actual = v2_frame r ~tag in
-                  { sec_name = section_name tag;
-                    sec_bytes = sec.limit - sec.pos;
-                    sec_crc_ok = Some (actual = stored)
-                  })
-                [ tag_header; tag_terms; tag_nodes ]
-            in
-            if r.pos <> r.limit then
-              err (Corrupt { pos = r.pos; what = "trailing bytes after last section" });
-            out
-          end
-          else
-            Array.to_list
-              (Array.map
-                 (fun e ->
-                   { sec_name = e.e_name;
-                     sec_bytes = e.e_len;
-                     sec_crc_ok = Some (Crc32.sub src ~pos:e.e_off ~len:e.e_len = e.e_crc)
-                   })
-                 (parse_v3_dir src ~total:(String.length src)))))
+      check_version src;
+      Array.to_list
+        (Array.map
+           (fun e ->
+             { sec_name = e.e_name;
+               sec_bytes = e.e_len;
+               sec_crc_ok = Crc32.sub src ~pos:e.e_off ~len:e.e_len = e.e_crc
+             })
+           (parse_v3_dir src ~total:(String.length src))))
 
 let sections path = Result.bind (read_file path) sections_string

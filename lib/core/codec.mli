@@ -3,8 +3,8 @@
     A synopsis is built once (minutes for a large document) and consulted
     many times by an optimizer, so it must survive the process that built
     it — and survive what disks do to long-lived artifacts. The format
-    is a self-contained, versioned binary encoding that embeds the label
-    names and dictionary terms it references; loading re-interns them,
+    is a self-contained binary encoding that embeds the label names
+    and dictionary terms it references; loading re-interns them,
     so identifiers are stable across processes even though the global
     intern tables differ. Terms are numbered in text order, so the
     bytes {!to_string} writes for a synopsis do not depend on the order
@@ -23,10 +23,10 @@
     ([Unix.map_file]) straight into the sealed synopsis's Bigarray
     backing store, zero-copy, with their verification deferred to
     first touch (see {e one definition of a valid artifact} below).
-    {b v2} (framed sections, big-endian records) and {b v1} (unframed,
-    no checksums) files are readable, not writable: the decoder
-    negotiates on the version field, and v3 is the only format this
-    module writes.
+    v3 is the only format this module reads or writes: a file in an
+    older format (v1, v2) is refused by every reader with
+    [Unsupported_version], and its remedy is to rebuild the synopsis
+    from its document, as a synopsis is derived data.
 
     {b Failure contract.} Decoding via {!of_string} is total: every
     way an input can be wrong — foreign file, truncation, bit rot,
@@ -40,7 +40,8 @@
     {b One definition of a valid artifact.} What {!of_string} accepts
     is valid, and every other reader holds a file to exactly those
     checks: {!verify} {e is} that decode, and a mapped {!load} runs
-    the same checks, only later. It verifies the prologue, directory,
+    the same checks, only later. It checks magic and version first,
+    as the decoder does, then verifies the prologue, directory,
     and node-attribute sections before returning [Ok], runs the CSR
     sections' CRCs and the decoder's structural invariants
     ({!Synopsis.Sealed.invariants}: CSR shape, sid order, positive
@@ -48,17 +49,20 @@
     value summary on its first read. Those deferred checks raise
     {!Lazy_failure} carrying the error the decoder would have returned
     at the {e access} point — the serve layer catches it and degrades,
-    exactly as it would for a load-time [Error]. A caller that wants a
-    synopsis checked in full up front reads the file and calls
-    {!of_string}. Each lazily verified section bumps
+    exactly as it would for a load-time [Error]. A synopsis whose
+    deferred check failed remembers it: every later access re-raises
+    the same exception at once, without re-reading the file. A caller
+    that wants a synopsis checked in full up front reads the file and
+    calls {!of_string}. Each lazily verified section bumps
     [codec.lazy_verify].
 
     Persistence goes through {!Xc_util.Safe_io}: {!save} writes
     atomically (temp file → fsync → rename), so a crash mid-save
     leaves the previous synopsis intact; {!load} reads through the
     fault-injection sites ([codec.load] on the string path and the
-    mapped path's node-attribute prefix, [codec.map] before mapping, [codec.section_verify] at
-    first touch), so the harness can exercise every failure path.
+    mapped path's prologue and node-attribute prefix, [codec.map]
+    before mapping, [codec.section_verify] at first touch), so the
+    harness can exercise every failure path.
     Decode failures bump [codec.decode_error] (and CRC failures
     additionally [codec.crc_mismatch]) in {!Xc_util.Metrics.global}.
 
@@ -66,9 +70,14 @@
     construction state, not an artifact. Decoding validates the graph
     before sealing it. *)
 
+val version : int
+(** The one format version read and written: 3. *)
+
 type error =
   | Bad_magic  (** not an XCluster synopsis file *)
   | Unsupported_version of int
+      (** the version field is not v3's; an older-format file is
+          rebuilt from its document *)
   | Truncated of { pos : int; need : int }
       (** the input ends where [need] more bytes were required *)
   | Bad_length of { pos : int; len : int; what : string }
@@ -105,7 +114,8 @@ val size_on_disk : Synopsis.Sealed.t -> int
 (* ---- decoding --------------------------------------------------------- *)
 
 val of_string : string -> (Synopsis.Sealed.t, error) result
-(** Decode any format version (v1, v2 or v3). Total: never raises. *)
+(** Decode a v3 encoding; any other version is [Unsupported_version].
+    Total: never raises. *)
 
 val of_string_exn : string -> Synopsis.Sealed.t
 (** @raise Failure with the rendered error on any decode failure. *)
@@ -120,13 +130,15 @@ val save_exn : string -> Synopsis.Sealed.t -> unit
 (** @raise Failure on I/O failure. *)
 
 val load : string -> (Synopsis.Sealed.t, error) result
-(** Read and decode. [load] itself never raises. A v3 file on a
-    little-endian host is memory-mapped with the rest of the
-    decoder's checks deferred to first touch — the near-constant-time
-    path; deferred failures later raise {!Lazy_failure} at the access
-    point. Every other file (v1, v2, or any file on a big-endian host)
-    takes the string path, {!of_string}, so the returned synopsis can
-    never raise. *)
+(** Read and decode. [load] itself never raises. On a little-endian
+    host the file is memory-mapped with the rest of the decoder's
+    checks deferred to first touch — the near-constant-time path;
+    deferred failures later raise {!Lazy_failure} at the access point.
+    Magic, version and container length are checked before [load]
+    returns, in the decoder's order, so a foreign, truncated or
+    older-format file is refused with the error {!of_string} gives it.
+    On a big-endian host the file takes the string path,
+    {!of_string}, so the returned synopsis can never raise. *)
 
 val load_exn : string -> Synopsis.Sealed.t
 (** {!load}. @raise Failure on read or decode failure. *)
@@ -134,23 +146,20 @@ val load_exn : string -> Synopsis.Sealed.t
 (* ---- integrity -------------------------------------------------------- *)
 
 type info = {
-  i_version : int;
   i_nodes : int;
   i_bytes : int;  (** encoded size *)
 }
-(** v2 and v3 files carry per-section checksums; v1 files have none,
-    and the full decode is their only check. *)
+(** What {!verify} decoded; the format is always {!version}. *)
 
 val verify : string -> (info, error) result
-(** Integrity check of a file: its version, then the same full decode
-    {!of_string} runs (every checksum and every structural check), so
-    [verify] refuses exactly what {!of_string} refuses, with the same
-    error. *)
+(** Integrity check of a file: the same full decode {!of_string} runs
+    (every checksum and every structural check), so [verify] refuses
+    exactly what {!of_string} refuses, with the same error. *)
 
 type section_status = {
   sec_name : string;
   sec_bytes : int;
-  sec_crc_ok : bool option;  (** [None] when the section carries no CRC (v1) *)
+  sec_crc_ok : bool;
 }
 
 val sections_string : string -> (section_status list, error) result

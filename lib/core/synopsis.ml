@@ -120,15 +120,6 @@ module Builder = struct
     group_add t node;
     node
 
-  let add_node_at t ~sid ~label ~vtype ~count ~vsumm =
-    if Hashtbl.mem t.nodes sid then
-      invalid_arg (Printf.sprintf "Synopsis.Builder.add_node_at: sid %d in use" sid);
-    let node = make_node ~sid ~label ~vtype ~count ~vsumm in
-    Hashtbl.replace t.nodes sid node;
-    if sid >= t.next_sid then t.next_sid <- sid + 1;
-    group_add t node;
-    node
-
   let remove_node t sid =
     (match Hashtbl.find_opt t.nodes sid with
     | Some node -> group_delete t node
@@ -388,15 +379,28 @@ module Sealed = struct
   (* Run the deferred-verification hook exactly once, before the first
      access to the numeric backing store. The hook is handed [t] and
      reads its raw fields ({!invariants}), never an accessor, so it
-     cannot re-enter [touch]. On failure the hook stays armed so every
-     subsequent access re-raises instead of silently serving
-     unverified data. *)
+     cannot re-enter [touch]. On failure the hook stays armed (see
+     [remember_failure]) so every later access re-raises instead of
+     silently serving unverified data. *)
   let touch t =
     match t.on_first_touch with
     | None -> ()
     | Some f ->
       f t;
       t.on_first_touch <- None
+
+  (* [hook], but a failure is remembered: every later call re-raises
+     the same exception at once instead of re-running the checks *)
+  let remember_failure hook =
+    let failed = ref None in
+    fun t ->
+      match !failed with
+      | Some exn -> raise exn
+      | None -> (
+        try hook t
+        with exn ->
+          failed := Some exn;
+          raise exn)
 
   let uid t = t.uid
   let doc_height t = t.doc_height
@@ -593,7 +597,7 @@ module Sealed = struct
       doc_height; root; sids; labels; vtypes; counts; fcounts;
       vsumms; vsumm_decode;
       child_off; child_idx; child_avg; parent_off; parent_idx;
-      on_first_touch }
+      on_first_touch = Option.map remember_failure on_first_touch }
 
   let pp_stats ppf t =
     Format.fprintf ppf "synopsis(nodes=%d, edges=%d, str=%a, val=%a)" (n_nodes t)

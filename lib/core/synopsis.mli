@@ -44,13 +44,6 @@ module Builder : sig
     vsumm:Xc_vsumm.Value_summary.t -> node
   (** Allocates a node with a fresh [sid] and registers it. *)
 
-  val add_node_at :
-    t -> sid:int -> label:Xc_xml.Label.t -> vtype:Xc_xml.Value.vtype ->
-    count:int -> vsumm:Xc_vsumm.Value_summary.t -> node
-  (** Registers a node under a caller-chosen [sid] (the codec decodes
-      nodes under their serialized ids); subsequent {!add_node} calls
-      allocate above it. @raise Invalid_argument if the sid is taken. *)
-
   val remove_node : t -> int -> unit
   (** Unregisters; does not patch edges (callers do). *)
 
@@ -252,8 +245,9 @@ module Sealed : sig
       fills [None] cells of [vsumms] on demand; [on_first_touch] runs
       once, on the synopsis itself, before the first numeric-buffer
       access (deferred verification: section CRCs, then
-      {!invariants} — it stays armed if it raises, so every subsequent
-      access re-raises). The caller owns the structural invariants;
+      {!invariants}). If it raises, the synopsis remembers the
+      exception and re-raises that same exception at every later
+      numeric access, without running the hook again. The caller owns the structural invariants;
       {!validate} checks them (forcing the touch hook, not the value
       summaries). *)
 

@@ -1,7 +1,6 @@
 (** The daemon's length-prefixed binary wire protocol.
 
-    Every message travels as one {b frame} reusing the framed-section
-    discipline of the codec's v2 container — version, tag, length,
+    Every message travels as one {b frame} — version, tag, length,
     checksum, payload:
 
     {v

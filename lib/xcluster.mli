@@ -205,10 +205,11 @@ module Store : sig
       a pre-existing file at the path is untouched. *)
 
   val load : string -> (synopsis, error) result
-  (** Read and decode; [load] itself never raises. A v3 file on a
-      little-endian host memory-maps in near-constant time, deferring
-      the CSR sections' checks and value-summary decoding to first
-      touch; a deferred failure raises {!Xc_core.Codec.Lazy_failure} at
+  (** Read and decode; [load] itself never raises. Only the v3 format
+      loads: a v1 or v2 file is refused with [Unsupported_version], and
+      is rebuilt from its document. On a little-endian host the file
+      memory-maps in near-constant time, deferring the CSR sections'
+      checks and value-summary decoding to first touch; a deferred failure raises {!Xc_core.Codec.Lazy_failure} at
       the access point (the serve layer catches it and degrades). The
       checks are the decoder's own, so the mapped synopsis fails
       exactly where {!Xc_core.Codec.of_string} would have refused the
@@ -225,9 +226,9 @@ module Store : sig
 
   val verify : string -> (Xc_core.Codec.info, error) result
   (** Integrity check: the full decode {!Xc_core.Codec.of_string} runs
-      (per-section CRC-32 for v2/v3, every structural check for all
-      versions) — {!Xc_core.Codec.verify}. Refuses exactly what a
-      decode refuses. *)
+      (every per-section CRC-32, every structural check) —
+      {!Xc_core.Codec.verify}. Refuses exactly what a decode refuses,
+      an older-format (v1, v2) file included. *)
 
   val sections : string -> (Xc_core.Codec.section_status list, error) result
   (** Per-section CRC report ({!Xc_core.Codec.sections}): localizes

@@ -3,11 +3,12 @@
    Contracts under test, beyond the generic totality suite in
    test_fault.ml:
 
-   - the checked-in golden files test/golden/imdb.v{1,2,3}.syn (one
-     IMDB synopsis, seed 81, 40 movies, written by the v1/v2/v3
-     writers before the v1/v2 writers were retired) decode to the same
-     synopsis: same node and edge counts, estimates bit for bit;
-   - v3 re-encoding is idempotent;
+   - the checked-in golden file test/golden/imdb.v3.syn (one IMDB
+     synopsis, seed 81, 40 movies, written by an earlier v3 writer)
+     decodes to fixed node and edge counts and answers its three
+     queries with fixed bits, through the decoder and the mapped
+     loader alike;
+   - v3 re-encoding is idempotent and keeps every estimate;
    - every single-bit flip in the prologue + section directory is
      detected, and sampled payload flips land in the right section's
      CRC;
@@ -23,7 +24,9 @@
      when they accept;
    - fault storms at the mmap-path sites (codec.map,
      codec.section_verify) never produce an untyped failure;
-   - every value-summary kind is on disk in the golden files, so each
+   - a refused mapped synopsis is refused in O(1) at every later
+     access: its deferred checks do not run again;
+   - every value-summary kind is on disk in the golden file, so each
      reader arm is exercised;
    - the per-section report localizes damage. *)
 
@@ -71,13 +74,14 @@ let decode_exn what s =
   | Ok syn -> syn
   | Error e -> Alcotest.failf "%s: decode failed: %s" what (Codec.error_to_string e)
 
-(* ---- golden files: v1 / v2 / v3 decode to one synopsis ------------------- *)
+(* ---- the golden v3 file ------------------------------------------------- *)
 
-let golden v =
-  let path = Printf.sprintf "golden/imdb.v%d.syn" v in
-  match Safe_io.read path with
+let golden_path = "golden/imdb.v3.syn"
+
+let golden () =
+  match Safe_io.read golden_path with
   | Ok s -> s
-  | Error e -> Alcotest.failf "read %s failed: %s" path (Safe_io.error_to_string e)
+  | Error e -> Alcotest.failf "read %s failed: %s" golden_path (Safe_io.error_to_string e)
 
 (* [decoded] is the synopsis the v3 golden file holds: same shape,
    same estimates bit for bit *)
@@ -88,10 +92,41 @@ let check_same_synopsis what ~expected decoded =
     (fun q -> check_bits (what ^ " " ^ q) (est expected q) (est decoded q))
     (queries_of "imdb")
 
+(* ---- golden v3, pinned by its answers -----------------------------------
+
+   The file was written by an earlier v3 writer that numbered its terms
+   in intern order, so today's writer re-encodes it to the same length
+   but other bytes: its decoded shape and answers are what is pinned.
+   The figures are those the retired v1 and v2 readers gave for the
+   same synopsis's v1 and v2 files, bit for bit. *)
+
+let golden_nodes = 136
+let golden_edges = 151
+
+(* each query's estimate, as hex-float text *)
+let golden_answers =
+  [ ("//movie/year[. > 1990]", "0x1.a49826c93b8e4p+4");
+    ("//movie[year > 1990]", "0x1.a49826c93b8e4p+4");
+    ("//movie/title", "0x1.4p+5") ]
+
+let check_pinned what syn =
+  check Alcotest.int (what ^ " nodes") golden_nodes (S.n_nodes syn);
+  check Alcotest.int (what ^ " edges") golden_edges (S.n_edges syn);
+  List.iter
+    (fun (q, bits) ->
+      let v = est syn q in
+      if Int64.bits_of_float v <> Int64.bits_of_float (float_of_string bits) then
+        Alcotest.failf "%s %s: %h, pinned %s" what q v bits)
+    golden_answers
+
+(* the golden v3 file decodes to the synopsis the retired v2 reader gave
+   for imdb.v2.syn (its shape and answers, pinned above), re-encoding it
+   keeps those answers, and a v3 round trip keeps every dataset's
+   estimates *)
 let test_v3_v2_bit_identity () =
-  let d3 = decode_exn "golden v3" (golden 3) in
-  check_same_synopsis "golden v2" ~expected:d3 (decode_exn "golden v2" (golden 2));
-  (* and a v3 round trip keeps every dataset's estimates *)
+  let d3 = decode_exn "golden v3" (golden ()) in
+  check_pinned "golden v3" d3;
+  check_pinned "golden v3 re-encoded" (decode_exn "re-encoded" (Codec.to_string d3));
   List.iter
     (fun (name, _) ->
       let syn = force name in
@@ -101,6 +136,7 @@ let test_v3_v2_bit_identity () =
         (queries_of name))
     datasets
 
+(* re-encoding the decoded synopsis gives the same bytes *)
 let test_v3_reencode_idempotent () =
   List.iter
     (fun (name, _) ->
@@ -109,16 +145,7 @@ let test_v3_reencode_idempotent () =
       let again = Codec.to_string (decode_exn name encoded) in
       check Alcotest.bool (name ^ ": v3 re-encoding is bit-exact") true
         (String.equal encoded again))
-    datasets;
-  (* decoding the v2 golden file and re-encoding as v3 reaches the
-     same estimates as the v3 golden file (term identifiers are
-     process-local, so the bytes may differ from that file's), and the
-     re-encoding is itself a fixed point *)
-  let once = Codec.to_string (decode_exn "golden v2" (golden 2)) in
-  check Alcotest.bool "via v2: v3 re-encoding is bit-exact" true
-    (String.equal once (Codec.to_string (decode_exn "via v2" once)));
-  check_same_synopsis "via v2" ~expected:(decode_exn "golden v3" (golden 3))
-    (decode_exn "via v2" once)
+    datasets
 
 (* ---- bit flips ----------------------------------------------------------- *)
 
@@ -212,7 +239,7 @@ let encode_in_child ~dir name intern_first =
     let code =
       try
         intern_first ();
-        let syn = decode_exn "golden v3" (golden 3) in
+        let syn = decode_exn "golden v3" (golden ()) in
         write_exn out (Codec.to_string syn);
         write_exn (out ^ ".order") (term_order syn);
         0
@@ -240,7 +267,7 @@ let test_bytes_independent_of_interning () =
   check Alcotest.bool "the children interned the terms in different orders" true
     (order_a <> order_b);
   check Alcotest.bool "identical bytes" true (String.equal a b);
-  check_same_synopsis "re-encoded" ~expected:(decode_exn "golden v3" (golden 3))
+  check_same_synopsis "re-encoded" ~expected:(decode_exn "golden v3" (golden ()))
     (decode_exn "re-encoded" a)
 
 let section_extent encoded k =
@@ -339,6 +366,49 @@ let test_lazy_deferred_failure () =
     List.iter
       (fun q -> check_bits ("mapped " ^ q) (est syn q) (est lazy_syn q))
       (queries_of "imdb")
+
+(* a refused mapped synopsis stays refused, in O(1): its deferred
+   checks run at the first access only, so one refused estimate and ten
+   verify the same sections, and every access raises the same
+   exception *)
+let test_refusal_remembered () =
+  in_temp_dir @@ fun dir ->
+  let good = Codec.to_string (force "imdb") in
+  let path = Filename.concat dir "damaged.syn" in
+  let off, len = section_extent good (section_index "child_avg") in
+  write_exn path (flip good (off + (len / 2)) 5);
+  let q = Xc_twig.Twig_parse.parse "//movie/title" in
+  let lazy_verified () =
+    Xc_util.Metrics.counter_value Xc_util.Metrics.global "codec.lazy_verify"
+  in
+  let load_mapped () =
+    match Codec.load path with
+    | Ok mapped -> mapped
+    | Error e -> Alcotest.failf "mapped load refused at admission: %s" (Codec.error_to_string e)
+  in
+  let refuse times =
+    let mapped = load_mapped () in
+    let before = lazy_verified () in
+    for i = 1 to times do
+      match Xc_serve.Engine.estimate_result mapped q with
+      | Error (Xc_serve.Error.Unavailable _) -> ()
+      | Error e ->
+        Alcotest.failf "call %d: expected Unavailable, got %s" i (Xc_serve.Error.to_string e)
+      | Ok _ -> Alcotest.failf "call %d: served an estimate off a damaged section" i
+    done;
+    lazy_verified () - before
+  in
+  let once = refuse 1 in
+  check Alcotest.bool "the first refusal verified sections" true (once > 0);
+  check Alcotest.int "ten refusals verify what one does" once (refuse 10);
+  let mapped = load_mapped () in
+  let raised () =
+    match S.child_off_ba mapped with
+    | _ -> Alcotest.fail "numeric access admitted a damaged section"
+    | exception (Codec.Lazy_failure _ as exn) -> exn
+  in
+  let first = raised () in
+  check Alcotest.bool "every access raises the same exception" true (raised () == first)
 
 (* ---- one definition of a valid artifact -----------------------------------
 
@@ -598,15 +668,14 @@ let test_fault_storm_mmap_sites () =
   | Ok loaded -> check_bits "post-storm estimate" expected (est loaded "//movie/title")
   | Error e -> Alcotest.failf "post-storm load failed: %s" (Codec.error_to_string e)
 
-(* ---- back-compat ---------------------------------------------------------- *)
-
-let test_old_versions_decode () =
-  let d3 = decode_exn "golden v3" (golden 3) in
+let test_golden_v3_pinned () =
+  let decoded = decode_exn "golden v3" (golden ()) in
+  check_pinned "decoded" decoded;
   (* every value-summary kind is on disk, so every reader arm runs *)
   let kinds = Hashtbl.create 4 in
-  for i = 0 to S.n_nodes d3 - 1 do
+  for i = 0 to S.n_nodes decoded - 1 do
     Hashtbl.replace kinds
-      (match S.vsumm d3 i with
+      (match S.vsumm decoded i with
       | Xc_vsumm.Value_summary.Vnone -> "Vnone"
       | Vnum _ -> "Vnum"
       | Vstr _ -> "Vstr"
@@ -616,17 +685,14 @@ let test_old_versions_decode () =
   List.iter
     (fun k -> check Alcotest.bool ("golden file carries " ^ k) true (Hashtbl.mem kinds k))
     [ "Vnone"; "Vnum"; "Vstr"; "Vtext" ];
-  List.iter
-    (fun (what, version, encoded) ->
-      check_same_synopsis what ~expected:d3 (decode_exn what encoded);
-      match Codec.verify (Printf.sprintf "golden/imdb.v%d.syn" version) with
-      | Ok info ->
-        check Alcotest.int (what ^ " version") version info.Codec.i_version;
-        (* v2 and v3 carry checksums, v1 none *)
-        check Alcotest.bool (what ^ " checksummed") (version > 1) (info.Codec.i_version > 1);
-        check Alcotest.int (what ^ " nodes") (S.n_nodes d3) info.Codec.i_nodes
-      | Error e -> Alcotest.failf "%s verify failed: %s" what (Codec.error_to_string e))
-    [ ("golden v1", 1, golden 1); ("golden v2", 2, golden 2); ("golden v3", 3, golden 3) ]
+  (match Codec.load golden_path with
+  | Ok mapped -> check_pinned "mapped" mapped
+  | Error e -> Alcotest.failf "golden load failed: %s" (Codec.error_to_string e));
+  match Codec.verify golden_path with
+  | Ok info ->
+    check Alcotest.int "verified nodes" golden_nodes info.Codec.i_nodes;
+    check Alcotest.int "verified bytes" (String.length (golden ())) info.Codec.i_bytes
+  | Error e -> Alcotest.failf "golden verify failed: %s" (Codec.error_to_string e)
 
 (* ---- section report ------------------------------------------------------- *)
 
@@ -640,8 +706,7 @@ let test_sections_report () =
     List.iteri
       (fun i s ->
         check Alcotest.string "section name" section_names.(i) s.Codec.sec_name;
-        check Alcotest.(option bool) ("crc ok: " ^ s.Codec.sec_name) (Some true)
-          s.Codec.sec_crc_ok)
+        check Alcotest.bool ("crc ok: " ^ s.Codec.sec_name) true s.Codec.sec_crc_ok)
       secs);
   (* damage is localized, and the report does not stop at the first hit *)
   let off, len = section_extent v3 (section_index "child_avg") in
@@ -650,8 +715,8 @@ let test_sections_report () =
   | Ok secs ->
     List.iter
       (fun s ->
-        check Alcotest.(option bool) ("localized: " ^ s.Codec.sec_name)
-          (Some (s.Codec.sec_name <> "child_avg"))
+        check Alcotest.bool ("localized: " ^ s.Codec.sec_name)
+          (s.Codec.sec_name <> "child_avg")
           s.Codec.sec_crc_ok)
       secs
 
@@ -668,7 +733,8 @@ let () =
             test_prologue_flips_detected ] );
       ( "lazy verification",
         [ Alcotest.test_case "deferred failure containment" `Quick
-            test_lazy_deferred_failure ] );
+            test_lazy_deferred_failure;
+          Alcotest.test_case "refusal remembered" `Quick test_refusal_remembered ] );
       ( "one definition",
         [ Alcotest.test_case "unsorted CSR row refused by every reader" `Quick
             test_unsorted_row_refused;
@@ -678,6 +744,6 @@ let () =
       ( "fault storms",
         [ Alcotest.test_case "mmap sites total" `Quick test_fault_storm_mmap_sites ] );
       ( "versioning",
-        [ Alcotest.test_case "v1/v2/v3 decode identically" `Quick test_old_versions_decode ] );
+        [ Alcotest.test_case "golden v3 pinned by its answers" `Quick test_golden_v3_pinned ] );
       ( "sections",
         [ Alcotest.test_case "report localizes damage" `Quick test_sections_report ] ) ]

@@ -70,14 +70,6 @@ let mutate rng good =
 
 let fuzz_iterations = 2_100
 
-(* the golden v1/v2/v3 files of one IMDB synopsis, written by each
-   format's writer; only v3 is still written, the others are read *)
-let golden v =
-  let path = Printf.sprintf "golden/imdb.v%d.syn" v in
-  match Safe_io.read path with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "read %s failed: %s" path (Safe_io.error_to_string e)
-
 let fuzz good () =
   let rng = Rng.create 20_260_806 in
   let ok = ref 0 and errors = ref 0 in
@@ -136,38 +128,66 @@ let test_roundtrip_bit_exact () =
     datasets
 
 (* ---- hostile length fields ----------------------------------------------
-   A forged file can carry a correct CRC over hostile content, so the
+   A forged file can carry correct CRCs over hostile content, so the
    decoder's pre-allocation bounds checks are the only line of
-   defense. Each crafted input must fail fast with a typed error — not
+   defense. Each crafted input is a v3 container whose directory and
+   section CRCs are valid, and must fail fast with a typed error — not
    attempt a max_int-sized allocation. *)
 
 let put_int buf n = Buffer.add_int64_be buf (Int64.of_int n)
-
-let section tag payload =
-  let b = Buffer.create (String.length payload + 24) in
-  put_int b tag;
-  put_int b (String.length payload);
-  put_int b (Xc_util.Crc32.digest payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let forged_v2 ~header ~terms ~nodes =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "XCLU";
-  put_int b 2;
-  Buffer.add_string b (section 1 header);
-  Buffer.add_string b (section 2 terms);
-  Buffer.add_string b (section 3 nodes);
-  Buffer.contents b
 
 let ints xs =
   let b = Buffer.create (8 * List.length xs) in
   List.iter (put_int b) xs;
   Buffer.contents b
 
-let expect_bad_length what input =
+let ints_le xs =
+  let b = Buffer.create (8 * List.length xs) in
+  List.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) xs;
+  Buffer.contents b
+
+let n_sections = 13
+
+(* the section payloads of a v3 encoding, in directory order *)
+let v3_sections s =
+  Array.init n_sections (fun k ->
+      let entry = 24 + (k * 32) in
+      let get pos = Int64.to_int (String.get_int64_be s pos) in
+      String.sub s (get (entry + 8)) (get (entry + 16)))
+
+(* a v3 container around [payloads] (each a multiple of 8 bytes), with
+   the packed offsets, every section CRC and the directory CRC a writer
+   would give it *)
+let forged_v3 payloads =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "XCLU";
+  put_int b 3;
+  Buffer.add_string b "\000\000\000\000";
+  put_int b n_sections;
+  let pos = ref (24 + (n_sections * 32) + 8) in
+  Array.iteri
+    (fun i p ->
+      put_int b (i + 1);
+      put_int b !pos;
+      put_int b (String.length p);
+      put_int b (Xc_util.Crc32.digest p);
+      pos := !pos + String.length p)
+    payloads;
+  put_int b (Xc_util.Crc32.sub (Buffer.contents b) ~pos:12 ~len:(Buffer.length b - 12));
+  Array.iter (Buffer.add_string b) payloads;
+  Buffer.contents b
+
+(* [good] with section [k]'s payload replaced, re-sealed *)
+let with_section good k payload =
+  let secs = v3_sections good in
+  secs.(k) <- payload;
+  forged_v3 secs
+
+(* [field] names the length the guard refused *)
+let expect_bad_length what ~field input =
   match Codec.of_string input with
-  | Error (Codec.Bad_length _) -> ()
+  | Error (Codec.Bad_length b) ->
+    check Alcotest.string (what ^ ": refused field") field b.what
   | Error e ->
     (* a different typed error is acceptable; an allocation attempt or
        crash is not — but Bad_length is what the guards should say *)
@@ -176,66 +196,40 @@ let expect_bad_length what input =
   | exception exn -> Alcotest.failf "%s: raised %s" what (Printexc.to_string exn)
 
 let test_hostile_lengths () =
-  let header = ints [ 5; 0; 1 ] in
+  let doc =
+    Xc_xml.Parser.parse_string
+      "<db><paper><title>one</title><year>1999</year></paper><paper><title>two</title><year>2001</year></paper></db>"
+  in
+  let good = Codec.to_string (Synopsis.freeze (Reference.build ~min_extent:1 doc)) in
+  check Alcotest.bool "the forge reproduces a written file" true
+    (String.equal good (forged_v3 (v3_sections good)));
+  let header = (v3_sections good).(0) in
+  let n = Int64.to_int (String.get_int64_le header 16) in
+  let with_node_count count =
+    with_section good 0 (String.sub header 0 16 ^ ints_le [ count ] ^ String.sub header 24 8)
+  in
   (* term table claiming max_int entries *)
-  expect_bad_length "huge term count"
-    (forged_v2 ~header ~terms:(ints [ max_int ]) ~nodes:"");
-  (* node count far beyond what the section could hold *)
-  expect_bad_length "huge node count"
-    (forged_v2 ~header:(ints [ 5; 0; max_int ]) ~terms:(ints [ 0 ]) ~nodes:"");
-  (* negative node count *)
-  expect_bad_length "negative node count"
-    (forged_v2 ~header:(ints [ 5; 0; -7 ]) ~terms:(ints [ 0 ]) ~nodes:"");
-  (* a node whose histogram claims max_int buckets *)
-  let node =
-    String.concat ""
-      [ ints [ 0 ];
-        (* sid *)
-        ints [ 1 ];
-        "p";
-        (* label, length 1 *)
-        ints [ 1; 3 ];
-        (* vtype numeric, count 3 *)
-        ints [ 1; max_int ]
-        (* vsumm tag Vnum, hostile bucket count *) ]
-  in
-  expect_bad_length "huge histogram"
-    (forged_v2 ~header:(ints [ 5; 0; 1 ]) ~terms:(ints [ 0 ]) ~nodes:node);
-  (* a string whose length runs past its section *)
-  let node = ints [ 0; max_int ] in
-  expect_bad_length "string past section"
-    (forged_v2 ~header:(ints [ 5; 0; 1 ]) ~terms:(ints [ 0 ]) ~nodes:node)
+  expect_bad_length "huge term count" ~field:"term-table size"
+    (with_section good 10 (ints [ max_int ]));
+  (* node count far beyond what the sections could hold *)
+  expect_bad_length "huge node count" ~field:"sids section length"
+    (with_node_count max_int);
+  (* zero and negative node counts *)
+  expect_bad_length "zero node count" ~field:"node count" (with_node_count 0);
+  expect_bad_length "negative node count" ~field:"node count" (with_node_count (-7));
+  (* node 0's histogram claims max_int buckets; every other node has
+     no summary *)
+  let blob = ints [ 1; max_int ] ^ String.concat "" (List.init (n - 1) (fun _ -> ints [ 0 ])) in
+  let voff = ints_le (0 :: List.init n (fun i -> 16 + (8 * i))) in
+  expect_bad_length "huge histogram" ~field:"histogram bucket count"
+    (with_section (with_section good 11 voff) 12 blob);
+  (* the first label claims more bytes than its whole section *)
+  let labels = (v3_sections good).(3) in
+  expect_bad_length "label past its section" ~field:"string length"
+    (with_section good 3
+       (ints [ String.length labels ] ^ String.sub labels 8 (String.length labels - 8)))
 
-(* ---- version negotiation ------------------------------------------------- *)
-
-let est syn q = Xc_core.Estimate.selectivity syn (Xc_twig.Twig_parse.parse q)
-
-(* the v1 golden file decodes to the synopsis the v3 golden file holds *)
-let test_v1_still_decodes () =
-  let v1 = golden 1 in
-  let syn =
-    match Codec.of_string (golden 3) with
-    | Ok syn -> syn
-    | Error e -> Alcotest.failf "v3 decode failed: %s" (Codec.error_to_string e)
-  in
-  match Codec.of_string v1 with
-  | Error e -> Alcotest.failf "v1 decode failed: %s" (Codec.error_to_string e)
-  | Ok decoded ->
-    check Alcotest.int "same nodes" (S.n_nodes syn) (S.n_nodes decoded);
-    check Alcotest.int "same edges" (S.n_edges syn) (S.n_edges decoded);
-    List.iter
-      (fun q ->
-        check Alcotest.int64 ("estimate bits " ^ q)
-          (Int64.bits_of_float (est syn q))
-          (Int64.bits_of_float (est decoded q)))
-      [ "//movie/year[. > 1990]"; "//movie[year > 1990]"; "//movie/title" ];
-    (match Codec.verify "golden/imdb.v1.syn" with
-    | Ok info ->
-      check Alcotest.int "v1 version" 1 info.Codec.i_version;
-      check Alcotest.int "v1 nodes" (S.n_nodes syn) info.Codec.i_nodes;
-      (* v1 carries no checksums: only v2 and later do *)
-      check Alcotest.bool "v1 has no checksums" false (info.Codec.i_version >= 2)
-    | Error e -> Alcotest.failf "v1 verify failed: %s" (Codec.error_to_string e))
+(* ---- versions ---------------------------------------------------------- *)
 
 let test_unsupported_version () =
   let b = Buffer.create 16 in
@@ -408,10 +402,7 @@ let test_verify_file () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "save failed: %s" (Codec.error_to_string e));
   (match Codec.verify path with
-  | Ok info ->
-    check Alcotest.int "version" 3 info.Codec.i_version;
-    check Alcotest.int "nodes" (S.n_nodes syn) info.Codec.i_nodes;
-    check Alcotest.bool "checksummed" true (info.Codec.i_version >= 2)
+  | Ok info -> check Alcotest.int "nodes" (S.n_nodes syn) info.Codec.i_nodes
   | Error e -> Alcotest.failf "verify failed: %s" (Codec.error_to_string e));
   (* corrupt one payload byte on disk: verify must catch it, with the
      decoder's error *)
@@ -426,22 +417,56 @@ let test_verify_file () =
     Alcotest.failf "expected vsumm_blob checksum mismatch, got %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "verify accepted a corrupt file"
 
+(* ---- admission ----------------------------------------------------------
+   The first bytes of a file decide its fate the same way in every
+   reader: the string decoder, the mapped loader (which reads only a
+   prefix) and verify give one error for each. *)
+
+let test_admission_agrees () =
+  in_temp_dir @@ fun dir ->
+  let v3 = Codec.to_string (force "dblp") in
+  (* a 12-byte header of version [v], then a full v3 body *)
+  let header v =
+    let b = Bytes.of_string v3 in
+    Bytes.set_int64_be b 4 (Int64.of_int v);
+    Bytes.unsafe_to_string b
+  in
+  let foreign = String.init 634 (fun i -> "<doc>text</doc>\n".[i mod 16]) in
+  let path = Filename.concat dir "input.syn" in
+  List.iter
+    (fun (what, input, expected) ->
+      (match Safe_io.write_atomic path input with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write failed: %s" (Safe_io.error_to_string e));
+      let error = function
+        | Ok _ -> Alcotest.failf "%s: admitted" what
+        | Error e -> Codec.error_to_string e
+      in
+      let expected = Codec.error_to_string expected in
+      check Alcotest.string (what ^ ": of_string") expected (error (Codec.of_string input));
+      check Alcotest.string (what ^ ": load") expected (error (Codec.load path));
+      check Alcotest.string (what ^ ": verify") expected (error (Codec.verify path)))
+    [ ("empty", "", Codec.Bad_magic);
+      ("XC", "XC", Codec.Bad_magic);
+      ("XCLU", "XCLU", Codec.Truncated { pos = 4; need = 8 });
+      ("v1 header", header 1, Codec.Unsupported_version 1);
+      ("v2 header", header 2, Codec.Unsupported_version 2);
+      ("v99 header", header 99, Codec.Unsupported_version 99);
+      ("foreign", foreign, Codec.Bad_magic);
+      ("v3 prefix", String.sub v3 0 100, Codec.Truncated { pos = 100; need = 348 }) ]
+
 let () =
   Alcotest.run ~and_exit:false "fault"
     [ ( "decode totality",
         [ Alcotest.test_case "fuzz imdb (2100 mutations)" `Quick (test_fuzz "imdb");
           Alcotest.test_case "fuzz xmark (2100 mutations)" `Quick (test_fuzz "xmark");
           Alcotest.test_case "fuzz dblp (2100 mutations)" `Quick (test_fuzz "dblp");
-          Alcotest.test_case "fuzz golden v1 (2100 mutations)" `Quick (fun () ->
-              fuzz (golden 1) ());
-          Alcotest.test_case "fuzz golden v2 (2100 mutations)" `Quick (fun () ->
-              fuzz (golden 2) ());
           Alcotest.test_case "every bit flip detected" `Quick test_every_bit_flip_detected;
           Alcotest.test_case "clean round trip is bit-exact" `Quick test_roundtrip_bit_exact;
           Alcotest.test_case "hostile lengths rejected pre-allocation" `Quick
             test_hostile_lengths ] );
       ( "versioning",
-        [ Alcotest.test_case "v1 files still decode" `Quick test_v1_still_decodes;
+        [ Alcotest.test_case "admission errors agree" `Quick test_admission_agrees;
           Alcotest.test_case "unknown version rejected" `Quick test_unsupported_version ] );
       ( "fault harness",
         [ Alcotest.test_case "XC_FAULTS parsing" `Quick test_fault_config_parsing;
