@@ -27,8 +27,8 @@
                  different width than requested.
      XC_BUILD_REPS  repetitions per leg of the build target (default 3)
      XC_FAULTS   fault-injection spec for the fault target (see
-                 Xc_util.Fault); when unset the target installs its own
-                 all-kinds storm
+                 Xc_util.Fault); when unset or empty the target installs
+                 its own all-kinds storm
      XC_UPDATES  auction events in the update target's mutation stream
                  (default 64, half opens / half closes)
      XC_CHAOS_SEED  offset added to every storm seed of the chaos
@@ -682,8 +682,12 @@ let run_fault () =
           incr violations;
           Format.fprintf ppf "  VIOLATION: decode raised %s@." (Printexc.to_string exn)
       done);
-  (* the save/load storm: faults from XC_FAULTS when set, else all kinds *)
-  let from_env = Sys.getenv_opt "XC_FAULTS" <> None in
+  (* the save/load storm: faults from XC_FAULTS when set, else all
+     kinds; an empty XC_FAULTS counts as unset (CI's matrix exports
+     one for its built-in storm entry) *)
+  let from_env =
+    match Sys.getenv_opt "XC_FAULTS" with None | Some "" -> false | Some _ -> true
+  in
   if not from_env then
     Fault.configure
       (Some { Fault.seed = 91; prob = 0.3; kinds = [ Fault.Truncate; Fault.Bit_flip; Fault.Short_write; Fault.Enospc; Fault.Eio ]; sites = [] });

@@ -713,7 +713,7 @@ let read_file path =
   match Safe_io.read path with
   | Ok src -> Ok (Xc_util.Fault.mutate ~site:"codec.load" src)
   | Error e ->
-    let e = Io (path ^ ": " ^ Safe_io.error_to_string e) in
+    let e = Io (Safe_io.error_to_string e) in
     record_error e;
     Error e
 

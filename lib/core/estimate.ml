@@ -41,109 +41,164 @@ type dist = {
 
 let empty_dist = { d_idx = [||]; d_w = [||] }
 
-(* gather the touched accumulator cells in ascending index order *)
-let gather n acc flag touched =
-  let out_idx = Array.make touched 0 and out_w = Array.make touched 0.0 in
-  let j = ref 0 in
-  for c = 0 to n - 1 do
-    if Bytes.unsafe_get flag c = '\001' then begin
-      out_idx.(!j) <- c;
-      out_w.(!j) <- acc.(c);
-      incr j
-    end
+(* The sparse accumulator: n cells, n flags and the list of cells
+   touched since the last gather, in first-touch order. Every cell
+   outside that list holds 0.0 with its flag clear, so a step costs the
+   cells it touches, not n. The arrays are allocated on first use, and
+   one accumulator serves every step of every reach its owner runs. *)
+type acc = {
+  a_n : int;
+  mutable a_cell : float array;
+  mutable a_flag : Bytes.t;
+  mutable a_touched : int array;
+  mutable a_len : int;
+}
+
+let accumulator syn =
+  { a_n = S.n_nodes syn; a_cell = [||]; a_flag = Bytes.empty; a_touched = [||]; a_len = 0 }
+
+let ready a syn =
+  if a.a_n <> S.n_nodes syn then invalid_arg "Estimate: accumulator of another synopsis";
+  if Array.length a.a_cell < a.a_n then begin
+    a.a_cell <- Array.make a.a_n 0.0;
+    a.a_flag <- Bytes.make a.a_n '\000';
+    a.a_touched <- Array.make a.a_n 0
+  end
+
+let touch a c =
+  if Bytes.unsafe_get a.a_flag c = '\000' then begin
+    Bytes.unsafe_set a.a_flag c '\001';
+    Array.unsafe_set a.a_touched a.a_len c;
+    a.a_len <- a.a_len + 1
+  end
+
+let add a c x =
+  touch a c;
+  Array.unsafe_set a.a_cell c (Array.unsafe_get a.a_cell c +. x)
+
+(* ascending in place: insertion sort for the short lists most steps
+   touch, which beats a library sort's comparison closure *)
+let sort_ints out =
+  let m = Array.length out in
+  if m <= 24 then
+    for i = 1 to m - 1 do
+      let x = Array.unsafe_get out i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get out !j > x do
+        Array.unsafe_set out (!j + 1) (Array.unsafe_get out !j);
+        decr j
+      done;
+      Array.unsafe_set out (!j + 1) x
+    done
+  else Array.sort Int.compare out
+
+(* The touched cells, ascending. A list of more than a sixteenth of the
+   cells is read off the flags in one pass instead of sorted: a sort of
+   a nearly full list costs more than the scan, which still costs at
+   most 16 cells per touched one. *)
+let touched_ascending a =
+  let m = a.a_len in
+  if m * 16 < a.a_n then begin
+    let out = Array.sub a.a_touched 0 m in
+    sort_ints out;
+    out
+  end
+  else begin
+    let out = Array.make m 0 in
+    let j = ref 0 in
+    for c = 0 to a.a_n - 1 do
+      if Bytes.unsafe_get a.a_flag c = '\001' then begin
+        Array.unsafe_set out !j c;
+        incr j
+      end
+    done;
+    out
+  end
+
+(* clear the touched cells and flags, and only those *)
+let reset a touched =
+  for k = 0 to Array.length touched - 1 do
+    let c = Array.unsafe_get touched k in
+    Bytes.unsafe_set a.a_flag c '\000';
+    Array.unsafe_set a.a_cell c 0.0
   done;
-  { d_idx = out_idx; d_w = out_w }
+  a.a_len <- 0
+
+let gather a =
+  let idx = touched_ascending a in
+  let w = Array.map (fun c -> Array.unsafe_get a.a_cell c) idx in
+  reset a idx;
+  { d_idx = idx; d_w = w }
+
+let mark a syn c =
+  ready a syn;
+  touch a c
+
+let marked a =
+  let idx = touched_ascending a in
+  reset a idx;
+  idx
 
 (* one child-axis expansion of a weight distribution: scatter each
-   source row (a contiguous unboxed CSR slice) into the accumulator.
-   Row edges run in ascending target order and sources in ascending
-   index order, so the per-cell summation order is the canonical one
-   both estimation paths share — bit-identical to the builder fold. *)
-let expand_children syn dist =
+   source row (a contiguous unboxed CSR slice) into the accumulator,
+   skipping targets the label test rejects. Row edges run in ascending
+   target order and sources in ascending index order, so the per-cell
+   summation order is the canonical one both estimation paths share —
+   bit-identical to the builder fold. *)
+let expand a syn test dist =
   let off = S.child_off_ba syn
   and idx = S.child_idx_ba syn
-  and avg = S.child_avg_ba syn in
-  let n = S.n_nodes syn in
-  let acc = Array.make n 0.0 in
-  let flag = Bytes.make n '\000' in
-  let touched = ref 0 in
+  and avg = S.child_avg_ba syn
+  and labels = S.labels syn in
   for i = 0 to Array.length dist.d_idx - 1 do
     let u = Array.unsafe_get dist.d_idx i and w = Array.unsafe_get dist.d_w i in
     for e = BA1.unsafe_get off u to BA1.unsafe_get off (u + 1) - 1 do
       let c = BA1.unsafe_get idx e in
-      if Bytes.unsafe_get flag c = '\000' then begin
-        Bytes.unsafe_set flag c '\001';
-        incr touched
-      end;
-      Array.unsafe_set acc c (Array.unsafe_get acc c +. (w *. BA1.unsafe_get avg e))
+      if Path_expr.matches_test test (Array.unsafe_get labels c) then
+        add a c (w *. BA1.unsafe_get avg e)
     done
   done;
-  gather n acc flag !touched
+  gather a
 
-let filter_test syn test dist =
-  let labels = S.labels syn in
-  let m = Array.length dist.d_idx in
-  let keep = Array.make m false in
-  let kept = ref 0 in
-  for i = 0 to m - 1 do
-    if Path_expr.matches_test test labels.(dist.d_idx.(i)) then begin
-      keep.(i) <- true;
-      incr kept
-    end
-  done;
-  if !kept = m then dist
-  else begin
-    let out_idx = Array.make !kept 0 and out_w = Array.make !kept 0.0 in
-    let j = ref 0 in
-    for i = 0 to m - 1 do
-      if keep.(i) then begin
-        out_idx.(!j) <- dist.d_idx.(i);
-        out_w.(!j) <- dist.d_w.(i);
-        incr j
-      end
-    done;
-    { d_idx = out_idx; d_w = out_w }
-  end
-
-let step_reach syn step dist =
+let step_reach a syn step dist =
+  ready a syn;
   match step.Path_expr.axis with
-  | Path_expr.Child -> filter_test syn step.Path_expr.test (expand_children syn dist)
+  | Path_expr.Child -> expand a syn step.Path_expr.test dist
   | Path_expr.Descendant ->
-    let labels = S.labels syn in
-    let n = S.n_nodes syn in
-    let acc = Array.make n 0.0 in
-    let flag = Bytes.make n '\000' in
-    let touched = ref 0 in
+    (* the closure's levels are kept until the loop ends, then their
+       matching cells are summed depth by depth through the same
+       accumulator *)
+    let levels = ref [] in
     let frontier = ref dist in
     let depth = ref 0 in
     let height = S.doc_height syn in
     while Array.length !frontier.d_idx > 0 && !depth < height do
       incr depth;
-      let next = expand_children syn !frontier in
-      for i = 0 to Array.length next.d_idx - 1 do
-        let c = next.d_idx.(i) in
-        if Path_expr.matches_test step.Path_expr.test labels.(c) then begin
-          if Bytes.unsafe_get flag c = '\000' then begin
-            Bytes.unsafe_set flag c '\001';
-            incr touched
-          end;
-          acc.(c) <- acc.(c) +. next.d_w.(i)
-        end
-      done;
+      let next = expand a syn Path_expr.Wildcard !frontier in
+      levels := next :: !levels;
       frontier := next
     done;
     Metrics.observe Meters.Reach.expansion_depth (float_of_int !depth);
-    gather n acc flag !touched
+    let labels = S.labels syn in
+    List.iter
+      (fun level ->
+        for i = 0 to Array.length level.d_idx - 1 do
+          let c = Array.unsafe_get level.d_idx i in
+          if Path_expr.matches_test step.Path_expr.test (Array.unsafe_get labels c) then
+            add a c (Array.unsafe_get level.d_w i)
+        done)
+      (List.rev !levels);
+    gather a
 
-let reach_dist syn expr src =
+let reach_dist a syn expr src =
   let dist = { d_idx = [| src |]; d_w = [| 1.0 |] } in
-  List.fold_left (fun d step -> step_reach syn step d) dist expr
+  List.fold_left (fun d step -> step_reach a syn step d) dist expr
 
 let reach syn expr src =
   match S.index_of_sid syn src with
   | None -> raise Not_found
   | Some i ->
-    let d = reach_dist syn expr i in
+    let d = reach_dist (accumulator syn) syn expr i in
     List.init (Array.length d.d_idx) (fun k -> (S.sid_of_index syn d.d_idx.(k), d.d_w.(k)))
 
 (* weight distribution for the first step taken from the virtual
@@ -183,15 +238,16 @@ let docnode_step syn step =
     done;
     { d_idx = Array.sub !buf_idx 0 !m; d_w = Array.sub !buf_w 0 !m }
 
-let root_reach_dist syn expr =
+let root_reach_dist a syn expr =
   match expr with
   | [] -> empty_dist
   | first :: rest ->
     let dist = docnode_step syn first in
-    List.fold_left (fun d s -> step_reach syn s d) dist rest
+    List.fold_left (fun d s -> step_reach a syn s d) dist rest
 
 let selectivity syn query =
   let memo : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
+  let a = accumulator syn in
   (* expected binding tuples of the query subtree per element of the
      synopsis node the variable is mapped to *)
   let rec est qnode idx =
@@ -211,7 +267,7 @@ let selectivity syn query =
             (fun acc (expr, child) ->
               if acc <= 0.0 then 0.0
               else begin
-                let reached = reach_dist syn expr idx in
+                let reached = reach_dist a syn expr idx in
                 let sum = ref 0.0 in
                 for i = 0 to Array.length reached.d_idx - 1 do
                   sum := !sum +. (reached.d_w.(i) *. est child reached.d_idx.(i))
@@ -234,7 +290,7 @@ let selectivity syn query =
           match expr with
           | [] -> 0.0
           | _ :: _ ->
-            let reached = root_reach_dist syn expr in
+            let reached = root_reach_dist a syn expr in
             let sum = ref 0.0 in
             for i = 0 to Array.length reached.d_idx - 1 do
               sum := !sum +. (reached.d_w.(i) *. est child reached.d_idx.(i))
@@ -382,6 +438,7 @@ type explanation = {
 }
 
 let explain syn query =
+  let a = accumulator syn in
   (* forward pass: expected number of elements bound to each (variable,
      cluster) pair, ignoring predicates on deeper subtrees (an upper
      bound on the true binding distribution, which is what an optimizer
@@ -410,23 +467,17 @@ let explain syn query =
     done;
     List.iter
       (fun (expr, child) ->
-        let n = S.n_nodes syn in
-        let racc = Array.make n 0.0 in
-        let flag = Bytes.make n '\000' in
-        let touched = ref 0 in
-        for i = 0 to Array.length dist.d_idx - 1 do
-          let from_here = reach_dist syn expr dist.d_idx.(i) in
-          let weight = dist.d_w.(i) in
-          for k = 0 to Array.length from_here.d_idx - 1 do
-            let v = from_here.d_idx.(k) in
-            if Bytes.unsafe_get flag v = '\000' then begin
-              Bytes.unsafe_set flag v '\001';
-              incr touched
-            end;
-            racc.(v) <- racc.(v) +. (weight *. from_here.d_w.(k))
-          done
-        done;
-        walk child (gather n racc flag !touched))
+        (* every source's reach first: they share the one accumulator *)
+        let reached = Array.map (fun u -> reach_dist a syn expr u) dist.d_idx in
+        ready a syn;
+        Array.iteri
+          (fun i from_here ->
+            let weight = dist.d_w.(i) in
+            for k = 0 to Array.length from_here.d_idx - 1 do
+              add a from_here.d_idx.(k) (weight *. from_here.d_w.(k))
+            done)
+          reached;
+        walk child (gather a))
       qnode.Twig_query.edges
   in
   let root_q = query.Twig_query.root in
@@ -434,7 +485,7 @@ let explain syn query =
     (fun (expr, child) ->
       match expr with
       | [] -> ()
-      | _ :: _ -> walk child (root_reach_dist syn expr))
+      | _ :: _ -> walk child (root_reach_dist a syn expr))
     root_q.Twig_query.edges;
   Hashtbl.fold
     (fun qid tbl out ->

@@ -18,7 +18,18 @@
     Descendant steps expand the synopsis graph breadth-first with the
     expansion depth capped at the document height, which keeps the
     computation convergent on cyclic synopses (recursion such as XMark's
-    [parlist]//[listitem] creates cycles once merged). *)
+    [parlist]//[listitem] creates cycles once merged).
+
+    Every reach step sums into one sparse accumulator ({!acc}): n cells
+    and n flags, allocated once per owner on first use, plus the list of
+    cells a step touched. Gathering a step's result sorts that list
+    (or, past n/16 entries, reads it off the flags: at most 16 cells
+    per touched one) and resets only those cells, so a step costs what
+    it touches, not the synopsis's node count. {!selectivity} and {!explain} own one per
+    call; {!Plan.Batch} owns one per engine and lends it to
+    {!Transition.ensure}. Per-cell summation order is fixed (sources
+    ascending, row edges ascending, depths in order), so a reused
+    accumulator and a fresh one give the same bits. *)
 
 val selectivity : Synopsis.Sealed.t -> Xc_twig.Twig_query.t -> float
 (** Estimated number of binding tuples. *)
@@ -59,15 +70,29 @@ val reach : Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> int -> (int * float) lis
     (also given by sid) via the path expression. Exposed for tests and
     diagnostics. @raise Not_found when the source sid is absent. *)
 
-val reach_dist : Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> int -> dist
-(** {!reach} in index space: source and results are node indices. *)
+type acc
+(** The sparse accumulator one owner reuses across reach steps. Not
+    thread-safe: one writer at a time. *)
 
-val step_reach : Synopsis.Sealed.t -> Xc_twig.Path_expr.step -> dist -> dist
-(** One step of {!reach_dist}: a child step composes the distribution
-    with the sealed child CSR (expand, then label-filter), a descendant
-    step applies the height-bounded breadth-first closure. Exposed so
-    {!Transition} builds its matrix rows through the exact code —
-    hence the exact float operations — the serving baseline runs. *)
+val accumulator : Synopsis.Sealed.t -> acc
+(** An accumulator for the synopsis; its n-cell arrays are allocated on
+    first use. Passing it with another synopsis raises
+    [Invalid_argument]. *)
+
+val mark : acc -> Synopsis.Sealed.t -> int -> unit
+(** [mark a syn c] adds cell [c] to the touched set without adding to
+    its sum. *)
+
+val marked : acc -> int array
+(** The touched cells in ascending order; resets them. *)
+
+val reach_dist : acc -> Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> int -> dist
+(** {!reach} in index space: source and results are node indices. A
+    child step composes the distribution with the sealed child CSR,
+    keeping the targets its label test admits; a descendant step
+    applies the height-bounded breadth-first closure. {!Transition}
+    builds its matrix rows through this function, hence through the
+    exact float operations the oracle runs. *)
 
 val docnode_step : Synopsis.Sealed.t -> Xc_twig.Path_expr.step -> dist
 (** The first step taken from the virtual document node (what
@@ -75,7 +100,7 @@ val docnode_step : Synopsis.Sealed.t -> Xc_twig.Path_expr.step -> dist
     cluster, a descendant step every matching cluster weighted by
     extent. *)
 
-val root_reach_dist : Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> dist
+val root_reach_dist : acc -> Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> dist
 (** Distribution for a path expression taken from the virtual document
     node (the root variable q0): a leading child step selects the root
     cluster, a leading descendant step every matching cluster, weighted

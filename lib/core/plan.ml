@@ -154,6 +154,7 @@ module Batch = struct
     bt_index : bquery Slices.Table.t;  (* raw source text -> compiled *)
     bt_next_id : int ref;
     mutable bt_last : prepared option;  (* last text batch, plan included *)
+    bt_acc : Estimate.acc;  (* every row build and support union of compilation *)
   }
 
   (* Distinct queries grow the compiled-query table (and whitespace
@@ -168,7 +169,8 @@ module Batch = struct
       bt_queries = Hashtbl.create 64;
       bt_index = Slices.Table.create ();
       bt_next_id = ref 0;
-      bt_last = None }
+      bt_last = None;
+      bt_acc = Estimate.accumulator syn }
 
   let n_matrices t = Hashtbl.length t.bt_mats
   let n_queries t = Hashtbl.length t.bt_queries
@@ -198,30 +200,15 @@ module Batch = struct
      every supported source, ascending. Builds those rows first — the
      only rows the edge's sweep will read. *)
   let edge_support t mt support =
-    Array.iter (Transition.ensure mt) support;
-    let n = S.n_nodes t.bt_syn in
-    let mark = Bytes.make n '\000' in
+    Array.iter (Transition.ensure mt t.bt_acc) support;
     let spans = Transition.spans mt and idx = Transition.idx mt in
-    let count = ref 0 in
     Array.iter
       (fun u ->
         for i = Array.unsafe_get spans (2 * u) to Array.unsafe_get spans ((2 * u) + 1) - 1 do
-          let v = BA1.unsafe_get idx i in
-          if Bytes.unsafe_get mark v = '\000' then begin
-            Bytes.unsafe_set mark v '\001';
-            incr count
-          end
+          Estimate.mark t.bt_acc t.bt_syn (BA1.unsafe_get idx i)
         done)
       support;
-    let out = Array.make !count 0 in
-    let k = ref 0 in
-    for v = 0 to n - 1 do
-      if Bytes.unsafe_get mark v = '\001' then begin
-        out.(!k) <- v;
-        incr k
-      end
-    done;
-    out
+    Estimate.marked t.bt_acc
 
   let sigma_of t preds support =
     let syn = t.bt_syn in
@@ -298,7 +285,7 @@ module Batch = struct
       let tasks =
         List.map
           (fun (expr, child) ->
-            let rdist = Estimate.root_reach_dist t.bt_syn expr in
+            let rdist = Estimate.root_reach_dist t.bt_acc t.bt_syn expr in
             let nodes = ref [] in
             (* the top node is evaluated over rdist.d_idx verbatim, so
                ft_rw is position-aligned with its support — the root

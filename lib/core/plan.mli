@@ -28,7 +28,10 @@ val query_key : Xc_twig.Twig_query.t -> string
     and no others, precomputes per-node predicate selectivities over
     each query node's support set, and emits a flat postorder program
     — plain CSR row dot products, no hashing or allocation on the
-    serving path. Compilation is the only writer: every row a prepared
+    serving path. Each engine owns one {!Estimate.acc} that every row
+    build and support union of its compilations goes through; its
+    n-cell arrays are allocated by the first compilation that expands
+    a step. Compilation is the only writer: every row a prepared
     batch reads exists before its sweep starts, so the sweep, on any
     number of domains, only reads.
 

@@ -43,9 +43,9 @@ let reserve t need =
    through the estimator's own code is what makes every stored float
    bit-identical to an uncached frontier walk — same operations, same
    order. *)
-let ensure t u =
+let ensure t a u =
   if Array.unsafe_get t.tm_spans (2 * u) < 0 then begin
-    let d = Estimate.reach_dist t.tm_syn t.tm_expr u in
+    let d = Estimate.reach_dist a t.tm_syn t.tm_expr u in
     let len = Array.length d.Estimate.d_idx in
     let lo = t.tm_nnz in
     reserve t (lo + len);
@@ -65,7 +65,7 @@ let rows_built t = t.tm_built
 let nnz t = t.tm_nnz
 
 let row t u =
-  ensure t u;
+  if t.tm_spans.(2 * u) < 0 then invalid_arg "Transition.row: row not built";
   let lo = t.tm_spans.(2 * u) and hi = t.tm_spans.((2 * u) + 1) in
   { Estimate.d_idx = Array.init (hi - lo) (fun k -> BA1.get t.tm_idx (lo + k));
     Estimate.d_w = Array.init (hi - lo) (fun k -> BA1.get t.tm_w (lo + k)) }
@@ -74,4 +74,4 @@ let spans t = t.tm_spans
 let idx t = t.tm_idx
 let weights t = t.tm_w
 
-let root_row syn expr = Estimate.root_reach_dist syn expr
+let root_row a syn expr = Estimate.root_reach_dist a syn expr

@@ -18,6 +18,11 @@
     synopsis frontier, which is what turns {!Plan.Batch}'s inner loop
     into plain array traversals.
 
+    Rows are built through the caller's {!Estimate.acc} ({!Plan.Batch}
+    lends the one it owns), so building a row costs the cells its reach
+    touches, not the synopsis's node count, and allocates no n-cell
+    temporary.
+
     {!ensure} is the only writer, and compilation its only caller: every
     row a prepared batch reads is built before its sweep starts, so the
     sweep, on any number of domains, only reads. Growing the buffers
@@ -31,9 +36,10 @@ type t
 val create : Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> t
 (** An empty matrix of the expression over the synopsis: no row built. *)
 
-val ensure : t -> int -> unit
-(** [ensure t u] builds row [u] unless it is built: one
-    {!Estimate.reach_dist} from [u], appended to the buffers. *)
+val ensure : t -> Estimate.acc -> int -> unit
+(** [ensure t a u] builds row [u] unless it is built: one
+    {!Estimate.reach_dist} from [u] through [a], appended to the
+    buffers. *)
 
 val expr : t -> Xc_twig.Path_expr.t
 
@@ -45,9 +51,9 @@ val nnz : t -> int
     memory footprint in cells. *)
 
 val row : t -> int -> Estimate.dist
-(** Row [u] as a fresh dist (builds it first, then copies the slice);
-    for tests and diagnostics. Serving loops read {!spans}/{!idx}/
-    {!weights} in place. *)
+(** Built row [u] as a fresh dist (a copy of its slice); for tests and
+    diagnostics. Serving loops read {!spans}/{!idx}/{!weights} in
+    place. @raise Invalid_argument when row [u] is not built. *)
 
 val spans : t -> int array
 (** Row bounds, interleaved: a built row [u] spans
@@ -64,7 +70,7 @@ val idx : t -> Synopsis.Sealed.ba_i
 val weights : t -> Synopsis.Sealed.ba_f
 (** The current weight buffer, as {!idx}. *)
 
-val root_row : Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> Estimate.dist
+val root_row : Estimate.acc -> Synopsis.Sealed.t -> Xc_twig.Path_expr.t -> Estimate.dist
 (** The distribution from the virtual document node
     ({!Estimate.root_reach_dist}) — the "row" used when the expression
     labels a root edge. *)

@@ -8,6 +8,11 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
+(* [Sys_error] names the path when opening fails but not when a later
+   read does (a directory opens, then fails to read): name it once *)
+let naming path msg =
+  if String.starts_with ~prefix:(path ^ ": ") msg then msg else path ^ ": " ^ msg
+
 let read path =
   match
     let ic = open_in_bin path in
@@ -16,7 +21,7 @@ let read path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | s -> Ok (Fault.mutate ~site:"safe_io.read" s)
-  | exception Sys_error msg -> Error (Io msg)
+  | exception Sys_error msg -> Error (Io (naming path msg))
   | exception End_of_file -> Error (Io (path ^ ": unexpected end of file"))
 
 (* Durability of the rename itself: fsync the containing directory.

@@ -25,7 +25,8 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val read : string -> (string, error) result
-(** The file's entire contents. Never raises. *)
+(** The file's entire contents. Never raises. An [Io] message names the
+    path exactly once. *)
 
 val write_atomic : string -> string -> (unit, error) result
 (** [write_atomic path data] replaces [path] with [data] atomically

@@ -62,11 +62,11 @@ let test_matrix_rows () =
         order.(i) <- order.(j);
         order.(j) <- t
       done;
-      Array.iter (Transition.ensure mt) order;
+      Array.iter (Transition.ensure mt (Estimate.accumulator syn)) order;
       check Alcotest.int "one row per node" (S.n_nodes syn) (Transition.rows_built mt);
       for u = 0 to S.n_nodes syn - 1 do
         let row = Transition.row mt u in
-        let ref_d = Estimate.reach_dist syn expr u in
+        let ref_d = Estimate.reach_dist (Estimate.accumulator syn) syn expr u in
         check Alcotest.(array int) "row targets" ref_d.Estimate.d_idx row.Estimate.d_idx;
         Array.iteri
           (fun i w ->
@@ -79,10 +79,11 @@ let test_matrix_rows () =
 let test_matrix_root_row () =
   let ds = Runner.imdb ~scale:0.01 ~n_queries:40 () in
   let syn = small_synopsis ds in
+  let a = Estimate.accumulator syn in
   List.iter
     (fun expr ->
-      let r = Transition.root_row syn expr in
-      let ref_d = Estimate.root_reach_dist syn expr in
+      let r = Transition.root_row a syn expr in
+      let ref_d = Estimate.root_reach_dist (Estimate.accumulator syn) syn expr in
       check Alcotest.(array int) "root targets" ref_d.Estimate.d_idx r.Estimate.d_idx;
       Array.iteri
         (fun i w ->
@@ -127,6 +128,7 @@ let test_one_query_rows () =
   let ds = Runner.xmark ~scale:0.02 ~n_queries:40 () in
   let syn = small_synopsis ds in
   let n = S.n_nodes syn in
+  let a = Estimate.accumulator syn in
   let rec exprs n = List.concat_map (fun (e, c) -> e :: exprs c) n.Xc_twig.Twig_query.edges in
   let total = ref 0 and total_full = ref 0 in
   Array.iter
@@ -144,7 +146,7 @@ let test_one_query_rows () =
             (fun acc id ->
               let mt = Transition.create syn (Path_expr.of_id id) in
               for u = 0 to n - 1 do
-                Transition.ensure mt u
+                Transition.ensure mt a u
               done;
               acc + Transition.nnz mt)
             0 inner
@@ -192,6 +194,89 @@ let one_vs_batch_vs_oracle =
               q one batch.(i) oracle)
         queries;
       true)
+
+(* One accumulator reused across a shuffled sequence of reaches — each
+   expression from every source, and from the document node — gives
+   each reach the dist a fresh accumulator gives it, bit for bit, with
+   targets ascending: gathering leaves no cell or flag behind, and its
+   order does not follow first touch. [None] when they agree, else the
+   first expression that differs. *)
+let reuse_mismatch rng syn exprs =
+  let calls =
+    List.concat_map
+      (fun e -> (e, None) :: List.init (S.n_nodes syn) (fun u -> (e, Some u)))
+      exprs
+    |> Array.of_list
+  in
+  for i = Array.length calls - 1 downto 1 do
+    let j = Xc_util.Rng.int rng (i + 1) in
+    let t = calls.(i) in
+    calls.(i) <- calls.(j);
+    calls.(j) <- t
+  done;
+  let reach a (e, src) =
+    match src with
+    | None -> Estimate.root_reach_dist a syn e
+    | Some u -> Estimate.reach_dist a syn e u
+  in
+  let ascending d =
+    let ok = ref true in
+    for k = 1 to Array.length d.Estimate.d_idx - 1 do
+      if d.Estimate.d_idx.(k - 1) >= d.Estimate.d_idx.(k) then ok := false
+    done;
+    !ok
+  in
+  let shared = Estimate.accumulator syn in
+  Array.to_list calls
+  |> List.find_map (fun ((e, _) as call) ->
+         let got = reach shared call and fresh = reach (Estimate.accumulator syn) call in
+         if
+           got.Estimate.d_idx = fresh.Estimate.d_idx
+           && Array.for_all2 bits_equal got.Estimate.d_w fresh.Estimate.d_w
+           && ascending got
+         then None
+         else Some e)
+
+let reused_accumulator =
+  QCheck.Test.make ~name:"reused accumulator = fresh per reach, bitwise" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xc_util.Rng.create seed in
+      let doc = Random_doc.generate rng in
+      let syn = Synopsis.freeze (Xc_core.Reference.build ~min_extent:1 doc) in
+      let rec exprs n =
+        List.concat_map (fun (e, c) -> e :: exprs c) n.Xc_twig.Twig_query.edges
+      in
+      List.init 4 (fun _ -> exprs (Random_doc.twig rng).Xc_twig.Twig_query.root)
+      |> List.concat |> reuse_mismatch rng syn
+      |> Option.iter (fun e ->
+             QCheck.Test.fail_reportf "%a: reused and fresh accumulators differ" Path_expr.pp e);
+      true)
+
+(* Random documents make small synopses, where a step touches a large
+   share of the nodes; this one has 1241 nodes and 30-node reaches, so
+   gathering takes the sorted path for longer lists too *)
+let test_reused_accumulator_wide () =
+  let open Xc_xml in
+  let leaf tag = Node.make tag in
+  let a i =
+    Node.make (Printf.sprintf "a%d" i)
+      ~children:
+        (List.init 10 (fun j ->
+             Node.make (Printf.sprintf "b%d" j) ~children:[ leaf "c"; leaf (Printf.sprintf "d%d" j) ]))
+  in
+  let doc = Document.create (Node.make "r" ~children:(List.init 40 a)) in
+  let syn = Synopsis.freeze (Xc_core.Reference.build ~min_extent:1 doc) in
+  check Alcotest.int "nodes" 1241 (S.n_nodes syn);
+  let star axis = { Path_expr.axis; test = Path_expr.Wildcard } in
+  let exprs =
+    [ [ star Path_expr.Descendant ];
+      [ star Path_expr.Child; star Path_expr.Descendant ];
+      [ Path_expr.desc "c" ] ]
+  in
+  match reuse_mismatch (Xc_util.Rng.create 3) syn exprs with
+  | None -> ()
+  | Some e -> Alcotest.failf "%a: reused and fresh accumulators differ" Path_expr.pp e
 
 let test_facade_batch () =
   let ds = Runner.imdb ~scale:0.01 ~n_queries:30 () in
@@ -289,7 +374,10 @@ let () =
         [ Alcotest.test_case "matrix rows = reach_dist" `Slow test_matrix_rows;
           Alcotest.test_case "root rows" `Quick test_matrix_root_row;
           Alcotest.test_case "one query builds few rows" `Quick test_one_query_rows;
-          QCheck_alcotest.to_alcotest one_vs_batch_vs_oracle ] );
+          QCheck_alcotest.to_alcotest one_vs_batch_vs_oracle;
+          QCheck_alcotest.to_alcotest reused_accumulator;
+          Alcotest.test_case "reused accumulator, wide synopsis" `Quick
+            test_reused_accumulator_wide ] );
       ( "equivalence",
         [ Alcotest.test_case "imdb" `Slow test_batch_imdb;
           Alcotest.test_case "xmark" `Slow test_batch_xmark;

@@ -720,6 +720,40 @@ let test_sections_report () =
           s.Codec.sec_crc_ok)
       secs
 
+(* ---- read errors ---------------------------------------------------------- *)
+
+(* A refused read names its path exactly once, from every reader: a
+   missing file (whose Sys_error already names it) and a directory
+   (whose read error does not). *)
+let test_read_error_names_path_once () =
+  let occurrences path msg =
+    let n = String.length path in
+    let count = ref 0 in
+    for i = 0 to String.length msg - n do
+      if String.sub msg i n = path then incr count
+    done;
+    !count
+  in
+  in_temp_dir (fun dir ->
+      let missing = Filename.concat dir "missing.syn" in
+      (match Codec.verify missing with
+      | Ok _ -> Alcotest.fail "verify of a missing file succeeded"
+      | Error e ->
+        check Alcotest.string "verify, missing file"
+          (missing ^ ": No such file or directory") (Codec.error_to_string e));
+      (match Codec.load missing with
+      | Ok _ -> Alcotest.fail "load of a missing file succeeded"
+      | Error e ->
+        check Alcotest.string "load, missing file"
+          (missing ^ ": No such file or directory") (Codec.error_to_string e));
+      match Codec.verify dir with
+      | Ok _ -> Alcotest.fail "verify of a directory succeeded"
+      | Error e ->
+        let msg = Codec.error_to_string e in
+        check Alcotest.bool ("directory named first: " ^ msg) true
+          (String.starts_with ~prefix:(dir ^ ": ") msg);
+        check Alcotest.int ("directory named once: " ^ msg) 1 (occurrences dir msg))
+
 let () =
   Alcotest.run ~and_exit:false "codec_v3"
     [ ( "reproducible",
@@ -746,4 +780,6 @@ let () =
       ( "versioning",
         [ Alcotest.test_case "golden v3 pinned by its answers" `Quick test_golden_v3_pinned ] );
       ( "sections",
-        [ Alcotest.test_case "report localizes damage" `Quick test_sections_report ] ) ]
+        [ Alcotest.test_case "report localizes damage" `Quick test_sections_report ] );
+      ( "read errors",
+        [ Alcotest.test_case "path named once" `Quick test_read_error_names_path_once ] ) ]

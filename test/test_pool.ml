@@ -282,67 +282,15 @@ let test_domains_bit_identical () =
 
 (* ---- pinned build output ------------------------------------------------------ *)
 
-(* One line per seeded build: the case and the MD5 of the sealed
-   synopsis's encoding, which covers every array of the sealed form. A
-   change to construction that moves any build byte fails here; the
-   whole actual list is left in builds.actual beside the test
-   executable to regenerate golden/builds.txt from, which is right
-   only when a change is meant to alter the synopses built. This runs
-   first in the executable: label and term ids are interned per
+(* One line per seeded build (Golden.builds, Golden.build_line): the
+   case and the MD5 of the sealed synopsis's encoding. A change to
+   construction that moves any build byte fails here; regenerating golden/builds.txt from builds.actual is
+   right only when a change is meant to alter the synopses built. This
+   runs first in the executable: label and term ids are interned per
    process, and term order can steer the greedy choices. *)
-let golden = "golden/builds.txt"
-
-let build_lines () =
-  let datasets =
-    [ ("imdb", "n_movies=60", lazy (Xc_data.Imdb.generate ~seed:3 ~n_movies:60 ()));
-      ("xmark", "scale=0.005", lazy (Xc_data.Xmark.generate ~seed:4 ~scale:0.005 ()));
-      ("dblp", "n_authors=70", lazy (Xc_data.Dblp.generate ~seed:5 ~n_authors:70 ())) ]
-  in
-  let cases =
-    List.concat_map
-      (fun (name, _, _) -> [ (name, false, 3, 24); (name, false, 4, 64) ])
-      datasets
-    @ [ ("imdb", true, 3, 24) ]
-  in
-  let references =
-    List.map
-      (fun (name, size, doc) ->
-        (name, (size, lazy (Reference.build ~min_extent:2 (Lazy.force doc)))))
-      datasets
-  in
-  List.map
-    (fun (name, structural_only, bstr_kb, bval_kb) ->
-      let size, reference = List.assoc name references in
-      let pool = { Pool.default_config with Pool.structural_only } in
-      let sealed =
-        Build.run (Build.budget ~pool ~bstr_kb ~bval_kb ()) (Lazy.force reference)
-      in
-      Printf.sprintf "%s %s bstr=%dKB bval=%dKB%s %s" name size bstr_kb bval_kb
-        (if structural_only then " structural_only" else "")
-        (Digest.to_hex (Digest.string (Codec.to_string sealed))))
-    cases
-
-let read_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 let test_builds_pinned () =
-  let actual = build_lines () in
-  let expected = read_lines golden in
-  if actual <> expected then begin
-    Out_channel.with_open_text "builds.actual" (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
-    let rec first i = function
-      | e :: es, a :: as_ -> if e = a then first (i + 1) (es, as_) else (i, e, a)
-      | e :: _, [] -> (i, e, "<missing>")
-      | [], a :: _ -> (i, "<missing>", a)
-      | [], [] -> (i, "", "")
-    in
-    let i, e, a = first 1 (expected, actual) in
-    Alcotest.failf
-      "line %d differs (actual lines in builds.actual):\n  expected %s\n  actual   %s" i e a
-  end
+  List.map Golden.build_line (Golden.builds ())
+  |> Golden.check ~golden:"golden/builds.txt" ~actual_file:"builds.actual"
 
 let () =
   Alcotest.run "xc_pool"

@@ -31,28 +31,9 @@ let lines () =
       @ List.map (line "neg") (Workload.negative ~n:24 ~seed:13 doc))
     datasets
 
-let read_lines path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
 let test_pinned () =
   let actual = lines () in
-  let expected = read_lines golden in
-  if actual <> expected then begin
-    (* leave the actual lines beside the build's copy for a diff *)
-    Out_channel.with_open_text "workloads.actual" (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
-    let rec first i = function
-      | e :: es, a :: as_ -> if e = a then first (i + 1) (es, as_) else (i, e, a)
-      | e :: _, [] -> (i, e, "<missing>")
-      | [], a :: _ -> (i, "<missing>", a)
-      | [], [] -> (i, "", "")
-    in
-    let i, e, a = first 1 (expected, actual) in
-    Alcotest.failf "line %d differs (actual lines in workloads.actual):\n  expected %s\n  actual   %s"
-      i e a
-  end;
+  Golden.check ~golden ~actual_file:"workloads.actual" actual;
   Alcotest.(check bool) "every dataset pinned" true
     (List.for_all
        (fun d -> List.exists (fun l -> String.starts_with ~prefix:(d ^ " ") l) actual)
