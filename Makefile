@@ -1,4 +1,4 @@
-.PHONY: all build test check fmt bench bench-serve bench-fault bench-chaos bench-update clean
+.PHONY: all build test check fmt bench bench-serve bench-update clean
 
 all: build
 
@@ -27,22 +27,6 @@ bench:
 # BENCH_serve.json.
 bench-serve:
 	dune exec bench/main.exe -- serve
-
-# Robustness smoke: bounded codec fuzz plus a save/load storm through
-# the Fault injection sites (honors XC_FAULTS; exits non-zero on any
-# contract violation). Appends a JSON line to BENCH_fault.json.
-bench-fault:
-	dune exec bench/main.exe -- fault
-
-# Serving-plane chaos benchmark: stalled-peer isolation, slow-loris
-# eviction timing, overload shedding (typed Overloaded + with_retry
-# recovery), seeded fault storms over serve.accept / serve.send /
-# serve.deadline / client.connect with bit-identity through and after
-# each storm, and timed graceful drain — hard gates, exits non-zero on
-# any violation (honors XC_CHAOS_SEED). Appends a JSON line to
-# BENCH_chaos.json.
-bench-chaos:
-	dune exec bench/main.exe -- chaos
 
 # Incremental-maintenance benchmark: an XMark update stream applied to
 # a live builder (localized repair) vs a from-scratch rebuild, with

@@ -5,8 +5,7 @@
    Usage:  dune exec bench/main.exe [-- TARGET...]
    Targets: table1 table2 fig8a fig8b fig8c fig9 negative ablation-delta
             ablation-text ablation-numeric auto-split seal build serve
-            cold fault chaos update micro (default: all of them, in that
-            order)
+            cold update micro (default: all of them, in that order)
 
    Every run ends with a JSON metrics block (batch compiles and hits,
    transition rows built, pool candidate evaluations, expansion depths,
@@ -17,8 +16,7 @@
      XC_SCALE    document scale factor (default 1.0 = paper scale)
      XC_QUERIES  workload size (default 400)
      XC_PASSES   repeated-workload passes for the seal/serve targets
-                 (default 5), and batches per concurrent client in the
-                 chaos target (default 3)
+                 (default 5)
      XC_DOMAINS  worker count for the build target's parallel leg
                  (default 4) and the serve target's query sharding
                  (default 1; also the library-wide Par default).
@@ -26,14 +24,12 @@
                  both targets fail if the pool observably engaged a
                  different width than requested.
      XC_BUILD_REPS  repetitions per leg of the build target (default 3)
-     XC_FAULTS   fault-injection spec for the fault target (see
-                 Xc_util.Fault); when unset or empty the target installs
-                 its own all-kinds storm
      XC_UPDATES  auction events in the update target's mutation stream
                  (default 64, half opens / half closes)
-     XC_CHAOS_SEED  offset added to every storm seed of the chaos
-                 target, so a CI matrix replays distinct reproducible
-                 storms over the same fault sites (default 0). *)
+
+   The robustness gates (codec fuzz, fault storms, serving-plane chaos)
+   are tier-1 tests: test/test_fault.ml, test/test_chaos.ml and
+   test/test_serve.ml. *)
 
 let env_value name parse ~default =
   match Sys.getenv_opt name with
@@ -632,658 +628,6 @@ let run_cold () =
     exit 1
   end
 
-(* ---- fault-injection smoke ---------------------------------------------
-   The robustness gate behind BENCH_fault.json: a bounded fuzz over the
-   codec (every mutated input must decode to Ok or a typed Error) plus a
-   save/load storm through the Fault injection sites. Honors an
-   XC_FAULTS environment configuration when one is set (the CI matrix
-   sets several); otherwise installs an all-kinds storm. Any uncaught
-   exception, or any corruption of the save target, exits non-zero. *)
-
-let run_fault () =
-  let module Fault = Xc_util.Fault in
-  let module Codec = Xc_core.Codec in
-  let fuzz_per_dataset = 500 in
-  let storm_cycles = 200 in
-  let syn =
-    timed "fault: setup" (fun () ->
-        let doc = Xc_data.Imdb.generate ~seed:91 ~n_movies:120 () in
-        let reference = Xc_core.Reference.build ~min_extent:8 doc in
-        Xc_core.Build.run (Xc_core.Build.budget ~bstr_kb:6 ~bval_kb:40 ()) reference)
-  in
-  let good = Codec.to_string syn in
-  let rng = Xc_util.Rng.create 91 in
-  let fuzz_errors = ref 0 in
-  let violations = ref 0 in
-  timed "fault: fuzz" (fun () ->
-      for _ = 1 to fuzz_per_dataset do
-        let n = String.length good in
-        let corrupt =
-          match Xc_util.Rng.int rng 3 with
-          | 0 -> String.sub good 0 (Xc_util.Rng.int rng (n + 1))
-          | 1 ->
-            let b = Bytes.of_string good in
-            let i = Xc_util.Rng.int rng n in
-            Bytes.set b i
-              (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Xc_util.Rng.int rng 8)));
-            Bytes.unsafe_to_string b
-          | _ ->
-            let b = Bytes.of_string good in
-            let len = 1 + Xc_util.Rng.int rng (min 32 n) in
-            let src = Xc_util.Rng.int rng (n - len + 1) in
-            let dst = Xc_util.Rng.int rng (n - len + 1) in
-            Bytes.blit_string good src b dst len;
-            Bytes.unsafe_to_string b
-        in
-        match Codec.of_string corrupt with
-        | Ok _ -> ()
-        | Error _ -> incr fuzz_errors
-        | exception exn ->
-          incr violations;
-          Format.fprintf ppf "  VIOLATION: decode raised %s@." (Printexc.to_string exn)
-      done);
-  (* the save/load storm: faults from XC_FAULTS when set, else all
-     kinds; an empty XC_FAULTS counts as unset (CI's matrix exports
-     one for its built-in storm entry) *)
-  let from_env =
-    match Sys.getenv_opt "XC_FAULTS" with None | Some "" -> false | Some _ -> true
-  in
-  if not from_env then
-    Fault.configure
-      (Some { Fault.seed = 91; prob = 0.3; kinds = [ Fault.Truncate; Fault.Bit_flip; Fault.Short_write; Fault.Enospc; Fault.Eio ]; sites = [] });
-  let cfg = Fault.current () in
-  let dir = Filename.temp_file "xc_bench_fault" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "synopsis.syn" in
-  (match Fault.configure None; Codec.save path syn with
-  | Ok () -> ()
-  | Error e ->
-    Format.fprintf ppf "  ERROR: clean save failed: %s@." (Codec.error_to_string e);
-    incr violations);
-  Fault.configure cfg;
-  let saves_ok = ref 0 and saves_err = ref 0 in
-  let loads_ok = ref 0 and loads_err = ref 0 in
-  let lazy_failures = ref 0 in
-  let probe = Xc_twig.Twig_parse.parse "//movie/title" in
-  timed "fault: save/load storm" (fun () ->
-      for _ = 1 to storm_cycles do
-        (match Codec.save path syn with
-        | Ok () -> incr saves_ok
-        | Error _ -> incr saves_err
-        | exception exn ->
-          incr violations;
-          Format.fprintf ppf "  VIOLATION: save raised %s@." (Printexc.to_string exn));
-        match Codec.load path with
-        | Ok loaded -> (
-          incr loads_ok;
-          (* drive the deferred verification on the lazily mapped
-             path: an estimate either answers or raises the typed
-             Lazy_failure at the damaged section — nothing else *)
-          match Xc_core.Estimate.selectivity loaded probe with
-          | (_ : float) -> ()
-          | exception Codec.Lazy_failure _ -> incr lazy_failures
-          | exception exn ->
-            incr violations;
-            Format.fprintf ppf "  VIOLATION: estimate raised %s@."
-              (Printexc.to_string exn))
-        | Error _ -> incr loads_err
-        | exception exn ->
-          incr violations;
-          Format.fprintf ppf "  VIOLATION: load raised %s@." (Printexc.to_string exn)
-      done);
-  (* with injection off, the target must still hold a pristine encoding:
-     failed saves never touch it *)
-  Fault.configure None;
-  (match Codec.load path with
-  | Ok decoded ->
-    if not (String.equal (Codec.to_string decoded) good) then begin
-      Format.fprintf ppf "  ERROR: surviving file decodes to a different synopsis@.";
-      incr violations
-    end
-  | Error e ->
-    Format.fprintf ppf "  ERROR: surviving file is corrupt: %s@."
-      (Codec.error_to_string e);
-    incr violations);
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
-  let injected = Fault.injections () in
-  Format.fprintf ppf
-    "@.Fault smoke (%s)@.  fuzz: %d/%d mutations detected, %d violations@.  storm: saves %d ok / %d failed, loads %d ok / %d failed, %d deferred lazy failures, %d faults injected@."
-    (if from_env then "XC_FAULTS from environment" else "built-in storm")
-    !fuzz_errors fuzz_per_dataset !violations !saves_ok !saves_err !loads_ok
-    !loads_err !lazy_failures injected;
-  let json =
-    Printf.sprintf
-      "{\"ts\":%.0f,\"fuzz\":%d,\"fuzz_detected\":%d,\"storm_cycles\":%d,\"saves_ok\":%d,\"saves_err\":%d,\"loads_ok\":%d,\"loads_err\":%d,\"lazy_failures\":%d,\"injected\":%d,\"violations\":%d,\"env_faults\":%b}"
-      (Unix.gettimeofday ()) fuzz_per_dataset !fuzz_errors storm_cycles !saves_ok
-      !saves_err !loads_ok !loads_err !lazy_failures injected !violations from_env
-  in
-  append_row "BENCH_fault.json" json;
-  if !violations > 0 then begin
-    Format.fprintf ppf "  ERROR: %d fault-contract violations@." !violations;
-    exit 1
-  end
-
-(* ---- serving-plane chaos ------------------------------------------------
-   The robustness gate behind BENCH_chaos.json: forked daemons under a
-   stalled peer, a full pending queue, and seeded fault storms over the
-   serving plane's injection sites (serve.accept, serve.send,
-   serve.deadline, client.connect). Hard gates (any failure exits
-   non-zero):
-   - a stalled slow-loris peer costs one worker, not the daemon:
-     concurrent-client p99 under one stalled peer stays within 2x the
-     unstalled baseline (plus 1 ms of scheduling slack);
-   - the stalled peer is evicted, with a typed Timeout frame, within
-     the configured read deadline plus slack;
-   - with the single worker stalled and the pending queue full, new
-     connections are shed with typed Overloaded frames, and
-     Client.with_retry recovers once the stall clears;
-   - every storm daemon survives its storm, answers bit-identical batch
-     estimates through it, and acknowledges a clean shutdown after it;
-   - batch answers are bit-identical across worker-pool sizes (1 and 4);
-   - a graceful drain completes within the configured drain deadline. *)
-
-let run_chaos () =
-  let module Serve = Xcluster.Serve in
-  let module Fault = Xc_util.Fault in
-  let passes = env_int "XC_PASSES" ~default:3 in
-  (* XC_CHAOS_SEED offsets every storm's RNG stream, so a CI matrix
-     replays distinct but reproducible storms over the same sites *)
-  let chaos_seed = env_int "XC_CHAOS_SEED" ~default:0 in
-  let dir = Filename.temp_file "xc_chaos" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let syn_path = Filename.concat dir "chaos.syn" in
-  let sock name = Filename.concat dir (name ^ ".sock") in
-  let ep name = Serve.Protocol.Unix_sock (sock name) in
-  let ds = Lazy.force imdb in
-  let syn =
-    timed "chaos: build" (fun () ->
-        Xcluster.Build.compress
-          (Xcluster.Build.budget ~bstr_kb:16 ~bval_kb:120 ())
-          ds.Xc_exp.Runner.reference)
-  in
-  (match Xcluster.Store.save syn_path syn with
-  | Ok () -> ()
-  | Error e ->
-    Format.fprintf ppf "  ERROR: save: %s@." (Xc_core.Codec.error_to_string e);
-    exit 1);
-  let loaded =
-    match Xcluster.Store.load syn_path with
-    | Ok s -> s
-    | Error e ->
-      Format.fprintf ppf "  ERROR: load: %s@." (Xc_core.Codec.error_to_string e);
-      exit 1
-  in
-  let sources =
-    let all =
-      Array.map (Format.asprintf "%a" Xc_twig.Twig_query.pp) (Xc_exp.Runner.workload_queries ds)
-    in
-    Array.sub all 0 (Int.min 60 (Array.length all))
-  in
-  let nq = Array.length sources in
-  let reference =
-    Array.map
-      (fun src -> Xcluster.Query.estimate_uncached loaded (Xcluster.Query.parse src))
-      sources
-  in
-  let ref_bits = Array.map Int64.bits_of_float reference in
-  let bitwise r =
-    Array.length r = nq
-    &&
-    let ok = ref true in
-    Array.iteri (fun i v -> if Int64.bits_of_float v <> ref_bits.(i) then ok := false) r;
-    !ok
-  in
-  let violations = ref 0 in
-  let gate ok msg =
-    if not ok then begin
-      Format.fprintf ppf "  ERROR: %s@." msg;
-      incr violations
-    end
-  in
-  (* every fork happens before the first Domain.spawn: the OCaml 5
-     runtime refuses Unix.fork once any other domain exists. Children
-     inherit the parent's fault state at fork time, which is how each
-     storm daemon gets its own armed sites. *)
-  let ambient = Fault.current () in
-  Fault.configure None;
-  let fork_daemon endpoint tune =
-    Format.pp_print_flush ppf ();
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-      (try
-         let registry = Serve.Registry.create ~max_engines:4 () in
-         Serve.Registry.add_source registry ~name:"chaos" ~path:syn_path;
-         let config =
-           tune
-             { Serve.Daemon.default_config with Serve.Daemon.endpoint }
-         in
-         Serve.Daemon.run ~config registry
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-    | pid -> pid
-  in
-  let recv_timeout_s = 2.0 in
-  let drain_timeout_s = 5.0 in
-  let main_pid =
-    fork_daemon (ep "main") (fun c ->
-        { c with
-          Serve.Daemon.workers = 4;
-          max_pending = 32;
-          recv_timeout_s;
-          request_budget_s = recv_timeout_s +. 0.5;
-          drain_timeout_s;
-          retry_after_ms = 25 })
-  in
-  let overload_pid =
-    fork_daemon (ep "overload") (fun c ->
-        { c with
-          Serve.Daemon.workers = 1;
-          max_pending = 1;
-          recv_timeout_s = 3.0;
-          request_budget_s = 3.5;
-          retry_after_ms = 25 })
-  in
-  let storm_specs =
-    [ ("serve.accept", 0.4, 71 + chaos_seed);
-      ("serve.send", 0.3, 72 + chaos_seed);
-      ("serve.deadline", 0.2, 73 + chaos_seed) ]
-  in
-  let storm_daemons =
-    List.map
-      (fun (site, prob, seed) ->
-        Fault.configure
-          (Some { Fault.seed; prob; kinds = [ Fault.Eio ]; sites = [ site ] });
-        let pid =
-          fork_daemon
-            (ep (String.map (function '.' -> '_' | c -> c) site))
-            (fun c ->
-              { c with
-                Serve.Daemon.workers = 3;
-                max_pending = 16;
-                recv_timeout_s = 0.5;
-                request_budget_s = 1.0;
-                retry_after_ms = 10 })
-        in
-        Fault.configure None;
-        (site, pid))
-      storm_specs
-  in
-  let wait_ready endpoint =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec loop () =
-      match Serve.Client.connect endpoint with
-      | Ok c -> Serve.Client.close c
-      | Error _ when Unix.gettimeofday () < deadline ->
-        ignore (Unix.select [] [] [] 0.05);
-        loop ()
-      | Error e ->
-        Format.fprintf ppf "  ERROR: daemon not accepting: %s@."
-          (Serve.Error.to_string e);
-        exit 1
-    in
-    loop ()
-  in
-  let raw_connect endpoint =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (match endpoint with
-    | Serve.Protocol.Unix_sock p -> Unix.connect fd (Unix.ADDR_UNIX p)
-    | Serve.Protocol.Tcp _ -> assert false);
-    fd
-  in
-  let raw_close fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> () in
-  (* a slow loris: half a frame header (its version byte), then silence *)
-  let loris endpoint =
-    let fd = raw_connect endpoint in
-    ignore (Unix.write_substring fd (String.make 1 (Char.chr Serve.Protocol.version)) 0 1);
-    fd
-  in
-  (* block until the daemon evicts the peer (EOF); returns seconds from
-     [t0], or None if the read timed out before any eviction *)
-  let eviction_elapsed fd t0 =
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO (recv_timeout_s +. 8.0);
-    let chunk = Bytes.create 256 in
-    let rec drain () =
-      match Unix.read fd chunk 0 256 with
-      | 0 -> Some (Unix.gettimeofday () -. t0)
-      | _ -> drain ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        None
-      | exception Unix.Unix_error (_, _, _) ->
-        Some (Unix.gettimeofday () -. t0)
-    in
-    drain ()
-  in
-  Format.fprintf ppf "@.Serving-plane chaos (%s: %d queries x %d passes per client)@."
-    ds.Xc_exp.Runner.name nq passes;
-  wait_ready (ep "main");
-  (* measured phase: 2 concurrent clients streaming whole-workload
-     batches; every answer must be bit-identical to estimate_uncached *)
-  let measure endpoint =
-    let worker () =
-      Domain.spawn (fun () ->
-          match Serve.Client.connect ~timeout_s:10.0 endpoint with
-          | Error e -> Error (Serve.Error.to_string e)
-          | Ok c ->
-            let lats = ref [] in
-            let rec go i =
-              if i = 0 then Ok ()
-              else begin
-                let t0 = Unix.gettimeofday () in
-                match Serve.Client.estimate_batch c ~synopsis:"chaos" sources with
-                | Ok r ->
-                  lats := (1e6 *. (Unix.gettimeofday () -. t0)) :: !lats;
-                  if bitwise r then go (i - 1)
-                  else Error "batch answer not bit-identical"
-                | Error e -> Error (Serve.Error.to_string e)
-              end
-            in
-            let r = go passes in
-            Serve.Client.close c;
-            match r with Ok () -> Ok !lats | Error e -> Error e)
-    in
-    let domains = List.init 2 (fun _ -> worker ()) in
-    let results = List.map Domain.join domains in
-    let m = Xc_util.Metrics.create () in
-    let req_us = Xc_util.Metrics.histogram ~registry:m ~doc:"measured request latency, us" "req_us" in
-    let ok = ref true in
-    List.iter
-      (fun r ->
-        match r with
-        | Error e ->
-          Format.fprintf ppf "  ERROR: measured client failed: %s@." e;
-          ok := false
-        | Ok lats ->
-          List.iter (fun l -> Xc_util.Metrics.observe req_us l) lats)
-      results;
-    let p99 =
-      match Xc_util.Metrics.quantiles m "req_us" [ 0.99 ] with
-      | Some [ (_, v) ] -> v
-      | _ -> 0.0
-    in
-    (!ok, p99)
-  in
-  (* warm the engine cache first: the baseline must measure serving,
-     not the one-time lazy engine build *)
-  (match
-     Serve.Client.with_retry ~attempts:10 ~timeout_s:10.0 (ep "main") (fun c ->
-         Serve.Client.estimate_batch c ~synopsis:"chaos" sources)
-   with
-  | Ok r -> gate (bitwise r) "warmup batch not bit-identical"
-  | Error e ->
-    Format.fprintf ppf "  ERROR: warmup: %s@." (Serve.Error.to_string e);
-    incr violations);
-  let base_ok, baseline_p99 = measure (ep "main") in
-  gate base_ok "baseline clients failed or answered inexactly";
-  (* eviction latency, unloaded: a lone loris against 4 free workers *)
-  let t0 = Unix.gettimeofday () in
-  let lone = loris (ep "main") in
-  let evict_s =
-    match eviction_elapsed lone t0 with
-    | Some s -> s
-    | None ->
-      gate false "stalled peer was not evicted";
-      Float.nan
-  in
-  raw_close lone;
-  let evict_bound_s = recv_timeout_s +. 1.5 in
-  gate
-    (Float.is_nan evict_s || evict_s <= evict_bound_s)
-    (Printf.sprintf "eviction took %.2fs (deadline %.2fs + 1.5s slack)" evict_s
-       recv_timeout_s);
-  (* stalled-peer isolation: one loris holds a worker while 2 clients
-     measure; their p99 must stay within 2x baseline + 1 ms *)
-  let stalled = loris (ep "main") in
-  let stall_ok, stalled_p99 = measure (ep "main") in
-  ignore (eviction_elapsed stalled (Unix.gettimeofday ()));
-  raw_close stalled;
-  gate stall_ok "clients under a stalled peer failed or answered inexactly";
-  let stall_bound = (2.0 *. baseline_p99) +. 1000.0 in
-  gate
-    (stalled_p99 <= stall_bound)
-    (Printf.sprintf
-       "stalled-peer p99 %.0f us exceeds 2x baseline %.0f us (+1 ms slack)"
-       stalled_p99 baseline_p99);
-  Format.fprintf ppf
-    "  stalled peer: baseline p99 %.0f us, stalled p99 %.0f us (bound %.0f us), evicted in %.2fs@."
-    baseline_p99 stalled_p99 stall_bound evict_s;
-  (* overload: single worker stalled, pending queue full — connections
-     are shed with typed Overloaded frames, and with_retry recovers *)
-  wait_ready (ep "overload");
-  let shed_attempts = 8 in
-  (* one round of induced overload: a loris checks out the single
-     worker, a filler takes the one queue slot, and every further
-     connection must bounce with Overloaded. Closing the bad peers at
-     the end clears the stall instantly (their reads turn into EOF). *)
-  let overload_round () =
-    let ol_loris = loris (ep "overload") in
-    ignore (Unix.select [] [] [] 0.15);
-    let ol_filler = raw_connect (ep "overload") in
-    ignore (Unix.select [] [] [] 0.15);
-    let sheds = ref 0 in
-    for _ = 1 to shed_attempts do
-      match Serve.Client.connect ~timeout_s:5.0 (ep "overload") with
-      | Error _ -> ()
-      | Ok c ->
-        (match Serve.Client.estimate c ~synopsis:"chaos" ~query:sources.(0) with
-        | Error (Serve.Error.Overloaded _) -> incr sheds
-        | _ -> ());
-        Serve.Client.close c
-    done;
-    raw_close ol_loris;
-    raw_close ol_filler;
-    !sheds
-  in
-  let sheds =
-    (* scheduling can miss the shed window (the worker not yet stalled
-       when the filler arrived): one more round before judging *)
-    match overload_round () with 0 -> overload_round () | n -> n
-  in
-  gate (sheds > 0) "full queue never shed a typed Overloaded frame";
-  let retry_recovered =
-    match
-      Serve.Client.with_retry ~attempts:20 ~base_delay_s:0.05 ~max_delay_s:0.2
-        ~timeout_s:5.0 (ep "overload") (fun c ->
-          Serve.Client.estimate c ~synopsis:"chaos" ~query:sources.(0))
-    with
-    | Ok _ -> true
-    | Error e ->
-      Format.fprintf ppf "  ERROR: with_retry never recovered: %s@."
-        (Serve.Error.to_string e);
-      false
-  in
-  gate retry_recovered "with_retry did not outlast the overload";
-  Format.fprintf ppf
-    "  overload: %d/%d connections shed (typed Overloaded), with_retry recovered: %b@."
-    sheds shed_attempts retry_recovered;
-  (* bit-identity across worker-pool sizes: the overload daemon runs 1
-     worker, the main daemon 4 — both must answer the reference bits *)
-  let bitwise_workers =
-    match
-      Serve.Client.with_retry ~attempts:10 ~timeout_s:10.0 (ep "overload")
-        (fun c -> Serve.Client.estimate_batch c ~synopsis:"chaos" sources)
-    with
-    | Ok r -> bitwise r
-    | Error e ->
-      Format.fprintf ppf "  ERROR: 1-worker batch: %s@." (Serve.Error.to_string e);
-      false
-  in
-  gate bitwise_workers "batch answers differ across worker-pool sizes";
-  (* storm phases: each storm daemon was forked with one site armed.
-     Faults delay accepts, kill sends, or force deadlines — they never
-     corrupt — so every answer that does arrive must be bit-exact. *)
-  let storm_ops = 40 in
-  let run_storm (site, pid) =
-    let endpoint = ep (String.map (function '.' -> '_' | c -> c) site) in
-    wait_ready endpoint;
-    let ok = ref 0 and err = ref 0 in
-    for i = 1 to storm_ops do
-      let r =
-        Serve.Client.with_retry ~attempts:8 ~base_delay_s:0.005
-          ~max_delay_s:0.05 ~seed:(i + chaos_seed) ~timeout_s:5.0 endpoint
-          (fun c ->
-            if i mod 4 = 0 then
-              match Serve.Client.ping c with
-              | Ok _ -> Ok ()
-              | Error e -> Error e
-            else
-              match
-                Serve.Client.estimate c ~synopsis:"chaos"
-                  ~query:sources.(i mod nq)
-              with
-              | Ok _ -> Ok ()
-              | Error e -> Error e)
-      in
-      match r with Ok () -> incr ok | Error _ -> incr err
-    done;
-    let storm_bitwise =
-      match
-        Serve.Client.with_retry ~attempts:10 ~timeout_s:10.0 endpoint (fun c ->
-            Serve.Client.estimate_batch c ~synopsis:"chaos" sources)
-      with
-      | Ok r -> bitwise r
-      | Error _ -> false
-    in
-    let survived =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with 0, _ -> true | _ -> false
-    in
-    let clean_shutdown =
-      survived
-      &&
-      (* ask until the daemon is observed to exit 0: under a send storm
-         the Done acknowledgment itself may be killed even though the
-         shutdown was applied, so the ack frame proves nothing *)
-      let deadline = Unix.gettimeofday () +. 20.0 in
-      let rec go () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | p, Unix.WEXITED 0 when p = pid -> true
-        | p, _ when p = pid -> false
-        | _ ->
-          if Unix.gettimeofday () > deadline then false
-          else begin
-            (match Serve.Client.connect ~timeout_s:5.0 endpoint with
-            | Error _ -> ()
-            | Ok c ->
-              ignore (Serve.Client.shutdown c);
-              Serve.Client.close c);
-            ignore (Unix.select [] [] [] 0.02);
-            go ()
-          end
-      in
-      go ()
-    in
-    if not clean_shutdown then begin
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ())
-    end;
-    gate survived (Printf.sprintf "daemon died under the %s storm" site);
-    gate (!ok > 0) (Printf.sprintf "no operation survived the %s storm" site);
-    gate storm_bitwise
-      (Printf.sprintf "batch through the %s storm was not bit-identical" site);
-    gate clean_shutdown
-      (Printf.sprintf "no clean shutdown after the %s storm" site);
-    Format.fprintf ppf
-      "  storm %-14s: %d ops (%d ok, %d typed errors), survived %b, bitwise %b, clean shutdown %b@."
-      site storm_ops !ok !err survived storm_bitwise clean_shutdown;
-    Printf.sprintf
-      "{\"site\":%S,\"ops\":%d,\"ok\":%d,\"err\":%d,\"survived\":%b,\"bitwise\":%b,\"clean_shutdown\":%b}"
-      site storm_ops !ok !err survived storm_bitwise clean_shutdown
-  in
-  let storm_json = List.map run_storm storm_daemons in
-  (* client.connect storm: armed in this process, against the main
-     daemon; with_retry must push operations through it *)
-  Fault.configure
-    (Some
-       { Fault.seed = 74 + chaos_seed; prob = 0.4; kinds = [ Fault.Eio ];
-         sites = [ "client.connect" ] });
-  let conn_ok = ref 0 and conn_err = ref 0 in
-  for i = 1 to storm_ops do
-    match
-      Serve.Client.with_retry ~attempts:8 ~base_delay_s:0.005 ~max_delay_s:0.05
-        ~seed:(100 + i) ~timeout_s:5.0 (ep "main") (fun c ->
-          Serve.Client.estimate c ~synopsis:"chaos" ~query:sources.(i mod nq))
-    with
-    | Ok _ -> incr conn_ok
-    | Error _ -> incr conn_err
-  done;
-  Fault.configure None;
-  gate (!conn_ok > 0) "no operation survived the client.connect storm";
-  let post_storm_ping =
-    match
-      Serve.Client.with_retry ~attempts:10 ~timeout_s:5.0 (ep "main")
-        Serve.Client.ping
-    with
-    | Ok h -> h.Serve.Protocol.h_synopses = 1 && not h.Serve.Protocol.h_draining
-    | Error _ -> false
-  in
-  gate post_storm_ping "main daemon unhealthy after the storms";
-  Format.fprintf ppf
-    "  storm client.connect: %d ops (%d ok, %d typed errors), post-storm ping ok %b@."
-    storm_ops !conn_ok !conn_err post_storm_ping;
-  (* graceful drain, timed: shutdown the main daemon and gate its wall
-     time against the configured drain deadline *)
-  let drain_ms =
-    let t0 = Unix.gettimeofday () in
-    let acked =
-      match Serve.Client.connect ~timeout_s:5.0 (ep "main") with
-      | Error _ -> false
-      | Ok c ->
-        let r = Serve.Client.shutdown c = Ok () in
-        Serve.Client.close c;
-        r
-    in
-    let exited =
-      match Unix.waitpid [] main_pid with _, Unix.WEXITED 0 -> true | _ -> false
-    in
-    gate (acked && exited) "main daemon did not drain cleanly";
-    1000.0 *. (Unix.gettimeofday () -. t0)
-  in
-  let drain_bound_ms = 1000.0 *. (drain_timeout_s +. 2.0) in
-  gate
-    (drain_ms <= drain_bound_ms)
-    (Printf.sprintf "drain took %.0f ms (bound %.0f ms)" drain_ms drain_bound_ms);
-  Format.fprintf ppf "  drain: %.0f ms (bound %.0f ms)@." drain_ms drain_bound_ms;
-  (* the overload daemon drains untimed — its stalled peers are gone *)
-  (let rec shut n =
-     if n = 0 then gate false "overload daemon refused shutdown"
-     else
-       match Serve.Client.connect ~timeout_s:5.0 (ep "overload") with
-       | Error _ -> shut (n - 1)
-       | Ok c ->
-         let r = Serve.Client.shutdown c in
-         Serve.Client.close c;
-         (match r with Ok () -> () | Error _ -> shut (n - 1))
-   in
-   shut 200);
-  (match Unix.waitpid [] overload_pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> gate false "overload daemon exited uncleanly");
-  Fault.configure ambient;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  let json =
-    Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"baseline_p99_us\":%.2f,\"stalled_p99_us\":%.2f,\"evict_ms\":%.0f,\"evict_bound_ms\":%.0f,\"shed\":%d,\"shed_attempts\":%d,\"retry_recovered\":%b,\"bitwise_workers\":%b,\"storms\":[%s],\"connect_ok\":%d,\"connect_err\":%d,\"post_storm_ping\":%b,\"drain_ms\":%.0f,\"drain_bound_ms\":%.0f,\"violations\":%d}"
-      (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes baseline_p99
-      stalled_p99
-      (if Float.is_nan evict_s then -1.0 else 1000.0 *. evict_s)
-      (1000.0 *. evict_bound_s) sheds shed_attempts retry_recovered
-      bitwise_workers
-      (String.concat "," storm_json)
-      !conn_ok !conn_err post_storm_ping drain_ms drain_bound_ms !violations
-  in
-  append_row "BENCH_chaos.json" json;
-  if !violations > 0 then begin
-    Format.fprintf ppf "  ERROR: %d chaos violations@." !violations;
-    exit 1
-  end
-
 (* ---- incremental maintenance -------------------------------------------
    The update benchmark behind BENCH_update.json: an XMark auction
    open/close stream applied to a live builder (Build.update_and_seal:
@@ -1380,10 +724,10 @@ let run_update () =
   Format.fprintf ppf
     "  workload error on the mutated doc: fresh %.4f, incremental %.4f (added %.4f)@."
     err_fresh err_update added_error;
-  (* swap phase: the repaired generation through the registry. An
-     ambient XC_FAULTS storm may fail the save or the verify-load; the
-     contract is then exactly the corrupt-artifact one — the previous
-     good generation keeps serving and the counter does not move. *)
+  (* swap phase: the repaired generation through the registry. A failed
+     save or verify-load is held to the corrupt-artifact contract — the
+     previous good generation keeps serving and the counter does not
+     move. *)
   let swap_violations = ref 0 in
   let dir = Filename.temp_file "xc_bench_update" "" in
   Sys.remove dir;
@@ -1577,8 +921,6 @@ let targets =
     ("build", run_build);
     ("serve", run_serve);
     ("cold", run_cold);
-    ("fault", run_fault);
-    ("chaos", run_chaos);
     ("update", run_update);
     ("micro", run_micro) ]
 

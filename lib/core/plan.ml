@@ -54,8 +54,8 @@ let query_key q =
 
    Estimate.selectivity re-enumerates embeddings and re-expands every
    path expression on each call. The batch engine moves all of that to
-   prepare time: path expressions are interned to dense ints and get one
-   Transition matrix per synopsis, whose rows compilation builds on
+   prepare time: each distinct path expression gets one Transition
+   matrix per synopsis, whose rows compilation builds on
    demand; per-node predicate selectivities (sigma) are precomputed over
    each query node's support set; and each query compiles to a flat
    postorder program the cohort sweep runs over per-worker float planes
@@ -149,7 +149,8 @@ module Batch = struct
 
   type t = {
     bt_syn : S.t;
-    bt_mats : (Path_expr.id, Transition.t) Hashtbl.t;
+    bt_mats : (Path_expr.t, Transition.t) Hashtbl.t;
+    bt_keys : (Path_expr.t, int) Hashtbl.t;  (* cohort keys, numbered on first sight *)
     bt_queries : (string, bquery) Hashtbl.t;
     bt_index : bquery Slices.Table.t;  (* raw source text -> compiled *)
     bt_next_id : int ref;
@@ -166,6 +167,7 @@ module Batch = struct
   let create syn =
     { bt_syn = syn;
       bt_mats = Hashtbl.create 32;
+      bt_keys = Hashtbl.create 32;
       bt_queries = Hashtbl.create 64;
       bt_index = Slices.Table.create ();
       bt_next_id = ref 0;
@@ -181,20 +183,30 @@ module Batch = struct
 
   let clear t =
     Hashtbl.reset t.bt_mats;
+    Hashtbl.reset t.bt_keys;
     Hashtbl.reset t.bt_queries;
     Slices.Table.clear t.bt_index;
     t.bt_last <- None
 
   let mat_for t expr =
-    let id = Path_expr.intern expr in
-    match Hashtbl.find_opt t.bt_mats id with
+    match Hashtbl.find_opt t.bt_mats expr with
     | Some mt -> mt
     | None ->
       let mt =
         Metrics.time Meters.Batch.mat_build (fun () -> Transition.create t.bt_syn expr)
       in
-      Hashtbl.add t.bt_mats id mt;
+      Hashtbl.add t.bt_mats expr mt;
       mt
+
+  (* cohort keys need only be equal for equal expressions among the
+     queries compiled since the last [clear] *)
+  let expr_key t expr =
+    match Hashtbl.find_opt t.bt_keys expr with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length t.bt_keys in
+      Hashtbl.add t.bt_keys expr k;
+      k
 
   (* child-endpoint support of an edge: the union of the matrix rows of
      every supported source, ascending. Builds those rows first — the
@@ -271,14 +283,14 @@ module Batch = struct
           List.find_map
             (fun (_, child) ->
               match child.Twig_query.edges with
-              | (e, _) :: _ -> Some (Path_expr.intern e)
+              | (e, _) :: _ -> Some (expr_key t e)
               | [] -> None)
             root_q.Twig_query.edges
         with
         | Some k -> k
         | None -> (
           match root_q.Twig_query.edges with
-          | (e, _) :: _ -> Path_expr.intern e
+          | (e, _) :: _ -> expr_key t e
           | [] -> -1)
       in
       let next_slot = ref 0 in

@@ -22,8 +22,8 @@ val query_key : Xc_twig.Twig_query.t -> string
 (** Batched estimation serving over precomputed transition matrices.
 
     The engine moves all lookup work to prepare time: every distinct
-    path expression is interned ({!Xc_twig.Path_expr.intern}) and gets
-    one {!Transition} matrix per synopsis, created empty; compiling a
+    path expression gets one {!Transition} matrix per engine, created
+    empty; compiling a
     query builds the rows of the synopsis nodes in each edge's support
     and no others, precomputes per-node predicate selectivities over
     each query node's support set, and emits a flat postorder program

@@ -8,8 +8,6 @@
 val relative_error : sanity:float -> truth:float -> est:float -> float
 (** [|truth − est| / max(truth, sanity)]. *)
 
-val absolute_error : truth:float -> est:float -> float
-
 val mean : float list -> float
 (** 0 on the empty list. *)
 

@@ -1,27 +1,16 @@
-(** Deterministic, seeded fault injection for the persistence layer.
+(** Deterministic, seeded fault injection for the persistence layer
+    and the serving plane.
 
     Production code calls the injection points below at the places
-    where real storage fails — reads ({!mutate}), writes
+    where real storage and sockets fail — reads ({!mutate}), writes
     ({!raise_io}, {!short_write}). With no configuration the points
     are no-ops (one pointer test, no allocation), so they can sit on
-    I/O paths permanently. When a configuration is active, each point
-    fires with the configured probability, drawing from a private
-    seeded {!Rng} stream, so a failing run replays exactly from its
-    [XC_FAULTS] string.
-
-    Configuration comes from the [XC_FAULTS] environment variable on
-    first use, or programmatically via {!configure} (which overrides
-    the environment — tests toggle faults on and off around specific
-    operations). The syntax is comma-separated [key=value] pairs:
-
-    {v XC_FAULTS="seed=42,p=0.2,kinds=truncate+bitflip+short+enospc+eio" v}
-
-    - [seed] (default 1): RNG seed.
-    - [p] (default 0.1): per-injection-point firing probability.
-    - [kinds] (default [all]): [+]-separated subset of [truncate],
-      [bitflip], [short], [enospc], [eio], or [all].
-    - [sites] (default all sites): [+]-separated injection-site names
-      (e.g. [safe_io.rename]) to restrict where faults fire.
+    I/O paths permanently. A configuration is installed only by
+    {!configure} — tests toggle faults on and off around specific
+    operations; no production binary reads one from its environment.
+    While one is active, each point fires with the configured
+    probability, drawing from a private seeded {!Rng} stream, so a
+    failing run replays exactly from its configuration.
 
     Every fired fault bumps the [fault.injected] counter in
     {!Metrics.global}. *)
@@ -48,22 +37,13 @@ exception Injected of { site : string; kind : kind }
     returns a typed error — the exception never escapes the
     persistence layer. *)
 
-val config_of_string : string -> (config, string) result
-(** Parse an [XC_FAULTS]-syntax specification. *)
-
 val configure : config option -> unit
-(** Install (or with [None] remove) a configuration, overriding the
-    environment. Resets the injection RNG to the configuration's
-    seed. *)
+(** Install (or with [None] remove) a configuration. Resets the
+    injection RNG to the configuration's seed. *)
 
 val current : unit -> config option
-(** The active configuration, forcing environment initialization.
-    Save/restore around a critical region with {!configure}. *)
-
-val enabled : unit -> bool
-
-val injections : unit -> int
-(** Faults fired since the process started (all configurations). *)
+(** The active configuration. Save/restore around a critical region
+    with {!configure}. *)
 
 (* ---- injection points ------------------------------------------------- *)
 

@@ -123,9 +123,6 @@ val quantile_of_stat : hist_stat -> float -> float
     adjacent latency percentiles (p95 vs p99) resolve to distinct
     values instead of collapsing into one power-of-two class. *)
 
-val quantiles_of_stat : hist_stat -> float list -> (float * float) list
-(** [(q, value)] per requested quantile. *)
-
 val quantiles : t -> string -> float list -> (float * float) list option
 (** Quantiles of a histogram by name; [None] when it does not exist or
     has no sample. [quantiles m "daemon.request_us" \[0.5; 0.95; 0.99\]]

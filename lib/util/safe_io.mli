@@ -10,8 +10,8 @@
     Both entry points are {!Fault} injection sites (see the site names
     below), so the fault harness can simulate truncated reads, flipped
     bits, short writes, a full disk, and generic I/O errors without a
-    real faulty device. With [XC_FAULTS] unset they cost one pointer
-    test over plain [Unix] I/O.
+    real faulty device. With no {!Fault.configure} configuration
+    active they cost one pointer test over plain [Unix] I/O.
 
     Injection sites: [safe_io.open], [safe_io.write], [safe_io.fsync],
     [safe_io.rename] (via {!Fault.raise_io} / {!Fault.short_write})

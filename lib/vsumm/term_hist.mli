@@ -54,10 +54,6 @@ val compress_once : t -> (float * int * t) option
     phase 2 — costs O(log k) per step instead of O(k) array rebuilds.
     Accessors force materialization transparently (memoized). *)
 
-val support_seq : t -> (int * float) Seq.t
-(** All (term, estimated frequency) pairs, ascending by term id — the
-    atomic predicates of the Δ metric. *)
-
 val dot_products : t -> t -> float * float * float
 (** [(Σσu², Σσv², Σσuσv)] over the union of the two supports. *)
 

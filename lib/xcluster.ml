@@ -48,7 +48,6 @@ module Build = struct
 
   let auto_split = Xc_core.Build.auto_split
   let builder_stats ppf b = Synopsis.Builder.pp_stats ppf b
-  let validate_builder = Synopsis.Builder.validate
 end
 
 module Query = struct

@@ -139,10 +139,6 @@ module Build : sig
   val builder_stats : Format.formatter -> builder -> unit
   (** Size/shape summary of an unsealed builder (the CLI prints this
       for the reference synopsis before compressing). *)
-
-  val validate_builder : builder -> (unit, string) result
-  (** Structural invariants of a builder
-      ({!Xc_core.Synopsis.Builder.validate}). *)
 end
 
 (** Query parsing, selectivity estimation, and synopsis inspection. *)

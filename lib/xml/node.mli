@@ -27,9 +27,6 @@ val add_child : t -> t -> unit
 val iter : (t -> unit) -> t -> unit
 (** Preorder traversal. *)
 
-val iter_with_depth : (depth:int -> t -> unit) -> t -> unit
-(** Preorder traversal carrying the depth (root at 0). *)
-
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** Preorder fold. *)
 

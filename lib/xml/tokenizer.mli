@@ -9,6 +9,3 @@ val tokenize : string -> Dictionary.term list
 
 val text_value : string -> Value.t
 (** [text_value s] is [Value.text_of_terms (tokenize s)]. *)
-
-val is_stopword : string -> bool
-(** True for the small built-in English stopword list. *)

@@ -5,7 +5,6 @@
     IR model does not retain word order or multiplicity). The serialized
     byte count is what Table 1 reports as "file size". *)
 
-val to_buffer : Buffer.t -> Document.t -> unit
 val to_string : Document.t -> string
 val to_file : string -> Document.t -> unit
 

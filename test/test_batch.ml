@@ -135,7 +135,7 @@ let test_one_query_rows () =
     (fun q ->
       let inner =
         List.concat_map (fun (_, c) -> exprs c) q.Xc_twig.Twig_query.root.Xc_twig.Twig_query.edges
-        |> List.map Path_expr.intern |> List.sort_uniq compare
+        |> List.sort_uniq compare
       in
       if inner <> [] then begin
         let engine = Plan.Batch.create syn in
@@ -143,8 +143,8 @@ let test_one_query_rows () =
         check Alcotest.bool "= oracle, bitwise" true (bits_equal got (Estimate.selectivity syn q));
         let full_nnz =
           List.fold_left
-            (fun acc id ->
-              let mt = Transition.create syn (Path_expr.of_id id) in
+            (fun acc expr ->
+              let mt = Transition.create syn expr in
               for u = 0 to n - 1 do
                 Transition.ensure mt a u
               done;
@@ -293,32 +293,6 @@ let test_facade_batch () =
   check Alcotest.bool "engine reachable" true
     (Plan.Batch.n_matrices (Xcluster.Serve.batch_engine syn) > 0)
 
-(* ---- path-expression interning ----------------------------------------- *)
-
-let test_intern_roundtrip () =
-  let parse s =
-    (* reuse the twig parser: a single-edge query's root edge is the expr *)
-    match (Xc_twig.Twig_parse.parse s).Xc_twig.Twig_query.root.Xc_twig.Twig_query.edges with
-    | [ (expr, _) ] -> expr
-    | _ -> Alcotest.fail "expected one root edge"
-  in
-  let exprs =
-    List.map parse [ "//a/b"; "//a//b"; "/a/b"; "//a/*"; "//b"; "/a//b/c" ]
-  in
-  let ids = List.map Path_expr.intern exprs in
-  check Alcotest.int "distinct expressions, distinct ids" (List.length ids)
-    (List.length (List.sort_uniq compare ids));
-  List.iter2
-    (fun e id ->
-      check Alcotest.int "idempotent" id (Path_expr.intern e);
-      check Alcotest.bool "of_id round-trips" true (Path_expr.equal e (Path_expr.of_id id)))
-    exprs ids;
-  check Alcotest.bool "count covers them" true
-    (Path_expr.interned_count () >= List.length exprs);
-  Alcotest.check_raises "unknown id rejected"
-    (Invalid_argument (Printf.sprintf "Path_expr.of_id: unknown id %d" max_int))
-    (fun () -> ignore (Path_expr.of_id max_int))
-
 (* ---- histogram quantiles ----------------------------------------------- *)
 
 let test_quantiles () =
@@ -383,8 +357,6 @@ let () =
           Alcotest.test_case "xmark" `Slow test_batch_xmark;
           Alcotest.test_case "dblp" `Slow test_batch_dblp;
           Alcotest.test_case "facade" `Quick test_facade_batch ] );
-      ( "intern",
-        [ Alcotest.test_case "round-trip" `Quick test_intern_roundtrip ] );
       ( "quantiles",
         [ Alcotest.test_case "histogram quantiles" `Quick test_quantiles;
           Alcotest.test_case "same-octave percentiles resolve" `Quick

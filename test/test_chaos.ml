@@ -18,9 +18,9 @@
 module Serve = Xcluster.Serve
 module Protocol = Serve.Protocol
 module Error = Serve.Error
-module Registry = Serve.Registry
 module Metrics = Xc_util.Metrics
 module Fault = Xc_util.Fault
+open Daemon_harness
 
 let check = Alcotest.check
 let counter name = Metrics.counter_value Metrics.global name
@@ -34,83 +34,35 @@ let synopsis =
        ~budget:(Xcluster.Build.budget ~bstr_kb:4 ~bval_kb:16 ())
        doc)
 
-let temp_dir () =
-  let dir = Filename.temp_file "xc_chaos_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  dir
-
-let rm_rf dir =
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ()
-
-let save_exn path syn =
-  match Xcluster.Store.save path syn with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save %s: %s" path (Xc_core.Codec.error_to_string e)
-
 let batch_queries = [| "//movie/title"; "//movie"; "//title" |]
 
 (* The daemon under chaos: short deadlines so evictions happen inside
    the test's patience, a quick backoff hint so retries stay fast. *)
 let with_daemon sources f =
-  let dir = temp_dir () in
-  let endpoint = Protocol.Unix_sock (Filename.concat dir "d.sock") in
-  let registry = Registry.create ~max_engines:4 () in
-  List.iter (fun (name, path) -> Registry.add_source registry ~name ~path) sources;
-  let ready = Atomic.make false in
-  let config =
-    { Serve.Daemon.default_config with
-      Serve.Daemon.endpoint;
-      workers = 3;
-      max_pending = 16;
-      recv_timeout_s = 0.5;
-      request_budget_s = 1.0;
-      retry_after_ms = 10 }
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run ~config
-          ~on_ready:(fun _ -> Atomic.set ready true)
-          registry)
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
-    ignore (Unix.select [] [] [] 0.01)
-  done;
-  if not (Atomic.get ready) then Alcotest.fail "daemon did not come up";
-  Fun.protect
-    ~finally:(fun () ->
-      (* faults are lifted by then, but the daemon may still be mid-
-         eviction of stormed peers: retry the shutdown handshake *)
-      let rec shut n =
-        if n = 0 then Alcotest.fail "daemon refused shutdown"
-        else
-          match Serve.Client.connect endpoint with
-          | Error _ -> shut (n - 1)
-          | Ok c ->
-            let r = Serve.Client.shutdown c in
-            Serve.Client.close c;
-            (match r with Ok () -> () | Error _ -> shut (n - 1))
-      in
-      shut 500;
-      Domain.join daemon;
-      rm_rf dir)
-    (fun () -> f endpoint)
+  Daemon_harness.with_daemon ~max_engines:4
+    ~tune:(fun c ->
+      { c with
+        Serve.Daemon.workers = 3;
+        max_pending = 16;
+        recv_timeout_s = 0.5;
+        request_budget_s = 1.0;
+        retry_after_ms = 10 })
+    sources f
 
 (* ---- the storm harness --------------------------------------------------- *)
 
 let bits = Array.map Int64.bits_of_float
 
+(* Each storm rides at these offsets to its seed — distinct,
+   reproducible fault sequences over the same sites — one after the
+   other against one daemon, which must recover from each. *)
+let seed_offsets = [ 0; 100; 200 ]
+
 (* [run_storm fault ~moved] boots a daemon, records a reference batch
-   answer, rides out [fault], and checks the gates. [moved] is the
-   counter that proves the storm hit its site. With [reload], every
-   fifth operation is a Reload frame, so the storm also reaches the
-   daemon's artifact loads. *)
+   answer, rides out [fault] at each seed offset, and checks the gates
+   after each. [moved] is the counter that proves the storm hit its
+   site. With [reload], every fifth operation is a Reload frame, so the
+   storm also reaches the daemon's artifact loads. *)
 let run_storm ?(ops = 30) ?(attempts = 10) ?(reload = false) fault ~moved () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -126,9 +78,10 @@ let run_storm ?(ops = 30) ?(attempts = 10) ?(reload = false) fault ~moved () =
         | Ok r -> bits r
         | Error e -> Alcotest.failf "reference batch: %s" (Error.to_string e))
   in
+  Fun.flip List.iter seed_offsets @@ fun offset ->
   let moved0 = counter moved in
   let saved = Fault.current () in
-  Fault.configure (Some fault);
+  Fault.configure (Some { fault with Fault.seed = fault.Fault.seed + offset });
   let ok = ref 0 and typed = ref 0 and pings = ref 0 in
   Fun.protect
     ~finally:(fun () -> Fault.configure saved)

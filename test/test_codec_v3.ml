@@ -530,6 +530,62 @@ let test_negative_offset_typed () =
   | Error e -> Alcotest.failf "expected Corrupt, got %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "of_string admitted a negative CSR offset"
 
+(* Sec. 3 fixes a node's value-summary form by its value type: the
+   golden file's numeric [year] node retyped STRING (its vtypes byte
+   rewritten, the CRCs recomputed) still carries a histogram. Every
+   reader refuses it with one error, the mapped one at the node's first
+   value-summary access, and a string predicate on it is refused, not
+   run against a histogram. *)
+let test_vtype_mismatch_refused () =
+  in_temp_dir @@ fun dir ->
+  let good = golden () in
+  let syn = decode_exn "golden v3" good in
+  let year =
+    let rec find i =
+      if i = S.n_nodes syn then Alcotest.fail "no numeric year node"
+      else if
+        Xc_xml.Label.to_string (S.label syn i) = "year"
+        && S.vtype syn i = Xc_xml.Value.Tnumeric
+        && S.vsumm syn i <> Xc_vsumm.Value_summary.Vnone
+      then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let k = section_index "vtypes" in
+  let off, _ = section_extent good k in
+  let b = Bytes.of_string good in
+  Bytes.set b (off + year) '\002';
+  let bad = reseal (Bytes.unsafe_to_string b) k in
+  let path = Filename.concat dir "retyped.syn" in
+  write_raw path bad;
+  let refusal =
+    match Codec.of_string bad with
+    | Error (Codec.Corrupt { what; _ } as e) ->
+      check Alcotest.bool ("decoder names the mismatch: " ^ what) true
+        (contains what "does not match the node's string type");
+      Codec.error_to_string e
+    | Error e -> Alcotest.failf "expected Corrupt, got %s" (Codec.error_to_string e)
+    | Ok _ -> Alcotest.fail "of_string admitted a histogram on a string node"
+  in
+  (match Codec.verify path with
+  | Error e -> check Alcotest.string "verify's error" refusal (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "verify admitted a histogram on a string node");
+  match Codec.load path with
+  | Error e -> Alcotest.failf "mapped load refused at admission: %s" (Codec.error_to_string e)
+  | Ok mapped -> (
+    (match S.vsumm mapped year with
+    | _ -> Alcotest.fail "first vsumm access admitted a histogram on a string node"
+    | exception Codec.Lazy_failure e ->
+      check Alcotest.string "first access's error" refusal (Codec.error_to_string e));
+    match
+      Xc_serve.Engine.estimate_result mapped (Xc_twig.Twig_parse.parse "//year[contains(a)]")
+    with
+    | Error (Xc_serve.Error.Unavailable msg) ->
+      check Alcotest.bool ("refused with the codec's error: " ^ msg) true (contains msg refusal)
+    | Error e -> Alcotest.failf "expected Unavailable, got %s" (Xc_serve.Error.to_string e)
+    | Ok _ -> Alcotest.fail "engine served a string predicate off a histogram")
+
 module G = QCheck.Gen
 
 (* one rewritten 8-byte word: section [k], word [w], new bytes [v] *)
@@ -774,6 +830,8 @@ let () =
             test_unsorted_row_refused;
           Alcotest.test_case "negative CSR offset is a named inconsistency" `Quick
             test_negative_offset_typed;
+          Alcotest.test_case "value summary of the wrong kind refused by every reader" `Quick
+            test_vtype_mismatch_refused;
           QCheck_alcotest.to_alcotest prop_one_definition ] );
       ( "fault storms",
         [ Alcotest.test_case "mmap sites total" `Quick test_fault_storm_mmap_sites ] );

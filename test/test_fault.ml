@@ -240,26 +240,6 @@ let test_unsupported_version () =
   | Error e -> Alcotest.failf "expected Unsupported_version, got %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "version-99 input decoded"
 
-(* ---- XC_FAULTS parsing ---------------------------------------------------- *)
-
-let test_fault_config_parsing () =
-  (match Fault.config_of_string "seed=9,p=0.25,kinds=truncate+eio,sites=safe_io.rename" with
-  | Ok cfg ->
-    check Alcotest.int "seed" 9 cfg.Fault.seed;
-    check (Alcotest.float 0.0) "prob" 0.25 cfg.Fault.prob;
-    check Alcotest.bool "kinds" true (cfg.Fault.kinds = [ Fault.Truncate; Fault.Eio ]);
-    check Alcotest.bool "sites" true (cfg.Fault.sites = [ "safe_io.rename" ])
-  | Error msg -> Alcotest.failf "parse failed: %s" msg);
-  (match Fault.config_of_string "kinds=all" with
-  | Ok cfg -> check Alcotest.int "all kinds" 5 (List.length cfg.Fault.kinds)
-  | Error msg -> Alcotest.failf "parse failed: %s" msg);
-  List.iter
-    (fun bad ->
-      match Fault.config_of_string bad with
-      | Ok _ -> Alcotest.failf "accepted malformed spec %S" bad
-      | Error _ -> ())
-    [ "seed=x"; "p=2.0"; "kinds=frobnicate"; "nonsense"; "what=ever" ]
-
 (* ---- Safe_io crash simulation --------------------------------------------
    The atomic-replace property: however a save dies — before, during,
    or after the temp write, at fsync, or at the rename — the previous
@@ -360,37 +340,63 @@ let test_atomic_replace_survives_faults () =
   | Error e -> Alcotest.failf "clean write failed: %s" (Safe_io.error_to_string e));
   check Alcotest.string "replaced" "generation-two" (read_exn path)
 
+(* The storms: every kind at every site, then one site/kind set per
+   persistence path — artifact reads, writes, the rename, the mapped
+   sections *)
+let storms =
+  [ faults ~prob:0.5 [ Fault.Truncate; Fault.Bit_flip; Fault.Enospc; Fault.Eio; Fault.Short_write ];
+    { Fault.seed = 7; prob = 0.5; kinds = [ Fault.Truncate; Fault.Bit_flip ]; sites = [ "codec.load" ] };
+    { Fault.seed = 11; prob = 0.5; kinds = [ Fault.Enospc; Fault.Short_write ]; sites = [ "safe_io.write" ] };
+    { Fault.seed = 13; prob = 1.0; kinds = [ Fault.Eio ]; sites = [ "safe_io.rename" ] };
+    { Fault.seed = 17; prob = 0.5; kinds = [ Fault.Truncate; Fault.Bit_flip; Fault.Eio ];
+      sites = [ "codec.map"; "codec.section_verify" ] } ]
+
+let injected () = Xc_util.Metrics.counter_value Xc_util.Metrics.global "fault.injected"
+
 let test_save_load_under_faults () =
   in_temp_dir @@ fun dir ->
   let path = Filename.concat dir "synopsis.syn" in
   let syn = force "imdb" in
-  (match Codec.save path syn with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "clean save failed: %s" (Codec.error_to_string e));
-  let golden = read_exn path in
-  with_faults (faults ~prob:0.5 [ Fault.Truncate; Fault.Bit_flip; Fault.Enospc; Fault.Eio; Fault.Short_write ])
-    (fun () ->
-      for _ = 1 to 60 do
-        (* every save outcome is typed, and a failed save never
-           touches the target *)
-        (match Codec.save path syn with
-        | Ok () -> ()
-        | Error (Codec.Io _) -> ()
-        | Error e -> Alcotest.failf "unexpected save error: %s" (Codec.error_to_string e)
-        | exception exn -> Alcotest.failf "save raised %s" (Printexc.to_string exn));
-        (* every load outcome is typed: reads pass through the fault
-           sites, so truncation and bit rot surface as decode errors *)
-        match Codec.load path with
-        | Ok decoded ->
-          check Alcotest.int "loaded node count" (S.n_nodes syn) (S.n_nodes decoded)
-        | Error _ -> ()
-        | exception exn -> Alcotest.failf "load raised %s" (Printexc.to_string exn)
-      done);
-  (* after the fault storm: the file is still a valid synopsis *)
-  check Alcotest.string "target only ever held complete encodings" golden (read_exn path);
-  match Codec.load path with
-  | Ok decoded -> check Alcotest.int "still loadable" (S.n_nodes syn) (S.n_nodes decoded)
-  | Error e -> Alcotest.failf "post-fault load failed: %s" (Codec.error_to_string e)
+  let pristine = Codec.to_string syn in
+  let probe = Xc_twig.Twig_parse.parse "//movie/title" in
+  List.iter
+    (fun cfg ->
+      (match Codec.save path syn with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "clean save failed: %s" (Codec.error_to_string e));
+      let golden = read_exn path in
+      let injected0 = injected () in
+      with_faults cfg (fun () ->
+          for _ = 1 to 60 do
+            (* every save outcome is typed, and a failed save never
+               touches the target *)
+            (match Codec.save path syn with
+            | Ok () -> ()
+            | Error (Codec.Io _) -> ()
+            | Error e -> Alcotest.failf "unexpected save error: %s" (Codec.error_to_string e)
+            | exception exn -> Alcotest.failf "save raised %s" (Printexc.to_string exn));
+            (* every load outcome is typed: reads pass through the fault
+               sites, so truncation and bit rot surface as decode errors,
+               and a mapped section damaged at its first touch as
+               Lazy_failure *)
+            match Codec.load path with
+            | Ok decoded -> (
+              check Alcotest.int "loaded node count" (S.n_nodes syn) (S.n_nodes decoded);
+              match Xc_core.Estimate.selectivity decoded probe with
+              | (_ : float) -> ()
+              | exception Codec.Lazy_failure _ -> ()
+              | exception exn -> Alcotest.failf "estimate raised %s" (Printexc.to_string exn))
+            | Error _ -> ()
+            | exception exn -> Alcotest.failf "load raised %s" (Printexc.to_string exn)
+          done);
+      check Alcotest.bool "the storm fired" true (injected () > injected0);
+      (* after the fault storm: the file is still a valid synopsis, and
+         it decodes to the pristine encoding *)
+      check Alcotest.string "target only ever held complete encodings" golden (read_exn path);
+      match Codec.load path with
+      | Ok decoded -> check Alcotest.string "decodes to the pristine bytes" pristine (Codec.to_string decoded)
+      | Error e -> Alcotest.failf "post-fault load failed: %s" (Codec.error_to_string e))
+    storms
 
 (* ---- verify -------------------------------------------------------------- *)
 
@@ -469,8 +475,7 @@ let () =
         [ Alcotest.test_case "admission errors agree" `Quick test_admission_agrees;
           Alcotest.test_case "unknown version rejected" `Quick test_unsupported_version ] );
       ( "fault harness",
-        [ Alcotest.test_case "XC_FAULTS parsing" `Quick test_fault_config_parsing;
-          Alcotest.test_case "in-place read fault agrees with the string form" `Quick
+        [ Alcotest.test_case "in-place read fault agrees with the string form" `Quick
             test_mutate_in_place_agrees;
           Alcotest.test_case "atomic replace survives faults" `Quick
             test_atomic_replace_survives_faults;

@@ -13,6 +13,7 @@ module Options = Xc_serve.Options
 module Lru = Xc_serve.Lru
 module Metrics = Xc_util.Metrics
 module Fault = Xc_util.Fault
+open Daemon_harness
 
 let check = Alcotest.check
 
@@ -42,25 +43,6 @@ let synopsis_a2 =
      Xcluster.Build.run ~min_extent:4
        ~budget:(Xcluster.Build.budget ~bstr_kb:2 ~bval_kb:12 ())
        doc)
-
-let temp_dir () =
-  let dir = Filename.temp_file "xc_serve_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  dir
-
-let rm_rf dir =
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  try Unix.rmdir dir with Unix.Unix_error (_, _, _) -> ()
-
-let save_exn path syn =
-  match Xcluster.Store.save path syn with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save %s: %s" path (Xc_core.Codec.error_to_string e)
 
 let load_exn path =
   match Xcluster.Store.load path with
@@ -612,54 +594,6 @@ let test_registry_engine_lru () =
 
 (* ---- live daemon -------------------------------------------------------- *)
 
-(* The daemon runs in a spawned domain of this process (Daemon.run
-   blocks its caller; Shutdown exits it), clients in further domains
-   doing only socket I/O. [same_domain] runs it on a thread of this
-   domain instead, so that this domain's GC counters include what it
-   allocates. *)
-let with_daemon ?(max_engines = 8) ?(tune = fun c -> c) ?(same_domain = false) sources f =
-  let dir = temp_dir () in
-  let endpoint = Protocol.Unix_sock (Filename.concat dir "d.sock") in
-  let registry = Registry.create ~max_engines () in
-  List.iter (fun (name, path) -> Registry.add_source registry ~name ~path) sources;
-  let ready = Atomic.make false in
-  let config =
-    tune
-      { Serve.Daemon.default_config with Serve.Daemon.endpoint }
-  in
-  let join_daemon =
-    let run () = Serve.Daemon.run ~config ~on_ready:(fun _ -> Atomic.set ready true) registry in
-    if same_domain then
-      let th = Thread.create run () in
-      fun () -> Thread.join th
-    else
-      let d = Domain.spawn run in
-      fun () -> Domain.join d
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
-    ignore (Unix.select [] [] [] 0.01)
-  done;
-  if not (Atomic.get ready) then Alcotest.fail "daemon did not come up";
-  Fun.protect
-    ~finally:(fun () ->
-      (* the shutdown frame can be refused under an active fault storm:
-         retry until acknowledged (faults are probabilistic) *)
-      let rec shut n =
-        if n = 0 then Alcotest.fail "daemon refused shutdown"
-        else
-          match Serve.Client.connect endpoint with
-          | Error _ -> shut (n - 1)
-          | Ok c ->
-            let r = Serve.Client.shutdown c in
-            Serve.Client.close c;
-            (match r with Ok () -> () | Error _ -> shut (n - 1))
-      in
-      shut 500;
-      join_daemon ();
-      rm_rf dir)
-    (fun () -> f endpoint)
-
 let connect_exn endpoint =
   match Serve.Client.connect endpoint with
   | Ok c -> c
@@ -695,33 +629,43 @@ let test_daemon_concurrent_bitwise () =
   check Alcotest.bool "workload renders to source" true (Array.length qs > 10);
   let sources = Array.map fst qs in
   let expected = Array.map snd qs in
-  with_daemon [ ("imdb", path) ] @@ fun endpoint ->
-  let client () =
-    Domain.spawn (fun () ->
-        match Serve.Client.connect endpoint with
-        | Error e -> Result.Error (Error.to_string e)
-        | Ok c ->
-          let r =
-            match Serve.Client.estimate_batch c ~synopsis:"imdb" sources with
-            | Ok floats -> Result.Ok floats
-            | Error e -> Result.Error (Error.to_string e)
-          in
-          Serve.Client.close c;
-          r)
+  (* three concurrent clients, answered by a daemon with [workers]
+     workers *)
+  let answers workers =
+    with_daemon ~tune:(fun c -> { c with Serve.Daemon.workers }) [ ("imdb", path) ]
+    @@ fun endpoint ->
+    let client () =
+      Domain.spawn (fun () ->
+          match Serve.Client.connect endpoint with
+          | Error e -> Result.Error (Error.to_string e)
+          | Ok c ->
+            let r =
+              match Serve.Client.estimate_batch c ~synopsis:"imdb" sources with
+              | Ok floats -> Result.Ok floats
+              | Error e -> Result.Error (Error.to_string e)
+            in
+            Serve.Client.close c;
+            r)
+    in
+    List.map Domain.join (List.init 3 (fun _ -> client ()))
   in
-  let answers = List.map Domain.join (List.init 3 (fun _ -> client ())) in
+  (* the answers do not depend on the daemon's worker count *)
   List.iter
-    (fun answer ->
-      match answer with
-      | Result.Error e -> Alcotest.failf "client: %s" e
-      | Result.Ok floats ->
-        check Alcotest.int "answer count" (Array.length expected) (Array.length floats);
-        Array.iteri
-          (fun i v ->
-            check Alcotest.bool "bit-identical to estimate_uncached" true
-              (Int64.bits_of_float v = Int64.bits_of_float expected.(i)))
-          floats)
-    answers
+    (fun workers ->
+      List.iter
+        (function
+          | Result.Error e -> Alcotest.failf "client: %s" e
+          | Result.Ok floats ->
+            check Alcotest.int "answer count" (Array.length expected) (Array.length floats);
+            Array.iteri
+              (fun i v ->
+                check Alcotest.bool
+                  (Printf.sprintf "%d workers: bit-identical to estimate_uncached" workers)
+                  true
+                  (Int64.bits_of_float v = Int64.bits_of_float expected.(i)))
+              floats)
+        (answers workers))
+    [ 1; 4 ]
 
 let test_daemon_error_frames () =
   let dir = temp_dir () in
@@ -818,19 +762,6 @@ let test_daemon_survives_socket_storm () =
 
 (* ---- serving-plane hardening --------------------------------------------- *)
 
-let sock_path = function
-  | Protocol.Unix_sock p -> p
-  | Protocol.Tcp _ -> Alcotest.fail "expected a unix endpoint"
-
-(* a raw peer, below the client layer: the hardening tests need to
-   misbehave in ways the client cannot *)
-let raw_connect endpoint =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX (sock_path endpoint));
-  fd
-
-let raw_close fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
@@ -864,27 +795,30 @@ let test_ping_health () =
     | Error e -> Alcotest.failf "estimate after ping: %s" (Error.to_string e)
 
 (* A slow-loris peer — half a frame header, then silence — must cost one
-   worker for at most the read deadline: other clients stay served, and
-   the loris gets a typed Timeout frame and eviction. *)
+   worker for at most the read deadline: another client is answered on
+   the second worker while the loris still holds the first (no eviction
+   has happened when the answer arrives, and the deadline is long
+   enough for that not to race), and the loris gets a typed Timeout
+   frame and eviction within the deadline plus slack. *)
 let test_slow_loris_evicted () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "imdb.syn" in
   save_exn path (Lazy.force synopsis_a);
+  let recv_timeout_s = 1.0 and slack_s = 1.0 in
   let tune c =
     { c with
       Serve.Daemon.workers = 2;
-      recv_timeout_s = 0.15;
-      request_budget_s = 0.5 }
+      recv_timeout_s;
+      request_budget_s = recv_timeout_s +. 0.5 }
   in
   with_daemon ~tune [ ("imdb", path) ] @@ fun endpoint ->
   let timeouts0 = counter "daemon.timeouts" in
   let evicted0 = counter "daemon.evicted" in
-  let loris = raw_connect endpoint in
+  let t0 = Unix.gettimeofday () in
+  let loris = loris endpoint in
   Fun.protect ~finally:(fun () -> raw_close loris) @@ fun () ->
-  (* half a header: the version byte, then silence *)
-  ignore (Unix.write_substring loris (String.make 1 (Char.chr Protocol.version)) 0 1);
-  (* the stalled peer occupies one worker; the other still answers *)
+  (* the stalled peer occupies one worker; the other answers at once *)
   (match Serve.Client.connect endpoint with
   | Error e -> Alcotest.failf "connect during stall: %s" (Error.to_string e)
   | Ok c ->
@@ -894,8 +828,12 @@ let test_slow_loris_evicted () =
       check Alcotest.bool "finite estimate during stall" true (Float.is_finite v)
     | Error e ->
       Alcotest.failf "stalled peer blocked other clients: %s" (Error.to_string e)));
-  (* the loris is evicted with a typed frame within the deadline *)
-  Unix.setsockopt_float loris Unix.SO_RCVTIMEO 5.0;
+  check Alcotest.int "answered while the loris still held its worker" evicted0
+    (counter "daemon.evicted");
+  (* the loris is evicted with a typed frame within the deadline plus
+     slack: the read gives up at that bound *)
+  let bound_s = recv_timeout_s +. slack_s in
+  Unix.setsockopt_float loris Unix.SO_RCVTIMEO (Float.max 0.01 (t0 +. bound_s -. Unix.gettimeofday ()));
   let buf = Buffer.create 64 in
   let chunk = Bytes.create 256 in
   let rec drain () =
@@ -905,9 +843,13 @@ let test_slow_loris_evicted () =
       Buffer.add_subbytes buf chunk 0 n;
       drain ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Alcotest.fail "stalled peer was not evicted within the deadline"
+      Alcotest.failf "stalled peer was not evicted within %.1fs" bound_s
   in
   drain ();
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool
+    (Printf.sprintf "evicted in %.2fs, within the deadline plus slack" elapsed)
+    true (elapsed <= bound_s);
   (match Protocol.decode_response (Buffer.contents buf) with
   | Ok (Protocol.Error_frame { code; message }) -> (
     match Error.of_wire code message with
@@ -938,10 +880,8 @@ let test_overload_shed_and_retry () =
   with_daemon ~tune [ ("imdb", path) ] @@ fun endpoint ->
   let shed0 = counter "daemon.shed" in
   (* a stalled peer checks out the single worker... *)
-  let loris = raw_connect endpoint in
+  let loris = loris endpoint in
   Fun.protect ~finally:(fun () -> raw_close loris) @@ fun () ->
-  (* half a header: the version byte, then silence *)
-  ignore (Unix.write_substring loris (String.make 1 (Char.chr Protocol.version)) 0 1);
   Unix.sleepf 0.05;
   (* ...a second connection fills the pending queue... *)
   let filler = raw_connect endpoint in
@@ -1016,9 +956,11 @@ let test_admission_limits () =
       (counter "client.reconnect" > reconnect0)
 
 (* Graceful drain: a request already on the wire when stop() lands is
-   answered — bit-identical — before its connection closes, and the
-   daemon then refuses new connections and exits. Runs its own daemon
-   lifecycle: with_daemon's shutdown handshake expects a live daemon. *)
+   answered — bit-identical — before its connection closes, a peer
+   stalled mid-frame holds the drain open no longer than its deadline
+   (Daemon.run returns within drain_timeout_s plus slack), and the
+   daemon then refuses new connections. Runs its own daemon lifecycle:
+   with_daemon's shutdown handshake expects a live daemon. *)
 let test_graceful_drain () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1029,27 +971,15 @@ let test_graceful_drain () =
     | Ok s -> Xcluster.Query.estimate_uncached s (Xcluster.Query.parse "//movie/title")
     | Error e -> Alcotest.failf "load: %s" (Xc_core.Codec.error_to_string e)
   in
-  let endpoint = Protocol.Unix_sock (Filename.concat dir "d.sock") in
-  let registry = Registry.create ~max_engines:4 () in
-  Registry.add_source registry ~name:"imdb" ~path;
-  let ready = Atomic.make false in
-  let config =
-    { Serve.Daemon.default_config with
-      Serve.Daemon.endpoint;
-      workers = 2;
-      drain_timeout_s = 5.0 }
+  let drain_timeout_s = 0.5 and slack_s = 1.0 in
+  let tune c =
+    { c with
+      Serve.Daemon.workers = 2;
+      recv_timeout_s = 5.0;
+      request_budget_s = 5.5;
+      drain_timeout_s }
   in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Daemon.run ~config
-          ~on_ready:(fun _ -> Atomic.set ready true)
-          registry)
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
-    ignore (Unix.select [] [] [] 0.01)
-  done;
-  if not (Atomic.get ready) then Alcotest.fail "daemon did not come up";
+  let endpoint, join = start_daemon ~max_engines:4 ~tune ~dir [ ("imdb", path) ] in
   let fd = raw_connect endpoint in
   Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
   let send_req req =
@@ -1069,15 +999,35 @@ let test_graceful_drain () =
   (* prime: a worker now owns this connection *)
   send_req req;
   recv_estimate "primed estimate";
+  (* a stalled peer checks out the other worker *)
+  let stalled = loris endpoint in
+  Fun.protect ~finally:(fun () -> raw_close stalled) @@ fun () ->
+  let rec await_stalled n =
+    send_req Protocol.Ping;
+    match Protocol.recv_response fd with
+    | Ok (Protocol.Health h) when h.Protocol.h_inflight >= 2 -> ()
+    | Ok (Protocol.Health _) when n > 0 ->
+      Unix.sleepf 0.01;
+      await_stalled (n - 1)
+    | Ok _ -> Alcotest.fail "the stalled peer never checked out a worker"
+    | Error e -> Alcotest.failf "ping: %s" (Error.to_string e)
+  in
+  await_stalled 500;
   (* in flight at stop time: request on the wire, then drain begins *)
   send_req req;
+  let t_stop = Unix.gettimeofday () in
   Serve.Daemon.stop ();
   recv_estimate "drained in-flight estimate";
   (* after answering, the drain closes the connection... *)
   (match Protocol.recv_response fd with
   | Ok _ -> Alcotest.fail "connection survived the drain"
   | Error _ -> ());
-  Domain.join daemon;
+  join ();
+  let drain_s = Unix.gettimeofday () -. t_stop in
+  check Alcotest.bool
+    (Printf.sprintf "drained in %.2fs, within the deadline plus slack" drain_s)
+    true
+    (drain_s <= drain_timeout_s +. slack_s);
   (* ...and the stopped daemon accepts nobody *)
   match Serve.Client.connect endpoint with
   | Ok c ->
@@ -1297,7 +1247,27 @@ let test_registry_swap_generations () =
   check Alcotest.int "generation unchanged" 2 (Registry.generation reg "imdb");
   check Alcotest.bool "skip counted" true (counter "serve.swap_skipped" > skipped0);
   check Alcotest.bool "previous good generation still serves" true
-    (Int64.bits_of_float (serving ()) = Int64.bits_of_float expected_g2)
+    (Int64.bits_of_float (serving ()) = Int64.bits_of_float expected_g2);
+  (* a good artifact whose every read is truncated: the same contract *)
+  let path3 = Filename.concat dir "g3.syn" in
+  save_exn path3 g1;
+  let skipped0 = counter "serve.swap_skipped" in
+  let saved = Fault.current () in
+  Fault.configure
+    (Some { Fault.seed = 23; prob = 1.0; kinds = [ Fault.Truncate ]; sites = [ "codec.load" ] });
+  (Fun.protect ~finally:(fun () -> Fault.configure saved) @@ fun () ->
+   match Registry.swap_from reg ~name:"imdb" ~path:path3 with
+   | Ok _ -> Alcotest.fail "truncated read admitted"
+   | Error (Error.Codec _) -> ()
+   | Error e -> Alcotest.failf "expected codec error, got %s" (Error.to_string e));
+  check Alcotest.int "generation unchanged by the fault" 2 (Registry.generation reg "imdb");
+  check Alcotest.bool "faulted skip counted" true (counter "serve.swap_skipped" > skipped0);
+  check Alcotest.bool "previous good generation serves through the fault" true
+    (Int64.bits_of_float (serving ()) = Int64.bits_of_float expected_g2);
+  (* the fault lifted, the same file swaps in *)
+  match Registry.swap_from reg ~name:"imdb" ~path:path3 with
+  | Ok gen -> check Alcotest.int "good file swaps in once the fault lifts" 3 gen
+  | Error e -> Alcotest.failf "swap_from after the fault: %s" (Error.to_string e)
 
 (* A swap storm against a live daemon: reader domains hammer
    estimate_batch while another connection alternates the name between
