@@ -112,7 +112,12 @@ module Builder = struct
       children = Hashtbl.create 4;
       parents = Hashtbl.create 4 }
 
+  let check_fits vtype vsumm =
+    if not (Xc_vsumm.Value_summary.fits vtype vsumm) then
+      invalid_arg "Synopsis.Builder: value summary does not fit the node's type"
+
   let add_node t ~label ~vtype ~count ~vsumm =
+    check_fits vtype vsumm;
     let sid = t.next_sid in
     t.next_sid <- sid + 1;
     let node = make_node ~sid ~label ~vtype ~count ~vsumm in
@@ -151,6 +156,7 @@ module Builder = struct
     | None -> 0.0
 
   let set_vsumm t node vsumm =
+    check_fits node.vtype vsumm;
     (* the summary kind is part of the group key; compression keeps the
        kind in practice, but a kind change must re-home the node *)
     if vsumm_kind node.vsumm = vsumm_kind vsumm then

@@ -42,7 +42,10 @@ module Builder : sig
   val add_node :
     t -> label:Xc_xml.Label.t -> vtype:Xc_xml.Value.vtype -> count:int ->
     vsumm:Xc_vsumm.Value_summary.t -> node
-  (** Allocates a node with a fresh [sid] and registers it. *)
+  (** Allocates a node with a fresh [sid] and registers it.
+      @raise Invalid_argument when [vsumm] does not
+      {!Xc_vsumm.Value_summary.fits} [vtype]: a builder holds only
+      summaries a reader accepts. *)
 
   val remove_node : t -> int -> unit
   (** Unregisters; does not patch edges (callers do). *)
@@ -68,6 +71,8 @@ module Builder : sig
   (** 0 if the edge is absent. *)
 
   val set_vsumm : t -> node -> Xc_vsumm.Value_summary.t -> unit
+  (** @raise Invalid_argument as {!add_node} does. *)
+
   val set_count : t -> node -> int -> unit
   val n_nodes : t -> int
   val n_edges : t -> int

@@ -23,16 +23,16 @@ type stats = {
 
 (* ---- deterministic path resolution ------------------------------------ *)
 
-(* The child cluster of [host] labelled [label] with the largest extent
-   (ties to the smallest sid) — the cluster a new element of that label
-   most plausibly belongs to, chosen the same way on every run. *)
-let child_with_label syn host label =
+(* The child cluster of [host] that [fits] with the largest extent
+   (ties to the smallest sid) — the cluster a new element most plausibly
+   belongs to, chosen the same way on every run. *)
+let best_child syn host fits =
   let best = ref None in
   B.succ syn host (fun csid _avg ->
       match B.find syn csid with
       | exception Not_found -> ()
       | c ->
-        if Label.equal (B.label c) label then begin
+        if fits c then begin
           match !best with
           | Some b
             when B.count b > B.count c
@@ -40,6 +40,17 @@ let child_with_label syn host label =
           | _ -> best := Some c
         end);
   !best
+
+let child_with_label syn host label =
+  best_child syn host (fun c -> Label.equal (B.label c) label)
+
+(* Clusters are typed (Sec. 3): an element's cluster shares its label
+   and its value type, so the values it brings fit that cluster's
+   summary. *)
+let child_like syn host (xml : Node.t) =
+  let vtype = Value.vtype xml.Node.value in
+  best_child syn host (fun c ->
+      Label.equal (B.label c) xml.Node.label && B.vtype c = vtype)
 
 let resolve_parent syn path =
   match path with
@@ -71,7 +82,8 @@ type acc = {
   count_deltas : (int, int) Hashtbl.t;          (* sid -> extent delta *)
   edge_deltas : (int * int, float) Hashtbl.t;   (* (p, c) -> total-children delta *)
   added_values : (int, Value.t list ref) Hashtbl.t;
-  created_for : (int * Label.t, int) Hashtbl.t; (* (host sid, label) -> fresh sid *)
+  created_for : (int * Label.t * Value.vtype, int) Hashtbl.t;
+    (* (host sid, label, vtype) -> fresh sid *)
   mutable created : int list;
   mutable skipped : int;
 }
@@ -83,24 +95,22 @@ let bumpf tbl key by =
   Hashtbl.replace tbl key (by +. Option.value ~default:0.0 (Hashtbl.find_opt tbl key))
 
 (* Map one inserted element under the host cluster. Resolution prefers
-   an existing child cluster; a novel label allocates a fresh zero-count
-   cluster (remembered per (host, label) so sibling inserts share it —
-   it has no edge yet, so [child_with_label] cannot see it). Mapping
-   only accumulates; counts and edges are written in pass 2. *)
+   an existing child cluster of the element's label and type; a novel
+   pair allocates a fresh zero-count cluster (remembered per (host,
+   label, vtype) so sibling inserts share it — it has no edge yet, so
+   [child_like] cannot see it). Mapping only accumulates; counts and
+   edges are written in pass 2. *)
 let rec place acc host (xml : Node.t) =
-  let label = xml.Node.label in
+  let label = xml.Node.label and vtype = Value.vtype xml.Node.value in
   let c =
-    match child_with_label acc.syn host label with
+    match child_like acc.syn host xml with
     | Some c -> c
     | None -> (
-      match Hashtbl.find_opt acc.created_for (B.sid host, label) with
+      match Hashtbl.find_opt acc.created_for (B.sid host, label, vtype) with
       | Some sid -> B.find acc.syn sid
       | None ->
-        let c =
-          B.add_node acc.syn ~label ~vtype:(Value.vtype xml.Node.value)
-            ~count:0 ~vsumm:Vs.vnone
-        in
-        Hashtbl.replace acc.created_for (B.sid host, label) (B.sid c);
+        let c = B.add_node acc.syn ~label ~vtype ~count:0 ~vsumm:Vs.vnone in
+        Hashtbl.replace acc.created_for (B.sid host, label, vtype) (B.sid c);
         acc.created <- B.sid c :: acc.created;
         c)
   in
@@ -125,7 +135,7 @@ let rec place acc host (xml : Node.t) =
    are not subtracted from summaries (selectivity fractions stay; the
    count rescale in pass 2 handles magnitude). *)
 let rec unplace acc host (xml : Node.t) =
-  match child_with_label acc.syn host xml.Node.label with
+  match child_like acc.syn host xml with
   | None -> acc.skipped <- acc.skipped + 1
   | Some c ->
     bump acc.count_deltas (B.sid c) (-1);
@@ -242,26 +252,13 @@ let write_deltas acc =
               ~pst_nodes:detail.Reference.pst_nodes
               ~top_terms:detail.Reference.top_terms !values
           in
-          let old = B.vsumm node in
-          let was_created = List.mem sid acc.created in
+          (* every value placed here has the node's type, and the
+             established summary is absent or of that type's kind *)
           let next =
-            if was_created || old = Vs.Vnone then Some fresh
-            else
-              match (old, fresh) with
-              | Vs.Vnum _, Vs.Vnum _
-              | Vs.Vstr _, Vs.Vstr _
-              | Vs.Vtext _, Vs.Vtext _ -> Some (Vs.fuse old fresh)
-              | _ ->
-                (* kind mismatch: keep the established summary rather
-                   than corrupt it — counted, visible in metrics *)
-                Metrics.incr Meters.Update.vsumm_kept;
-                None
+            match B.vsumm node with Vs.Vnone -> fresh | old -> Vs.fuse old fresh
           in
-          Option.iter
-            (fun v ->
-              B.set_vsumm syn node v;
-              Hashtbl.replace frontier sid ())
-            next)
+          B.set_vsumm syn node next;
+          Hashtbl.replace frontier sid ())
     acc.added_values;
   let removed = List.length removals in
   (removed, Hashtbl.fold (fun sid () l -> sid :: l) frontier [])

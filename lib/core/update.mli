@@ -19,6 +19,9 @@
     resolved against the synopsis deterministically: starting at the
     root cluster, each step picks the child cluster with the matching
     label, preferring the largest extent (ties broken by smallest sid).
+    Below the parent, an inserted or deleted element resolves to a
+    cluster of its own label {e and} value type (clusters are typed,
+    Sec. 3), so every value summary stays of its node's kind.
     This is the synopsis-side analogue of the path-partition maintenance
     of DescribeX-style summaries: an update touches only the clusters on
     and below its resolution path.
@@ -35,7 +38,7 @@
       total/parent-count, so a parent whose count changed has {e all}
       its outgoing averages rescaled); clusters whose extent reaches
       zero are unlinked and removed. Value summaries fuse in a detailed
-      summary of the inserted values when the summary kinds agree;
+      summary of the inserted values;
       deletions leave the summary untouched (a documented
       approximation — selectivity fractions stay, the count rescale
       handles magnitude).
@@ -50,7 +53,7 @@
 
     Metrics: [update.apply] / [update.repair] timers,
     [update.mutations], [update.created], [update.removed],
-    [update.skipped_branches], [update.vsumm_kept] counters. *)
+    [update.skipped_branches] counters. *)
 
 type mutation =
   | Insert of { parent : Xc_xml.Label.t list; subtree : Xc_xml.Node.t }

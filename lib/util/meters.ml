@@ -68,9 +68,6 @@ module Update = struct
   let skipped_branches =
     counter "update.skipped_branches" ~doc:"deleted branches that resolved to no live cluster"
 
-  let vsumm_kept =
-    counter "update.vsumm_kept" ~doc:"value summaries kept on a kind mismatch, not fused"
-
   let repair_widened =
     counter "update.repair_widened" ~doc:"repairs that ended above the structural budget"
 

@@ -43,7 +43,6 @@ module Update : sig
   val created : Metrics.counter
   val removed : Metrics.counter
   val skipped_branches : Metrics.counter
-  val vsumm_kept : Metrics.counter
   val repair_widened : Metrics.counter
   val compress_widened : Metrics.counter
   val apply : Metrics.timer

@@ -24,6 +24,14 @@ let of_values ?(hist_buckets = 64) ?(pst_depth = 8) ?(pst_nodes = 2048)
   | [], [], texts -> Vtext (Term_hist.build ~top_k:top_terms texts)
   | _ -> invalid_arg "Value_summary.of_values: mixed value types"
 
+let fits vtype v =
+  match v, vtype with
+  | Vnone, _
+  | Vnum _, Xc_xml.Value.Tnumeric
+  | Vstr _, Xc_xml.Value.Tstring
+  | Vtext _, Xc_xml.Value.Ttext -> true
+  | (Vnum _ | Vstr _ | Vtext _), _ -> false
+
 let size_bytes = function
   | Vnone -> 0
   | Vnum h -> Histogram.size_bytes h

@@ -21,6 +21,11 @@ val of_values : ?hist_buckets:int -> ?pst_depth:int -> ?pst_nodes:int ->
     collection; [Vnone] on an empty or all-null collection. The optional
     caps bound the reference detail (DESIGN.md). *)
 
+val fits : Xc_xml.Value.vtype -> t -> bool
+(** Whether a node of this value type may carry the summary: Sec. 3
+    fixes a summary's form by its node's type, so it is [Vnone] or the
+    type's kind (NUMERIC histogram, STRING PST, TEXT term histogram). *)
+
 val size_bytes : t -> int
 
 val fuse : t -> t -> t

@@ -93,7 +93,16 @@ let test_synopsis_validate_catches () =
   (match B.validate syn with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected dangling edge to be caught");
-  ignore a
+  ignore a;
+  (* a summary of another kind than the node's type is refused *)
+  let num = Vs.of_values [ Value.Numeric 1 ] in
+  Alcotest.check_raises "add_node"
+    (Invalid_argument "Synopsis.Builder: value summary does not fit the node's type")
+    (fun () ->
+      ignore (B.add_node syn ~label:(Label.of_string "x") ~vtype:Value.Tstring ~count:1 ~vsumm:num));
+  Alcotest.check_raises "set_vsumm"
+    (Invalid_argument "Synopsis.Builder: value summary does not fit the node's type")
+    (fun () -> B.set_vsumm syn a num)
 
 let test_freeze_matches_builder () =
   let syn, r, a, b = tiny_synopsis () in

@@ -117,6 +117,44 @@ let test_delete_clamps () =
     check Alcotest.bool "phantom branch skipped" true (stats.Update.skipped >= 1);
     check (Alcotest.float 1e-9) "//paper gone" 0.0 (est syn "//paper")
 
+(* Clusters are typed (Sec. 3): an inserted element joins a cluster of
+   its own label and value type, so every value summary stays of its
+   node's kind and the updated synopsis saves and loads back. *)
+let test_insert_keeps_types () =
+  let roundtrips live muts =
+    match Update.apply_and_seal ~budget:(Build.budget ()) live muts with
+    | Error e -> Alcotest.failf "rejected: %s" e
+    | Ok (_, syn) ->
+      B.iter
+        (fun n ->
+          check Alcotest.bool "summary fits type" true
+            (Xc_vsumm.Value_summary.fits (B.vtype n) (B.vsumm n)))
+        live;
+      (match Xc_core.Codec.of_string (Xc_core.Codec.to_string syn) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "reload: %s" (Xc_core.Codec.error_to_string e));
+      syn
+  in
+  let x v = Node.leaf "x" v in
+  let ins v = Update.Insert { parent = [ l "db" ]; subtree = x v } in
+  (* one batch makes a fresh [x] from a null and a number *)
+  let live = Reference.build ~min_extent:1 (Document.create (Node.make "db")) in
+  let syn = roundtrips live [ ins Value.Null; ins (Value.Numeric 12) ] in
+  check (Alcotest.float 1e-9) "//x" 2.0 (est syn "//x");
+  (* a number next to a larger null sibling of the same label *)
+  let doc =
+    Document.create
+      (Node.make "db"
+         ~children:[ x Value.Null; x Value.Null; x Value.Null; x (Value.Numeric 3) ])
+  in
+  let live = Reference.build ~min_extent:1 doc in
+  ignore (roundtrips live [ ins (Value.Numeric 12) ]);
+  B.iter
+    (fun n ->
+      if B.vtype n = Value.Tnumeric then
+        check Alcotest.int "numeric x absorbs the number" 2 (B.count n))
+    live
+
 (* ---- the headline property ---------------------------------------------- *)
 
 (* Mutation stream for documents without a bespoke generator: delete
@@ -275,7 +313,8 @@ let () =
             test_delete_to_zero_removes;
           Alcotest.test_case "unresolvable batch rejected untouched" `Quick
             test_unresolvable_rejected;
-          Alcotest.test_case "delete clamps missing branches" `Quick test_delete_clamps ] );
+          Alcotest.test_case "delete clamps missing branches" `Quick test_delete_clamps;
+          Alcotest.test_case "inserts keep cluster types" `Quick test_insert_keeps_types ] );
       ( "property",
         [ Alcotest.test_case "imdb: update ~ fresh build" `Slow test_property_imdb;
           Alcotest.test_case "dblp: update ~ fresh build" `Slow test_property_dblp;
