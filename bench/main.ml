@@ -18,11 +18,9 @@
      XC_PASSES   repeated-workload passes for the seal/serve targets
                  (default 5)
      XC_DOMAINS  worker count for the build target's parallel leg
-                 (default 4) and the serve target's query sharding
-                 (default 1; also the library-wide Par default).
-                 Honored exactly — oversubscription warns loudly, and
-                 both targets fail if the pool observably engaged a
-                 different width than requested.
+                 (default 4). Honored exactly — oversubscription warns
+                 loudly, and the target fails if the pool observably
+                 engaged a different width than requested.
      XC_BUILD_REPS  repetitions per leg of the build target (default 3)
      XC_UPDATES  auction events in the update target's mutation stream
                  (default 64, half opens / half closes)
@@ -141,7 +139,7 @@ let run_ablation_text () =
    oracle. *)
 let one_query engine q =
   let module B = Xc_core.Plan.Batch in
-  (B.run_prepared ~domains:1 engine (B.prepare_one engine q)).(0)
+  (B.run_prepared engine (B.prepare_one engine q)).(0)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -358,15 +356,14 @@ let run_build () =
    The serving benchmark behind BENCH_serve.json: the XMark workload
    estimated through the oracle (Estimate.selectivity, one pass:
    t_oracle_cold_s — it keeps no state, so every pass is cold) and
-   through Plan.Batch's cohort sweep (interned transition matrices +
-   XC_DOMAINS-way sharding), whose cold side is query compilation
-   (prepare_s). The timed loop then runs [passes] warm sweeps.
-   Correctness gates (any failure exits non-zero): sweep estimates must
-   be bit-identical to the oracle and across worker counts 1/2/4. *)
+   through Plan.Batch's cohort sweep over per-engine transition
+   matrices, whose cold side is query compilation (prepare_s). The
+   timed loop then runs [passes] warm sweeps. Correctness gate (exits
+   non-zero otherwise): sweep estimates must be bit-identical to the
+   oracle. *)
 
 let run_serve () =
   let passes = env_int "XC_PASSES" ~default:5 in
-  let requested = Xc_util.Par.env_domains () in
   let ds = Lazy.force xmark in
   let syn =
     timed "serve: xclusterbuild" (fun () ->
@@ -391,10 +388,6 @@ let run_serve () =
   ignore (Xc_core.Plan.Batch.run_prepared engine prepared);
   let warmup_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
   Xcluster.Metrics.reset ();
-  Xc_util.Par.reset_usage ();
-  (* every timed loop runs before the first ~domains:2 call: spawned
-     worker domains, even parked ones, turn every minor collection into
-     a multi-domain stop-the-world rendezvous *)
   let cohort_res = ref [||] in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to passes do
@@ -402,7 +395,6 @@ let run_serve () =
   done;
   let t_cohort = Unix.gettimeofday () -. t0 in
   let cohort_res = !cohort_res in
-  let domains_used = Xc_util.Par.max_used () in
   let n_cohorts, _, n_distinct = Xc_core.Plan.Batch.cohort_stats prepared in
   let cohort_sharing = float_of_int n_distinct /. float_of_int (max 1 n_cohorts) in
   let max_diff_cohort =
@@ -411,20 +403,6 @@ let run_serve () =
     !d
   in
   let bitwise_oracle = Array.for_all2 same_bits cohort_res oracle in
-  (* bitwise determinism across worker counts: the sharding must never
-     change a float *)
-  let deterministic =
-    List.for_all
-      (fun d ->
-        let r = Xc_core.Plan.Batch.run_prepared ~domains:d engine prepared in
-        let ok = ref true in
-        Array.iteri
-          (fun i v ->
-            if Int64.bits_of_float v <> Int64.bits_of_float cohort_res.(i) then ok := false)
-          r;
-        !ok)
-      [ 1; 2; 4 ]
-  in
   (* cold start: a full decode (read + of_string) vs a lazy mapped load
      of the same v3 artifact, min over repeats (the artifact is
      page-cached, so this isolates decode work, which is what the lazy
@@ -476,8 +454,8 @@ let run_serve () =
   let qps_oracle = float_of_int nq /. Float.max t_oracle_cold 1e-9 in
   let qps_cohort = float_of_int (passes * nq) /. Float.max t_cohort 1e-9 in
   let cohort_ge_oracle = qps_cohort >= qps_oracle in
-  Format.fprintf ppf "@.Batched serving (%s: %d queries x %d passes, %d domains)@."
-    ds.Xc_exp.Runner.name nq passes requested;
+  Format.fprintf ppf "@.Batched serving (%s: %d queries x %d passes)@."
+    ds.Xc_exp.Runner.name nq passes;
   Format.fprintf ppf
     "  cold:     oracle pass %.4f s (%.0f estimates/s)   batch prepare %.4f s  [%d matrices, %d rows]@."
     t_oracle_cold qps_oracle prepare_s
@@ -489,8 +467,7 @@ let run_serve () =
     (qps_cohort /. Float.max qps_oracle 1e-9)
     n_cohorts cohort_sharing warmup_ms;
   Format.fprintf ppf
-    "  max |cohort - oracle| = %g   bitwise: %b   deterministic across 1/2/4 domains: %b@."
-    max_diff_cohort bitwise_oracle deterministic;
+    "  max |cohort - oracle| = %g   bitwise: %b@." max_diff_cohort bitwise_oracle;
   Format.fprintf ppf
     "  cold start: v3 full decode %.3f ms   v3 lazy map %.3f ms   (%.0fx)@."
     startup_ms_eager startup_ms_lazy startup_speedup;
@@ -499,13 +476,13 @@ let run_serve () =
     first_answer_ms lazy_sections_verified first_answer_identical;
   let json =
     Printf.sprintf
-      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"domains\":%d,\"domains_used\":%d,\"qps_oracle\":%.0f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_oracle\":%b,\"warmup_ms\":%.2f,\"t_oracle_cold_s\":%.4f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"rows_built\":%d,\"max_diff_cohort\":%g,\"bitwise_oracle\":%b,\"deterministic\":%b,\"startup_ms_eager\":%.4f,\"startup_ms_lazy\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
-      (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes requested
-      domains_used qps_oracle qps_cohort t_cohort n_cohorts cohort_sharing
-      cohort_ge_oracle warmup_ms t_oracle_cold prepare_s
+      "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"queries\":%d,\"passes\":%d,\"qps_oracle\":%.0f,\"qps_cohort\":%.0f,\"t_cohort_s\":%.4f,\"cohorts\":%d,\"cohort_sharing\":%.2f,\"cohort_ge_oracle\":%b,\"warmup_ms\":%.2f,\"t_oracle_cold_s\":%.4f,\"prepare_s\":%.4f,\"n_matrices\":%d,\"rows_built\":%d,\"max_diff_cohort\":%g,\"bitwise_oracle\":%b,\"startup_ms_eager\":%.4f,\"startup_ms_lazy\":%.4f,\"startup_speedup\":%.1f,\"first_answer_ms\":%.4f,\"lazy_sections_verified\":%d}"
+      (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale nq passes qps_oracle
+      qps_cohort t_cohort n_cohorts cohort_sharing cohort_ge_oracle warmup_ms
+      t_oracle_cold prepare_s
       (Xc_core.Plan.Batch.n_matrices engine)
       (Xc_core.Plan.Batch.rows_built engine)
-      max_diff_cohort bitwise_oracle deterministic startup_ms_eager
+      max_diff_cohort bitwise_oracle startup_ms_eager
       startup_ms_lazy startup_speedup first_answer_ms lazy_sections_verified
   in
   append_row "BENCH_serve.json" json;
@@ -513,11 +490,6 @@ let run_serve () =
     Format.fprintf ppf
       "  ERROR: cohort estimates diverged from the oracle (max diff %g)@."
       max_diff_cohort;
-    exit 1
-  end;
-  if not deterministic then begin
-    Format.fprintf ppf
-      "  ERROR: batch estimates depend on the worker count@.";
     exit 1
   end;
   if not first_answer_identical then begin
@@ -584,9 +556,9 @@ let run_cold () =
       let (prepared, cold_res), t_cold =
         ms (fun () ->
             let p = B.prepare engine queries in
-            (p, B.run_prepared ~domains:1 engine p))
+            (p, B.run_prepared engine p))
       in
-      let warm_res, t_warm = ms (fun () -> B.run_prepared ~domains:1 engine prepared) in
+      let warm_res, t_warm = ms (fun () -> B.run_prepared engine prepared) in
       let one_engine = B.create syn in
       let one_res, t_one = ms (fun () -> one_query one_engine queries.(0)) in
       cold.(r) <- t_cold;

@@ -418,8 +418,8 @@ let serve_cmd =
       value & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains for batch evaluation, the same for every request \
-             (falls back to $(b,XC_DOMAINS) when omitted).")
+            "Accepted only as 1: a batch is swept on the worker thread that \
+             serves it. Any other value is a usage error.")
   in
   let workers_arg =
     Arg.(
@@ -476,7 +476,9 @@ let serve_cmd =
       | Some n when n < 1 -> raise (Usage (flag ^ " must be >= 1"))
       | v -> v
     in
-    let domains = positive "--domains" domains in
+    (match domains with
+    | Some n when n <> 1 -> raise (Usage "--domains accepts only 1")
+    | _ -> ());
     let workers = positive "--workers" workers in
     let backlog = positive "--backlog" backlog in
     let max_pending = positive "--max-pending" max_pending in
@@ -510,7 +512,6 @@ let serve_cmd =
       {
         d with
         Xcluster.Serve.Daemon.endpoint;
-        domains;
         workers = Option.value ~default:d.Xcluster.Serve.Daemon.workers workers;
         backlog = Option.value ~default:d.Xcluster.Serve.Daemon.backlog backlog;
         max_pending =

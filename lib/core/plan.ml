@@ -58,8 +58,8 @@ let query_key q =
    matrix per synopsis, whose rows compilation builds on
    demand; per-node predicate selectivities (sigma) are precomputed over
    each query node's support set; and each query compiles to a flat
-   postorder program the cohort sweep runs over per-worker float planes
-   — no hashing, no allocation beyond the worker arenas.
+   postorder program the cohort sweep runs over the engine's float
+   planes — no hashing, no allocation beyond the engine's arena.
 
    Bit-identity argument, piece by piece:
    - matrix rows are Estimate.reach_dist's own dists, so row floats are
@@ -76,8 +76,8 @@ let query_key q =
    Supports propagate top-down (a child's support is the union of the
    matrix rows over its parent's support), so every plane cell a
    parent reads was written by its child in the same evaluation —
-   planes are never zeroed between queries, and results cannot depend
-   on which worker ran which query. *)
+   planes are never zeroed between queries, and no query's answer
+   depends on what an earlier one left in them. *)
 
 module Batch = struct
   (* ---- the flat program --------------------------------------------
@@ -129,7 +129,7 @@ module Batch = struct
   type cohort_plan = {
     cp_queries : fquery array;  (* distinct queries, cohorts contiguous *)
     cp_src : int array;  (* input index -> position in cp_queries *)
-    cp_cohorts : (int * int) array;  (* per cohort: (start, len) *)
+    cp_cohorts : int;  (* cohorts, laid out contiguously in cp_queries *)
     cp_max_cohort : int;
     cp_slots : int;  (* max fq_slots — the arena's plane demand *)
     cp_values : float array;  (* per distinct query, rewritten per run *)
@@ -147,15 +147,20 @@ module Batch = struct
     mutable pr_plan : cohort_plan option;
   }
 
+  (* expression tables: [Path_expr.hash] folds every step *)
+  module Expr_tbl = Hashtbl.Make (Path_expr)
+
   type t = {
     bt_syn : S.t;
-    bt_mats : (Path_expr.t, Transition.t) Hashtbl.t;
-    bt_keys : (Path_expr.t, int) Hashtbl.t;  (* cohort keys, numbered on first sight *)
+    bt_mats : Transition.t Expr_tbl.t;
+    bt_keys : int Expr_tbl.t;  (* cohort keys, numbered on first sight *)
     bt_queries : (string, bquery) Hashtbl.t;
     bt_index : bquery Slices.Table.t;  (* raw source text -> compiled *)
     bt_next_id : int ref;
     mutable bt_last : prepared option;  (* last text batch, plan included *)
     bt_acc : Estimate.acc;  (* every row build and support union of compilation *)
+    mutable bt_arena : S.ba_f;  (* the sweep's planes, see [arena_for] *)
+    mutable bt_slots : int;  (* planes bt_arena holds *)
   }
 
   (* Distinct queries grow the compiled-query table (and whitespace
@@ -166,46 +171,48 @@ module Batch = struct
 
   let create syn =
     { bt_syn = syn;
-      bt_mats = Hashtbl.create 32;
-      bt_keys = Hashtbl.create 32;
+      bt_mats = Expr_tbl.create 32;
+      bt_keys = Expr_tbl.create 32;
       bt_queries = Hashtbl.create 64;
       bt_index = Slices.Table.create ();
       bt_next_id = ref 0;
       bt_last = None;
-      bt_acc = Estimate.accumulator syn }
+      bt_acc = Estimate.accumulator syn;
+      bt_arena = BA1.create Bigarray.float64 Bigarray.c_layout 0;
+      bt_slots = 0 }
 
-  let n_matrices t = Hashtbl.length t.bt_mats
+  let n_matrices t = Expr_tbl.length t.bt_mats
   let n_queries t = Hashtbl.length t.bt_queries
-  let sum_mats t f = Hashtbl.fold (fun _ mt acc -> acc + f mt) t.bt_mats 0
+  let sum_mats t f = Expr_tbl.fold (fun _ mt acc -> acc + f mt) t.bt_mats 0
   let rows_built t = sum_mats t Transition.rows_built
   let nnz t = sum_mats t Transition.nnz
   let n_texts t = Slices.Table.length t.bt_index
 
   let clear t =
-    Hashtbl.reset t.bt_mats;
-    Hashtbl.reset t.bt_keys;
+    Expr_tbl.reset t.bt_mats;
+    Expr_tbl.reset t.bt_keys;
     Hashtbl.reset t.bt_queries;
     Slices.Table.clear t.bt_index;
     t.bt_last <- None
 
   let mat_for t expr =
-    match Hashtbl.find_opt t.bt_mats expr with
+    match Expr_tbl.find_opt t.bt_mats expr with
     | Some mt -> mt
     | None ->
       let mt =
         Metrics.time Meters.Batch.mat_build (fun () -> Transition.create t.bt_syn expr)
       in
-      Hashtbl.add t.bt_mats expr mt;
+      Expr_tbl.add t.bt_mats expr mt;
       mt
 
   (* cohort keys need only be equal for equal expressions among the
      queries compiled since the last [clear] *)
   let expr_key t expr =
-    match Hashtbl.find_opt t.bt_keys expr with
+    match Expr_tbl.find_opt t.bt_keys expr with
     | Some k -> k
     | None ->
-      let k = Hashtbl.length t.bt_keys in
-      Hashtbl.add t.bt_keys expr k;
+      let k = Expr_tbl.length t.bt_keys in
+      Expr_tbl.add t.bt_keys expr k;
       k
 
   (* child-endpoint support of an edge: the union of the matrix rows of
@@ -427,37 +434,23 @@ module Batch = struct
 
   (* ---- matrix-major cohort evaluation ------------------------------- *)
 
-  (* Per-worker arena: one flat float64 plane per query-node slot, all
-     in a single Bigarray (plane [s] is [buf.{s*stride .. s*stride+n-1}]).
-     Grown to the high-water (n_nodes × max slots) and then reused for
-     every cohort the worker ever runs — planes are NEVER zeroed between
-     queries: supports propagate top-down, so every cell a parent reads
-     was written by its child earlier in the same evaluation.
-     [batch.arena_resets] counts the (rare) reallocation events. Lives in
-     domain-local storage so the persistent Par worker domains keep
-     their arenas across batches. *)
-  type arena = {
-    mutable ar_buf : S.ba_f;
-    mutable ar_n : int;  (* plane stride *)
-    mutable ar_slots : int;
-  }
-
-  let arena_key : arena Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { ar_buf = BA1.create Bigarray.float64 Bigarray.c_layout 0;
-          ar_n = 0;
-          ar_slots = 0 })
-
-  let arena_for n slots =
-    let ar = Domain.DLS.get arena_key in
-    if ar.ar_n < n || ar.ar_slots < slots then begin
-      let n' = max n ar.ar_n and s' = max slots ar.ar_slots in
-      ar.ar_buf <- BA1.create Bigarray.float64 Bigarray.c_layout (n' * s');
-      ar.ar_n <- n';
-      ar.ar_slots <- s';
+  (* The sweep's scratch: one flat float64 plane per query-node slot,
+     all in the engine's one Bigarray (plane [s] is
+     [buf.{s*n .. s*n+n-1}], n = synopsis nodes). Grown to the
+     high-water slot count and then reused for every query the engine
+     ever sweeps — planes are NEVER zeroed between queries: supports
+     propagate top-down, so every cell a parent reads was written by its
+     child earlier in the same evaluation. [batch.arena_resets] counts
+     the (rare) reallocation events. One per engine, so engines on
+     different threads never share scratch. *)
+  let arena_for t slots =
+    if t.bt_slots < slots then begin
+      t.bt_arena <-
+        BA1.create Bigarray.float64 Bigarray.c_layout (S.n_nodes t.bt_syn * slots);
+      t.bt_slots <- slots;
       Metrics.incr Meters.Batch.arena_resets
     end;
-    ar
+    t.bt_arena
 
   (* row dot against an arena plane — the same ascending multiply-add
      order as the uncached estimator's fold over a reach dist, so
@@ -472,9 +465,10 @@ module Batch = struct
     done;
     !sum
 
-  (* Matrix-major evaluation of one flat query against the worker's
-     arena. Per-(node, support position) the float op sequence is
-     exactly Estimate.selectivity's per-(qid, idx) fold: start at the clamped
+  (* Matrix-major evaluation of one flat query against the engine's
+     arena [buf], whose planes are [stride] cells apart. Per-(node,
+     support position) the float op sequence is exactly
+     Estimate.selectivity's per-(qid, idx) fold: start at the clamped
      sigma, each edge in document order maps a non-positive value to
      0.0 and otherwise multiplies by the row dot. Two structural
      changes, both op-order preserving:
@@ -488,10 +482,9 @@ module Batch = struct
        the task's sum, so not computing it changes nothing.
      The answer is stored into [values.(p)] rather than returned, so
      it is never boxed. *)
-  let eval_flat ar fq (values : float array) p =
+  let eval_flat (buf : S.ba_f) stride fq (values : float array) p =
     if fq.fq_zero then Array.unsafe_set values p 0.0
     else begin
-      let buf = ar.ar_buf and stride = ar.ar_n in
       let ntasks = Array.length fq.fq_tasks in
       let acc = ref 1.0 in
       let ti = ref 0 in
@@ -557,8 +550,7 @@ module Batch = struct
      queries (prepare returns the same bquery object for duplicate
      keys), group the distinct ones by cohort key with first-occurrence
      cohort numbering, and lay them out cohort-major with a stable
-     counting sort — all deterministic functions of the input order,
-     independent of domain count. *)
+     counting sort — all deterministic functions of the input order. *)
   let build_plan prepared =
     let nq = Array.length prepared.pr_queries in
     let pos_of_id = Hashtbl.create (2 * nq) in
@@ -579,7 +571,7 @@ module Batch = struct
     let distinct = Array.of_list (List.rev !rev_distinct) in
     let nd = Array.length distinct in
     if nd = 0 then
-      { cp_queries = [||]; cp_src = [||]; cp_cohorts = [||]; cp_max_cohort = 0;
+      { cp_queries = [||]; cp_src = [||]; cp_cohorts = 0; cp_max_cohort = 0;
         cp_slots = 1; cp_values = [||] }
     else begin
       let cid_of_key = Hashtbl.create 64 in
@@ -615,7 +607,7 @@ module Batch = struct
       Array.iteri (fun p f -> sorted.(order.(p)) <- f) flat;
       { cp_queries = sorted;
         cp_src = Array.map (fun p -> order.(p)) src;
-        cp_cohorts = Array.init ncoh (fun c -> (start.(c), count.(c)));
+        cp_cohorts = ncoh;
         cp_max_cohort = Array.fold_left max 0 count;
         cp_slots = Array.fold_left (fun a f -> max a f.fq_slots) 1 flat;
         cp_values = Array.make nd 0.0 }
@@ -631,49 +623,45 @@ module Batch = struct
 
   let cohort_stats prepared =
     let p = plan_of prepared in
-    (Array.length p.cp_cohorts, p.cp_max_cohort, Array.length p.cp_queries)
+    (p.cp_cohorts, p.cp_max_cohort, Array.length p.cp_queries)
 
-  (* One batch pass, matrix-major: workers claim whole cohorts (the
-     parallel unit is a cohort, never a query), each query's value lands
-     in cp_values by its cohort-major position, and the answers are
-     gathered into [out] through cp_src in input order — placement is a
-     pure function of the input, so XC_DOMAINS cannot change the
-     output. *)
-  let run_cohort ~domains t plan (out : float array) =
-    let n = S.n_nodes t.bt_syn in
-    let ncoh = Array.length plan.cp_cohorts in
+  (* One batch pass, matrix-major, on the calling thread: the distinct
+     queries run in cohort-major order, so a cohort's queries walk the
+     same CSR slices back-to-back; each query's value lands in cp_values
+     by its cohort-major position, and the answers are gathered into
+     [out] through cp_src in input order. *)
+  let run_cohort t plan (out : float array) =
+    let buf = arena_for t plan.cp_slots and stride = S.n_nodes t.bt_syn in
     let values = plan.cp_values in
     let minor0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    Xc_util.Par.iter_chunked ~domains
-      ~init:(fun () -> arena_for n plan.cp_slots)
-      (fun ar _ (start, len) ->
-        for p = start to start + len - 1 do
-          eval_flat ar (Array.unsafe_get plan.cp_queries p) values p
-        done)
-      plan.cp_cohorts;
+    for p = 0 to Array.length plan.cp_queries - 1 do
+      eval_flat buf stride (Array.unsafe_get plan.cp_queries p) values p
+    done;
     Metrics.add_time Meters.Batch.sweep (Unix.gettimeofday () -. t0);
-    Metrics.add Meters.Batch.cohorts ncoh;
+    Metrics.add Meters.Batch.cohorts plan.cp_cohorts;
     Metrics.record_max Meters.Batch.cohort_max plan.cp_max_cohort;
-    (* coordinator-side minor allocation across the whole pass: the
-       cohort path's figure of merit is this staying near zero *)
+    (* minor allocation across the whole pass: the cohort path's figure
+       of merit is this staying near zero *)
     Metrics.add Meters.Batch.minor_words (int_of_float (Gc.minor_words () -. minor0));
     let src = plan.cp_src in
     for i = 0 to Array.length src - 1 do
       Array.unsafe_set out i (Array.unsafe_get values (Array.unsafe_get src i))
     done
 
-  let run_into ?(domains = 0) t prepared out =
+  let run_into t prepared out =
     let nq = Array.length prepared.pr_queries in
     if Array.length out < nq then invalid_arg "Plan.Batch.run_into: answer buffer too short";
     if nq > 0 then begin
       Metrics.add Meters.Batch.queries nq;
-      run_cohort ~domains t (plan_of prepared) out
+      run_cohort t (plan_of prepared) out
     end
 
-  let run_prepared ?(domains = 0) ?cohort:_ t prepared =
+  (* [domains] and [cohort] are ignored: kept only so the benchmark
+     compiles *)
+  let run_prepared ?domains:_ ?cohort:_ t prepared =
     let out = Array.make (Array.length prepared.pr_queries) 0.0 in
-    run_into ~domains t prepared out;
+    run_into t prepared out;
     out
 end
 

@@ -31,35 +31,34 @@ val query_key : Xc_twig.Twig_query.t -> string
     serving path. Each engine owns one {!Estimate.acc} that every row
     build and support union of its compilations goes through; its
     n-cell arrays are allocated by the first compilation that expands
-    a step. Compilation is the only writer: every row a prepared
-    batch reads exists before its sweep starts, so the sweep, on any
-    number of domains, only reads.
+    a step. Compilation is the only writer of matrices: every row a
+    prepared batch reads exists before its sweep starts, so the sweep
+    only reads them.
 
     Evaluation is {b matrix-major}: a prepared batch is deduplicated
     (identical queries evaluate once) and its distinct queries are
     grouped into {e cohorts} by the first transition matrix each
     evaluation streams, laid out cohort-major so one matrix's CSR
-    slices are walked back-to-back for the whole cohort. The programs
-    run against a reusable per-worker arena — one flat float64
-    Bigarray of per-slot planes, high-water sized, never zeroed between
-    queries — so per-query bookkeeping (scratch allocation, metric
-    updates) is amortized over whole cohorts.
+    slices are walked back-to-back for the whole cohort. The sweep is
+    a plain loop on the calling thread over the engine's own arena —
+    one flat float64 Bigarray of per-slot planes, high-water sized,
+    never zeroed between queries — so per-query bookkeeping (scratch
+    allocation, metric updates) is amortized over whole passes, and
+    engines used on different threads share no scratch.
 
     Results are {b bit-identical} to {!Estimate.selectivity} (matrix
     rows are built by the estimator's own step code and the evaluation
     replicates its float-operation order exactly, short-circuits
-    included), and {b independent of the worker count}: cohorts shard
-    across {!Xc_util.Par} domains in contiguous chunks with results
-    placed by input index, and no query's evaluation reads state
-    another query wrote.
+    included), and placed by input index; no query's evaluation reads
+    state another query wrote.
 
-    Instrumentation (all recorded by the coordinating domain only):
+    Instrumentation:
     counters [batch.queries], [batch.query_hit]/[batch.query_miss]
     (hits bumped once per batch), [batch.text_reset],
     [batch.query_reset],
     [batch.cohorts], [batch.cohort_max] (high-water),
     [batch.arena_resets] (arena (re)allocations), [batch.minor_words]
-    (coordinator minor-heap words allocated during cohort passes);
+    (minor-heap words allocated during cohort passes);
     [batch.mat_rows] (transition rows built on demand);
     timers [batch.mat_build], [batch.compile], [batch.cohort_plan],
     [estimate.batch] (one per cohort pass; cohorts themselves run in
@@ -68,11 +67,13 @@ val query_key : Xc_twig.Twig_query.t -> string
 module Batch : sig
   type t
   (** A batch engine bound to one sealed synopsis: its matrix registry
-      (keyed by interned path-expression id), compiled queries (keyed
-      by {!query_key}), a bounded index from raw query text to compiled
-      query, and the last batch {!prepare_texts} returned. Not
-      thread-safe: callers serialize access (the daemon's dispatch
-      lock does). *)
+      (keyed by path expression, hashed over every step by
+      {!Xc_twig.Path_expr.hash}), compiled queries (keyed by
+      {!query_key}), a bounded index from raw query text to compiled
+      query, the last batch {!prepare_texts} returned, and the sweep's
+      arena. Not thread-safe: callers serialize calls on one engine
+      (the daemon's dispatch lock does); distinct engines may run on
+      distinct threads at once. *)
 
   type prepared
   (** A workload compiled for serving; reusable across runs. Carries
@@ -127,19 +128,19 @@ module Batch : sig
       and compiled-query count above which {!prepare},
       {!prepare_one} and {!prepare_texts} {!clear} the engine. *)
 
-  val run_into : ?domains:int -> t -> prepared -> float array -> unit
-  (** [run_into t p out] runs the matrix-major sweep and writes the
-      answer to query [i] into [out.(i)]; [out] may be longer than the
-      batch. With a warm cohort plan and a reused [out], a pass
-      allocates nothing that grows with the batch. [domains] as in
-      {!Xc_util.Par.map} ([<= 0] means [XC_DOMAINS]).
+  val run_into : t -> prepared -> float array -> unit
+  (** [run_into t p out] runs the matrix-major sweep on the calling
+      thread and writes the answer to query [i] into [out.(i)]; [out]
+      may be longer than the batch. With a warm cohort plan and a
+      reused [out], a pass allocates nothing that grows with the
+      batch.
       @raise Invalid_argument when [out] is shorter than the batch. *)
 
   val run_prepared :
     ?domains:int -> ?cohort:bool -> t -> prepared -> float array
   (** {!run_into} a fresh array; [result.(i)] answers query [i].
-      [cohort] is ignored: kept only so the benchmark compiles;
-      ROADMAP item 2's benchmark PR deletes it. *)
+      [domains] and [cohort] are ignored: kept only so the benchmark
+      compiles; ROADMAP item 2's benchmark PR deletes them. *)
 
   val cohort_stats : prepared -> int * int * int
   (** [(cohorts, max_cohort, distinct)] for the batch's cohort plan

@@ -25,7 +25,7 @@
 
     {!ensure} is the only writer, and compilation its only caller: every
     row a prepared batch reads is built before its sweep starts, so the
-    sweep, on any number of domains, only reads. Growing the buffers
+    sweep only reads. Growing the buffers
     copies the built prefix into new ones and leaves the old ones as
     they were, so buffers fetched before a growth keep serving the rows
     built by then. Not thread-safe while building: callers serialize

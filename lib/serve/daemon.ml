@@ -5,7 +5,6 @@ module Fault = Xc_util.Fault
 
 type config = {
   endpoint : Protocol.endpoint;
-  domains : int option;
   max_batch : int;
   max_frame_bytes : int;
   workers : int;
@@ -21,7 +20,6 @@ type config = {
 let default_config =
   {
     endpoint = Protocol.Unix_sock "xcluster.sock";
-    domains = None;
     max_batch = 8192;
     max_frame_bytes = 1 lsl 26;
     workers = 4;
@@ -71,13 +69,13 @@ type state = {
   active : (int, Unix.file_descr) Hashtbl.t;  (* worker id -> its fd *)
   mutable stop_workers : bool;  (* drain: idle workers exit *)
   dispatch_lock : Mutex.t;
-      (* serializes request evaluation. Batch engines keep per-domain
-         arenas in [Domain.DLS]; two worker threads of one domain
-         running them concurrently would share arenas mid-sweep and
-         break bit-identity. Workers therefore overlap on I/O — reads,
-         writes, timeouts, eviction — and take this lock only around
-         dispatch. The registry and engine caches inherit its
-         protection for free. *)
+      (* serializes request evaluation. An engine is not thread-safe:
+         compilation grows its matrices, query tables and text index,
+         and a sweep reuses its arena; two worker threads on one
+         synopsis's engine would interleave those writes. Workers
+         therefore overlap on I/O — reads, writes, timeouts, eviction —
+         and take this lock only around dispatch. The registry and
+         engine caches inherit its protection for free. *)
   started : float;
   draining : bool Atomic.t;
 }
@@ -205,7 +203,7 @@ let dispatch st config registry conn incoming =
         if Array.length conn.answers < n then
           conn.answers <- Array.make (max n (2 * Array.length conn.answers)) 0.0;
         match
-          Engine.estimate_texts_with ?domains:config.domains ~into:conn.answers eng syn conn.texts
+          Engine.estimate_texts_with ~into:conn.answers eng syn conn.texts
         with
         | Ok () -> Answers n
         | Error e -> Reply (error_frame e)))
@@ -442,10 +440,6 @@ let accept_loop st config listener pipe_rd =
 let run ?(config = default_config) ?(on_ready = fun _ -> ()) registry =
   if config.max_batch <= 0 then invalid_arg "Daemon.run: max_batch must be positive";
   if config.max_frame_bytes <= 0 then invalid_arg "Daemon.run: max_frame_bytes must be positive";
-  (match config.domains with
-  | Some d when d <= 0 ->
-    invalid_arg "Daemon.run: domains must be positive (None for the XC_DOMAINS default)"
-  | _ -> ());
   (* a client hanging up mid-response must be an EPIPE result, not a
      fatal signal *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

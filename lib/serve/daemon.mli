@@ -6,12 +6,12 @@
     connections from a bounded pool of OS worker threads fed by a
     single accept loop. Workers overlap on blocking socket I/O (reads
     release the runtime lock), while {e evaluation} is single-flight
-    behind one dispatch mutex: batch engines keep per-domain arenas in
-    [Domain.DLS], so two threads of one domain evaluating concurrently
-    would share arenas mid-sweep and break bit-identity. The answers a
-    client reads are therefore byte-for-byte the answers a sequential
-    daemon would have produced, in every interleaving; parallelism
-    inside a batch still comes from {!Xc_util.Par} domain sharding.
+    behind one dispatch mutex: an engine is not thread-safe (compiling
+    grows its tables, and its sweep reuses one arena), and the
+    registry's engine cache is shared. The answers a client reads are
+    therefore byte-for-byte the answers a sequential daemon would have
+    produced, in every interleaving. Each batch is swept on the
+    worker thread that dispatches it.
 
     {b Time.} Every connection carries [SO_RCVTIMEO]/[SO_SNDTIMEO]
     silence bounds plus a per-request wall-clock budget
@@ -66,9 +66,6 @@
 
 type config = {
   endpoint : Protocol.endpoint;
-  domains : int option;
-      (** worker domains for batch evaluation; [None] means the
-          [XC_DOMAINS] environment default. No request can change it. *)
   max_batch : int;
       (** admission limit on queries per estimate request; a larger
           batch is refused with {!Error.Admission} (a permanent error —
@@ -99,8 +96,8 @@ type config = {
 }
 
 val default_config : config
-(** Unix socket ["xcluster.sock"] in the working directory, [domains]
-    [None], [max_batch] 8192, [max_frame_bytes] 64 MiB, 4 workers,
+(** Unix socket ["xcluster.sock"] in the working directory,
+    [max_batch] 8192, [max_frame_bytes] 64 MiB, 4 workers,
     backlog 64, [max_pending] 64, 30 s socket timeouts and request
     budget, 5 s drain, 100 ms retry hint.
     Reads no environment: [xcluster serve] sets [workers] and
@@ -117,8 +114,8 @@ val run :
     is called — then drain gracefully and join every worker before
     returning. Blocks the calling domain. The engine LRU's bound is the
     registry's ({!Registry.create}).
-    @raise Invalid_argument on a non-positive [max_batch],
-    [max_frame_bytes] or [domains], before anything is loaded or bound.
+    @raise Invalid_argument on a non-positive [max_batch] or
+    [max_frame_bytes], before anything is loaded or bound.
     @raise Failure if the endpoint cannot be bound (that one is fatal:
     there is no daemon without a socket). *)
 

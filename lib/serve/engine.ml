@@ -84,7 +84,7 @@ let batch_failed syn parsed =
     degrade ~counter:Meters.Serve.batch_fallback (fun () ->
         Array.map (estimate_uncached syn) queries)
 
-let estimate_texts_with ?domains ~into engine syn texts =
+let estimate_texts_with ~into engine syn texts =
   let n = Xc_util.Slices.length texts in
   (* checked here as well as in [run_into]: past this point the handler
      below would turn a short buffer into a failed, degraded batch *)
@@ -92,7 +92,7 @@ let estimate_texts_with ?domains ~into engine syn texts =
   match
     match Plan.Batch.prepare_texts engine texts with
     | Error (i, msg) -> query_error i msg
-    | Ok prepared -> Ok (Plan.Batch.run_into ?domains engine prepared into)
+    | Ok prepared -> Ok (Plan.Batch.run_into engine prepared into)
   with
   | r -> r
   | exception _ -> (
@@ -102,8 +102,8 @@ let estimate_texts_with ?domains ~into engine syn texts =
       Ok ()
     | Error _ as e -> e)
 
-let estimate_batch ?domains syn queries =
+let estimate_batch syn queries =
   let engine = batch_for syn in
-  match Plan.Batch.run_prepared ?domains engine (Plan.Batch.prepare engine queries) with
+  match Plan.Batch.run_prepared engine (Plan.Batch.prepare engine queries) with
   | r -> Ok r
   | exception _ -> batch_failed syn (fun () -> Ok queries)

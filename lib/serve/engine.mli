@@ -53,18 +53,15 @@ val estimate : synopsis -> query -> float
     fails too (a lazily loaded synopsis whose deferred section
     verification fails). *)
 
-val estimate_batch :
-  ?domains:int -> synopsis -> query array -> (float array, Error.t) result
-(** Batched serving through the cached batch engine, [domains]-way
-    sharded as in {!Xc_core.Plan.Batch.run_into} (omitted or [<= 0]
-    defers to [XC_DOMAINS]). [result.(i)] answers query [i],
-    bit-identical to {!estimate} and {!estimate_uncached} whatever the
-    worker count. A batch-engine failure answers every query through
-    {!estimate_uncached} and bumps [serve.batch_fallback] once (never
-    [serve.fallback]). *)
+val estimate_batch : synopsis -> query array -> (float array, Error.t) result
+(** Batched serving through the cached batch engine, swept on the
+    calling thread ({!Xc_core.Plan.Batch.run_into}). [result.(i)]
+    answers query [i], bit-identical to {!estimate} and
+    {!estimate_uncached}. A batch-engine failure answers every query
+    through {!estimate_uncached} and bumps [serve.batch_fallback] once
+    (never [serve.fallback]). *)
 
 val estimate_texts_with :
-  ?domains:int ->
   into:float array ->
   Xc_core.Plan.Batch.t ->
   synopsis ->
@@ -73,13 +70,12 @@ val estimate_texts_with :
 (** {!estimate_batch} from query source text, through a caller-supplied
     engine (the daemon's registry holds engines under its own LRU
     admission policy) — the daemon's path for both [Estimate] (a
-    one-text batch) and [Estimate_batch] frames, with the daemon's own
-    [domains]. Text [i] is slice [i] (the daemon's slices point into
-    the read frame), and on [Ok] its answer is in [into.(i)]; [into]
-    may be longer than the batch. Texts go through
-    {!Xc_core.Plan.Batch.prepare_texts}, so a warm batch is neither
-    re-parsed, re-keyed nor re-planned, and with a reused [into] it
-    allocates nothing that grows with its size. A text that does not
+    one-text batch) and [Estimate_batch] frames. Text [i] is slice [i]
+    (the daemon's slices point into the read frame), and on [Ok] its
+    answer is in [into.(i)]; [into] may be longer than the batch.
+    Texts go through {!Xc_core.Plan.Batch.prepare_texts}, so a warm
+    batch is neither re-parsed, re-keyed nor re-planned, and with a
+    reused [into] it allocates nothing that grows with its size. A text that does not
     parse is [Error (Query "query i: ...")] for the first such [i]. On
     an engine failure the texts are parsed (a bad text still yields
     [Query]) and the batch degrades as in {!estimate_batch}. Callers

@@ -33,6 +33,16 @@ let equal a b =
   List.length a = List.length b
   && List.for_all2 (fun s1 s2 -> s1.axis = s2.axis && test_equal s1.test s2.test) a b
 
+(* every step folds in (the polymorphic hash stops after a few list
+   cells), and the fold is mixed once at the end *)
+let hash steps =
+  Hashtbl.hash
+    (List.fold_left
+       (fun h step ->
+         let tag = match step.test with Wildcard -> 0 | Tag l -> 1 + (l :> int) in
+         (31 * h) + (2 * tag) + match step.axis with Child -> 0 | Descendant -> 1)
+       0 steps)
+
 let pp ppf steps =
   List.iter
     (fun step ->

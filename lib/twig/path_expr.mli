@@ -27,5 +27,8 @@ val length : t -> int
 val matches_test : test -> Xc_xml.Label.t -> bool
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A hash over every step, consistent with {!equal}. *)
+
 val pp : Format.formatter -> t -> unit
 (** Renders in XPath syntax, e.g. [//paper/title]. *)

@@ -47,10 +47,10 @@ module Batch = struct
   let cohort_max = high_water "batch.cohort_max" ~doc:"widest cohort any batch collapsed to"
 
   let arena_resets =
-    counter "batch.arena_resets" ~doc:"per-domain sweep arenas reallocated to a larger size"
+    counter "batch.arena_resets" ~doc:"engine sweep arenas reallocated to a larger size"
 
   let minor_words =
-    counter "batch.minor_words" ~doc:"minor-heap words the coordinator allocated during sweeps"
+    counter "batch.minor_words" ~doc:"minor-heap words allocated during sweeps"
 
   let error = counter "batch.error" ~doc:"batches the engine raised on (the batch degrades)"
   let mat_rows = counter "batch.mat_rows" ~doc:"transition rows built on demand by compilation"

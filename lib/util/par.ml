@@ -151,34 +151,3 @@ let map ?(domains = 0) f arr =
         parts.(i) <- Array.init (hi - lo) (fun k -> f arr.(lo + k)));
     Array.concat (Array.to_list parts)
   end
-
-(* Like [map], but each worker materializes one private context (the
-   cohort sweep's arena) before walking its contiguous chunk, and [f]
-   returns nothing: it receives the element's input index and writes
-   its result into caller-provided slots (disjoint by construction —
-   each input index is visited exactly once) instead of the pool
-   materializing per-chunk arrays and concatenating them. The batched
-   estimator's cohort sweep uses this to place per-cohort results
-   straight into one shared value plane with zero result-array
-   allocation on the serving path. Same chunking, exception, and
-   determinism contract as [map]. *)
-let iter_chunked ?(domains = 0) ~init f arr =
-  let n = Array.length arr in
-  if n = 0 then ()
-  else begin
-    let d = min (resolve domains) n in
-    if d <= 1 || n < seq_cutoff then begin
-      note_usage n 1;
-      let ctx = init () in
-      Array.iteri (fun i x -> f ctx i x) arr
-    end
-    else begin
-      note_usage n d;
-      let bound i = i * n / d in
-      fork_join d (fun i ->
-          let ctx = init () in
-          for k = bound i to bound (i + 1) - 1 do
-            f ctx k arr.(k)
-          done)
-    end
-  end

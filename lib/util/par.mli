@@ -10,7 +10,9 @@
     domain-spawn cost once, not per scoring batch.
 
     Calls must not overlap (one coordinating domain at a time); the
-    library only calls it from the build loop, which satisfies this.
+    library calls it only from the build loop's candidate scoring,
+    which satisfies this. Estimation never runs on the pool: a batch
+    is swept on the thread that asks for it.
 
     Determinism contract: [map f arr] returns exactly
     [Array.map f arr] — results are placed by input index, never by
@@ -31,21 +33,6 @@ val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
     worker finished its chunk; when several chunks raise, the one
     covering the lowest indices wins. *)
 
-val iter_chunked :
-  ?domains:int -> init:(unit -> 'c) -> ('c -> int -> 'a -> unit) -> 'a array -> unit
-(** [iter_chunked ~init f arr] is [Array.iteri (f ctx) arr] with one
-    private [ctx = init ()] per worker, created inside the worker's
-    domain before it walks its contiguous chunk. Built for stateful
-    scratch (the batched estimator's arenas): [f] may mutate its own
-    [ctx] freely but must leave no result depending on what earlier
-    elements did to it. [f] communicates by writing caller-provided slots
-    keyed by the input index it receives; since every index is visited
-    exactly once, such writes are disjoint across workers. The batched
-    estimator's cohort sweep places results straight into a shared
-    value plane this way, so the serving path allocates no per-chunk
-    arrays and performs no concatenation. Same chunking, exception,
-    and determinism contract as {!map}. *)
-
 (* ---- usage observation ------------------------------------------------ *)
 
 val seq_cutoff : int
@@ -57,8 +44,8 @@ val reset_usage : unit -> unit
 
 val max_used : unit -> int
 (** Widest fan-out (workers actually engaged, caller included) any
-    [map]/[iter_chunked] call executed since {!reset_usage}; 0 when no
-    call ran. The bench harness checks this against the requested
+    [map] call executed since {!reset_usage}; 0 when no call ran.
+    The bench harness checks this against the requested
     worker count and fails loudly on silent degradation — unlike a
     configured value, this is observed from the pool itself. *)
 

@@ -240,16 +240,14 @@ module Serve : sig
 
   type error = Error.t
 
-  val estimate_batch :
-    ?domains:int -> synopsis -> query array -> (float array, error) result
-  (** Batched serving through {!Xc_core.Plan.Batch}: answers
-      [result.(i)] for query [i], bit-identical to {!Query.estimate} /
-      {!Query.estimate_uncached} and independent of the worker count
-      ([domains] as in {!Xc_core.Plan.Batch.run_into}; omitted, the
-      [XC_DOMAINS] default). The per-synopsis engine — interned
-      path-expression transition matrices plus compiled queries — is
-      cached by synopsis uid and shared with {!Query.estimate}, so
-      repeated workloads amortize to array walks.
+  val estimate_batch : synopsis -> query array -> (float array, error) result
+  (** Batched serving through {!Xc_core.Plan.Batch}, swept on the
+      calling thread: answers [result.(i)] for query [i], bit-identical
+      to {!Query.estimate} / {!Query.estimate_uncached}. The
+      per-synopsis engine — path-expression transition matrices plus
+      compiled queries — is cached by synopsis uid and shared with
+      {!Query.estimate}, so repeated workloads amortize to array
+      walks.
 
       An engine failure falls back to the uncached estimator for the
       whole batch and bumps [serve.batch_fallback] once; the call

@@ -1,9 +1,8 @@
 (* Tests for the batched estimation engine: transition matrices must
    store exactly the floats the step-by-step estimator computes,
    Plan.Batch must be bit-identical to Estimate.selectivity on every
-   dataset's workload (worker-count independence is test_cohort's), and
-   the path-expression intern and histogram quantiles that serve it
-   must behave. *)
+   dataset's workload, and the path-expression hash and histogram
+   quantiles that serve it must behave. *)
 
 module Synopsis = Xc_core.Synopsis
 module S = Synopsis.Sealed
@@ -98,7 +97,7 @@ let batch_equivalence_on ds =
   let syn = small_synopsis ds in
   let engine = Plan.Batch.create syn in
   let queries = Runner.workload_queries ds in
-  let run () = Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare engine queries) in
+  let run () = Plan.Batch.run_prepared engine (Plan.Batch.prepare engine queries) in
   let cold = run () in
   let warm = run () in
   Array.iteri
@@ -139,7 +138,7 @@ let test_one_query_rows () =
       in
       if inner <> [] then begin
         let engine = Plan.Batch.create syn in
-        let got = (Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare_one engine q)).(0) in
+        let got = (Plan.Batch.run_prepared engine (Plan.Batch.prepare_one engine q)).(0) in
         check Alcotest.bool "= oracle, bitwise" true (bits_equal got (Estimate.selectivity syn q));
         let full_nnz =
           List.fold_left
@@ -180,13 +179,13 @@ let one_vs_batch_vs_oracle =
       let queries = Array.init 8 (fun _ -> Random_doc.twig rng) in
       let batch =
         let engine = Plan.Batch.create syn in
-        Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare engine queries)
+        Plan.Batch.run_prepared engine (Plan.Batch.prepare engine queries)
       in
       Array.iteri
         (fun i q ->
           let engine = Plan.Batch.create syn in
           let one =
-            (Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare_one engine q)).(0)
+            (Plan.Batch.run_prepared engine (Plan.Batch.prepare_one engine q)).(0)
           in
           let oracle = Estimate.selectivity syn q in
           if not (bits_equal one oracle && bits_equal batch.(i) oracle) then
@@ -283,7 +282,7 @@ let test_facade_batch () =
   let syn = small_synopsis ds in
   let queries = Runner.workload_queries ds in
   let res =
-    match Xcluster.Serve.estimate_batch ~domains:1 syn queries with
+    match Xcluster.Serve.estimate_batch syn queries with
     | Ok res -> res
     | Error e -> Alcotest.failf "estimate_batch: %s" (Xcluster.Serve.Error.to_string e)
   in
@@ -292,6 +291,46 @@ let test_facade_batch () =
     queries;
   check Alcotest.bool "engine reachable" true
     (Plan.Batch.n_matrices (Xcluster.Serve.batch_engine syn) > 0)
+
+(* ---- long path expressions ---------------------------------------------- *)
+
+(* The engine's matrix and cohort-key tables hash with Path_expr.hash,
+   which folds every step (the polymorphic hash reads only the first
+   few cells of a step list): expressions that differ only at step 6 or
+   only at step 9 hash apart, and each gets its own matrix. *)
+let test_long_expr_hash () =
+  let expr n ~at =
+    List.init n (fun i -> if i + 1 = at then Path_expr.child "title" else Path_expr.desc "movie")
+  in
+  let pairs = [ (expr 8 ~at:0, expr 8 ~at:6); (expr 9 ~at:0, expr 9 ~at:9) ] in
+  List.iter
+    (fun (a, b) ->
+      let name = Format.asprintf "%a vs %a" Path_expr.pp a Path_expr.pp b in
+      check Alcotest.bool (name ^ ": hashes differ") true (Path_expr.hash a <> Path_expr.hash b);
+      check Alcotest.int (name ^ ": equal expressions hash equal") (Path_expr.hash a)
+        (Path_expr.hash (expr (List.length a) ~at:0)))
+    pairs;
+  let exprs = List.concat_map (fun (a, b) -> [ a; b ]) pairs in
+  let ds = Runner.imdb ~scale:0.01 ~n_queries:10 () in
+  let syn = small_synopsis ds in
+  let queries =
+    Array.of_list
+      (List.map
+         (fun e ->
+           Xc_twig.Twig_query.make
+             ( [],
+               [ ( [ Path_expr.desc "movie" ],
+                   Xc_twig.Twig_query.node ~edges:[ (e, Xc_twig.Twig_query.node ()) ] () ) ] ))
+         exprs)
+  in
+  let engine = Plan.Batch.create syn in
+  let got = Plan.Batch.run_prepared engine (Plan.Batch.prepare engine queries) in
+  check Alcotest.int "one matrix per expression" (List.length exprs) (Plan.Batch.n_matrices engine);
+  Array.iteri
+    (fun i q ->
+      check Alcotest.bool (Printf.sprintf "query %d = oracle, bitwise" i) true
+        (bits_equal (Estimate.selectivity syn q) got.(i)))
+    queries
 
 (* ---- histogram quantiles ----------------------------------------------- *)
 
@@ -356,7 +395,8 @@ let () =
         [ Alcotest.test_case "imdb" `Slow test_batch_imdb;
           Alcotest.test_case "xmark" `Slow test_batch_xmark;
           Alcotest.test_case "dblp" `Slow test_batch_dblp;
-          Alcotest.test_case "facade" `Quick test_facade_batch ] );
+          Alcotest.test_case "facade" `Quick test_facade_batch;
+          Alcotest.test_case "long expressions hash apart" `Quick test_long_expr_hash ] );
       ( "quantiles",
         [ Alcotest.test_case "histogram quantiles" `Quick test_quantiles;
           Alcotest.test_case "same-octave percentiles resolve" `Quick

@@ -1,8 +1,8 @@
 (* Tests for the matrix-major cohort path: it must be bit-identical to
-   the uncached estimator on every dataset, independent of the worker
-   count, safe to run against alternating synopses on the same reused
-   worker arenas, and correct in the degenerate case where every query
-   lands in its own cohort.
+   the uncached estimator on every dataset, safe to run against
+   alternating synopses, and on two threads at once with one engine
+   each, and correct in the degenerate case where every query lands in
+   its own cohort.
    The source-text entry point (prepare_texts) must answer exactly as
    the parsed query does, reuse a repeated batch's plan, and keep its
    text index bounded. *)
@@ -29,7 +29,7 @@ let cohort_equivalence_on ds =
   let engine = Plan.Batch.create syn in
   let queries = Runner.workload_queries ds in
   let prepared = Plan.Batch.prepare engine queries in
-  let cohort = Plan.Batch.run_prepared ~domains:1 engine prepared in
+  let cohort = Plan.Batch.run_prepared engine prepared in
   Array.iteri
     (fun i q ->
       check Alcotest.bool (Printf.sprintf "cohort = uncached, bitwise (query %d)" i) true
@@ -47,48 +47,13 @@ let test_cohort_imdb () = cohort_equivalence_on (Runner.imdb ~scale:0.02 ~n_quer
 let test_cohort_xmark () = cohort_equivalence_on (Runner.xmark ~scale:0.02 ~n_queries:45 ())
 let test_cohort_dblp () = cohort_equivalence_on (Runner.dblp ~scale:0.02 ~n_queries:45 ())
 
-(* ---- worker-count independence ----------------------------------------- *)
-
-(* enough queries that the sweep has at least Par's sequential cutoff
-   of cohorts, so 2 and 4 workers genuinely shard it *)
-let test_domains_bitwise () =
-  let ds = Runner.xmark ~scale:0.02 ~n_queries:(4 * Xc_util.Par.seq_cutoff) () in
-  let syn = small_synopsis ds in
-  let engine = Plan.Batch.create syn in
-  let queries = Runner.workload_queries ds in
-  let prepared = Plan.Batch.prepare engine queries in
-  let cohorts, _, _ = Plan.Batch.cohort_stats prepared in
-  check Alcotest.bool
-    (Printf.sprintf "%d cohorts clear the cutoff" cohorts)
-    true
-    (cohorts >= Xc_util.Par.seq_cutoff);
-  let base = Plan.Batch.run_prepared ~domains:1 engine prepared in
-  Array.iteri
-    (fun i q ->
-      check Alcotest.bool (Printf.sprintf "1 domain = uncached, bitwise (query %d)" i) true
-        (bits_equal (Estimate.selectivity syn q) base.(i)))
-    queries;
-  List.iter
-    (fun d ->
-      Xc_util.Par.reset_usage ();
-      let r = Plan.Batch.run_prepared ~domains:d engine prepared in
-      check Alcotest.int (Printf.sprintf "%d workers engaged" d) d (Xc_util.Par.max_used ());
-      check Alcotest.int "same length" (Array.length base) (Array.length r);
-      Array.iteri
-        (fun i v ->
-          check Alcotest.bool
-            (Printf.sprintf "bitwise identical at %d domains (query %d)" d i)
-            true (bits_equal v base.(i)))
-        r)
-    [ 2; 4 ]
-
 (* ---- arena reuse across generation swaps -------------------------------- *)
 
-(* The per-worker arenas live in domain-local storage and are never
-   zeroed, so serving alternating synopses (a generation swap: new
-   synopsis, different node count and slot demand, same workers) must
-   not let values written for one synopsis leak into estimates against
-   the other. *)
+(* Each engine owns its arena, never zeroed and reused by every pass
+   over it, so serving alternating synopses (a generation swap: new
+   synopsis, different node count and slot demand, on one thread) must
+   not let values one engine's sweep wrote leak into the other's
+   estimates, nor one engine's earlier passes into its later ones. *)
 let test_arena_generation_swap () =
   let ds = Runner.imdb ~scale:0.02 ~n_queries:40 () in
   let queries = Runner.workload_queries ds in
@@ -100,16 +65,53 @@ let test_arena_generation_swap () =
   let prep_b = Plan.Batch.prepare engine_b queries in
   let expect_a = Array.map (Estimate.selectivity syn_a) queries in
   let expect_b = Array.map (Estimate.selectivity syn_b) queries in
-  (* A, then B, then A again — the second A pass runs on arenas the B
-     pass just wrote *)
+  (* A, then B, then A again — the second A pass reuses the arena its
+     first pass wrote, right after B swept its own *)
   List.iter
     (fun (engine, prep, expect, tag) ->
-      let got = Plan.Batch.run_prepared ~domains:1 engine prep in
+      let got = Plan.Batch.run_prepared engine prep in
       Array.iteri
         (fun i v -> check0 (Printf.sprintf "pass %s query %d" tag i) expect.(i) v)
         got)
     [ (engine_a, prep_a, expect_a, "A1"); (engine_b, prep_b, expect_b, "B");
       (engine_a, prep_a, expect_a, "A2") ]
+
+(* ---- two threads, one engine each --------------------------------------- *)
+
+(* Callers serialize calls per engine, and nothing more: two threads
+   that each sweep their own engine may switch at any point of a sweep,
+   so engines must share no scratch. The two synopses are one IMDB
+   document at two budgets: their node numbering and query slots
+   overlap, so scratch shared between them corrupts answers within the
+   test's second or so (two unrelated datasets overlap far less and
+   show it far more rarely). Each thread runs its engine's prepared
+   batch [passes] times into its own buffer; every answer must be the
+   oracle's bit for bit. *)
+let test_two_threads () =
+  let passes = 10_000 in
+  let ds = Runner.imdb ~scale:0.05 ~n_queries:200 () in
+  let queries = Runner.workload_queries ds in
+  let side (bstr_kb, bval_kb) =
+    let syn = Build.run (Build.budget ~bstr_kb ~bval_kb ()) ds.Runner.reference in
+    let engine = Plan.Batch.create syn in
+    (engine, Plan.Batch.prepare engine queries, Array.map (Estimate.selectivity syn) queries)
+  in
+  let sides = [| side (10, 60); side (4, 24) |] in
+  let wrong = Array.make (Array.length sides) 0 in
+  let sweep k =
+    let engine, prepared, expect = sides.(k) in
+    let out = Array.make (Array.length expect) 0.0 in
+    for _ = 1 to passes do
+      Plan.Batch.run_into engine prepared out;
+      for i = 0 to Array.length expect - 1 do
+        if not (bits_equal expect.(i) out.(i)) then wrong.(k) <- wrong.(k) + 1
+      done
+    done
+  in
+  Array.init (Array.length sides) (Thread.create sweep) |> Array.iter Thread.join;
+  Array.iteri
+    (fun k n -> check Alcotest.int (Printf.sprintf "engine %d: answers off the oracle" k) 0 n)
+    wrong
 
 (* ---- degenerate cohorts: every query on its own matrix ------------------ *)
 
@@ -129,13 +131,13 @@ let test_singleton_cohorts () =
   check Alcotest.int "one cohort per query" (Array.length queries) cohorts;
   check Alcotest.int "all cohorts singleton" 1 max_cohort;
   check Alcotest.int "no duplicates" (Array.length queries) distinct;
-  let got = Plan.Batch.run_prepared ~domains:1 engine prepared in
+  let got = Plan.Batch.run_prepared engine prepared in
   Array.iteri
     (fun i q ->
       let uncached = Estimate.selectivity syn q in
       check0 "singleton cohort = uncached" uncached got.(i);
       (* a one-query batch rides the same path *)
-      let single = Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare engine [| q |]) in
+      let single = Plan.Batch.run_prepared engine (Plan.Batch.prepare engine [| q |]) in
       check Alcotest.bool "one-query batch = uncached, bitwise" true
         (bits_equal uncached single.(0)))
     queries
@@ -151,7 +153,7 @@ let test_dedup () =
   let prepared = Plan.Batch.prepare engine queries in
   let _, _, distinct = Plan.Batch.cohort_stats prepared in
   check Alcotest.bool "duplicates collapse" true (distinct <= Array.length base);
-  let got = Plan.Batch.run_prepared ~domains:1 engine prepared in
+  let got = Plan.Batch.run_prepared engine prepared in
   Array.iteri
     (fun i q -> check0 "deduped batch = uncached" (Estimate.selectivity syn q) got.(i))
     queries
@@ -194,7 +196,7 @@ let check_answers tag expect got =
     got
 
 let run_texts engine texts =
-  Plan.Batch.run_prepared ~domains:1 engine (prepare_texts_exn engine texts)
+  Plan.Batch.run_prepared engine (prepare_texts_exn engine texts)
 
 let text_equivalence_on ds =
   let syn = small_synopsis ds in
@@ -222,17 +224,17 @@ let test_text_plan_reuse () =
   let engine = Plan.Batch.create syn in
   let expect = oracle syn texts in
   let first = prepare_texts_exn engine texts in
-  check_answers "first" expect (Plan.Batch.run_prepared ~domains:1 engine first);
+  check_answers "first" expect (Plan.Batch.run_prepared engine first);
   let again = prepare_texts_exn engine texts in
   check Alcotest.bool "repeated batch reuses its prepared plan" true (again == first);
-  check_answers "repeat" expect (Plan.Batch.run_prepared ~domains:1 engine again);
+  check_answers "repeat" expect (Plan.Batch.run_prepared engine again);
   (* reordered: same compiled queries, different order -> fresh plan,
      answers placed by input index *)
   let rev = Array.of_list (List.rev (Array.to_list texts)) in
   let reordered = prepare_texts_exn engine rev in
   check Alcotest.bool "reordered batch gets a fresh plan" true (reordered != first);
   check_answers "reordered" (oracle syn rev)
-    (Plan.Batch.run_prepared ~domains:1 engine reordered);
+    (Plan.Batch.run_prepared engine reordered);
   (* one query changed *)
   let changed = Array.copy texts in
   changed.(0) <- texts.(1);
@@ -240,18 +242,18 @@ let test_text_plan_reuse () =
   check Alcotest.bool "changed batch gets a fresh plan" true
     (one_changed != reordered && one_changed != first);
   check_answers "one changed" (oracle syn changed)
-    (Plan.Batch.run_prepared ~domains:1 engine one_changed);
+    (Plan.Batch.run_prepared engine one_changed);
   (* and the original batch after both: fresh again, still right *)
   let back = prepare_texts_exn engine texts in
   check Alcotest.bool "original after a change is re-planned" true (back != one_changed);
-  check_answers "original again" expect (Plan.Batch.run_prepared ~domains:1 engine back)
+  check_answers "original again" expect (Plan.Batch.run_prepared engine back)
 
 let test_text_whitespace_variants () =
   let syn, texts = Lazy.force text_fixture in
   let engine = Plan.Batch.create syn in
   let expect = oracle syn texts in
   let first = prepare_texts_exn engine texts in
-  ignore (Plan.Batch.run_prepared ~domains:1 engine first);
+  ignore (Plan.Batch.run_prepared engine first);
   let compiled = Plan.Batch.n_queries engine in
   let variants = Array.map (fun s -> " \t" ^ s ^ "\n ") texts in
   let second = prepare_texts_exn engine variants in
@@ -259,7 +261,7 @@ let test_text_whitespace_variants () =
   check Alcotest.int "variants are indexed as texts" (2 * Array.length texts)
     (Plan.Batch.n_texts engine);
   check Alcotest.bool "same compiled queries, same order: plan reused" true (second == first);
-  check_answers "variants" expect (Plan.Batch.run_prepared ~domains:1 engine second)
+  check_answers "variants" expect (Plan.Batch.run_prepared engine second)
 
 let test_text_parse_error () =
   let syn, texts = Lazy.force text_fixture in
@@ -446,7 +448,7 @@ let serve sv queries =
     let n = Slices.length sv.texts in
     if n <> Array.length queries then QCheck.Test.fail_report "slice count";
     if Array.length sv.answers < n then sv.answers <- Array.make n 0.0;
-    Engine.estimate_texts_with ~domains:1 ~into:sv.answers sv.engine sv.syn sv.texts
+    Engine.estimate_texts_with ~into:sv.answers sv.engine sv.syn sv.texts
 
 (* serve [queries] and check the answers against [expect] *)
 let answered sv queries expect =
@@ -527,7 +529,7 @@ let test_cohort_counters () =
     | None -> 0
   in
   Metrics.reset Metrics.global;
-  ignore (Plan.Batch.run_prepared ~domains:1 engine prepared);
+  ignore (Plan.Batch.run_prepared engine prepared);
   check Alcotest.int "estimate.batch times the pass" 1 (passes ());
   let cohorts, max_cohort, _ = Plan.Batch.cohort_stats prepared in
   check Alcotest.int "batch.cohorts counts the pass" cohorts
@@ -538,7 +540,7 @@ let test_cohort_counters () =
     (Metrics.counter_value Metrics.global "batch.arena_resets" >= 0);
   (* a second pass over the same plan must not grow the arena again *)
   let resets1 = Metrics.counter_value Metrics.global "batch.arena_resets" in
-  ignore (Plan.Batch.run_prepared ~domains:1 engine prepared);
+  ignore (Plan.Batch.run_prepared engine prepared);
   check Alcotest.int "arena reused, not regrown" resets1
     (Metrics.counter_value Metrics.global "batch.arena_resets");
   check Alcotest.int "estimate.batch times each pass" 2 (passes ())
@@ -549,10 +551,9 @@ let () =
         [ Alcotest.test_case "imdb" `Slow test_cohort_imdb;
           Alcotest.test_case "xmark" `Slow test_cohort_xmark;
           Alcotest.test_case "dblp" `Slow test_cohort_dblp ] );
-      ( "determinism",
-        [ Alcotest.test_case "bitwise across domains" `Slow test_domains_bitwise ] );
       ( "arena",
-        [ Alcotest.test_case "generation swap" `Slow test_arena_generation_swap ] );
+        [ Alcotest.test_case "generation swap" `Slow test_arena_generation_swap;
+          Alcotest.test_case "two threads, one engine each" `Slow test_two_threads ] );
       ( "degenerate",
         [ Alcotest.test_case "singleton cohorts" `Quick test_singleton_cohorts;
           Alcotest.test_case "dedup" `Quick test_dedup ] );

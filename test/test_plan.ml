@@ -27,7 +27,7 @@ let contains hay needle =
   go 0
 
 (* a query answered as a one-query batch, the way one-shot callers are *)
-let one engine q = (Plan.Batch.run_prepared ~domains:1 engine (Plan.Batch.prepare_one engine q)).(0)
+let one engine q = (Plan.Batch.run_prepared engine (Plan.Batch.prepare_one engine q)).(0)
 
 (* ---- builder / sealed / compiled equivalence --------------------------- *)
 

@@ -492,12 +492,11 @@ let test_warm_frames_allocate_nothing () =
 
 (* ---- daemon config ------------------------------------------------------ *)
 
-(* Daemon.run refuses a non-positive admission limit or worker count
-   before it loads or binds anything. A config it wrongly accepts is
+(* Daemon.run refuses a non-positive admission limit before it loads
+   or binds anything. A config it wrongly accepts is
    stopped as soon as it is up, so the failure is reported, not hung. *)
 let test_config_validation () =
   let d = Serve.Daemon.default_config in
-  check Alcotest.bool "default domains defer to XC_DOMAINS" true (d.Serve.Daemon.domains = None);
   check Alcotest.bool "default admission limits are positive" true
     (d.Serve.Daemon.max_batch > 0 && d.Serve.Daemon.max_frame_bytes > 0);
   let dir = temp_dir () in
@@ -511,8 +510,7 @@ let test_config_validation () =
       | () -> Alcotest.failf "%s accepted" what)
     [ ("max_batch = 0", { d with Serve.Daemon.max_batch = 0 });
       ("max_batch = -1", { d with Serve.Daemon.max_batch = -1 });
-      ("max_frame_bytes = 0", { d with Serve.Daemon.max_frame_bytes = 0 });
-      ("domains = 0", { d with Serve.Daemon.domains = Some 0 }) ]
+      ("max_frame_bytes = 0", { d with Serve.Daemon.max_frame_bytes = 0 }) ]
 
 (* ---- LRU ---------------------------------------------------------------- *)
 
@@ -1393,9 +1391,9 @@ let texts_ok tag = function
 
 (* the daemon's text path, on strings: one slice per text, answers
    into a fresh buffer *)
-let estimate_texts ?domains engine syn texts =
+let estimate_texts engine syn texts =
   let into = Array.make (Array.length texts) 0.0 in
-  Engine.estimate_texts_with ?domains ~into engine syn (Xc_util.Slices.of_strings texts)
+  Engine.estimate_texts_with ~into engine syn (Xc_util.Slices.of_strings texts)
   |> Result.map (fun () -> into)
 
 let test_texts_parse_error () =
@@ -1530,7 +1528,7 @@ let test_texts_degrade () =
   let run texts =
     let counted = counter "serve.batch_fallback" in
     let single = counter "serve.fallback" in
-    let r = estimate_texts ~domains:1 (Xc_core.Plan.Batch.create syn) syn texts in
+    let r = estimate_texts (Xc_core.Plan.Batch.create syn) syn texts in
     (* a failed batch degrades once, as a whole: it never re-enters
        the per-query ladder and its own fallback counter *)
     check Alcotest.int "no per-query fallback inside a batch" single
@@ -1538,7 +1536,7 @@ let test_texts_degrade () =
     (r, counter "serve.batch_fallback" - counted)
   in
   let as_parsed tag texts r =
-    let parsed = Serve.estimate_batch ~domains:1 syn (Array.map Xcluster.Query.parse texts) in
+    let parsed = Serve.estimate_batch syn (Array.map Xcluster.Query.parse texts) in
     check Alcotest.string (tag ^ ": text path = parsed path")
       (outcome parsed) (outcome r)
   in
@@ -1556,8 +1554,7 @@ let test_texts_degrade () =
     ("query:query 1: " ^ bad_text_msg) (outcome r);
   (* the daemon's single Estimate frames: each answers as the one-text
      batch does, with the same fallback count *)
-  with_daemon ~tune:(fun c -> { c with Serve.Daemon.domains = Some 1 }) [ ("imdb", path) ]
-  @@ fun endpoint ->
+  with_daemon [ ("imdb", path) ] @@ fun endpoint ->
   let c = connect_exn endpoint in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
   Array.iter
@@ -1599,8 +1596,7 @@ let test_warm_requests_allocate_nothing () =
   (* [n] distinct texts: the workload's queries, then whitespace
      variants of them *)
   let texts n = Array.init n (fun i -> String.make (i / nb) ' ' ^ base.(i mod nb)) in
-  let tune c = { c with Serve.Daemon.domains = Some 1 } in
-  with_daemon ~tune ~same_domain:true [ ("imdb", path) ] @@ fun endpoint ->
+  with_daemon ~same_domain:true [ ("imdb", path) ] @@ fun endpoint ->
   let fd = raw_connect endpoint in
   Fun.protect ~finally:(fun () -> raw_close fd) @@ fun () ->
   let w = Protocol.Frame.create () and r = Protocol.Frame.create () in

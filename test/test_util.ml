@@ -405,28 +405,16 @@ let test_par_placement () =
       Par.reset_usage ();
       check (Alcotest.array Alcotest.int) (Printf.sprintf "map at %d domains" d) expect
         (Par.map ~domains:d (fun x -> (3 * x) + 1) input);
-      check Alcotest.int (Printf.sprintf "map engaged %d workers" d) d (Par.max_used ());
-      Par.reset_usage ();
-      let out = Array.make par_n (-1) in
-      let contexts = Atomic.make 0 in
-      Par.iter_chunked ~domains:d
-        ~init:(fun () -> Atomic.incr contexts)
-        (fun () i x -> out.(i) <- (3 * x) + 1)
-        input;
-      check (Alcotest.array Alcotest.int) (Printf.sprintf "iter_chunked at %d domains" d)
-        expect out;
-      check Alcotest.int "one context per worker" d (Atomic.get contexts);
-      check Alcotest.int (Printf.sprintf "iter_chunked engaged %d workers" d) d
-        (Par.max_used ()))
+      check Alcotest.int (Printf.sprintf "map engaged %d workers" d) d (Par.max_used ()))
     [ 1; 2; 4 ]
 
 exception Boom of int
 
-(* Run [f] over [0, par_n) at [d] domains through [map] or
-   [iter_chunked], raising [Boom i] at each index in [raise_at]; every
-   other element sleeps briefly, then counts itself done. Returns the
-   index that propagated and the done count read right after. *)
-let par_raising ~iter d raise_at =
+(* Run [f] over [0, par_n) at [d] domains through [map], raising
+   [Boom i] at each index in [raise_at]; every other element sleeps
+   briefly, then counts itself done. Returns the index that propagated
+   and the done count read right after. *)
+let par_raising d raise_at =
   let finished = Atomic.make 0 in
   let f i =
     if List.mem i raise_at then raise (Boom i);
@@ -434,41 +422,34 @@ let par_raising ~iter d raise_at =
     Atomic.incr finished
   in
   let input = Array.init par_n Fun.id in
-  match
-    if iter then Par.iter_chunked ~domains:d ~init:ignore (fun () _ i -> f i) input
-    else ignore (Par.map ~domains:d f input)
-  with
-  | () -> Alcotest.fail "no exception propagated"
+  match Par.map ~domains:d f input with
+  | _ -> Alcotest.fail "no exception propagated"
   | exception Boom i -> (i, Atomic.get finished)
 
 let test_par_exceptions () =
   List.iter
-    (fun iter ->
-      let name = if iter then "iter_chunked" else "map" in
-      List.iter
-        (fun d ->
-          (* the caller's chunk raises at once, every worker chunk at its
-             last element: the caller's exception wins, and only after
-             every worker finished the rest of its chunk *)
-          let last c = chunk_bound d (c + 1) - 1 in
-          let raise_at = 0 :: List.init (d - 1) (fun c -> last (c + 1)) in
-          let i, finished = par_raising ~iter d raise_at in
-          check Alcotest.int (Printf.sprintf "%s at %d: chunk 0 wins" name d) 0 i;
-          check Alcotest.int
-            (Printf.sprintf "%s at %d: every worker joined first" name d)
-            (par_n - chunk_bound d 1 - (d - 1))
-            finished;
-          if d > 1 then begin
-            (* only workers raise: the lowest chunk's exception wins *)
-            let i, finished = par_raising ~iter d (List.init (d - 1) (fun c -> last (c + 1))) in
-            check Alcotest.int (Printf.sprintf "%s at %d: chunk 1 wins" name d) (last 1) i;
-            check Alcotest.int
-              (Printf.sprintf "%s at %d: all other elements done" name d)
-              (par_n - (d - 1))
-              finished
-          end)
-        [ 1; 2; 4 ])
-    [ false; true ]
+    (fun d ->
+      (* the caller's chunk raises at once, every worker chunk at its
+         last element: the caller's exception wins, and only after
+         every worker finished the rest of its chunk *)
+      let last c = chunk_bound d (c + 1) - 1 in
+      let raise_at = 0 :: List.init (d - 1) (fun c -> last (c + 1)) in
+      let i, finished = par_raising d raise_at in
+      check Alcotest.int (Printf.sprintf "map at %d: chunk 0 wins" d) 0 i;
+      check Alcotest.int
+        (Printf.sprintf "map at %d: every worker joined first" d)
+        (par_n - chunk_bound d 1 - (d - 1))
+        finished;
+      if d > 1 then begin
+        (* only workers raise: the lowest chunk's exception wins *)
+        let i, finished = par_raising d (List.init (d - 1) (fun c -> last (c + 1))) in
+        check Alcotest.int (Printf.sprintf "map at %d: chunk 1 wins" d) (last 1) i;
+        check Alcotest.int
+          (Printf.sprintf "map at %d: all other elements done" d)
+          (par_n - (d - 1))
+          finished
+      end)
+    [ 1; 2; 4 ]
 
 let () =
   Alcotest.run "xc_util"
