@@ -49,6 +49,20 @@ let assign_paths doc =
 
 (* ---- partition refinement to count-stability ------------------------ *)
 
+(* An element's refinement signature: its cluster, its parent's cluster,
+   then its (child cluster, count) runs in child-cluster order. Two
+   elements stay together exactly when their signatures are equal. *)
+module Sig_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    Array.iter (fun x -> h := (!h * 31) + x) a;
+    !h land max_int
+end)
+
 (* Refinement with a minimum extent: a full count-stable split can
    fragment clusters into extents of a handful of elements each, which
    starves the value budget (thousands of near-empty summaries). Within
@@ -76,45 +90,50 @@ let refine ?(min_extent = 1) ?value_min_extent doc initial =
   let changed = ref true in
   let rounds = ref 0 in
   let max_rounds = (2 * doc.Document.height) + 4 in
-  let key_buf = Buffer.create 64 in
+  let fresh = Sig_table.create 1024 in
+  let max_children =
+    Array.fold_left (fun m node -> max m (Array.length node.Node.children)) 0 nodes
+  in
+  let buf = Array.make (2 + (2 * max_children)) 0 in
   while !changed && !rounds < max_rounds do
     incr rounds;
-    let fresh = Hashtbl.create 1024 in
+    Sig_table.clear fresh;
     let next = ref 0 in
     let renamed = Array.make n (-1) in
     for i = 0 to n - 1 do
-      Buffer.clear key_buf;
-      Buffer.add_string key_buf (string_of_int cluster.(i));
+      buf.(0) <- cluster.(i);
       (* backward stability: "exactly one incoming path" requires all
          elements of a cluster to have parents in a single cluster, so
          the parent's cluster joins the signature *)
-      Buffer.add_char key_buf '^';
-      Buffer.add_string key_buf
-        (string_of_int (if parents.(i) < 0 then -1 else cluster.(parents.(i))));
-      (* per-child-cluster counts, order-insensitive *)
-      let counts = Hashtbl.create 8 in
+      buf.(1) <- (if parents.(i) < 0 then -1 else cluster.(parents.(i)));
+      (* per-child-cluster counts, order-insensitive: (child cluster,
+         count) runs kept sorted by insertion, since child lists are
+         short and span few clusters *)
+      let len = ref 2 in
       Array.iter
         (fun c ->
           let cc = cluster.(c.Node.id) in
-          Hashtbl.replace counts cc (1 + Option.value ~default:0 (Hashtbl.find_opt counts cc)))
+          let j = ref (!len - 2) in
+          while !j >= 2 && buf.(!j) > cc do
+            j := !j - 2
+          done;
+          if !j >= 2 && buf.(!j) = cc then buf.(!j + 1) <- buf.(!j + 1) + 1
+          else begin
+            let at = !j + 2 in
+            Array.blit buf at buf (at + 2) (!len - at);
+            buf.(at) <- cc;
+            buf.(at + 1) <- 1;
+            len := !len + 2
+          end)
         nodes.(i).Node.children;
-      let pairs = Hashtbl.fold (fun cc k acc -> (cc, k) :: acc) counts [] in
-      let pairs = List.sort compare pairs in
-      List.iter
-        (fun (cc, k) ->
-          Buffer.add_char key_buf '|';
-          Buffer.add_string key_buf (string_of_int cc);
-          Buffer.add_char key_buf ':';
-          Buffer.add_string key_buf (string_of_int k))
-        pairs;
-      let key = Buffer.contents key_buf in
+      let key = Array.sub buf 0 !len in
       let id =
-        match Hashtbl.find_opt fresh key with
+        match Sig_table.find_opt fresh key with
         | Some id -> id
         | None ->
           let id = !next in
           incr next;
-          Hashtbl.add fresh key id;
+          Sig_table.add fresh key id;
           id
       in
       renamed.(i) <- id
@@ -200,22 +219,25 @@ let assemble ~detail ~value_paths doc cluster path_of path_labels =
     | Value.Null -> ()
     | v -> if is_designated path_of.(i) then values.(c) <- v :: values.(c)
   done;
+  let vsumms =
+    Xc_util.Metrics.time Xc_util.Meters.Reference.vsumm (fun () ->
+        Array.map
+          (function
+            | [] -> Xc_vsumm.Value_summary.vnone
+            | vs ->
+              Xc_vsumm.Value_summary.of_values ~hist_buckets:detail.hist_buckets
+                ~pst_depth:detail.pst_depth ~pst_nodes:detail.pst_nodes
+                ~top_terms:detail.top_terms vs)
+          values)
+  in
   (* allocate synopsis nodes *)
   let sid_of = Array.make n_clusters (-1) in
   for c = 0 to n_clusters - 1 do
     if counts.(c) > 0 then begin
       let repr = nodes.(member.(c)) in
-      let vsumm =
-        match values.(c) with
-        | [] -> Xc_vsumm.Value_summary.vnone
-        | vs ->
-          Xc_vsumm.Value_summary.of_values ~hist_buckets:detail.hist_buckets
-            ~pst_depth:detail.pst_depth ~pst_nodes:detail.pst_nodes
-            ~top_terms:detail.top_terms vs
-      in
       let snode =
         Synopsis.Builder.add_node syn ~label:repr.Node.label
-          ~vtype:(Value.vtype repr.Node.value) ~count:counts.(c) ~vsumm
+          ~vtype:(Value.vtype repr.Node.value) ~count:counts.(c) ~vsumm:vsumms.(c)
       in
       sid_of.(c) <- Synopsis.Builder.sid snode
     end
@@ -259,7 +281,10 @@ let build ?(detail = default_detail) ?(min_extent = 48) ?value_min_extent
           Hashtbl.add fresh key id;
           id)
   in
-  let cluster = refine ~min_extent ?value_min_extent doc initial in
+  let cluster =
+    Xc_util.Metrics.time Xc_util.Meters.Reference.refine (fun () ->
+        refine ~min_extent ?value_min_extent doc initial)
+  in
   assemble ~detail ~value_paths doc cluster path_of path_labels
 
 let tag_only ?(detail = default_detail) ?value_paths doc =

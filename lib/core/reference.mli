@@ -15,7 +15,7 @@
 type detail = {
   hist_buckets : int;  (** reference histogram buckets (default 64) *)
   pst_depth : int;     (** max indexed substring length (default 8) *)
-  pst_nodes : int;     (** reference PST node cap (default 2048) *)
+  pst_nodes : int;     (** reference PST node cap (default 1024) *)
   top_terms : int;     (** reference exactly-indexed terms (default 4096) *)
 }
 

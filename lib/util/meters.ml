@@ -102,6 +102,11 @@ module Build = struct
   let phase2 = timer "build.phase2" ~doc:"value compression phase of one build"
 end
 
+module Reference = struct
+  let refine = timer "reference.refine" ~doc:"partition refinement of one reference build"
+  let vsumm = timer "reference.vsumm" ~doc:"value summaries of one reference build"
+end
+
 module Serve = struct
   let load_ok = counter "serve.load_ok" ~doc:"artifacts admitted to the registry"
   let load_error = counter "serve.load_error" ~doc:"artifacts refused at load (skipped, counted)"

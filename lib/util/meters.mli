@@ -71,6 +71,11 @@ module Build : sig
   val phase2 : Metrics.timer
 end
 
+module Reference : sig
+  val refine : Metrics.timer
+  val vsumm : Metrics.timer
+end
+
 module Serve : sig
   val load_ok : Metrics.counter
   val load_error : Metrics.counter

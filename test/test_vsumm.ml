@@ -257,6 +257,84 @@ let pst_exact_when_unpruned =
             Float.abs (Pst.selectivity p q -. truth) < 1e-9)
         queries)
 
+(* The indexed PST against the list-walking one it replaced
+   (Pst_reference): the same retained substrings in the same order with
+   bitwise counts, the same node count, bitwise selectivities, and the
+   same (err, bytes) prune sequence until nothing is prunable; checked
+   after build, copy, merge and an of_substrings round trip. max_nodes
+   is small enough that the mid-build prune (at 3x) fires. *)
+let pst_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    let* k = int_range 3 6 in
+    let letter bound = map (fun i -> Char.chr (Char.code 'a' + i)) (int_bound bound) in
+    let* strings =
+      list_size (int_range 1 300) (string_size ~gen:(letter (k - 1)) (int_bound 10))
+    in
+    let* max_nodes = int_range 8 64 in
+    let* max_depth = int_range 2 8 in
+    (* needles may use one letter the strings never do *)
+    let needle = string_size ~gen:(letter k) (int_bound 9) in
+    let* needles = list_repeat 12 needle in
+    return (strings, max_nodes, max_depth, needles)
+  in
+  let print (strings, max_nodes, max_depth, needles) =
+    Printf.sprintf "max_nodes=%d max_depth=%d strings=[%s] needles=[%s]" max_nodes max_depth
+      (String.concat ";" (List.map (Printf.sprintf "%S") strings))
+      (String.concat ";" (List.map (Printf.sprintf "%S") needles))
+  in
+  let bits = Int64.bits_of_float in
+  let substrings iter t =
+    let acc = ref [] in
+    iter (fun s c -> acc := (s, bits c) :: !acc) t;
+    List.rev !acc
+  in
+  let same what stage a b =
+    if a <> b then QCheck.Test.fail_reportf "%s differs after %s" what stage
+  in
+  (* compares one pair, then prunes both to exhaustion step by step *)
+  let agree stage needles p r =
+    same "substrings" stage (substrings Pst.iter_substrings p)
+      (substrings Pst_reference.iter_substrings r);
+    same "n_nodes" stage (Pst.n_nodes p) (Pst_reference.n_nodes r);
+    same "selectivity" stage
+      (List.map (fun s -> bits (Pst.selectivity p s)) needles)
+      (List.map (fun s -> bits (Pst_reference.selectivity r s)) needles);
+    let rec prune steps =
+      same "peek_prune" stage
+        (Option.map bits (Pst.peek_prune p)) (Option.map bits (Pst_reference.peek_prune r));
+      match (Pst.prune_once p, Pst_reference.prune_once r) with
+      | None, None -> ()
+      | Some (e, b), Some (e', b') when bits e = bits e' && b = b' ->
+        same "n_nodes while pruning" stage (Pst.n_nodes p) (Pst_reference.n_nodes r);
+        prune (steps + 1)
+      | _ -> QCheck.Test.fail_reportf "prune step %d differs after %s" steps stage
+    in
+    prune 0;
+    same "pruned substrings" stage (substrings Pst.iter_substrings p)
+      (substrings Pst_reference.iter_substrings r)
+  in
+  QCheck.Test.make ~name:"pst matches the list-walking reference" ~count:60
+    (QCheck.make ~print gen)
+    (fun (strings, max_nodes, max_depth, needles) ->
+      let half = List.filteri (fun i _ -> i mod 2 = 0) strings in
+      let p = Pst.build ~max_depth ~max_nodes strings
+      and r = Pst_reference.build ~max_depth ~max_nodes strings in
+      let p2 = Pst.build ~max_depth ~max_nodes half
+      and r2 = Pst_reference.build ~max_depth ~max_nodes half in
+      let pc = Pst.copy p and rc = Pst_reference.copy r in
+      let pm = Pst.merge p p2 and rm = Pst_reference.merge r r2 in
+      let entries = substrings Pst.iter_substrings p in
+      let entries = List.map (fun (s, c) -> (s, Int64.float_of_bits c)) entries in
+      let n = Pst.n_strings p and total_len = Pst.total_len p in
+      let po = Pst.of_substrings ~total_len ~n ~max_depth entries
+      and ro = Pst_reference.of_substrings ~total_len ~n ~max_depth entries in
+      agree "build" needles p r;
+      agree "copy" needles pc rc;
+      agree "merge" needles pm rm;
+      agree "of_substrings" needles po ro;
+      true)
+
 (* ---- Term_vector / Term_hist ------------------------------------------- *)
 
 let term s = Dict.of_string s
@@ -472,7 +550,8 @@ let () =
           Alcotest.test_case "negative queries zero" `Quick test_pst_negative_queries_zero;
           Alcotest.test_case "copy independent" `Quick test_pst_copy_independent;
           QCheck_alcotest.to_alcotest pst_estimate_bounded;
-          QCheck_alcotest.to_alcotest pst_exact_when_unpruned ] );
+          QCheck_alcotest.to_alcotest pst_exact_when_unpruned;
+          QCheck_alcotest.to_alcotest pst_matches_reference ] );
       ( "term_vector",
         [ Alcotest.test_case "centroid" `Quick test_centroid;
           Alcotest.test_case "combine" `Quick test_centroid_combine ] );
