@@ -10,43 +10,6 @@ type detail = {
 let default_detail =
   { hist_buckets = 64; pst_depth = 8; pst_nodes = 1024; top_terms = 4096 }
 
-(* ---- label-path identifiers ----------------------------------------- *)
-
-type path_trie = {
-  pid : int;
-  labels : Label.t list; (* reversed root-to-here *)
-  children : (Label.t, path_trie) Hashtbl.t;
-}
-
-let assign_paths doc =
-  let next = ref 0 in
-  let new_trie labels =
-    let pid = !next in
-    incr next;
-    { pid; labels; children = Hashtbl.create 4 }
-  in
-  let root_trie = new_trie [] in
-  let n = Document.n_elements doc in
-  let path_of = Array.make n (-1) in
-  let paths_by_id = ref [] in
-  let rec walk trie node =
-    let child_trie =
-      match Hashtbl.find_opt trie.children node.Node.label with
-      | Some t -> t
-      | None ->
-        let t = new_trie (node.Node.label :: trie.labels) in
-        Hashtbl.add trie.children node.Node.label t;
-        paths_by_id := (t.pid, List.rev t.labels) :: !paths_by_id;
-        t
-    in
-    path_of.(node.Node.id) <- child_trie.pid;
-    Array.iter (walk child_trie) node.Node.children
-  in
-  walk root_trie doc.Document.root;
-  let path_labels = Hashtbl.create 64 in
-  List.iter (fun (pid, labels) -> Hashtbl.replace path_labels pid labels) !paths_by_id;
-  (path_of, path_labels)
-
 (* ---- partition refinement to count-stability ------------------------ *)
 
 (* An element's refinement signature: its cluster, its parent's cluster,
@@ -182,8 +145,9 @@ let vtype_tag = function
   | Value.Tstring -> 2
   | Value.Ttext -> 3
 
-let assemble ~detail ~value_paths doc cluster path_of path_labels =
+let assemble ~detail ~value_paths doc cluster =
   let nodes = doc.Document.nodes in
+  let path_of = doc.Document.summary.path_of in
   let n = Array.length nodes in
   let syn = Synopsis.Builder.create ~doc_height:doc.Document.height in
   let n_clusters = Array.fold_left max 0 cluster + 1 in
@@ -195,29 +159,14 @@ let assemble ~detail ~value_paths doc cluster path_of path_labels =
     counts.(c) <- counts.(c) + 1;
     if member.(c) < 0 then member.(c) <- i
   done;
-  let designated =
-    match value_paths with
-    | None -> None
-    | Some paths ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun p -> Hashtbl.replace set p ()) paths;
-      Some set
-  in
-  let is_designated pid =
-    match designated with
-    | None -> true
-    | Some set -> (
-      match Hashtbl.find_opt path_labels pid with
-      | Some labels -> Hashtbl.mem set labels
-      | None -> false)
-  in
+  let designated = Document.designated doc value_paths in
   (* per-cluster value collections (only where designated) *)
   let values = Array.make n_clusters [] in
   for i = n - 1 downto 0 do
     let c = cluster.(i) in
     match nodes.(i).Node.value with
     | Value.Null -> ()
-    | v -> if is_designated path_of.(i) then values.(c) <- v :: values.(c)
+    | v -> if designated.(path_of.(i)) then values.(c) <- v :: values.(c)
   done;
   let vsumms =
     Xc_util.Metrics.time Xc_util.Meters.Reference.vsumm (fun () ->
@@ -263,7 +212,7 @@ let assemble ~detail ~value_paths doc cluster path_of path_labels =
 
 let build ?(detail = default_detail) ?(min_extent = 48) ?value_min_extent
     ?value_paths doc =
-  let path_of, path_labels = assign_paths doc in
+  let path_of = doc.Document.summary.path_of in
   let n = Document.n_elements doc in
   (* initial partition = (label path, value type) *)
   let fresh = Hashtbl.create 256 in
@@ -285,10 +234,9 @@ let build ?(detail = default_detail) ?(min_extent = 48) ?value_min_extent
     Xc_util.Metrics.time Xc_util.Meters.Reference.refine (fun () ->
         refine ~min_extent ?value_min_extent doc initial)
   in
-  assemble ~detail ~value_paths doc cluster path_of path_labels
+  assemble ~detail ~value_paths doc cluster
 
 let tag_only ?(detail = default_detail) ?value_paths doc =
-  let path_of, path_labels = assign_paths doc in
   let n = Document.n_elements doc in
   let fresh = Hashtbl.create 256 in
   let next = ref 0 in
@@ -304,4 +252,4 @@ let tag_only ?(detail = default_detail) ?value_paths doc =
           Hashtbl.add fresh key id;
           id)
   in
-  assemble ~detail ~value_paths doc cluster path_of path_labels
+  assemble ~detail ~value_paths doc cluster

@@ -1,194 +1,188 @@
 open Xc_xml
 
-(* A sparse vector of binding counts: ascending element ids and the
-   count at each. No count is 0, so the ids are the vector's support. *)
-type vec = {
+(* The elements a query variable (or an intermediate step) may bind to:
+   those of the path nodes its incoming path reaches in the document's
+   path summary, path node by path node, each in preorder. An element
+   [e] of the domain sits at slot [base.(path_of e) + path_rank e];
+   [base.(p)] is -1 for a path node outside the domain. *)
+type domain = {
+  paths : int array;
   ids : int array;
-  vals : float array;
+  base : int array;
 }
 
-(* the first [k] entries of [ids] and [vals] *)
-let prefix ids vals k =
-  if k = Array.length ids then { ids; vals }
-  else { ids = Array.sub ids 0 k; vals = Array.sub vals 0 k }
+let domain doc paths =
+  let s = doc.Document.summary in
+  let base = Array.make (Document.n_paths doc) (-1) and at = ref 0 in
+  Array.iter
+    (fun p ->
+      base.(p) <- !at;
+      at := !at + Array.length s.elements.(p))
+    paths;
+  let ids =
+    match paths with
+    | [| p |] -> s.elements.(p)
+    | _ -> Array.concat (List.map (fun p -> s.elements.(p)) (Array.to_list paths))
+  in
+  { paths; ids; base }
 
-let sum v =
+(* The path nodes [step] reaches, given [firsts]: the path nodes one
+   child edge below its source. A child step keeps those its test
+   admits; a descendant step also looks below them. *)
+let reach doc firsts (step : Path_expr.step) =
+  let s = doc.Document.summary in
+  let admits p = Path_expr.matches_test step.test s.label.(p) in
+  match step.axis with
+  | Path_expr.Child -> Array.of_list (List.filter admits (Array.to_list firsts))
+  | Path_expr.Descendant ->
+    (* a subtree already seen is not walked again, so nested sources
+       reach each path node once *)
+    let seen = Array.make (Document.n_paths doc) false and out = ref [] in
+    let rec visit p =
+      if not seen.(p) then begin
+        seen.(p) <- true;
+        if admits p then out := p :: !out;
+        Array.iter visit s.children.(p)
+      end
+    in
+    Array.iter visit firsts;
+    Array.of_list (List.rev !out)
+
+let children_of doc dom =
+  let s = doc.Document.summary in
+  Array.concat (List.map (fun p -> s.children.(p)) (Array.to_list dom.paths))
+
+(* The binding counts of a domain's elements, one per slot; 0 off the
+   support. A vector is owned by the step that made it, so [keep_if]
+   and [multiply] overwrite theirs in place. *)
+type vec = float array
+
+let sum (v : vec) =
   let s = ref 0.0 in
-  for j = 0 to Array.length v.vals - 1 do
-    s := !s +. v.vals.(j)
+  for j = 0 to Array.length v - 1 do
+    s := !s +. v.(j)
   done;
   !s
 
-(* The elements a query variable may bind to: those its incoming step's
-   test admits, or the root element alone under an empty top-level
-   expression. *)
-type domain =
-  | All  (* a wildcard: every element *)
-  | Tagged of Label.t  (* the elements with one label *)
-  | Root_elem
-
-let domain_of_test = function
-  | Path_expr.Tag l -> Tagged l
-  | Path_expr.Wildcard -> All
-
-(* every element of the domain, with count 1 *)
-let ones doc = function
-  | All ->
-    let n = Document.n_elements doc in
-    { ids = Array.init n Fun.id; vals = Array.make n 1.0 }
-  | Tagged l ->
-    let ids = Document.elements doc l in
-    { ids; vals = Array.make (Array.length ids) 1.0 }
-  | Root_elem -> { ids = [| 0 |]; vals = [| 1.0 |] }
-
-let keep_if doc preds v =
-  match preds with
-  | [] -> v
-  | _ :: _ ->
+(* zero the counts of the elements that fail a predicate; only the
+   support is tested *)
+let keep_if doc dom preds (v : vec) =
+  if preds <> [] then begin
     let nodes = doc.Document.nodes in
-    let n = Array.length v.ids in
-    let ids = Array.make n 0 and vals = Array.make n 0.0 and k = ref 0 in
-    for j = 0 to n - 1 do
-      let e = v.ids.(j) in
-      if List.for_all (fun p -> Predicate.matches p nodes.(e).Node.value) preds then begin
-        ids.(!k) <- e;
-        vals.(!k) <- v.vals.(j);
-        incr k
-      end
-    done;
-    prefix ids vals !k
+    let rec holds value = function
+      | [] -> true
+      | p :: rest -> Predicate.matches p value && holds value rest
+    in
+    for j = 0 to Array.length v - 1 do
+      if v.(j) <> 0.0 && not (holds nodes.(dom.ids.(j)).Node.value preds) then v.(j) <- 0.0
+    done
+  end
 
-(* pointwise product: the support is the intersection of the supports *)
-let multiply a b =
-  let n = min (Array.length a.ids) (Array.length b.ids) in
-  let ids = Array.make n 0 and vals = Array.make n 0.0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < Array.length a.ids && !j < Array.length b.ids do
-    let x = a.ids.(!i) and y = b.ids.(!j) in
-    if x < y then incr i
-    else if y < x then incr j
-    else begin
-      ids.(!k) <- x;
-      vals.(!k) <- a.vals.(!i) *. b.vals.(!j);
-      incr k;
-      incr i;
-      incr j
-    end
-  done;
-  prefix ids vals !k
+(* pointwise product of two vectors over one domain, into [a] *)
+let multiply (a : vec) (b : vec) =
+  for j = 0 to Array.length a - 1 do
+    a.(j) <- a.(j) *. b.(j)
+  done
 
-(* Pull [v] back through one step into [dst]: the result holds, for each
-   element of [dst], the sum of [v] over the elements the step reaches
-   from it. A child step adds each count to the element's parent. A
-   descendant step adds it to every ancestor, which costs at most
-   [|v| * (height - 1)] additions; when that exceeds the document's
-   size, one reverse preorder scan sums every subtree in O(n) instead.
-   [slot] numbers the elements of [dst] (-1 for any other element) in
-   the order of their ids, [id_of] inverts it. *)
-let pull_step doc axis v dst =
-  let parents = doc.Document.parents and nodes = doc.Document.nodes in
+(* Pull [v], a vector over [from], back through one step into [into]:
+   the result holds, for each element of [into], the sum of [v] over the
+   elements the step reaches from it. A child step adds each count to
+   the element's parent. A descendant step adds it to the element's
+   ancestors, up to the highest one [into] may hold: [lift.(p)] is how
+   many ancestors that is for an element on path node [p]. When the walk
+   would cost more than the document's size, one reverse preorder scan
+   sums every subtree in O(n) instead. *)
+let pull_step doc axis ~from (v : vec) ~into : vec =
+  let s = doc.Document.summary and parents = doc.Document.parents in
   let n = Document.n_elements doc in
-  let slots, slot, id_of =
-    match dst with
-    | All -> (n, Fun.id, Fun.id)
-    | Tagged l ->
-      let ids = Document.elements doc l in
-      ( Array.length ids,
-        (fun a ->
-          if a >= 0 && Label.equal nodes.(a).Node.label l then Document.rank doc a
-          else -1),
-        fun p -> ids.(p) )
-    | Root_elem -> (1, (fun a -> if a = 0 then 0 else -1), fun _ -> 0)
-  in
-  let acc = Array.make slots 0.0 in
+  let acc = Array.make (Array.length into.ids) 0.0 in
   let add a x =
-    let p = slot a in
-    if p >= 0 then acc.(p) <- acc.(p) +. x
+    let b = into.base.(s.path_of.(a)) in
+    if b >= 0 then begin
+      let p = b + s.path_rank.(a) in
+      acc.(p) <- acc.(p) +. x
+    end
   in
   (match axis with
   | Path_expr.Child ->
-    for j = 0 to Array.length v.ids - 1 do
-      add parents.(v.ids.(j)) v.vals.(j)
-    done
-  | Path_expr.Descendant when Array.length v.ids * (doc.Document.height - 1) <= n ->
-    for j = 0 to Array.length v.ids - 1 do
-      let a = ref parents.(v.ids.(j)) in
-      while !a >= 0 do
-        add !a v.vals.(j);
-        a := parents.(!a)
-      done
-    done
+    (* [from] was reached from [into]'s children, so no element of it is
+       the root *)
+    Array.iteri (fun j x -> if x <> 0.0 then add parents.(from.ids.(j)) x) v
   | Path_expr.Descendant ->
-    (* children have larger ids than their parent, so a reverse scan
-       completes each subtree's sum before it reaches the parent *)
-    let below = Array.make n 0.0 and j = ref (Array.length v.ids - 1) in
-    for e = n - 1 downto 1 do
-      let own =
-        if !j >= 0 && v.ids.(!j) = e then begin
-          let x = v.vals.(!j) in
-          decr j;
-          x
-        end
-        else 0.0
-      in
-      let p = parents.(e) in
-      below.(p) <- below.(p) +. below.(e) +. own
+    (* a path node's parent comes first, so one ascending pass fills
+       [lift]; [covered.(p)]: [p] or an ancestor is in [into] *)
+    let n_paths = Document.n_paths doc in
+    let covered = Array.make n_paths false and lift = Array.make n_paths 0 in
+    for p = 0 to n_paths - 1 do
+      let up = s.parent.(p) in
+      covered.(p) <- into.base.(p) >= 0 || (up >= 0 && covered.(up));
+      if up >= 0 && covered.(up) then lift.(p) <- 1 + lift.(up)
     done;
-    for p = 0 to slots - 1 do
-      acc.(p) <- below.(id_of p)
-    done);
-  let m = ref 0 in
-  for p = 0 to slots - 1 do
-    if acc.(p) <> 0.0 then incr m
-  done;
-  let ids = Array.make !m 0 and vals = Array.make !m 0.0 and k = ref 0 in
-  for p = 0 to slots - 1 do
-    if acc.(p) <> 0.0 then begin
-      ids.(!k) <- id_of p;
-      vals.(!k) <- acc.(p);
-      incr k
-    end
-  done;
-  { ids; vals }
+    let walk = ref 0 in
+    Array.iteri (fun j x -> if x <> 0.0 then walk := !walk + lift.(s.path_of.(from.ids.(j)))) v;
+    if !walk <= n then
+      Array.iteri
+        (fun j x ->
+          if x <> 0.0 then begin
+            let a = ref parents.(from.ids.(j)) in
+            while !a >= 0 && covered.(s.path_of.(!a)) do
+              add !a x;
+              a := parents.(!a)
+            done
+          end)
+        v
+    else begin
+      (* children have larger ids than their parent, so a reverse scan
+         completes each subtree's sum before it reaches the parent *)
+      let own = Array.make n 0.0 and below = Array.make n 0.0 in
+      Array.iteri (fun j x -> own.(from.ids.(j)) <- x) v;
+      for e = n - 1 downto 1 do
+        let p = parents.(e) in
+        below.(p) <- below.(p) +. below.(e) +. own.(e)
+      done;
+      Array.iteri (fun p e -> acc.(p) <- below.(e)) into.ids
+    end);
+  acc
 
 (* [bindings doc dom q]: for each element of [dom], the binding tuples
    of the subtwig rooted at [q] with [q] bound to that element. Without
    branches these are [dom]'s elements that satisfy [q]'s predicates;
    branches multiply pointwise, so the support narrows to the
    intersection of theirs before any predicate is tested. *)
-let rec bindings doc dom q =
+let rec bindings doc dom q : vec =
   let v =
     match q.Twig_query.edges with
-    | [] -> ones doc dom
+    | [] -> Array.make (Array.length dom.ids) 1.0
     | (expr, child) :: rest ->
-      List.fold_left
-        (fun acc (expr, child) ->
-          if Array.length acc.ids = 0 then acc else multiply acc (pull doc dom expr child))
-        (pull doc dom expr child) rest
+      let v = pull doc dom expr child in
+      List.iter
+        (fun (expr, child) ->
+          if Array.exists (fun x -> x <> 0.0) v then multiply v (pull doc dom expr child))
+        rest;
+      v
   in
-  keep_if doc q.Twig_query.preds v
+  keep_if doc dom q.Twig_query.preds v;
+  v
 
-(* [pull doc dst expr child]: for each element of [dst], the bindings of
-   [child] summed over the elements [expr] reaches from it. The child's
-   bindings are computed only on the elements its last step's test
-   admits, and each earlier step keeps only the elements its own test
-   admits. An empty expression binds the child to the same element. *)
-and pull doc dst expr child =
-  match List.rev expr with
-  | [] -> bindings doc dst child
-  | last :: earlier ->
-    let rec back v (step : Path_expr.step) = function
-      | [] -> pull_step doc step.axis v dst
-      | (prev : Path_expr.step) :: rest ->
-        back (pull_step doc step.axis v (domain_of_test prev.test)) prev rest
-    in
-    back (bindings doc (domain_of_test last.Path_expr.test) child) last earlier
+(* [pull doc into expr child]: for each element of [into], the bindings
+   of [child] summed over the elements [expr] reaches from it. Each step
+   is resolved over the summary on the way down, and pulled back on the
+   way up. An empty expression binds the child to the same element. *)
+and pull doc into expr child =
+  match expr with
+  | [] -> bindings doc into child
+  | (step : Path_expr.step) :: rest ->
+    let paths = reach doc (children_of doc into) step in
+    if Array.length paths = 0 then Array.make (Array.length into.ids) 0.0
+    else
+      let from = domain doc paths in
+      pull_step doc step.axis ~from (pull doc from rest child) ~into
 
-(* The root variable q0 binds to the virtual document node, so a
-   top-level [/db] step selects the root element and a top-level [//x]
-   step ranges over every element including the root; an empty top-level
-   expression binds to the root element. Predicates on q0 itself never
-   hold on the document node. *)
+(* The root variable q0 binds to the virtual document node, whose one
+   child is the root element: a top-level [/db] step reaches the root
+   element's path node, a top-level [//x] step every path node, and an
+   empty top-level expression binds the root element. Predicates on q0
+   itself never hold on the document node. *)
 let selectivity doc query =
   let root = query.Twig_query.root in
   if root.Twig_query.preds <> [] then 0.0
@@ -197,15 +191,10 @@ let selectivity doc query =
       (fun acc (expr, child) ->
         let count =
           match expr with
-          | [] ->
-            let v = bindings doc Root_elem child in
-            if Array.length v.ids = 0 then 0.0 else v.vals.(0)
-          | (first : Path_expr.step) :: rest -> (
-            let v = pull doc (domain_of_test first.test) rest child in
-            match first.axis with
-            | Path_expr.Child ->
-              if Array.length v.ids > 0 && v.ids.(0) = 0 then v.vals.(0) else 0.0
-            | Path_expr.Descendant -> sum v)
+          | [] -> sum (bindings doc (domain doc [| 0 |]) child)
+          | step :: rest ->
+            let paths = reach doc [| 0 |] step in
+            if Array.length paths = 0 then 0.0 else sum (pull doc (domain doc paths) rest child)
         in
         acc *. count)
       1.0 root.Twig_query.edges

@@ -1,22 +1,27 @@
 (** Exact twig-query evaluation over a document — the ground truth
     against which synopsis estimates are scored.
 
-    The evaluator reads the element index that
-    {!Xc_xml.Document.create} builds (parents, and the preorder-sorted
-    elements of each label). A query variable's binding-tuple counts
-    are a sparse vector over the elements its incoming step's test
-    names; a wildcard names every element. Each branch is pulled back
-    through its path expression one step at a time: a child step adds
-    an element's count to its parent, a descendant step to each
-    ancestor, and each step keeps only the elements the previous step's
-    test admits. Branches multiply pointwise, so a variable's support
-    is the intersection of its branches' before any predicate is
-    tested. A child step costs the elements its source holds; a
-    descendant step costs that times the depth it walks up, capped at
-    O(n): once [|source| * (height - 1)] exceeds the document's size,
-    the step sums every subtree in one reverse preorder scan instead.
-    Each step also allocates and reads one cell per element its target
-    test names; only wildcards touch every element.
+    The evaluator reads the path summary that
+    {!Xc_xml.Document.create} builds. It first resolves the query top
+    down over the summary: each query variable, and each intermediate
+    step of each edge, gets the path nodes its incoming path can reach,
+    so [/], [//] and [*] expand over path nodes, not over elements. A
+    domain is the elements of those path nodes, path node by path node,
+    each in preorder, and a variable's binding-tuple counts are a dense
+    vector over its domain. The summary is a superset filter: a child
+    path node says that {e some} element of its parent path node has
+    such a child, not that each one does. So the counts are then pulled
+    back up each branch one step at a time, and stay exact: a child step adds an element's
+    count to its parent, a descendant step to each ancestor up to the
+    highest one the target domain holds. Branches multiply pointwise,
+    and a predicate is tested only on the domain's elements whose count
+    is not 0 after that. A child step costs the elements its source
+    holds; a descendant step costs that times the depth it walks up,
+    capped at O(n): once the walk would exceed the document's size, the
+    step sums every subtree in one reverse preorder scan instead. Each
+    step also allocates one cell per element of its target domain, and
+    resolving it costs O(path nodes); a wildcard names only the path
+    nodes below its source, not every element.
 
     Counts are floats; they are exact integers until they exceed 2^53,
     far beyond any workload here, so the summation order does not change

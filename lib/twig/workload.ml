@@ -44,27 +44,14 @@ type index = {
 let build_index ?value_paths doc =
   let nodes = doc.Document.nodes in
   let parents = doc.Document.parents in
-  let designated =
-    match value_paths with
-    | None -> None
-    | Some paths ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun p -> Hashtbl.replace set p ()) paths;
-      Some set
-  in
-  let on_designated_path i =
-    match designated with
-    | None -> true
-    | Some set ->
-      let rec up j acc = if j < 0 then acc else up parents.(j) (nodes.(j).Node.label :: acc) in
-      Hashtbl.mem set (up i [])
-  in
+  let designated = Document.designated doc value_paths in
+  let path_of = doc.Document.summary.path_of in
   let by_type_lists : (Value.vtype, int list ref) Hashtbl.t = Hashtbl.create 4 in
   let label_span = Hashtbl.create 16 in
   Array.iteri
     (fun i node ->
       let vt = Value.vtype node.Node.value in
-      (if (not (Value.vtype_equal vt Value.Tnull)) && on_designated_path i then begin
+      (if (not (Value.vtype_equal vt Value.Tnull)) && designated.(path_of.(i)) then begin
          let l =
            match Hashtbl.find_opt by_type_lists vt with
            | Some l -> l

@@ -21,9 +21,10 @@ let value rng =
       (List.filter (fun _ -> Rng.bool rng) (Array.to_list terms)
       |> List.map Dictionary.of_string)
 
-let generate ?(values = false) rng =
+let generate ?(values = false) ?(tags = tags) ?(depth = 3) rng =
+  let max_depth = depth in
   let rec gen depth =
-    let n = if depth >= 3 then 0 else Rng.int rng 4 in
+    let n = if depth >= max_depth then 0 else Rng.int rng 4 in
     let children = List.init n (fun _ -> gen (depth + 1)) in
     let tag = Rng.pick rng tags in
     let value = if values then value rng else Value.Null in
@@ -35,7 +36,7 @@ let generate ?(values = false) rng =
 (* A random twig over these tags (plus r and a tag no element
    carries): child and descendant steps, wildcards, branches, empty edge
    expressions, and predicates of every kind, on the root too. *)
-let twig rng =
+let twig ?(tags = tags) ?(p_wildcard = 0.2) ?(p_descendant = 0.6) ?(max_edges = 2) rng =
   let open Xc_twig in
   let tag () =
     if Rng.chance rng 0.1 then Rng.pick rng [| "r"; "e" |] else Rng.pick rng tags
@@ -59,7 +60,7 @@ let twig rng =
   let step p_desc =
     { Path_expr.axis = (if Rng.chance rng p_desc then Path_expr.Descendant else Path_expr.Child);
       test =
-        (if Rng.chance rng 0.2 then Path_expr.Wildcard
+        (if Rng.chance rng p_wildcard then Path_expr.Wildcard
          else Path_expr.Tag (Label.of_string (tag ()))) }
   in
   (* a top-level child step must name the root r to match anything, so
@@ -68,10 +69,10 @@ let twig rng =
     if Rng.chance rng 0.1 then []
     else
       List.init (if Rng.chance rng 0.3 then 2 else 1) (fun i ->
-          step (if top && i = 0 then 0.8 else 0.6))
+          step (if top && i = 0 then 0.8 else p_descendant))
   in
   let rec node depth =
-    let n_edges = if depth >= 2 then 0 else Rng.int rng 3 in
+    let n_edges = if depth >= 2 then 0 else Rng.int rng (max_edges + 1) in
     let edges = List.init n_edges (fun _ -> (expr ~top:false, node (depth + 1))) in
     Twig_query.node ~preds:(preds ()) ~edges ()
   in
@@ -80,3 +81,13 @@ let twig rng =
     List.init (if Rng.chance rng 0.3 then 2 else 1) (fun _ -> (expr ~top:true, node 1))
   in
   Twig_query.make (root_preds, edges)
+
+(* Deeper documents and twigs over two tags, so same-label chains
+   (a/a/a, b//b) nest often; the twigs lean on wildcards, descendant
+   steps and branches. *)
+let nested_tags = [| "a"; "b" |]
+
+let generate_nested ?values rng = generate ?values ~tags:nested_tags ~depth:6 rng
+
+let twig_nested rng =
+  twig ~tags:nested_tags ~p_wildcard:0.4 ~p_descendant:0.8 ~max_edges:3 rng

@@ -1293,7 +1293,7 @@ let test_daemon_swap_storm () =
   check Alcotest.bool "generations answer differently" true (e1 <> e2);
   with_daemon [ ("imdb", path1) ] @@ fun endpoint ->
   let stop = Atomic.make false in
-  let reader () =
+  let reader first =
     Domain.spawn (fun () ->
         let answered = ref 0 and torn = ref 0 and failed = ref 0 in
         while not (Atomic.get stop) do
@@ -1303,6 +1303,7 @@ let test_daemon_swap_storm () =
             (match Serve.Client.estimate_batch c ~synopsis:"imdb" sources with
             | Ok floats ->
               incr answered;
+              Atomic.set first true;
               let b = bits floats in
               if not (b = e1 || b = e2) then incr torn
             | Error _ -> incr failed);
@@ -1310,7 +1311,19 @@ let test_daemon_swap_storm () =
         done;
         (!answered, !torn, !failed))
   in
-  let readers = List.init 2 (fun _ -> reader ()) in
+  let firsts = List.init 2 (fun _ -> Atomic.make false) in
+  let readers = List.map reader firsts in
+  (* the swaps can all finish before a reader domain is first scheduled,
+     so the swapper starts only once every reader has answered *)
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while not (List.for_all Atomic.get firsts) do
+    if Unix.gettimeofday () > deadline then begin
+      Atomic.set stop true;
+      List.iter (fun d -> ignore (Domain.join d)) readers;
+      Alcotest.fail "a reader got no answer within 30 s"
+    end;
+    Unix.sleepf 0.001
+  done;
   let gens = ref [] in
   (match Serve.Client.connect endpoint with
   | Error e -> Alcotest.failf "swapper connect: %s" (Error.to_string e)

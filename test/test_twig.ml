@@ -307,16 +307,29 @@ let eval_against_naive =
       let got = Twig_eval.selectivity doc (Twig_parse.parse ("//" ^ tag)) in
       Float.abs (got -. float_of_int !naive) < 1e-9)
 
+let agrees_with_reference doc q =
+  let got = Twig_eval.selectivity doc q and want = Twig_reference.selectivity doc q in
+  Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+  || QCheck.Test.fail_reportf "%a: indexed %h, reference %h" Twig_query.pp q got want
+
 let eval_against_reference =
   QCheck.Test.make ~name:"indexed evaluator = dense reference, bit for bit" ~count:400
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Xc_util.Rng.create seed in
       let doc = Random_doc.generate ~values:true rng in
-      let q = Random_doc.twig rng in
-      let got = Twig_eval.selectivity doc q and want = Twig_reference.selectivity doc q in
-      Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
-      || QCheck.Test.fail_reportf "%a: indexed %h, reference %h" Twig_query.pp q got want)
+      agrees_with_reference doc (Random_doc.twig rng))
+
+(* The same on deep two-tag documents, whose path summaries nest one
+   label under itself, with twigs heavy on wildcards, descendant steps
+   and branches: what resolution over the summary has to get right. *)
+let eval_against_reference_nested =
+  QCheck.Test.make ~name:"indexed evaluator = dense reference on nested chains" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xc_util.Rng.create seed in
+      let doc = Random_doc.generate_nested ~values:true rng in
+      agrees_with_reference doc (Random_doc.twig_nested rng))
 
 (* A descendant step either walks each source element's ancestors or,
    when that would cost more than the document's size, sums subtrees in
@@ -440,7 +453,8 @@ let () =
           Alcotest.test_case "matches_path" `Quick test_eval_matches_path;
           Alcotest.test_case "deep chain" `Quick test_eval_deep_chain;
           QCheck_alcotest.to_alcotest eval_against_naive;
-          QCheck_alcotest.to_alcotest eval_against_reference ] );
+          QCheck_alcotest.to_alcotest eval_against_reference;
+          QCheck_alcotest.to_alcotest eval_against_reference_nested ] );
       ( "workload",
         [ Alcotest.test_case "positive" `Quick test_workload_positive;
           Alcotest.test_case "classes covered" `Quick test_workload_classes_covered;

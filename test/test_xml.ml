@@ -113,22 +113,81 @@ let test_document_ids_preorder () =
   Array.iteri
     (fun i p -> if i > 0 && p >= i then Alcotest.failf "parent %d not before %d" p i)
     parents;
-  check Alcotest.int "root parent" (-1) parents.(0);
-  (* each label's elements ascend, and rank inverts them *)
-  Array.iter
-    (fun node ->
-      let same = Document.elements doc node.Node.label in
-      check Alcotest.int "rank" node.Node.id same.(Document.rank doc node.Node.id);
-      Array.iteri (fun j e -> if j > 0 && e <= same.(j - 1) then Alcotest.fail "unsorted") same)
-    doc.Document.nodes;
-  check Alcotest.int "unused label" 0
-    (Array.length (Document.elements doc (Label.of_string "no_such_tag")))
+  check Alcotest.int "root parent" (-1) parents.(0)
 
 let test_document_label_path () =
   let doc = Document.create (sample_tree ()) in
   let x_node = doc.Document.nodes.(2) in
   check (Alcotest.list Alcotest.string) "path to x" [ "root"; "a"; "x" ]
     (List.map Label.to_string (Document.label_path doc x_node))
+
+(* The path summary over random documents whose tags recur at every
+   depth: each element's path node spells the label path read off the
+   tree, the path nodes' element lists partition the elements in
+   preorder (and path_rank inverts them), and the summary's parent
+   links follow the elements'. *)
+let summary_matches_document =
+  QCheck.Test.make ~name:"path summary = label paths, partitioned in preorder" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xc_util.Rng.create seed in
+      let doc =
+        if seed land 1 = 0 then Random_doc.generate rng else Random_doc.generate_nested rng
+      in
+      let s = doc.Document.summary in
+      let n = Document.n_elements doc in
+      let fail fmt = QCheck.Test.fail_reportf ("seed %d: " ^^ fmt) seed in
+      let seen = Array.make n 0 in
+      Array.iteri
+        (fun p ids ->
+          Array.iteri
+            (fun j e ->
+              seen.(e) <- seen.(e) + 1;
+              if s.path_of.(e) <> p then fail "element %d listed under path node %d" e p;
+              if s.path_rank.(e) <> j then
+                fail "element %d ranked %d, listed %d" e s.path_rank.(e) j;
+              if j > 0 && e <= ids.(j - 1) then fail "path node %d out of preorder" p)
+            ids)
+        s.elements;
+      if Array.exists (fun c -> c <> 1) seen then
+        fail "element lists do not partition the elements";
+      Array.iter
+        (fun node ->
+          let e = node.Node.id in
+          let rec walk e acc =
+            if e < 0 then acc
+            else
+              walk doc.Document.parents.(e)
+                (Label.to_string doc.Document.nodes.(e).Node.label :: acc)
+          in
+          let labels = walk e [] in
+          if List.map Label.to_string (Document.label_path doc node) <> labels then
+            fail "element %d: path node does not spell %s" e (String.concat "/" labels);
+          let up = doc.Document.parents.(e) in
+          if up >= 0 && s.parent.(s.path_of.(e)) <> s.path_of.(up) then
+            fail "element %d: path node's parent is not its parent's path node" e)
+        doc.Document.nodes;
+      Array.iteri
+        (fun p kids ->
+          Array.iter
+            (fun c -> if s.parent.(c) <> p then fail "child %d of path node %d" c p)
+            kids;
+          let labels = Array.map (fun c -> Label.to_string s.label.(c)) kids in
+          if List.length (List.sort_uniq compare (Array.to_list labels)) <> Array.length kids then
+            fail "path node %d has two children with one label" p)
+        s.children;
+      (* numbered by first encounter in preorder *)
+      Array.iteri
+        (fun p ids ->
+          if p > 0 && ids.(0) <= s.elements.(p - 1).(0) then
+            fail "path node %d numbered out of order" p)
+        s.elements;
+      Array.iteri
+        (fun p up ->
+          if up >= p then fail "path node %d's parent %d is not earlier" p up;
+          if up >= 0 && not (Array.mem p s.children.(up)) then fail "path node %d not a child" p)
+        s.parent;
+      true)
 
 let test_document_value_counts () =
   let doc = Document.create (sample_tree ()) in
@@ -325,6 +384,7 @@ let () =
           Alcotest.test_case "add_child" `Quick test_node_add_child;
           Alcotest.test_case "preorder ids" `Quick test_document_ids_preorder;
           Alcotest.test_case "label path" `Quick test_document_label_path;
+          QCheck_alcotest.to_alcotest summary_matches_document;
           Alcotest.test_case "value counts" `Quick test_document_value_counts;
           Alcotest.test_case "deep tree" `Slow test_deep_tree_no_overflow ] );
       ( "parser",
