@@ -17,11 +17,7 @@
      XC_QUERIES  workload size (default 400)
      XC_PASSES   repeated-workload passes for the seal/serve targets
                  (default 5)
-     XC_DOMAINS  worker count for the build target's parallel leg
-                 (default 4). Honored exactly — oversubscription warns
-                 loudly, and the target fails if the pool observably
-                 engaged a different width than requested.
-     XC_BUILD_REPS  repetitions per leg of the build target (default 3)
+     XC_BUILD_REPS  repetitions of each build target timing (default 3)
      XC_UPDATES  auction events in the update target's mutation stream
                  (default 64, half opens / half closes)
 
@@ -208,15 +204,13 @@ let run_seal () =
     exit 1
   end
 
-(* ---- construction speedup ---------------------------------------------
-   XCLUSTERBUILD timed two ways at the paper's default budgets (scaled
-   with the document): incremental (one scoring worker) and parallel
-   (XC_DOMAINS scoring workers). The two sealed outputs must be
-   byte-identical — the candidate total order makes the greedy sequence
-   independent of evaluation order — so speedup_par is a pure
-   construction-cost win. That the build itself does not drift is
-   test_pool's job (golden/builds.txt). Each run appends a JSON line to
-   BENCH_build.json. *)
+(* ---- construction ------------------------------------------------------
+   XCLUSTERBUILD timed at the paper's default budgets (scaled with the
+   document), [XC_BUILD_REPS] times. Construction is deterministic, so
+   every repetition must encode byte for byte as the first (exit 1
+   otherwise); that the build itself does not drift from release to
+   release is test_pool's job (golden/builds.txt). Each run appends a
+   JSON line per dataset to BENCH_build.json. *)
 
 let sealed_mismatches a b =
   let module S = Xc_core.Synopsis.Sealed in
@@ -241,18 +235,6 @@ let sealed_mismatches a b =
   end
 
 let run_build () =
-  let par_domains = max 1 (env_int "XC_DOMAINS" ~default:4) in
-  (* An explicitly requested worker count is honored exactly — a
-     silent min() against the core count once turned "domains":4 into a
-     single-worker run that still reported itself as parallel. We warn
-     loudly about oversubscription instead, and after the parallel leg
-     we verify against what the pool *observably* did. *)
-  let cores = Domain.recommended_domain_count () in
-  if par_domains > cores then
-    Format.fprintf ppf
-      "WARNING: XC_DOMAINS=%d oversubscribes this host (%d cores); expect \
-       scheduling overhead, not speedup@."
-      par_domains cores;
   let reps = max 1 (env_int "XC_BUILD_REPS" ~default:3) in
   let bench_ds ds =
     let reference = ds.Xc_exp.Runner.reference in
@@ -260,6 +242,7 @@ let run_build () =
        loop runs — and the pool is exercised — at every XC_SCALE *)
     let bstr_kb = max 1 (int_of_float (Float.round (20.0 *. scale))) in
     let bval_kb = max 4 (int_of_float (Float.round (150.0 *. scale))) in
+    let budget = Xc_core.Build.budget ~bstr_kb ~bval_kb () in
     let timer_total name =
       match
         List.assoc_opt name Xc_util.Metrics.((snapshot global).timers)
@@ -267,33 +250,39 @@ let run_build () =
       | Some t -> t.Xc_util.Metrics.t_total
       | None -> 0.0
     in
-    (* min over [reps] runs — construction is deterministic, so the
-       spread is scheduler noise and the minimum is the honest figure *)
-    let construct pool =
+    (* min over [reps] runs — the spread is scheduler noise and the
+       minimum is the honest figure. [max_diff] is the largest
+       node/edge mismatch of a repetition against the first, and at
+       least 1 when any encoded byte differs (value summaries
+       included). *)
+    let t_inc, evals_inc, p1_inc, p2_inc, max_diff =
       let best = ref None in
       let evals_once = ref 0 in
-      let sealed_once = ref None in
-      for rep = 1 to reps do
+      let first = ref None in
+      let max_diff = ref 0 in
+      for _ = 1 to reps do
         let evals0 = Xc_util.Metrics.(counter_value global "pool.cand_evals") in
         let p1_0 = timer_total "build.phase1" and p2_0 = timer_total "build.phase2" in
         let t0 = Unix.gettimeofday () in
-        let sealed =
-          Xc_core.Build.run (Xc_core.Build.budget ~pool ~bstr_kb ~bval_kb ()) reference
-        in
+        let sealed = Xc_core.Build.run budget reference in
         let dt = Unix.gettimeofday () -. t0 in
-        if rep = 1 then begin
-          evals_once :=
-            Xc_util.Metrics.(counter_value global "pool.cand_evals") - evals0;
-          sealed_once := Some sealed
-        end;
         let p1 = timer_total "build.phase1" -. p1_0 in
         let p2 = timer_total "build.phase2" -. p2_0 in
+        let encoded = Xc_core.Codec.to_string sealed in
+        (match !first with
+         | None ->
+           evals_once :=
+             Xc_util.Metrics.(counter_value global "pool.cand_evals") - evals0;
+           first := Some (sealed, encoded)
+         | Some (s0, e0) ->
+           if not (String.equal e0 encoded) then
+             max_diff := max !max_diff (max 1 (sealed_mismatches s0 sealed)));
         match !best with
         | Some (dt', _, _) when dt' <= dt -> ()
         | _ -> best := Some (dt, p1, p2)
       done;
       let dt, p1, p2 = Option.get !best in
-      (dt, !evals_once, Option.get !sealed_once, p1, p2)
+      (dt, !evals_once, p1, p2, !max_diff)
     in
     (* the reference synopsis the builds start from, rebuilt [reps]
        times from the document: the fastest rebuild with its
@@ -317,60 +306,25 @@ let run_build () =
       done;
       !best
     in
-    let base = Xc_core.Pool.default_config in
-    let t_inc, evals_inc, s_inc, p1_inc, p2_inc =
-      construct { base with domains = 1 }
-    in
-    Xc_util.Par.reset_usage ();
-    let t_par, _, s_par, p1_par, p2_par =
-      construct { base with domains = par_domains }
-    in
-    (* what the pool observably did during the parallel leg, not what
-       the config asked for *)
-    let domains_used = Xc_util.Par.max_used () in
-    let widest_batch = Xc_util.Par.max_batch () in
-    let expected_used =
-      if par_domains > 1 && widest_batch >= Xc_util.Par.seq_cutoff then
-        min par_domains widest_batch
-      else 1
-    in
-    (* node/edge mismatches, and at least 1 when any encoded byte
-       differs (value summaries included) *)
-    let max_diff =
-      if String.equal (Xc_core.Codec.to_string s_inc) (Xc_core.Codec.to_string s_par) then 0
-      else max 1 (sealed_mismatches s_inc s_par)
-    in
-    let speedup_par = t_inc /. Float.max t_par 1e-9 in
     Format.fprintf ppf "@.Synopsis construction (%s, %d reference nodes)@."
       ds.Xc_exp.Runner.name
       (Xc_core.Synopsis.Builder.n_nodes reference);
     Format.fprintf ppf "  reference: %7.3f s  [refine %.3f vsumm %.3f]@." t_ref ref_refine
       ref_vsumm;
-    Format.fprintf ppf
-      "  incremental (1 domain): %7.3f s  [p1 %.3f p2 %.3f]  (%d cand evals)@." t_inc
-      p1_inc p2_inc evals_inc;
-    Format.fprintf ppf
-      "  parallel (%d domains requested, %d observed, widest batch %d):  %7.3f s  [p1 %.3f p2 %.3f]  %.1fx@."
-      par_domains domains_used widest_batch t_par p1_par p2_par speedup_par;
-    Format.fprintf ppf "  max node/edge diff between the two = %d@." max_diff;
+    Format.fprintf ppf "  build (min of %d): %7.3f s  [p1 %.3f p2 %.3f]  (%d cand evals)@."
+      reps t_inc p1_inc p2_inc evals_inc;
+    Format.fprintf ppf "  max node/edge diff of a repetition against the first = %d@."
+      max_diff;
     let json =
       Printf.sprintf
-        "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"domains\":%d,\"domains_used\":%d,\"cores\":%d,\"t_inc_s\":%.4f,\"t_par_s\":%.4f,\"speedup_par\":%.2f,\"evals_inc\":%d,\"max_diff\":%d,\"t_reference_s\":%.4f,\"t_refine_s\":%.4f,\"t_vsumm_s\":%.4f}"
-        (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale par_domains domains_used
-        cores t_inc t_par speedup_par evals_inc max_diff t_ref ref_refine ref_vsumm
+        "{\"ts\":%.0f,\"dataset\":%S,\"scale\":%.3f,\"reps\":%d,\"cores\":%d,\"t_inc_s\":%.4f,\"evals_inc\":%d,\"max_diff\":%d,\"t_reference_s\":%.4f,\"t_refine_s\":%.4f,\"t_vsumm_s\":%.4f}"
+        (Unix.gettimeofday ()) ds.Xc_exp.Runner.name scale reps
+        (Domain.recommended_domain_count ())
+        t_inc evals_inc max_diff t_ref ref_refine ref_vsumm
     in
     append_row "BENCH_build.json" json;
     if max_diff <> 0 then begin
-      Format.fprintf ppf "  ERROR: incremental and parallel builds diverged (diff %d)@."
-        max_diff;
-      exit 1
-    end;
-    if domains_used <> expected_used then begin
-      Format.fprintf ppf
-        "  ERROR: requested %d scoring workers but the pool engaged %d (widest \
-         batch %d, seq cutoff %d) — parallel leg did not run at the requested \
-         width@."
-        par_domains domains_used widest_batch Xc_util.Par.seq_cutoff;
+      Format.fprintf ppf "  ERROR: repeated builds diverged (diff %d)@." max_diff;
       exit 1
     end
   in

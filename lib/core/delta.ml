@@ -1,16 +1,13 @@
 module Vs = Xc_vsumm.Value_summary
 module B = Synopsis.Builder
 
-(* Structural dot products over the union of child edges of u and v,
-   including the implicit self query (A=1, B=1, W=1 component).
-   A_c = count(u,c), B_c = count(v,c), W_c = (|u|A_c + |v|B_c)/|w|,
-   with child references to u or v remapped onto w. *)
-(* Per-domain scratch for the child-edge gather below: one evaluation
-   per merge candidate, also from parallel scoring workers. Flat
-   parallel arrays with linear search — the merged child set is small
-   (a handful of distinct labels), so a linear probe beats hashing and
-   allocates nothing; accumulation iterates in insertion order, which
-   depends only on the builder's edge tables, never on a hash layout. *)
+(* Scratch for the child-edge gather below, owned by the caller
+   ([Pool] makes one per scoring batch and reuses it for every
+   evaluation in it). Flat parallel arrays with linear search — the
+   merged child set is small (a handful of distinct labels), so a
+   linear probe beats hashing and allocates nothing; accumulation
+   iterates in insertion order, which depends only on the builder's
+   edge tables, never on a hash layout. *)
 type scratch = {
   mutable sids : int array;
   mutable fa : float array;
@@ -18,10 +15,8 @@ type scratch = {
   mutable len : int;
 }
 
-let dots_scratch : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { sids = Array.make 64 0; fa = Array.make 64 0.0; fb = Array.make 64 0.0;
-        len = 0 })
+let scratch () =
+  { sids = Array.make 64 0; fa = Array.make 64 0.0; fb = Array.make 64 0.0; len = 0 }
 
 let scratch_slot sc sid =
   let n = sc.len in
@@ -47,16 +42,12 @@ let scratch_slot sc sid =
     n
   end
 
-(* Also counts the merged node's distinct children — the gather already
-   visits every child edge of u and v, so [saved_bytes] callers can
-   reuse the count instead of re-gathering (see
-   {!merge_delta_counted}). *)
-let structural_dots syn u v =
-  let cu = float_of_int (B.count u) and cv = float_of_int (B.count v) in
-  let cw = cu +. cv in
+(* Gathers A and B keyed by the merged child identity into [sc] (the
+   merged self-loop child under sid -1) and returns the merged node's
+   distinct child count: the non-u/v children plus the self loop. Both
+   Δ and [Merge.saved_bytes] read this one gather. *)
+let merged_children sc syn u v =
   let is_uv sid = sid = B.sid u || sid = B.sid v in
-  (* gather A and B keyed by the merged child identity *)
-  let sc = Domain.DLS.get dots_scratch in
   sc.len <- 0;
   let self = ref false in
   let gather node side =
@@ -76,11 +67,20 @@ let structural_dots syn u v =
   let self_u = gather u `U and self_v = gather v `V in
   let merged_children = sc.len + if !self then 1 else 0 in
   if self_u > 0.0 || self_v > 0.0 then begin
-    (* merged self-loop child *)
     let i = scratch_slot sc (-1) in
     sc.fa.(i) <- sc.fa.(i) +. self_u;
     sc.fb.(i) <- sc.fb.(i) +. self_v
   end;
+  merged_children
+
+(* Structural dot products over the union of child edges of u and v,
+   including the implicit self query (A=1, B=1, W=1 component).
+   A_c = count(u,c), B_c = count(v,c), W_c = (|u|A_c + |v|B_c)/|w|,
+   with child references to u or v remapped onto w. *)
+let structural_dots sc syn u v =
+  let cu = float_of_int (B.count u) and cv = float_of_int (B.count v) in
+  let cw = cu +. cv in
+  let merged_children = merged_children sc syn u v in
   let saa = ref 1.0 and saw = ref 1.0 and sbb = ref 1.0 and sbw = ref 1.0
   and sww = ref 1.0 in
   (* the initial 1.0 is the implicit self query with A = B = W = 1 *)
@@ -95,11 +95,11 @@ let structural_dots syn u v =
   done;
   (!saa, !saw, !sbb, !sbw, !sww, merged_children)
 
-let merge_delta_counted ?(structural_only = false) syn u v =
+let merge_delta_counted ?(structural_only = false) sc syn u v =
   let cu = float_of_int (B.count u) and cv = float_of_int (B.count v) in
   let cw = cu +. cv in
   let wu = cu /. cw and wv = cv /. cw in
-  let saa, saw, sbb, sbw, sww, merged_children = structural_dots syn u v in
+  let saa, saw, sbb, sbw, sww, merged_children = structural_dots sc syn u v in
   let puu, pvv, puv =
     if structural_only then (1.0, 1.0, 1.0)
     else Vs.pred_dots (B.vsumm u) (B.vsumm v)

@@ -16,16 +16,30 @@
     products are needed — O(|children| + |atomic predicates|) per
     candidate. *)
 
-val merge_delta_counted : ?structural_only:bool -> Synopsis.Builder.t ->
-  Synopsis.Builder.node -> Synopsis.Builder.node -> float * int
-(** [(Δ, merged child count)] of merging the two nodes. The number of
-    distinct children the merged node would have falls out of the same
-    child-edge gather that computes the structural dot products, so
-    candidate scoring can feed it to {!Merge.saved_bytes_with} instead
-    of gathering twice. [structural_only] replaces the atomic predicate
-    set by the single trivial predicate (σ ≡ 1), yielding a
-    TREESKETCH-style purely structural clustering error (the A1
-    ablation baseline). *)
+type scratch
+(** Working space for the child-edge gather of {!merge_delta_counted}
+    and {!merged_children}. A scratch belongs to its caller: reuse one
+    across the evaluations of a scoring batch, and never share one
+    between threads. *)
+
+val scratch : unit -> scratch
+
+val merged_children : scratch -> Synopsis.Builder.t ->
+  Synopsis.Builder.node -> Synopsis.Builder.node -> int
+(** The number of distinct children the merged node would have: the
+    children of either node other than the two themselves, plus one
+    self loop if either node has a child edge to either. *)
+
+val merge_delta_counted : ?structural_only:bool -> scratch ->
+  Synopsis.Builder.t -> Synopsis.Builder.node -> Synopsis.Builder.node ->
+  float * int
+(** [(Δ, merged child count)] of merging the two nodes. The count is
+    {!merged_children}, read off the same child-edge gather that
+    computes the structural dot products, so candidate scoring can feed
+    it to {!Merge.saved_bytes_with} instead of gathering twice.
+    [structural_only] replaces the atomic predicate set by the single
+    trivial predicate (σ ≡ 1), yielding a TREESKETCH-style purely
+    structural clustering error (the A1 ablation baseline). *)
 
 val compression_step :
   Synopsis.Builder.t -> Synopsis.Builder.node ->

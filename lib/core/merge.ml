@@ -11,28 +11,6 @@ let compatible u v =
      | Vs.Vtext _, Vs.Vtext _ -> true
      | (Vs.Vnone | Vs.Vnum _ | Vs.Vstr _ | Vs.Vtext _), _ -> false)
 
-(* Per-domain scratch for the child-key set below: [saved_bytes] runs
-   once per candidate evaluation (including inside parallel scoring
-   workers), and a fresh hashtable per call is pure GC pressure. *)
-let keys_scratch : (int, unit) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-(* Child sid set of the would-be merged node, with u/v remapped to w.
-   The returned table is the domain-local scratch — valid until the next
-   call on this domain. *)
-let merged_child_keys syn u v =
-  let keys = Domain.DLS.get keys_scratch in
-  Hashtbl.reset keys;
-  let self = ref false in
-  let note node =
-    B.succ syn node (fun sid _ ->
-        if sid = B.sid u || sid = B.sid v then self := true
-        else Hashtbl.replace keys sid ())
-  in
-  note u;
-  note v;
-  (keys, !self)
-
 let saved_bytes_with syn u v ~merged_children =
   let child_edges_before = B.out_degree u + B.out_degree v in
   (* every external parent holding edges to both u and v keeps only one *)
@@ -44,8 +22,7 @@ let saved_bytes_with syn u v ~merged_children =
   + (Size.edge_bytes * (child_edges_before - merged_children + !shared_parents))
 
 let saved_bytes syn u v =
-  let keys, self = merged_child_keys syn u v in
-  saved_bytes_with syn u v ~merged_children:(Hashtbl.length keys + if self then 1 else 0)
+  saved_bytes_with syn u v ~merged_children:(Delta.merged_children (Delta.scratch ()) syn u v)
 
 let apply syn su sv =
   let u = B.find syn su and v = B.find syn sv in

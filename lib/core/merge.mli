@@ -12,14 +12,16 @@ val compatible : Synopsis.Builder.node -> Synopsis.Builder.node -> bool
 val saved_bytes :
   Synopsis.Builder.t -> Synopsis.Builder.node -> Synopsis.Builder.node -> int
 (** Structural bytes the merge would save ([|S|_str − |S′|_str]):
-    one node plus every deduplicated child and parent edge. *)
+    one node plus every deduplicated child and parent edge. The merged
+    child count comes from {!Delta.merged_children}'s gather, in a
+    fresh scratch. *)
 
 val saved_bytes_with :
   Synopsis.Builder.t -> Synopsis.Builder.node -> Synopsis.Builder.node ->
   merged_children:int -> int
 (** {!saved_bytes} with the merged node's distinct-child count already
     known (from {!Delta.merge_delta_counted}'s gather), skipping the
-    child-edge walk. *)
+    gather. *)
 
 val apply : Synopsis.Builder.t -> int -> int -> Synopsis.Builder.node
 (** Performs the merge and returns the new node. The two source nodes

@@ -13,14 +13,14 @@
 
     Construction performance (DESIGN.md Sec. 8): compatible peers come
     from the Builder's incrementally maintained group index, so neither
-    {!build} nor {!push_neighbors} scans the node table; candidate
-    scoring (a pure read over the builder) fans out over
-    [Xc_util.Par.map] workers. Candidates carry a total order —
-    marginal-loss priority, then the (u, v) sid pair — independent of
-    evaluation order, so the pool's behaviour is bit-identical for any
-    worker count. Diagnostics ([pool.cand_evals], [pool.scanned],
-    [pool.rescored], the [pool.score] timer, ...) report into
-    [Xc_util.Metrics.global] from the coordinating domain only. *)
+    {!build} nor {!push_neighbors} scans the node table. Candidate
+    scoring is a pure read over the builder, run on the calling thread
+    with one child-edge gather scratch per scoring batch, so builds on
+    distinct builders may run on distinct threads at once. Candidates
+    carry a total order — marginal-loss priority, then the (u, v) sid
+    pair — independent of evaluation order and hashtable layout.
+    Diagnostics ([pool.cand_evals], [pool.scanned], [pool.rescored],
+    the [pool.score] timer, ...) report into [Xc_util.Metrics.global]. *)
 
 type cand = {
   u : int;
@@ -45,10 +45,6 @@ val pair_cap : int
 type config = {
   neighbor_k : int;   (** neighbours per node when a group is too large *)
   structural_only : bool;  (** TREESKETCH-style Δ (ablation) *)
-  domains : int;
-      (** candidate-scoring workers; [<= 0] (the default) defers to the
-          [XC_DOMAINS] environment variable via
-          {!Xc_util.Par.env_domains} *)
 }
 
 val default_config : config

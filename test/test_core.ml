@@ -272,7 +272,7 @@ let test_merge_self_loop () =
 (* ---- Delta ------------------------------------------------------------------ *)
 
 let merge_delta ?structural_only syn u v =
-  fst (Delta.merge_delta_counted ?structural_only syn u v)
+  fst (Delta.merge_delta_counted ?structural_only (Delta.scratch ()) syn u v)
 
 let test_delta_identical_is_zero () =
   (* merging two clusters with identical centroids and values costs 0 *)

@@ -3,9 +3,8 @@
    builds), the neighbour selection of push_neighbors (the nearest
    members by count, as a plain sort picks them, and the member-scan
    bounds that keep it off the node table), pop-time candidate
-   revalidation, bit-identical sealed output across scoring-worker
-   counts (XC_DOMAINS determinism), and the pinned digests of seeded
-   builds in golden/builds.txt. *)
+   revalidation, builds on two threads at once, and the pinned digests
+   of seeded builds in golden/builds.txt. *)
 
 open Xc_xml
 module Synopsis = Xc_core.Synopsis
@@ -256,29 +255,54 @@ let test_pop_valid_revalidates () =
   let rescored = Metrics.counter_value Metrics.global "pool.rescored" - rescored0 in
   check Alcotest.bool "stale entry was rescored" true (rescored > 0)
 
-(* ---- XC_DOMAINS determinism -------------------------------------------------- *)
+(* ---- two threads, one build each ------------------------------------------ *)
 
-(* the wire format covers every array of the sealed form, so string
-   equality of encodings is bit-identity of the synopses *)
-let sealed_equal a b = String.equal (Codec.to_string a) (Codec.to_string b)
-
-let test_domains_bit_identical () =
-  let datasets =
-    [ ("imdb", lazy (Xc_data.Imdb.generate ~seed:3 ~n_movies:60 ()));
-      ("xmark", lazy (Xc_data.Xmark.generate ~seed:4 ~scale:0.012 ()));
-      ("dblp", lazy (Xc_data.Dblp.generate ~seed:5 ~n_authors:70 ())) ]
+(* Builds share nothing but the reference they copy from: two
+   systhreads that build at once may switch at any point of a scoring
+   batch, so the child-edge gather scratch must belong to the scoring
+   call, never to the domain. One IMDB reference at two structural
+   budgets: the two builds' node numbering and child sets overlap, so a
+   shared scratch mixes one build's gather into the other's Δ and steers
+   the greedy choices. The value budget is loose enough that the builds
+   spend their time scoring merge candidates. Each thread builds its
+   budget again and again for about a second and a half; every build
+   must encode byte for byte as the single-threaded build at that
+   budget does. *)
+let test_two_thread_builds () =
+  let doc = Xc_data.Imdb.generate ~seed:9 ~n_movies:120 () in
+  let reference = Reference.build ~min_extent:2 doc in
+  let budgets = [| (4, 500); (5, 500) |] in
+  let digest (bstr_kb, bval_kb) =
+    Digest.string
+      (Codec.to_string (Build.run (Build.budget ~bstr_kb ~bval_kb ()) reference))
   in
-  List.iter
-    (fun (name, doc) ->
-      let reference = Reference.build ~min_extent:2 (Lazy.force doc) in
-      let build pool =
-        Build.run (Build.budget ~pool ~bstr_kb:2 ~bval_kb:16 ()) reference
-      in
-      let s1 = build { Pool.default_config with Pool.domains = 1 } in
-      let s4 = build { Pool.default_config with Pool.domains = 4 } in
-      check Alcotest.bool (name ^ ": 1 vs 4 domains bit-identical") true
-        (sealed_equal s1 s4))
-    datasets
+  let expect = Array.map digest budgets in
+  check Alcotest.bool "the two budgets build different synopses" false
+    (Digest.equal expect.(0) expect.(1));
+  let deadline = Unix.gettimeofday () +. 1.5 in
+  let builds = Array.make 2 0 and wrong = Array.make 2 0 in
+  let raised = Array.make 2 "" in
+  (* an exception would end the thread silently: count it as a wrong
+     build and report it *)
+  let worker k =
+    while builds.(k) < 3 || Unix.gettimeofday () < deadline do
+      (match digest budgets.(k) with
+       | d -> if not (Digest.equal d expect.(k)) then wrong.(k) <- wrong.(k) + 1
+       | exception e ->
+         wrong.(k) <- wrong.(k) + 1;
+         raised.(k) <- Printexc.to_string e);
+      builds.(k) <- builds.(k) + 1
+    done
+  in
+  Array.init 2 (Thread.create worker) |> Array.iter Thread.join;
+  Array.iteri
+    (fun k n ->
+      check Alcotest.int
+        (Printf.sprintf "budget %d: builds off the single-threaded digest (of %d)%s" k
+           builds.(k)
+           (if raised.(k) = "" then "" else "; last raised " ^ raised.(k)))
+        0 n)
+    wrong
 
 (* ---- pinned build output ------------------------------------------------------ *)
 
@@ -304,5 +328,5 @@ let () =
           QCheck_alcotest.to_alcotest nearest_property ] );
       ( "revalidation",
         [ Alcotest.test_case "pop rescored" `Quick test_pop_valid_revalidates ] );
-      ( "determinism",
-        [ Alcotest.test_case "XC_DOMAINS" `Quick test_domains_bit_identical ] ) ]
+      ( "threads",
+        [ Alcotest.test_case "two threads, one build each" `Quick test_two_thread_builds ] ) ]

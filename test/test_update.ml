@@ -1,12 +1,11 @@
 (* Incremental synopsis maintenance (Xc_core.Update): the
    update → localized repair → re-freeze lifecycle.
 
-   The headline property (ISSUE: satellite c): applying a mutation
-   batch to a live builder and re-freezing must estimate the mutated
-   document about as well as a from-scratch XCLUSTERBUILD on that
-   document — across imdb/xmark/dblp and across the pool's domain
-   counts (1/2/4), where the repaired synopsis must additionally be
-   bitwise deterministic. *)
+   The headline property: applying a mutation batch to a live builder
+   and re-freezing must estimate the mutated document about as well as
+   a from-scratch XCLUSTERBUILD on that document, across
+   imdb/xmark/dblp, and a second repair from the same snapshot must be
+   bitwise the first. *)
 
 open Xc_xml
 module Synopsis = Xc_core.Synopsis
@@ -15,7 +14,6 @@ module S = Synopsis.Sealed
 module Reference = Xc_core.Reference
 module Build = Xc_core.Build
 module Update = Xc_core.Update
-module Pool = Xc_core.Pool
 module Estimate = Xc_core.Estimate
 
 let check = Alcotest.check
@@ -202,10 +200,7 @@ let xmark_case doc =
 let added_error_bound = 0.03
 
 let run_property ~name doc (muts, mutated) =
-  let budget =
-    Build.budget ~pool:{ Pool.default_config with Pool.domains = 1 } ~bstr_kb:12
-      ~bval_kb:60 ()
-  in
+  let budget = Build.budget ~bstr_kb:12 ~bval_kb:60 () in
   let reference = Reference.build ~min_extent:4 doc in
   let live = Build.run_builder budget reference in
   let snapshot = B.copy live in
@@ -239,36 +234,26 @@ let run_property ~name doc (muts, mutated) =
       (Printf.sprintf "%s: added error (incr %.4f, fresh %.4f)" name e_incr e_fresh)
       true
       (e_incr -. e_fresh < added_error_bound);
-    (* the repaired synopsis is deterministic across pool domain counts *)
-    let reseal domains =
-      let b = B.copy snapshot in
-      let budget =
-        { budget with Build.pool = { budget.Build.pool with Pool.domains } }
-      in
-      match Update.apply_and_seal ~budget b muts with
-      | Error e -> Alcotest.failf "%s (domains=%d): rejected: %s" name domains e
+    (* repair is a function of the snapshot and the mutations: a second
+       repair from the same snapshot is bitwise the first *)
+    let resealed =
+      match Update.apply_and_seal ~budget (B.copy snapshot) muts with
+      | Error e -> Alcotest.failf "%s (reseal): rejected: %s" name e
       | Ok (_, syn) -> syn
     in
-    let probe = [ "//item"; "//paper"; "//author"; "//open_auction"; "//year" ] in
+    check Alcotest.int (name ^ ": n_nodes resealed") (S.n_nodes incr_syn)
+      (S.n_nodes resealed);
+    check Alcotest.int (name ^ ": n_edges resealed") (S.n_edges incr_syn)
+      (S.n_edges resealed);
     List.iter
-      (fun domains ->
-        let syn = reseal domains in
-        check Alcotest.int
-          (Printf.sprintf "%s: n_nodes domains=%d" name domains)
-          (S.n_nodes incr_syn) (S.n_nodes syn);
-        check Alcotest.int
-          (Printf.sprintf "%s: n_edges domains=%d" name domains)
-          (S.n_edges incr_syn) (S.n_edges syn);
-        List.iter
-          (fun q ->
-            check Alcotest.bool
-              (Printf.sprintf "%s: %s bitwise domains=%d" name q domains)
-              true
-              (Int64.equal
-                 (Int64.bits_of_float (est incr_syn q))
-                 (Int64.bits_of_float (est syn q))))
-          probe)
-      [ 2; 4 ]
+      (fun q ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: %s bitwise resealed" name q)
+          true
+          (Int64.equal
+             (Int64.bits_of_float (est incr_syn q))
+             (Int64.bits_of_float (est resealed q))))
+      [ "//item"; "//paper"; "//author"; "//open_auction"; "//year" ]
 
 let test_property_imdb () =
   let doc = Xc_data.Imdb.generate ~seed:31 ~n_movies:260 () in

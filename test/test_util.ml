@@ -1,12 +1,10 @@
 (* Tests for Xc_util: the binary heap, the splitmix64 RNG, the
-   Zipfian sampler, the CRC-32 checksum, byte slices, and the Par
-   fork/join pool. *)
+   Zipfian sampler, the CRC-32 checksum and byte slices. *)
 
 module Crc32 = Xc_util.Crc32
 module Heap = Xc_util.Heap
 module Rng = Xc_util.Rng
 module Zipf = Xc_util.Zipf
-module Par = Xc_util.Par
 
 let check = Alcotest.check
 let checkf = Alcotest.check (Alcotest.float 1e-9)
@@ -388,69 +386,6 @@ let test_hash_tail_spread () =
 
 let seeded test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |]) test
 
-(* ---- Par ------------------------------------------------------------- *)
-
-(* above the sequential cutoff, and not a multiple of 2 or 4, so the
-   chunks are uneven *)
-let par_n = (4 * Par.seq_cutoff) + 3
-
-(* chunk [c] of [d] covers [c * n / d, (c + 1) * n / d) *)
-let chunk_bound d c = c * par_n / d
-
-let test_par_placement () =
-  let input = Array.init par_n Fun.id in
-  let expect = Array.map (fun x -> (3 * x) + 1) input in
-  List.iter
-    (fun d ->
-      Par.reset_usage ();
-      check (Alcotest.array Alcotest.int) (Printf.sprintf "map at %d domains" d) expect
-        (Par.map ~domains:d (fun x -> (3 * x) + 1) input);
-      check Alcotest.int (Printf.sprintf "map engaged %d workers" d) d (Par.max_used ()))
-    [ 1; 2; 4 ]
-
-exception Boom of int
-
-(* Run [f] over [0, par_n) at [d] domains through [map], raising
-   [Boom i] at each index in [raise_at]; every other element sleeps
-   briefly, then counts itself done. Returns the index that propagated
-   and the done count read right after. *)
-let par_raising d raise_at =
-  let finished = Atomic.make 0 in
-  let f i =
-    if List.mem i raise_at then raise (Boom i);
-    Unix.sleepf 1e-4;
-    Atomic.incr finished
-  in
-  let input = Array.init par_n Fun.id in
-  match Par.map ~domains:d f input with
-  | _ -> Alcotest.fail "no exception propagated"
-  | exception Boom i -> (i, Atomic.get finished)
-
-let test_par_exceptions () =
-  List.iter
-    (fun d ->
-      (* the caller's chunk raises at once, every worker chunk at its
-         last element: the caller's exception wins, and only after
-         every worker finished the rest of its chunk *)
-      let last c = chunk_bound d (c + 1) - 1 in
-      let raise_at = 0 :: List.init (d - 1) (fun c -> last (c + 1)) in
-      let i, finished = par_raising d raise_at in
-      check Alcotest.int (Printf.sprintf "map at %d: chunk 0 wins" d) 0 i;
-      check Alcotest.int
-        (Printf.sprintf "map at %d: every worker joined first" d)
-        (par_n - chunk_bound d 1 - (d - 1))
-        finished;
-      if d > 1 then begin
-        (* only workers raise: the lowest chunk's exception wins *)
-        let i, finished = par_raising d (List.init (d - 1) (fun c -> last (c + 1))) in
-        check Alcotest.int (Printf.sprintf "map at %d: chunk 1 wins" d) (last 1) i;
-        check Alcotest.int
-          (Printf.sprintf "map at %d: all other elements done" d)
-          (par_n - (d - 1))
-          finished
-      end)
-    [ 1; 2; 4 ]
-
 let () =
   Alcotest.run "xc_util"
     [ ( "heap",
@@ -487,8 +422,4 @@ let () =
       ( "slices",
         [ Alcotest.test_case "reuse and bounds" `Quick test_slices_reuse;
           Alcotest.test_case "hash spreads the last bytes" `Quick test_hash_tail_spread;
-          seeded slices_table_matches_hashtbl ] );
-      ( "par",
-        [ Alcotest.test_case "results land at their input index" `Quick test_par_placement;
-          Alcotest.test_case "exceptions propagate after the join" `Quick
-            test_par_exceptions ] ) ]
+          seeded slices_table_matches_hashtbl ] ) ]
